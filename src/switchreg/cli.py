@@ -78,8 +78,7 @@ def _config(args) -> SolverConfig:
         brute_budget=_env_int("SWITCHREG_BRUTE_BUDGET", 2_000_000),
         candidate_budget=_env_int("SWITCHREG_CANDIDATE_BUDGET", 2_000_000),
         node_budget=_env_int("SWITCHREG_NODE_BUDGET", 1_000_000),
-        check_position=not getattr(args, "no_check_position", False),
-        threads=getattr(args, "threads", 1))
+        check_position=not getattr(args, "no_check_position", False))
 
 
 def _load_data(path: str) -> tuple[Dataset, int | None]:
@@ -271,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--loss", choices=["squared", "absolute"], default="squared")
     s.add_argument("--epsilon", type=float, default=None,
                    help="decision mode: answer whether optimal cost <= epsilon")
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--restarts", type=int, default=None)
     s.add_argument("--no-check-position", action="store_true",
@@ -304,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--repeats", type=int, default=3)
     b.add_argument("--loss", choices=["squared", "absolute"], default="squared")
-    b.add_argument("--threads", type=int, default=1)
     b.set_defaults(func=_cmd_bench)
     return top
 

@@ -284,6 +284,15 @@ def empirical_cost(data: Dataset, models: ModelSet, labeling: Labeling,
     return _cost_arrays(data.x, data.y, models.w, labeling.q - 1, loss)
 
 
+def _assign_arrays(x, y, w, loss: LossModel, tie_tol: float):
+    """0-based min-loss labels for models w, plus the 0-based tied rows."""
+    losses = loss.residual_loss(y[:, None] - x @ w.T)      # (N, n)
+    near_min = losses <= losses.min(axis=1)[:, None] + tie_tol
+    q0 = np.argmax(near_min, axis=1)                       # first mode within tol
+    tied = np.flatnonzero(near_min.sum(axis=1) >= 2)
+    return q0, tied
+
+
 def assign_modes(data: Dataset, models: ModelSet, loss: LossModel,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> Labeling:
     """Optimal labeling for fixed models: each point takes a min-loss mode.
@@ -293,12 +302,8 @@ def assign_modes(data: Dataset, models: ModelSet, loss: LossModel,
     """
     if models.d != data.d:
         raise ValueError(f"models have d={models.d}, data has d={data.d}")
-    resid = data.y[:, None] - data.x @ models.w.T          # (N, n)
-    losses = loss.residual_loss(resid)
-    near_min = losses <= losses.min(axis=1)[:, None] + tol.tie_tol
-    q0 = np.argmax(near_min, axis=1)                       # first mode within tol
-    tied_rows = np.flatnonzero(near_min.sum(axis=1) >= 2)
-    return Labeling(q0 + 1, tie_set=(tied_rows + 1).tolist())
+    q0, tied = _assign_arrays(data.x, data.y, models.w, loss, tol.tie_tol)
+    return Labeling(q0 + 1, tie_set=(tied + 1).tolist())
 
 
 def pairwise_classifiers_from_models(models: ModelSet) -> list[PairwiseClassifier]:
@@ -357,27 +362,21 @@ def canonicalize_labels(labeling: Labeling, n: int) -> Labeling:
     q = labeling.q
     if np.any(q > n):
         raise ValueError(f"label exceeds n={n}")
-    remap = {}
-    out = np.empty_like(q)
-    nxt = 1
-    for i, v in enumerate(q):
-        v = int(v)
-        if v not in remap:
-            remap[v] = nxt
-            nxt += 1
-        out[i] = remap[v]
-    return Labeling(out, tie_set=labeling.tie_set)
+    return Labeling(_canonicalize_arrays(q - 1) + 1, tie_set=labeling.tie_set)
 
 
-def canonical_label_array(q0: np.ndarray) -> np.ndarray:
-    """First-occurrence relabeling of a 0-based label array (solver internal)."""
-    remap = {}
-    out = np.empty_like(q0)
-    nxt = 0
-    for i, v in enumerate(q0):
-        v = int(v)
-        if v not in remap:
-            remap[v] = nxt
-            nxt += 1
-        out[i] = remap[v]
-    return out
+def _canonicalize_arrays(q0: np.ndarray, w: np.ndarray | None = None):
+    """First-occurrence relabeling of a 0-based label array.
+
+    With model rows w, also returns w permuted to match: used modes in order
+    of first occurrence, then the unused ones in index order.
+    """
+    remap: dict = {}
+    for v in q0.tolist():
+        remap.setdefault(v, len(remap))
+    q_new = np.array([remap[v] for v in q0.tolist()], dtype=np.int64)
+    if w is None:
+        return q_new
+    for j in range(w.shape[0]):
+        remap.setdefault(j, len(remap))
+    return q_new, w[list(remap)]

@@ -8,7 +8,8 @@ Four methods with different guarantees:
   dichotomies of the lifted points (x_i, y_i) and of the x_i themselves,
   one product per mode pair, combined by majority vote. Every labeling a
   pairwise-optimal model set could induce appears among these candidates,
-  so fitting each one and keeping the best is globally optimal.
+  so fitting each one and keeping the best is globally optimal; all
+  candidates are scored in one batched pass and only the best are re-fit.
 * noiseless_solve: exact for data admitting a zero-error fit; reconstructs
   each mode from d interpolation points.
 * altmin_solve: seeded alternating-minimization baseline, local minima and
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
@@ -33,8 +33,9 @@ from .core import (
     LossModel,
     ModelSet,
     Tolerances,
+    _assign_arrays,
+    _canonicalize_arrays,
     _cost_arrays,
-    canonical_label_array,
 )
 from .geometry import check_general_position, enumerate_linear_dichotomies
 
@@ -58,6 +59,9 @@ __all__ = [
 
 _RIDGE = 1e-10
 _MAX_REFINE_ROUNDS = 1000
+# Candidates scored per batch by enumeration_solve. It bounds the scorer's
+# (chunk, n, N) and, under absolute loss, (chunk, n, C(N, d)) arrays.
+_SCORE_CHUNK = 512
 
 SOLVER_METHODS = ("brute", "enum", "noiseless", "altmin")
 
@@ -73,8 +77,9 @@ class SolverConfig:
     max_tie_alterations caps how many extra labeling variants a single
     majority-vote tie may spawn; d_max and n_max gate the enumeration
     solver; restarts and seed drive the heuristic. The budgets refuse
-    runs whose labeling or combination counts would be excessive, and
-    node_budget bounds the noiseless cover search.
+    runs whose labeling or combination counts would be excessive,
+    node_budget bounds the noiseless cover search, and check_position
+    turns the general-position diagnostic of the enumeration solver on.
     """
 
     max_tie_alterations: int = 12
@@ -87,12 +92,10 @@ class SolverConfig:
     candidate_budget: int = 2_000_000
     node_budget: int = 1_000_000
     check_position: bool = True
-    threads: int = 1
 
     def __post_init__(self):
         for name in ("max_tie_alterations", "d_max", "n_max", "restarts",
-                     "brute_budget", "candidate_budget", "node_budget",
-                     "threads"):
+                     "brute_budget", "candidate_budget", "node_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -221,14 +224,6 @@ def fit_modes(data: Dataset, labeling: Labeling, n: int, loss: LossModel) -> Mod
     return ModelSet(_fit_array(data.x, data.y, labeling.q - 1, n, loss))
 
 
-def _assign_array(x, y, w, loss: LossModel, tie_tol: float):
-    losses = loss.residual_loss(y[:, None] - x @ w.T)
-    near_min = losses <= losses.min(axis=1)[:, None] + tie_tol
-    q0 = np.argmax(near_min, axis=1)
-    tied = np.flatnonzero(near_min.sum(axis=1) >= 2)
-    return q0, tied
-
-
 def refine_alternate(data: Dataset, models: ModelSet, loss: LossModel,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> RefineResult:
     """Alternate optimal assignment and per-mode refitting until stable.
@@ -244,13 +239,13 @@ def refine_alternate(data: Dataset, models: ModelSet, loss: LossModel,
     x, y = data.x, data.y
     n = models.n
     w = models.w
-    q0, ties = _assign_array(x, y, w, loss, tol.tie_tol)
+    q0, ties = _assign_arrays(x, y, w, loss, tol.tie_tol)
     costs = [_cost_arrays(x, y, w, q0, loss)]
     prev_round = None
     for _ in range(_MAX_REFINE_ROUNDS):
         w = _fit_array(x, y, q0, n, loss)
         costs.append(_cost_arrays(x, y, w, q0, loss))
-        new_q0, ties = _assign_array(x, y, w, loss, tol.tie_tol)
+        new_q0, ties = _assign_arrays(x, y, w, loss, tol.tie_tol)
         costs.append(_cost_arrays(x, y, w, new_q0, loss))
         stable = np.array_equal(new_q0, q0)
         q0 = new_q0
@@ -283,27 +278,6 @@ def _canonical_label_arrays(N: int, n: int):
     yield from rec(1, 1)
 
 
-def _canonical_pair(w: np.ndarray, q0: np.ndarray):
-    """Canonicalize labels and permute model rows to match."""
-    n = w.shape[0]
-    remap = {}
-    nxt = 0
-    for v in q0:
-        v = int(v)
-        if v not in remap:
-            remap[v] = nxt
-            nxt += 1
-    for j in range(n):
-        if j not in remap:
-            remap[j] = nxt
-            nxt += 1
-    q_new = np.fromiter((remap[int(v)] for v in q0), dtype=np.int64, count=len(q0))
-    w_new = np.empty_like(w)
-    for old, new in remap.items():
-        w_new[new] = w[old]
-    return w_new, q_new
-
-
 def brute_force_solve(data: Dataset, n: int, loss: LossModel,
                       budget: int = 2_000_000,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> SolveReport:
@@ -330,7 +304,7 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
         if best is None or (c, key) < (best[0], best[1]):
             best = (c, key, w)
     cost, key, w = best
-    _, ties = _assign_array(x, y, w, loss, tol.tie_tol)
+    _, ties = _assign_arrays(x, y, w, loss, tol.tie_tol)
     labeling = Labeling(np.array(key, dtype=np.int64) + 1,
                         tie_set=(ties + 1).tolist())
     return SolveReport(method="brute", cost=cost, models=ModelSet(w),
@@ -441,7 +415,7 @@ class CandidateStream:
                     self.tie_truncations += 1
 
             for q0 in variants:
-                canon = canonical_label_array(q0)
+                canon = _canonicalize_arrays(q0)
                 key = canon.tobytes()
                 if key in seen:
                     continue
@@ -456,37 +430,115 @@ def enumerate_candidate_labelings(data: Dataset, n: int,
     return CandidateStream(data, n, cfg or SolverConfig())
 
 
+def _squared_scores(x, y, member):
+    """Squared-loss cost of each candidate under its per-mode fit.
+
+    member is the (C, n, N) mode membership of C candidates. The fit follows
+    _squared_fit: the normal equations where their solve is accurate, the
+    ridge solve where a mode's Gram matrix is singular or has fewer than d
+    points, and w = 0 for empty modes.
+    """
+    N, d = x.shape
+    m = member.astype(float)
+    gram = (m @ (x[:, :, None] * x[:, None, :]).reshape(N, d * d)).reshape(
+        member.shape[:2] + (d, d))                       # (C, n, d, d)
+    rhs = m @ (x * y[:, None])                           # (C, n, d)
+    k = member.sum(axis=2)
+    w = np.zeros(rhs.shape)
+    # slogdet shares solve's LU, so a zero sign is exactly solve's singularity
+    plain = (k >= d) & (np.linalg.slogdet(gram)[0] != 0)
+    if plain.any():
+        w[plain] = np.linalg.solve(gram[plain], rhs[plain][..., None])[..., 0]
+    err = np.abs(np.einsum("cjik,cjk->cji", gram, w) - rhs)
+    plain &= np.all(err <= 1e-12 + 1e-8 * np.abs(rhs), axis=2)
+    ridge = (k > 0) & ~plain
+    if ridge.any():
+        w[ridge] = np.linalg.solve(gram[ridge] + _RIDGE * np.eye(d),
+                                   rhs[ridge][..., None])[..., 0]
+    pred = (member * (w @ x.T)).sum(axis=1)              # (C, N)
+    return np.mean(np.square(y - pred), axis=1)
+
+
+def _interpolants(x, y):
+    """Every d-subset of the points and the absolute residuals (S, N) of its
+    minimum-norm interpolant, the lstsq solution _absolute_fit scores."""
+    N, d = x.shape
+    subsets = np.array(list(itertools.combinations(range(N), d)),
+                       dtype=np.int64).reshape(-1, d)
+    ws = np.linalg.pinv(x[subsets], rcond=d * np.finfo(float).eps) \
+        @ y[subsets][..., None]
+    return subsets, np.abs(y - ws[..., 0] @ x.T)
+
+
+def _absolute_scores(x, y, member, subsets, resid, loss: LossModel):
+    """Absolute-loss cost of each candidate under its per-mode fit.
+
+    A mode with k >= d points scores the best interpolant of a d-subset of
+    its own points, which is _absolute_fit's exact L1 fit. Subsets reaching
+    outside the mode are excluded: on rank-deficient modes their min-norm
+    interpolants can undercut that fit. Modes with 0 < k < d points are
+    fitted one by one, as _absolute_fit does.
+    """
+    N, d = x.shape
+    inside = member[:, :, subsets].all(axis=3)           # (C, n, S)
+    totals = member.astype(float) @ resid.T              # (C, n, S)
+    best = np.where(inside, totals, np.inf).min(axis=2, initial=np.inf)
+    k = member.sum(axis=2)
+    best[k == 0] = 0.0
+    for c, j in np.argwhere((k > 0) & (k < d)):
+        pts = member[c, j]
+        w = solve_mode_regression(x[pts], y[pts], loss)
+        best[c, j] = np.abs(y[pts] - x[pts] @ w).sum()
+    return best.sum(axis=1) / N
+
+
+def _candidate_scores(x, y, labels, n: int, loss: LossModel) -> np.ndarray:
+    """Cost of fitting each row of the (C, N) 0-based label array.
+
+    Equals _cost_arrays(x, y, _fit_array(x, y, q0, n, loss), q0, loss) for
+    every row q0 up to rounding. Rows are scored _SCORE_CHUNK at a time.
+    """
+    if loss.kind == "absolute":
+        subsets, resid = _interpolants(x, y)
+    scores = np.empty(len(labels))
+    for lo in range(0, len(labels), _SCORE_CHUNK):
+        q = labels[lo:lo + _SCORE_CHUNK]
+        member = q[:, None, :] == np.arange(n)[:, None]  # (C, n, N)
+        if loss.kind == "squared":
+            scores[lo:lo + len(q)] = _squared_scores(x, y, member)
+        else:
+            scores[lo:lo + len(q)] = _absolute_scores(x, y, member, subsets,
+                                                      resid, loss)
+    return scores
+
+
 def enumeration_solve(data: Dataset, n: int, loss: LossModel,
                       cfg: SolverConfig | None = None) -> SolveReport:
-    """Exact solver via candidate labeling enumeration plus refinement.
+    """Exact solver: fit every candidate labeling and keep the best.
 
-    Fits every candidate labeling, refines it by alternating minimization
-    (which cannot increase cost), and keeps the best result. Ties on cost
-    break toward the lexicographically smallest canonical labeling, so the
-    report is deterministic, including under threads > 1.
+    The candidates contain a globally optimal labeling, so no refinement is
+    needed. All candidates are scored in one batched pass; those within
+    zero_tol of the best score are re-fit with the per-mode routine, whose
+    cost is reported. Ties on cost break toward the lexicographically
+    smallest canonical labeling, so the report is deterministic.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     stream = CandidateStream(data, n, cfg)
-    candidates = list(stream)
+    labels = np.array([lab.q for lab in stream]) - 1
     x, y = data.x, data.y
-
-    def evaluate(lab: Labeling):
-        w0 = _fit_array(x, y, lab.q - 1, n, loss)
-        res = refine_alternate(data, ModelSet(w0), loss, cfg.tol)
-        w_c, q_c = _canonical_pair(res.models.w, res.labeling.q - 1)
-        cost = _cost_arrays(x, y, w_c, q_c, loss)
-        return cost, tuple(int(v) for v in q_c), w_c, res.labeling.tie_set
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(evaluate, candidates))
-    else:
-        results = [evaluate(lab) for lab in candidates]
-
-    best = min(results, key=lambda r: (r[0], r[1]))
-    cost, key, w, tie_set = best
-    labeling = Labeling(np.array(key, dtype=np.int64) + 1, tie_set=tie_set)
+    scores = _candidate_scores(x, y, labels, n, loss)
+    best = None
+    for q0 in labels[scores <= scores.min() + cfg.tol.zero_tol]:
+        w = _fit_array(x, y, q0, n, loss)
+        c = _cost_arrays(x, y, w, q0, loss)
+        key = tuple(q0.tolist())
+        if best is None or (c, key) < (best[0], best[1]):
+            best = (c, key, w)
+    cost, key, w = best
+    _, ties = _assign_arrays(x, y, w, loss, cfg.tol.tie_tol)
+    labeling = Labeling(np.array(key, dtype=np.int64) + 1,
+                        tie_set=(ties + 1).tolist())
     warnings = tuple(stream.warnings)
     status = "optimal"
     if stream.coverage_warning:
@@ -575,8 +627,8 @@ def noiseless_solve(data: Dataset, n: int,
                 w = np.vstack([w, w[:1]])
         else:
             w = np.zeros((n, d))
-        q0, ties = _assign_array(x, y, w, SQUARED, cfg.tol.tie_tol)
-        w_c, q_c = _canonical_pair(w, q0)
+        q0, ties = _assign_arrays(x, y, w, SQUARED, cfg.tol.tie_tol)
+        q_c, w_c = _canonicalize_arrays(q0, w)
         cost = _cost_arrays(x, y, w_c, q_c, SQUARED)
         labeling = Labeling(q_c + 1, tie_set=(ties + 1).tolist())
         return SolveReport(method="noiseless", cost=cost, models=ModelSet(w_c),
@@ -657,7 +709,7 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel, restarts: int = 10,
         else:
             w0 = rng.standard_normal((n, d))
         res = refine_alternate(data, ModelSet(w0), loss, tol)
-        w_c, q_c = _canonical_pair(res.models.w, res.labeling.q - 1)
+        q_c, w_c = _canonicalize_arrays(res.labeling.q - 1, res.models.w)
         cost = _cost_arrays(x, y, w_c, q_c, loss)
         key = tuple(int(v) for v in q_c)
         if best is None or (cost, key) < (best[0], best[1]):

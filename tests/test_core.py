@@ -10,7 +10,7 @@ from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, Dataset, Labeling,
                        canonicalize_labels, empirical_cost, get_loss,
                        loss_eval, majority_vote_label,
                        pairwise_classifiers_from_models)
-from switchreg.core import PairwiseClassifier
+from switchreg.core import PairwiseClassifier, _canonicalize_arrays
 
 from conftest import min_cost_over_all_labelings, random_instance
 
@@ -294,6 +294,14 @@ def test_canonicalize_idempotent_and_cost_preserving():
 def test_canonicalize_preserves_tie_set():
     lab = Labeling(np.array([2, 1, 2]), tie_set=[1, 3])
     assert canonicalize_labels(lab, 2).tie_set == (1, 3)
+
+
+def test_canonicalize_arrays_permutes_model_rows():
+    # used modes in first-occurrence order, then the unused ones by index
+    w = np.arange(4.0)[:, None]
+    q_new, w_new = _canonicalize_arrays(np.array([2, 0, 2]), w)
+    assert q_new.tolist() == [0, 1, 0]
+    assert w_new.ravel().tolist() == [2.0, 0.0, 1.0, 3.0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, CapsExceededError,
                        empirical_cost, enumerate_candidate_labelings,
                        enumeration_solve, fit_modes, noiseless_solve,
                        refine_alternate, solve_instance, solve_mode_regression)
+from switchreg import solvers
 from switchreg.datasets import GeneratorSpec, generate_instance
 from switchreg.solvers import SolveReport
 
@@ -286,14 +287,79 @@ def test_enum_report_cost_consistent():
     assert abs(recomputed - report.cost) <= DEFAULT_TOLERANCES.zero_tol
 
 
-def test_enum_thread_determinism():
+def test_enum_result_independent_of_chunk_size(monkeypatch):
     data, _, _ = random_instance(6, d=2, N=9)
-    a = enumeration_solve(data, 2, SQUARED, SolverConfig(threads=1))
-    b = enumeration_solve(data, 2, SQUARED, SolverConfig(threads=4))
-    assert a.cost == b.cost
-    assert a.labeling.q.tolist() == b.labeling.q.tolist()
-    assert np.array_equal(a.models.w, b.models.w)
-    assert a.candidates_examined == b.candidates_examined
+    for loss in (SQUARED, ABSOLUTE):
+        reports = []
+        for chunk in (1, 7, solvers._SCORE_CHUNK):
+            monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
+            reports.append(enumeration_solve(data, 2, loss))
+        a = reports[0]
+        for b in reports[1:]:
+            assert a.cost == b.cost
+            assert a.labeling.q.tolist() == b.labeling.q.tolist()
+            assert np.array_equal(a.models.w, b.models.w)
+            assert a.candidates_examined == b.candidates_examined
+
+
+def _grid_points(rng, N, d):
+    """Integer grid in {-2..2}; all-zero regressors are redrawn."""
+    x = rng.integers(-2, 3, size=(N, d)).astype(float)
+    for i in np.flatnonzero(~x.any(axis=1)):
+        while not x[i].any():
+            x[i] = rng.integers(-2, 3, size=d)
+    return x, rng.integers(-2, 3, size=N).astype(float)
+
+
+def test_batched_scores_equal_per_candidate_fit():
+    rng = np.random.default_rng(12)
+    seen = {"empty": 0, "small": 0, "rank_deficient": 0}
+    for trial in range(36):
+        n, d = 2 + trial % 2, 1 + trial % 3
+        N = 7 + trial % 3
+        if trial % 4 < 2:
+            x, y = rng.standard_normal((N, d)), rng.standard_normal(N)
+        else:
+            x, y = _grid_points(rng, N, d)
+        labels = rng.integers(0, n, size=(40, N))
+        labels[0] = 0                               # every other mode empty
+        labels[1, :] = 1
+        labels[1, :d - 1] = 0                       # mode 0 below d points
+        for q0 in labels:
+            for j in range(n):
+                k = np.sum(q0 == j)
+                seen["empty"] += k == 0
+                seen["small"] += 0 < k < d
+                seen["rank_deficient"] += k >= d and \
+                    np.linalg.matrix_rank(x[q0 == j]) < d
+        for loss in (SQUARED, ABSOLUTE):
+            scores = solvers._candidate_scores(x, y, labels, n, loss)
+            for q0, score in zip(labels, scores):
+                w = solvers._fit_array(x, y, q0, n, loss)
+                exact = empirical_cost(Dataset(x, y), ModelSet(w),
+                                       Labeling(q0 + 1), loss)
+                assert abs(score - exact) <= 1e-9, (trial, loss, q0)
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_enum_matches_brute_on_integer_grid():
+    rng = np.random.default_rng(2024)
+    solved = 0
+    for trial in range(40):
+        d, N = 1 + trial % 2, 7 + (trial // 2) % 2
+        loss = (SQUARED, ABSOLUTE)[(trial // 4) % 2]
+        data = Dataset(rng.integers(-2, 3, size=(N, d)).astype(float),
+                       rng.integers(-2, 3, size=N).astype(float))
+        if not data.x.any(axis=1).all():
+            with pytest.raises(ValueError, match="origin"):
+                enumeration_solve(data, 2, loss)
+            continue
+        enum = enumeration_solve(data, 2, loss)
+        brute = brute_force_solve(data, 2, loss)
+        assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol, \
+            (trial, enum.cost, brute.cost)
+        solved += 1
+    assert solved >= 20
 
 
 def test_enum_position_warning_on_degenerate_data():
