@@ -14,7 +14,7 @@ wins over defaults):
   SWITCHREG_D_MAX, SWITCHREG_N_MAX                           instance caps
   SWITCHREG_BRUTE_BUDGET, SWITCHREG_CANDIDATE_BUDGET,
   SWITCHREG_NODE_BUDGET                                      work budgets
-  SWITCHREG_MAX_TIE_ALT, SWITCHREG_RESTARTS                  solver knobs
+  SWITCHREG_RESTARTS                                         altmin restarts
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ def _tolerances_from_env() -> Tolerances:
 
 def _config(args) -> SolverConfig:
     return SolverConfig(
-        max_tie_alterations=_env_int("SWITCHREG_MAX_TIE_ALT", 12),
         d_max=_env_int("SWITCHREG_D_MAX", 3),
         n_max=_env_int("SWITCHREG_N_MAX", 3),
         restarts=getattr(args, "restarts", None) or _env_int("SWITCHREG_RESTARTS", 10),
@@ -77,8 +76,7 @@ def _config(args) -> SolverConfig:
         tol=_tolerances_from_env(),
         brute_budget=_env_int("SWITCHREG_BRUTE_BUDGET", 2_000_000),
         candidate_budget=_env_int("SWITCHREG_CANDIDATE_BUDGET", 2_000_000),
-        node_budget=_env_int("SWITCHREG_NODE_BUDGET", 1_000_000),
-        check_position=not getattr(args, "no_check_position", False))
+        node_budget=_env_int("SWITCHREG_NODE_BUDGET", 1_000_000))
 
 
 def _load_data(path: str) -> tuple[Dataset, int | None]:
@@ -272,8 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="decision mode: answer whether optimal cost <= epsilon")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--restarts", type=int, default=None)
-    s.add_argument("--no-check-position", action="store_true",
-                   help="skip the general-position diagnostic")
     s.set_defaults(func=_cmd_solve)
 
     r = sub.add_parser("reduce-partition",

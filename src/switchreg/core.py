@@ -366,17 +366,19 @@ def canonicalize_labels(labeling: Labeling, n: int) -> Labeling:
 
 
 def _canonicalize_arrays(q0: np.ndarray, w: np.ndarray | None = None):
-    """First-occurrence relabeling of a 0-based label array.
+    """First-occurrence relabeling of 0-based label arrays, row by row.
 
-    With model rows w, also returns w permuted to match: used modes in order
-    of first occurrence, then the unused ones in index order.
+    q0 is (..., N); each row along the last axis is relabeled on its own.
+    With model rows w (for a single row q0), also returns w permuted to
+    match: used modes in order of first occurrence, then the unused ones in
+    index order.
     """
-    remap: dict = {}
-    for v in q0.tolist():
-        remap.setdefault(v, len(remap))
-    q_new = np.array([remap[v] for v in q0.tolist()], dtype=np.int64)
+    n = w.shape[0] if w is not None else int(q0.max(initial=-1)) + 1
+    N = q0.shape[-1]
+    hit = q0[..., None, :] == np.arange(n)[:, None]        # (..., n, N)
+    first = np.where(hit.any(axis=-1), hit.argmax(axis=-1), N)
+    order = np.argsort(first, axis=-1, kind="stable")      # old mode by rank
+    q_new = np.take_along_axis(np.argsort(order, axis=-1), q0, axis=-1)
     if w is None:
         return q_new
-    for j in range(w.shape[0]):
-        remap.setdefault(j, len(remap))
-    return q_new, w[list(remap)]
+    return q_new, w[order]

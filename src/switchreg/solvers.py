@@ -6,7 +6,8 @@ Four methods with different guarantees:
 * enumeration_solve: exact on general-position data, polynomial in N for
   fixed d and n. Candidate labelings come from products of linear
   dichotomies of the lifted points (x_i, y_i) and of the x_i themselves,
-  one product per mode pair, combined by majority vote. Every labeling a
+  one product per mode pair, combined by majority vote; only combinations
+  with a Condorcet winner at every point are kept. Every labeling a
   pairwise-optimal model set could induce appears among these candidates,
   so fitting each one and keeping the best is globally optimal; all
   candidates are scored in one batched pass and only the best are re-fit.
@@ -62,6 +63,9 @@ _MAX_REFINE_ROUNDS = 1000
 # Candidates scored per batch by enumeration_solve. It bounds the scorer's
 # (chunk, n, N) and, under absolute loss, (chunk, n, C(N, d)) arrays.
 _SCORE_CHUNK = 512
+# Classifier combinations majority-voted per batch by CandidateStream. It
+# bounds the stream's (chunk, N, n) vote and (chunk, N) label arrays.
+_STREAM_CHUNK = 4096
 
 SOLVER_METHODS = ("brute", "enum", "noiseless", "altmin")
 
@@ -74,15 +78,12 @@ class CapsExceededError(RuntimeError):
 class SolverConfig:
     """Caps, budgets, and tolerances shared by the solvers.
 
-    max_tie_alterations caps how many extra labeling variants a single
-    majority-vote tie may spawn; d_max and n_max gate the enumeration
-    solver; restarts and seed drive the heuristic. The budgets refuse
-    runs whose labeling or combination counts would be excessive,
-    node_budget bounds the noiseless cover search, and check_position
-    turns the general-position diagnostic of the enumeration solver on.
+    d_max and n_max gate the enumeration solver; restarts and seed drive
+    the heuristic. The budgets refuse runs whose labeling or combination
+    counts would be excessive, and node_budget bounds the noiseless cover
+    search.
     """
 
-    max_tie_alterations: int = 12
     d_max: int = 3
     n_max: int = 3
     restarts: int = 10
@@ -91,11 +92,10 @@ class SolverConfig:
     brute_budget: int = 2_000_000
     candidate_budget: int = 2_000_000
     node_budget: int = 1_000_000
-    check_position: bool = True
 
     def __post_init__(self):
-        for name in ("max_tie_alterations", "d_max", "n_max", "restarts",
-                     "brute_budget", "candidate_budget", "node_budget"):
+        for name in ("d_max", "n_max", "restarts", "brute_budget",
+                     "candidate_budget", "node_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -324,12 +324,17 @@ class CandidateStream:
     which of the two modes has the smaller residual on each side of the
     midpoint hyperplane) and a dichotomy of the regressors (the difference
     hyperplane). Combinations across the n(n-1)/2 pairs are majority-voted
-    into labelings; vote ties expand into all tied labels up to the
-    configured cap, beyond which only the first resolution is emitted and
-    coverage_warning is set. Emitted labelings are canonical and deduped.
+    into labelings, _STREAM_CHUNK combinations at a time. Only combinations
+    with a Condorcet winner at every point (a mode taking all n-1 of its
+    votes) are kept: residuals of a real model set compare transitively, so
+    the labeling of any model set, the optimal one included, comes from such
+    a combination. Emitted labelings are canonical and deduped.
 
-    Iterating fills the counters combinations_examined and emitted.
+    Iterating fills the counter combinations_examined.
     """
+
+    # read by the benchmark's traced stream; vote ties are never expanded
+    tie_truncations = 0
 
     def __init__(self, data: Dataset, n: int, cfg: SolverConfig):
         if n < 1:
@@ -340,25 +345,21 @@ class CandidateStream:
                 f"got d={data.d}, n={n}")
         self.data = data
         self.n = n
-        self.cfg = cfg
         self.warnings: list = []
-        N, d = data.N, data.d
+        N = data.N
         pairs = n * (n - 1) // 2
-        self.combination_bound = (2 ** (d + 1) * comb(N, d)
-                                  * 2 ** d * comb(N, d - 1)) ** pairs
 
         if n == 1:
             self.pair_products = np.ones((1, N), dtype=np.int64)
             self.combination_count = 1
         else:
-            if cfg.check_position:
-                for name, pts in (("regressor", data.x), ("lifted", data.lifted())):
-                    rep = check_general_position(pts)
-                    if not rep.ok:
-                        self.warnings.append(
-                            f"{name} points not in general position "
-                            f"(e.g. indices {rep.violations[0]}); optimality "
-                            f"is not guaranteed")
+            for name, pts in (("regressor", data.x), ("lifted", data.lifted())):
+                rep = check_general_position(pts)
+                if not rep.ok:
+                    self.warnings.append(
+                        f"{name} points not in general position "
+                        f"(e.g. indices {rep.violations[0]}); optimality "
+                        f"is not guaranteed")
             g_set = enumerate_linear_dichotomies(data.lifted(), cfg.tol)
             h_set = enumerate_linear_dichotomies(data.x, cfg.tol)
             gs = np.array([dd.signs for dd in g_set], dtype=np.int64)
@@ -371,57 +372,37 @@ class CandidateStream:
                     f"{self.combination_count} classifier combinations exceed "
                     f"the budget {cfg.candidate_budget}")
         self.combinations_examined = 0
-        self.emitted = 0
-        self.coverage_warning = False
-        self.tie_truncations = 0
 
     def __iter__(self):
         N, n = self.data.N, self.n
         if n == 1:
             self.combinations_examined = 1
-            self.emitted = 1
             yield Labeling(np.ones(N, dtype=np.int64))
             return
         pair_index = list(itertools.combinations(range(n), 2))
-        P = len(self.pair_products)
+        shape = (len(self.pair_products),) * len(pair_index)
+        first_wins = self.pair_products > 0                  # (P, N)
         seen = set()
-        cap = self.cfg.max_tie_alterations
-        for combo in itertools.product(range(P), repeat=len(pair_index)):
-            self.combinations_examined += 1
-            votes = np.zeros((N, n), dtype=np.int64)
-            for idx, (j, k) in zip(combo, pair_index):
-                p = self.pair_products[idx]
-                votes[:, j] += p > 0
-                votes[:, k] += p < 0
-            winners = votes == votes.max(axis=1)[:, None]
-            base = winners.argmax(axis=1)
-            tied_rows = np.flatnonzero(winners.sum(axis=1) > 1)
-
-            variants = [base]
-            if tied_rows.size:
-                options = [np.flatnonzero(winners[r]) for r in tied_rows]
-                extra = 1
-                for o in options:
-                    extra *= len(o)
-                extra -= 1
-                if extra <= cap:
-                    for pick in itertools.product(*options):
-                        var = base.copy()
-                        var[tied_rows] = pick
-                        if not np.array_equal(var, base):
-                            variants.append(var)
-                else:
-                    self.coverage_warning = True
-                    self.tie_truncations += 1
-
-            for q0 in variants:
-                canon = _canonicalize_arrays(q0)
-                key = canon.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                self.emitted += 1
-                yield Labeling(canon + 1)
+        for lo in range(0, self.combination_count, _STREAM_CHUNK):
+            combos = np.unravel_index(
+                np.arange(lo, min(lo + _STREAM_CHUNK, self.combination_count)),
+                shape)
+            # mode-major memory: the adds and the per-point max run over
+            # contiguous (chunk, N) slabs instead of a length-n axis
+            votes = np.zeros((n, len(combos[0]), N), dtype=np.int8)
+            for idx, (j, k) in zip(combos, pair_index):
+                wins = first_wins[idx]
+                votes[j] += wins
+                votes[k] += ~wins
+            votes = votes.transpose(1, 2, 0)                 # (chunk, N, n)
+            self.combinations_examined += len(combos[0])
+            condorcet = (votes.max(axis=2) == n - 1).all(axis=1)
+            labels = _canonicalize_arrays(votes[condorcet].argmax(axis=2))
+            for q0 in labels:
+                key = q0.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    yield Labeling(q0 + 1)
 
 
 def enumerate_candidate_labelings(data: Dataset, n: int,
@@ -539,18 +520,11 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     _, ties = _assign_arrays(x, y, w, loss, cfg.tol.tie_tol)
     labeling = Labeling(np.array(key, dtype=np.int64) + 1,
                         tie_set=(ties + 1).tolist())
-    warnings = tuple(stream.warnings)
-    status = "optimal"
-    if stream.coverage_warning:
-        status = "heuristic"
-        warnings = warnings + (
-            f"majority-vote tie expansion truncated {stream.tie_truncations} "
-            f"times (cap {cfg.max_tie_alterations}); coverage not guaranteed",)
     return SolveReport(method="enum", cost=cost, models=ModelSet(w),
                        labeling=labeling,
                        candidates_examined=stream.combinations_examined,
-                       elapsed=time.perf_counter() - t0, status=status,
-                       warnings=warnings)
+                       elapsed=time.perf_counter() - t0, status="optimal",
+                       warnings=tuple(stream.warnings))
 
 
 # ---------------------------------------------------------------------------

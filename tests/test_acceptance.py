@@ -11,13 +11,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from switchreg import (DEFAULT_TOLERANCES, Dataset, GeneratorSpec, Labeling,
-                       ModelSet, PartitionInstance, SQUARED, altmin_solve,
-                       assign_modes, bench_scaling, brute_force_solve,
-                       check_general_position, decide_threshold,
-                       enumerate_linear_dichotomies, enumeration_solve,
-                       extract_partition, generate_instance, label_accuracy,
-                       majority_vote_label, noiseless_solve,
+from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, Dataset, GeneratorSpec,
+                       Labeling, ModelSet, PartitionInstance, SQUARED,
+                       altmin_solve, assign_modes, bench_scaling,
+                       brute_force_solve, check_general_position,
+                       decide_threshold, enumerate_linear_dichotomies,
+                       enumeration_solve, extract_partition, generate_instance,
+                       label_accuracy, majority_vote_label, noiseless_solve,
                        pairwise_classifiers_from_models, partition_to_instance,
                        refine_alternate, sweep_dichotomies_oracle)
 from switchreg.hardness import CertificateError
@@ -56,15 +56,16 @@ def test_criterion_01_exact_solver_matches_brute_force(small_instance_bank):
 def test_criterion_02_exact_solver_matches_brute_force_three_modes():
     t0 = time.perf_counter()
     gaps = []
-    for seed in range(20):
+    for seed, loss in itertools.product(range(20), (SQUARED, ABSOLUTE)):
         data, _, _ = generate_instance(
             GeneratorSpec(n=3, d=1, N=7, noise_sigma=0.1, seed=seed))
-        e = enumeration_solve(data, 3, SQUARED)
-        b = brute_force_solve(data, 3, SQUARED)
+        e = enumeration_solve(data, 3, loss)
+        b = brute_force_solve(data, 3, loss)
+        assert e.status == "optimal" and e.warnings == (), (seed, loss)
         gaps.append(abs(e.cost - b.cost))
     elapsed = time.perf_counter() - t0
-    print(f"criterion 2: max gap {max(gaps):.2e} over 20 instances, "
-          f"{elapsed:.1f}s")
+    print(f"criterion 2: max gap {max(gaps):.2e} over 20 instances x 2 "
+          f"losses, all certified optimal, {elapsed:.1f}s")
     assert all(g <= 1e-9 for g in gaps)
     assert elapsed < 120.0
 

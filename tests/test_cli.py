@@ -49,6 +49,19 @@ def test_solve_report_shape_and_integrity(tmp_path, capsys):
     assert abs(recomputed - doc["cost"]) <= 1e-9
 
 
+def test_solve_three_modes_certified(tmp_path, capsys):
+    data_path = tmp_path / "d.csv"
+    run(capsys, "generate", "--n", "3", "--d", "1", "--N", "7",
+        "--noise-sigma", "0.1", "--seed", "2", "--out", str(data_path))
+    code, stdout, _ = run(capsys, "solve", str(data_path), "--n", "3")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["status"] == "optimal" and doc["warnings"] == []
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(data_path), "--n", "3", "--no-check-position"])
+    assert exc.value.code == 2
+
+
 def test_solve_json_dataset_carries_mode_count(tmp_path, capsys):
     data_path = tmp_path / "d.json"
     run(capsys, "generate", "--n", "2", "--d", "1", "--N", "8",

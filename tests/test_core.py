@@ -302,6 +302,15 @@ def test_canonicalize_arrays_permutes_model_rows():
     q_new, w_new = _canonicalize_arrays(np.array([2, 0, 2]), w)
     assert q_new.tolist() == [0, 1, 0]
     assert w_new.ravel().tolist() == [2.0, 0.0, 1.0, 3.0]
+    # a (C, N) array is canonicalized row by row
+    rows = np.random.default_rng(5).integers(0, 4, size=(30, 6))
+    rows[0] = 3
+    batch = _canonicalize_arrays(rows)
+    assert batch.tolist() == [_canonicalize_arrays(r).tolist() for r in rows]
+    for row, got in zip(rows, batch):
+        remap = {}
+        assert got.tolist() == [remap.setdefault(v, len(remap))
+                                for v in row.tolist()]
 
 
 # ---------------------------------------------------------------------------

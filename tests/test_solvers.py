@@ -1,5 +1,6 @@
 """Per-mode regression, refinement, and the four solve methods."""
 
+import itertools
 from math import comb
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, CapsExceededError,
                        Dataset, Labeling, ModelSet, SQUARED, SolverConfig,
                        altmin_solve, assign_modes, brute_force_solve,
-                       empirical_cost, enumerate_candidate_labelings,
-                       enumeration_solve, fit_modes, noiseless_solve,
-                       refine_alternate, solve_instance, solve_mode_regression)
+                       canonicalize_labels, empirical_cost,
+                       enumerate_candidate_labelings, enumeration_solve,
+                       fit_modes, noiseless_solve, refine_alternate,
+                       solve_instance, solve_mode_regression)
 from switchreg import solvers
 from switchreg.datasets import GeneratorSpec, generate_instance
 from switchreg.solvers import SolveReport
@@ -210,6 +212,23 @@ def test_stream_contains_brute_optimum_on_noisy_data():
         assert best.labeling.as_tuple() in emitted
 
 
+def test_stream_contains_three_mode_model_labelings():
+    # every labeling a model set induces must have a Condorcet winner at
+    # each point, so the vote filter may not drop it
+    rng = np.random.default_rng(14)
+    for seed in range(6):
+        data, _, _ = random_instance(seed, n=3, d=1, N=6 + seed % 3)
+        emitted = {lab.as_tuple()
+                   for lab in enumerate_candidate_labelings(data, 3)}
+        induced = set()
+        for _ in range(200):
+            models = ModelSet(rng.standard_normal((3, 1)) * 2.0)
+            lab = canonicalize_labels(assign_modes(data, models, SQUARED), 3)
+            induced.add(lab.as_tuple())
+        assert induced <= emitted, (seed, induced - emitted)
+        assert len(induced) > 3
+
+
 def test_stream_respects_dimension_caps():
     data = Dataset(np.random.default_rng(0).standard_normal((8, 4)),
                    np.random.default_rng(1).standard_normal(8))
@@ -228,12 +247,16 @@ def test_stream_refuses_budget_with_count_in_message():
 
 
 def test_stream_count_within_closed_form_bound():
-    data, _, _ = random_instance(3, n=2, d=1, N=7)
-    stream = enumerate_candidate_labelings(data, 2)
-    list(stream)
     d, N = 1, 7
-    bound = (2 ** (d + 1) * comb(N, d) * 2 ** d * comb(N, d - 1)) ** 1
-    assert stream.combinations_examined <= bound
+    for n in (2, 3):
+        data, _, _ = random_instance(3, n=n, d=d, N=N)
+        stream = enumerate_candidate_labelings(data, n)
+        list(stream)
+        pairs = n * (n - 1) // 2
+        bound = (2 ** (d + 1) * comb(N, d) * 2 ** d * comb(N, d - 1)) ** pairs
+        assert stream.combinations_examined == \
+            len(stream.pair_products) ** pairs
+        assert stream.combinations_examined <= bound
 
 
 def test_stream_single_mode():
@@ -288,12 +311,16 @@ def test_enum_report_cost_consistent():
 
 
 def test_enum_result_independent_of_chunk_size(monkeypatch):
-    data, _, _ = random_instance(6, d=2, N=9)
-    for loss in (SQUARED, ABSOLUTE):
+    two_modes, _, _ = random_instance(6, d=2, N=9)
+    three_modes, _, _ = random_instance(6, n=3, d=1, N=7)
+    defaults = (solvers._SCORE_CHUNK, solvers._STREAM_CHUNK)
+    for (data, n), loss in itertools.product(
+            ((two_modes, 2), (three_modes, 3)), (SQUARED, ABSOLUTE)):
         reports = []
-        for chunk in (1, 7, solvers._SCORE_CHUNK):
-            monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
-            reports.append(enumeration_solve(data, 2, loss))
+        for score_chunk, stream_chunk in ((1, 1), (7, 7), defaults):
+            monkeypatch.setattr(solvers, "_SCORE_CHUNK", score_chunk)
+            monkeypatch.setattr(solvers, "_STREAM_CHUNK", stream_chunk)
+            reports.append(enumeration_solve(data, n, loss))
         a = reports[0]
         for b in reports[1:]:
             assert a.cost == b.cost
@@ -342,24 +369,34 @@ def test_batched_scores_equal_per_candidate_fit():
     assert all(v > 0 for v in seen.values()), seen
 
 
-def test_enum_matches_brute_on_integer_grid():
-    rng = np.random.default_rng(2024)
+def _grid_solves_matching_brute(rng, n, trials, N0):
+    # seeded integer-grid draws: d alternates 1, 2, N alternates N0, N0 + 1,
+    # the loss switches every 4 trials; draws with a zero regressor must
+    # raise, the rest must equal brute force
     solved = 0
-    for trial in range(40):
-        d, N = 1 + trial % 2, 7 + (trial // 2) % 2
+    for trial in range(trials):
+        d, N = 1 + trial % 2, N0 + (trial // 2) % 2
         loss = (SQUARED, ABSOLUTE)[(trial // 4) % 2]
         data = Dataset(rng.integers(-2, 3, size=(N, d)).astype(float),
                        rng.integers(-2, 3, size=N).astype(float))
         if not data.x.any(axis=1).all():
             with pytest.raises(ValueError, match="origin"):
-                enumeration_solve(data, 2, loss)
+                enumeration_solve(data, n, loss)
             continue
-        enum = enumeration_solve(data, 2, loss)
-        brute = brute_force_solve(data, 2, loss)
+        enum = enumeration_solve(data, n, loss)
+        brute = brute_force_solve(data, n, loss)
         assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol, \
-            (trial, enum.cost, brute.cost)
+            (n, trial, enum.cost, brute.cost)
         solved += 1
-    assert solved >= 20
+    return solved
+
+
+def test_enum_matches_brute_on_integer_grid():
+    assert _grid_solves_matching_brute(np.random.default_rng(2024),
+                                       2, 40, 7) >= 20
+    # n = 3 at N 6-7: n=3, d=2 grid draws can overflow candidate_budget at 8
+    assert _grid_solves_matching_brute(np.random.default_rng(2025),
+                                       3, 20, 6) >= 10
 
 
 def test_enum_position_warning_on_degenerate_data():
