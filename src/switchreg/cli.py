@@ -172,7 +172,7 @@ def _cmd_solve(args) -> int:
         # answers) stays in one place.
         inst = DecisionInstance(data=data, n=n, epsilon=args.epsilon)
         decision = decide_threshold(inst, loss=loss, method=args.method,
-                                    tol=cfg.tol, cfg=cfg)
+                                    cfg=cfg)
         report = decision.report
         doc = _report_doc(report, data,
                           SQUARED if args.method == "noiseless" else loss)

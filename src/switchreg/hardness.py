@@ -119,7 +119,6 @@ def partition_to_instance(p: PartitionInstance) -> DecisionInstance:
 
 def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
                      method: str = "brute",
-                     tol: Tolerances = DEFAULT_TOLERANCES,
                      cfg: SolverConfig | None = None) -> ThresholdDecision:
     """Decide whether the optimal cost is at most epsilon, with certificate.
 
@@ -128,25 +127,26 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
     threshold, since it certifies exact fits and nothing weaker. Reduction
     instances repeat regressor vectors, violating the general-position
     assumption of the enumeration solver, so brute or noiseless are the
-    appropriate routes for them.
+    appropriate routes for them. Every solver and the answer read their
+    tolerances from cfg.tol.
     """
-    cfg = cfg or SolverConfig(tol=tol)
+    cfg = cfg or SolverConfig()
     if method == "altmin":
         raise ValueError("altmin is heuristic; a threshold decision needs an "
                          "exact solver")
     if method == "brute":
         report = brute_force_solve(inst.data, inst.n, loss,
-                                   budget=cfg.brute_budget, tol=tol)
+                                   budget=cfg.brute_budget, tol=cfg.tol)
     elif method == "enum":
         report = enumeration_solve(inst.data, inst.n, loss, cfg)
     elif method == "noiseless":
-        if inst.epsilon > tol.zero_tol:
+        if inst.epsilon > cfg.tol.zero_tol:
             raise ValueError("noiseless method only certifies the zero "
                              "threshold; use brute or enum for epsilon > 0")
         report = noiseless_solve(inst.data, inst.n, cfg)
     else:
         raise ValueError(f"unknown method {method!r}")
-    answer = report.cost <= inst.epsilon + tol.zero_tol
+    answer = report.cost <= inst.epsilon + cfg.tol.zero_tol
     return ThresholdDecision(answer=answer, cost=report.cost,
                              models=report.models, labeling=report.labeling,
                              report=report)

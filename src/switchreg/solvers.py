@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -60,8 +60,9 @@ __all__ = [
 
 _RIDGE = 1e-10
 _MAX_REFINE_ROUNDS = 1000
-# Candidates scored per batch by enumeration_solve. It bounds the scorer's
-# (chunk, n, N) and, under absolute loss, (chunk, n, C(N, d)) arrays.
+# Candidates scored per batch by enumeration_solve, and interpolation subsets
+# per batch by _absolute_fit. It bounds the scorer's (chunk, n, N) and, under
+# absolute loss, (chunk, n, S) arrays, and the fit's (chunk, k) residuals.
 _SCORE_CHUNK = 512
 # Classifier combinations majority-voted per batch by CandidateStream. It
 # bounds the stream's (chunk, N, n) vote and (chunk, N) label arrays.
@@ -160,32 +161,48 @@ def _squared_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G + _RIDGE * np.eye(d), b)
 
 
+def _subset_interpolants(x, y, subsets) -> np.ndarray:
+    """Minimum-norm interpolant of each row of the (S, s) index array subsets.
+
+    Returns (S, d). Singular values below d * eps of the largest are cut,
+    numpy's least-squares default, so a rank-deficient subset gets its
+    minimum-norm least-squares solution.
+    """
+    d = x.shape[1]
+    return (np.linalg.pinv(x[subsets], rcond=d * np.finfo(float).eps)
+            @ y[subsets][..., None])[..., 0]
+
+
+def _interpolation_pool(k: int, d: int):
+    """Every subset of at most d of k points as (chunk, s) index arrays of
+    _SCORE_CHUNK rows at most: the d-subsets first, then smaller ones, each
+    size in lexicographic order."""
+    for s in range(d, 0, -1):
+        subsets = itertools.combinations(range(k), s)
+        while chunk := list(itertools.islice(subsets, _SCORE_CHUNK)):
+            yield np.array(chunk, dtype=np.int64)
+
+
 def _absolute_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact least-absolute-deviations fit.
 
-    An optimal L1 linear fit interpolates d of the points, so scoring the
-    interpolant of every d-subset is exact. Ties keep the first candidate
-    in subset order.
+    Some optimal L1 fit is a basic solution of the LP: it interpolates
+    rank(x) points with independent regressors, and the minimum-norm
+    interpolant of those points predicts the same on every point. So the
+    best interpolant of a subset of at most d points is an exact L1 fit,
+    whatever the rank of x or the number of points. Ties keep the first
+    subset in pool order.
     """
     k, d = x.shape
-    if k == 0:
-        return np.zeros(d)
     best_total = np.inf
-    best_w = None
-    for subset in itertools.combinations(range(k), d):
-        sub = list(subset)
-        w, *_ = np.linalg.lstsq(x[sub], y[sub], rcond=None)
-        if not np.all(np.isfinite(w)):
-            continue
-        total = float(np.abs(y - x @ w).sum())
-        if total < best_total:
-            best_total = total
-            best_w = w
-    if k < d or best_w is None:
-        w, *_ = np.linalg.lstsq(x, y, rcond=None)
-        total = float(np.abs(y - x @ w).sum())
-        if total < best_total:
-            best_w = w
+    best_w = np.zeros(d)
+    for subsets in _interpolation_pool(k, d):
+        ws = _subset_interpolants(x, y, subsets)
+        totals = np.abs(y - ws @ x.T).sum(axis=1)
+        i = int(np.argmin(totals))
+        if totals[i] < best_total:
+            best_total = totals[i]
+            best_w = ws[i]
     return best_w
 
 
@@ -193,7 +210,9 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
     """Best single linear model for one mode's points under the loss.
 
     Accepts an empty subset (returns the zero vector) and rank-deficient
-    subsets (minimum-norm style solutions).
+    or small subsets: squared loss adds a tiny ridge to singular normal
+    equations, absolute loss stays exact (the best interpolant of at most d
+    points).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -228,11 +247,12 @@ def refine_alternate(data: Dataset, models: ModelSet, loss: LossModel,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> RefineResult:
     """Alternate optimal assignment and per-mode refitting until stable.
 
-    Both half-steps are exact minimizations, so the recorded cost trace is
-    non-increasing (up to the ridge used for rank-deficient fits, which
-    stays far below zero_tol). Stops when the labeling repeats or a full
-    round improves the cost by less than zero_tol; the returned labeling is
-    always the optimal assignment for the returned models.
+    Both half-steps are exact minimizations under either loss, so the
+    recorded cost trace is non-increasing (up to the ridge used for
+    rank-deficient squared-loss fits, which stays far below zero_tol).
+    Stops when the labeling repeats or a full round improves the cost by
+    less than zero_tol; the returned labeling is always the optimal
+    assignment for the returned models.
     """
     if models.d != data.d:
         raise ValueError(f"models have d={models.d}, data has d={data.d}")
@@ -360,11 +380,16 @@ class CandidateStream:
                         f"{name} points not in general position "
                         f"(e.g. indices {rep.violations[0]}); optimality "
                         f"is not guaranteed")
-            g_set = enumerate_linear_dichotomies(data.lifted(), cfg.tol)
-            h_set = enumerate_linear_dichotomies(data.x, cfg.tol)
+            # a point with x_i = 0 has the same residual under every mode:
+            # it moves no fit, so it votes for mode 0 in every pair
+            live = np.linalg.norm(data.x, axis=1) > cfg.tol.sign_tol
+            g_set = enumerate_linear_dichotomies(data.lifted()[live], cfg.tol)
+            h_set = enumerate_linear_dichotomies(data.x[live], cfg.tol)
             gs = np.array([dd.signs for dd in g_set], dtype=np.int64)
             hs = np.array([dd.signs for dd in h_set], dtype=np.int64)
-            products = (gs[:, None, :] * hs[None, :, :]).reshape(-1, N)
+            products = np.ones((len(gs) * len(hs), N), dtype=np.int64)
+            products[:, live] = (gs[:, None, :] * hs[None, :, :]).reshape(
+                -1, gs.shape[1])
             self.pair_products = np.unique(products, axis=0)
             self.combination_count = len(self.pair_products) ** pairs
             if self.combination_count > cfg.candidate_budget:
@@ -441,36 +466,20 @@ def _squared_scores(x, y, member):
 
 
 def _interpolants(x, y):
-    """Every d-subset of the points and the absolute residuals (S, N) of its
-    minimum-norm interpolant, the lstsq solution _absolute_fit scores."""
+    """Absolute residuals (S, N) of every interpolant in _absolute_fit's pool."""
     N, d = x.shape
-    subsets = np.array(list(itertools.combinations(range(N), d)),
-                       dtype=np.int64).reshape(-1, d)
-    ws = np.linalg.pinv(x[subsets], rcond=d * np.finfo(float).eps) \
-        @ y[subsets][..., None]
-    return subsets, np.abs(y - ws[..., 0] @ x.T)
+    return np.concatenate([np.abs(y - _subset_interpolants(x, y, subsets) @ x.T)
+                           for subsets in _interpolation_pool(N, d)])
 
 
-def _absolute_scores(x, y, member, subsets, resid, loss: LossModel):
+def _absolute_scores(member, resid):
     """Absolute-loss cost of each candidate under its per-mode fit.
 
-    A mode with k >= d points scores the best interpolant of a d-subset of
-    its own points, which is _absolute_fit's exact L1 fit. Subsets reaching
-    outside the mode are excluded: on rank-deficient modes their min-norm
-    interpolants can undercut that fit. Modes with 0 < k < d points are
-    fitted one by one, as _absolute_fit does.
+    Every interpolant is a feasible model for every mode, and the pool holds
+    an exact L1 fit of each mode, so the pool's minimum is that fit's total.
     """
-    N, d = x.shape
-    inside = member[:, :, subsets].all(axis=3)           # (C, n, S)
     totals = member.astype(float) @ resid.T              # (C, n, S)
-    best = np.where(inside, totals, np.inf).min(axis=2, initial=np.inf)
-    k = member.sum(axis=2)
-    best[k == 0] = 0.0
-    for c, j in np.argwhere((k > 0) & (k < d)):
-        pts = member[c, j]
-        w = solve_mode_regression(x[pts], y[pts], loss)
-        best[c, j] = np.abs(y[pts] - x[pts] @ w).sum()
-    return best.sum(axis=1) / N
+    return totals.min(axis=2).sum(axis=1) / member.shape[2]
 
 
 def _candidate_scores(x, y, labels, n: int, loss: LossModel) -> np.ndarray:
@@ -480,7 +489,7 @@ def _candidate_scores(x, y, labels, n: int, loss: LossModel) -> np.ndarray:
     every row q0 up to rounding. Rows are scored _SCORE_CHUNK at a time.
     """
     if loss.kind == "absolute":
-        subsets, resid = _interpolants(x, y)
+        resid = _interpolants(x, y)
     scores = np.empty(len(labels))
     for lo in range(0, len(labels), _SCORE_CHUNK):
         q = labels[lo:lo + _SCORE_CHUNK]
@@ -488,8 +497,7 @@ def _candidate_scores(x, y, labels, n: int, loss: LossModel) -> np.ndarray:
         if loss.kind == "squared":
             scores[lo:lo + len(q)] = _squared_scores(x, y, member)
         else:
-            scores[lo:lo + len(q)] = _absolute_scores(x, y, member, subsets,
-                                                      resid, loss)
+            scores[lo:lo + len(q)] = _absolute_scores(member, resid)
     return scores
 
 
@@ -559,28 +567,16 @@ def noiseless_solve(data: Dataset, n: int,
             f"{cfg.candidate_budget}")
 
     subsets = np.array(list(itertools.combinations(range(N), d)))
-    A = x[subsets]                                   # (S, d, d)
-    b = y[subsets]                                   # (S, d)
+    ws = _subset_interpolants(x, y, subsets)         # (S, d)
     point_tol = cfg.tol.zero_tol * (1.0 + np.abs(y))
-
-    ws = np.full((len(subsets), d), np.nan)
-    dets = np.abs(np.linalg.det(A))
-    solvable = dets > 1e-300
-    if solvable.any():
-        ws[solvable] = np.linalg.solve(A[solvable], b[solvable][..., None])[..., 0]
-    for r in np.flatnonzero(~solvable):
-        w, *_ = np.linalg.lstsq(A[r], b[r], rcond=None)
-        ws[r] = w
-    good = np.all(np.isfinite(ws), axis=1)
+    resid = np.abs(y[None, :] - ws @ x.T)            # (S, N)
+    fits = resid <= point_tol[None, :]
     # keep only candidates that actually interpolate their own subset
-    interp_err = np.abs(np.einsum("sij,sj->si", A, np.nan_to_num(ws)) - b)
-    good &= np.all(interp_err <= cfg.tol.zero_tol * (1.0 + np.abs(b)), axis=1)
+    good = np.take_along_axis(fits, subsets, axis=1).all(axis=1)
 
     cand_w = []
     cand_fit = []
     seen_fits = set()
-    resid = np.abs(y[None, :] - np.nan_to_num(ws) @ x.T)     # (S, N)
-    fits = resid <= point_tol[None, :]
     order = np.argsort(-fits.sum(axis=1), kind="stable")
     for r in order:
         if not good[r]:
@@ -675,11 +671,7 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel, restarts: int = 10,
         rng = np.random.default_rng([seed, r])
         if N >= n * d:
             idx = rng.choice(N, size=n * d, replace=False).reshape(n, d)
-            w0 = np.zeros((n, d))
-            for j in range(n):
-                w0[j], *_ = np.linalg.lstsq(x[idx[j]], y[idx[j]], rcond=None)
-            if not np.all(np.isfinite(w0)):
-                w0 = rng.standard_normal((n, d))
+            w0 = _subset_interpolants(x, y, idx)
         else:
             w0 = rng.standard_normal((n, d))
         res = refine_alternate(data, ModelSet(w0), loss, tol)

@@ -7,8 +7,9 @@ import pytest
 
 from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, CertificateError,
                        DecisionInstance, Dataset, ModelSet,
-                       PartitionInstance, SQUARED, decide_threshold,
-                       extract_partition, partition_to_instance)
+                       PartitionInstance, SQUARED, SolverConfig, Tolerances,
+                       decide_threshold, extract_partition,
+                       partition_to_instance)
 
 from conftest import partition_has_equal_split
 
@@ -100,6 +101,20 @@ def test_decide_noiseless_only_at_zero_threshold():
         decide_threshold(positive, method="noiseless")
     with pytest.raises(ValueError):
         decide_threshold(inst, method="dynamic")
+
+
+def test_decide_reads_tolerances_from_cfg():
+    # nudging the half-sum point costs a little above the default zero_tol; a
+    # cfg whose zero_tol covers that cost must turn the answer to yes
+    inst = partition_to_instance(PartitionInstance((1, 2, 3)))
+    y = inst.data.y.copy()
+    y[-1] += 1e-3
+    nudged = DecisionInstance(data=Dataset(inst.data.x, y), n=2, epsilon=0.0)
+    loose = SolverConfig(tol=Tolerances(zero_tol=1e-3))
+    assert not decide_threshold(nudged, method="brute").answer
+    decision = decide_threshold(nudged, method="brute", cfg=loose)
+    assert decision.answer
+    assert DEFAULT_TOLERANCES.zero_tol < decision.cost <= 1e-3
 
 
 def test_decide_works_under_absolute_loss():
