@@ -34,7 +34,6 @@ from .solvers import (
     SolverConfig,
     altmin_solve,
     brute_force_solve,
-    enumerate_candidate_labelings,
     enumeration_solve,
     fit_modes,
     noiseless_solve,

@@ -1,12 +1,14 @@
-"""Point-set geometry: general position checks and linear dichotomy enumeration.
+"""Point-set geometry: linear dichotomy enumeration and general position checks.
 
 A linear dichotomy of points p_1..p_N in R^m is a sign pattern
 (sign(h . p_1), ..., sign(h . p_N)) for some normal vector h with no point
-exactly on the separating hyperplane {p : h . p = 0}. The enumeration here
-walks all hyperplanes spanned by (m-1)-point subsets together with the
-origin and perturbs their normals to both sides of every spanning point,
-which reaches every realizable pattern on general-position data. An
-independent angle-sweep oracle covers m <= 2 for verification.
+exactly on the separating hyperplane {p : h . p = 0}. The patterns are the
+cells of the central hyperplane arrangement {h : h . p_i = 0}, and the
+enumeration here walks that arrangement's rays, recursing into the points
+on each ray's hyperplane. It is exact on any data: repeated, collinear or
+coplanar points and N <= m need no special handling and no linear program.
+The general-position check is a diagnostic only. An independent
+angle-sweep oracle covers m <= 2 for verification.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import DEFAULT_TOLERANCES, Tolerances
 
@@ -31,9 +32,6 @@ __all__ = [
 
 # Relative singular-value threshold deciding when a subset is rank-deficient.
 _RANK_TOL = 1e-9
-
-# Degenerate branch variants are abandoned past this many undecided points.
-_MAX_BRANCH_POINTS = 6
 
 
 @dataclass(frozen=True)
@@ -54,12 +52,13 @@ class Dichotomy:
 
 @dataclass(frozen=True)
 class DichotomySet:
-    """Enumeration result: sorted dichotomies plus construction diagnostics."""
+    """Enumeration result: the dichotomies sorted by sign pattern."""
 
     dichotomies: tuple
-    skipped_degenerate: int = 0
-    branch_attempts: int = 0
-    branch_dropped: int = 0
+
+    # read by the benchmark's traced enumeration; nothing is ever dropped
+    branch_attempts = 0
+    branch_dropped = 0
 
     def __iter__(self):
         return iter(self.dichotomies)
@@ -124,134 +123,76 @@ def check_general_position(points, *, max_exhaustive: int = 20000,
                                  sampled=sampled, checked_subsets=len(subsets))
 
 
-def _max_margin_witness(points, signs, scale, sign_tol):
-    """Strictly separating normal for a requested sign pattern, or None.
+def _cells(points, sign_tol):
+    """(signs, witnesses): every cell of the arrangement {h : h . p_i = 0}.
 
-    Solves max t subject to signs_i (p_i . h) >= t * scale_i with h in the
-    unit box; the pattern is realizable iff the optimum margin is positive.
+    signs is (K, N) in {+1, -1}, unique rows in ascending order; witnesses
+    is (K, m), in the span of the points, with sign(points @ w) == signs.
     """
-    N, m = points.shape
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    A = np.hstack([-(signs[:, None] * points), scale[:, None]])
-    res = linprog(c, A_ub=A, b_ub=np.zeros(N),
-                  bounds=[(-1.0, 1.0)] * m + [(0.0, 1.0)], method="highs")
-    if res.status != 0 or res.x is None:
-        return None
-    t = res.x[-1]
-    if t <= 10.0 * sign_tol:
-        return None
-    return np.array(res.x[:m])
+    N = len(points)
+    _, sv, vt = np.linalg.svd(points, full_matrices=False)
+    basis = vt[:np.sum(sv > _RANK_TOL * max(1.0, sv.max(initial=0.0)))]
+    q = points @ basis.T                             # (N, r) span coordinates
+    r = len(basis)
+    if N == r:
+        signs = np.array(list(itertools.product((-1, 1), repeat=r)))
+        return signs, np.linalg.solve(q, signs.T).T @ basis
+    if r == 1:
+        g = -1 if q[0, 0] > 0 else 1         # the pattern with -1 at p_1 first
+        signs = g * np.where(q[:, 0] > 0, 1, -1)
+        return np.array([signs, -signs]), np.array([[g], [-g]]) @ basis
 
-
-def _verified(points, signs, h, scale, sign_tol) -> bool:
-    return bool(np.all(signs * (points @ h) > sign_tol * scale))
+    # every cell touches a ray: the normal to r-1 independent points
+    subsets = np.array(list(itertools.combinations(range(N), r - 1)))
+    _, sub_sv, sub_vt = np.linalg.svd(q[subsets])
+    rays = sub_vt[sub_sv[:, -1] > _RANK_TOL * np.maximum(1.0, sub_sv[:, 0]), -1]
+    vals = q @ rays.T                                # (N, rays)
+    scale = 1.0 + np.linalg.norm(q, axis=1)
+    on_ray = np.abs(vals) <= sign_tol * scale[:, None]
+    _, first = np.unique(on_ray.T, axis=0, return_index=True)
+    signs, witnesses = [], []
+    for c in first:
+        on, off = on_ray[:, c], ~on_ray[:, c]
+        # the cells around the ray are the cells of its on-ray points
+        local_signs, u = _cells(q[on], sign_tol)
+        around = np.tile(np.where(vals[:, c] > 0, 1, -1), (len(u), 1))
+        around[:, on] = local_signs
+        coupling = np.abs(q[off] @ u.T).max(axis=0)
+        delta = 0.5 * np.abs(vals[off, c]).min() / np.maximum(1.0, coupling)
+        h = rays[c] + delta[:, None] * u
+        signs += [around, -around]
+        witnesses += [h, -h]
+    signs, witnesses = np.concatenate(signs), np.concatenate(witnesses)
+    signs, keep = np.unique(signs, axis=0, return_index=True)
+    return signs, witnesses[keep] @ basis
 
 
 def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -> DichotomySet:
     """All sign patterns of the points under through-origin linear classifiers.
 
-    For each (m-1)-subset the base hyperplane is the span of the subset; its
-    unit normal h0 comes from the SVD null space. Spanning points sit exactly
-    on the hyperplane, so their signs are free: offsetting h0 along the dual
-    directions (columns of B^T (B B^T)^{-1}) realizes every choice in
-    {+1, -1}^(m-1), and the global flip doubles that. Points off the
-    hyperplane keep sign(h0 . p_i); other points on it (allowed in general
-    position when exactly m lie on a common hyperplane through the origin)
-    get the sign of their first-order term. Only points degenerate at first
-    order branch both ways, and such variants are kept only when an explicit
-    max-margin witness exists. Cardinality is at most 2^m binom(N, m-1) and
-    the set is closed under global negation.
+    The patterns are the cells of the central arrangement {h : h . p_i = 0}
+    (Cover, 1965). After the points are reduced to their span, of rank r,
+    every cell touches a ray of the arrangement: the normal h0 to some r-1
+    independent points. Near h0 the points off its hyperplane keep
+    sign(h0 . p_i), and the points on it take the signs of one cell of their
+    own arrangement inside h0's orthogonal complement, found by recursion;
+    -h0 gives the negated patterns. So one ray per distinct on-ray point set
+    reaches every pattern exactly, on any data: repeated, collinear or
+    coplanar points, and N <= m. r independent points give all 2^r patterns
+    and r = 1 gives two. Each witness h0 + delta u separates strictly, with
+    delta small enough that no off-ray sign flips. The set is closed under
+    global negation.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must be (N, m), got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    N, m = points.shape
-    if N <= m:
-        raise ValueError(f"need more points than dimensions, got N={N}, m={m}")
-    norms = np.linalg.norm(points, axis=1)
-    if np.any(norms <= tol.sign_tol):
+    if np.any(np.linalg.norm(points, axis=1) <= tol.sign_tol):
         raise ValueError("a point at the origin admits no strict classification")
-    scale = 1.0 + norms
-
-    found: dict[tuple, Dichotomy] = {}
-    skipped = 0
-    branch_attempts = 0
-    branch_dropped = 0
-
-    if m == 1:
-        base = np.where(points[:, 0] > 0.0, 1, -1)
-        for g in (1, -1):
-            signs = tuple(int(v) for v in g * base)
-            found.setdefault(signs, Dichotomy(signs, np.array([float(g)])))
-        return DichotomySet(tuple(found[k] for k in sorted(found)))
-
-    for subset in itertools.combinations(range(N), m - 1):
-        B = points[list(subset)]
-        svals = np.linalg.svd(B, compute_uv=False)
-        if svals[-1] <= _RANK_TOL * max(1.0, svals[0]):
-            skipped += 1
-            continue
-        h0 = np.linalg.svd(B)[2][-1]                 # unit normal to span(B)
-        v = points @ h0
-        on_plane = np.abs(v) <= tol.sign_tol * scale
-        off = ~on_plane
-        Dmat = B.T @ np.linalg.inv(B @ B.T)          # dual directions, B @ Dmat = I
-        W = points @ Dmat                            # (N, m-1) first-order terms
-        min_clear = float(np.min(np.abs(v[off]))) if np.any(off) else 1.0
-        w_scale = 1.0 + np.abs(W).sum(axis=1)
-
-        for s in itertools.product((1.0, -1.0), repeat=m - 1):
-            sv_ = np.array(s)
-            t = W @ sv_
-            coupling = float(np.max(np.abs(t[off]))) if np.any(off) else 0.0
-            delta = 0.5 * min_clear / max(1.0, coupling)
-            direction = h0 + delta * (Dmat @ sv_)
-            for g in (1.0, -1.0):
-                base_signs = np.zeros(N, dtype=np.int64)
-                base_signs[off] = np.where(v[off] > 0, 1, -1)
-                first = np.where(t > 0, 1, -1)
-                decided_on = on_plane & (np.abs(t) > tol.sign_tol * w_scale)
-                base_signs[decided_on] = first[decided_on]
-                base_signs = (g * base_signs).astype(np.int64)
-                undecided = np.flatnonzero(on_plane & ~decided_on)
-
-                if undecided.size == 0:
-                    key = tuple(int(b) for b in base_signs)
-                    if key in found:
-                        continue
-                    h = g * direction
-                    if not _verified(points, base_signs, h, scale, tol.sign_tol):
-                        h = _max_margin_witness(points, base_signs, scale,
-                                                tol.sign_tol)
-                        if h is None:
-                            branch_dropped += 1
-                            continue
-                    found[key] = Dichotomy(key, h)
-                    continue
-
-                if undecided.size > _MAX_BRANCH_POINTS:
-                    branch_dropped += 1
-                    continue
-                for flips in itertools.product((1, -1), repeat=undecided.size):
-                    branch_attempts += 1
-                    cand = base_signs.copy()
-                    cand[undecided] = flips
-                    key = tuple(int(b) for b in cand)
-                    if key in found:
-                        continue
-                    h = _max_margin_witness(points, cand, scale, tol.sign_tol)
-                    if h is None:
-                        branch_dropped += 1
-                        continue
-                    found[key] = Dichotomy(key, h)
-
-    return DichotomySet(tuple(found[k] for k in sorted(found)),
-                        skipped_degenerate=skipped,
-                        branch_attempts=branch_attempts,
-                        branch_dropped=branch_dropped)
+    signs, witnesses = _cells(points, tol.sign_tol)
+    return DichotomySet(tuple(Dichotomy(tuple(s.tolist()), w)
+                              for s, w in zip(signs, witnesses)))
 
 
 def sweep_dichotomies_oracle(points, tol: Tolerances = DEFAULT_TOLERANCES) -> DichotomySet:

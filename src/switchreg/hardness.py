@@ -124,11 +124,11 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
 
     Only exact methods are accepted: a no-answer claims global optimality.
     The noiseless solver is admissible only for epsilon at the zero
-    threshold, since it certifies exact fits and nothing weaker. Reduction
-    instances repeat regressor vectors, violating the general-position
-    assumption of the enumeration solver, so brute or noiseless are the
-    appropriate routes for them. Every solver and the answer read their
-    tolerances from cfg.tol.
+    threshold, since it certifies exact fits and nothing weaker. The
+    enumeration solver is exact on reduction instances too, despite their
+    repeated regressor vectors, but their dimension is the multiset size,
+    so past cfg.d_max brute or noiseless are the routes. Every solver and
+    the answer read their tolerances from cfg.tol.
     """
     cfg = cfg or SolverConfig()
     if method == "altmin":

@@ -3,14 +3,15 @@
 Four methods with different guarantees:
 
 * brute_force_solve: exact, enumerates labelings, exponential in N.
-* enumeration_solve: exact on general-position data, polynomial in N for
-  fixed d and n. Candidate labelings come from products of linear
-  dichotomies of the lifted points (x_i, y_i) and of the x_i themselves,
-  one product per mode pair, combined by majority vote; only combinations
-  with a Condorcet winner at every point are kept. Every labeling a
-  pairwise-optimal model set could induce appears among these candidates,
-  so fitting each one and keeping the best is globally optimal; all
-  candidates are scored in one batched pass and only the best are re-fit.
+* enumeration_solve: exact on any data, polynomial in N for fixed d and n.
+  Candidate labelings come from products of linear dichotomies of the
+  lifted points (x_i, y_i) and of the x_i themselves, one product per mode
+  pair, combined by majority vote; only combinations with a Condorcet
+  winner at every point are kept. The dichotomies are enumerated exactly,
+  with no general-position assumption, so an optimal labeling appears among
+  these candidates and fitting each one and keeping the best is globally
+  optimal; all candidates are scored in one batched pass and only the best
+  are re-fit.
 * noiseless_solve: exact for data admitting a zero-error fit; reconstructs
   each mode from d interpolation points.
 * altmin_solve: seeded alternating-minimization baseline, local minima and
@@ -38,6 +39,8 @@ from .core import (
     _canonicalize_arrays,
     _cost_arrays,
 )
+# no solver calls check_general_position; the benchmark's tracer wraps it by
+# name on this module
 from .geometry import check_general_position, enumerate_linear_dichotomies
 
 __all__ = [
@@ -50,7 +53,6 @@ __all__ = [
     "refine_alternate",
     "brute_force_solve",
     "CandidateStream",
-    "enumerate_candidate_labelings",
     "enumeration_solve",
     "noiseless_solve",
     "altmin_solve",
@@ -346,9 +348,16 @@ class CandidateStream:
     hyperplane). Combinations across the n(n-1)/2 pairs are majority-voted
     into labelings, _STREAM_CHUNK combinations at a time. Only combinations
     with a Condorcet winner at every point (a mode taking all n-1 of its
-    votes) are kept: residuals of a real model set compare transitively, so
-    the labeling of any model set, the optimal one included, comes from such
-    a combination. Emitted labelings are canonical and deduped.
+    votes) are kept. Emitted labelings are canonical and deduped.
+
+    The candidates contain an optimal labeling on any data, with no
+    general-position assumption. The dichotomy pools are exact: they hold
+    every strict dichotomy of the live points (those with x_i != 0).
+    Perturbing an optimal model set generically keeps an optimal assignment
+    (a tie-break of the optimum's), makes every pair product a product of
+    strict dichotomies and orders the residuals at each live point
+    strictly, so the perturbed model set's labeling has a Condorcet winner
+    everywhere and is emitted.
 
     Iterating fills the counter combinations_examined.
     """
@@ -356,7 +365,8 @@ class CandidateStream:
     # read by the benchmark's traced stream; vote ties are never expanded
     tie_truncations = 0
 
-    def __init__(self, data: Dataset, n: int, cfg: SolverConfig):
+    def __init__(self, data: Dataset, n: int, cfg: SolverConfig | None = None):
+        cfg = cfg or SolverConfig()
         if n < 1:
             raise ValueError("need n >= 1")
         if data.d > cfg.d_max or n > cfg.n_max:
@@ -365,7 +375,6 @@ class CandidateStream:
                 f"got d={data.d}, n={n}")
         self.data = data
         self.n = n
-        self.warnings: list = []
         N = data.N
         pairs = n * (n - 1) // 2
 
@@ -373,13 +382,6 @@ class CandidateStream:
             self.pair_products = np.ones((1, N), dtype=np.int64)
             self.combination_count = 1
         else:
-            for name, pts in (("regressor", data.x), ("lifted", data.lifted())):
-                rep = check_general_position(pts)
-                if not rep.ok:
-                    self.warnings.append(
-                        f"{name} points not in general position "
-                        f"(e.g. indices {rep.violations[0]}); optimality "
-                        f"is not guaranteed")
             # a point with x_i = 0 has the same residual under every mode:
             # it moves no fit, so it votes for mode 0 in every pair
             live = np.linalg.norm(data.x, axis=1) > cfg.tol.sign_tol
@@ -389,7 +391,7 @@ class CandidateStream:
             hs = np.array([dd.signs for dd in h_set], dtype=np.int64)
             products = np.ones((len(gs) * len(hs), N), dtype=np.int64)
             products[:, live] = (gs[:, None, :] * hs[None, :, :]).reshape(
-                -1, gs.shape[1])
+                len(products), -1)
             self.pair_products = np.unique(products, axis=0)
             self.combination_count = len(self.pair_products) ** pairs
             if self.combination_count > cfg.candidate_budget:
@@ -428,12 +430,6 @@ class CandidateStream:
                 if key not in seen:
                     seen.add(key)
                     yield Labeling(q0 + 1)
-
-
-def enumerate_candidate_labelings(data: Dataset, n: int,
-                                  cfg: SolverConfig | None = None) -> CandidateStream:
-    """Candidate labelings covering every optimal classification of the data."""
-    return CandidateStream(data, n, cfg or SolverConfig())
 
 
 def _squared_scores(x, y, member):
@@ -531,8 +527,7 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     return SolveReport(method="enum", cost=cost, models=ModelSet(w),
                        labeling=labeling,
                        candidates_examined=stream.combinations_examined,
-                       elapsed=time.perf_counter() - t0, status="optimal",
-                       warnings=tuple(stream.warnings))
+                       elapsed=time.perf_counter() - t0, status="optimal")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from switchreg import (Dataset, GeneratorSpec, Labeling, ModelSet,
                        empirical_cost, generate_instance)
@@ -37,6 +38,23 @@ def partition_has_equal_split(s):
             if 2 * sum(s[i] for i in combo) == total:
                 return True
     return False
+
+
+def lp_feasible_patterns(points):
+    """Every sign pattern s with some h such that s_i (p_i . h) >= 1.
+
+    Strict separation is scale-free, so these are exactly the strictly
+    realizable patterns; one feasibility LP per pattern, 2^N in all.
+    """
+    N, m = points.shape
+    found = set()
+    for s in itertools.product((-1, 1), repeat=N):
+        A = -(np.array(s)[:, None] * points)
+        res = linprog(np.zeros(m), A_ub=A, b_ub=-np.ones(N),
+                      bounds=[(None, None)] * m, method="highs")
+        if res.status == 0:
+            found.add(s)
+    return found
 
 
 @pytest.fixture

@@ -1,13 +1,20 @@
 """General-position checks and linear dichotomy enumeration."""
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import switchreg
 from switchreg import (DEFAULT_TOLERANCES, check_general_position,
                        enumerate_linear_dichotomies, sweep_dichotomies_oracle)
 from switchreg.geometry import Dichotomy
+
+from conftest import lp_feasible_patterns
 
 
 def _patterns(result):
@@ -90,9 +97,8 @@ def test_plane_two_points_fully_shattered():
     pts = np.array([[1.0, 0.2], [-0.3, 1.0]])
     pats = _patterns(sweep_dichotomies_oracle(pts))
     assert pats == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    # the spanning enumeration requires N > m and refuses this input
-    with pytest.raises(ValueError):
-        enumerate_linear_dichotomies(pts)
+    # N <= m needs no special case: the recursion shatters the points
+    assert _patterns(enumerate_linear_dichotomies(pts)) == pats
 
 
 def test_plane_random_ten_points_within_bound():
@@ -147,7 +153,7 @@ def test_degenerate_spanning_subsets_counted():
     pts = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                     [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
     result = enumerate_linear_dichotomies(pts)
-    assert result.skipped_degenerate >= 1
+    assert _patterns(result) == lp_feasible_patterns(pts)
     for d in result:
         margins = np.array(d.signs) * (pts @ d.witness)
         assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
@@ -163,3 +169,13 @@ def test_dichotomy_equality_ignores_witness():
     b = Dichotomy(signs=(1, -1), witness=np.array([2.0]))
     assert a == b
     assert len({a, b}) == 1
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    code = "import sys, switchreg; print('scipy' in sys.modules)"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(switchreg.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

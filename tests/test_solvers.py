@@ -10,13 +10,12 @@ from scipy.optimize import linprog
 from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, CapsExceededError,
                        Dataset, Labeling, ModelSet, SQUARED, SolverConfig,
                        altmin_solve, assign_modes, brute_force_solve,
-                       canonicalize_labels, empirical_cost,
-                       enumerate_candidate_labelings, enumeration_solve,
+                       canonicalize_labels, empirical_cost, enumeration_solve,
                        fit_modes, noiseless_solve, refine_alternate,
                        solve_instance, solve_mode_regression)
 from switchreg import solvers
 from switchreg.datasets import GeneratorSpec, generate_instance
-from switchreg.solvers import SolveReport
+from switchreg.solvers import CandidateStream, SolveReport
 
 from conftest import random_instance
 
@@ -227,7 +226,7 @@ def test_brute_canonical_skipping_count():
 def test_stream_contains_trivial_and_optimal_labelings():
     data = Dataset(np.array([[1.0], [2.0], [-1.5]]),
                    np.array([2.1, 3.9, 1.4]))
-    stream = enumerate_candidate_labelings(data, 2)
+    stream = CandidateStream(data, 2)
     emitted = {lab.as_tuple() for lab in stream}
     assert (1, 1, 1) in emitted     # constant classifier, mode 2 empty
     best = brute_force_solve(data, 2, SQUARED)
@@ -237,7 +236,7 @@ def test_stream_contains_trivial_and_optimal_labelings():
 def test_stream_contains_brute_optimum_on_noisy_data():
     for seed in range(5):
         data, _, _ = random_instance(seed, N=6)
-        emitted = {lab.as_tuple() for lab in enumerate_candidate_labelings(data, 2)}
+        emitted = {lab.as_tuple() for lab in CandidateStream(data, 2)}
         best = brute_force_solve(data, 2, SQUARED)
         assert best.labeling.as_tuple() in emitted
 
@@ -249,7 +248,7 @@ def test_stream_contains_three_mode_model_labelings():
     for seed in range(6):
         data, _, _ = random_instance(seed, n=3, d=1, N=6 + seed % 3)
         emitted = {lab.as_tuple()
-                   for lab in enumerate_candidate_labelings(data, 3)}
+                   for lab in CandidateStream(data, 3)}
         induced = set()
         for _ in range(200):
             models = ModelSet(rng.standard_normal((3, 1)) * 2.0)
@@ -263,24 +262,23 @@ def test_stream_respects_dimension_caps():
     data = Dataset(np.random.default_rng(0).standard_normal((8, 4)),
                    np.random.default_rng(1).standard_normal(8))
     with pytest.raises(CapsExceededError):
-        enumerate_candidate_labelings(data, 2)
+        CandidateStream(data, 2)
     data2, _, _ = random_instance(0, N=8)
     with pytest.raises(CapsExceededError):
-        enumerate_candidate_labelings(data2, 4)
+        CandidateStream(data2, 4)
 
 
 def test_stream_refuses_budget_with_count_in_message():
     data, _, _ = random_instance(2, N=10)
     with pytest.raises(CapsExceededError, match=r"\d+ classifier combinations"):
-        enumerate_candidate_labelings(data, 2,
-                                      SolverConfig(candidate_budget=3))
+        CandidateStream(data, 2, SolverConfig(candidate_budget=3))
 
 
 def test_stream_count_within_closed_form_bound():
     d, N = 1, 7
     for n in (2, 3):
         data, _, _ = random_instance(3, n=n, d=d, N=N)
-        stream = enumerate_candidate_labelings(data, n)
+        stream = CandidateStream(data, n)
         list(stream)
         pairs = n * (n - 1) // 2
         bound = (2 ** (d + 1) * comb(N, d) * 2 ** d * comb(N, d - 1)) ** pairs
@@ -291,7 +289,7 @@ def test_stream_count_within_closed_form_bound():
 
 def test_stream_single_mode():
     data, _, _ = random_instance(4, N=5)
-    labs = list(enumerate_candidate_labelings(data, 1))
+    labs = list(CandidateStream(data, 1))
     assert len(labs) == 1
     assert labs[0].as_tuple() == (1, 1, 1, 1, 1)
 
@@ -426,12 +424,40 @@ def test_enum_matches_brute_on_integer_grid():
 
 
 def test_enum_position_warning_on_degenerate_data():
-    # duplicated regressor rows break the position assumption; the solver
-    # must say so rather than silently claim optimality
+    # duplicated regressor rows break general position; the dichotomy
+    # enumeration is exact anyway, so the optimum is certified, unwarned
     x = np.array([[1.0], [1.0], [1.0], [2.0]])
     y = np.array([1.0, 2.0, 3.0, 4.0])
     report = enumeration_solve(Dataset(x, y), 2, SQUARED)
-    assert any("general position" in w for w in report.warnings)
+    assert report.status == "optimal"
+    assert report.warnings == ()
+    brute = brute_force_solve(Dataset(x, y), 2, SQUARED)
+    assert abs(report.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
+
+
+def _few_live_points():
+    # at most d + 1 points with a nonzero regressor
+    rng = np.random.default_rng(31)
+    cases = [("hand", Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                              np.array([1.0, 2.0, 0.0])), 2)]
+    for d in (1, 2, 3):
+        x = rng.integers(-2, 3, size=(d + 1, d)).astype(float)
+        cases.append((f"d{d}-N{d + 1}",
+                      Dataset(x, rng.integers(-2, 3, size=d + 1).astype(float)),
+                      2 + d % 2))
+    cases.append(("all-zero-x",
+                  Dataset(np.zeros((4, 2)), np.array([1.0, -2.0, 0.0, 3.0])), 2))
+    return cases
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+@pytest.mark.parametrize("name, data, n", _few_live_points(),
+                         ids=[c[0] for c in _few_live_points()])
+def test_enum_solves_tiny_and_zero_heavy_instances(name, data, n, loss):
+    enum = enumeration_solve(data, n, loss)
+    brute = brute_force_solve(data, n, loss)
+    assert enum.status == "optimal"
+    assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
 
 
 # ---------------------------------------------------------------------------
