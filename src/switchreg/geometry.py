@@ -6,7 +6,10 @@ exactly on the separating hyperplane {p : h . p = 0}. The patterns are the
 cells of the central hyperplane arrangement {h : h . p_i = 0}, and the
 enumeration here walks that arrangement's rays, recursing into the points
 on each ray's hyperplane. It is exact on any data: repeated, collinear or
-coplanar points and N <= m need no special handling and no linear program.
+coplanar points and N <= m need no special handling and no linear program,
+and coordinates of very different magnitudes are scaled away first. The one
+tolerance, sign_tol, is a relative distance: a point that close to a
+hyperplane counts as on it.
 The general-position check is a diagnostic only. An independent
 angle-sweep oracle covers m <= 2 for verification.
 """
@@ -30,7 +33,7 @@ __all__ = [
     "sweep_dichotomies_oracle",
 ]
 
-# Relative singular-value threshold deciding when a subset is rank-deficient.
+# Relative singular-value threshold of check_general_position.
 _RANK_TOL = 1e-9
 
 
@@ -123,15 +126,31 @@ def check_general_position(points, *, max_exhaustive: int = 20000,
                                  sampled=sampled, checked_subsets=len(subsets))
 
 
+def _rank(points, vt, sign_tol):
+    """How many leading rows of vt span every point to within sign_tol.
+
+    Works on stacks: points (..., N, m) and orthonormal rows vt (..., k, m)
+    spanning the points. The distance of a point from the span of the first
+    j rows is the norm of its coordinates on rows j onwards.
+    """
+    coords = points @ np.swapaxes(vt, -1, -2)
+    tail = np.sqrt(np.cumsum(coords[..., ::-1] ** 2, axis=-1))[..., ::-1]
+    return (tail > sign_tol).any(axis=-2).sum(axis=-1)
+
+
 def _cells(points, sign_tol):
     """(signs, witnesses): every cell of the arrangement {h : h . p_i = 0}.
 
-    signs is (K, N) in {+1, -1}, unique rows in ascending order; witnesses
-    is (K, m), in the span of the points, with sign(points @ w) == signs.
+    The points are unit vectors (up to rounding), so sign_tol is a relative
+    distance: a point within sign_tol of a subspace counts as on it, in the
+    rank of the set, in the independence of a ray's subset and in the
+    on-ray test alike. signs is (K, N) in {+1, -1}, unique rows in ascending
+    order; witnesses is (K, m), in the span of the points, with
+    sign(points @ w) == signs.
     """
     N = len(points)
-    _, sv, vt = np.linalg.svd(points, full_matrices=False)
-    basis = vt[:np.sum(sv > _RANK_TOL * max(1.0, sv.max(initial=0.0)))]
+    _, _, vt = np.linalg.svd(points, full_matrices=False)
+    basis = vt[:_rank(points, vt, sign_tol)]
     q = points @ basis.T                             # (N, r) span coordinates
     r = len(basis)
     if N == r:
@@ -143,18 +162,19 @@ def _cells(points, sign_tol):
         return np.array([signs, -signs]), np.array([[g], [-g]]) @ basis
 
     # every cell touches a ray: the normal to r-1 independent points
-    subsets = np.array(list(itertools.combinations(range(N), r - 1)))
-    _, sub_sv, sub_vt = np.linalg.svd(q[subsets])
-    rays = sub_vt[sub_sv[:, -1] > _RANK_TOL * np.maximum(1.0, sub_sv[:, 0]), -1]
+    subsets = q[np.array(list(itertools.combinations(range(N), r - 1)))]
+    _, _, sub_vt = np.linalg.svd(subsets)
+    rays = sub_vt[_rank(subsets, sub_vt, sign_tol) == r - 1, -1]
     vals = q @ rays.T                                # (N, rays)
-    scale = 1.0 + np.linalg.norm(q, axis=1)
-    on_ray = np.abs(vals) <= sign_tol * scale[:, None]
+    on_ray = np.abs(vals) <= sign_tol
     _, first = np.unique(on_ray.T, axis=0, return_index=True)
     signs, witnesses = [], []
     for c in first:
         on, off = on_ray[:, c], ~on_ray[:, c]
-        # the cells around the ray are the cells of its on-ray points
-        local_signs, u = _cells(q[on], sign_tol)
+        # the cells around the ray are the cells of its on-ray points,
+        # projected onto the ray's hyperplane
+        flat = q[on] - np.outer(vals[on, c], rays[c])
+        local_signs, u = _cells(flat, sign_tol)
         around = np.tile(np.where(vals[:, c] > 0, 1, -1), (len(u), 1))
         around[:, on] = local_signs
         coupling = np.abs(q[off] @ u.T).max(axis=0)
@@ -171,17 +191,22 @@ def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -
     """All sign patterns of the points under through-origin linear classifiers.
 
     The patterns are the cells of the central arrangement {h : h . p_i = 0}
-    (Cover, 1965). After the points are reduced to their span, of rank r,
-    every cell touches a ray of the arrangement: the normal h0 to some r-1
+    (Cover, 1965). They do not change when a coordinate or a point is scaled
+    by a positive factor, so the points are first scaled to unit column
+    maxima and then to unit norm; sign_tol then measures relative distance,
+    and data whose coordinates differ by many orders of magnitude loses no
+    pattern. After the points are reduced to their span, of rank r, every
+    cell touches a ray of the arrangement: the normal h0 to some r-1
     independent points. Near h0 the points off its hyperplane keep
     sign(h0 . p_i), and the points on it take the signs of one cell of their
     own arrangement inside h0's orthogonal complement, found by recursion;
     -h0 gives the negated patterns. So one ray per distinct on-ray point set
-    reaches every pattern exactly, on any data: repeated, collinear or
-    coplanar points, and N <= m. r independent points give all 2^r patterns
-    and r = 1 gives two. Each witness h0 + delta u separates strictly, with
-    delta small enough that no off-ray sign flips. The set is closed under
-    global negation.
+    reaches every pattern, with no linear program and no general-position
+    assumption: repeated, collinear or coplanar points and N <= m are exact,
+    and a point within relative distance sign_tol of a hyperplane counts as
+    on it. r independent points give all 2^r patterns and r = 1 gives two.
+    Each witness h0 + delta u separates strictly, with delta small enough
+    that no off-ray sign flips. The set is closed under global negation.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -190,8 +215,12 @@ def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -
         raise ValueError("points must be finite")
     if np.any(np.linalg.norm(points, axis=1) <= tol.sign_tol):
         raise ValueError("a point at the origin admits no strict classification")
-    signs, witnesses = _cells(points, tol.sign_tol)
-    return DichotomySet(tuple(Dichotomy(tuple(s.tolist()), w)
+    col = np.abs(points).max(axis=0, initial=0.0)
+    col[col == 0] = 1.0
+    unit = points / col
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    signs, witnesses = _cells(unit, tol.sign_tol)
+    return DichotomySet(tuple(Dichotomy(tuple(s.tolist()), w / col)
                               for s, w in zip(signs, witnesses)))
 
 

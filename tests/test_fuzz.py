@@ -51,6 +51,16 @@ def test_dichotomies_match_sweep_oracle_on_grid(points):
     _assert_strict(points, result)
 
 
+@_GATE
+@given(st.integers(1, 2).flatmap(lambda m: _nonzero_points(m, 2, 9)),
+       st.lists(st.integers(-10, 10), min_size=2, max_size=2))
+def test_dichotomies_ignore_coordinate_scale(points, exponents):
+    scaled = points * 10.0 ** np.array(exponents[:points.shape[1]])
+    result = enumerate_linear_dichotomies(scaled)
+    assert result.patterns() == sweep_dichotomies_oracle(points).patterns()
+    _assert_strict(scaled, result)
+
+
 @settings(_GATE, max_examples=40)
 @given(_nonzero_points(3, 2, 6))
 def test_dichotomies_match_linear_programs_in_three_dimensions(points):

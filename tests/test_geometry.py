@@ -159,6 +159,29 @@ def test_degenerate_spanning_subsets_counted():
         assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
 
 
+@pytest.mark.parametrize("scale", [(1e-10, 1.0), (1.0, 1e10), (1e-10, 1e10),
+                                   "rows"],
+                         ids=["tiny-x", "huge-y", "both", "rows"])
+def test_dichotomies_unchanged_by_coordinate_scale(scale):
+    # patterns survive positive scaling of a coordinate or of a point,
+    # however extreme
+    pts = np.random.default_rng(17).standard_normal((8, 2))
+    if scale == "rows":
+        scale = 10.0 ** -np.arange(0.0, 11.2, 1.5)[:, None]
+    scaled = pts * np.array(scale)
+    result = enumerate_linear_dichotomies(scaled)
+    assert _patterns(result) == _patterns(sweep_dichotomies_oracle(pts))
+    for d in result:
+        margins = np.array(d.signs) * (scaled @ d.witness)
+        assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
+
+
+def test_tiny_line_points_two_patterns():
+    pts = 1e-10 * np.array([[1.0], [2.0], [-1.0], [3.0]])
+    assert _patterns(enumerate_linear_dichotomies(pts)) == \
+        {(1, 1, -1, 1), (-1, -1, 1, -1)}
+
+
 def test_dichotomy_sign_validation():
     with pytest.raises(ValueError):
         Dichotomy(signs=(1, 0, -1), witness=np.ones(2))

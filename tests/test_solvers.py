@@ -435,6 +435,25 @@ def test_enum_position_warning_on_degenerate_data():
     assert abs(report.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
 
 
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+@pytest.mark.parametrize("x_scale, y_scale", [(1e-10, 1.0), (1.0, 1e10),
+                                              (1e-10, 1e10)],
+                         ids=["tiny-x", "huge-y", "both"])
+def test_enum_matches_brute_on_widely_scaled_data(x_scale, y_scale, loss):
+    # the optimum is scale-covariant, so no candidate may go missing when
+    # the regressors and the targets differ by many orders of magnitude
+    rng = np.random.default_rng(41)
+    for d, N in ((1, 7), (2, 6)):
+        for _ in range(3):
+            data = Dataset(x_scale * rng.standard_normal((N, d)),
+                           y_scale * rng.standard_normal(N))
+            enum = enumeration_solve(data, 2, loss)
+            brute = brute_force_solve(data, 2, loss)
+            assert enum.status == "optimal"
+            assert np.isclose(enum.cost, brute.cost, rtol=1e-9,
+                              atol=DEFAULT_TOLERANCES.zero_tol)
+
+
 def _few_live_points():
     # at most d + 1 points with a nonzero regressor
     rng = np.random.default_rng(31)
