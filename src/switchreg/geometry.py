@@ -31,6 +31,7 @@ __all__ = [
     "check_general_position",
     "enumerate_linear_dichotomies",
     "sweep_dichotomies_oracle",
+    "unique_rows",
 ]
 
 # Relative singular-value threshold of check_general_position.
@@ -53,24 +54,26 @@ class Dichotomy:
             raise ValueError("signs must be +1 or -1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DichotomySet:
-    """Enumeration result: the dichotomies sorted by sign pattern."""
+    """Enumeration result: (K, N) signs in {+1, -1}, distinct rows in
+    ascending order, and the (K, m) witnesses realizing them row by row."""
 
-    dichotomies: tuple
+    signs: np.ndarray
+    witnesses: np.ndarray
 
     # read by the benchmark's traced enumeration; nothing is ever dropped
     branch_attempts = 0
     branch_dropped = 0
 
     def __iter__(self):
-        return iter(self.dichotomies)
+        return map(Dichotomy, map(tuple, self.signs.tolist()), self.witnesses)
 
     def __len__(self):
-        return len(self.dichotomies)
+        return len(self.signs)
 
     def patterns(self) -> frozenset:
-        return frozenset(d.signs for d in self.dichotomies)
+        return frozenset(map(tuple, self.signs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,15 @@ def check_general_position(points, *, max_exhaustive: int = 20000,
                                  sampled=sampled, checked_subsets=len(subsets))
 
 
+def unique_rows(rows) -> np.ndarray:
+    """First-occurrence index of each distinct row of a boolean (K, N) array,
+    in ascending row order, as np.unique(rows, axis=0, return_index=True);
+    big-endian bit packing keeps that order. Pass +/-1 rows as rows > 0."""
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    return np.unique(keys, return_index=True)[1]
+
+
 def _rank(points, vt, sign_tol):
     """How many leading rows of vt span every point to within sign_tol.
 
@@ -167,9 +179,8 @@ def _cells(points, sign_tol):
     rays = sub_vt[_rank(subsets, sub_vt, sign_tol) == r - 1, -1]
     vals = q @ rays.T                                # (N, rays)
     on_ray = np.abs(vals) <= sign_tol
-    _, first = np.unique(on_ray.T, axis=0, return_index=True)
     signs, witnesses = [], []
-    for c in first:
+    for c in unique_rows(on_ray.T):
         on, off = on_ray[:, c], ~on_ray[:, c]
         # the cells around the ray are the cells of its on-ray points,
         # projected onto the ray's hyperplane
@@ -183,8 +194,8 @@ def _cells(points, sign_tol):
         signs += [around, -around]
         witnesses += [h, -h]
     signs, witnesses = np.concatenate(signs), np.concatenate(witnesses)
-    signs, keep = np.unique(signs, axis=0, return_index=True)
-    return signs, witnesses[keep] @ basis
+    keep = unique_rows(signs > 0)
+    return signs[keep], witnesses[keep] @ basis
 
 
 def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -> DichotomySet:
@@ -220,8 +231,7 @@ def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -
     unit = points / col
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     signs, witnesses = _cells(unit, tol.sign_tol)
-    return DichotomySet(tuple(Dichotomy(tuple(s.tolist()), w / col)
-                              for s, w in zip(signs, witnesses)))
+    return DichotomySet(signs, witnesses / col)
 
 
 def sweep_dichotomies_oracle(points, tol: Tolerances = DEFAULT_TOLERANCES) -> DichotomySet:
@@ -231,7 +241,8 @@ def sweep_dichotomies_oracle(points, tol: Tolerances = DEFAULT_TOLERANCES) -> Di
     negation). For m=2 the normal direction h(theta) = (cos theta, sin theta)
     is swept through the circle; the pattern only changes at the 2N critical
     angles where h is orthogonal to some point, so sampling strictly between
-    consecutive critical angles enumerates everything.
+    consecutive critical angles enumerates everything. The rows come sorted,
+    each with the first normal that realized it.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -244,28 +255,26 @@ def sweep_dichotomies_oracle(points, tol: Tolerances = DEFAULT_TOLERANCES) -> Di
         raise ValueError("a point at the origin admits no strict classification")
     scale = 1.0 + norms
 
-    found: dict[tuple, Dichotomy] = {}
+    found: dict[tuple, np.ndarray] = {}
     if m == 1:
         base = np.where(points[:, 0] > 0.0, 1, -1)
         for g in (1, -1):
-            signs = tuple(int(v) for v in g * base)
-            found.setdefault(signs, Dichotomy(signs, np.array([float(g)])))
-        return DichotomySet(tuple(found[k] for k in sorted(found)))
-
-    ang = np.arctan2(points[:, 1], points[:, 0])
-    crit = np.sort(np.concatenate([ang + np.pi / 2, ang - np.pi / 2]) % (2 * np.pi))
-    merged = [float(crit[0])]
-    for a in crit[1:]:
-        if a - merged[-1] > 1e-12:
-            merged.append(float(a))
-    mids = [(merged[i] + merged[i + 1]) / 2 for i in range(len(merged) - 1)]
-    mids.append((merged[-1] + merged[0] + 2 * np.pi) / 2)
-
-    for theta in mids:
-        h = np.array([np.cos(theta), np.sin(theta)])
-        vals = points @ h
-        if np.any(np.abs(vals) <= tol.sign_tol * scale):
-            continue            # landed on a coincident critical angle
-        signs = tuple(int(v) for v in np.where(vals > 0, 1, -1))
-        found.setdefault(signs, Dichotomy(signs, h))
-    return DichotomySet(tuple(found[k] for k in sorted(found)))
+            found.setdefault(tuple(int(v) for v in g * base), np.array([float(g)]))
+    else:
+        ang = np.arctan2(points[:, 1], points[:, 0])
+        crit = np.sort(np.concatenate([ang + np.pi / 2, ang - np.pi / 2]) % (2 * np.pi))
+        merged = [float(crit[0])]
+        for a in crit[1:]:
+            if a - merged[-1] > 1e-12:
+                merged.append(float(a))
+        mids = [(merged[i] + merged[i + 1]) / 2 for i in range(len(merged) - 1)]
+        mids.append((merged[-1] + merged[0] + 2 * np.pi) / 2)
+        for theta in mids:
+            h = np.array([np.cos(theta), np.sin(theta)])
+            vals = points @ h
+            if np.any(np.abs(vals) <= tol.sign_tol * scale):
+                continue            # landed on a coincident critical angle
+            found.setdefault(tuple(int(v) for v in np.where(vals > 0, 1, -1)), h)
+    keys = sorted(found)
+    return DichotomySet(np.array(keys, dtype=np.int64).reshape(len(keys), N),
+                        np.array([found[k] for k in keys]).reshape(len(keys), m))

@@ -41,7 +41,7 @@ from .core import (
 )
 # no solver calls check_general_position; the benchmark's tracer wraps it by
 # name on this module
-from .geometry import check_general_position, enumerate_linear_dichotomies
+from .geometry import check_general_position, enumerate_linear_dichotomies, unique_rows
 
 __all__ = [
     "CapsExceededError",
@@ -341,14 +341,16 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
 class CandidateStream:
     """Deterministic stream of candidate labelings for the exact solver.
 
-    One pool of pairwise sign patterns serves every mode pair: each pattern
-    is the elementwise product of a dichotomy of the lifted points (deciding
-    which of the two modes has the smaller residual on each side of the
-    midpoint hyperplane) and a dichotomy of the regressors (the difference
-    hyperplane). Combinations across the n(n-1)/2 pairs are majority-voted
-    into labelings, _STREAM_CHUNK combinations at a time. Only combinations
-    with a Condorcet winner at every point (a mode taking all n-1 of its
-    votes) are kept. Emitted labelings are canonical and deduped.
+    One pool of pairwise patterns serves every mode pair: each is the
+    elementwise product of a dichotomy of the lifted points (deciding which
+    of the two modes has the smaller residual on each side of the midpoint
+    hyperplane) and a dichotomy of the regressors (the difference
+    hyperplane), kept in the boolean (P, N) pair_products as "first mode
+    wins" (the signs agree). Combinations across the n(n-1)/2 pairs are
+    majority-voted into labelings, _STREAM_CHUNK combinations at a time;
+    only those with a Condorcet winner at every point (a mode taking all
+    n-1 of its votes) are kept. Iterating yields one 0-based (N,) row per
+    distinct canonical candidate, in order of first appearance.
 
     The candidates contain an optimal labeling on any data, with no
     general-position assumption. The dichotomy pools are exact: they hold
@@ -379,20 +381,18 @@ class CandidateStream:
         pairs = n * (n - 1) // 2
 
         if n == 1:
-            self.pair_products = np.ones((1, N), dtype=np.int64)
+            self.pair_products = np.ones((1, N), dtype=bool)
             self.combination_count = 1
         else:
             # a point with x_i = 0 has the same residual under every mode:
             # it moves no fit, so it votes for mode 0 in every pair
             live = np.linalg.norm(data.x, axis=1) > cfg.tol.sign_tol
-            g_set = enumerate_linear_dichotomies(data.lifted()[live], cfg.tol)
-            h_set = enumerate_linear_dichotomies(data.x[live], cfg.tol)
-            gs = np.array([dd.signs for dd in g_set], dtype=np.int64)
-            hs = np.array([dd.signs for dd in h_set], dtype=np.int64)
-            products = np.ones((len(gs) * len(hs), N), dtype=np.int64)
-            products[:, live] = (gs[:, None, :] * hs[None, :, :]).reshape(
+            gs = enumerate_linear_dichotomies(data.lifted()[live], cfg.tol).signs > 0
+            hs = enumerate_linear_dichotomies(data.x[live], cfg.tol).signs > 0
+            products = np.ones((len(gs) * len(hs), N), dtype=bool)
+            products[:, live] = (gs[:, None, :] == hs[None, :, :]).reshape(
                 len(products), -1)
-            self.pair_products = np.unique(products, axis=0)
+            self.pair_products = products[unique_rows(products)]
             self.combination_count = len(self.pair_products) ** pairs
             if self.combination_count > cfg.candidate_budget:
                 raise CapsExceededError(
@@ -404,12 +404,16 @@ class CandidateStream:
         N, n = self.data.N, self.n
         if n == 1:
             self.combinations_examined = 1
-            yield Labeling(np.ones(N, dtype=np.int64))
+            yield np.zeros(N, dtype=np.int64)
             return
         pair_index = list(itertools.combinations(range(n), 2))
         shape = (len(self.pair_products),) * len(pair_index)
-        first_wins = self.pair_products > 0                  # (P, N)
-        seen = set()
+
+        def distinct(labels):       # first occurrences, in order
+            hot = (labels[:, :, None] == np.arange(n)).reshape(len(labels), N * n)
+            return labels[np.sort(unique_rows(hot))]
+
+        kept = []
         for lo in range(0, self.combination_count, _STREAM_CHUNK):
             combos = np.unravel_index(
                 np.arange(lo, min(lo + _STREAM_CHUNK, self.combination_count)),
@@ -418,18 +422,14 @@ class CandidateStream:
             # contiguous (chunk, N) slabs instead of a length-n axis
             votes = np.zeros((n, len(combos[0]), N), dtype=np.int8)
             for idx, (j, k) in zip(combos, pair_index):
-                wins = first_wins[idx]
+                wins = self.pair_products[idx]
                 votes[j] += wins
                 votes[k] += ~wins
             votes = votes.transpose(1, 2, 0)                 # (chunk, N, n)
             self.combinations_examined += len(combos[0])
             condorcet = (votes.max(axis=2) == n - 1).all(axis=1)
-            labels = _canonicalize_arrays(votes[condorcet].argmax(axis=2))
-            for q0 in labels:
-                key = q0.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    yield Labeling(q0 + 1)
+            kept.append(distinct(_canonicalize_arrays(votes[condorcet].argmax(axis=2))))
+        yield from distinct(np.concatenate(kept))
 
 
 def _squared_scores(x, y, member):
@@ -510,7 +510,7 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     stream = CandidateStream(data, n, cfg)
-    labels = np.array([lab.q for lab in stream]) - 1
+    labels = np.array(list(stream))
     x, y = data.x, data.y
     scores = _candidate_scores(x, y, labels, n, loss)
     best = None
@@ -569,25 +569,17 @@ def noiseless_solve(data: Dataset, n: int,
     # keep only candidates that actually interpolate their own subset
     good = np.take_along_axis(fits, subsets, axis=1).all(axis=1)
 
-    cand_w = []
-    cand_fit = []
-    seen_fits = set()
+    # good rows by descending fit size, one per distinct fit set
     order = np.argsort(-fits.sum(axis=1), kind="stable")
-    for r in order:
-        if not good[r]:
-            continue
-        key = fits[r].tobytes()
-        if key in seen_fits:
-            continue
-        seen_fits.add(key)
-        cand_w.append(ws[r])
-        cand_fit.append(fits[r])
+    order = order[good[order]]
+    order = order[np.sort(unique_rows(fits[order]))]
+    cand_w, fit_matrix = ws[order], fits[order]      # fit_matrix (C, N) boolean
 
     def finish(chosen, status):
         # cost under squared loss; any admissible loss is zero exactly when
         # every residual is zero, so certification is loss-independent
         if chosen:
-            w = np.array([cand_w[c] for c in chosen])
+            w = cand_w[chosen]
             while w.shape[0] < n:
                 w = np.vstack([w, w[:1]])
         else:
@@ -600,10 +592,9 @@ def noiseless_solve(data: Dataset, n: int,
                            labeling=labeling, candidates_examined=len(subsets),
                            elapsed=time.perf_counter() - t0, status=status)
 
-    if not cand_w:
+    if not len(order):
         return finish([], "infeasible")
 
-    fit_matrix = np.array(cand_fit)                  # (C, N) boolean
     sizes = fit_matrix.sum(axis=1)
     max_size = int(sizes.max())
     by_point = [np.flatnonzero(fit_matrix[:, i]) for i in range(N)]

@@ -12,7 +12,7 @@ import pytest
 import switchreg
 from switchreg import (DEFAULT_TOLERANCES, check_general_position,
                        enumerate_linear_dichotomies, sweep_dichotomies_oracle)
-from switchreg.geometry import Dichotomy
+from switchreg.geometry import Dichotomy, unique_rows
 
 from conftest import lp_feasible_patterns
 
@@ -130,6 +130,8 @@ def test_negation_closure_and_witnesses(m):
     result = enumerate_linear_dichotomies(pts)
     pats = _patterns(result)
     assert len(result) <= 2 ** m * comb(7, m - 1)
+    rows = [tuple(r) for r in result.signs.tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:]))     # strictly ascending
     for d in result:
         assert tuple(-s for s in d.signs) in pats
         margins = np.array(d.signs) * (pts @ d.witness)
@@ -180,6 +182,17 @@ def test_tiny_line_points_two_patterns():
     pts = 1e-10 * np.array([[1.0], [2.0], [-1.0], [3.0]])
     assert _patterns(enumerate_linear_dichotomies(pts)) == \
         {(1, 1, -1, 1), (-1, -1, 1, -1)}
+
+
+def test_unique_rows_matches_numpy_unique():
+    rng = np.random.default_rng(23)
+    for width in range(1, 21):                 # every count of padding bits
+        rows = rng.random((40, width)) < 0.5
+        rows = rows[rng.integers(0, 40, size=60)]           # with repeats
+        for arr in (rows, rows.T.copy().T):    # C- and F-ordered
+            expected = np.unique(arr, axis=0, return_index=True)[1]
+            assert np.array_equal(unique_rows(arr), expected), width
+    assert unique_rows(np.zeros((0, 9), dtype=bool)).size == 0
 
 
 def test_dichotomy_sign_validation():

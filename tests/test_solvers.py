@@ -14,6 +14,7 @@ from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, CapsExceededError,
                        fit_modes, noiseless_solve, refine_alternate,
                        solve_instance, solve_mode_regression)
 from switchreg import solvers
+from switchreg.core import _canonicalize_arrays
 from switchreg.datasets import GeneratorSpec, generate_instance
 from switchreg.solvers import CandidateStream, SolveReport
 
@@ -227,7 +228,7 @@ def test_stream_contains_trivial_and_optimal_labelings():
     data = Dataset(np.array([[1.0], [2.0], [-1.5]]),
                    np.array([2.1, 3.9, 1.4]))
     stream = CandidateStream(data, 2)
-    emitted = {lab.as_tuple() for lab in stream}
+    emitted = {tuple((q + 1).tolist()) for q in stream}
     assert (1, 1, 1) in emitted     # constant classifier, mode 2 empty
     best = brute_force_solve(data, 2, SQUARED)
     assert best.labeling.as_tuple() in emitted
@@ -236,7 +237,7 @@ def test_stream_contains_trivial_and_optimal_labelings():
 def test_stream_contains_brute_optimum_on_noisy_data():
     for seed in range(5):
         data, _, _ = random_instance(seed, N=6)
-        emitted = {lab.as_tuple() for lab in CandidateStream(data, 2)}
+        emitted = {tuple((q + 1).tolist()) for q in CandidateStream(data, 2)}
         best = brute_force_solve(data, 2, SQUARED)
         assert best.labeling.as_tuple() in emitted
 
@@ -247,8 +248,8 @@ def test_stream_contains_three_mode_model_labelings():
     rng = np.random.default_rng(14)
     for seed in range(6):
         data, _, _ = random_instance(seed, n=3, d=1, N=6 + seed % 3)
-        emitted = {lab.as_tuple()
-                   for lab in CandidateStream(data, 3)}
+        emitted = {tuple((q + 1).tolist())
+                   for q in CandidateStream(data, 3)}
         induced = set()
         for _ in range(200):
             models = ModelSet(rng.standard_normal((3, 1)) * 2.0)
@@ -274,24 +275,29 @@ def test_stream_refuses_budget_with_count_in_message():
         CandidateStream(data, 2, SolverConfig(candidate_budget=3))
 
 
-def test_stream_count_within_closed_form_bound():
+def test_stream_count_within_closed_form_bound(monkeypatch):
+    # small vote chunks, so that candidates recur across chunks at n = 3
+    monkeypatch.setattr(solvers, "_STREAM_CHUNK", 97)
     d, N = 1, 7
     for n in (2, 3):
         data, _, _ = random_instance(3, n=n, d=d, N=N)
         stream = CandidateStream(data, n)
-        list(stream)
+        rows = np.array(list(stream))
         pairs = n * (n - 1) // 2
         bound = (2 ** (d + 1) * comb(N, d) * 2 ** d * comb(N, d - 1)) ** pairs
         assert stream.combinations_examined == \
             len(stream.pair_products) ** pairs
         assert stream.combinations_examined <= bound
+        # emitted rows are distinct and canonical
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert np.array_equal(_canonicalize_arrays(rows), rows)
 
 
 def test_stream_single_mode():
     data, _, _ = random_instance(4, N=5)
     labs = list(CandidateStream(data, 1))
     assert len(labs) == 1
-    assert labs[0].as_tuple() == (1, 1, 1, 1, 1)
+    assert tuple((labs[0] + 1).tolist()) == (1, 1, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
