@@ -238,11 +238,12 @@ def sweep_dichotomies_oracle(points, tol: Tolerances = DEFAULT_TOLERANCES) -> Di
     """First-principles dichotomy enumeration for m <= 2.
 
     m=1 has exactly the two patterns (signs of the coordinates and their
-    negation). For m=2 the normal direction h(theta) = (cos theta, sin theta)
-    is swept through the circle; the pattern only changes at the 2N critical
-    angles where h is orthogonal to some point, so sampling strictly between
-    consecutive critical angles enumerates everything. The rows come sorted,
-    each with the first normal that realized it.
+    negation), and an empty point set the one empty pattern. For m=2 the
+    normal direction h(theta) = (cos theta, sin theta) is swept through the
+    circle; the pattern only changes at the 2N critical angles where h is
+    orthogonal to some point, so sampling strictly between consecutive
+    critical angles enumerates everything. The rows come sorted, each with
+    the first normal that realized it.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -256,10 +257,10 @@ def sweep_dichotomies_oracle(points, tol: Tolerances = DEFAULT_TOLERANCES) -> Di
     scale = 1.0 + norms
 
     found: dict[tuple, np.ndarray] = {}
-    if m == 1:
+    if m == 1 or N == 0:
         base = np.where(points[:, 0] > 0.0, 1, -1)
         for g in (1, -1):
-            found.setdefault(tuple(int(v) for v in g * base), np.array([float(g)]))
+            found.setdefault(tuple(int(v) for v in g * base), g * np.eye(1, m)[0])
     else:
         ang = np.arctan2(points[:, 1], points[:, 0])
         crit = np.sort(np.concatenate([ang + np.pi / 2, ang - np.pi / 2]) % (2 * np.pi))

@@ -6,12 +6,11 @@ Four methods with different guarantees:
 * enumeration_solve: exact on any data, polynomial in N for fixed d and n.
   Candidate labelings come from products of linear dichotomies of the
   lifted points (x_i, y_i) and of the x_i themselves, one product per mode
-  pair, combined by majority vote; only combinations with a Condorcet
-  winner at every point are kept. The dichotomies are enumerated exactly,
-  with no general-position assumption, so an optimal labeling appears among
-  these candidates and fitting each one and keeping the best is globally
-  optimal; all candidates are scored in one batched pass and only the best
-  are re-fit.
+  pair, joined into regions mode by mode. The dichotomies are enumerated
+  exactly, with no general-position assumption, so an optimal labeling
+  appears among these candidates and fitting each one and keeping the best
+  is globally optimal; all candidates are scored in one batched pass and
+  only the best are re-fit.
 * noiseless_solve: exact for data admitting a zero-error fit; reconstructs
   each mode from d interpolation points.
 * altmin_solve: seeded alternating-minimization baseline, local minima and
@@ -66,9 +65,6 @@ _MAX_REFINE_ROUNDS = 1000
 # per batch by _absolute_fit. It bounds the scorer's (chunk, n, N) and, under
 # absolute loss, (chunk, n, S) arrays, and the fit's (chunk, k) residuals.
 _SCORE_CHUNK = 512
-# Classifier combinations majority-voted per batch by CandidateStream. It
-# bounds the stream's (chunk, N, n) vote and (chunk, N) label arrays.
-_STREAM_CHUNK = 4096
 
 SOLVER_METHODS = ("brute", "enum", "noiseless", "altmin")
 
@@ -82,9 +78,10 @@ class SolverConfig:
     """Caps, budgets, and tolerances shared by the solvers.
 
     d_max and n_max gate the enumeration solver; restarts and seed drive
-    the heuristic. The budgets refuse runs whose labeling or combination
-    counts would be excessive, and node_budget bounds the noiseless cover
-    search.
+    the heuristic. brute_budget bounds brute force's labelings,
+    candidate_budget the rows each step of CandidateStream's region join
+    builds and the noiseless solver's interpolation subsets, node_budget
+    the noiseless cover search.
     """
 
     d_max: int = 3
@@ -110,8 +107,9 @@ class SolveReport:
     cost always equals the empirical cost of (models, labeling) on the data
     it was computed for; labeling is canonical (modes numbered by first
     occurrence). candidates_examined counts method-specific units: labelings
-    for brute force, classifier combinations for enumeration, interpolation
-    systems for the noiseless solver, restarts for the heuristic.
+    for brute force, the P ** (n(n-1)/2) classifier combinations the
+    candidates cover for enumeration, interpolation systems for the
+    noiseless solver, restarts for the heuristic.
     """
 
     method: str
@@ -339,18 +337,20 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
 
 
 class CandidateStream:
-    """Deterministic stream of candidate labelings for the exact solver.
+    """Deterministic candidate labelings for the exact solver.
 
     One pool of pairwise patterns serves every mode pair: each is the
     elementwise product of a dichotomy of the lifted points (deciding which
     of the two modes has the smaller residual on each side of the midpoint
     hyperplane) and a dichotomy of the regressors (the difference
     hyperplane), kept in the boolean (P, N) pair_products as "first mode
-    wins" (the signs agree). Combinations across the n(n-1)/2 pairs are
-    majority-voted into labelings, _STREAM_CHUNK combinations at a time;
-    only those with a Condorcet winner at every point (a mode taking all
-    n-1 of its votes) are kept. Iterating yields one 0-based (N,) row per
-    distinct canonical candidate, in order of first appearance.
+    wins" (the signs agree). A region join peels the modes off in order:
+    mode 0 takes the AND of n-1 pool rows, mode 1 the AND of n-2 pool rows
+    on the points still unlabeled, and so on; the last mode takes the rest.
+    At n = 3 the candidates are where(R, 0, where(c, 1, 2)) over the
+    distinct regions R = a & b and the pool rows c. Building the stream
+    runs the join; iterating yields one 0-based (N,) row per distinct
+    canonical candidate, in order of first appearance.
 
     The candidates contain an optimal labeling on any data, with no
     general-position assumption. The dichotomy pools are exact: they hold
@@ -358,13 +358,19 @@ class CandidateStream:
     Perturbing an optimal model set generically keeps an optimal assignment
     (a tie-break of the optimum's), makes every pair product a product of
     strict dichotomies and orders the residuals at each live point
-    strictly, so the perturbed model set's labeling has a Condorcet winner
-    everywhere and is emitted.
+    strictly. Its labeling then peels: a point is in mode 0 exactly where
+    mode 0 beats every other mode, the AND of its n-1 pair products; a
+    point outside mode 0 is in mode 1 exactly where mode 1 beats modes
+    2..n-1, since its winner is not mode 0; and so on. So that labeling is
+    one of the join's rows.
 
-    Iterating fills the counter combinations_examined.
+    combinations_examined is P ** (n(n-1)/2), the classifier combinations
+    the candidates cover. candidate_budget bounds the rows each step of the
+    join builds, P at n = 2, the P**2 region pairs and then the |R| * P
+    completions at n = 3; the constructor refuses a step over it.
     """
 
-    # read by the benchmark's traced stream; vote ties are never expanded
+    # the join has no vote to tie; kept for the benchmark's traced stream
     tie_truncations = 0
 
     def __init__(self, data: Dataset, n: int, cfg: SolverConfig | None = None):
@@ -378,14 +384,12 @@ class CandidateStream:
         self.data = data
         self.n = n
         N = data.N
-        pairs = n * (n - 1) // 2
 
         if n == 1:
             self.pair_products = np.ones((1, N), dtype=bool)
-            self.combination_count = 1
         else:
             # a point with x_i = 0 has the same residual under every mode:
-            # it moves no fit, so it votes for mode 0 in every pair
+            # it moves no fit, so every pool row gives it to the first mode
             live = np.linalg.norm(data.x, axis=1) > cfg.tol.sign_tol
             gs = enumerate_linear_dichotomies(data.lifted()[live], cfg.tol).signs > 0
             hs = enumerate_linear_dichotomies(data.x[live], cfg.tol).signs > 0
@@ -393,43 +397,38 @@ class CandidateStream:
             products[:, live] = (gs[:, None, :] == hs[None, :, :]).reshape(
                 len(products), -1)
             self.pair_products = products[unique_rows(products)]
-            self.combination_count = len(self.pair_products) ** pairs
-            if self.combination_count > cfg.candidate_budget:
+        pool = self.pair_products
+        self.combinations_examined = len(pool) ** (n * (n - 1) // 2)
+
+        def every(left, right):     # row pairs, broadcast, within the budget
+            count = len(left) * len(right)
+            if count > cfg.candidate_budget:
                 raise CapsExceededError(
-                    f"{self.combination_count} classifier combinations exceed "
-                    f"the budget {cfg.candidate_budget}")
-        self.combinations_examined = 0
+                    f"{count} classifier combinations exceed the budget "
+                    f"{cfg.candidate_budget}")
+            return left[:, None], right[None]
+
+        # ands[t]: the distinct ANDs of t + 1 pool rows
+        ands = [pool]
+        for _ in range(n - 2):
+            a, b = every(ands[-1], pool)
+            ands.append(_distinct((a & b).reshape(-1, N)))
+        labels = np.full((1, N), n - 1, dtype=np.int8)      # not yet peeled
+        for j in range(n - 1):
+            q, region = every(labels, ands[n - 2 - j])
+            labels = _distinct(np.where(region & (q == n - 1), j, q).reshape(-1, N))
+        self.labels = _distinct(_canonicalize_arrays(labels))
 
     def __iter__(self):
-        N, n = self.data.N, self.n
-        if n == 1:
-            self.combinations_examined = 1
-            yield np.zeros(N, dtype=np.int64)
-            return
-        pair_index = list(itertools.combinations(range(n), 2))
-        shape = (len(self.pair_products),) * len(pair_index)
+        yield from self.labels
 
-        def distinct(labels):       # first occurrences, in order
-            hot = (labels[:, :, None] == np.arange(n)).reshape(len(labels), N * n)
-            return labels[np.sort(unique_rows(hot))]
 
-        kept = []
-        for lo in range(0, self.combination_count, _STREAM_CHUNK):
-            combos = np.unravel_index(
-                np.arange(lo, min(lo + _STREAM_CHUNK, self.combination_count)),
-                shape)
-            # mode-major memory: the adds and the per-point max run over
-            # contiguous (chunk, N) slabs instead of a length-n axis
-            votes = np.zeros((n, len(combos[0]), N), dtype=np.int8)
-            for idx, (j, k) in zip(combos, pair_index):
-                wins = self.pair_products[idx]
-                votes[j] += wins
-                votes[k] += ~wins
-            votes = votes.transpose(1, 2, 0)                 # (chunk, N, n)
-            self.combinations_examined += len(combos[0])
-            condorcet = (votes.max(axis=2) == n - 1).all(axis=1)
-            kept.append(distinct(_canonicalize_arrays(votes[condorcet].argmax(axis=2))))
-        yield from distinct(np.concatenate(kept))
+def _distinct(rows):
+    """The distinct rows of a boolean or 0-based label (K, N) array, in order
+    of first occurrence."""
+    keys = rows if rows.dtype == bool else \
+        (rows[:, :, None] == np.arange(rows.max() + 1)).reshape(len(rows), -1)
+    return rows[np.sort(unique_rows(keys))]
 
 
 def _squared_scores(x, y, member):

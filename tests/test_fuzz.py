@@ -74,7 +74,7 @@ def test_dichotomies_match_linear_programs_in_three_dimensions(points):
        st.sampled_from([SQUARED, ABSOLUTE]))
 def test_enum_equals_brute_on_grid_instances(data, nd, loss):
     n, d = nd
-    xy = np.array(_grid_rows(data.draw, d + 1, 2, 7 if n == 2 else 6,
+    xy = np.array(_grid_rows(data.draw, d + 1, 2, 7 if n == 2 else 8,
                              "rows (x, y)"), dtype=float)
     inst = Dataset(xy[:, :d], xy[:, d])
     enum = enumeration_solve(inst, n, loss)

@@ -74,9 +74,12 @@ def test_line_points_two_patterns():
 
 
 def test_line_oracle_matches():
-    pts = np.array([[1.0], [2.0], [-1.0]])
-    assert _patterns(sweep_dichotomies_oracle(pts)) == \
-        _patterns(enumerate_linear_dichotomies(pts))
+    for pts in (np.array([[1.0], [2.0], [-1.0]]), np.zeros((0, 1)),
+                np.zeros((0, 2))):
+        oracle = sweep_dichotomies_oracle(pts)
+        assert _patterns(oracle) == _patterns(enumerate_linear_dichotomies(pts))
+        assert oracle.signs.shape[1] == len(pts)
+        assert oracle.witnesses.shape[1] == pts.shape[1]
 
 
 # ---------------------------------------------------------------------------

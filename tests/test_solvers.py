@@ -243,8 +243,8 @@ def test_stream_contains_brute_optimum_on_noisy_data():
 
 
 def test_stream_contains_three_mode_model_labelings():
-    # every labeling a model set induces must have a Condorcet winner at
-    # each point, so the vote filter may not drop it
+    # every labeling a model set induces peels into the region join's form,
+    # so the join may not miss it
     rng = np.random.default_rng(14)
     for seed in range(6):
         data, _, _ = random_instance(seed, n=3, d=1, N=6 + seed % 3)
@@ -257,6 +257,27 @@ def test_stream_contains_three_mode_model_labelings():
             induced.add(lab.as_tuple())
         assert induced <= emitted, (seed, induced - emitted)
         assert len(induced) > 3
+
+
+def test_stream_is_the_region_join_and_contains_the_majority_vote():
+    # literal loops over every pool triple (a, b, c) = (p01, p02, p12): the
+    # stream emits exactly the canonical where(a & b, 0, where(c, 1, 2)),
+    # and every labeling the pairwise vote gives with a Condorcet winner
+    # at each point is among them
+    for seed in range(3):
+        data, _, _ = random_instance(seed, n=3, d=1, N=6)
+        stream = CandidateStream(data, 3)
+        join, vote = set(), set()
+        for a, b, c in itertools.product(stream.pair_products.astype(int),
+                                         repeat=3):
+            q = np.where(a & b, 0, np.where(c, 1, 2))
+            join.add(tuple(_canonicalize_arrays(q).tolist()))
+            votes = np.stack([a + b, 1 - a + c, 2 - b - c])
+            if (votes.max(axis=0) == 2).all():
+                vote.add(tuple(_canonicalize_arrays(votes.argmax(axis=0)).tolist()))
+        emitted = {tuple(q.tolist()) for q in stream}
+        assert emitted == join
+        assert vote <= emitted and len(vote) < len(emitted)
 
 
 def test_stream_respects_dimension_caps():
@@ -273,11 +294,21 @@ def test_stream_refuses_budget_with_count_in_message():
     data, _, _ = random_instance(2, N=10)
     with pytest.raises(CapsExceededError, match=r"\d+ classifier combinations"):
         CandidateStream(data, 2, SolverConfig(candidate_budget=3))
+    # n = 3: the P**2 region pairs are refused before any completion is built
+    data3, _, _ = random_instance(2, n=3, d=1, N=8)
+    P = len(CandidateStream(data3, 2).pair_products)
+    with pytest.raises(CapsExceededError,
+                       match=rf"^{P * P} classifier combinations exceed "
+                             rf"the budget {P * P - 1}$"):
+        CandidateStream(data3, 3, SolverConfig(candidate_budget=P * P - 1))
+    # with the region pairs allowed, the |R| * P completions are refused
+    with pytest.raises(CapsExceededError, match=rf"the budget {P * P}$") as err:
+        CandidateStream(data3, 3, SolverConfig(candidate_budget=P * P))
+    completions = int(str(err.value).split()[0])
+    assert completions > P * P and completions % P == 0
 
 
-def test_stream_count_within_closed_form_bound(monkeypatch):
-    # small vote chunks, so that candidates recur across chunks at n = 3
-    monkeypatch.setattr(solvers, "_STREAM_CHUNK", 97)
+def test_stream_count_within_closed_form_bound():
     d, N = 1, 7
     for n in (2, 3):
         data, _, _ = random_instance(3, n=n, d=d, N=N)
@@ -344,16 +375,26 @@ def test_enum_report_cost_consistent():
     assert abs(recomputed - report.cost) <= DEFAULT_TOLERANCES.zero_tol
 
 
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=["squared", "absolute"])
+def test_enum_three_modes_in_the_plane_within_default_budget(loss):
+    # n = 3, d = 2, N = 8 needs P**3 > 5e6 combinations, over the default
+    # budget; the region join builds far fewer rows
+    data, _, _ = random_instance(8, n=3, d=2, N=8)
+    enum = enumeration_solve(data, 3, loss, SolverConfig())
+    brute = brute_force_solve(data, 3, loss)
+    assert enum.status == "optimal"
+    assert enum.candidates_examined > SolverConfig().candidate_budget
+    assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
+
+
 def test_enum_result_independent_of_chunk_size(monkeypatch):
     two_modes, _, _ = random_instance(6, d=2, N=9)
     three_modes, _, _ = random_instance(6, n=3, d=1, N=7)
-    defaults = (solvers._SCORE_CHUNK, solvers._STREAM_CHUNK)
     for (data, n), loss in itertools.product(
             ((two_modes, 2), (three_modes, 3)), (SQUARED, ABSOLUTE)):
         reports = []
-        for score_chunk, stream_chunk in ((1, 1), (7, 7), defaults):
+        for score_chunk in (1, 7, solvers._SCORE_CHUNK):
             monkeypatch.setattr(solvers, "_SCORE_CHUNK", score_chunk)
-            monkeypatch.setattr(solvers, "_STREAM_CHUNK", stream_chunk)
             reports.append(enumeration_solve(data, n, loss))
         a = reports[0]
         for b in reports[1:]:
@@ -424,9 +465,12 @@ def _grid_solves_matching_brute(rng, n, trials, N0):
 def test_enum_matches_brute_on_integer_grid():
     assert _grid_solves_matching_brute(np.random.default_rng(2024),
                                        2, 40, 7) >= 19
-    # n = 3 at N 6-7: n=3, d=2 grid draws can overflow candidate_budget at 8
     assert _grid_solves_matching_brute(np.random.default_rng(2025),
                                        3, 20, 6) >= 10
+    # n = 3 at N 7-8: at N = 8, d = 2, P**3 exceeds the default budget on
+    # some draws, while the join builds far fewer rows
+    assert _grid_solves_matching_brute(np.random.default_rng(2026),
+                                       3, 12, 7) >= 6
 
 
 def test_enum_position_warning_on_degenerate_data():
