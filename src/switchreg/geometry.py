@@ -4,8 +4,9 @@ A linear dichotomy of points p_1..p_N in R^m is a sign pattern
 (sign(h . p_1), ..., sign(h . p_N)) for some normal vector h with no point
 exactly on the separating hyperplane {p : h . p = 0}. The patterns are the
 cells of the central hyperplane arrangement {h : h . p_i = 0}, and the
-enumeration here walks that arrangement's rays, recursing into the points
-on each ray's hyperplane. It is exact on any data: repeated, collinear or
+enumeration here walks that arrangement's rays: the generic ones in one
+batched pass, recursing only into the points on each degenerate ray's
+hyperplane. It is exact on any data: repeated, collinear or
 coplanar points and N <= m need no special handling and no linear program,
 and coordinates of very different magnitudes are scaled away first. The one
 tolerance, sign_tol, is a relative distance: a point that close to a
@@ -159,6 +160,14 @@ def _cells(points, sign_tol):
     on-ray test alike. signs is (K, N) in {+1, -1}, unique rows in ascending
     order; witnesses is (K, m), in the span of the points, with
     sign(points @ w) == signs.
+
+    The cells around a ray are those of its on-ray points projected onto
+    the ray's hyperplane. A generic ray has r-1 on-ray points whose
+    projections have rank r-1: the recursion would reach its N == r case
+    and shatter them, each of the 2^(r-1) local patterns witnessed by its
+    min-norm solution. So every generic ray of a level is resolved in one
+    batched pass, from one stacked SVD of the projections; only the
+    degenerate rays recurse.
     """
     N = len(points)
     _, _, vt = np.linalg.svd(points, full_matrices=False)
@@ -179,23 +188,54 @@ def _cells(points, sign_tol):
     rays = sub_vt[_rank(subsets, sub_vt, sign_tol) == r - 1, -1]
     vals = q @ rays.T                                # (N, rays)
     on_ray = np.abs(vals) <= sign_tol
-    signs, witnesses = [], []
-    for c in unique_rows(on_ray.T):
-        on, off = on_ray[:, c], ~on_ray[:, c]
-        # the cells around the ray are the cells of its on-ray points,
-        # projected onto the ray's hyperplane
-        flat = q[on] - np.outer(vals[on, c], rays[c])
+    keep = unique_rows(on_ray.T)                     # one ray per on-ray set
+    rays, vals, on_ray = rays[keep], vals[:, keep].T, on_ray[:, keep].T
+
+    # generic rays: each local pattern's min-norm witness, through the
+    # pseudo-inverse of the projected on-ray points
+    few = np.flatnonzero(on_ray.sum(axis=1) == r - 1)
+    idx = np.nonzero(on_ray[few])[1].reshape(-1, r - 1)
+    flat = q[idx] - vals[few[:, None], idx][..., None] * rays[few, None]
+    left, sv, right = np.linalg.svd(flat, full_matrices=False)
+    shattered = _rank(flat, right, sign_tol) == r - 1
+    generic = np.zeros(len(rays), dtype=bool)
+    generic[few[shattered]] = True
+    local = np.array(list(itertools.product((-1, 1), repeat=r - 1)))
+    u = (local @ left[shattered] / sv[shattered, None]) @ right[shattered]
+    parts = [_around(q, vals[generic], on_ray[generic], rays[generic],
+                     np.broadcast_to(local, u.shape[:2] + (r - 1,)), u)]
+    for c in np.flatnonzero(~generic):
+        on = on_ray[c]
+        flat = q[on] - np.outer(vals[c, on], rays[c])
         local_signs, u = _cells(flat, sign_tol)
-        around = np.tile(np.where(vals[:, c] > 0, 1, -1), (len(u), 1))
-        around[:, on] = local_signs
-        coupling = np.abs(q[off] @ u.T).max(axis=0)
-        delta = 0.5 * np.abs(vals[off, c]).min() / np.maximum(1.0, coupling)
-        h = rays[c] + delta[:, None] * u
-        signs += [around, -around]
-        witnesses += [h, -h]
-    signs, witnesses = np.concatenate(signs), np.concatenate(witnesses)
+        parts.append(_around(q, vals[c:c + 1], on_ray[c:c + 1],
+                             rays[c:c + 1], local_signs[None], u[None]))
+    signs, witnesses = map(np.vstack, zip(*parts))
     keep = unique_rows(signs > 0)
     return signs[keep], witnesses[keep] @ basis
+
+
+def _around(q, vals, on, rays, local, u):
+    """The cells next to R rays, L per ray, and their negations (the cells
+    next to the opposite rays), as (2RL, N) signs and (2RL, r) witnesses.
+
+    vals (R, N) and on (R, N) are the points' signed distances from each
+    ray's hyperplane and whether they lie on it; local (R, L, k) are the
+    signs of a ray's k on-ray points, in index order, in its L local cells,
+    and u (R, L, r) their witnesses, orthogonal to the ray. Off-ray points
+    keep their side of the ray's hyperplane; h = ray + delta u with delta
+    small enough that none of them flips.
+    """
+    (R, N), (L, r) = vals.shape, u.shape[1:]
+    around = np.repeat(np.where(vals > 0, 1, -1)[:, None], L, axis=1)
+    rows, pts = np.nonzero(on)
+    around[rows, :, pts] = local.transpose(0, 2, 1).reshape(len(rows), L)
+    coupling = np.where(on[:, None], 0.0, np.abs(u @ q.T)).max(axis=2)
+    margin = np.where(on, np.inf, np.abs(vals)).min(axis=1)
+    delta = 0.5 * margin[:, None] / np.maximum(1.0, coupling)
+    around = around.reshape(R * L, N)
+    h = (rays[:, None] + delta[..., None] * u).reshape(R * L, r)
+    return np.vstack([around, -around]), np.vstack([h, -h])
 
 
 def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -> DichotomySet:
@@ -210,12 +250,17 @@ def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -
     cell touches a ray of the arrangement: the normal h0 to some r-1
     independent points. Near h0 the points off its hyperplane keep
     sign(h0 . p_i), and the points on it take the signs of one cell of their
-    own arrangement inside h0's orthogonal complement, found by recursion;
-    -h0 gives the negated patterns. So one ray per distinct on-ray point set
-    reaches every pattern, with no linear program and no general-position
-    assumption: repeated, collinear or coplanar points and N <= m are exact,
-    and a point within relative distance sign_tol of a hyperplane counts as
-    on it. r independent points give all 2^r patterns and r = 1 gives two.
+    own arrangement inside h0's orthogonal complement; -h0 gives the negated
+    patterns. So one ray per distinct on-ray point set reaches every
+    pattern, with no linear program and no general-position assumption.
+    On a generic ray the on-ray points are r-1 points that stay independent
+    on its hyperplane, so they take all 2^(r-1) sign patterns: all generic
+    rays of a level are resolved together in one batched pass. Only the
+    degenerate rays, with more points on them or dependent ones, recurse
+    into their on-ray points; general-position data never recurses.
+    Repeated, collinear or coplanar points and N <= m are exact, and a
+    point within relative distance sign_tol of a hyperplane counts as on
+    it. r independent points give all 2^r patterns and r = 1 gives two.
     Each witness h0 + delta u separates strictly, with delta small enough
     that no off-ray sign flips. The set is closed under global negation.
     """

@@ -69,8 +69,17 @@ def test_dichotomies_match_linear_programs_in_three_dimensions(points):
     _assert_strict(points, result)
 
 
+# m = 4 is the lifted space of d = 3; a drawn repeat brings N to at most 6
+@settings(_GATE, max_examples=30)
+@given(_nonzero_points(4, 2, 5))
+def test_dichotomies_match_linear_programs_in_four_dimensions(points):
+    result = enumerate_linear_dichotomies(points)
+    assert result.patterns() == lp_feasible_patterns(points)
+    _assert_strict(points, result)
+
+
 @settings(_GATE, max_examples=100)
-@given(st.data(), st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)]),
+@given(st.data(), st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]),
        st.sampled_from([SQUARED, ABSOLUTE]))
 def test_enum_equals_brute_on_grid_instances(data, nd, loss):
     n, d = nd

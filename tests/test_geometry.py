@@ -12,6 +12,7 @@ import pytest
 import switchreg
 from switchreg import (DEFAULT_TOLERANCES, check_general_position,
                        enumerate_linear_dichotomies, sweep_dichotomies_oracle)
+from switchreg import geometry
 from switchreg.geometry import Dichotomy, unique_rows
 
 from conftest import lp_feasible_patterns
@@ -153,15 +154,50 @@ def test_oracle_equivalence_random_sets():
         assert len(enum) <= 2 ** m * comb(N, m - 1)
 
 
+# two points collinear with the origin leave one spanning pair rank-1
+_DEGENERATE = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                        [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+
+
 def test_degenerate_spanning_subsets_counted():
-    # two points collinear with the origin leave one spanning pair rank-1
-    pts = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                    [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    result = enumerate_linear_dichotomies(_DEGENERATE)
+    assert _patterns(result) == lp_feasible_patterns(_DEGENERATE)
+    for d in result:
+        margins = np.array(d.signs) * (_DEGENERATE @ d.witness)
+        assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_generic_and_degenerate_rays_in_one_level(m):
+    # Gaussian points give generic rays, resolved in the batched pass; a
+    # triple in a common 2-plane and a repeated point give rays with more
+    # than m-1 points on them, resolved by recursion
+    rng = np.random.default_rng(40 + m)
+    gauss = rng.standard_normal((4, m))
+    a, b = rng.standard_normal((2, m))
+    pts = np.vstack([gauss, [a, b, a - 0.5 * b], gauss[1]])
     result = enumerate_linear_dichotomies(pts)
     assert _patterns(result) == lp_feasible_patterns(pts)
     for d in result:
         margins = np.array(d.signs) * (pts @ d.witness)
         assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
+
+
+def test_only_degenerate_rays_recurse(monkeypatch):
+    # a structural guard, not a timing test: general-position points are
+    # resolved in one level, with no recursive call
+    entries = []
+    cells = geometry._cells
+    monkeypatch.setattr(geometry, "_cells",
+                        lambda *args: entries.append(1) or cells(*args))
+    rng = np.random.default_rng(29)
+    for m in (2, 3, 4):
+        entries.clear()
+        enumerate_linear_dichotomies(rng.standard_normal((9, m)))
+        assert len(entries) == 1, m
+    entries.clear()
+    enumerate_linear_dichotomies(_DEGENERATE)
+    assert len(entries) > 1
 
 
 @pytest.mark.parametrize("scale", [(1e-10, 1.0), (1.0, 1e10), (1e-10, 1e10),

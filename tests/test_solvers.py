@@ -278,6 +278,23 @@ def test_stream_is_the_region_join_and_contains_the_majority_vote():
         emitted = {tuple(q.tolist()) for q in stream}
         assert emitted == join
         assert vote <= emitted and len(vote) < len(emitted)
+    # at d = 2, N = 8 the join reaches all 1,094 canonical labelings, which
+    # a completion that lets mode 1 overwrite mode 0's points falls short of;
+    # the P**3 triples are too many here, so the distinct regions come first
+    for seed in range(3):
+        data, _, _ = random_instance(seed, n=3, d=2, N=8)
+        stream = CandidateStream(data, 3)
+        pool = stream.pair_products
+        rows = pool.tolist()
+        regions = {tuple(i and j for i, j in zip(a, b))
+                   for a in rows for b in rows}
+        join = set()
+        for region in regions:        # every pool row c at once
+            q = np.where(region, 0, np.where(pool, 1, 2))
+            join.update(map(tuple, _canonicalize_arrays(q).tolist()))
+        emitted = {tuple(q.tolist()) for q in stream}
+        assert emitted == join
+        assert len(join) == 1094
 
 
 def test_stream_respects_dimension_caps():
