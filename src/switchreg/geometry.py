@@ -162,12 +162,13 @@ def _cells(points, sign_tol):
     sign(points @ w) == signs.
 
     The cells around a ray are those of its on-ray points projected onto
-    the ray's hyperplane. A generic ray has r-1 on-ray points whose
-    projections have rank r-1: the recursion would reach its N == r case
-    and shatter them, each of the 2^(r-1) local patterns witnessed by its
-    min-norm solution. So every generic ray of a level is resolved in one
-    batched pass, from one stacked SVD of the projections; only the
-    degenerate rays recurse.
+    the ray's hyperplane. A generic ray has exactly r-1 on-ray points:
+    the independent subset whose SVD gave the ray, already in its
+    hyperplane. The recursion would reach its N == r case and shatter them,
+    each of the 2^(r-1) local patterns witnessed by its min-norm solution,
+    which that subset's SVD factors give as well. So every generic ray of a
+    level is resolved in one batched pass, with no SVD of its own: one
+    stacked SVD of the subsets per level. Only the degenerate rays recurse.
     """
     N = len(points)
     _, _, vt = np.linalg.svd(points, full_matrices=False)
@@ -184,24 +185,22 @@ def _cells(points, sign_tol):
 
     # every cell touches a ray: the normal to r-1 independent points
     subsets = q[np.array(list(itertools.combinations(range(N), r - 1)))]
-    _, _, sub_vt = np.linalg.svd(subsets)
-    rays = sub_vt[_rank(subsets, sub_vt, sign_tol) == r - 1, -1]
+    left, sv, right = np.linalg.svd(subsets)
+    src = np.flatnonzero(_rank(subsets, right, sign_tol) == r - 1)
+    rays = right[src, -1]
     vals = q @ rays.T                                # (N, rays)
     on_ray = np.abs(vals) <= sign_tol
     keep = unique_rows(on_ray.T)                     # one ray per on-ray set
-    rays, vals, on_ray = rays[keep], vals[:, keep].T, on_ray[:, keep].T
+    src, rays = src[keep], rays[keep]
+    vals, on_ray = vals[:, keep].T, on_ray[:, keep].T
 
-    # generic rays: each local pattern's min-norm witness, through the
-    # pseudo-inverse of the projected on-ray points
-    few = np.flatnonzero(on_ray.sum(axis=1) == r - 1)
-    idx = np.nonzero(on_ray[few])[1].reshape(-1, r - 1)
-    flat = q[idx] - vals[few[:, None], idx][..., None] * rays[few, None]
-    left, sv, right = np.linalg.svd(flat, full_matrices=False)
-    shattered = _rank(flat, right, sign_tol) == r - 1
-    generic = np.zeros(len(rays), dtype=bool)
-    generic[few[shattered]] = True
+    # generic rays: their r-1 on-ray points are the independent subset that
+    # defined them, so each local pattern's min-norm witness comes from that
+    # subset's SVD, orthogonal to the ray
+    generic = on_ray.sum(axis=1) == r - 1
+    sub = src[generic]
     local = np.array(list(itertools.product((-1, 1), repeat=r - 1)))
-    u = (local @ left[shattered] / sv[shattered, None]) @ right[shattered]
+    u = (local @ left[sub] / sv[sub, None]) @ right[sub, :r - 1]
     parts = [_around(q, vals[generic], on_ray[generic], rays[generic],
                      np.broadcast_to(local, u.shape[:2] + (r - 1,)), u)]
     for c in np.flatnonzero(~generic):
@@ -253,9 +252,10 @@ def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -
     own arrangement inside h0's orthogonal complement; -h0 gives the negated
     patterns. So one ray per distinct on-ray point set reaches every
     pattern, with no linear program and no general-position assumption.
-    On a generic ray the on-ray points are r-1 points that stay independent
-    on its hyperplane, so they take all 2^(r-1) sign patterns: all generic
-    rays of a level are resolved together in one batched pass. Only the
+    On a generic ray the on-ray points are the r-1 independent points that
+    defined it, so they take all 2^(r-1) sign patterns: all generic rays of
+    a level are resolved together in one batched pass, their witnesses from
+    the same SVD of the subsets that gave the rays. Only the
     degenerate rays, with more points on them or dependent ones, recurse
     into their on-ray points; general-position data never recurses.
     Repeated, collinear or coplanar points and N <= m are exact, and a

@@ -352,6 +352,17 @@ class CandidateStream:
     runs the join; iterating yields one 0-based (N,) row per distinct
     canonical candidate, in order of first appearance.
 
+    Both dichotomy sets are closed under negation, so the products are the
+    rows with +1 at the first live point and their live negations. At
+    n = 2 a product and its negation give the same labeling, so the pool is
+    that half alone: every where(p, 0, 1) has mode 0 at the first point
+    (dead, or the first live one), so it is canonical, and the rows are
+    distinct, with no dedupe or canonicalization. A live negation differs
+    from the full negation only on the dead points, which it gives to the
+    other mode; a dead point has the same residual under every mode, so
+    those dropped labelings tie on cost with kept ones. At n >= 3 the pool
+    holds both halves, sorted as one dedupe of all products would give.
+
     The candidates contain an optimal labeling on any data, with no
     general-position assumption. The dichotomy pools are exact: they hold
     every strict dichotomy of the live points (those with x_i != 0).
@@ -365,9 +376,10 @@ class CandidateStream:
     one of the join's rows.
 
     combinations_examined is P ** (n(n-1)/2), the classifier combinations
-    the candidates cover. candidate_budget bounds the rows each step of the
-    join builds, P at n = 2, the P**2 region pairs and then the |R| * P
-    completions at n = 3; the constructor refuses a step over it.
+    the candidates cover; with the half pool it halves at n = 2.
+    candidate_budget bounds the rows each step of the join builds, P at
+    n = 2, the P**2 region pairs and then the |R| * P completions at n = 3;
+    the constructor refuses a step over it.
     """
 
     # the join has no vote to tie; kept for the benchmark's traced stream
@@ -385,19 +397,26 @@ class CandidateStream:
         self.n = n
         N = data.N
 
-        if n == 1:
-            self.pair_products = np.ones((1, N), dtype=bool)
-        else:
-            # a point with x_i = 0 has the same residual under every mode:
-            # it moves no fit, so every pool row gives it to the first mode
-            live = np.linalg.norm(data.x, axis=1) > cfg.tol.sign_tol
+        # a point with x_i = 0 has the same residual under every mode: it
+        # moves no fit, so every pool row gives it to the first mode
+        live = np.linalg.norm(data.x, axis=1) > cfg.tol.sign_tol
+        pool = np.ones((1, N), dtype=bool)
+        if n > 1 and live.any():
+            # G and H are closed under negation: keep their rows with +1 at
+            # the first live point, whose products are +1 there too
             gs = enumerate_linear_dichotomies(data.lifted()[live], cfg.tol).signs > 0
             hs = enumerate_linear_dichotomies(data.x[live], cfg.tol).signs > 0
-            products = np.ones((len(gs) * len(hs), N), dtype=bool)
-            products[:, live] = (gs[:, None, :] == hs[None, :, :]).reshape(
-                len(products), -1)
-            self.pair_products = products[unique_rows(products)]
-        pool = self.pair_products
+            gs, hs = gs[gs[:, 0]], hs[hs[:, 0]]
+            pool = np.ones((len(gs) * len(hs), N), dtype=bool)
+            pool[:, live] = (gs[:, None, :] == hs[None, :, :]).reshape(
+                len(pool), -1)
+            pool = pool[unique_rows(pool)]
+        if n > 2:       # the join orders the modes, so it needs both signs
+            negated = pool.copy()
+            negated[:, live] = ~pool[:, live]
+            pool = np.vstack([pool, negated])
+            pool = pool[unique_rows(pool)]
+        self.pair_products = pool
         self.combinations_examined = len(pool) ** (n * (n - 1) // 2)
 
         def every(left, right):     # row pairs, broadcast, within the budget
@@ -416,8 +435,12 @@ class CandidateStream:
         labels = np.full((1, N), n - 1, dtype=np.int8)      # not yet peeled
         for j in range(n - 1):
             q, region = every(labels, ands[n - 2 - j])
-            labels = _distinct(np.where(region & (q == n - 1), j, q).reshape(-1, N))
-        self.labels = _distinct(_canonicalize_arrays(labels))
+            labels = np.where(region & (q == n - 1), j, q).reshape(-1, N)
+            if n > 2:
+                labels = _distinct(labels)
+        # at n <= 2 every row has mode 0 at the first point, which is dead or
+        # the first live one: the distinct pool rows are canonical labelings
+        self.labels = _distinct(_canonicalize_arrays(labels)) if n > 2 else labels
 
     def __iter__(self):
         yield from self.labels

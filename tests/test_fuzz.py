@@ -1,7 +1,8 @@
 """Differential fuzz gate for the exact dichotomy enumeration and solver.
 
 Hypothesis draws small integer-grid inputs, where repeated, collinear and
-coplanar points, zero regressors and exact residual ties are common. The
+coplanar points, zero regressors and exact residual ties are common, and
+small Partition multisets, whose reductions repeat every regressor. The
 runs are derandomized and bounded, so the gate is deterministic and fast.
 """
 
@@ -9,8 +10,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, SQUARED, Dataset,
-                       brute_force_solve, enumerate_linear_dichotomies,
-                       enumeration_solve, sweep_dichotomies_oracle)
+                       PartitionInstance, brute_force_solve,
+                       enumerate_linear_dichotomies, enumeration_solve,
+                       partition_to_instance, sweep_dichotomies_oracle)
 
 from conftest import lp_feasible_patterns
 
@@ -88,5 +90,18 @@ def test_enum_equals_brute_on_grid_instances(data, nd, loss):
     inst = Dataset(xy[:, :d], xy[:, d])
     enum = enumeration_solve(inst, n, loss)
     brute = brute_force_solve(inst, n, loss)
+    assert enum.status == "optimal"
+    assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
+
+
+# the hardness reduction's data: every regressor s_i e_i appears twice, with
+# targets s_i and 0, and the sum point closes the instance
+@_GATE
+@given(st.lists(st.integers(1, 11), min_size=1, max_size=3),
+       st.sampled_from([SQUARED, ABSOLUTE]))
+def test_enum_equals_brute_on_partition_reductions(s, loss):
+    inst = partition_to_instance(PartitionInstance(tuple(s)))
+    enum = enumeration_solve(inst.data, inst.n, loss)
+    brute = brute_force_solve(inst.data, inst.n, loss)
     assert enum.status == "optimal"
     assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol

@@ -200,6 +200,26 @@ def test_only_degenerate_rays_recurse(monkeypatch):
     assert len(entries) > 1
 
 
+def test_generic_rays_reuse_the_subsets_svd(monkeypatch):
+    # a structural guard, not a timing test: one SVD gives the rank and one
+    # stacked SVD of the (r-1)-subsets gives the rays and, for the generic
+    # ones, the witnesses too
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    rng = np.random.default_rng(29)
+    for m in (2, 3, 4):
+        calls.clear()
+        pts = rng.standard_normal((9, m))
+        result = enumerate_linear_dichotomies(pts)
+        assert len(calls) == 2, m
+        if m == 2:
+            assert _patterns(result) == _patterns(sweep_dichotomies_oracle(pts))
+    result = enumerate_linear_dichotomies(_DEGENERATE)
+    assert _patterns(result) == lp_feasible_patterns(_DEGENERATE)
+
+
 @pytest.mark.parametrize("scale", [(1e-10, 1.0), (1.0, 1e10), (1e-10, 1e10),
                                    "rows"],
                          ids=["tiny-x", "huge-y", "both", "rows"])

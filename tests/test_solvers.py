@@ -11,8 +11,9 @@ from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, CapsExceededError,
                        Dataset, Labeling, ModelSet, SQUARED, SolverConfig,
                        altmin_solve, assign_modes, brute_force_solve,
                        canonicalize_labels, empirical_cost, enumeration_solve,
-                       fit_modes, noiseless_solve, refine_alternate,
-                       solve_instance, solve_mode_regression)
+                       enumerate_linear_dichotomies, fit_modes,
+                       noiseless_solve, refine_alternate, solve_instance,
+                       solve_mode_regression)
 from switchreg import solvers
 from switchreg.core import _canonicalize_arrays
 from switchreg.datasets import GeneratorSpec, generate_instance
@@ -313,7 +314,7 @@ def test_stream_refuses_budget_with_count_in_message():
         CandidateStream(data, 2, SolverConfig(candidate_budget=3))
     # n = 3: the P**2 region pairs are refused before any completion is built
     data3, _, _ = random_instance(2, n=3, d=1, N=8)
-    P = len(CandidateStream(data3, 2).pair_products)
+    P = len(CandidateStream(data3, 3).pair_products)
     with pytest.raises(CapsExceededError,
                        match=rf"^{P * P} classifier combinations exceed "
                              rf"the budget {P * P - 1}$"):
@@ -346,6 +347,63 @@ def test_stream_single_mode():
     labs = list(CandidateStream(data, 1))
     assert len(labs) == 1
     assert tuple((labs[0] + 1).tolist()) == (1, 1, 1, 1, 1)
+
+
+_HALF_POOL_SIZES = [(1, 12), (2, 10), (3, 8)]
+
+
+@pytest.mark.parametrize("d, N", _HALF_POOL_SIZES,
+                         ids=[f"d{d}" for d, _ in _HALF_POOL_SIZES])
+def test_two_mode_stream_is_half_the_products(d, N):
+    # every G x H product and its negation give one canonical labeling, so
+    # the n = 2 stream keeps half the pool and emits where(p, 0, 1) as is
+    for seed in range(3):
+        data, _, _ = random_instance(seed, d=d, N=N)
+        assert np.linalg.norm(data.x, axis=1).min() > 0
+        gs = enumerate_linear_dichotomies(data.lifted()).signs
+        hs = enumerate_linear_dichotomies(data.x).signs
+        products = (gs[:, None] == hs[None]).reshape(-1, N)
+        full = _canonicalize_arrays(np.where(products, 0, 1))
+        two, three = CandidateStream(data, 2), CandidateStream(data, 3)
+        rows = np.array(list(two))
+        assert {tuple(q) for q in rows.tolist()} == \
+            {tuple(q) for q in full.tolist()}
+        assert 2 * len(two.pair_products) == len(three.pair_products)
+        assert 2 * two.combinations_examined == len(np.unique(products, axis=0))
+        assert np.array_equal(_canonicalize_arrays(rows), rows)
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+@pytest.mark.parametrize("zero_at", [0, 4])
+def test_two_mode_stream_with_a_zero_regressor(zero_at, loss):
+    # the half pool gives a dead point the first mode's label; the dropped
+    # live negations move it to the other mode at equal cost
+    for d in (1, 2, 3):
+        for seed in range(2):
+            data, _, _ = random_instance(seed, d=d, N=7)
+            x = data.x.copy()
+            x[zero_at] = 0.0
+            data = Dataset(x, data.y)
+            enum = enumeration_solve(data, 2, loss)
+            brute = brute_force_solve(data, 2, loss)
+            assert enum.status == "optimal"
+            assert abs(enum.cost - brute.cost) <= \
+                DEFAULT_TOLERANCES.zero_tol, (d, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_enum_without_live_points_skips_the_geometry(monkeypatch, n):
+    # with every regressor zero all labelings cost the same; no dichotomy
+    # of an empty point set is asked for
+    def refuse(*args, **kwargs):
+        raise AssertionError("no live point to classify")
+    monkeypatch.setattr(solvers, "enumerate_linear_dichotomies", refuse)
+    data = Dataset(np.zeros((4, 1)), np.array([1.0, 2.0, 0.0, 3.0]))
+    for loss, cost in ((SQUARED, 3.5), (ABSOLUTE, 1.5)):
+        report = enumeration_solve(data, n, loss)
+        assert report.status == "optimal"
+        assert report.cost == cost
 
 
 # ---------------------------------------------------------------------------
