@@ -19,7 +19,6 @@ from .core import (
     pairwise_classifiers_from_models,
 )
 from .geometry import (
-    Dichotomy,
     DichotomySet,
     GeneralPositionReport,
     check_general_position,

@@ -18,7 +18,7 @@ angle-sweep oracle covers m <= 2 for verification.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -26,7 +26,6 @@ import numpy as np
 from .core import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
-    "Dichotomy",
     "DichotomySet",
     "GeneralPositionReport",
     "check_general_position",
@@ -37,22 +36,6 @@ __all__ = [
 
 # Relative singular-value threshold of check_general_position.
 _RANK_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Dichotomy:
-    """A realizable sign pattern with a witnessing normal vector.
-
-    Equality and hashing use only the signs, so sets of dichotomies from
-    different construction methods compare as intended.
-    """
-
-    signs: tuple
-    witness: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +49,6 @@ class DichotomySet:
     # read by the benchmark's traced enumeration; nothing is ever dropped
     branch_attempts = 0
     branch_dropped = 0
-
-    def __iter__(self):
-        return map(Dichotomy, map(tuple, self.signs.tolist()), self.witnesses)
 
     def __len__(self):
         return len(self.signs)
@@ -130,13 +110,24 @@ def check_general_position(points, *, max_exhaustive: int = 20000,
                                  sampled=sampled, checked_subsets=len(subsets))
 
 
+def _packed_keys(rows) -> np.ndarray:
+    """One void key per row of a boolean (K, N) array: its bits packed
+    big-endian, so numpy sorts, searches and compares the keys bytewise in
+    the rows' order. The rows are padded to whole bytes and packed in one
+    flat pass, several times faster than np.packbits along axis 1."""
+    K, N = rows.shape
+    B = -(-N // 8)
+    padded = np.zeros((K, 8 * B), dtype=bool)
+    padded[:, :N] = rows
+    packed = np.packbits(padded).reshape(K, B)
+    return packed.view(np.dtype((np.void, B))).ravel()
+
+
 def unique_rows(rows) -> np.ndarray:
     """First-occurrence index of each distinct row of a boolean (K, N) array,
-    in ascending row order, as np.unique(rows, axis=0, return_index=True);
-    big-endian bit packing keeps that order. Pass +/-1 rows as rows > 0."""
-    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    return np.unique(keys, return_index=True)[1]
+    in ascending row order, as np.unique(rows, axis=0, return_index=True).
+    Pass +/-1 rows as rows > 0."""
+    return np.unique(_packed_keys(rows), return_index=True)[1]
 
 
 def _rank(points, vt, sign_tol):

@@ -4,13 +4,12 @@ Four methods with different guarantees:
 
 * brute_force_solve: exact, enumerates labelings, exponential in N.
 * enumeration_solve: exact on any data, polynomial in N for fixed d and n.
-  Candidate labelings come from products of linear dichotomies of the
-  lifted points (x_i, y_i) and of the x_i themselves, one product per mode
-  pair, joined into regions mode by mode. The dichotomies are enumerated
-  exactly, with no general-position assumption, so an optimal labeling
-  appears among these candidates and fitting each one and keeping the best
-  is globally optimal; all candidates are scored in one batched pass and
-  only the best are re-fit.
+  In some optimal labeling every mode's point set is a region: an AND of
+  n-1 products of linear dichotomies of the lifted points (x_i, y_i) and of
+  the x_i themselves. The dichotomies are enumerated exactly, with no
+  general-position assumption, so fitting each region once and taking the
+  min-cost partition of the data into n regions is globally optimal; only
+  the partitions within zero_tol of it are re-fit.
 * noiseless_solve: exact for data admitting a zero-error fit; reconstructs
   each mode from d interpolation points.
 * altmin_solve: seeded alternating-minimization baseline, local minima and
@@ -40,7 +39,8 @@ from .core import (
 )
 # no solver calls check_general_position; the benchmark's tracer wraps it by
 # name on this module
-from .geometry import check_general_position, enumerate_linear_dichotomies, unique_rows
+from .geometry import (_packed_keys, check_general_position,
+                       enumerate_linear_dichotomies, unique_rows)
 
 __all__ = [
     "CapsExceededError",
@@ -61,10 +61,10 @@ __all__ = [
 
 _RIDGE = 1e-10
 _MAX_REFINE_ROUNDS = 1000
-# Candidates scored per batch by enumeration_solve, and interpolation subsets
-# per batch by _absolute_fit. It bounds the scorer's (chunk, n, N) and, under
-# absolute loss, (chunk, n, S) arrays, and the fit's (chunk, k) residuals.
-_SCORE_CHUNK = 512
+# Regions fitted per batch by enumeration_solve, and interpolation subsets
+# per batch by _absolute_fit. It bounds the scorer's (chunk, N) and, under
+# absolute loss, (chunk, S) arrays, and the fit's (chunk, k) residuals.
+_SCORE_CHUNK = 1024
 
 SOLVER_METHODS = ("brute", "enum", "noiseless", "altmin")
 
@@ -79,7 +79,7 @@ class SolverConfig:
 
     d_max and n_max gate the enumeration solver; restarts and seed drive
     the heuristic. brute_budget bounds brute force's labelings,
-    candidate_budget the rows each step of CandidateStream's region join
+    candidate_budget the rows each step of CandidateStream's region search
     builds and the noiseless solver's interpolation subsets, node_budget
     the noiseless cover search.
     """
@@ -337,52 +337,50 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
 
 
 class CandidateStream:
-    """Deterministic candidate labelings for the exact solver.
+    """Deterministic candidate partitions for the exact solver.
 
     One pool of pairwise patterns serves every mode pair: each is the
     elementwise product of a dichotomy of the lifted points (deciding which
     of the two modes has the smaller residual on each side of the midpoint
     hyperplane) and a dichotomy of the regressors (the difference
-    hyperplane), kept in the boolean (P, N) pair_products as "first mode
-    wins" (the signs agree). A region join peels the modes off in order:
-    mode 0 takes the AND of n-1 pool rows, mode 1 the AND of n-2 pool rows
-    on the points still unlabeled, and so on; the last mode takes the rest.
-    At n = 3 the candidates are where(R, 0, where(c, 1, 2)) over the
-    distinct regions R = a & b and the pool rows c. Building the stream
-    runs the join; iterating yields one 0-based (N,) row per distinct
-    canonical candidate, in order of first appearance.
+    hyperplane), "first mode wins" where the signs agree. Both dichotomy
+    sets are closed under negation, so the products are the rows with +1 at
+    the first live point (x_i != 0) and their live negations.
 
-    Both dichotomy sets are closed under negation, so the products are the
-    rows with +1 at the first live point and their live negations. At
-    n = 2 a product and its negation give the same labeling, so the pool is
-    that half alone: every where(p, 0, 1) has mode 0 at the first point
-    (dead, or the first live one), so it is canonical, and the rows are
-    distinct, with no dedupe or canonicalization. A live negation differs
-    from the full negation only on the dead points, which it gives to the
-    other mode; a dead point has the same residual under every mode, so
-    those dropped labelings tie on cost with kept ones. At n >= 3 the pool
-    holds both halves, sorted as one dedupe of all products would give.
+    regions is the boolean (R, N) table of the point sets a mode may take:
+    the distinct ANDs of n-1 pool rows on the live points, the empty set
+    (a & ~a) and all live points among them. Iterating yields one (n,)
+    index row into regions per partition of the live points into n
+    regions; partitions holds them as one (K, n) array. The regions are
+    sorted by the packed keys of their complements, which orders them by
+    first point, and a partition's members ascend: each holds the first
+    live point the ones before it leave. So the search extends each partial
+    partition by the regions starting at that point that miss its union,
+    and closes it with the region keyed by that union, the rest of the live
+    points. Each partition is found once; its labeling (member m is mode m,
+    the dead points mode 0) is canonical.
 
-    The candidates contain an optimal labeling on any data, with no
+    The partitions contain an optimal labeling on any data, with no
     general-position assumption. The dichotomy pools are exact: they hold
-    every strict dichotomy of the live points (those with x_i != 0).
-    Perturbing an optimal model set generically keeps an optimal assignment
-    (a tie-break of the optimum's), makes every pair product a product of
-    strict dichotomies and orders the residuals at each live point
-    strictly. Its labeling then peels: a point is in mode 0 exactly where
-    mode 0 beats every other mode, the AND of its n-1 pair products; a
-    point outside mode 0 is in mode 1 exactly where mode 1 beats modes
-    2..n-1, since its winner is not mode 0; and so on. So that labeling is
-    one of the join's rows.
+    every strict dichotomy of the live points. Perturbing an optimal model
+    set generically keeps an optimal assignment (a tie-break of the
+    optimum's), makes every pair product a product of strict dichotomies and
+    orders the residuals at each live point strictly. Then every mode peels
+    first: a point is in mode j exactly where j beats each other mode k, and
+    "j beats k" is a pool row or its live negation. So each mode's set is an
+    AND of n-1 pool rows, a region, and the labeling is a partition.
 
-    combinations_examined is P ** (n(n-1)/2), the classifier combinations
-    the candidates cover; with the half pool it halves at n = 2.
-    candidate_budget bounds the rows each step of the join builds, P at
-    n = 2, the P**2 region pairs and then the |R| * P completions at n = 3;
-    the constructor refuses a step over it.
+    pair_products is the boolean (P, N) pool, True on the dead points. At
+    n = 2 a row and its negation make one partition, so the pool keeps one
+    of each, and combinations_examined, the P ** (n(n-1)/2) classifier
+    combinations the candidates cover, halves with it. candidate_budget
+    bounds the rows each step builds: the P**2 region pairs at n = 3 and
+    the partial partitions each extension keeps, P at n = 2. An extension
+    tests its (partial partition, region) pairs in chunks of at most that
+    many. The constructor refuses a step over it.
     """
 
-    # the join has no vote to tie; kept for the benchmark's traced stream
+    # the search has no vote to tie; kept for the benchmark's traced stream
     tie_truncations = 0
 
     def __init__(self, data: Dataset, n: int, cfg: SolverConfig | None = None):
@@ -398,145 +396,145 @@ class CandidateStream:
         N = data.N
 
         # a point with x_i = 0 has the same residual under every mode: it
-        # moves no fit, so every pool row gives it to the first mode
+        # moves no fit, so it stays out of the regions
         live = np.linalg.norm(data.x, axis=1) > cfg.tol.sign_tol
-        pool = np.ones((1, N), dtype=bool)
+        pool = half = np.ones((1, N), dtype=bool)
         if n > 1 and live.any():
             # G and H are closed under negation: keep their rows with +1 at
             # the first live point, whose products are +1 there too
             gs = enumerate_linear_dichotomies(data.lifted()[live], cfg.tol).signs > 0
             hs = enumerate_linear_dichotomies(data.x[live], cfg.tol).signs > 0
             gs, hs = gs[gs[:, 0]], hs[hs[:, 0]]
-            pool = np.ones((len(gs) * len(hs), N), dtype=bool)
-            pool[:, live] = (gs[:, None, :] == hs[None, :, :]).reshape(
-                len(pool), -1)
-            pool = pool[unique_rows(pool)]
-        if n > 2:       # the join orders the modes, so it needs both signs
-            negated = pool.copy()
-            negated[:, live] = ~pool[:, live]
-            pool = np.vstack([pool, negated])
-            pool = pool[unique_rows(pool)]
-        self.pair_products = pool
-        self.combinations_examined = len(pool) ** (n * (n - 1) // 2)
+            half = np.ones((len(gs) * len(hs), N), dtype=bool)
+            half[:, live] = (gs[:, None, :] == hs[None, :, :]).reshape(
+                len(half), -1)
+            half = half[unique_rows(half)]
+            # and the live negations: distinct, as only the half holds the
+            # first live point, and in ascending complement keys
+            pool = np.vstack([half[::-1], half ^ live])
+        self.pair_products = half if n == 2 else pool
+        self.combinations_examined = len(self.pair_products) ** (n * (n - 1) // 2)
 
-        def every(left, right):     # row pairs, broadcast, within the budget
-            count = len(left) * len(right)
+        def keep(count):
             if count > cfg.candidate_budget:
                 raise CapsExceededError(
                     f"{count} classifier combinations exceed the budget "
                     f"{cfg.candidate_budget}")
-            return left[:, None], right[None]
 
-        # ands[t]: the distinct ANDs of t + 1 pool rows
-        ands = [pool]
+        regions = pool & live
         for _ in range(n - 2):
-            a, b = every(ands[-1], pool)
-            ands.append(_distinct((a & b).reshape(-1, N)))
-        labels = np.full((1, N), n - 1, dtype=np.int8)      # not yet peeled
-        for j in range(n - 1):
-            q, region = every(labels, ands[n - 2 - j])
-            labels = np.where(region & (q == n - 1), j, q).reshape(-1, N)
-            if n > 2:
-                labels = _distinct(labels)
-        # at n <= 2 every row has mode 0 at the first point, which is dead or
-        # the first live one: the distinct pool rows are canonical labelings
-        self.labels = _distinct(_canonicalize_arrays(labels)) if n > 2 else labels
+            keep(len(regions) * len(pool))
+            regions = (regions[:, None] & pool[None]).reshape(-1, N)
+            regions = regions[unique_rows(~regions)]
+        self.regions = regions
+
+        def first(rows):        # each row's first point, N if it has none
+            return np.where(rows.any(axis=1), rows.argmax(axis=1), N)
+
+        # the complement-key order sorts the regions by their first point
+        lead = first(regions)
+        parts = np.zeros((1, 0), dtype=np.int64)
+        union = np.zeros((1, N), dtype=bool)
+        for _ in range(n - 1):
+            # the next member holds the first live point the others leave:
+            # one block of regions, tried against every partial partition,
+            # step partials and at most the budget's pair tests at a time
+            at = first(live & ~union)
+            lo = np.searchsorted(lead, at)
+            size = np.searchsorted(lead, at, side="right") - lo
+            step = max(1, cfg.candidate_budget // size.max(initial=1))
+            grown, unions = [], []
+            for rows in np.array_split(np.arange(len(parts)), len(parts) // step + 1):
+                row = np.repeat(rows, size[rows])           # j runs each block
+                j = lo[row] + np.arange(len(row)) - np.searchsorted(row, row)
+                have, add = union[row], regions[j]
+                ok = ~(have & add).any(axis=1)
+                grown.append(np.column_stack([parts[row[ok]], j[ok]]))
+                unions.append(have[ok] | add[ok])
+                keep(sum(map(len, grown)))
+            parts, union = np.concatenate(grown), np.concatenate(unions)
+        # the last member is the rest of the live points, found by its key
+        keys = _packed_keys(~regions)
+        rest = _packed_keys(union | ~live)
+        last = np.minimum(np.searchsorted(keys, rest), len(keys) - 1)
+        hit = keys[last] == rest
+        self.partitions = np.column_stack([parts[hit], last[hit]])
 
     def __iter__(self):
-        yield from self.labels
+        yield from self.partitions
 
 
-def _distinct(rows):
-    """The distinct rows of a boolean or 0-based label (K, N) array, in order
-    of first occurrence."""
-    keys = rows if rows.dtype == bool else \
-        (rows[:, :, None] == np.arange(rows.max() + 1)).reshape(len(rows), -1)
-    return rows[np.sort(unique_rows(keys))]
+def _squared_totals(x, y, member):
+    """Squared-loss total of each row of the (K, N) 0/1 float member array
+    under its own fit.
 
-
-def _squared_scores(x, y, member):
-    """Squared-loss cost of each candidate under its per-mode fit.
-
-    member is the (C, n, N) mode membership of C candidates. The fit follows
-    _squared_fit: the normal equations where their solve is accurate, the
-    ridge solve where a mode's Gram matrix is singular or has fewer than d
-    points, and w = 0 for empty modes.
+    The fit follows _squared_fit: the normal equations where their solve is
+    accurate, the ridge solve where the Gram matrix is singular or the row
+    has fewer than d points, and w = 0 for an empty row.
     """
     N, d = x.shape
-    m = member.astype(float)
-    gram = (m @ (x[:, :, None] * x[:, None, :]).reshape(N, d * d)).reshape(
-        member.shape[:2] + (d, d))                       # (C, n, d, d)
-    rhs = m @ (x * y[:, None])                           # (C, n, d)
-    k = member.sum(axis=2)
+    gram = (member @ (x[:, :, None] * x[:, None, :]).reshape(N, d * d)).reshape(
+        -1, d, d)                                        # (K, d, d)
+    rhs = member @ (x * y[:, None])                      # (K, d)
+    k = member.sum(axis=1)
     w = np.zeros(rhs.shape)
     # slogdet shares solve's LU, so a zero sign is exactly solve's singularity
     plain = (k >= d) & (np.linalg.slogdet(gram)[0] != 0)
     if plain.any():
         w[plain] = np.linalg.solve(gram[plain], rhs[plain][..., None])[..., 0]
-    err = np.abs(np.einsum("cjik,cjk->cji", gram, w) - rhs)
-    plain &= np.all(err <= 1e-12 + 1e-8 * np.abs(rhs), axis=2)
+    err = np.abs(np.einsum("kij,kj->ki", gram, w) - rhs)
+    plain &= np.all(err <= 1e-12 + 1e-8 * np.abs(rhs), axis=1)
     ridge = (k > 0) & ~plain
     if ridge.any():
         w[ridge] = np.linalg.solve(gram[ridge] + _RIDGE * np.eye(d),
                                    rhs[ridge][..., None])[..., 0]
-    pred = (member * (w @ x.T)).sum(axis=1)              # (C, N)
-    return np.mean(np.square(y - pred), axis=1)
+    return (member * np.square(y - w @ x.T)).sum(axis=1)
 
 
-def _interpolants(x, y):
-    """Absolute residuals (S, N) of every interpolant in _absolute_fit's pool."""
+def _region_costs(x, y, rows, loss: LossModel) -> np.ndarray:
+    """Loss total of one mode fitted to each row of the boolean (K, N) rows.
+
+    Equals the total loss of solve_mode_regression(x[row], y[row], loss) on
+    the row's points, up to rounding. Under absolute loss every interpolant
+    of _absolute_fit's pool over all N points is a feasible model, and the
+    pool holds an exact L1 fit of each row, so the pool's minimum is that
+    fit's total. Rows are fitted _SCORE_CHUNK at a time.
+    """
     N, d = x.shape
-    return np.concatenate([np.abs(y - _subset_interpolants(x, y, subsets) @ x.T)
-                           for subsets in _interpolation_pool(N, d)])
-
-
-def _absolute_scores(member, resid):
-    """Absolute-loss cost of each candidate under its per-mode fit.
-
-    Every interpolant is a feasible model for every mode, and the pool holds
-    an exact L1 fit of each mode, so the pool's minimum is that fit's total.
-    """
-    totals = member.astype(float) @ resid.T              # (C, n, S)
-    return totals.min(axis=2).sum(axis=1) / member.shape[2]
-
-
-def _candidate_scores(x, y, labels, n: int, loss: LossModel) -> np.ndarray:
-    """Cost of fitting each row of the (C, N) 0-based label array.
-
-    Equals _cost_arrays(x, y, _fit_array(x, y, q0, n, loss), q0, loss) for
-    every row q0 up to rounding. Rows are scored _SCORE_CHUNK at a time.
-    """
     if loss.kind == "absolute":
-        resid = _interpolants(x, y)
-    scores = np.empty(len(labels))
-    for lo in range(0, len(labels), _SCORE_CHUNK):
-        q = labels[lo:lo + _SCORE_CHUNK]
-        member = q[:, None, :] == np.arange(n)[:, None]  # (C, n, N)
-        if loss.kind == "squared":
-            scores[lo:lo + len(q)] = _squared_scores(x, y, member)
-        else:
-            scores[lo:lo + len(q)] = _absolute_scores(member, resid)
-    return scores
+        resid = np.concatenate([np.abs(y - _subset_interpolants(x, y, s) @ x.T)
+                                for s in _interpolation_pool(N, d)])
+    costs = np.empty(len(rows))
+    for lo in range(0, len(rows), _SCORE_CHUNK):
+        member = rows[lo:lo + _SCORE_CHUNK].astype(float)
+        costs[lo:lo + len(member)] = _squared_totals(x, y, member) \
+            if loss.kind == "squared" else (member @ resid.T).min(axis=1)
+    return costs
 
 
 def enumeration_solve(data: Dataset, n: int, loss: LossModel,
                       cfg: SolverConfig | None = None) -> SolveReport:
-    """Exact solver: fit every candidate labeling and keep the best.
+    """Exact solver: the min-cost partition of the data into regions.
 
-    The candidates contain a globally optimal labeling, so no refinement is
-    needed. All candidates are scored in one batched pass; those within
-    zero_tol of the best score are re-fit with the per-mode routine, whose
-    cost is reported. Ties on cost break toward the lexicographically
-    smallest canonical labeling, so the report is deterministic.
+    Some optimal labeling is a partition into CandidateStream's regions, so
+    no refinement is needed. Every region is fitted once in one batched
+    pass, and a partition costs the sum of its members' totals. The
+    partitions within zero_tol of the best become canonical label rows and
+    are re-fit with the per-mode routine, whose cost is reported. A dead
+    point costs the same in every mode; in the first member it gives the
+    smallest of those equal-cost labelings. Ties on cost break toward the
+    lexicographically smallest canonical labeling, so the report is
+    deterministic.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     stream = CandidateStream(data, n, cfg)
-    labels = np.array(list(stream))
+    parts = np.array(list(stream))
     x, y = data.x, data.y
-    scores = _candidate_scores(x, y, labels, n, loss)
+    totals = _region_costs(x, y, stream.regions, loss)[parts].sum(axis=1)
+    near = parts[totals <= totals.min() + data.N * cfg.tol.zero_tol]
     best = None
-    for q0 in labels[scores <= scores.min() + cfg.tol.zero_tol]:
+    for q0 in stream.regions[near].argmax(axis=1):
         w = _fit_array(x, y, q0, n, loss)
         c = _cost_arrays(x, y, w, q0, loss)
         key = tuple(q0.tolist())

@@ -2,7 +2,8 @@
 
 Hypothesis draws small integer-grid inputs, where repeated, collinear and
 coplanar points, zero regressors and exact residual ties are common, and
-small Partition multisets, whose reductions repeat every regressor. The
+small Partition multisets, whose reductions repeat every regressor. Past
+brute force's reach, zero-noise generator instances plant an exact fit. The
 runs are derandomized and bounded, so the gate is deterministic and fast.
 """
 
@@ -10,8 +11,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, SQUARED, Dataset,
-                       PartitionInstance, brute_force_solve,
+                       GeneratorSpec, PartitionInstance, brute_force_solve,
                        enumerate_linear_dichotomies, enumeration_solve,
+                       generate_instance, noiseless_solve,
                        partition_to_instance, sweep_dichotomies_oracle)
 
 from conftest import lp_feasible_patterns
@@ -40,9 +42,8 @@ def _nonzero_points(draw, m, lo, hi):
 
 
 def _assert_strict(points, result):
-    for d in result:
-        margins = np.array(d.signs) * (points @ d.witness)
-        assert np.all(margins > DEFAULT_TOLERANCES.sign_tol), d.signs
+    margins = result.signs * (result.witnesses @ points.T)
+    assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
 
 
 @_GATE
@@ -105,3 +106,29 @@ def test_enum_equals_brute_on_partition_reductions(s, loss):
     brute = brute_force_solve(inst.data, inst.n, loss)
     assert enum.status == "optimal"
     assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
+
+
+@st.composite
+def _planted_sizes(draw):
+    """(n, d, N) up to (3, 2, 10) and (2, 3, 12)."""
+    n = draw(st.sampled_from([2, 3]), label="n")
+    d = draw(st.integers(1, 5 - n), label="d")
+    return n, d, draw(st.integers(n * d, 16 - 2 * n), label="N")
+
+
+# zero-noise generator data has a zero-cost fit, so enum must find one and
+# noiseless must certify it, at sizes where brute force takes seconds
+@settings(_GATE, max_examples=40)
+@given(_planted_sizes(), st.integers(0, 2**32 - 1),
+       st.sampled_from(["iid-uniform", "markov"]),
+       st.sampled_from([SQUARED, ABSOLUTE]))
+def test_enum_finds_the_planted_fit(ndN, seed, process, loss):
+    n, d, N = ndN
+    inst, _, _ = generate_instance(GeneratorSpec(
+        n=n, d=d, N=N, seed=seed, mode_process=process))
+    enum = enumeration_solve(inst, n, loss)
+    assert enum.status == "optimal"
+    assert enum.cost <= DEFAULT_TOLERANCES.zero_tol
+    certified = noiseless_solve(inst, n)
+    assert certified.status == "optimal"
+    assert certified.cost <= DEFAULT_TOLERANCES.zero_tol

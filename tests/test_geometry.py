@@ -13,13 +13,19 @@ import switchreg
 from switchreg import (DEFAULT_TOLERANCES, check_general_position,
                        enumerate_linear_dichotomies, sweep_dichotomies_oracle)
 from switchreg import geometry
-from switchreg.geometry import Dichotomy, unique_rows
+from switchreg.geometry import unique_rows
 
 from conftest import lp_feasible_patterns
 
 
 def _patterns(result):
     return result.patterns()
+
+
+def _assert_strict(points, result):
+    # every witness separates its row's points strictly
+    margins = result.signs * (result.witnesses @ points.T)
+    assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +142,8 @@ def test_negation_closure_and_witnesses(m):
     assert len(result) <= 2 ** m * comb(7, m - 1)
     rows = [tuple(r) for r in result.signs.tolist()]
     assert all(a < b for a, b in zip(rows, rows[1:]))     # strictly ascending
-    for d in result:
-        assert tuple(-s for s in d.signs) in pats
-        margins = np.array(d.signs) * (pts @ d.witness)
-        assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
+    assert {tuple(r) for r in (-result.signs).tolist()} == pats
+    _assert_strict(pts, result)
 
 
 def test_oracle_equivalence_random_sets():
@@ -162,9 +166,7 @@ _DEGENERATE = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
 def test_degenerate_spanning_subsets_counted():
     result = enumerate_linear_dichotomies(_DEGENERATE)
     assert _patterns(result) == lp_feasible_patterns(_DEGENERATE)
-    for d in result:
-        margins = np.array(d.signs) * (_DEGENERATE @ d.witness)
-        assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
+    _assert_strict(_DEGENERATE, result)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -178,9 +180,7 @@ def test_generic_and_degenerate_rays_in_one_level(m):
     pts = np.vstack([gauss, [a, b, a - 0.5 * b], gauss[1]])
     result = enumerate_linear_dichotomies(pts)
     assert _patterns(result) == lp_feasible_patterns(pts)
-    for d in result:
-        margins = np.array(d.signs) * (pts @ d.witness)
-        assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
+    _assert_strict(pts, result)
 
 
 def test_only_degenerate_rays_recurse(monkeypatch):
@@ -232,9 +232,7 @@ def test_dichotomies_unchanged_by_coordinate_scale(scale):
     scaled = pts * np.array(scale)
     result = enumerate_linear_dichotomies(scaled)
     assert _patterns(result) == _patterns(sweep_dichotomies_oracle(pts))
-    for d in result:
-        margins = np.array(d.signs) * (scaled @ d.witness)
-        assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
+    _assert_strict(scaled, result)
 
 
 def test_tiny_line_points_two_patterns():
@@ -252,18 +250,6 @@ def test_unique_rows_matches_numpy_unique():
             expected = np.unique(arr, axis=0, return_index=True)[1]
             assert np.array_equal(unique_rows(arr), expected), width
     assert unique_rows(np.zeros((0, 9), dtype=bool)).size == 0
-
-
-def test_dichotomy_sign_validation():
-    with pytest.raises(ValueError):
-        Dichotomy(signs=(1, 0, -1), witness=np.ones(2))
-
-
-def test_dichotomy_equality_ignores_witness():
-    a = Dichotomy(signs=(1, -1), witness=np.array([1.0]))
-    b = Dichotomy(signs=(1, -1), witness=np.array([2.0]))
-    assert a == b
-    assert len({a, b}) == 1
 
 
 def test_import_leaves_scipy_unloaded():

@@ -225,11 +225,17 @@ def test_brute_canonical_skipping_count():
 # candidate stream
 
 
+def _labelings(stream):
+    """The (K, N) 0-based label rows of the stream's partitions, in order:
+    member m takes label m, the dead points the first member."""
+    return stream.regions[np.array(list(stream))].argmax(axis=1)
+
+
 def test_stream_contains_trivial_and_optimal_labelings():
     data = Dataset(np.array([[1.0], [2.0], [-1.5]]),
                    np.array([2.1, 3.9, 1.4]))
     stream = CandidateStream(data, 2)
-    emitted = {tuple((q + 1).tolist()) for q in stream}
+    emitted = {tuple((q + 1).tolist()) for q in _labelings(stream)}
     assert (1, 1, 1) in emitted     # constant classifier, mode 2 empty
     best = brute_force_solve(data, 2, SQUARED)
     assert best.labeling.as_tuple() in emitted
@@ -238,64 +244,73 @@ def test_stream_contains_trivial_and_optimal_labelings():
 def test_stream_contains_brute_optimum_on_noisy_data():
     for seed in range(5):
         data, _, _ = random_instance(seed, N=6)
-        emitted = {tuple((q + 1).tolist()) for q in CandidateStream(data, 2)}
+        emitted = {tuple((q + 1).tolist())
+                   for q in _labelings(CandidateStream(data, 2))}
         best = brute_force_solve(data, 2, SQUARED)
         assert best.labeling.as_tuple() in emitted
 
 
 def test_stream_contains_three_mode_model_labelings():
-    # every labeling a model set induces peels into the region join's form,
-    # so the join may not miss it
+    # every mode's set under a model set is an AND of n-1 pool rows, so it
+    # is a region, and the labeling is a partition into regions
     rng = np.random.default_rng(14)
-    for seed in range(6):
-        data, _, _ = random_instance(seed, n=3, d=1, N=6 + seed % 3)
-        emitted = {tuple((q + 1).tolist())
-                   for q in CandidateStream(data, 3)}
+    cases = [(1, 6 + seed % 3, seed) for seed in range(6)] + \
+        [(2, 8, seed) for seed in range(2)]
+    for d, N, seed in cases:
+        data, _, _ = random_instance(seed, n=3, d=d, N=N)
+        stream = CandidateStream(data, 3)
+        index = {row: i for i, row in enumerate(map(tuple, stream.regions.tolist()))}
+        parts = set(map(tuple, stream.partitions.tolist()))
         induced = set()
         for _ in range(200):
-            models = ModelSet(rng.standard_normal((3, 1)) * 2.0)
-            lab = canonicalize_labels(assign_modes(data, models, SQUARED), 3)
-            induced.add(lab.as_tuple())
-        assert induced <= emitted, (seed, induced - emitted)
+            models = ModelSet(rng.standard_normal((3, d)) * 2.0)
+            q = assign_modes(data, models, SQUARED).q - 1
+            members = [tuple((q == j).tolist()) for j in range(3)]
+            assert all(m in index for m in members), (d, N, seed)
+            induced.add(tuple(sorted(index[m] for m in members)))
+        assert induced <= parts, (d, N, seed, induced - parts)
         assert len(induced) > 3
 
 
-def test_stream_is_the_region_join_and_contains_the_majority_vote():
-    # literal loops over every pool triple (a, b, c) = (p01, p02, p12): the
-    # stream emits exactly the canonical where(a & b, 0, where(c, 1, 2)),
-    # and every labeling the pairwise vote gives with a Condorcet winner
-    # at each point is among them
+def test_stream_regions_and_partitions_match_literal_loops():
+    # regions: the distinct ANDs of two pool rows; partitions: every region
+    # triple, members ascending, that splits the points exactly
+    for d, N in ((1, 6), (1, 7), (2, 6)):
+        data, _, _ = random_instance(d + N, n=3, d=d, N=N)
+        stream = CandidateStream(data, 3)
+        rows = stream.pair_products.tolist()
+        ands = {tuple(i and j for i, j in zip(a, b)) for a in rows for b in rows}
+        assert set(map(tuple, stream.regions.tolist())) == ands
+        assert len(stream.regions) == len(ands)
+        member = stream.regions.astype(int)
+        splits = {t for t in itertools.combinations_with_replacement(
+                      range(len(member)), 3)
+                  if (member[list(t)].sum(axis=0) == 1).all()}
+        assert set(map(tuple, stream.partitions.tolist())) == splits
+        assert len(stream.partitions) == len(splits)
+
+
+def test_stream_contains_the_majority_vote():
+    # literal loops over every pool triple (a, b, c) = (p01, p02, p12):
+    # every labeling the pairwise vote gives with a Condorcet winner at
+    # each point is a partition's labeling
     for seed in range(3):
         data, _, _ = random_instance(seed, n=3, d=1, N=6)
         stream = CandidateStream(data, 3)
-        join, vote = set(), set()
+        vote = set()
         for a, b, c in itertools.product(stream.pair_products.astype(int),
                                          repeat=3):
-            q = np.where(a & b, 0, np.where(c, 1, 2))
-            join.add(tuple(_canonicalize_arrays(q).tolist()))
             votes = np.stack([a + b, 1 - a + c, 2 - b - c])
             if (votes.max(axis=0) == 2).all():
                 vote.add(tuple(_canonicalize_arrays(votes.argmax(axis=0)).tolist()))
-        emitted = {tuple(q.tolist()) for q in stream}
-        assert emitted == join
-        assert vote <= emitted and len(vote) < len(emitted)
-    # at d = 2, N = 8 the join reaches all 1,094 canonical labelings, which
-    # a completion that lets mode 1 overwrite mode 0's points falls short of;
-    # the P**3 triples are too many here, so the distinct regions come first
+        emitted = set(map(tuple, _labelings(stream).tolist()))
+        assert vote <= emitted and len(vote) > 3
+    # at d = 2, N = 8 the partitions are all 1,094 canonical labelings with
+    # at most three modes, which single pool rows as regions fall short of
     for seed in range(3):
         data, _, _ = random_instance(seed, n=3, d=2, N=8)
-        stream = CandidateStream(data, 3)
-        pool = stream.pair_products
-        rows = pool.tolist()
-        regions = {tuple(i and j for i, j in zip(a, b))
-                   for a in rows for b in rows}
-        join = set()
-        for region in regions:        # every pool row c at once
-            q = np.where(region, 0, np.where(pool, 1, 2))
-            join.update(map(tuple, _canonicalize_arrays(q).tolist()))
-        emitted = {tuple(q.tolist()) for q in stream}
-        assert emitted == join
-        assert len(join) == 1094
+        labels = _labelings(CandidateStream(data, 3))
+        assert len(set(map(tuple, labels.tolist()))) == len(labels) == 1094
 
 
 def test_stream_respects_dimension_caps():
@@ -309,21 +324,50 @@ def test_stream_respects_dimension_caps():
 
 
 def test_stream_refuses_budget_with_count_in_message():
+    # n = 2: the search tries the P regions holding the first point
     data, _, _ = random_instance(2, N=10)
-    with pytest.raises(CapsExceededError, match=r"\d+ classifier combinations"):
-        CandidateStream(data, 2, SolverConfig(candidate_budget=3))
-    # n = 3: the P**2 region pairs are refused before any completion is built
-    data3, _, _ = random_instance(2, n=3, d=1, N=8)
+    P = len(CandidateStream(data, 2).pair_products)
+    with pytest.raises(CapsExceededError,
+                       match=rf"^{P} classifier combinations exceed the "
+                             rf"budget {P - 1}$"):
+        CandidateStream(data, 2, SolverConfig(candidate_budget=P - 1))
+    # n = 3: the P**2 region pairs are refused before any search
+    data3, _, _ = random_instance(2, n=3, d=1, N=40)
     P = len(CandidateStream(data3, 3).pair_products)
     with pytest.raises(CapsExceededError,
                        match=rf"^{P * P} classifier combinations exceed "
                              rf"the budget {P * P - 1}$"):
         CandidateStream(data3, 3, SolverConfig(candidate_budget=P * P - 1))
-    # with the region pairs allowed, the |R| * P completions are refused
+    # with the region pairs allowed, the partial partitions the search keeps
+    # are refused
     with pytest.raises(CapsExceededError, match=rf"the budget {P * P}$") as err:
         CandidateStream(data3, 3, SolverConfig(candidate_budget=P * P))
-    completions = int(str(err.value).split()[0])
-    assert completions > P * P and completions % P == 0
+    assert int(str(err.value).split()[0]) > P * P
+
+
+def test_stream_admits_what_the_region_join_admitted():
+    # the label-row join built P**2 region pairs and then |R| * P
+    # completions; a budget of their maximum still builds the partitions,
+    # on data where the search tests more (partial partition, region) pairs
+    # than that, so the budget is charged for the partials kept
+    data = generate_instance(GeneratorSpec(n=3, d=1, N=80, noise_sigma=0.1,
+                                           seed=1))[0]
+    stream = CandidateStream(data, 3)
+    P, R = len(stream.pair_products), len(stream.regions)
+    budget = max(P * P, R * P)
+    def first(rows):        # each row's first point, N if it has none
+        return np.where(rows.any(axis=1), rows.argmax(axis=1), data.N)
+
+    # the first member holds point 0; each is tried against every region
+    # starting at the first point it leaves
+    lead = first(stream.regions)
+    tests = sum(int((lead == at).sum()) for at in first(~stream.regions[lead == 0]))
+    assert tests > budget
+    small = CandidateStream(data, 3, SolverConfig(candidate_budget=budget))
+    assert np.array_equal(small.partitions, stream.partitions)
+    report = enumeration_solve(data, 3, SQUARED,
+                               SolverConfig(candidate_budget=budget))
+    assert report.status == "optimal"
 
 
 def test_stream_count_within_closed_form_bound():
@@ -337,16 +381,21 @@ def test_stream_count_within_closed_form_bound():
         assert stream.combinations_examined == \
             len(stream.pair_products) ** pairs
         assert stream.combinations_examined <= bound
-        # emitted rows are distinct and canonical
+        # partitions are distinct, members ascend, and each point is in
+        # exactly one member; their labelings are canonical
         assert len(np.unique(rows, axis=0)) == len(rows)
-        assert np.array_equal(_canonicalize_arrays(rows), rows)
+        assert np.all(np.diff(rows, axis=1) >= 0)
+        assert np.all(stream.regions[rows].sum(axis=1) == 1)
+        labels = _labelings(stream)
+        assert np.array_equal(_canonicalize_arrays(labels), labels)
 
 
 def test_stream_single_mode():
     data, _, _ = random_instance(4, N=5)
-    labs = list(CandidateStream(data, 1))
-    assert len(labs) == 1
-    assert tuple((labs[0] + 1).tolist()) == (1, 1, 1, 1, 1)
+    stream = CandidateStream(data, 1)
+    parts = list(stream)
+    assert len(parts) == 1 and parts[0].shape == (1,)
+    assert stream.regions[parts[0][0]].all()
 
 
 _HALF_POOL_SIZES = [(1, 12), (2, 10), (3, 8)]
@@ -356,7 +405,7 @@ _HALF_POOL_SIZES = [(1, 12), (2, 10), (3, 8)]
                          ids=[f"d{d}" for d, _ in _HALF_POOL_SIZES])
 def test_two_mode_stream_is_half_the_products(d, N):
     # every G x H product and its negation give one canonical labeling, so
-    # the n = 2 stream keeps half the pool and emits where(p, 0, 1) as is
+    # the n = 2 stream keeps half the pool, one partition {p, ~p} per row
     for seed in range(3):
         data, _, _ = random_instance(seed, d=d, N=N)
         assert np.linalg.norm(data.x, axis=1).min() > 0
@@ -365,9 +414,10 @@ def test_two_mode_stream_is_half_the_products(d, N):
         products = (gs[:, None] == hs[None]).reshape(-1, N)
         full = _canonicalize_arrays(np.where(products, 0, 1))
         two, three = CandidateStream(data, 2), CandidateStream(data, 3)
-        rows = np.array(list(two))
+        rows = _labelings(two)
         assert {tuple(q) for q in rows.tolist()} == \
             {tuple(q) for q in full.tolist()}
+        assert len(two.partitions) == len(two.pair_products)
         assert 2 * len(two.pair_products) == len(three.pair_products)
         assert 2 * two.combinations_examined == len(np.unique(products, axis=0))
         assert np.array_equal(_canonicalize_arrays(rows), rows)
@@ -453,13 +503,29 @@ def test_enum_report_cost_consistent():
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=["squared", "absolute"])
 def test_enum_three_modes_in_the_plane_within_default_budget(loss):
     # n = 3, d = 2, N = 8 needs P**3 > 5e6 combinations, over the default
-    # budget; the region join builds far fewer rows
+    # budget; the region search builds far fewer rows
     data, _, _ = random_instance(8, n=3, d=2, N=8)
     enum = enumeration_solve(data, 3, loss, SolverConfig())
     brute = brute_force_solve(data, 3, loss)
     assert enum.status == "optimal"
     assert enum.candidates_examined > SolverConfig().candidate_budget
     assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=["squared", "absolute"])
+def test_enum_three_modes_in_the_plane_at_twelve_points(loss):
+    # the region pairs (P**2 < 1e6) and the search fit the default budget,
+    # where the peel join built 3.1M completions; brute force takes 3^11
+    # labelings, so a planted zero-cost fit and altmin are the references
+    planted, _, _ = generate_instance(GeneratorSpec(n=3, d=2, N=12, seed=12))
+    noisy, _, _ = random_instance(12, n=3, d=2, N=12)
+    enum = enumeration_solve(planted, 3, loss)
+    assert enum.status == "optimal"
+    assert enum.cost <= DEFAULT_TOLERANCES.zero_tol
+    enum = enumeration_solve(noisy, 3, loss)
+    assert enum.status == "optimal"
+    assert enum.cost <= altmin_solve(noisy, 3, loss).cost + \
+        DEFAULT_TOLERANCES.zero_tol
 
 
 def test_enum_result_independent_of_chunk_size(monkeypatch):
@@ -489,33 +555,32 @@ def _grid_points(rng, N, d):
 
 
 def test_batched_scores_equal_per_candidate_fit():
+    # each region's batched cost is the loss total of solve_mode_regression
+    # on its points, empty, below d and rank-deficient regions included
     rng = np.random.default_rng(12)
     seen = {"empty": 0, "small": 0, "rank_deficient": 0}
     for trial in range(36):
-        n, d = 2 + trial % 2, 1 + trial % 3
-        N = 7 + trial % 3
+        d, N = 1 + trial % 3, 7 + trial % 3
         if trial % 4 < 2:
             x, y = rng.standard_normal((N, d)), rng.standard_normal(N)
         else:
             x, y = _grid_points(rng, N, d)
-        labels = rng.integers(0, n, size=(40, N))
-        labels[0] = 0                               # every other mode empty
-        labels[1, :] = 1
-        labels[1, :d - 1] = 0                       # mode 0 below d points
-        for q0 in labels:
-            for j in range(n):
-                k = np.sum(q0 == j)
-                seen["empty"] += k == 0
-                seen["small"] += 0 < k < d
-                seen["rank_deficient"] += k >= d and \
-                    np.linalg.matrix_rank(x[q0 == j]) < d
+        rows = rng.random((60, N)) < rng.choice([0.2, 0.5, 0.8], size=(60, 1))
+        rows[0] = False                             # empty
+        rows[1] = False
+        rows[1, :d - 1] = True                      # below d points
+        for row in rows:
+            k = row.sum()
+            seen["empty"] += k == 0
+            seen["small"] += 0 < k < d
+            seen["rank_deficient"] += k >= d and \
+                np.linalg.matrix_rank(x[row]) < d
         for loss in (SQUARED, ABSOLUTE):
-            scores = solvers._candidate_scores(x, y, labels, n, loss)
-            for q0, score in zip(labels, scores):
-                w = solvers._fit_array(x, y, q0, n, loss)
-                exact = empirical_cost(Dataset(x, y), ModelSet(w),
-                                       Labeling(q0 + 1), loss)
-                assert abs(score - exact) <= 1e-9, (trial, loss, q0)
+            costs = solvers._region_costs(x, y, rows, loss)
+            for row, cost in zip(rows, costs):
+                w = solve_mode_regression(x[row], y[row], loss)
+                exact = loss.residual_loss(y[row] - x[row] @ w).sum()
+                assert abs(cost - exact) <= 1e-9, (trial, loss, row)
     assert all(v > 0 for v in seen.values()), seen
 
 
@@ -543,7 +608,7 @@ def test_enum_matches_brute_on_integer_grid():
     assert _grid_solves_matching_brute(np.random.default_rng(2025),
                                        3, 20, 6) >= 10
     # n = 3 at N 7-8: at N = 8, d = 2, P**3 exceeds the default budget on
-    # some draws, while the join builds far fewer rows
+    # some draws, while the region search builds far fewer rows
     assert _grid_solves_matching_brute(np.random.default_rng(2026),
                                        3, 12, 7) >= 6
 
