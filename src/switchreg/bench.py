@@ -54,6 +54,8 @@ def bench_scaling(method: str, sizes, *, n: int = 2, d: int = 1,
     sizes = [int(N) for N in sizes]
     if len(sizes) < 2:
         raise ValueError("need at least two sizes")
+    if repeats < 1:
+        raise ValueError("need repeats >= 1")
     cfg = config if config is not None else SolverConfig()
     done_sizes: list[int] = []
     done_times: list[float] = []
@@ -64,7 +66,7 @@ def bench_scaling(method: str, sizes, *, n: int = 2, d: int = 1,
             GeneratorSpec(n=n, d=d, N=N, noise_sigma=noise_sigma, seed=seed))
         try:
             best = float("inf")
-            for _ in range(max(1, repeats)):
+            for _ in range(repeats):
                 t0 = time.perf_counter()
                 solve_instance(data, n, loss, method, cfg)
                 best = min(best, time.perf_counter() - t0)

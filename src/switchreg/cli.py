@@ -9,11 +9,9 @@ answer no (or an invalid certificate in extract-partition), 2 usage or
 input error, 3 resource caps exceeded.
 
 Environment overrides (flags win over the environment, the environment
-wins over defaults):
+wins over the SolverConfig and Tolerances defaults):
   SWITCHREG_TIE_TOL, SWITCHREG_ZERO_TOL, SWITCHREG_SIGN_TOL  tolerances
-  SWITCHREG_D_MAX, SWITCHREG_N_MAX                           instance caps
-  SWITCHREG_BRUTE_BUDGET, SWITCHREG_CANDIDATE_BUDGET,
-  SWITCHREG_NODE_BUDGET                                      work budgets
+  SWITCHREG_BRUTE_BUDGET, SWITCHREG_CANDIDATE_BUDGET         work budgets
   SWITCHREG_RESTARTS                                         altmin restarts
 """
 
@@ -27,8 +25,8 @@ import sys
 import numpy as np
 
 from .bench import bench_scaling
-from .core import (DEFAULT_TOLERANCES, Dataset, ModelSet, Tolerances,
-                   empirical_cost, get_loss, SQUARED)
+from .core import (Dataset, ModelSet, Tolerances, empirical_cost, get_loss,
+                   SQUARED)
 from .datasets import (GeneratorSpec, generate_instance, load_dataset_csv,
                        load_dataset_json, save_dataset_csv, save_dataset_json)
 from .hardness import (CertificateError, DecisionInstance, PartitionInstance,
@@ -40,43 +38,30 @@ from .solvers import (CapsExceededError, SOLVER_METHODS, SolveReport,
 __all__ = ["main"]
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
+def _env(name: str, default):
+    """SWITCHREG_<NAME> parsed as the type of default, or default if unset."""
+    var = f"SWITCHREG_{name.upper()}"
+    raw = os.environ.get(var)
     if raw is None:
         return default
     try:
-        return float(raw)
+        return type(default)(raw)
     except ValueError:
-        raise ValueError(f"environment variable {name} is not a number: {raw!r}")
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} is not an integer: {raw!r}")
-
-
-def _tolerances_from_env() -> Tolerances:
-    return Tolerances(
-        tie_tol=_env_float("SWITCHREG_TIE_TOL", DEFAULT_TOLERANCES.tie_tol),
-        zero_tol=_env_float("SWITCHREG_ZERO_TOL", DEFAULT_TOLERANCES.zero_tol),
-        sign_tol=_env_float("SWITCHREG_SIGN_TOL", DEFAULT_TOLERANCES.sign_tol))
+        raise ValueError(f"environment variable {var} is not a valid "
+                         f"{type(default).__name__}: {raw!r}")
 
 
 def _config(args) -> SolverConfig:
+    """The flags, then the environment, then the SolverConfig defaults."""
+    base = SolverConfig()
+    restarts = getattr(args, "restarts", None)
     return SolverConfig(
-        d_max=_env_int("SWITCHREG_D_MAX", 3),
-        n_max=_env_int("SWITCHREG_N_MAX", 3),
-        restarts=getattr(args, "restarts", None) or _env_int("SWITCHREG_RESTARTS", 10),
-        seed=getattr(args, "seed", 0),
-        tol=_tolerances_from_env(),
-        brute_budget=_env_int("SWITCHREG_BRUTE_BUDGET", 2_000_000),
-        candidate_budget=_env_int("SWITCHREG_CANDIDATE_BUDGET", 2_000_000),
-        node_budget=_env_int("SWITCHREG_NODE_BUDGET", 1_000_000))
+        restarts=_env("restarts", base.restarts) if restarts is None else restarts,
+        seed=getattr(args, "seed", base.seed),
+        tol=Tolerances(**{name: _env(name, getattr(base.tol, name))
+                          for name in ("tie_tol", "zero_tol", "sign_tol")}),
+        brute_budget=_env("brute_budget", base.brute_budget),
+        candidate_budget=_env("candidate_budget", base.candidate_budget))
 
 
 def _load_data(path: str) -> tuple[Dataset, int | None]:
@@ -93,13 +78,13 @@ def _emit(doc: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _report_doc(report: SolveReport, data: Dataset, loss) -> dict:
+def _report_doc(report: SolveReport, data: Dataset, loss,
+                tol: Tolerances) -> dict:
     """Serialize a SolveReport, re-validating the cost first.
 
     The recomputation guards against any drift between the solver's
     bookkeeping and the (models, labeling) pair it returns.
     """
-    tol = _tolerances_from_env()
     recomputed = empirical_cost(data, report.models, report.labeling, loss)
     if not (abs(recomputed - report.cost) <= tol.zero_tol * (1 + abs(report.cost))):
         raise RuntimeError(
@@ -175,7 +160,8 @@ def _cmd_solve(args) -> int:
                                     cfg=cfg)
         report = decision.report
         doc = _report_doc(report, data,
-                          SQUARED if args.method == "noiseless" else loss)
+                          SQUARED if args.method == "noiseless" else loss,
+                          cfg.tol)
         doc["epsilon"] = args.epsilon
         doc["answer"] = bool(decision.answer)
         _emit(doc, f"answer={'yes' if decision.answer else 'no'} "
@@ -185,7 +171,7 @@ def _cmd_solve(args) -> int:
 
     report = solve_instance(data, n, loss, args.method, cfg)
     doc = _report_doc(report, data,
-                      SQUARED if args.method == "noiseless" else loss)
+                      SQUARED if args.method == "noiseless" else loss, cfg.tol)
     _emit(doc, f"cost={report.cost:.6g} method={report.method} "
                f"status={report.status} "
                f"candidates={report.candidates_examined} "
@@ -213,8 +199,7 @@ def _cmd_extract_partition(args) -> int:
     if "models" not in doc:
         raise ValueError(f"{args.report}: no 'models' field")
     models = ModelSet(np.array(doc["models"], dtype=float))
-    tol = _tolerances_from_env()
-    subset = extract_partition(models, p, tol=tol)
+    subset = extract_partition(models, p, tol=_config(args).tol)
     out = {"set": list(p.s), "subset": subset,
            "subset_sum": sum(subset),
            "complement_sum": p.total - sum(subset)}

@@ -73,12 +73,11 @@ class GeneralPositionReport:
 
 
 def check_general_position(points, *, max_exhaustive: int = 20000,
-                           samples: int = 2000, seed: int = 0,
-                           rank_tol: float = _RANK_TOL) -> GeneralPositionReport:
+                           samples: int = 2000) -> GeneralPositionReport:
     """Verify that no m+1 points lie on a common affine hyperplane of R^m.
 
     Exhaustive over all (m+1)-subsets when their number is at most
-    max_exhaustive, otherwise a seeded random sample of subsets is tested
+    max_exhaustive, otherwise a random sample (seed 0) of subsets is tested
     and the report says so.
     """
     points = np.asarray(points, dtype=float)
@@ -95,7 +94,7 @@ def check_general_position(points, *, max_exhaustive: int = 20000,
         subsets = np.array(list(itertools.combinations(range(N), m + 1)))
         sampled = False
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         subsets = np.array([rng.choice(N, size=m + 1, replace=False)
                             for _ in range(samples)])
         sampled = True
@@ -103,7 +102,7 @@ def check_general_position(points, *, max_exhaustive: int = 20000,
     pts = points[subsets]                          # (K, m+1, m)
     diffs = pts[:, 1:, :] - pts[:, :1, :]          # (K, m, m)
     sv = np.linalg.svd(diffs, compute_uv=False)    # (K, m)
-    bad = sv[:, -1] <= rank_tol * np.maximum(1.0, sv[:, 0])
+    bad = sv[:, -1] <= _RANK_TOL * np.maximum(1.0, sv[:, 0])
     violations = tuple(tuple(int(i) + 1 for i in subsets[r])
                        for r in np.flatnonzero(bad)[:64])
     return GeneralPositionReport(ok=not violations, violations=violations,

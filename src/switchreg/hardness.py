@@ -24,10 +24,11 @@ from .core import (
     ModelSet,
     SQUARED,
     Tolerances,
-    empirical_cost,
 )
-from .solvers import SolveReport, SolverConfig, brute_force_solve, \
-    enumeration_solve, noiseless_solve
+# decide_threshold reaches the solvers through solve_instance; the
+# benchmark's tracer wraps the three solvers by name on this module
+from .solvers import (SolveReport, SolverConfig, brute_force_solve,
+                      enumeration_solve, noiseless_solve, solve_instance)
 
 __all__ = [
     "PartitionInstance",
@@ -127,25 +128,17 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
     threshold, since it certifies exact fits and nothing weaker. The
     enumeration solver is exact on reduction instances too, despite their
     repeated regressor vectors, but their dimension is the multiset size,
-    so past cfg.d_max brute or noiseless are the routes. Every solver and
-    the answer read their tolerances from cfg.tol.
+    so past d = 3 brute or noiseless are the routes. Every solver and the
+    answer read their tolerances from cfg.tol.
     """
     cfg = cfg or SolverConfig()
     if method == "altmin":
         raise ValueError("altmin is heuristic; a threshold decision needs an "
                          "exact solver")
-    if method == "brute":
-        report = brute_force_solve(inst.data, inst.n, loss,
-                                   budget=cfg.brute_budget, tol=cfg.tol)
-    elif method == "enum":
-        report = enumeration_solve(inst.data, inst.n, loss, cfg)
-    elif method == "noiseless":
-        if inst.epsilon > cfg.tol.zero_tol:
-            raise ValueError("noiseless method only certifies the zero "
-                             "threshold; use brute or enum for epsilon > 0")
-        report = noiseless_solve(inst.data, inst.n, cfg)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    if method == "noiseless" and inst.epsilon > cfg.tol.zero_tol:
+        raise ValueError("noiseless method only certifies the zero "
+                         "threshold; use brute or enum for epsilon > 0")
+    report = solve_instance(inst.data, inst.n, loss, method, cfg)
     answer = report.cost <= inst.epsilon + cfg.tol.zero_tol
     return ThresholdDecision(answer=answer, cost=report.cost,
                              models=report.models, labeling=report.labeling,

@@ -65,6 +65,10 @@ _MAX_REFINE_ROUNDS = 1000
 # per batch by _absolute_fit. It bounds the scorer's (chunk, N) and, under
 # absolute loss, (chunk, S) arrays, and the fit's (chunk, k) residuals.
 _SCORE_CHUNK = 1024
+# Fixed caps of the enumeration solver and of the noiseless cover search
+_D_MAX = 3
+_N_MAX = 3
+_NODE_BUDGET = 1_000_000
 
 SOLVER_METHODS = ("brute", "enum", "noiseless", "altmin")
 
@@ -75,27 +79,23 @@ class CapsExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Caps, budgets, and tolerances shared by the solvers.
+    """Budgets, heuristic settings and tolerances shared by the solvers.
 
-    d_max and n_max gate the enumeration solver; restarts and seed drive
-    the heuristic. brute_budget bounds brute force's labelings,
-    candidate_budget the rows each step of CandidateStream's region search
-    builds and the noiseless solver's interpolation subsets, node_budget
-    the noiseless cover search.
+    restarts and seed drive the heuristic. brute_budget bounds brute
+    force's labelings, candidate_budget the rows each step of
+    CandidateStream's region search builds and the noiseless solver's
+    interpolation subsets. The enumeration solver's caps (d <= 3, n <= 3)
+    and the noiseless cover search's node budget (1,000,000) are fixed.
     """
 
-    d_max: int = 3
-    n_max: int = 3
     restarts: int = 10
     seed: int = 0
     tol: Tolerances = DEFAULT_TOLERANCES
     brute_budget: int = 2_000_000
     candidate_budget: int = 2_000_000
-    node_budget: int = 1_000_000
 
     def __post_init__(self):
-        for name in ("d_max", "n_max", "restarts", "brute_budget",
-                     "candidate_budget", "node_budget"):
+        for name in ("restarts", "brute_budget", "candidate_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -280,6 +280,38 @@ def refine_alternate(data: Dataset, models: ModelSet, loss: LossModel,
 
 
 # ---------------------------------------------------------------------------
+# The end of every solve
+
+
+def _least(x, y, loss: LossModel, candidates):
+    """The (q0, w) candidate with the least (cost, labels), and how many
+    candidates there were. Ties on cost keep the lexicographically smallest
+    label row, so the choice does not depend on the candidates' order."""
+    best, seen = None, 0
+    for q0, w in candidates:
+        seen += 1
+        key = (_cost_arrays(x, y, w, q0, loss), tuple(q0.tolist()))
+        if best is None or key < best[0]:
+            best = (key, q0, w)
+    return best[1], best[2], seen
+
+
+def _report(method: str, data: Dataset, loss: LossModel, q0, w,
+            tol: Tolerances, t0: float, examined: int,
+            status: str) -> SolveReport:
+    """The SolveReport of the 0-based labels q0 under the models w, with the
+    points where two modes tie within tie_tol. Ties are per point, so
+    permuting the modes leaves them the same."""
+    x, y = data.x, data.y
+    _, ties = _assign_arrays(x, y, w, loss, tol.tie_tol)
+    return SolveReport(method=method, cost=_cost_arrays(x, y, w, q0, loss),
+                       models=ModelSet(w),
+                       labeling=Labeling(q0 + 1, tie_set=(ties + 1).tolist()),
+                       candidates_examined=examined,
+                       elapsed=time.perf_counter() - t0, status=status)
+
+
+# ---------------------------------------------------------------------------
 # Brute force
 
 
@@ -314,22 +346,10 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
         raise CapsExceededError(
             f"brute force needs {n}^{data.N} labelings, budget is {budget}")
     x, y = data.x, data.y
-    best = None
-    examined = 0
-    for q0 in _canonical_label_arrays(data.N, n):
-        examined += 1
-        w = _fit_array(x, y, q0, n, loss)
-        c = _cost_arrays(x, y, w, q0, loss)
-        key = tuple(int(v) for v in q0)
-        if best is None or (c, key) < (best[0], best[1]):
-            best = (c, key, w)
-    cost, key, w = best
-    _, ties = _assign_arrays(x, y, w, loss, tol.tie_tol)
-    labeling = Labeling(np.array(key, dtype=np.int64) + 1,
-                        tie_set=(ties + 1).tolist())
-    return SolveReport(method="brute", cost=cost, models=ModelSet(w),
-                       labeling=labeling, candidates_examined=examined,
-                       elapsed=time.perf_counter() - t0, status="optimal")
+    q0, w, examined = _least(x, y, loss, (
+        (q0, _fit_array(x, y, q0, n, loss))
+        for q0 in _canonical_label_arrays(data.N, n)))
+    return _report("brute", data, loss, q0, w, tol, t0, examined, "optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +407,9 @@ class CandidateStream:
         cfg = cfg or SolverConfig()
         if n < 1:
             raise ValueError("need n >= 1")
-        if data.d > cfg.d_max or n > cfg.n_max:
+        if data.d > _D_MAX or n > _N_MAX:
             raise CapsExceededError(
-                f"enumeration capped at d <= {cfg.d_max}, n <= {cfg.n_max}; "
+                f"enumeration capped at d <= {_D_MAX}, n <= {_N_MAX}; "
                 f"got d={data.d}, n={n}")
         self.data = data
         self.n = n
@@ -533,21 +553,11 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     x, y = data.x, data.y
     totals = _region_costs(x, y, stream.regions, loss)[parts].sum(axis=1)
     near = parts[totals <= totals.min() + data.N * cfg.tol.zero_tol]
-    best = None
-    for q0 in stream.regions[near].argmax(axis=1):
-        w = _fit_array(x, y, q0, n, loss)
-        c = _cost_arrays(x, y, w, q0, loss)
-        key = tuple(q0.tolist())
-        if best is None or (c, key) < (best[0], best[1]):
-            best = (c, key, w)
-    cost, key, w = best
-    _, ties = _assign_arrays(x, y, w, loss, cfg.tol.tie_tol)
-    labeling = Labeling(np.array(key, dtype=np.int64) + 1,
-                        tie_set=(ties + 1).tolist())
-    return SolveReport(method="enum", cost=cost, models=ModelSet(w),
-                       labeling=labeling,
-                       candidates_examined=stream.combinations_examined,
-                       elapsed=time.perf_counter() - t0, status="optimal")
+    q0, w, _ = _least(x, y, loss, (
+        (q0, _fit_array(x, y, q0, n, loss))
+        for q0 in stream.regions[near].argmax(axis=1)))
+    return _report("enum", data, loss, q0, w, cfg.tol, t0,
+                   stream.combinations_examined, "optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +614,10 @@ def noiseless_solve(data: Dataset, n: int,
                 w = np.vstack([w, w[:1]])
         else:
             w = np.zeros((n, d))
-        q0, ties = _assign_arrays(x, y, w, SQUARED, cfg.tol.tie_tol)
-        q_c, w_c = _canonicalize_arrays(q0, w)
-        cost = _cost_arrays(x, y, w_c, q_c, SQUARED)
-        labeling = Labeling(q_c + 1, tie_set=(ties + 1).tolist())
-        return SolveReport(method="noiseless", cost=cost, models=ModelSet(w_c),
-                           labeling=labeling, candidates_examined=len(subsets),
-                           elapsed=time.perf_counter() - t0, status=status)
+        q0, _ = _assign_arrays(x, y, w, SQUARED, cfg.tol.tie_tol)
+        return _report("noiseless", data, SQUARED,
+                       *_canonicalize_arrays(q0, w), cfg.tol, t0,
+                       len(subsets), status)
 
     if not len(order):
         return finish([], "infeasible")
@@ -623,9 +630,9 @@ def noiseless_solve(data: Dataset, n: int,
     def search(uncovered, modes_left):
         nonlocal nodes
         nodes += 1
-        if nodes > cfg.node_budget:
+        if nodes > _NODE_BUDGET:
             raise CapsExceededError(
-                f"noiseless cover search exceeded {cfg.node_budget} nodes")
+                f"noiseless cover search exceeded {_NODE_BUDGET} nodes")
         remaining = np.flatnonzero(uncovered)
         if remaining.size == 0:
             return []
@@ -672,25 +679,20 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel, restarts: int = 10,
     t0 = time.perf_counter()
     x, y = data.x, data.y
     N, d = data.N, data.d
-    best = None
-    for r in range(restarts):
+
+    def restart(r):
         rng = np.random.default_rng([seed, r])
         if N >= n * d:
             idx = rng.choice(N, size=n * d, replace=False).reshape(n, d)
             w0 = _subset_interpolants(x, y, idx)
         else:
             w0 = rng.standard_normal((n, d))
-        res = refine_alternate(data, ModelSet(w0), loss, tol)
-        q_c, w_c = _canonicalize_arrays(res.labeling.q - 1, res.models.w)
-        cost = _cost_arrays(x, y, w_c, q_c, loss)
-        key = tuple(int(v) for v in q_c)
-        if best is None or (cost, key) < (best[0], best[1]):
-            best = (cost, key, w_c, res.labeling.tie_set)
-    cost, key, w, tie_set = best
-    labeling = Labeling(np.array(key, dtype=np.int64) + 1, tie_set=tie_set)
-    return SolveReport(method="altmin", cost=cost, models=ModelSet(w),
-                       labeling=labeling, candidates_examined=restarts,
-                       elapsed=time.perf_counter() - t0, status="heuristic")
+        models, labeling = refine_alternate(data, ModelSet(w0), loss, tol)
+        return _canonicalize_arrays(labeling.q - 1, models.w)
+
+    q0, w, examined = _least(x, y, loss, map(restart, range(restarts)))
+    return _report("altmin", data, loss, q0, w, tol, t0, examined,
+                   "heuristic")
 
 
 def solve_instance(data: Dataset, n: int, loss: LossModel, method: str,

@@ -17,6 +17,11 @@ def test_result_validation():
                     fitted_exponent=1.0, complete=True)
 
 
+def test_zero_repeats_rejected():
+    with pytest.raises(ValueError, match="repeats"):
+        bench_scaling("altmin", [40, 80], repeats=0)
+
+
 def test_altmin_near_linear_growth():
     result = bench_scaling("altmin", [100, 1000], repeats=2, seed=0)
     assert result.complete

@@ -176,6 +176,11 @@ def test_env_restart_override(tmp_path, capsys, monkeypatch):
     _, stdout, _ = run(capsys, "solve", str(data_path), "--n", "2",
                        "--method", "altmin", "--restarts", "5")
     assert json.loads(stdout)["candidates_examined"] == 5
+    # --restarts 0 is refused, not read as unset
+    code, _, stderr = run(capsys, "solve", str(data_path), "--n", "2",
+                          "--method", "altmin", "--restarts", "0")
+    assert code == 2
+    assert "restarts" in stderr
 
 
 def test_bad_env_value_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -207,3 +212,10 @@ def test_bench_subcommand(capsys):
     assert doc["sizes"] == [40, 80]
     assert doc["complete"] is True
     assert "fitted_exponent" in doc
+
+
+def test_bench_zero_repeats_is_usage_error(capsys):
+    code, _, stderr = run(capsys, "bench", "--method", "altmin",
+                          "--sizes", "40,80", "--repeats", "0")
+    assert code == 2
+    assert "repeats" in stderr

@@ -9,7 +9,7 @@ from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, CertificateError,
                        DecisionInstance, Dataset, ModelSet,
                        PartitionInstance, SQUARED, SolverConfig, Tolerances,
                        decide_threshold, extract_partition,
-                       partition_to_instance)
+                       partition_to_instance, solve_instance)
 
 from conftest import partition_has_equal_split
 
@@ -115,6 +115,19 @@ def test_decide_reads_tolerances_from_cfg():
     decision = decide_threshold(nudged, method="brute", cfg=loose)
     assert decision.answer
     assert DEFAULT_TOLERANCES.zero_tol < decision.cost <= 1e-3
+
+
+@pytest.mark.parametrize("method", ["brute", "enum", "noiseless"])
+def test_decision_report_is_the_solve_report(method):
+    inst = partition_to_instance(PartitionInstance((1, 2, 3)))
+
+    def fields(r):
+        return (r.method, r.cost, r.labeling.q.tolist(), r.labeling.tie_set,
+                r.models.w.tolist(), r.candidates_examined, r.status,
+                r.warnings)
+
+    assert fields(decide_threshold(inst, method=method).report) \
+        == fields(solve_instance(inst.data, inst.n, SQUARED, method))
 
 
 def test_decide_works_under_absolute_loss():

@@ -755,6 +755,25 @@ def test_solve_instance_dispatch(noiseless_four_points):
         solve_instance(data, 2, SQUARED, "simplex")
 
 
+# one instance per mode count; noiseless scores squared loss only
+_CONTRACT_CASES = [(method, n, loss) for method in solvers.SOLVER_METHODS
+                   for n in (2, 3)
+                   for loss in ((SQUARED,) if method == "noiseless"
+                                else (SQUARED, ABSOLUTE))]
+
+
+@pytest.mark.parametrize("method,n,loss", _CONTRACT_CASES)
+def test_every_solver_keeps_the_report_contract(method, n, loss):
+    data = random_instance(4, n=n, d=2 if n == 2 else 1, N=8 if n == 2 else 7)[0]
+    report = solve_instance(data, n, loss, method)
+    assert report.cost == empirical_cost(data, report.models, report.labeling,
+                                         loss)
+    assert canonicalize_labels(report.labeling, n).q.tolist() \
+        == report.labeling.q.tolist()
+    assert report.labeling.tie_set == assign_modes(
+        data, report.models, loss, DEFAULT_TOLERANCES).tie_set
+
+
 def test_report_status_validated():
     with pytest.raises(ValueError):
         SolveReport(method="enum", cost=0.0,
@@ -767,4 +786,4 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
-        SolverConfig(d_max=0)
+        SolverConfig(candidate_budget=0)
