@@ -45,7 +45,7 @@ class BenchResult:
 def bench_scaling(method: str, sizes, *, n: int = 2, d: int = 1,
                   noise_sigma: float = 0.1, seed: int = 0,
                   repeats: int = 3, loss: LossModel = SQUARED,
-                  config: SolverConfig | None = None) -> BenchResult:
+                  cfg: SolverConfig = SolverConfig()) -> BenchResult:
     """Generate one instance per size, time the solver, fit the exponent.
 
     Each size is timed `repeats` times and the minimum is kept, which
@@ -56,7 +56,6 @@ def bench_scaling(method: str, sizes, *, n: int = 2, d: int = 1,
         raise ValueError("need at least two sizes")
     if repeats < 1:
         raise ValueError("need repeats >= 1")
-    cfg = config if config is not None else SolverConfig()
     done_sizes: list[int] = []
     done_times: list[float] = []
     warnings: list[str] = []

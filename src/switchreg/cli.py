@@ -213,7 +213,7 @@ def _cmd_bench(args) -> int:
     result = bench_scaling(args.method, sizes, n=args.n, d=args.d,
                            noise_sigma=args.noise_sigma, seed=args.seed,
                            repeats=args.repeats, loss=get_loss(args.loss),
-                           config=_config(args))
+                           cfg=_config(args))
     doc = {"method": result.method, "sizes": list(result.sizes),
            "times_s": list(result.times),
            "fitted_exponent": result.fitted_exponent,

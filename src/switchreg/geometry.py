@@ -34,8 +34,11 @@ __all__ = [
     "unique_rows",
 ]
 
-# Relative singular-value threshold of check_general_position.
+# check_general_position's relative singular-value threshold, the most
+# (m+1)-subsets it scans exhaustively, and the sample it tests past that.
 _RANK_TOL = 1e-9
+_MAX_EXHAUSTIVE = 20000
+_SAMPLES = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,13 +75,12 @@ class GeneralPositionReport:
     checked_subsets: int = 0
 
 
-def check_general_position(points, *, max_exhaustive: int = 20000,
-                           samples: int = 2000) -> GeneralPositionReport:
+def check_general_position(points) -> GeneralPositionReport:
     """Verify that no m+1 points lie on a common affine hyperplane of R^m.
 
-    Exhaustive over all (m+1)-subsets when their number is at most
-    max_exhaustive, otherwise a random sample (seed 0) of subsets is tested
-    and the report says so.
+    Exhaustive over all (m+1)-subsets when there are at most 20,000 of
+    them, otherwise 2,000 random subsets (seed 0) are tested and the report
+    says so.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -90,13 +92,13 @@ def check_general_position(points, *, max_exhaustive: int = 20000,
         return GeneralPositionReport(ok=True)
 
     total = comb(N, m + 1)
-    if total <= max_exhaustive:
+    if total <= _MAX_EXHAUSTIVE:
         subsets = np.array(list(itertools.combinations(range(N), m + 1)))
         sampled = False
     else:
         rng = np.random.default_rng(0)
         subsets = np.array([rng.choice(N, size=m + 1, replace=False)
-                            for _ in range(samples)])
+                            for _ in range(_SAMPLES)])
         sampled = True
 
     pts = points[subsets]                          # (K, m+1, m)
@@ -233,7 +235,8 @@ def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -
     The patterns are the cells of the central arrangement {h : h . p_i = 0}
     (Cover, 1965). They do not change when a coordinate or a point is scaled
     by a positive factor, so the points are first scaled to unit column
-    maxima and then to unit norm; sign_tol then measures relative distance,
+    maxima and then to unit norm, through unit row maxima so that no
+    square underflows; sign_tol then measures relative distance,
     and data whose coordinates differ by many orders of magnitude loses no
     pattern. After the points are reduced to their span, of rank r, every
     cell touches a ray of the arrangement: the normal h0 to some r-1
@@ -259,11 +262,12 @@ def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -
         raise ValueError(f"points must be (N, m), got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    if np.any(np.linalg.norm(points, axis=1) <= tol.sign_tol):
+    if not points.any(axis=1).all():
         raise ValueError("a point at the origin admits no strict classification")
     col = np.abs(points).max(axis=0, initial=0.0)
     col[col == 0] = 1.0
     unit = points / col
+    unit /= np.abs(unit).max(axis=1, keepdims=True)
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     signs, witnesses = _cells(unit, tol.sign_tol)
     return DichotomySet(signs, witnesses / col)

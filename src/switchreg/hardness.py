@@ -120,7 +120,7 @@ def partition_to_instance(p: PartitionInstance) -> DecisionInstance:
 
 def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
                      method: str = "brute",
-                     cfg: SolverConfig | None = None) -> ThresholdDecision:
+                     cfg: SolverConfig = SolverConfig()) -> ThresholdDecision:
     """Decide whether the optimal cost is at most epsilon, with certificate.
 
     Only exact methods are accepted: a no-answer claims global optimality.
@@ -131,7 +131,6 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
     so past d = 3 brute or noiseless are the routes. Every solver and the
     answer read their tolerances from cfg.tol.
     """
-    cfg = cfg or SolverConfig()
     if method == "altmin":
         raise ValueError("altmin is heuristic; a threshold decision needs an "
                          "exact solver")

@@ -331,25 +331,26 @@ def _canonical_label_arrays(N: int, n: int):
 
 
 def brute_force_solve(data: Dataset, n: int, loss: LossModel,
-                      budget: int = 2_000_000,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> SolveReport:
+                      cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Exact optimum by trying every labeling (canonical forms only).
 
     Fixing mode numbers to first-occurrence order drops the n!-fold
     permutation symmetry; the optimum is unchanged. Refuses instances with
-    n^N above the budget.
+    n^N above cfg.brute_budget.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     t0 = time.perf_counter()
-    if float(n) ** data.N > budget:
+    if float(n) ** data.N > cfg.brute_budget:
         raise CapsExceededError(
-            f"brute force needs {n}^{data.N} labelings, budget is {budget}")
+            f"brute force needs {n}^{data.N} labelings, budget is "
+            f"{cfg.brute_budget}")
     x, y = data.x, data.y
     q0, w, examined = _least(x, y, loss, (
         (q0, _fit_array(x, y, q0, n, loss))
         for q0 in _canonical_label_arrays(data.N, n)))
-    return _report("brute", data, loss, q0, w, tol, t0, examined, "optimal")
+    return _report("brute", data, loss, q0, w, cfg.tol, t0, examined,
+                   "optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -403,21 +404,20 @@ class CandidateStream:
     # the search has no vote to tie; kept for the benchmark's traced stream
     tie_truncations = 0
 
-    def __init__(self, data: Dataset, n: int, cfg: SolverConfig | None = None):
-        cfg = cfg or SolverConfig()
+    def __init__(self, data: Dataset, n: int, cfg: SolverConfig = SolverConfig()):
         if n < 1:
             raise ValueError("need n >= 1")
         if data.d > _D_MAX or n > _N_MAX:
             raise CapsExceededError(
                 f"enumeration capped at d <= {_D_MAX}, n <= {_N_MAX}; "
                 f"got d={data.d}, n={n}")
-        self.data = data
         self.n = n
         N = data.N
 
         # a point with x_i = 0 has the same residual under every mode: it
-        # moves no fit, so it stays out of the regions
-        live = np.linalg.norm(data.x, axis=1) > cfg.tol.sign_tol
+        # moves no fit, so it stays out of the regions. Only an exact zero
+        # is dead: the dichotomy enumeration scales any other x_i away
+        live = data.x.any(axis=1)
         pool = half = np.ones((1, N), dtype=bool)
         if n > 1 and live.any():
             # G and H are closed under negation: keep their rows with +1 at
@@ -533,7 +533,7 @@ def _region_costs(x, y, rows, loss: LossModel) -> np.ndarray:
 
 
 def enumeration_solve(data: Dataset, n: int, loss: LossModel,
-                      cfg: SolverConfig | None = None) -> SolveReport:
+                      cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Exact solver: the min-cost partition of the data into regions.
 
     Some optimal labeling is a partition into CandidateStream's regions, so
@@ -546,7 +546,6 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     lexicographically smallest canonical labeling, so the report is
     deterministic.
     """
-    cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     stream = CandidateStream(data, n, cfg)
     parts = np.array(list(stream))
@@ -565,7 +564,7 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
 
 
 def noiseless_solve(data: Dataset, n: int,
-                    cfg: SolverConfig | None = None) -> SolveReport:
+                    cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Exact solver for data admitting a zero-error switching-linear fit.
 
     Every mode of a zero-error solution is determined by d of its points, so
@@ -577,7 +576,6 @@ def noiseless_solve(data: Dataset, n: int,
     the best greedy collection is reported with status infeasible, meaning
     no exact fit was certified.
     """
-    cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     if n < 1:
         raise ValueError("need n >= 1")
@@ -665,48 +663,45 @@ def noiseless_solve(data: Dataset, n: int,
 # Alternating-minimization heuristic
 
 
-def altmin_solve(data: Dataset, n: int, loss: LossModel, restarts: int = 10,
-                 seed: int = 0,
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> SolveReport:
+def altmin_solve(data: Dataset, n: int, loss: LossModel,
+                 cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Seeded multi-start alternating minimization. No optimality guarantee.
 
-    Each restart interpolates n disjoint random d-subsets for the initial
-    models (falling back to Gaussian parameters when N < n d), then refines.
-    Deterministic for a fixed seed.
+    Each of cfg.restarts restarts interpolates n disjoint random d-subsets
+    for the initial models (falling back to Gaussian parameters when
+    N < n d), then refines. Deterministic for a fixed cfg.seed.
     """
-    if restarts < 1:
-        raise ValueError("need restarts >= 1")
+    if n < 1:
+        raise ValueError("need n >= 1")
     t0 = time.perf_counter()
     x, y = data.x, data.y
     N, d = data.N, data.d
 
     def restart(r):
-        rng = np.random.default_rng([seed, r])
+        rng = np.random.default_rng([cfg.seed, r])
         if N >= n * d:
             idx = rng.choice(N, size=n * d, replace=False).reshape(n, d)
             w0 = _subset_interpolants(x, y, idx)
         else:
             w0 = rng.standard_normal((n, d))
-        models, labeling = refine_alternate(data, ModelSet(w0), loss, tol)
+        models, labeling = refine_alternate(data, ModelSet(w0), loss, cfg.tol)
         return _canonicalize_arrays(labeling.q - 1, models.w)
 
-    q0, w, examined = _least(x, y, loss, map(restart, range(restarts)))
-    return _report("altmin", data, loss, q0, w, tol, t0, examined,
+    q0, w, examined = _least(x, y, loss, map(restart, range(cfg.restarts)))
+    return _report("altmin", data, loss, q0, w, cfg.tol, t0, examined,
                    "heuristic")
 
 
 def solve_instance(data: Dataset, n: int, loss: LossModel, method: str,
-                   cfg: SolverConfig | None = None) -> SolveReport:
-    """Dispatch to a solver by method name."""
-    cfg = cfg or SolverConfig()
+                   cfg: SolverConfig = SolverConfig()) -> SolveReport:
+    """Dispatch to a solver by method name. The noiseless solver takes no
+    loss: it reports squared-loss cost."""
     if method == "brute":
-        return brute_force_solve(data, n, loss, budget=cfg.brute_budget,
-                                 tol=cfg.tol)
+        return brute_force_solve(data, n, loss, cfg)
     if method == "enum":
         return enumeration_solve(data, n, loss, cfg)
     if method == "noiseless":
         return noiseless_solve(data, n, cfg)
     if method == "altmin":
-        return altmin_solve(data, n, loss, restarts=cfg.restarts,
-                            seed=cfg.seed, tol=cfg.tol)
+        return altmin_solve(data, n, loss, cfg)
     raise ValueError(f"unknown method {method!r} (expected one of {SOLVER_METHODS})")

@@ -13,6 +13,7 @@ import pytest
 
 from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, Dataset, GeneratorSpec,
                        Labeling, ModelSet, PartitionInstance, SQUARED,
+                       SolverConfig,
                        altmin_solve, assign_modes, bench_scaling,
                        brute_force_solve, check_general_position,
                        decide_threshold, enumerate_linear_dichotomies,
@@ -199,11 +200,11 @@ def test_criterion_08_heuristic_never_beats_exact_and_is_deterministic(
         small_instance_bank):
     bank, _ = small_instance_bank
     for data, enum, _ in bank:
-        heur = altmin_solve(data, 2, SQUARED, restarts=10, seed=0)
+        heur = altmin_solve(data, 2, SQUARED, SolverConfig())
         assert heur.cost >= enum.cost - 1e-9
     data0, _, _ = bank[0]
-    a = altmin_solve(data0, 2, SQUARED, restarts=10, seed=7)
-    b = altmin_solve(data0, 2, SQUARED, restarts=10, seed=7)
+    a = altmin_solve(data0, 2, SQUARED, SolverConfig(seed=7))
+    b = altmin_solve(data0, 2, SQUARED, SolverConfig(seed=7))
     assert a.cost == b.cost
     assert a.labeling.q.tolist() == b.labeling.q.tolist()
     assert np.array_equal(a.models.w, b.models.w)

@@ -57,11 +57,12 @@ def test_too_few_points_trivially_ok():
 
 
 def test_sampled_mode_for_large_sets():
+    # C(60, 3) = 34,220 triples exceed the 20,000 scanned exhaustively
     rng = np.random.default_rng(0)
-    pts = rng.standard_normal((40, 2))
-    rep = check_general_position(pts, max_exhaustive=100, samples=500)
+    pts = rng.standard_normal((60, 2))
+    rep = check_general_position(pts)
     assert rep.sampled
-    assert rep.checked_subsets == 500
+    assert rep.checked_subsets == 2000
     assert rep.ok
 
 
@@ -235,8 +236,20 @@ def test_dichotomies_unchanged_by_coordinate_scale(scale):
     _assert_strict(scaled, result)
 
 
-def test_tiny_line_points_two_patterns():
-    pts = 1e-10 * np.array([[1.0], [2.0], [-1.0], [3.0]])
+def test_dichotomies_of_rows_too_small_to_square():
+    # the squared norm of a row scaled by 1e-160 or less underflows to zero;
+    # scaling a point does not move a separating h, so the witnesses must
+    # separate the unscaled points strictly
+    pts = np.random.default_rng(17).standard_normal((8, 2))
+    scaled = pts * 10.0 ** -np.arange(0.0, 281.0, 40.0)[:, None]
+    result = enumerate_linear_dichotomies(scaled)
+    assert _patterns(result) == _patterns(sweep_dichotomies_oracle(pts))
+    _assert_strict(pts, result)
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-13])
+def test_tiny_line_points_two_patterns(scale):
+    pts = scale * np.array([[1.0], [2.0], [-1.0], [3.0]])
     assert _patterns(enumerate_linear_dichotomies(pts)) == \
         {(1, 1, -1, 1), (-1, -1, 1, -1)}
 

@@ -211,7 +211,7 @@ def test_brute_single_mode_is_least_squares():
 def test_brute_refuses_over_budget():
     data, _, _ = random_instance(0, N=25)
     with pytest.raises(CapsExceededError):
-        brute_force_solve(data, 2, SQUARED, budget=1000)
+        brute_force_solve(data, 2, SQUARED, SolverConfig(brute_budget=1000))
 
 
 def test_brute_canonical_skipping_count():
@@ -627,8 +627,8 @@ def test_enum_position_warning_on_degenerate_data():
 
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
 @pytest.mark.parametrize("x_scale, y_scale", [(1e-10, 1.0), (1.0, 1e10),
-                                              (1e-10, 1e10)],
-                         ids=["tiny-x", "huge-y", "both"])
+                                              (1e-10, 1e10), (1e-13, 1.0)],
+                         ids=["tiny-x", "huge-y", "both", "tinier-x"])
 def test_enum_matches_brute_on_widely_scaled_data(x_scale, y_scale, loss):
     # the optimum is scale-covariant, so no candidate may go missing when
     # the regressors and the targets differ by many orders of magnitude
@@ -710,7 +710,7 @@ def test_noiseless_respects_budget():
 
 def test_altmin_recovers_noiseless_instance(noiseless_four_points):
     data, _, _ = noiseless_four_points
-    report = altmin_solve(data, 2, SQUARED, restarts=20, seed=0)
+    report = altmin_solve(data, 2, SQUARED, SolverConfig(restarts=20))
     assert report.cost <= 1e-20
     assert report.status == "heuristic"
     assert report.candidates_examined == 20
@@ -718,8 +718,9 @@ def test_altmin_recovers_noiseless_instance(noiseless_four_points):
 
 def test_altmin_same_seed_identical_reports():
     data, _, _ = random_instance(9, N=9)
-    a = altmin_solve(data, 2, SQUARED, restarts=10, seed=42)
-    b = altmin_solve(data, 2, SQUARED, restarts=10, seed=42)
+    cfg = SolverConfig(seed=42)
+    a = altmin_solve(data, 2, SQUARED, cfg)
+    b = altmin_solve(data, 2, SQUARED, cfg)
     assert a.cost == b.cost
     assert a.labeling.q.tolist() == b.labeling.q.tolist()
     assert np.array_equal(a.models.w, b.models.w)
@@ -730,29 +731,46 @@ def test_altmin_local_minimum_stays_above_exact_cost():
     data, _, _ = generate_instance(
         GeneratorSpec(n=2, d=1, N=8, noise_sigma=0.1, seed=4))
     exact = enumeration_solve(data, 2, SQUARED)
-    stuck = altmin_solve(data, 2, SQUARED, restarts=1, seed=0)
+    stuck = altmin_solve(data, 2, SQUARED, SolverConfig(restarts=1))
     assert stuck.cost > exact.cost + 1e-6
     assert stuck.cost >= exact.cost - 1e-9
-
-
-def test_altmin_validates_restarts():
-    data, _, _ = random_instance(10, N=6)
-    with pytest.raises(ValueError):
-        altmin_solve(data, 2, SQUARED, restarts=0)
 
 
 # ---------------------------------------------------------------------------
 # dispatcher and report type
 
 
-def test_solve_instance_dispatch(noiseless_four_points):
+def test_solve_instance_dispatch(noiseless_four_points, monkeypatch):
     data, _, _ = noiseless_four_points
-    for method in ("brute", "enum", "noiseless", "altmin"):
+    for method in solvers.SOLVER_METHODS:
         report = solve_instance(data, 2, SQUARED, method)
         assert report.method == method
         assert report.cost <= 1e-12
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="need n >= 1"):
+                solve_instance(data, n, SQUARED, method)
     with pytest.raises(ValueError):
         solve_instance(data, 2, SQUARED, "simplex")
+
+    # a non-default config acts the same through either entry point
+    cfg = SolverConfig(restarts=3, seed=5)
+    for report in (solve_instance(data, 2, SQUARED, "altmin", cfg),
+                   altmin_solve(data, 2, SQUARED, cfg)):
+        assert report.candidates_examined == 3
+    small = SolverConfig(brute_budget=8)
+    with pytest.raises(CapsExceededError):
+        solve_instance(data, 2, SQUARED, "brute", small)
+    with pytest.raises(CapsExceededError):
+        brute_force_solve(data, 2, SQUARED, small)
+
+    # each solver is looked up on the module at call time, so a replaced
+    # attribute (as the benchmark's tracer installs) is the one called
+    for method, name in zip(solvers.SOLVER_METHODS,
+                            ("brute_force", "enumeration", "noiseless",
+                             "altmin")):
+        monkeypatch.setattr(solvers, f"{name}_solve",
+                            lambda *args, name=name: (name, args[-1]))
+        assert solve_instance(data, 2, SQUARED, method, cfg) == (name, cfg)
 
 
 # one instance per mode count; noiseless scores squared loss only
