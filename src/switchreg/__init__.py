@@ -8,6 +8,7 @@ from .core import (
     LossModel,
     ModelSet,
     PairwiseClassifier,
+    SIGN_TOL,
     SQUARED,
     Tolerances,
     assign_modes,

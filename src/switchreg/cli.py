@@ -10,9 +10,9 @@ input error, 3 resource caps exceeded.
 
 Environment overrides (flags win over the environment, the environment
 wins over the SolverConfig and Tolerances defaults):
-  SWITCHREG_TIE_TOL, SWITCHREG_ZERO_TOL, SWITCHREG_SIGN_TOL  tolerances
-  SWITCHREG_BRUTE_BUDGET, SWITCHREG_CANDIDATE_BUDGET         work budgets
-  SWITCHREG_RESTARTS                                         altmin restarts
+  SWITCHREG_TIE_TOL, SWITCHREG_ZERO_TOL               tolerances
+  SWITCHREG_BRUTE_BUDGET, SWITCHREG_CANDIDATE_BUDGET  work budgets
+  SWITCHREG_RESTARTS                                  altmin restarts
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _config(args) -> SolverConfig:
         restarts=_env("restarts", base.restarts) if restarts is None else restarts,
         seed=getattr(args, "seed", base.seed),
         tol=Tolerances(**{name: _env(name, getattr(base.tol, name))
-                          for name in ("tie_tol", "zero_tol", "sign_tol")}),
+                          for name in ("tie_tol", "zero_tol")}),
         brute_budget=_env("brute_budget", base.brute_budget),
         candidate_budget=_env("candidate_budget", base.candidate_budget))
 

@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
+    "SIGN_TOL",
     "LossModel",
     "SQUARED",
     "ABSOLUTE",
@@ -43,22 +44,22 @@ class Tolerances:
     """Numeric tolerances shared across the package.
 
     tie_tol   detects equal-loss ties between modes,
-    zero_tol  is the threshold for "cost is zero" and cost-equality checks,
-    sign_tol  is the strict-sign margin for classifier values.
+    zero_tol  is the threshold for "cost is zero" and cost-equality checks.
+    The strict-sign margin is the constant SIGN_TOL; no setting moves it.
     """
 
     tie_tol: float = 1e-9
     zero_tol: float = 1e-9
-    sign_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("tie_tol", "zero_tol", "sign_tol"):
+        for name in ("tie_tol", "zero_tol"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite float, got {v!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
+SIGN_TOL = 1e-12   # strict-sign margin: of classifier values, of unit points
 
 
 @dataclass(frozen=True)
@@ -246,18 +247,16 @@ class PairwiseClassifier:
         x = np.asarray(x, dtype=float)
         return float(y - self.w_bar @ x), float(self.w_tilde @ x)
 
-    def vote(self, x, y, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-        """Sign of the product, 0 when either factor sits inside the margin."""
+    def vote(self, x, y) -> int:
+        """Sign of the product, 0 when either factor is within SIGN_TOL of 0."""
         g_raw, h_raw = self.factors(x, y)
-        g = _strict_sign(g_raw, tol.sign_tol)
-        h = _strict_sign(h_raw, tol.sign_tol)
-        return g * h
+        return _strict_sign(g_raw) * _strict_sign(h_raw)
 
 
-def _strict_sign(v: float, sign_tol: float) -> int:
-    if v > sign_tol:
+def _strict_sign(v: float) -> int:
+    if v > SIGN_TOL:
         return 1
-    if v < -sign_tol:
+    if v < -SIGN_TOL:
         return -1
     return 0
 
@@ -319,8 +318,7 @@ def pairwise_classifiers_from_models(models: ModelSet) -> list[PairwiseClassifie
     return out
 
 
-def majority_vote_label(x, y, classifiers: list[PairwiseClassifier],
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[int, tuple]:
+def majority_vote_label(x, y, classifiers: list[PairwiseClassifier]) -> tuple[int, tuple]:
     """Label a single point by tallying all pairwise comparisons.
 
     Each classifier value +1 is a vote for its mode j, -1 a vote for k, and
@@ -340,7 +338,7 @@ def majority_vote_label(x, y, classifiers: list[PairwiseClassifier],
     score = np.zeros(n, dtype=np.int64)
     slack = np.zeros(n, dtype=np.int64)      # undecided comparisons per mode
     for c in classifiers:
-        v = c.vote(x, y, tol)
+        v = c.vote(x, y)
         if v > 0:
             score[c.j - 1] += 1
         elif v < 0:

@@ -9,8 +9,8 @@ batched pass, recursing only into the points on each degenerate ray's
 hyperplane. It is exact on any data: repeated, collinear or
 coplanar points and N <= m need no special handling and no linear program,
 and coordinates of very different magnitudes are scaled away first. The one
-tolerance, sign_tol, is a relative distance: a point that close to a
-hyperplane counts as on it.
+tolerance, the constant SIGN_TOL, is a relative distance: a point that close
+to a hyperplane counts as on it.
 The general-position check is a diagnostic only. An independent
 angle-sweep oracle covers m <= 2 for verification.
 """
@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, Tolerances
+from .core import SIGN_TOL
 
 __all__ = [
     "DichotomySet",
@@ -131,8 +131,8 @@ def unique_rows(rows) -> np.ndarray:
     return np.unique(_packed_keys(rows), return_index=True)[1]
 
 
-def _rank(points, vt, sign_tol):
-    """How many leading rows of vt span every point to within sign_tol.
+def _rank(points, vt):
+    """How many leading rows of vt span every point to within SIGN_TOL.
 
     Works on stacks: points (..., N, m) and orthonormal rows vt (..., k, m)
     spanning the points. The distance of a point from the span of the first
@@ -140,14 +140,14 @@ def _rank(points, vt, sign_tol):
     """
     coords = points @ np.swapaxes(vt, -1, -2)
     tail = np.sqrt(np.cumsum(coords[..., ::-1] ** 2, axis=-1))[..., ::-1]
-    return (tail > sign_tol).any(axis=-2).sum(axis=-1)
+    return (tail > SIGN_TOL).any(axis=-2).sum(axis=-1)
 
 
-def _cells(points, sign_tol):
+def _cells(points):
     """(signs, witnesses): every cell of the arrangement {h : h . p_i = 0}.
 
-    The points are unit vectors (up to rounding), so sign_tol is a relative
-    distance: a point within sign_tol of a subspace counts as on it, in the
+    The points are unit vectors (up to rounding), so SIGN_TOL is a relative
+    distance: a point within SIGN_TOL of a subspace counts as on it, in the
     rank of the set, in the independence of a ray's subset and in the
     on-ray test alike. signs is (K, N) in {+1, -1}, unique rows in ascending
     order; witnesses is (K, m), in the span of the points, with
@@ -164,7 +164,7 @@ def _cells(points, sign_tol):
     """
     N = len(points)
     _, _, vt = np.linalg.svd(points, full_matrices=False)
-    basis = vt[:_rank(points, vt, sign_tol)]
+    basis = vt[:_rank(points, vt)]
     q = points @ basis.T                             # (N, r) span coordinates
     r = len(basis)
     if N == r:
@@ -178,10 +178,10 @@ def _cells(points, sign_tol):
     # every cell touches a ray: the normal to r-1 independent points
     subsets = q[np.array(list(itertools.combinations(range(N), r - 1)))]
     left, sv, right = np.linalg.svd(subsets)
-    src = np.flatnonzero(_rank(subsets, right, sign_tol) == r - 1)
+    src = np.flatnonzero(_rank(subsets, right) == r - 1)
     rays = right[src, -1]
     vals = q @ rays.T                                # (N, rays)
-    on_ray = np.abs(vals) <= sign_tol
+    on_ray = np.abs(vals) <= SIGN_TOL
     keep = unique_rows(on_ray.T)                     # one ray per on-ray set
     src, rays = src[keep], rays[keep]
     vals, on_ray = vals[:, keep].T, on_ray[:, keep].T
@@ -198,7 +198,7 @@ def _cells(points, sign_tol):
     for c in np.flatnonzero(~generic):
         on = on_ray[c]
         flat = q[on] - np.outer(vals[c, on], rays[c])
-        local_signs, u = _cells(flat, sign_tol)
+        local_signs, u = _cells(flat)
         parts.append(_around(q, vals[c:c + 1], on_ray[c:c + 1],
                              rays[c:c + 1], local_signs[None], u[None]))
     signs, witnesses = map(np.vstack, zip(*parts))
@@ -229,14 +229,14 @@ def _around(q, vals, on, rays, local, u):
     return np.vstack([around, -around]), np.vstack([h, -h])
 
 
-def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -> DichotomySet:
+def enumerate_linear_dichotomies(points) -> DichotomySet:
     """All sign patterns of the points under through-origin linear classifiers.
 
     The patterns are the cells of the central arrangement {h : h . p_i = 0}
     (Cover, 1965). They do not change when a coordinate or a point is scaled
     by a positive factor, so the points are first scaled to unit column
     maxima and then to unit norm, through unit row maxima so that no
-    square underflows; sign_tol then measures relative distance,
+    square underflows; SIGN_TOL then measures relative distance,
     and data whose coordinates differ by many orders of magnitude loses no
     pattern. After the points are reduced to their span, of rank r, every
     cell touches a ray of the arrangement: the normal h0 to some r-1
@@ -252,7 +252,7 @@ def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -
     degenerate rays, with more points on them or dependent ones, recurse
     into their on-ray points; general-position data never recurses.
     Repeated, collinear or coplanar points and N <= m are exact, and a
-    point within relative distance sign_tol of a hyperplane counts as on
+    point within relative distance SIGN_TOL of a hyperplane counts as on
     it. r independent points give all 2^r patterns and r = 1 gives two.
     Each witness h0 + delta u separates strictly, with delta small enough
     that no off-ray sign flips. The set is closed under global negation.
@@ -269,11 +269,11 @@ def enumerate_linear_dichotomies(points, tol: Tolerances = DEFAULT_TOLERANCES) -
     unit = points / col
     unit /= np.abs(unit).max(axis=1, keepdims=True)
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-    signs, witnesses = _cells(unit, tol.sign_tol)
+    signs, witnesses = _cells(unit)
     return DichotomySet(signs, witnesses / col)
 
 
-def sweep_dichotomies_oracle(points, tol: Tolerances = DEFAULT_TOLERANCES) -> DichotomySet:
+def sweep_dichotomies_oracle(points) -> DichotomySet:
     """First-principles dichotomy enumeration for m <= 2.
 
     m=1 has exactly the two patterns (signs of the coordinates and their
@@ -291,7 +291,7 @@ def sweep_dichotomies_oracle(points, tol: Tolerances = DEFAULT_TOLERANCES) -> Di
     if m > 2:
         raise ValueError("sweep oracle supports only m <= 2")
     norms = np.linalg.norm(points, axis=1)
-    if np.any(norms <= tol.sign_tol):
+    if np.any(norms <= SIGN_TOL):
         raise ValueError("a point at the origin admits no strict classification")
     scale = 1.0 + norms
 
@@ -312,7 +312,7 @@ def sweep_dichotomies_oracle(points, tol: Tolerances = DEFAULT_TOLERANCES) -> Di
         for theta in mids:
             h = np.array([np.cos(theta), np.sin(theta)])
             vals = points @ h
-            if np.any(np.abs(vals) <= tol.sign_tol * scale):
+            if np.any(np.abs(vals) <= SIGN_TOL * scale):
                 continue            # landed on a coincident critical angle
             found.setdefault(tuple(int(v) for v in np.where(vals > 0, 1, -1)), h)
     keys = sorted(found)

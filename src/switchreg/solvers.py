@@ -422,8 +422,8 @@ class CandidateStream:
         if n > 1 and live.any():
             # G and H are closed under negation: keep their rows with +1 at
             # the first live point, whose products are +1 there too
-            gs = enumerate_linear_dichotomies(data.lifted()[live], cfg.tol).signs > 0
-            hs = enumerate_linear_dichotomies(data.x[live], cfg.tol).signs > 0
+            gs = enumerate_linear_dichotomies(data.lifted()[live]).signs > 0
+            hs = enumerate_linear_dichotomies(data.x[live]).signs > 0
             gs, hs = gs[gs[:, 0]], hs[hs[:, 0]]
             half = np.ones((len(gs) * len(hs), N), dtype=bool)
             half[:, live] = (gs[:, None, :] == hs[None, :, :]).reshape(

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, Dataset, GeneratorSpec,
-                       Labeling, ModelSet, PartitionInstance, SQUARED,
-                       SolverConfig,
+                       Labeling, ModelSet, PartitionInstance, SIGN_TOL,
+                       SQUARED, SolverConfig,
                        altmin_solve, assign_modes, bench_scaling,
                        brute_force_solve, check_general_position,
                        decide_threshold, enumerate_linear_dichotomies,
@@ -83,11 +83,11 @@ def test_criterion_03_majority_vote_equals_assignment():
         x = rng.standard_normal(d)
         y = float(rng.standard_normal())
         classifiers = pairwise_classifiers_from_models(models)
-        if any(abs(f) <= tol.sign_tol
+        if any(abs(f) <= SIGN_TOL
                for c in classifiers for f in c.factors(x, y)):
             continue
         checked += 1
-        label, tied = majority_vote_label(x, y, classifiers, tol)
+        label, tied = majority_vote_label(x, y, classifiers)
         data = Dataset(x[None, :], np.array([y]))
         assigned = int(assign_modes(data, models, SQUARED, tol).q[0])
         if tied == (label,) and label == assigned:

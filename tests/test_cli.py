@@ -193,6 +193,24 @@ def test_bad_env_value_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "SWITCHREG_ZERO_TOL" in stderr
 
 
+def test_sign_margin_is_not_settable(tmp_path, capsys, monkeypatch):
+    # SWITCHREG_SIGN_TOL used to move the strict-sign margin; at 0.3 enum
+    # lost dichotomies and said optimal at 0.0457751 on this file
+    data_path = tmp_path / "d.csv"
+    run(capsys, "generate", "--n", "2", "--d", "1", "--N", "8",
+        "--noise-sigma", "0.1", "--seed", "5", "--out", str(data_path))
+    monkeypatch.setenv("SWITCHREG_SIGN_TOL", "0.3")
+    docs = {}
+    for method in ("enum", "brute"):
+        code, stdout, _ = run(capsys, "solve", str(data_path), "--n", "2",
+                              "--method", method)
+        assert code == 0
+        docs[method] = json.loads(stdout)
+    assert docs["enum"]["status"] == "optimal"
+    assert abs(docs["enum"]["cost"] - docs["brute"]["cost"]) <= 1e-9
+    assert docs["brute"]["cost"] == pytest.approx(0.00603992, rel=1e-6)
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, stderr = run(capsys, "solve", "/nonexistent/x.csv", "--n", "2")
     assert code == 2

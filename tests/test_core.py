@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, Dataset, Labeling,
-                       ModelSet, SQUARED, Tolerances, assign_modes,
+                       ModelSet, SIGN_TOL, SQUARED, Tolerances, assign_modes,
                        canonicalize_labels, empirical_cost, get_loss,
                        loss_eval, majority_vote_label,
                        pairwise_classifiers_from_models)
@@ -236,9 +236,9 @@ def test_vote_agrees_with_assignment_off_boundary():
         x = rng.standard_normal(d)
         y = float(rng.standard_normal())
         cs = pairwise_classifiers_from_models(models)
-        if any(abs(f) <= tol.sign_tol for c in cs for f in c.factors(x, y)):
+        if any(abs(f) <= SIGN_TOL for c in cs for f in c.factors(x, y)):
             continue
-        label, tied = majority_vote_label(x, y, cs, tol)
+        label, tied = majority_vote_label(x, y, cs)
         data = Dataset(x[None, :], np.array([y]))
         assert tied == (label,)
         assert label == int(assign_modes(data, models, SQUARED, tol).q[0])
@@ -319,9 +319,9 @@ def test_canonicalize_arrays_permutes_model_rows():
 
 def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
-        Tolerances(tie_tol=0.0, zero_tol=1e-9, sign_tol=1e-12)
+        Tolerances(tie_tol=0.0, zero_tol=1e-9)
     with pytest.raises(ValueError):
-        Tolerances(tie_tol=1e-9, zero_tol=-1.0, sign_tol=1e-12)
+        Tolerances(tie_tol=1e-9, zero_tol=-1.0)
 
 
 def test_dataset_validation():

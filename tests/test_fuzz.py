@@ -2,18 +2,19 @@
 
 Hypothesis draws small integer-grid inputs, where repeated, collinear and
 coplanar points, zero regressors and exact residual ties are common, and
-small Partition multisets, whose reductions repeat every regressor. Past
-brute force's reach, zero-noise generator instances plant an exact fit. The
-runs are derandomized and bounded, so the gate is deterministic and fast.
+small Partition multisets, whose reductions repeat every regressor, and
+noisy generator instances, the solver's intended input. Past brute force's
+reach, zero-noise generator instances plant an exact fit. The runs are
+derandomized and bounded, so the gate is deterministic and fast.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, SQUARED, Dataset,
-                       GeneratorSpec, PartitionInstance, brute_force_solve,
-                       enumerate_linear_dichotomies, enumeration_solve,
-                       generate_instance, noiseless_solve,
+from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, SIGN_TOL, SQUARED,
+                       Dataset, GeneratorSpec, PartitionInstance,
+                       brute_force_solve, enumerate_linear_dichotomies,
+                       enumeration_solve, generate_instance, noiseless_solve,
                        partition_to_instance, sweep_dichotomies_oracle)
 
 from conftest import lp_feasible_patterns
@@ -43,7 +44,7 @@ def _nonzero_points(draw, m, lo, hi):
 
 def _assert_strict(points, result):
     margins = result.signs * (result.witnesses @ points.T)
-    assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
+    assert np.all(margins > SIGN_TOL)
 
 
 @_GATE
@@ -104,6 +105,28 @@ def test_enum_equals_brute_on_partition_reductions(s, loss):
     inst = partition_to_instance(PartitionInstance(tuple(s)))
     enum = enumeration_solve(inst.data, inst.n, loss)
     brute = brute_force_solve(inst.data, inst.n, loss)
+    assert enum.status == "optimal"
+    assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
+
+
+@st.composite
+def _noisy_sizes(draw):
+    """(n, d, N) with n d <= N <= 10 at n = 2 and <= 8 at n = 3."""
+    n, d = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]),
+                label="(n, d)")
+    return n, d, draw(st.integers(n * d, 10 if n == 2 else 8), label="N")
+
+
+@settings(_GATE, max_examples=100)
+@given(_noisy_sizes(), st.integers(0, 2**32 - 1),
+       st.sampled_from(["iid-uniform", "markov"]),
+       st.sampled_from([SQUARED, ABSOLUTE]))
+def test_enum_equals_brute_on_generator_instances(ndN, seed, process, loss):
+    n, d, N = ndN
+    inst, _, _ = generate_instance(GeneratorSpec(
+        n=n, d=d, N=N, noise_sigma=0.1, seed=seed, mode_process=process))
+    enum = enumeration_solve(inst, n, loss)
+    brute = brute_force_solve(inst, n, loss)
     assert enum.status == "optimal"
     assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import switchreg
-from switchreg import (DEFAULT_TOLERANCES, check_general_position,
+from switchreg import (SIGN_TOL, check_general_position,
                        enumerate_linear_dichotomies, sweep_dichotomies_oracle)
 from switchreg import geometry
 from switchreg.geometry import unique_rows
@@ -25,7 +25,7 @@ def _patterns(result):
 def _assert_strict(points, result):
     # every witness separates its row's points strictly
     margins = result.signs * (result.witnesses @ points.T)
-    assert np.all(margins > DEFAULT_TOLERANCES.sign_tol)
+    assert np.all(margins > SIGN_TOL)
 
 
 # ---------------------------------------------------------------------------

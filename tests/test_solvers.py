@@ -698,6 +698,17 @@ def test_noiseless_on_noisy_data_infeasible():
     assert report.cost > 0
 
 
+def test_noiseless_without_an_interpolating_subset():
+    # a zero regressor interpolates no nonzero target, so no 1-subset keeps
+    # its own point and the solver reports its zero models
+    data = Dataset(np.zeros((3, 1)), np.array([1.0, 2.0, 3.0]))
+    report = noiseless_solve(data, 2)
+    assert report.status == "infeasible"
+    assert np.array_equal(report.models.w, np.zeros((2, 1)))
+    assert report.cost == pytest.approx(14 / 3)
+    assert report.candidates_examined == 3
+
+
 def test_noiseless_respects_budget():
     data, _, _ = random_instance(8, d=2, N=30, sigma=0.0)
     with pytest.raises(CapsExceededError):
@@ -734,6 +745,23 @@ def test_altmin_local_minimum_stays_above_exact_cost():
     stuck = altmin_solve(data, 2, SQUARED, SolverConfig(restarts=1))
     assert stuck.cost > exact.cost + 1e-6
     assert stuck.cost >= exact.cost - 1e-9
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+def test_altmin_gaussian_start_below_n_d_points(loss):
+    # N = 5 < n d = 6 leaves no n disjoint d-subsets to interpolate, so
+    # every restart starts from Gaussian parameters
+    data, _, _ = generate_instance(
+        GeneratorSpec(n=2, d=2, N=5, noise_sigma=0.1, seed=0))
+    cfg = SolverConfig(seed=3)
+    a = altmin_solve(data, 3, loss, cfg)
+    b = altmin_solve(data, 3, loss, cfg)
+    assert (a.cost, a.labeling, a.candidates_examined) \
+        == (b.cost, b.labeling, b.candidates_examined)
+    assert np.array_equal(a.models.w, b.models.w)
+    brute = brute_force_solve(data, 3, loss)
+    assert a.cost >= brute.cost - DEFAULT_TOLERANCES.zero_tol
+    _assert_report_contract(data, a, 3, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +811,11 @@ _CONTRACT_CASES = [(method, n, loss) for method in solvers.SOLVER_METHODS
 @pytest.mark.parametrize("method,n,loss", _CONTRACT_CASES)
 def test_every_solver_keeps_the_report_contract(method, n, loss):
     data = random_instance(4, n=n, d=2 if n == 2 else 1, N=8 if n == 2 else 7)[0]
-    report = solve_instance(data, n, loss, method)
+    _assert_report_contract(data, solve_instance(data, n, loss, method), n,
+                            loss)
+
+
+def _assert_report_contract(data, report, n, loss):
     assert report.cost == empirical_cost(data, report.models, report.labeling,
                                          loss)
     assert canonicalize_labels(report.labeling, n).q.tolist() \
