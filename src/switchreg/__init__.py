@@ -10,6 +10,7 @@ from .core import (
     PairwiseClassifier,
     SIGN_TOL,
     SQUARED,
+    TIE_TOL,
     Tolerances,
     assign_modes,
     canonicalize_labels,

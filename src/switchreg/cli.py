@@ -10,7 +10,7 @@ input error, 3 resource caps exceeded.
 
 Environment overrides (flags win over the environment, the environment
 wins over the SolverConfig and Tolerances defaults):
-  SWITCHREG_TIE_TOL, SWITCHREG_ZERO_TOL               tolerances
+  SWITCHREG_ZERO_TOL                                  zero-cost threshold
   SWITCHREG_BRUTE_BUDGET, SWITCHREG_CANDIDATE_BUDGET  work budgets
   SWITCHREG_RESTARTS                                  altmin restarts
 """
@@ -58,8 +58,7 @@ def _config(args) -> SolverConfig:
     return SolverConfig(
         restarts=_env("restarts", base.restarts) if restarts is None else restarts,
         seed=getattr(args, "seed", base.seed),
-        tol=Tolerances(**{name: _env(name, getattr(base.tol, name))
-                          for name in ("tie_tol", "zero_tol")}),
+        tol=Tolerances(zero_tol=_env("zero_tol", base.tol.zero_tol)),
         brute_budget=_env("brute_budget", base.brute_budget),
         candidate_budget=_env("candidate_budget", base.candidate_budget))
 
@@ -199,7 +198,7 @@ def _cmd_extract_partition(args) -> int:
     if "models" not in doc:
         raise ValueError(f"{args.report}: no 'models' field")
     models = ModelSet(np.array(doc["models"], dtype=float))
-    subset = extract_partition(models, p, tol=_config(args).tol)
+    subset = extract_partition(models, p)
     out = {"set": list(p.s), "subset": subset,
            "subset_sum": sum(subset),
            "complement_sum": p.total - sum(subset)}

@@ -22,6 +22,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
     "SIGN_TOL",
+    "TIE_TOL",
     "LossModel",
     "SQUARED",
     "ABSOLUTE",
@@ -43,23 +44,22 @@ __all__ = [
 class Tolerances:
     """Numeric tolerances shared across the package.
 
-    tie_tol   detects equal-loss ties between modes,
     zero_tol  is the threshold for "cost is zero" and cost-equality checks.
-    The strict-sign margin is the constant SIGN_TOL; no setting moves it.
+    The strict-sign margin SIGN_TOL and the tie margin TIE_TOL are
+    constants; no setting moves them.
     """
 
-    tie_tol: float = 1e-9
     zero_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("tie_tol", "zero_tol"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite float, got {v!r}")
+        if not (np.isfinite(self.zero_tol) and self.zero_tol > 0):
+            raise ValueError(f"zero_tol must be a positive finite float, "
+                             f"got {self.zero_tol!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
 SIGN_TOL = 1e-12   # strict-sign margin: of classifier values, of unit points
+TIE_TOL = 1e-9     # tie margin: losses this close to a point's minimum tie
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ class Labeling:
     """Mode labels q_i in {1..n} plus the indices where the assignment tied.
 
     tie_set is a sorted tuple of 1-based point indices at which at least two
-    modes achieved the minimal loss within tie_tol when the labeling was
+    modes achieved the minimal loss within TIE_TOL when the labeling was
     produced by assign_modes. Labelings built by hand may leave it empty.
     """
 
@@ -283,25 +283,24 @@ def empirical_cost(data: Dataset, models: ModelSet, labeling: Labeling,
     return _cost_arrays(data.x, data.y, models.w, labeling.q - 1, loss)
 
 
-def _assign_arrays(x, y, w, loss: LossModel, tie_tol: float):
+def _assign_arrays(x, y, w, loss: LossModel):
     """0-based min-loss labels for models w, plus the 0-based tied rows."""
     losses = loss.residual_loss(y[:, None] - x @ w.T)      # (N, n)
-    near_min = losses <= losses.min(axis=1)[:, None] + tie_tol
+    near_min = losses <= losses.min(axis=1)[:, None] + TIE_TOL
     q0 = np.argmax(near_min, axis=1)                       # first mode within tol
     tied = np.flatnonzero(near_min.sum(axis=1) >= 2)
     return q0, tied
 
 
-def assign_modes(data: Dataset, models: ModelSet, loss: LossModel,
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> Labeling:
+def assign_modes(data: Dataset, models: ModelSet, loss: LossModel) -> Labeling:
     """Optimal labeling for fixed models: each point takes a min-loss mode.
 
-    When two or more modes tie within tie_tol of the per-point minimum the
+    When two or more modes tie within TIE_TOL of the per-point minimum the
     smallest mode index wins and the point is recorded in tie_set.
     """
     if models.d != data.d:
         raise ValueError(f"models have d={models.d}, data has d={data.d}")
-    q0, tied = _assign_arrays(data.x, data.y, models.w, loss, tol.tie_tol)
+    q0, tied = _assign_arrays(data.x, data.y, models.w, loss)
     return Labeling(q0 + 1, tie_set=(tied + 1).tolist())
 
 

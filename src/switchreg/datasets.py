@@ -165,29 +165,69 @@ def save_dataset_json(path, data: Dataset, *, n: int | None = None,
         f.write("\n")
 
 
+def _json_int(path, doc: dict, key: str) -> int | None:
+    """doc[key] if it is a JSON integer, None if absent; bools are refused."""
+    v = doc.get(key)
+    if key in doc and type(v) is not int:
+        raise ValueError(f"{path}: field {key!r} must be an integer, got {v!r}")
+    return v
+
+
+def _json_floats(path, values, what: str) -> list:
+    """A JSON list of numbers (or numeric strings) as floats."""
+    if not isinstance(values, list):
+        raise ValueError(f"{path}: {what} must be a list, got {values!r}")
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {what} has a non-numeric entry: {exc}") from exc
+
+
+def _json_rows(path, doc: dict, key: str) -> list:
+    """doc[key] as a list of float rows."""
+    rows = doc[key]
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: field {key!r} must be a list, got {rows!r}")
+    return [_json_floats(path, row, f"{key} row {r}")
+            for r, row in enumerate(rows, start=1)]
+
+
 def load_dataset_json(path) -> DatasetBundle:
-    """Read a dataset (plus metadata) written by save_dataset_json."""
+    """Read a dataset (plus metadata) written by save_dataset_json.
+
+    d, N, n and seed must be JSON integers, x and true_w lists of lists, y a
+    list and true_labels a list of integers; anything else raises ValueError
+    naming the file and the field.
+    """
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     for key in ("x", "y", "d", "N"):
         if key not in doc:
             raise ValueError(f"{path}: missing field {key!r}")
-    d, N = int(doc["d"]), int(doc["N"])
-    if len(doc["x"]) != N or len(doc["y"]) != N:
+    d, N = _json_int(path, doc, "d"), _json_int(path, doc, "N")
+    xs = _json_rows(path, doc, "x")
+    ys = _json_floats(path, doc["y"], "field 'y'")
+    if len(xs) != N or len(ys) != N:
         raise ValueError(f"{path}: x/y lengths do not match N={N}")
-    xs = []
-    for r, row in enumerate(doc["x"], start=1):
+    for r, row in enumerate(xs, start=1):
         if len(row) != d:
             raise ValueError(f"{path}: x row {r} has {len(row)} entries, expected {d}")
-        xs.append([float(v) for v in row])
-    data = Dataset(np.array(xs), np.array([float(v) for v in doc["y"]]))
+    data = Dataset(np.array(xs), np.array(ys))
     models = None
     if "true_w" in doc:
-        models = ModelSet(np.array([[float(v) for v in row] for row in doc["true_w"]]))
+        models = ModelSet(np.array(_json_rows(path, doc, "true_w")))
     labeling = None
     if "true_labels" in doc:
-        labeling = Labeling(np.array(doc["true_labels"], dtype=np.int64))
-    return DatasetBundle(data=data, n=doc.get("n"), seed=doc.get("seed"),
+        labels = doc["true_labels"]
+        if not (isinstance(labels, list)
+                and all(type(v) is int for v in labels)):
+            raise ValueError(f"{path}: field 'true_labels' must be a list of "
+                             f"integers, got {labels!r}")
+        labeling = Labeling(np.array(labels, dtype=np.int64))
+    return DatasetBundle(data=data, n=_json_int(path, doc, "n"),
+                         seed=_json_int(path, doc, "seed"),
                          models=models, labeling=labeling)
 
 

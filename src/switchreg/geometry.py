@@ -257,6 +257,16 @@ def enumerate_linear_dichotomies(points) -> DichotomySet:
     Each witness h0 + delta u separates strictly, with delta small enough
     that no off-ray sign flips. The set is closed under global negation.
     """
+    unit, col = _unit_points(points)
+    signs, witnesses = _cells(unit)
+    return DichotomySet(signs, witnesses / col)
+
+
+def _unit_points(points):
+    """The points scaled to unit column maxima, then to unit norm through
+    unit row maxima, and the column scales. Positive scales keep every sign
+    pattern, and h separates the unit points as h / col separates the
+    originals. Only an exactly zero point is refused."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must be (N, m), got shape {points.shape}")
@@ -269,8 +279,7 @@ def enumerate_linear_dichotomies(points) -> DichotomySet:
     unit = points / col
     unit /= np.abs(unit).max(axis=1, keepdims=True)
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-    signs, witnesses = _cells(unit)
-    return DichotomySet(signs, witnesses / col)
+    return unit, col
 
 
 def sweep_dichotomies_oracle(points) -> DichotomySet:
@@ -282,18 +291,14 @@ def sweep_dichotomies_oracle(points) -> DichotomySet:
     circle; the pattern only changes at the 2N critical angles where h is
     orthogonal to some point, so sampling strictly between consecutive
     critical angles enumerates everything. The rows come sorted, each with
-    the first normal that realized it.
+    the first normal that realized it. The sweep runs on the points scaled
+    as enumerate_linear_dichotomies scales them, so any nonzero point, however
+    small against the others, is swept like a unit one.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"points must be (N, m), got shape {points.shape}")
-    N, m = points.shape
-    if m > 2:
+    if np.ndim(points) == 2 and np.shape(points)[1] > 2:
         raise ValueError("sweep oracle supports only m <= 2")
-    norms = np.linalg.norm(points, axis=1)
-    if np.any(norms <= SIGN_TOL):
-        raise ValueError("a point at the origin admits no strict classification")
-    scale = 1.0 + norms
+    points, col = _unit_points(points)
+    N, m = points.shape
 
     found: dict[tuple, np.ndarray] = {}
     if m == 1 or N == 0:
@@ -303,18 +308,22 @@ def sweep_dichotomies_oracle(points) -> DichotomySet:
     else:
         ang = np.arctan2(points[:, 1], points[:, 0])
         crit = np.sort(np.concatenate([ang + np.pi / 2, ang - np.pi / 2]) % (2 * np.pi))
+        # critical angles within SIGN_TOL of the last kept one are merged:
+        # their points count as on one line, as in the enumeration. Each
+        # midpoint is then over SIGN_TOL / 2 from the kept angles around it.
         merged = [float(crit[0])]
         for a in crit[1:]:
-            if a - merged[-1] > 1e-12:
+            if a - merged[-1] > SIGN_TOL:
                 merged.append(float(a))
         mids = [(merged[i] + merged[i + 1]) / 2 for i in range(len(merged) - 1)]
         mids.append((merged[-1] + merged[0] + 2 * np.pi) / 2)
         for theta in mids:
             h = np.array([np.cos(theta), np.sin(theta)])
             vals = points @ h
-            if np.any(np.abs(vals) <= SIGN_TOL * scale):
+            if np.any(np.abs(vals) <= SIGN_TOL / 2):
                 continue            # landed on a coincident critical angle
             found.setdefault(tuple(int(v) for v in np.where(vals > 0, 1, -1)), h)
     keys = sorted(found)
     return DichotomySet(np.array(keys, dtype=np.int64).reshape(len(keys), N),
-                        np.array([found[k] for k in keys]).reshape(len(keys), m))
+                        np.array([found[k] for k in keys]).reshape(len(keys), m)
+                        / col)

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
+    TIE_TOL,
     Dataset,
     Labeling,
     LossModel,
     ModelSet,
     SQUARED,
-    Tolerances,
 )
 # decide_threshold reaches the solvers through solve_instance; the
 # benchmark's tracer wraps the three solvers by name on this module
@@ -144,11 +143,10 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
                              report=report)
 
 
-def extract_partition(models: ModelSet, p: PartitionInstance,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> list:
+def extract_partition(models: ModelSet, p: PartitionInstance) -> list:
     """Read an equal-sum sub-multiset off a zero-error certificate.
 
-    Rounds each coordinate of w_1 to {0, 1} within tie_tol and returns the
+    Rounds each coordinate of w_1 to {0, 1} within TIE_TOL and returns the
     entries it selects. Zero-error certificates always have indicator
     coordinates with w_2 complementary; anything else is rejected. When the
     certificate came out role-swapped, calling again with the models
@@ -159,9 +157,9 @@ def extract_partition(models: ModelSet, p: PartitionInstance,
     w1 = models.w[0]
     picks = []
     for i, v in enumerate(w1):
-        if abs(v - 1.0) <= tol.tie_tol:
+        if abs(v - 1.0) <= TIE_TOL:
             picks.append(True)
-        elif abs(v) <= tol.tie_tol:
+        elif abs(v) <= TIE_TOL:
             picks.append(False)
         else:
             raise CertificateError(

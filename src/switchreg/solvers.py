@@ -251,21 +251,22 @@ def refine_alternate(data: Dataset, models: ModelSet, loss: LossModel,
     recorded cost trace is non-increasing (up to the ridge used for
     rank-deficient squared-loss fits, which stays far below zero_tol).
     Stops when the labeling repeats or a full round improves the cost by
-    less than zero_tol; the returned labeling is always the optimal
-    assignment for the returned models.
+    less than tol.zero_tol, the only field it reads; the returned labeling
+    is always the optimal assignment for the returned models, ties within
+    TIE_TOL going to the first mode.
     """
     if models.d != data.d:
         raise ValueError(f"models have d={models.d}, data has d={data.d}")
     x, y = data.x, data.y
     n = models.n
     w = models.w
-    q0, ties = _assign_arrays(x, y, w, loss, tol.tie_tol)
+    q0, ties = _assign_arrays(x, y, w, loss)
     costs = [_cost_arrays(x, y, w, q0, loss)]
     prev_round = None
     for _ in range(_MAX_REFINE_ROUNDS):
         w = _fit_array(x, y, q0, n, loss)
         costs.append(_cost_arrays(x, y, w, q0, loss))
-        new_q0, ties = _assign_arrays(x, y, w, loss, tol.tie_tol)
+        new_q0, ties = _assign_arrays(x, y, w, loss)
         costs.append(_cost_arrays(x, y, w, new_q0, loss))
         stable = np.array_equal(new_q0, q0)
         q0 = new_q0
@@ -297,13 +298,12 @@ def _least(x, y, loss: LossModel, candidates):
 
 
 def _report(method: str, data: Dataset, loss: LossModel, q0, w,
-            tol: Tolerances, t0: float, examined: int,
-            status: str) -> SolveReport:
+            t0: float, examined: int, status: str) -> SolveReport:
     """The SolveReport of the 0-based labels q0 under the models w, with the
-    points where two modes tie within tie_tol. Ties are per point, so
+    points where two modes tie within TIE_TOL. Ties are per point, so
     permuting the modes leaves them the same."""
     x, y = data.x, data.y
-    _, ties = _assign_arrays(x, y, w, loss, tol.tie_tol)
+    _, ties = _assign_arrays(x, y, w, loss)
     return SolveReport(method=method, cost=_cost_arrays(x, y, w, q0, loss),
                        models=ModelSet(w),
                        labeling=Labeling(q0 + 1, tie_set=(ties + 1).tolist()),
@@ -349,8 +349,7 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     q0, w, examined = _least(x, y, loss, (
         (q0, _fit_array(x, y, q0, n, loss))
         for q0 in _canonical_label_arrays(data.N, n)))
-    return _report("brute", data, loss, q0, w, cfg.tol, t0, examined,
-                   "optimal")
+    return _report("brute", data, loss, q0, w, t0, examined, "optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +554,7 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     q0, w, _ = _least(x, y, loss, (
         (q0, _fit_array(x, y, q0, n, loss))
         for q0 in stream.regions[near].argmax(axis=1)))
-    return _report("enum", data, loss, q0, w, cfg.tol, t0,
+    return _report("enum", data, loss, q0, w, t0,
                    stream.combinations_examined, "optimal")
 
 
@@ -612,10 +611,10 @@ def noiseless_solve(data: Dataset, n: int,
                 w = np.vstack([w, w[:1]])
         else:
             w = np.zeros((n, d))
-        q0, _ = _assign_arrays(x, y, w, SQUARED, cfg.tol.tie_tol)
+        q0, _ = _assign_arrays(x, y, w, SQUARED)
         return _report("noiseless", data, SQUARED,
-                       *_canonicalize_arrays(q0, w), cfg.tol, t0,
-                       len(subsets), status)
+                       *_canonicalize_arrays(q0, w), t0, len(subsets),
+                       status)
 
     if not len(order):
         return finish([], "infeasible")
@@ -688,8 +687,7 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel,
         return _canonicalize_arrays(labeling.q - 1, models.w)
 
     q0, w, examined = _least(x, y, loss, map(restart, range(cfg.restarts)))
-    return _report("altmin", data, loss, q0, w, cfg.tol, t0, examined,
-                   "heuristic")
+    return _report("altmin", data, loss, q0, w, t0, examined, "heuristic")
 
 
 def solve_instance(data: Dataset, n: int, loss: LossModel, method: str,

@@ -73,7 +73,6 @@ def test_criterion_02_exact_solver_matches_brute_force_three_modes():
 
 def test_criterion_03_majority_vote_equals_assignment():
     rng = np.random.default_rng(33)
-    tol = DEFAULT_TOLERANCES
     agreements = 0
     checked = 0
     while checked < 1000:
@@ -89,7 +88,7 @@ def test_criterion_03_majority_vote_equals_assignment():
         checked += 1
         label, tied = majority_vote_label(x, y, classifiers)
         data = Dataset(x[None, :], np.array([y]))
-        assigned = int(assign_modes(data, models, SQUARED, tol).q[0])
+        assigned = int(assign_modes(data, models, SQUARED).q[0])
         if tied == (label,) and label == assigned:
             agreements += 1
     print(f"criterion 3: {agreements}/1000 agreements")

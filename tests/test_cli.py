@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, report shape, exit codes."""
 
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from switchreg import SQUARED, Dataset, Labeling, ModelSet, empirical_cost
+from switchreg import cli
 from switchreg.cli import main
 
 REPORT_FIELDS = {"method", "cost", "labels", "models", "candidates_examined",
@@ -209,6 +213,64 @@ def test_sign_margin_is_not_settable(tmp_path, capsys, monkeypatch):
     assert docs["enum"]["status"] == "optimal"
     assert abs(docs["enum"]["cost"] - docs["brute"]["cost"]) <= 1e-9
     assert docs["brute"]["cost"] == pytest.approx(0.00603992, rel=1e-6)
+
+
+def test_tie_margin_is_not_settable(tmp_path, capsys, monkeypatch):
+    # SWITCHREG_TIE_TOL used to widen the tie margin; at 1e-3 noiseless
+    # said infeasible at cost 9.14421e-05 on this zero-noise file
+    data_path = tmp_path / "g0.csv"
+    run(capsys, "generate", "--n", "2", "--d", "1", "--N", "8", "--seed", "0",
+        "--out", str(data_path))
+    monkeypatch.setenv("SWITCHREG_TIE_TOL", "1e-3")
+    code, stdout, _ = run(capsys, "solve", str(data_path), "--n", "2",
+                          "--method", "noiseless")
+    doc = json.loads(stdout)
+    assert code == 0
+    assert doc["status"] == "optimal" and doc["cost"] == 0.0
+
+
+def _config_variables():
+    """The SWITCHREG_* names in the README table, cli's docstring and
+    cli._config's _env calls."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    return (set(re.findall(r"^\| `(SWITCHREG_\w+)`", table, re.M)),
+            set(re.findall(r"SWITCHREG_\w+", cli.__doc__)),
+            {f"SWITCHREG_{name.upper()}" for name in re.findall(
+                r'_env\("(\w+)"', inspect.getsource(cli._config))})
+
+
+def test_environment_variables_listed_once(tmp_path, capsys, monkeypatch):
+    documented, docstring, read = _config_variables()
+    assert documented == docstring == read
+    assert len(read) == 4
+    # every documented variable is read: a malformed value is a usage error
+    data_path = tmp_path / "d.csv"
+    run(capsys, "generate", "--n", "2", "--d", "1", "--N", "6",
+        "--out", str(data_path))
+    for var in sorted(documented):
+        monkeypatch.setenv(var, "x")
+        code, _, stderr = run(capsys, "solve", str(data_path), "--n", "2")
+        assert code == 2, var
+        assert var in stderr
+        monkeypatch.delenv(var)
+
+
+@pytest.mark.parametrize("field,value,named", [
+    ("n", "2", "'n'"), ("n", 2.5, "'n'"), ("n", True, "'n'"),
+    ("x", [1, 2], "x row 1"), ("y", 3, "'y'"), ("true_w", 3, "'true_w'"),
+    ("true_labels", [None, 1], "'true_labels'")])
+def test_malformed_json_dataset_is_usage_error(tmp_path, capsys, field,
+                                               value, named):
+    data_path = tmp_path / "d.json"
+    run(capsys, "generate", "--n", "2", "--d", "1", "--N", "2",
+        "--out", str(data_path))
+    doc = json.loads(data_path.read_text())
+    doc[field] = value
+    data_path.write_text(json.dumps(doc))
+    code, _, stderr = run(capsys, "solve", str(data_path))
+    assert code == 2
+    assert str(data_path) in stderr and named in stderr
 
 
 def test_missing_file_is_usage_error(capsys):

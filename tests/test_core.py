@@ -227,7 +227,6 @@ def test_vote_antisymmetry_under_role_swap():
 def test_vote_agrees_with_assignment_off_boundary():
     # smaller copy of the full agreement sweep in the acceptance suite
     rng = np.random.default_rng(3)
-    tol = DEFAULT_TOLERANCES
     checked = 0
     while checked < 200:
         n = int(rng.integers(2, 4))
@@ -241,7 +240,7 @@ def test_vote_agrees_with_assignment_off_boundary():
         label, tied = majority_vote_label(x, y, cs)
         data = Dataset(x[None, :], np.array([y]))
         assert tied == (label,)
-        assert label == int(assign_modes(data, models, SQUARED, tol).q[0])
+        assert label == int(assign_modes(data, models, SQUARED).q[0])
         checked += 1
 
 
@@ -319,9 +318,9 @@ def test_canonicalize_arrays_permutes_model_rows():
 
 def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
-        Tolerances(tie_tol=0.0, zero_tol=1e-9)
+        Tolerances(zero_tol=0.0)
     with pytest.raises(ValueError):
-        Tolerances(tie_tol=1e-9, zero_tol=-1.0)
+        Tolerances(zero_tol=-1.0)
 
 
 def test_dataset_validation():

@@ -61,8 +61,11 @@ def test_dichotomies_match_sweep_oracle_on_grid(points):
 def test_dichotomies_ignore_coordinate_scale(points, exponents):
     scaled = points * 10.0 ** np.array(exponents[:points.shape[1]])
     result = enumerate_linear_dichotomies(scaled)
-    assert result.patterns() == sweep_dichotomies_oracle(points).patterns()
+    oracle = sweep_dichotomies_oracle(scaled)
+    assert result.patterns() == oracle.patterns() \
+        == sweep_dichotomies_oracle(points).patterns()
     _assert_strict(scaled, result)
+    assert np.array_equal(np.sign(oracle.witnesses @ scaled.T), oracle.signs)
 
 
 @settings(_GATE, max_examples=40)

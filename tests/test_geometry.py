@@ -121,8 +121,18 @@ def test_plane_random_ten_points_within_bound():
 
 
 def test_oracle_rejects_higher_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m <= 2"):
         sweep_dichotomies_oracle(np.zeros((4, 3)) + np.eye(4, 3))
+
+
+def test_oracle_takes_points_tiny_against_the_others():
+    # only an exact zero is at the origin: the sweep scales a point 1e-13
+    # below the others to unit length and finds the enumeration's patterns
+    pts = np.array([[1e-13, 0.0], [1.0, 1.0], [0.0, -1.0]])
+    oracle = sweep_dichotomies_oracle(pts)
+    assert len(oracle) == 6
+    assert _patterns(oracle) == _patterns(enumerate_linear_dichotomies(pts))
+    assert np.array_equal(np.sign(oracle.witnesses @ pts.T), oracle.signs)
 
 
 def test_origin_point_rejected():
@@ -222,18 +232,21 @@ def test_generic_rays_reuse_the_subsets_svd(monkeypatch):
 
 
 @pytest.mark.parametrize("scale", [(1e-10, 1.0), (1.0, 1e10), (1e-10, 1e10),
-                                   "rows"],
-                         ids=["tiny-x", "huge-y", "both", "rows"])
+                                   (1e-150, 1.0), "rows"],
+                         ids=["tiny-x", "huge-y", "both", "tiniest-x", "rows"])
 def test_dichotomies_unchanged_by_coordinate_scale(scale):
     # patterns survive positive scaling of a coordinate or of a point,
-    # however extreme
+    # however extreme, in the enumeration and in the oracle alike
     pts = np.random.default_rng(17).standard_normal((8, 2))
     if scale == "rows":
         scale = 10.0 ** -np.arange(0.0, 11.2, 1.5)[:, None]
     scaled = pts * np.array(scale)
     result = enumerate_linear_dichotomies(scaled)
-    assert _patterns(result) == _patterns(sweep_dichotomies_oracle(pts))
+    oracle = sweep_dichotomies_oracle(scaled)
+    assert _patterns(result) == _patterns(oracle) \
+        == _patterns(sweep_dichotomies_oracle(pts))
     _assert_strict(scaled, result)
+    assert np.array_equal(np.sign(oracle.witnesses @ scaled.T), oracle.signs)
 
 
 def test_dichotomies_of_rows_too_small_to_square():

@@ -7,7 +7,8 @@ import pytest
 
 from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, CertificateError,
                        DecisionInstance, Dataset, ModelSet,
-                       PartitionInstance, SQUARED, SolverConfig, Tolerances,
+                       PartitionInstance, SQUARED, SolverConfig, TIE_TOL,
+                       Tolerances,
                        decide_threshold, extract_partition,
                        partition_to_instance, solve_instance)
 
@@ -186,14 +187,13 @@ def test_reduction_agrees_with_subset_scan_small():
 
 
 def test_yes_certificates_fit_every_point_exactly():
-    tol = DEFAULT_TOLERANCES
     for s in [(1, 2, 3), (2, 2), (3, 1, 2, 2), (5, 5)]:
         inst = partition_to_instance(PartitionInstance(s))
         decision = decide_threshold(inst, method="brute")
         assert decision.answer
         r1 = np.abs(inst.data.y - inst.data.x @ decision.models.w[0])
         r2 = np.abs(inst.data.y - inst.data.x @ decision.models.w[1])
-        assert np.all(np.minimum(r1, r2) <= tol.tie_tol)
+        assert np.all(np.minimum(r1, r2) <= TIE_TOL)
 
 
 def test_certificates_extract_balanced_subsets():

@@ -820,8 +820,8 @@ def _assert_report_contract(data, report, n, loss):
                                          loss)
     assert canonicalize_labels(report.labeling, n).q.tolist() \
         == report.labeling.q.tolist()
-    assert report.labeling.tie_set == assign_modes(
-        data, report.models, loss, DEFAULT_TOLERANCES).tie_set
+    assert report.labeling.tie_set == assign_modes(data, report.models,
+                                                   loss).tie_set
 
 
 def test_report_status_validated():
