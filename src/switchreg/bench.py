@@ -2,7 +2,7 @@
 
 Times one solver over a ladder of instance sizes N and fits the growth
 exponent alpha of time ~ C * N^alpha by least squares on log-log points.
-Sizes where the solver refuses (budget caps) truncate the ladder; the
+Sizes where the solver refuses (a budget) truncate the ladder; the
 result is flagged incomplete but still usable if two or more sizes ran.
 """
 

@@ -6,7 +6,7 @@ one-line human summary on stderr.
 
 Exit codes: 0 success (or decision answer yes), 1 infeasible or decision
 answer no (or an invalid certificate in extract-partition), 2 usage or
-input error, 3 resource caps exceeded.
+input error, 3 a budget exceeded.
 
 Environment overrides (flags win over the environment, the environment
 wins over the SolverConfig and Tolerances defaults):
@@ -191,14 +191,29 @@ def _cmd_reduce_partition(args) -> int:
     return 0
 
 
+def _report_models(path: str) -> ModelSet:
+    """The models of a solve report: a JSON object whose 'models' is a list
+    of equal-length lists of JSON numbers. Anything else raises ValueError."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict) or "models" not in doc:
+        raise ValueError(f"{path}: not a report with a 'models' field")
+    rows = doc["models"]
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) and len(row) == len(rows[0])
+                    and all(type(v) in (int, float) for v in row)
+                    for row in rows)):
+        raise ValueError(f"{path}: 'models' must be a list of equal-length "
+                         f"lists of numbers, got {rows!r}")
+    try:
+        return ModelSet(np.array(rows, dtype=float))
+    except (OverflowError, ValueError) as exc:        # huge or not finite
+        raise ValueError(f"{path}: bad 'models': {exc}") from exc
+
+
 def _cmd_extract_partition(args) -> int:
     p = _parse_multiset(args)
-    with open(args.report) as f:
-        doc = json.load(f)
-    if "models" not in doc:
-        raise ValueError(f"{args.report}: no 'models' field")
-    models = ModelSet(np.array(doc["models"], dtype=float))
-    subset = extract_partition(models, p)
+    subset = extract_partition(_report_models(args.report), p)
     out = {"set": list(p.s), "subset": subset,
            "subset_sum": sum(subset),
            "complement_sum": p.total - sum(subset)}
@@ -219,7 +234,7 @@ def _cmd_bench(args) -> int:
            "complete": result.complete, "warnings": list(result.warnings)}
     _emit(doc, f"method={result.method} fitted_exponent="
                f"{result.fitted_exponent:.2f} over N={list(result.sizes)}"
-               + ("" if result.complete else " (truncated by caps)"))
+               + ("" if result.complete else " (truncated by a budget)"))
     return 0
 
 

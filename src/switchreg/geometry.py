@@ -39,6 +39,10 @@ __all__ = [
 _RANK_TOL = 1e-9
 _MAX_EXHAUSTIVE = 20000
 _SAMPLES = 2000
+# Local cells of generic rays per slice of _cells' batched pass. It bounds
+# that pass's (cells, N) arrays; the point sets of d <= 3 data up to N = 40
+# fit in one slice.
+_CELL_SLICE = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +135,22 @@ def unique_rows(rows) -> np.ndarray:
     return np.unique(_packed_keys(rows), return_index=True)[1]
 
 
+def _running_unique(blocks):
+    """Dedupe a stream of blocks as it arrives. Each block is a sequence of
+    a boolean (k, N) row array and arrays aligned with its rows. After each
+    block, yield the distinct rows so far in ascending order, each with the
+    aligned values of its first occurrence: after the last block, what
+    unique_rows gives on all the blocks stacked."""
+    kept = None
+    for block in blocks:
+        if kept is not None:
+            block = [np.concatenate(pair) for pair in zip(kept, block)]
+        first = unique_rows(block[0])
+        kept = [a[first] for a in block]
+        del block                   # hold no more than kept between blocks
+        yield kept
+
+
 def _rank(points, vt):
     """How many leading rows of vt span every point to within SIGN_TOL.
 
@@ -144,14 +164,14 @@ def _rank(points, vt):
 
 
 def _cells(points):
-    """(signs, witnesses): every cell of the arrangement {h : h . p_i = 0}.
+    """(rows, witnesses): every cell of the arrangement {h : h . p_i = 0}.
 
     The points are unit vectors (up to rounding), so SIGN_TOL is a relative
     distance: a point within SIGN_TOL of a subspace counts as on it, in the
     rank of the set, in the independence of a ray's subset and in the
-    on-ray test alike. signs is (K, N) in {+1, -1}, unique rows in ascending
-    order; witnesses is (K, m), in the span of the points, with
-    sign(points @ w) == signs.
+    on-ray test alike. rows is the boolean (K, N) table of the points on
+    the positive side, unique rows in ascending order; witnesses is (K, m),
+    in the span of the points, with points @ w > 0 exactly where rows holds.
 
     The cells around a ray are those of its on-ray points projected onto
     the ray's hyperplane. A generic ray has exactly r-1 on-ray points:
@@ -160,7 +180,8 @@ def _cells(points):
     each of the 2^(r-1) local patterns witnessed by its min-norm solution,
     which that subset's SVD factors give as well. So every generic ray of a
     level is resolved in one batched pass, with no SVD of its own: one
-    stacked SVD of the subsets per level. Only the degenerate rays recurse.
+    stacked SVD of the subsets per level. The pass runs _CELL_SLICE local
+    cells at a time, deduped as they come. Only the degenerate rays recurse.
     """
     N = len(points)
     _, _, vt = np.linalg.svd(points, full_matrices=False)
@@ -169,11 +190,11 @@ def _cells(points):
     r = len(basis)
     if N == r:
         signs = np.array(list(itertools.product((-1, 1), repeat=r)))
-        return signs, np.linalg.solve(q, signs.T).T @ basis
+        return signs > 0, np.linalg.solve(q, signs.T).T @ basis
     if r == 1:
         g = -1 if q[0, 0] > 0 else 1         # the pattern with -1 at p_1 first
         signs = g * np.where(q[:, 0] > 0, 1, -1)
-        return np.array([signs, -signs]), np.array([[g], [-g]]) @ basis
+        return np.array([signs, -signs]) > 0, np.array([[g], [-g]]) @ basis
 
     # every cell touches a ray: the normal to r-1 independent points
     subsets = q[np.array(list(itertools.combinations(range(N), r - 1)))]
@@ -190,35 +211,46 @@ def _cells(points):
     # defined them, so each local pattern's min-norm witness comes from that
     # subset's SVD, orthogonal to the ray
     generic = on_ray.sum(axis=1) == r - 1
-    sub = src[generic]
     local = np.array(list(itertools.product((-1, 1), repeat=r - 1)))
-    u = (local @ left[sub] / sv[sub, None]) @ right[sub, :r - 1]
-    parts = [_around(q, vals[generic], on_ray[generic], rays[generic],
-                     np.broadcast_to(local, u.shape[:2] + (r - 1,)), u)]
-    for c in np.flatnonzero(~generic):
-        on = on_ray[c]
-        flat = q[on] - np.outer(vals[c, on], rays[c])
-        local_signs, u = _cells(flat)
-        parts.append(_around(q, vals[c:c + 1], on_ray[c:c + 1],
-                             rays[c:c + 1], local_signs[None], u[None]))
-    signs, witnesses = map(np.vstack, zip(*parts))
-    keep = unique_rows(signs > 0)
-    return signs[keep], witnesses[keep] @ basis
+    step = max(1, _CELL_SLICE // len(local))
+
+    def blocks():
+        ids = np.flatnonzero(generic)
+        for lo in range(0, len(ids), step):
+            c = ids[lo:lo + step]
+            sub = src[c]
+            u = (local @ left[sub] / sv[sub, None]) @ right[sub, :r - 1]
+            yield _around(q, vals[c], on_ray[c], rays[c], np.broadcast_to(
+                local > 0, u.shape[:2] + (r - 1,)), u)
+        parts = []
+        for c in np.flatnonzero(~generic):
+            on = on_ray[c]
+            flat = q[on] - np.outer(vals[c, on], rays[c])
+            local_rows, u = _cells(flat)
+            parts.append(_around(q, vals[c:c + 1], on_ray[c:c + 1],
+                                 rays[c:c + 1], local_rows[None], u[None]))
+        if parts:
+            yield [np.vstack(a) for a in zip(*parts)]
+
+    for rows, witnesses in _running_unique(blocks()):
+        pass                                 # the last yield holds them all
+    return rows, witnesses @ basis
 
 
 def _around(q, vals, on, rays, local, u):
     """The cells next to R rays, L per ray, and their negations (the cells
-    next to the opposite rays), as (2RL, N) signs and (2RL, r) witnesses.
+    next to the opposite rays), as (2RL, N) boolean rows and (2RL, r)
+    witnesses.
 
     vals (R, N) and on (R, N) are the points' signed distances from each
     ray's hyperplane and whether they lie on it; local (R, L, k) are the
-    signs of a ray's k on-ray points, in index order, in its L local cells,
+    rows of a ray's k on-ray points, in index order, in its L local cells,
     and u (R, L, r) their witnesses, orthogonal to the ray. Off-ray points
     keep their side of the ray's hyperplane; h = ray + delta u with delta
     small enough that none of them flips.
     """
     (R, N), (L, r) = vals.shape, u.shape[1:]
-    around = np.repeat(np.where(vals > 0, 1, -1)[:, None], L, axis=1)
+    around = np.repeat((vals > 0)[:, None], L, axis=1)
     rows, pts = np.nonzero(on)
     around[rows, :, pts] = local.transpose(0, 2, 1).reshape(len(rows), L)
     coupling = np.where(on[:, None], 0.0, np.abs(u @ q.T)).max(axis=2)
@@ -226,7 +258,7 @@ def _around(q, vals, on, rays, local, u):
     delta = 0.5 * margin[:, None] / np.maximum(1.0, coupling)
     around = around.reshape(R * L, N)
     h = (rays[:, None] + delta[..., None] * u).reshape(R * L, r)
-    return np.vstack([around, -around]), np.vstack([h, -h])
+    return np.vstack([around, ~around]), np.vstack([h, -h])
 
 
 def enumerate_linear_dichotomies(points) -> DichotomySet:
@@ -258,8 +290,8 @@ def enumerate_linear_dichotomies(points) -> DichotomySet:
     that no off-ray sign flips. The set is closed under global negation.
     """
     unit, col = _unit_points(points)
-    signs, witnesses = _cells(unit)
-    return DichotomySet(signs, witnesses / col)
+    rows, witnesses = _cells(unit)
+    return DichotomySet(np.where(rows, 1, -1), witnesses / col)
 
 
 def _unit_points(points):

@@ -126,9 +126,11 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
     The noiseless solver is admissible only for epsilon at the zero
     threshold, since it certifies exact fits and nothing weaker. The
     enumeration solver is exact on reduction instances too, despite their
-    repeated regressor vectors, but their dimension is the multiset size,
-    so past d = 3 brute or noiseless are the routes. Every solver and the
-    answer read their tolerances from cfg.tol.
+    repeated regressor vectors, but their dimension is the multiset size
+    and its time grows exponentially with it: about 0.06, 0.35, 2 and 16 s
+    per decision at sizes 4 to 7 on a 2-core x86 VM, where brute or
+    noiseless are faster. Every solver and the answer read their
+    tolerances from cfg.tol.
     """
     if method == "altmin":
         raise ValueError("altmin is heuristic; a threshold decision needs an "

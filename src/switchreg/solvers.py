@@ -39,7 +39,7 @@ from .core import (
 )
 # no solver calls check_general_position; the benchmark's tracer wraps it by
 # name on this module
-from .geometry import (_packed_keys, check_general_position,
+from .geometry import (_packed_keys, _running_unique, check_general_position,
                        enumerate_linear_dichotomies, unique_rows)
 
 __all__ = [
@@ -65,16 +65,14 @@ _MAX_REFINE_ROUNDS = 1000
 # per batch by _absolute_fit. It bounds the scorer's (chunk, N) and, under
 # absolute loss, (chunk, S) arrays, and the fit's (chunk, k) residuals.
 _SCORE_CHUNK = 1024
-# Fixed caps of the enumeration solver and of the noiseless cover search
-_D_MAX = 3
-_N_MAX = 3
+# Fixed cap of the noiseless cover search
 _NODE_BUDGET = 1_000_000
 
 SOLVER_METHODS = ("brute", "enum", "noiseless", "altmin")
 
 
 class CapsExceededError(RuntimeError):
-    """A solver refused to run because a size cap or budget was exceeded."""
+    """A solver refused to run because a budget was exceeded."""
 
 
 @dataclass(frozen=True)
@@ -83,9 +81,9 @@ class SolverConfig:
 
     restarts and seed drive the heuristic. brute_budget bounds brute
     force's labelings, candidate_budget the rows each step of
-    CandidateStream's region search builds and the noiseless solver's
-    interpolation subsets. The enumeration solver's caps (d <= 3, n <= 3)
-    and the noiseless cover search's node budget (1,000,000) are fixed.
+    CandidateStream's pool product and region search builds, the only limit
+    of the enumeration solver, and the noiseless solver's interpolation
+    subsets. The noiseless cover search's node budget (1,000,000) is fixed.
     """
 
     restarts: int = 10
@@ -394,10 +392,13 @@ class CandidateStream:
     n = 2 a row and its negation make one partition, so the pool keeps one
     of each, and combinations_examined, the P ** (n(n-1)/2) classifier
     combinations the candidates cover, halves with it. candidate_budget
-    bounds the rows each step builds: the P**2 region pairs at n = 3 and
-    the partial partitions each extension keeps, P at n = 2. An extension
-    tests its (partial partition, region) pairs in chunks of at most that
-    many. The constructor refuses a step over it.
+    bounds the rows each step builds, at any d and n: the distinct rows of
+    the pool's half, P at n = 2, the P**2 region pairs at n = 3 and the
+    partial partitions each extension keeps. The half is built from the
+    G x H product a budget's worth of rows at a time, and an extension tests
+    its (partial partition, region) pairs in chunks of at most that many.
+    The constructor refuses a step over it before building the step's next
+    chunk.
     """
 
     # the search has no vote to tie; kept for the benchmark's traced stream
@@ -406,12 +407,14 @@ class CandidateStream:
     def __init__(self, data: Dataset, n: int, cfg: SolverConfig = SolverConfig()):
         if n < 1:
             raise ValueError("need n >= 1")
-        if data.d > _D_MAX or n > _N_MAX:
-            raise CapsExceededError(
-                f"enumeration capped at d <= {_D_MAX}, n <= {_N_MAX}; "
-                f"got d={data.d}, n={n}")
         self.n = n
         N = data.N
+
+        def keep(count):
+            if count > cfg.candidate_budget:
+                raise CapsExceededError(
+                    f"{count} classifier combinations exceed the budget "
+                    f"{cfg.candidate_budget}")
 
         # a point with x_i = 0 has the same residual under every mode: it
         # moves no fit, so it stays out of the regions. Only an exact zero
@@ -424,21 +427,24 @@ class CandidateStream:
             gs = enumerate_linear_dichotomies(data.lifted()[live]).signs > 0
             hs = enumerate_linear_dichotomies(data.x[live]).signs > 0
             gs, hs = gs[gs[:, 0]], hs[hs[:, 0]]
-            half = np.ones((len(gs) * len(hs), N), dtype=bool)
-            half[:, live] = (gs[:, None, :] == hs[None, :, :]).reshape(
-                len(half), -1)
-            half = half[unique_rows(half)]
+
+            def product(g):
+                block = np.ones((len(g) * len(hs), N), dtype=bool)
+                block[:, live] = (g[:, None, :] == hs[None, :, :]).reshape(
+                    len(block), -1)
+                return block,
+
+            # the G x H product, a budget's worth of rows at a time, each
+            # block deduped into the distinct rows so far
+            step = max(1, cfg.candidate_budget // len(hs))
+            for half, in _running_unique(product(gs[lo:lo + step])
+                                         for lo in range(0, len(gs), step)):
+                keep(len(half))
             # and the live negations: distinct, as only the half holds the
             # first live point, and in ascending complement keys
             pool = np.vstack([half[::-1], half ^ live])
         self.pair_products = half if n == 2 else pool
         self.combinations_examined = len(self.pair_products) ** (n * (n - 1) // 2)
-
-        def keep(count):
-            if count > cfg.candidate_budget:
-                raise CapsExceededError(
-                    f"{count} classifier combinations exceed the budget "
-                    f"{cfg.candidate_budget}")
 
         regions = pool & live
         for _ in range(n - 2):

@@ -148,6 +148,23 @@ def test_extract_invalid_certificate_exits_one(tmp_path, capsys):
     assert "certificate" in stderr
 
 
+@pytest.mark.parametrize("report", [
+    '{"models": {"a": 1}}', "5", '{"models": [[true, false], [false, true]]}',
+    '{"models": [[1, 0, 1], [0, 1]]}', '{"models": [["1", "0", "1"]]}',
+    '{"models": []}', '{"labels": [1, 2]}',
+    '{"models": [[1, 0, 1], [0, 1, %d]]}' % 10 ** 400,
+    '{"models": [[1, 0, 1], [0, 1, NaN]]}'],
+    ids=["dict", "number", "bools", "ragged", "strings", "empty",
+         "no-models", "huge-int", "nan"])
+def test_extract_malformed_report_is_usage_error(tmp_path, capsys, report):
+    report_path = tmp_path / "r.json"
+    report_path.write_text(report)
+    code, _, stderr = run(capsys, "extract-partition", "--set", "1,2,3",
+                          "--report", str(report_path))
+    assert code == 2
+    assert str(report_path) in stderr
+
+
 def test_heuristic_decision_is_usage_error(tmp_path, capsys):
     inst_path = tmp_path / "p.json"
     run(capsys, "reduce-partition", "--set", "1,2", "--out", str(inst_path))

@@ -85,12 +85,17 @@ def test_dichotomies_match_linear_programs_in_four_dimensions(points):
     _assert_strict(points, result)
 
 
+# brute force takes ~1 s per solve at n = 4, N = 8, so n = 4 stops at N = 6
+_GRID_MAX_N = {(2, 1): 7, (2, 2): 7, (2, 3): 7, (2, 4): 7, (3, 1): 8,
+               (3, 2): 8, (4, 1): 6, (4, 2): 6}
+
+
 @settings(_GATE, max_examples=100)
-@given(st.data(), st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]),
+@given(st.data(), st.sampled_from(sorted(_GRID_MAX_N)),
        st.sampled_from([SQUARED, ABSOLUTE]))
 def test_enum_equals_brute_on_grid_instances(data, nd, loss):
     n, d = nd
-    xy = np.array(_grid_rows(data.draw, d + 1, 2, 7 if n == 2 else 8,
+    xy = np.array(_grid_rows(data.draw, d + 1, 2, _GRID_MAX_N[nd],
                              "rows (x, y)"), dtype=float)
     inst = Dataset(xy[:, :d], xy[:, d])
     enum = enumeration_solve(inst, n, loss)
@@ -100,9 +105,10 @@ def test_enum_equals_brute_on_grid_instances(data, nd, loss):
 
 
 # the hardness reduction's data: every regressor s_i e_i appears twice, with
-# targets s_i and 0, and the sum point closes the instance
+# targets s_i and 0, and the sum point closes the instance; a multiset of
+# size 4 gives d = 4
 @_GATE
-@given(st.lists(st.integers(1, 11), min_size=1, max_size=3),
+@given(st.lists(st.integers(1, 11), min_size=1, max_size=4),
        st.sampled_from([SQUARED, ABSOLUTE]))
 def test_enum_equals_brute_on_partition_reductions(s, loss):
     inst = partition_to_instance(PartitionInstance(tuple(s)))
@@ -112,12 +118,16 @@ def test_enum_equals_brute_on_partition_reductions(s, loss):
     assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
 
 
+# the generator needs N >= n d, so (4, 2) is drawn on the grid only
+_NOISY_MAX_N = {(2, 1): 10, (2, 2): 10, (2, 3): 10, (2, 4): 8, (3, 1): 8,
+                (3, 2): 8, (4, 1): 6}
+
+
 @st.composite
 def _noisy_sizes(draw):
-    """(n, d, N) with n d <= N <= 10 at n = 2 and <= 8 at n = 3."""
-    n, d = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]),
-                label="(n, d)")
-    return n, d, draw(st.integers(n * d, 10 if n == 2 else 8), label="N")
+    """(n, d, N) with n d <= N <= _NOISY_MAX_N[(n, d)]."""
+    n, d = draw(st.sampled_from(sorted(_NOISY_MAX_N)), label="(n, d)")
+    return n, d, draw(st.integers(n * d, _NOISY_MAX_N[n, d]), label="N")
 
 
 @settings(_GATE, max_examples=100)

@@ -180,18 +180,41 @@ def test_degenerate_spanning_subsets_counted():
     _assert_strict(_DEGENERATE, result)
 
 
+def _mixed_rays(m):
+    rng = np.random.default_rng(40 + m)
+    gauss = rng.standard_normal((4, m))
+    a, b = rng.standard_normal((2, m))
+    return np.vstack([gauss, [a, b, a - 0.5 * b], gauss[1]])
+
+
 @pytest.mark.parametrize("m", [3, 4])
 def test_generic_and_degenerate_rays_in_one_level(m):
     # Gaussian points give generic rays, resolved in the batched pass; a
     # triple in a common 2-plane and a repeated point give rays with more
     # than m-1 points on them, resolved by recursion
-    rng = np.random.default_rng(40 + m)
-    gauss = rng.standard_normal((4, m))
-    a, b = rng.standard_normal((2, m))
-    pts = np.vstack([gauss, [a, b, a - 0.5 * b], gauss[1]])
+    pts = _mixed_rays(m)
     result = enumerate_linear_dichotomies(pts)
     assert _patterns(result) == lp_feasible_patterns(pts)
     _assert_strict(pts, result)
+
+
+_SLICED = [np.random.default_rng(10 + m).standard_normal((7, m))
+           for m in range(1, 6)] + [_DEGENERATE] + [_mixed_rays(m)
+                                                    for m in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("points", _SLICED, ids=[
+    f"gauss-m{m}" for m in range(1, 6)] + ["degenerate", "mixed-m3",
+                                           "mixed-m4", "mixed-m5"])
+def test_generic_pass_in_slices_gives_the_same_rows(monkeypatch, points):
+    # the generic rays are resolved a slice of local cells at a time; at one
+    # ray per slice the rows are the one-pass rows, and every witness, the
+    # first found for its row, still separates strictly
+    whole = enumerate_linear_dichotomies(points)
+    monkeypatch.setattr(geometry, "_CELL_SLICE", 1)
+    sliced = enumerate_linear_dichotomies(points)
+    assert np.array_equal(sliced.signs, whole.signs)
+    _assert_strict(points, sliced)
 
 
 def test_only_degenerate_rays_recurse(monkeypatch):

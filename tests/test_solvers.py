@@ -313,14 +313,57 @@ def test_stream_contains_the_majority_vote():
         assert len(set(map(tuple, labels.tolist()))) == len(labels) == 1094
 
 
-def test_stream_respects_dimension_caps():
-    data = Dataset(np.random.default_rng(0).standard_normal((8, 4)),
-                   np.random.default_rng(1).standard_normal(8))
-    with pytest.raises(CapsExceededError):
-        CandidateStream(data, 2)
-    data2, _, _ = random_instance(0, N=8)
-    with pytest.raises(CapsExceededError):
-        CandidateStream(data2, 4)
+_PAST_THE_OLD_CAPS = [(4, 1, 7), (4, 2, 7), (2, 4, 9)]
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+@pytest.mark.parametrize("n, d, N", _PAST_THE_OLD_CAPS,
+                         ids=[f"n{n}-d{d}" for n, d, _ in _PAST_THE_OLD_CAPS])
+def test_enum_equals_brute_past_three_modes_or_dimensions(n, d, N, loss):
+    # nothing in the geometry, the regions or the search depends on n or d,
+    # so four modes or four regressor dimensions are solved exactly. The
+    # generator needs N >= n d points; its instance is cut to the first N
+    gen, _, _ = random_instance(0, n=n, d=d, N=max(N, n * d))
+    rng = np.random.default_rng(N + 10 * d)
+    grid = Dataset(rng.integers(-2, 3, size=(N, d)).astype(float),
+                   rng.integers(-2, 3, size=N).astype(float))
+    for data in (Dataset(gen.x[:N], gen.y[:N]), grid):
+        enum = enumeration_solve(data, n, loss)
+        brute = brute_force_solve(data, n, loss)
+        assert enum.status == "optimal"
+        assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
+
+
+@pytest.mark.parametrize("n, d, N", [(2, 4, 9), (4, 2, 10)], ids=["d4", "n4"])
+def test_stream_refuses_budget_before_the_whole_product(n, d, N):
+    # the budget is the only limit on d and n, and it holds while the pool is
+    # built: the G x H product is deduped a budget's worth of rows at a time,
+    # so the refusal comes within one block of the budget, long before the
+    # whole product
+    data, _, _ = random_instance(0, n=n, d=d, N=N)
+    halves = [len(enumerate_linear_dichotomies(p)) // 2
+              for p in (data.lifted(), data.x)]
+    budget = len(CandidateStream(data, 2).pair_products) // 2
+    assert 2 * budget < halves[0] * halves[1]
+    with pytest.raises(CapsExceededError,
+                       match=rf"^\d+ classifier combinations exceed the "
+                             rf"budget {budget}$") as err:
+        CandidateStream(data, n, SolverConfig(candidate_budget=budget))
+    assert budget < int(str(err.value).split()[0]) <= 2 * budget
+
+
+def test_two_mode_pool_built_in_blocks_is_the_same():
+    # at a budget of P the G x H product takes several blocks, and the
+    # deduped half pool and the partitions are the one-pass ones
+    data, _, _ = random_instance(0, d=3, N=10)
+    whole = CandidateStream(data, 2)
+    P = len(whole.pair_products)
+    halves = [len(enumerate_linear_dichotomies(p)) // 2
+              for p in (data.lifted(), data.x)]
+    assert halves[0] * halves[1] > 2 * P
+    blocks = CandidateStream(data, 2, SolverConfig(candidate_budget=P))
+    assert np.array_equal(blocks.pair_products, whole.pair_products)
+    assert np.array_equal(blocks.partitions, whole.partitions)
 
 
 def test_stream_refuses_budget_with_count_in_message():
