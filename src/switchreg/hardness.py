@@ -127,10 +127,11 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
     threshold, since it certifies exact fits and nothing weaker. The
     enumeration solver is exact on reduction instances too, despite their
     repeated regressor vectors, but their dimension is the multiset size
-    and its time grows exponentially with it: about 0.06, 0.35, 2 and 16 s
-    per decision at sizes 4 to 7 on a 2-core x86 VM, where brute or
-    noiseless are faster. Every solver and the answer read their
-    tolerances from cfg.tol.
+    and its time grows exponentially with it. Per decision at sizes 4, 5,
+    6 and 7 on a 2-core x86 VM, enum takes about 0.07, 0.33, 2.1 and 17 s,
+    where brute or noiseless are faster: brute takes about 0.03, 0.11,
+    0.42 and 1.7 s. Every solver and the answer read their tolerances from
+    cfg.tol.
     """
     if method == "altmin":
         raise ValueError("altmin is heuristic; a threshold decision needs an "

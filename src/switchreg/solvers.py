@@ -153,8 +153,11 @@ def _squared_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             w = np.linalg.solve(G, b)
         except np.linalg.LinAlgError:
             w = None
-        if w is not None and np.all(np.isfinite(w)) \
-                and np.allclose(G @ w, b, rtol=1e-8, atol=1e-12):
+        # np.allclose(G @ w, b, rtol=1e-8, atol=1e-12) as _squared_totals
+        # spells it; an overflowed w is refused first, since G @ w would
+        # warn on its inf * 0
+        if w is not None and np.isfinite(w).all() and \
+                (np.abs(G @ w - b) <= 1e-12 + 1e-8 * np.abs(b)).all():
             return w
     return np.linalg.solve(G + _RIDGE * np.eye(d), b)
 
@@ -181,7 +184,7 @@ def _interpolation_pool(k: int, d: int):
             yield np.array(chunk, dtype=np.int64)
 
 
-def _absolute_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _absolute_fit(x: np.ndarray, y: np.ndarray, pool=None) -> np.ndarray:
     """Exact least-absolute-deviations fit.
 
     Some optimal L1 fit is a basic solution of the LP: it interpolates
@@ -189,19 +192,43 @@ def _absolute_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     interpolant of those points predicts the same on every point. So the
     best interpolant of a subset of at most d points is an exact L1 fit,
     whatever the rank of x or the number of points. Ties keep the first
-    subset in pool order.
+    subset in pool order. pool, when given, yields the interpolants of the
+    pool of x's points in the chunks _interpolation_pool gives, as
+    _table_pool reads them off a table of a larger point set.
     """
     k, d = x.shape
+    if pool is None:
+        pool = (_subset_interpolants(x, y, s) for s in _interpolation_pool(k, d))
     best_total = np.inf
     best_w = np.zeros(d)
-    for subsets in _interpolation_pool(k, d):
-        ws = _subset_interpolants(x, y, subsets)
+    for ws in pool:
         totals = np.abs(y - ws @ x.T).sum(axis=1)
         i = int(np.argmin(totals))
         if totals[i] < best_total:
             best_total = totals[i]
             best_w = ws[i]
     return best_w
+
+
+def _interpolant_table(x, y) -> list:
+    """(subsets, interpolants) of every chunk of _interpolation_pool over
+    all the points."""
+    N, d = x.shape
+    return [(s, _subset_interpolants(x, y, s)) for s in _interpolation_pool(N, d)]
+
+
+def _table_pool(table, mask):
+    """The interpolants of the table's subsets that lie inside the boolean
+    mask, in the chunks _interpolation_pool gives on the masked points alone.
+
+    Keeping the subsets of each size that lie inside the mask keeps their
+    lexicographic order, and each interpolant is computed from the same
+    rows, so _absolute_fit meets the same interpolants in the same order.
+    """
+    for _, group in itertools.groupby(table, key=lambda t: t[0].shape[1]):
+        ws = np.concatenate([w[mask[s].all(axis=1)] for s, w in group])
+        for lo in range(0, len(ws), _SCORE_CHUNK):
+            yield ws[lo:lo + _SCORE_CHUNK]
 
 
 def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
@@ -223,12 +250,16 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
     return _absolute_fit(x, y)
 
 
-def _fit_array(x, y, q0, n, loss: LossModel) -> np.ndarray:
+def _fit_array(x, y, q0, n, loss: LossModel, table=None) -> np.ndarray:
+    """Each mode's fit to its points; an absolute-loss table of all the
+    points (_interpolant_table) replaces solve_mode_regression's pool."""
     w = np.zeros((n, x.shape[1]))
     for j in range(n):
         mask = q0 == j
-        if mask.any():
-            w[j] = solve_mode_regression(x[mask], y[mask], loss)
+        if not mask.any():
+            continue
+        w[j] = (solve_mode_regression(x[mask], y[mask], loss) if table is None
+                else _absolute_fit(x[mask], y[mask], _table_pool(table, mask)))
     return w
 
 
@@ -285,13 +316,16 @@ def refine_alternate(data: Dataset, models: ModelSet, loss: LossModel,
 def _least(x, y, loss: LossModel, candidates):
     """The (q0, w) candidate with the least (cost, labels), and how many
     candidates there were. Ties on cost keep the lexicographically smallest
-    label row, so the choice does not depend on the candidates' order."""
+    label row, so the choice does not depend on the candidates' order. The
+    label key is built only for a cost not above the least so far."""
     best, seen = None, 0
     for q0, w in candidates:
         seen += 1
-        key = (_cost_arrays(x, y, w, q0, loss), tuple(q0.tolist()))
-        if best is None or key < best[0]:
-            best = (key, q0, w)
+        cost = _cost_arrays(x, y, w, q0, loss)
+        if best is None or cost <= best[0][0]:
+            key = (cost, tuple(q0.tolist()))
+            if best is None or key < best[0]:
+                best = (key, q0, w)
     return best[1], best[2], seen
 
 
@@ -335,6 +369,15 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     Fixing mode numbers to first-occurrence order drops the n!-fold
     permutation symmetry; the optimum is unchanged. Refuses instances with
     n^N above cfg.brute_budget.
+
+    Each labeling is fitted and costed on its own, one mode at a time, and
+    shares nothing with the enumeration solver's region scorer
+    (_region_costs) or CandidateStream, whose oracle it is. Under absolute
+    loss with n > 1 the interpolants of every subset of at most d of the
+    points are computed once per solve (_interpolant_table); each mode's
+    fit reads the ones whose subset lies inside the mode, in the order its
+    own pool would give them, so the fit is the one solve_mode_regression
+    returns, bit for bit.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -344,8 +387,11 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
             f"brute force needs {n}^{data.N} labelings, budget is "
             f"{cfg.brute_budget}")
     x, y = data.x, data.y
+    # one mode has one labeling, which streams the pool instead of holding it
+    table = _interpolant_table(x, y) \
+        if loss.kind == "absolute" and n > 1 else None
     q0, w, examined = _least(x, y, loss, (
-        (q0, _fit_array(x, y, q0, n, loss))
+        (q0, _fit_array(x, y, q0, n, loss, table))
         for q0 in _canonical_label_arrays(data.N, n)))
     return _report("brute", data, loss, q0, w, t0, examined, "optimal")
 

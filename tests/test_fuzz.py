@@ -85,7 +85,8 @@ def test_dichotomies_match_linear_programs_in_four_dimensions(points):
     _assert_strict(points, result)
 
 
-# brute force takes ~1 s per solve at n = 4, N = 8, so n = 4 stops at N = 6
+# brute force takes 0.2-0.6 s per solve at n = 4, N = 8 (grid data, d = 1
+# and 2, either loss, 2-core x86 VM), so n = 4 stops at N = 6
 _GRID_MAX_N = {(2, 1): 7, (2, 2): 7, (2, 3): 7, (2, 4): 7, (3, 1): 8,
                (3, 2): 8, (4, 1): 6, (4, 2): 6}
 

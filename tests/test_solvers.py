@@ -38,6 +38,16 @@ def test_squared_repeated_regressor_takes_mean():
     assert np.allclose(w, [1.0], atol=1e-9)
 
 
+def test_squared_fit_overflowing_solve_takes_the_ridge_quietly():
+    # the plain solve gives w_1 = 1e309 = inf; the fit falls back to the
+    # ridge without a numpy warning (an error in this suite)
+    x = np.array([[1e-150, 0.0], [0.0, 1.0]])
+    y = np.array([1e159, 1.0])
+    w = solve_mode_regression(x, y, SQUARED)
+    ridge = np.linalg.solve(x.T @ x + 1e-10 * np.eye(2), x.T @ y)
+    assert np.array_equal(w, ridge) and np.isfinite(w).all()
+
+
 def test_absolute_median_ratio():
     x = np.array([[1.0], [1.0], [1.0]])
     y = np.array([0.0, 0.0, 10.0])
@@ -219,6 +229,80 @@ def test_brute_canonical_skipping_count():
     data, _, _ = random_instance(1, N=4)
     report = brute_force_solve(data, 2, SQUARED)
     assert report.candidates_examined == 8
+
+
+@pytest.mark.parametrize("chunk", [None, 3], ids=["default", "chunk3"])
+def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
+    # brute's absolute-loss fit of a mode, read off the table of all the
+    # points, is bit-for-bit _absolute_fit on the mode's own points: grid
+    # data with zero regressors and repeated rows, modes below d points and
+    # rank-deficient modes; chunk 3 splits each size over several chunks
+    if chunk is not None:
+        monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
+    rng = np.random.default_rng(17)
+    seen = {"zero": 0, "repeated": 0, "small": 0, "rank_deficient": 0}
+    for trial in range(24):
+        d, N = 1 + trial % 3, 7 + trial % 3
+        x = rng.integers(-2, 3, size=(N, d)).astype(float)
+        y = rng.integers(-2, 3, size=N).astype(float)
+        x[N - 1], y[N - 1] = x[0], y[0]
+        seen["zero"] += not x.any(axis=1).all()
+        seen["repeated"] += len(np.unique(x, axis=0)) < N
+        table = solvers._interpolant_table(x, y)
+        masks = rng.random((12, N)) < rng.choice([0.3, 0.6, 0.9], size=(12, 1))
+        masks[0] = False
+        masks[0, :d - 1] = True                     # below d points
+        masks[1] = x[:, 0] == x[0, 0]               # shares a coordinate
+        for mask in masks[masks.any(axis=1)]:
+            k = mask.sum()
+            seen["small"] += k < d
+            seen["rank_deficient"] += k >= d and \
+                np.linalg.matrix_rank(x[mask]) < d
+            own = solvers._absolute_fit(x[mask], y[mask])
+            read = solvers._absolute_fit(x[mask], y[mask],
+                                         solvers._table_pool(table, mask))
+            assert np.array_equal(read, own), (trial, mask)
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_least_breaks_cost_ties_toward_the_smallest_labels():
+    # equal models give every labeling the same cost, bit for bit; the
+    # least is the smallest label row whatever order the candidates come in
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((6, 1)), rng.standard_normal(6)
+    same = np.ones((2, 1))
+    tied = [rng.integers(0, 2, size=6) for _ in range(8)]
+    worse = [(np.zeros(6, dtype=np.int64), np.array([[9.0], [9.0]]))]
+    smallest = min(tied, key=lambda q: tuple(q.tolist()))
+    candidates = [(q, same) for q in tied] + worse
+    for _ in range(20):
+        order = rng.permutation(len(candidates))
+        q0, w, seen = solvers._least(x, y, SQUARED,
+                                     [candidates[i] for i in order])
+        assert q0.tolist() == smallest.tolist() and w is same
+        assert seen == len(candidates)
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+@pytest.mark.parametrize("n", [2, 3])
+def test_brute_uses_neither_regions_nor_stream(monkeypatch, n, loss):
+    # brute is the oracle of the region search, so it must not share it
+    rng = np.random.default_rng(n)
+    data = Dataset(*_grid_points(rng, 7, 2))
+    before = brute_force_solve(data, n, loss)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute force reached the region search")
+
+    monkeypatch.setattr(solvers, "_region_costs", refuse)
+    monkeypatch.setattr(solvers, "CandidateStream", refuse)
+    after = brute_force_solve(data, n, loss)
+    assert np.float64(after.cost).tobytes() == np.float64(before.cost).tobytes()
+    assert np.array_equal(after.models.w, before.models.w)
+    assert after.labeling.q.tolist() == before.labeling.q.tolist()
+    assert after.labeling.tie_set == before.labeling.tie_set
+    assert (after.status, after.candidates_examined) == \
+        (before.status, before.candidates_examined)
 
 
 # ---------------------------------------------------------------------------
