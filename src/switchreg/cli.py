@@ -10,9 +10,9 @@ input error, 3 a budget exceeded.
 
 Environment overrides (flags win over the environment, the environment
 wins over the SolverConfig and Tolerances defaults):
-  SWITCHREG_ZERO_TOL                                  zero-cost threshold
-  SWITCHREG_BRUTE_BUDGET, SWITCHREG_CANDIDATE_BUDGET  work budgets
-  SWITCHREG_RESTARTS                                  altmin restarts
+  SWITCHREG_ZERO_TOL          zero-cost threshold
+  SWITCHREG_CANDIDATE_BUDGET  work budget of every exact solver
+  SWITCHREG_RESTARTS          altmin restarts
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ def _config(args) -> SolverConfig:
         restarts=_env("restarts", base.restarts) if restarts is None else restarts,
         seed=getattr(args, "seed", base.seed),
         tol=Tolerances(zero_tol=_env("zero_tol", base.tol.zero_tol)),
-        brute_budget=_env("brute_budget", base.brute_budget),
         candidate_budget=_env("candidate_budget", base.candidate_budget))
 
 

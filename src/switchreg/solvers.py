@@ -65,8 +65,6 @@ _MAX_REFINE_ROUNDS = 1000
 # per batch by _absolute_fit. It bounds the scorer's (chunk, N) and, under
 # absolute loss, (chunk, S) arrays, and the fit's (chunk, k) residuals.
 _SCORE_CHUNK = 1024
-# Fixed cap of the noiseless cover search
-_NODE_BUDGET = 1_000_000
 
 SOLVER_METHODS = ("brute", "enum", "noiseless", "altmin")
 
@@ -77,25 +75,41 @@ class CapsExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budgets, heuristic settings and tolerances shared by the solvers.
+    """The budget, heuristic settings and tolerances shared by the solvers.
 
-    restarts and seed drive the heuristic. brute_budget bounds brute
-    force's labelings, candidate_budget the rows each step of
-    CandidateStream's pool product and region search builds, the only limit
-    of the enumeration solver, and the noiseless solver's interpolation
-    subsets. The noiseless cover search's node budget (1,000,000) is fixed.
+    restarts and seed drive the heuristic. candidate_budget is the only
+    limit on the exact solvers' work: brute force's n^N raw labelings, the
+    rows each step of CandidateStream's pool product and region search
+    builds, and the noiseless solver's interpolation subsets and cover
+    search nodes.
     """
 
     restarts: int = 10
     seed: int = 0
     tol: Tolerances = DEFAULT_TOLERANCES
-    brute_budget: int = 2_000_000
     candidate_budget: int = 2_000_000
 
     def __post_init__(self):
-        for name in ("restarts", "brute_budget", "candidate_budget"):
+        for name in ("restarts", "seed", "candidate_budget"):
+            value = getattr(self, name)
+            # type(True) is bool, so True is refused too
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        for name in ("restarts", "candidate_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+
+
+def _check_budget(count: int, what: str, cfg: SolverConfig,
+                  shown: str | None = None) -> None:
+    """Refuse count units of exact-solver work over cfg.candidate_budget;
+    the message names the count as shown, if given."""
+    if count > cfg.candidate_budget:
+        raise CapsExceededError(
+            f"{count if shown is None else shown} {what} exceed the budget "
+            f"{cfg.candidate_budget}")
 
 
 @dataclass(frozen=True)
@@ -368,7 +382,7 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
 
     Fixing mode numbers to first-occurrence order drops the n!-fold
     permutation symmetry; the optimum is unchanged. Refuses instances with
-    n^N above cfg.brute_budget.
+    n^N, counted exactly, above cfg.candidate_budget.
 
     Each labeling is fitted and costed on its own, one mode at a time, and
     shares nothing with the enumeration solver's region scorer
@@ -382,10 +396,7 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     if n < 1:
         raise ValueError("need n >= 1")
     t0 = time.perf_counter()
-    if float(n) ** data.N > cfg.brute_budget:
-        raise CapsExceededError(
-            f"brute force needs {n}^{data.N} labelings, budget is "
-            f"{cfg.brute_budget}")
+    _check_budget(n ** data.N, "labelings", cfg, shown=f"{n}^{data.N}")
     x, y = data.x, data.y
     # one mode has one labeling, which streams the pool instead of holding it
     table = _interpolant_table(x, y) \
@@ -444,7 +455,7 @@ class CandidateStream:
     G x H product a budget's worth of rows at a time, and an extension tests
     its (partial partition, region) pairs in chunks of at most that many.
     The constructor refuses a step over it before building the step's next
-    chunk.
+    chunk, with the CapsExceededError every exact solver raises.
     """
 
     # the search has no vote to tie; kept for the benchmark's traced stream
@@ -455,12 +466,6 @@ class CandidateStream:
             raise ValueError("need n >= 1")
         self.n = n
         N = data.N
-
-        def keep(count):
-            if count > cfg.candidate_budget:
-                raise CapsExceededError(
-                    f"{count} classifier combinations exceed the budget "
-                    f"{cfg.candidate_budget}")
 
         # a point with x_i = 0 has the same residual under every mode: it
         # moves no fit, so it stays out of the regions. Only an exact zero
@@ -485,7 +490,7 @@ class CandidateStream:
             step = max(1, cfg.candidate_budget // len(hs))
             for half, in _running_unique(product(gs[lo:lo + step])
                                          for lo in range(0, len(gs), step)):
-                keep(len(half))
+                _check_budget(len(half), "classifier combinations", cfg)
             # and the live negations: distinct, as only the half holds the
             # first live point, and in ascending complement keys
             pool = np.vstack([half[::-1], half ^ live])
@@ -494,7 +499,8 @@ class CandidateStream:
 
         regions = pool & live
         for _ in range(n - 2):
-            keep(len(regions) * len(pool))
+            _check_budget(len(regions) * len(pool),
+                          "classifier combinations", cfg)
             regions = (regions[:, None] & pool[None]).reshape(-1, N)
             regions = regions[unique_rows(~regions)]
         self.regions = regions
@@ -522,7 +528,8 @@ class CandidateStream:
                 ok = ~(have & add).any(axis=1)
                 grown.append(np.column_stack([parts[row[ok]], j[ok]]))
                 unions.append(have[ok] | add[ok])
-                keep(sum(map(len, grown)))
+                _check_budget(sum(map(len, grown)),
+                              "classifier combinations", cfg)
             parts, union = np.concatenate(grown), np.concatenate(unions)
         # the last member is the rest of the live points, found by its key
         keys = _packed_keys(~regions)
@@ -571,10 +578,9 @@ def _region_costs(x, y, rows, loss: LossModel) -> np.ndarray:
     pool holds an exact L1 fit of each row, so the pool's minimum is that
     fit's total. Rows are fitted _SCORE_CHUNK at a time.
     """
-    N, d = x.shape
     if loss.kind == "absolute":
-        resid = np.concatenate([np.abs(y - _subset_interpolants(x, y, s) @ x.T)
-                                for s in _interpolation_pool(N, d)])
+        resid = np.concatenate([np.abs(y - w @ x.T)
+                                for _, w in _interpolant_table(x, y)])
     costs = np.empty(len(rows))
     for lo in range(0, len(rows), _SCORE_CHUNK):
         member = rows[lo:lo + _SCORE_CHUNK].astype(float)
@@ -625,7 +631,8 @@ def noiseless_solve(data: Dataset, n: int,
     (largest fit set first, branching on the lowest uncovered point). A
     found cover is verified by assignment cost <= zero_tol; if none exists
     the best greedy collection is reported with status infeasible, meaning
-    no exact fit was certified.
+    no exact fit was certified. cfg.candidate_budget bounds both the
+    d-subsets and the nodes of the cover search.
     """
     t0 = time.perf_counter()
     if n < 1:
@@ -634,11 +641,7 @@ def noiseless_solve(data: Dataset, n: int,
     N, d = data.N, data.d
     if N < d:
         raise ValueError(f"need at least d={d} points, got N={N}")
-    n_subsets = comb(N, d)
-    if n_subsets > cfg.candidate_budget:
-        raise CapsExceededError(
-            f"{n_subsets} interpolation subsets exceed the budget "
-            f"{cfg.candidate_budget}")
+    _check_budget(comb(N, d), "interpolation subsets", cfg)
 
     subsets = np.array(list(itertools.combinations(range(N), d)))
     ws = _subset_interpolants(x, y, subsets)         # (S, d)
@@ -679,9 +682,7 @@ def noiseless_solve(data: Dataset, n: int,
     def search(uncovered, modes_left):
         nonlocal nodes
         nodes += 1
-        if nodes > _NODE_BUDGET:
-            raise CapsExceededError(
-                f"noiseless cover search exceeded {_NODE_BUDGET} nodes")
+        _check_budget(nodes, "cover search nodes", cfg)
         remaining = np.flatnonzero(uncovered)
         if remaining.size == 0:
             return []

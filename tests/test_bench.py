@@ -39,7 +39,7 @@ def test_brute_exponential_growth_visible():
 
 def test_caps_truncate_the_ladder():
     result = bench_scaling("brute", [8, 10, 30], repeats=1,
-                           cfg=SolverConfig(brute_budget=5000))
+                           cfg=SolverConfig(candidate_budget=5000))
     assert not result.complete
     assert result.sizes == (8, 10)
     assert any("30" in w for w in result.warnings)
@@ -48,7 +48,7 @@ def test_caps_truncate_the_ladder():
 def test_too_few_completed_sizes_is_an_error():
     with pytest.raises(CapsExceededError):
         bench_scaling("brute", [8, 30], repeats=1,
-                      cfg=SolverConfig(brute_budget=5000))
+                      cfg=SolverConfig(candidate_budget=5000))
 
 
 def test_requires_at_least_two_sizes():

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, report shape, exit codes."""
 
+import dataclasses
 import inspect
 import json
 import re
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchreg import SQUARED, Dataset, Labeling, ModelSet, empirical_cost
+from switchreg import (SQUARED, Dataset, Labeling, ModelSet, SolverConfig,
+                       empirical_cost)
 from switchreg import cli
 from switchreg.cli import main
 
@@ -176,13 +178,39 @@ def test_heuristic_decision_is_usage_error(tmp_path, capsys):
 
 def test_caps_exit_code(tmp_path, capsys, monkeypatch):
     data_path = tmp_path / "d.csv"
-    run(capsys, "generate", "--n", "2", "--d", "1", "--N", "25",
+    run(capsys, "generate", "--n", "2", "--d", "1", "--N", "12",
         "--noise-sigma", "0.1", "--out", str(data_path))
-    monkeypatch.setenv("SWITCHREG_BRUTE_BUDGET", "1000")
+    monkeypatch.setenv("SWITCHREG_CANDIDATE_BUDGET", "1000")
     code, _, stderr = run(capsys, "solve", str(data_path), "--n", "2",
                           "--method", "brute")
     assert code == 3
-    assert "budget" in stderr
+    assert "2^12 labelings exceed the budget 1000" in stderr
+
+
+def test_brute_past_float_range_exits_3(tmp_path, capsys):
+    # 2^1100 labelings overflowed a float count: exit 1 and a traceback
+    data_path = tmp_path / "d.csv"
+    run(capsys, "generate", "--n", "2", "--d", "1", "--N", "1100",
+        "--out", str(data_path))
+    code, _, stderr = run(capsys, "solve", str(data_path), "--n", "2",
+                          "--method", "brute")
+    assert code == 3
+    assert "2^1100 labelings exceed the budget 2000000" in stderr
+
+
+def test_brute_budget_is_not_read(tmp_path, capsys, monkeypatch):
+    # SWITCHREG_BRUTE_BUDGET used to set brute's own budget; at 1000 brute
+    # refused these 2^10 labelings
+    data_path = tmp_path / "d.csv"
+    run(capsys, "generate", "--n", "2", "--d", "1", "--N", "10",
+        "--noise-sigma", "0.1", "--seed", "5", "--out", str(data_path))
+    monkeypatch.setenv("SWITCHREG_BRUTE_BUDGET", "1000")
+    code, stdout, _ = run(capsys, "solve", str(data_path), "--n", "2",
+                          "--method", "brute")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["status"] == "optimal"
+    assert doc["candidates_examined"] == 2 ** 9
 
 
 def test_env_restart_override(tmp_path, capsys, monkeypatch):
@@ -260,7 +288,9 @@ def _config_variables():
 def test_environment_variables_listed_once(tmp_path, capsys, monkeypatch):
     documented, docstring, read = _config_variables()
     assert documented == docstring == read
-    assert len(read) == 4
+    assert len(read) == 3
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "restarts", "seed", "tol", "candidate_budget"]
     # every documented variable is read: a malformed value is a usage error
     data_path = tmp_path / "d.csv"
     run(capsys, "generate", "--n", "2", "--d", "1", "--N", "6",
@@ -309,6 +339,17 @@ def test_bench_subcommand(capsys):
     assert doc["sizes"] == [40, 80]
     assert doc["complete"] is True
     assert "fitted_exponent" in doc
+
+
+def test_bench_past_float_range_truncates_the_ladder(capsys):
+    code, stdout, _ = run(capsys, "bench", "--method", "brute",
+                          "--sizes", "8,10,1100", "--repeats", "1")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["sizes"] == [8, 10]
+    assert doc["complete"] is False
+    assert doc["warnings"] == [
+        "N=1100: 2^1100 labelings exceed the budget 2000000"]
 
 
 def test_bench_zero_repeats_is_usage_error(capsys):

@@ -220,8 +220,17 @@ def test_brute_single_mode_is_least_squares():
 
 def test_brute_refuses_over_budget():
     data, _, _ = random_instance(0, N=25)
-    with pytest.raises(CapsExceededError):
-        brute_force_solve(data, 2, SQUARED, SolverConfig(brute_budget=1000))
+    with pytest.raises(CapsExceededError,
+                       match=r"^2\^25 labelings exceed the budget 1000$"):
+        brute_force_solve(data, 2, SQUARED, SolverConfig(candidate_budget=1000))
+
+
+def test_brute_refuses_labelings_beyond_float_range():
+    # 2^1100 is past the largest float; a float count overflowed here
+    data = Dataset(np.ones((1100, 1)), np.zeros(1100))
+    with pytest.raises(CapsExceededError,
+                       match=r"^2\^1100 labelings exceed the budget 2000000$"):
+        brute_force_solve(data, 2, SQUARED)
 
 
 def test_brute_canonical_skipping_count():
@@ -838,8 +847,24 @@ def test_noiseless_without_an_interpolating_subset():
 
 def test_noiseless_respects_budget():
     data, _, _ = random_instance(8, d=2, N=30, sigma=0.0)
-    with pytest.raises(CapsExceededError):
+    with pytest.raises(CapsExceededError,
+                       match="435 interpolation subsets exceed the budget 10$"):
         noiseless_solve(data, 2, SolverConfig(candidate_budget=10))
+
+
+def test_noiseless_cover_search_respects_budget():
+    # 13 grid points on 6 x 6 with no 4-line cover: the search visits 1,513
+    # nodes to prove it, far more than the C(13, 2) = 78 subsets
+    rng = np.random.default_rng(2)
+    data = Dataset(np.column_stack([rng.integers(0, 6, 13), np.ones(13)]),
+                   rng.integers(0, 6, 13).astype(float))
+    assert noiseless_solve(data, 4, SolverConfig(
+        candidate_budget=1513)).status == "infeasible"
+    for budget in (100, 1512):
+        with pytest.raises(CapsExceededError,
+                           match=f"^{budget + 1} cover search nodes exceed "
+                                 f"the budget {budget}$"):
+            noiseless_solve(data, 4, SolverConfig(candidate_budget=budget))
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +937,7 @@ def test_solve_instance_dispatch(noiseless_four_points, monkeypatch):
     for report in (solve_instance(data, 2, SQUARED, "altmin", cfg),
                    altmin_solve(data, 2, SQUARED, cfg)):
         assert report.candidates_examined == 3
-    small = SolverConfig(brute_budget=8)
+    small = SolverConfig(candidate_budget=8)
     with pytest.raises(CapsExceededError):
         solve_instance(data, 2, SQUARED, "brute", small)
     with pytest.raises(CapsExceededError):
@@ -960,7 +985,15 @@ def test_report_status_validated():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SolverConfig(candidate_budget=0)
+    # the floats, bools and negative seed used to pass the constructor and
+    # fail later, inside a solver or numpy, or refuse with "exceed the
+    # budget True"
+    for field, value in [
+            ("restarts", 0), ("restarts", 2.5), ("restarts", True),
+            ("seed", -1), ("seed", 1.0), ("seed", False),
+            ("candidate_budget", 0), ("candidate_budget", 1000.5),
+            ("candidate_budget", True), ("candidate_budget", "1000")]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SolverConfig(**{field: value})
+        SolverConfig(**{field: 1})
+    SolverConfig(seed=0)
