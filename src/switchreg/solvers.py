@@ -155,8 +155,10 @@ class RefineResult:
 # Per-mode regression
 
 
-def _squared_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares via normal equations; tiny ridge when rank-deficient."""
+def _squared_fit(x: np.ndarray, y: np.ndarray, ridge=None) -> np.ndarray:
+    """Least squares via normal equations; tiny ridge when rank-deficient.
+    ridge, when given, is the (d, d) matrix _RIDGE * I, built once by a
+    caller that fits many modes."""
     k, d = x.shape
     if k == 0:
         return np.zeros(d)
@@ -173,7 +175,9 @@ def _squared_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if w is not None and np.isfinite(w).all() and \
                 (np.abs(G @ w - b) <= 1e-12 + 1e-8 * np.abs(b)).all():
             return w
-    return np.linalg.solve(G + _RIDGE * np.eye(d), b)
+    if ridge is None:
+        ridge = _RIDGE * np.eye(d)
+    return np.linalg.solve(G + ridge, b)
 
 
 def _subset_interpolants(x, y, subsets) -> np.ndarray:
@@ -208,7 +212,7 @@ def _absolute_fit(x: np.ndarray, y: np.ndarray, pool=None) -> np.ndarray:
     whatever the rank of x or the number of points. Ties keep the first
     subset in pool order. pool, when given, yields the interpolants of the
     pool of x's points in the chunks _interpolation_pool gives, as
-    _table_pool reads them off a table of a larger point set.
+    _table_pool reads them off the table of a larger point set.
     """
     k, d = x.shape
     if pool is None:
@@ -231,16 +235,25 @@ def _interpolant_table(x, y) -> list:
     return [(s, _subset_interpolants(x, y, s)) for s in _interpolation_pool(N, d)]
 
 
+def _table_by_size(x, y) -> list:
+    """_interpolant_table joined by subset size: one (subsets, interpolants)
+    pair per size, d first."""
+    return [tuple(map(np.concatenate, zip(*group))) for _, group in
+            itertools.groupby(_interpolant_table(x, y),
+                              key=lambda t: t[0].shape[1])]
+
+
 def _table_pool(table, mask):
-    """The interpolants of the table's subsets that lie inside the boolean
-    mask, in the chunks _interpolation_pool gives on the masked points alone.
+    """The interpolants of the _table_by_size table's subsets that lie
+    inside the boolean mask, in the chunks _interpolation_pool gives on the
+    masked points alone.
 
     Keeping the subsets of each size that lie inside the mask keeps their
     lexicographic order, and each interpolant is computed from the same
     rows, so _absolute_fit meets the same interpolants in the same order.
     """
-    for _, group in itertools.groupby(table, key=lambda t: t[0].shape[1]):
-        ws = np.concatenate([w[mask[s].all(axis=1)] for s, w in group])
+    for subsets, ws in table:
+        ws = ws[mask[subsets].all(axis=1)]
         for lo in range(0, len(ws), _SCORE_CHUNK):
             yield ws[lo:lo + _SCORE_CHUNK]
 
@@ -264,16 +277,14 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
     return _absolute_fit(x, y)
 
 
-def _fit_array(x, y, q0, n, loss: LossModel, table=None) -> np.ndarray:
-    """Each mode's fit to its points; an absolute-loss table of all the
-    points (_interpolant_table) replaces solve_mode_regression's pool."""
+def _fit_array(x, y, q0, n, loss: LossModel) -> np.ndarray:
+    """Each mode's solve_mode_regression fit to its points, w = 0 for an
+    empty mode."""
     w = np.zeros((n, x.shape[1]))
     for j in range(n):
         mask = q0 == j
-        if not mask.any():
-            continue
-        w[j] = (solve_mode_regression(x[mask], y[mask], loss) if table is None
-                else _absolute_fit(x[mask], y[mask], _table_pool(table, mask)))
+        if mask.any():
+            w[j] = solve_mode_regression(x[mask], y[mask], loss)
     return w
 
 
@@ -376,6 +387,27 @@ def _canonical_label_arrays(N: int, n: int):
     yield from rec(1, 1)
 
 
+def _mode_fit(x, y, n, loss: LossModel):
+    """solve_mode_regression(x[mask], y[mask], loss), bit for bit, as a
+    function of the boolean mask; an empty mask gives the zero vector.
+
+    The setup the modes share is done once. A Dataset's arrays need no
+    checks; squared loss builds its ridge matrix once; absolute loss with
+    n > 1 computes the interpolants of every subset of at most d of the
+    points once (_table_by_size), and each mode reads the ones inside it in
+    its own pool's order. One mode has one labeling, which streams its pool
+    instead of holding the table.
+    """
+    if loss.kind == "squared":
+        ridge = _RIDGE * np.eye(x.shape[1])
+        return lambda mask: _squared_fit(x[mask], y[mask], ridge)
+    if n == 1:
+        return lambda mask: _absolute_fit(x[mask], y[mask])
+    table = _table_by_size(x, y)
+    return lambda mask: _absolute_fit(x[mask], y[mask],
+                                      _table_pool(table, mask))
+
+
 def brute_force_solve(data: Dataset, n: int, loss: LossModel,
                       cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Exact optimum by trying every labeling (canonical forms only).
@@ -386,23 +418,18 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
 
     Each labeling is fitted and costed on its own, one mode at a time, and
     shares nothing with the enumeration solver's region scorer
-    (_region_costs) or CandidateStream, whose oracle it is. Under absolute
-    loss with n > 1 the interpolants of every subset of at most d of the
-    points are computed once per solve (_interpolant_table); each mode's
-    fit reads the ones whose subset lies inside the mode, in the order its
-    own pool would give them, so the fit is the one solve_mode_regression
-    returns, bit for bit.
+    (_region_costs) or CandidateStream, whose oracle it is. The fit routine
+    is chosen once per solve (_mode_fit), and each mode's fit is the one
+    solve_mode_regression returns, bit for bit.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     t0 = time.perf_counter()
     _check_budget(n ** data.N, "labelings", cfg, shown=f"{n}^{data.N}")
     x, y = data.x, data.y
-    # one mode has one labeling, which streams the pool instead of holding it
-    table = _interpolant_table(x, y) \
-        if loss.kind == "absolute" and n > 1 else None
+    fit = _mode_fit(x, y, n, loss)
     q0, w, examined = _least(x, y, loss, (
-        (q0, _fit_array(x, y, q0, n, loss, table))
+        (q0, np.array([fit(q0 == j) for j in range(n)]))
         for q0 in _canonical_label_arrays(data.N, n)))
     return _report("brute", data, loss, q0, w, t0, examined, "optimal")
 

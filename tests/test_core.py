@@ -10,7 +10,8 @@ from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, Dataset, Labeling,
                        canonicalize_labels, empirical_cost, get_loss,
                        loss_eval, majority_vote_label,
                        pairwise_classifiers_from_models)
-from switchreg.core import PairwiseClassifier, _canonicalize_arrays
+from switchreg.core import (PairwiseClassifier, _canonicalize_arrays,
+                            _cost_arrays)
 
 from conftest import min_cost_over_all_labelings, random_instance
 
@@ -94,6 +95,31 @@ def test_cost_rejects_mismatches():
     with pytest.raises(ValueError):
         empirical_cost(data, ModelSet(np.array([[1.0]])),
                        Labeling(np.array([1, 1])), SQUARED)
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+def test_cost_arrays_is_the_mean_of_the_residual_losses(loss):
+    # bit for bit, on sizes either side of numpy's pairwise-summation
+    # blocks (8 unrolled, 128 per leaf)
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        N, d, n = int(rng.integers(1, 300)), int(rng.integers(1, 4)), 3
+        x = rng.standard_normal((N, d)) * 10.0 ** rng.integers(-8, 9)
+        y = rng.standard_normal(N) * 10.0 ** rng.integers(-8, 9)
+        w = rng.standard_normal((n, d))
+        q0 = rng.integers(0, n, size=N)
+        r = y - np.einsum("ij,ij->i", x, w[q0])
+        want = float(np.mean(loss.residual_loss(r)))
+        got = _cost_arrays(x, y, w, q0, loss)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
+
+
+def test_cost_of_an_overflowing_residual_is_refused():
+    data = Dataset(np.array([[10.0], [1.0]]), np.array([1.0, 2.0]))
+    for loss in (SQUARED, ABSOLUTE):
+        with pytest.raises(ValueError, match="residuals must be finite"):
+            empirical_cost(data, ModelSet(np.array([[1e308]])),
+                           Labeling(np.array([1, 1])), loss)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, CapsExceededError,
 from switchreg import solvers
 from switchreg.core import _canonicalize_arrays
 from switchreg.datasets import GeneratorSpec, generate_instance
+from switchreg.hardness import PartitionInstance, partition_to_instance
 from switchreg.solvers import CandidateStream, SolveReport
 
 from conftest import random_instance
@@ -240,6 +241,52 @@ def test_brute_canonical_skipping_count():
     assert report.candidates_examined == 8
 
 
+def test_brute_squared_fit_equals_mode_regression():
+    # brute's per-solve squared fit is solve_mode_regression's, bit for
+    # bit, on every path: no points, fewer than d, a singular Gram matrix
+    # (LinAlgError), a plain solve failing the accuracy bound, an
+    # overflowed plain solve, and the accurate plain solve
+    cases = [
+        (np.array([[-2.0, -6.0], [-1.0, -3.0], [0.0, 1e-7]]),
+         np.array([2.0, -2.0, -2.0])),                      # inaccurate
+        (np.array([[1e-150, 0.0], [0.0, 1.0]]),
+         np.array([1e159, 1.0])),                           # overflows
+        (np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]),
+         np.array([1.0, 0.0, 2.0])),                        # singular
+    ]
+    rng = np.random.default_rng(23)
+    for trial in range(30):
+        d, N = 1 + trial % 3, 5 + trial % 4
+        cases.append(_grid_points(rng, N, d))
+    seen = {"empty": 0, "small": 0, "singular": 0, "inaccurate": 0,
+            "overflow": 0, "plain": 0}
+    for x, y in cases:
+        N, d = x.shape
+        fit = solvers._mode_fit(x, y, 2, SQUARED)
+        masks = rng.random((16, N)) < 0.6
+        masks[0] = False
+        masks[1] = True
+        masks[2, :] = np.arange(N) < d - 1
+        for mask in masks:
+            xm, ym = x[mask], y[mask]
+            if len(xm) < d:
+                seen["empty" if len(xm) == 0 else "small"] += 1
+            else:
+                try:
+                    w = np.linalg.solve(xm.T @ xm, xm.T @ ym)
+                except np.linalg.LinAlgError:
+                    seen["singular"] += 1
+                else:
+                    with np.errstate(invalid="ignore"):
+                        ok = np.allclose(xm.T @ xm @ w, xm.T @ ym,
+                                         rtol=1e-8, atol=1e-12)
+                    seen["overflow" if not np.isfinite(w).all() else
+                         "plain" if ok else "inaccurate"] += 1
+            assert np.array_equal(fit(mask),
+                                  solve_mode_regression(xm, ym, SQUARED))
+    assert all(v > 0 for v in seen.values()), seen
+
+
 @pytest.mark.parametrize("chunk", [None, 3], ids=["default", "chunk3"])
 def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
     # brute's absolute-loss fit of a mode, read off the table of all the
@@ -257,7 +304,7 @@ def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
         x[N - 1], y[N - 1] = x[0], y[0]
         seen["zero"] += not x.any(axis=1).all()
         seen["repeated"] += len(np.unique(x, axis=0)) < N
-        table = solvers._interpolant_table(x, y)
+        table = solvers._table_by_size(x, y)
         masks = rng.random((12, N)) < rng.choice([0.3, 0.6, 0.9], size=(12, 1))
         masks[0] = False
         masks[0, :d - 1] = True                     # below d points
@@ -312,6 +359,60 @@ def test_brute_uses_neither_regions_nor_stream(monkeypatch, n, loss):
     assert after.labeling.tie_set == before.labeling.tie_set
     assert (after.status, after.candidates_examined) == \
         (before.status, before.candidates_examined)
+
+
+def _reference_brute(data, n, loss):
+    """Brute force as a literal loop: every canonical labeling, each mode
+    fitted by solve_mode_regression, the least picked by _least."""
+    x, y = data.x, data.y
+
+    def fitted(q0):
+        w = np.zeros((n, data.d))
+        for j in range(n):
+            if (q0 == j).any():
+                w[j] = solve_mode_regression(x[q0 == j], y[q0 == j], loss)
+        return w
+
+    q0, w, examined = solvers._least(x, y, loss, (
+        (q0, fitted(q0)) for q0 in solvers._canonical_label_arrays(data.N, n)))
+    return solvers._report("brute", data, loss, q0, w, 0.0, examined,
+                           "optimal")
+
+
+def _brute_datasets(rng):
+    """Grid data with a zero regressor and a repeated row, Gaussian data,
+    data with rows scaled by 1e-13, and Partition reductions."""
+    for d in (1, 2, 3):
+        N = 7 - d // 3
+        x = rng.integers(-2, 3, size=(N, d)).astype(float)
+        y = rng.integers(-2, 3, size=N).astype(float)
+        x[1], x[-1], y[-1] = 0.0, x[0], y[0]
+        yield f"grid-d{d}", Dataset(x, y)
+        yield f"gauss-d{d}", Dataset(rng.standard_normal((N, d)),
+                                     rng.standard_normal(N))
+        scale = np.where(rng.random(N) < 0.5, 1e-13, 1.0)
+        yield f"tiny-d{d}", Dataset(rng.standard_normal((N, d)) * scale[:, None],
+                                    rng.standard_normal(N) * scale)
+    for s in ((1, 2, 3), (2, 3)):
+        inst = partition_to_instance(PartitionInstance(s))
+        yield f"partition-{len(s)}", inst.data
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_brute_equals_the_reference_loop(n, loss):
+    # the lean loop must not drift from the per-mode routine it stands for
+    rng = np.random.default_rng(10 * n + (loss is ABSOLUTE))
+    for name, data in _brute_datasets(rng):
+        got, want = brute_force_solve(data, n, loss), \
+            _reference_brute(data, n, loss)
+        assert np.float64(got.cost).tobytes() == \
+            np.float64(want.cost).tobytes(), name
+        assert got.models.w.tobytes() == want.models.w.tobytes(), name
+        assert got.labeling.q.tolist() == want.labeling.q.tolist(), name
+        assert got.labeling.tie_set == want.labeling.tie_set, name
+        assert (got.status, got.candidates_examined) == \
+            (want.status, want.candidates_examined), name
 
 
 # ---------------------------------------------------------------------------
