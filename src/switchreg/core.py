@@ -75,7 +75,7 @@ class LossModel:
     def residual_loss(self, e):
         """Elementwise loss of an array of residuals."""
         e = np.asarray(e, dtype=float)
-        if not np.all(np.isfinite(e)):
+        if not np.isfinite(e).all():
             raise ValueError("residuals must be finite")
         if self.kind == "squared":
             return np.square(e)
@@ -267,14 +267,11 @@ def _predict(x: np.ndarray, w: np.ndarray, q0: np.ndarray) -> np.ndarray:
 
 
 def _cost_arrays(x, y, w, q0, loss: LossModel) -> float:
-    """Mean loss of each point under its mode. Equals
-    np.mean(loss.residual_loss(r)) bit for bit: both are an add.reduce and
-    one true divide, after the same finiteness check."""
+    """Mean loss of each point under its mode: np.mean(residual_loss(r))
+    bit for bit, as an add.reduce and one true divide without np.mean's
+    wrapper."""
     r = y - _predict(x, w, q0)
-    if not np.isfinite(r).all():
-        raise ValueError("residuals must be finite")
-    e = np.square(r) if loss.kind == "squared" else np.abs(r)
-    return float(e.sum() / len(r))
+    return float(loss.residual_loss(r).sum() / len(r))
 
 
 def empirical_cost(data: Dataset, models: ModelSet, labeling: Labeling,

@@ -140,27 +140,13 @@ def _running_unique(blocks):
     a boolean (k, N) row array and arrays aligned with its rows. After each
     block, yield the distinct rows so far in ascending order, each with the
     aligned values of its first occurrence: after the last block, what
-    unique_rows gives on all the blocks stacked. Each later block's rows
-    are looked up among the kept ones by their packed keys, and only the
-    new ones are deduped and inserted in order: no kept row is packed or
-    sorted again."""
-    keys = kept = None
+    unique_rows gives on all the blocks stacked."""
+    kept = None
     for block in blocks:
-        block_keys = _packed_keys(block[0])
-        if kept is None:
-            keys, first = np.unique(block_keys, return_index=True)
-            kept = [a[first] for a in block]
-        else:
-            at = np.searchsorted(keys, block_keys)
-            old = at < len(keys)
-            old[old] = keys[at[old]] == block_keys[old]
-            fresh = np.flatnonzero(~old)
-            new, first = np.unique(block_keys[fresh], return_index=True)
-            first = fresh[first]
-            at = np.searchsorted(keys, new)
-            keys = np.insert(keys, at, new)
-            kept = [np.insert(k, at, a[first], axis=0)
-                    for k, a in zip(kept, block)]
+        if kept is not None:
+            block = [np.concatenate(pair) for pair in zip(kept, block)]
+        first = unique_rows(block[0])
+        kept = [a[first] for a in block]
         del block                   # hold no more than kept between blocks
         yield kept
 

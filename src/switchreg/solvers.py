@@ -18,6 +18,7 @@ Four methods with different guarantees:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -155,10 +156,16 @@ class RefineResult:
 # Per-mode regression
 
 
-def _squared_fit(x: np.ndarray, y: np.ndarray, ridge=None) -> np.ndarray:
-    """Least squares via normal equations; tiny ridge when rank-deficient.
-    ridge, when given, is the (d, d) matrix _RIDGE * I, built once by a
-    caller that fits many modes."""
+@functools.lru_cache(maxsize=None)
+def _ridge(d: int) -> np.ndarray:
+    """The (d, d) matrix _RIDGE * I, built once per d and read-only."""
+    m = _RIDGE * np.eye(d)
+    m.flags.writeable = False
+    return m
+
+
+def _squared_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least squares via normal equations; tiny ridge when rank-deficient."""
     k, d = x.shape
     if k == 0:
         return np.zeros(d)
@@ -175,9 +182,7 @@ def _squared_fit(x: np.ndarray, y: np.ndarray, ridge=None) -> np.ndarray:
         if w is not None and np.isfinite(w).all() and \
                 (np.abs(G @ w - b) <= 1e-12 + 1e-8 * np.abs(b)).all():
             return w
-    if ridge is None:
-        ridge = _RIDGE * np.eye(d)
-    return np.linalg.solve(G + ridge, b)
+    return np.linalg.solve(G + _ridge(d), b)
 
 
 def _subset_interpolants(x, y, subsets) -> np.ndarray:
@@ -392,15 +397,14 @@ def _mode_fit(x, y, n, loss: LossModel):
     function of the boolean mask; an empty mask gives the zero vector.
 
     The setup the modes share is done once. A Dataset's arrays need no
-    checks; squared loss builds its ridge matrix once; absolute loss with
+    checks; squared loss calls _squared_fit directly; absolute loss with
     n > 1 computes the interpolants of every subset of at most d of the
     points once (_table_by_size), and each mode reads the ones inside it in
     its own pool's order. One mode has one labeling, which streams its pool
     instead of holding the table.
     """
     if loss.kind == "squared":
-        ridge = _RIDGE * np.eye(x.shape[1])
-        return lambda mask: _squared_fit(x[mask], y[mask], ridge)
+        return lambda mask: _squared_fit(x[mask], y[mask])
     if n == 1:
         return lambda mask: _absolute_fit(x[mask], y[mask])
     table = _table_by_size(x, y)
@@ -591,7 +595,7 @@ def _squared_totals(x, y, member):
     plain &= np.all(err <= 1e-12 + 1e-8 * np.abs(rhs), axis=1)
     ridge = (k > 0) & ~plain
     if ridge.any():
-        w[ridge] = np.linalg.solve(gram[ridge] + _RIDGE * np.eye(d),
+        w[ridge] = np.linalg.solve(gram[ridge] + _ridge(d),
                                    rhs[ridge][..., None])[..., 0]
     return (member * np.square(y - w @ x.T)).sum(axis=1)
 
