@@ -8,11 +8,9 @@ Exit codes: 0 success (or decision answer yes), 1 infeasible or decision
 answer no (or an invalid certificate in extract-partition), 2 usage or
 input error, 3 a budget exceeded.
 
-Environment overrides (flags win over the environment, the environment
-wins over the SolverConfig and Tolerances defaults):
-  SWITCHREG_ZERO_TOL          zero-cost threshold
+Settings: solve's --seed and --restarts (bench runs altmin at the default
+10 restarts) and one environment variable, a resource limit:
   SWITCHREG_CANDIDATE_BUDGET  work budget of every exact solver
-  SWITCHREG_RESTARTS          altmin restarts
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ import sys
 import numpy as np
 
 from .bench import bench_scaling
-from .core import (Dataset, ModelSet, Tolerances, empirical_cost, get_loss,
-                   SQUARED)
+from .core import (DEFAULT_TOLERANCES, SQUARED, Dataset, LossModel, ModelSet,
+                   empirical_cost, get_loss)
 from .datasets import (GeneratorSpec, generate_instance, load_dataset_csv,
                        load_dataset_json, save_dataset_csv, save_dataset_json)
 from .hardness import (CertificateError, DecisionInstance, PartitionInstance,
@@ -38,28 +36,17 @@ from .solvers import (CapsExceededError, SOLVER_METHODS, SolveReport,
 __all__ = ["main"]
 
 
-def _env(name: str, default):
-    """SWITCHREG_<NAME> parsed as the type of default, or default if unset."""
-    var = f"SWITCHREG_{name.upper()}"
-    raw = os.environ.get(var)
-    if raw is None:
-        return default
-    try:
-        return type(default)(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {var} is not a valid "
-                         f"{type(default).__name__}: {raw!r}")
-
-
 def _config(args) -> SolverConfig:
-    """The flags, then the environment, then the SolverConfig defaults."""
+    """The --seed and --restarts flags plus SWITCHREG_CANDIDATE_BUDGET."""
     base = SolverConfig()
-    restarts = getattr(args, "restarts", None)
-    return SolverConfig(
-        restarts=_env("restarts", base.restarts) if restarts is None else restarts,
-        seed=getattr(args, "seed", base.seed),
-        tol=Tolerances(zero_tol=_env("zero_tol", base.tol.zero_tol)),
-        candidate_budget=_env("candidate_budget", base.candidate_budget))
+    raw = os.environ.get("SWITCHREG_CANDIDATE_BUDGET")
+    try:
+        budget = base.candidate_budget if raw is None else int(raw)
+    except ValueError:
+        raise ValueError("environment variable SWITCHREG_CANDIDATE_BUDGET is "
+                         f"not a valid int: {raw!r}")
+    return SolverConfig(restarts=getattr(args, "restarts", base.restarts),
+                        seed=args.seed, candidate_budget=budget)
 
 
 def _load_data(path: str) -> tuple[Dataset, int | None]:
@@ -76,20 +63,25 @@ def _emit(doc: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _report_doc(report: SolveReport, data: Dataset, loss,
-                tol: Tolerances) -> dict:
-    """Serialize a SolveReport, re-validating the cost first.
+def _report_doc(report: SolveReport, data: Dataset, loss: LossModel) -> dict:
+    """Serialize a SolveReport under the loss its cost is in, re-validating
+    the cost first.
 
-    The recomputation guards against any drift between the solver's
+    The noiseless solver reports squared-loss cost whatever loss was asked
+    for. The recomputation guards against any drift between the solver's
     bookkeeping and the (models, labeling) pair it returns.
     """
+    if report.method == "noiseless":
+        loss = SQUARED
     recomputed = empirical_cost(data, report.models, report.labeling, loss)
-    if not (abs(recomputed - report.cost) <= tol.zero_tol * (1 + abs(report.cost))):
+    zero_tol = DEFAULT_TOLERANCES.zero_tol
+    if not (abs(recomputed - report.cost) <= zero_tol * (1 + abs(report.cost))):
         raise RuntimeError(
             f"report integrity check failed: cost {report.cost!r} vs "
             f"recomputed {recomputed!r}")
     return {
         "method": report.method,
+        "loss": loss.kind,
         "cost": report.cost,
         "labels": [int(v) for v in report.labeling.q],
         "models": [[float(v) for v in row] for row in report.models.w],
@@ -106,7 +98,7 @@ def _parse_multiset(args) -> PartitionInstance:
     else:
         with open(args.set_file) as f:
             raw = f.readline()
-    parts = [p for p in raw.replace(",", " ").split() if p]
+    parts = raw.replace(",", " ").split()
     if not parts:
         raise ValueError("empty multiset")
     try:
@@ -121,17 +113,19 @@ def _parse_multiset(args) -> PartitionInstance:
 
 
 def _cmd_generate(args) -> int:
+    if args.with_truth and not args.out.endswith(".json"):
+        raise ValueError("--with-truth needs a .json --out; a CSV holds no "
+                         "ground truth")
     spec = GeneratorSpec(n=args.n, d=args.d, N=args.N,
                          noise_sigma=args.noise_sigma, seed=args.seed,
                          mode_process=args.mode_process, p_stay=args.p_stay,
                          x_distribution=args.x_distribution)
     data, models, labeling = generate_instance(spec)
+    if not args.with_truth:
+        models = labeling = None
     if args.out.endswith(".json"):
-        if args.with_truth:
-            save_dataset_json(args.out, data, n=spec.n, seed=spec.seed,
-                              models=models, labeling=labeling)
-        else:
-            save_dataset_json(args.out, data, n=spec.n, seed=spec.seed)
+        save_dataset_json(args.out, data, n=spec.n, seed=spec.seed,
+                          models=models, labeling=labeling)
     else:
         save_dataset_csv(args.out, data)
     doc = {"out": args.out, "n": spec.n, "d": spec.d, "N": spec.N,
@@ -149,32 +143,26 @@ def _cmd_solve(args) -> int:
         raise ValueError("--n is required (the dataset file carries no mode count)")
     loss = get_loss(args.loss)
     cfg = _config(args)
-
-    if args.epsilon is not None:
+    if args.epsilon is None:
+        report = solve_instance(data, n, loss, args.method, cfg)
+    else:
         # Decision mode: delegate so method validation (no heuristic "no"
         # answers) stays in one place.
-        inst = DecisionInstance(data=data, n=n, epsilon=args.epsilon)
-        decision = decide_threshold(inst, loss=loss, method=args.method,
-                                    cfg=cfg)
+        decision = decide_threshold(
+            DecisionInstance(data=data, n=n, epsilon=args.epsilon),
+            loss=loss, method=args.method, cfg=cfg)
         report = decision.report
-        doc = _report_doc(report, data,
-                          SQUARED if args.method == "noiseless" else loss,
-                          cfg.tol)
-        doc["epsilon"] = args.epsilon
-        doc["answer"] = bool(decision.answer)
-        _emit(doc, f"answer={'yes' if decision.answer else 'no'} "
-                   f"cost={report.cost:.6g} method={report.method} "
-                   f"status={report.status}")
-        return 0 if decision.answer else 1
-
-    report = solve_instance(data, n, loss, args.method, cfg)
-    doc = _report_doc(report, data,
-                      SQUARED if args.method == "noiseless" else loss, cfg.tol)
-    _emit(doc, f"cost={report.cost:.6g} method={report.method} "
-               f"status={report.status} "
-               f"candidates={report.candidates_examined} "
-               f"elapsed={report.elapsed * 1000.0:.1f}ms")
-    return 1 if report.status == "infeasible" else 0
+    doc = _report_doc(report, data, loss)
+    summary = (f"cost={report.cost:.6g} method={report.method} "
+               f"status={report.status}")
+    if args.epsilon is None:
+        _emit(doc, f"{summary} candidates={report.candidates_examined} "
+                   f"elapsed={report.elapsed * 1000.0:.1f}ms")
+        return 1 if report.status == "infeasible" else 0
+    doc["epsilon"] = args.epsilon
+    doc["answer"] = bool(decision.answer)
+    _emit(doc, f"answer={'yes' if decision.answer else 'no'} {summary}")
+    return 0 if decision.answer else 1
 
 
 def _cmd_reduce_partition(args) -> int:
@@ -237,6 +225,12 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _add_multiset_args(p: argparse.ArgumentParser) -> None:
+    grp = p.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--set", help="comma-separated positive integers")
+    grp.add_argument("--set-file", help="file whose first line is the multiset")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="switchreg",
@@ -267,22 +261,18 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--epsilon", type=float, default=None,
                    help="decision mode: answer whether optimal cost <= epsilon")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--restarts", type=int, default=None)
+    s.add_argument("--restarts", type=int, default=SolverConfig.restarts)
     s.set_defaults(func=_cmd_solve)
 
     r = sub.add_parser("reduce-partition",
                        help="compile a multiset into a regression dataset")
-    grp = r.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--set", help="comma-separated positive integers")
-    grp.add_argument("--set-file", help="file whose first line is the multiset")
+    _add_multiset_args(r)
     r.add_argument("--out", required=True, help=".json dataset path")
     r.set_defaults(func=_cmd_reduce_partition)
 
     e = sub.add_parser("extract-partition",
                        help="read the balanced split off a solve report")
-    grp = e.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--set", help="comma-separated positive integers")
-    grp.add_argument("--set-file", help="file whose first line is the multiset")
+    _add_multiset_args(e)
     e.add_argument("--report", required=True,
                    help="JSON report from `switchreg solve`")
     e.set_defaults(func=_cmd_extract_partition)
@@ -311,7 +301,7 @@ def main(argv=None) -> int:
     except CapsExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:         # JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -139,6 +139,8 @@ def load_dataset_csv(path) -> Dataset:
             raise ValueError(f"{path}: row {r} has a non-numeric field: {exc}") from exc
         xs.append(vals[:-1])
         ys.append(vals[-1])
+    if not xs:
+        raise ValueError(f"{path}: no data rows")
     return Dataset(np.array(xs), np.array(ys))
 
 

@@ -4,18 +4,21 @@ import dataclasses
 import inspect
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from switchreg import (SQUARED, Dataset, Labeling, ModelSet, SolverConfig,
-                       empirical_cost)
+from switchreg import (ABSOLUTE, SQUARED, Dataset, Labeling, ModelSet,
+                       SolverConfig, empirical_cost, load_dataset_csv,
+                       load_dataset_json)
 from switchreg import cli
 from switchreg.cli import main
 
-REPORT_FIELDS = {"method", "cost", "labels", "models", "candidates_examined",
-                 "elapsed_ms", "status", "warnings"}
+README = Path(__file__).resolve().parents[1] / "README.md"
+REPORT_FIELDS = {"method", "loss", "cost", "labels", "models",
+                 "candidates_examined", "elapsed_ms", "status", "warnings"}
 
 
 def run(capsys, *argv):
@@ -36,6 +39,34 @@ def test_generate_writes_csv(tmp_path, capsys):
     assert "wrote 10 points" in stderr
 
 
+def test_generate_truth_needs_json(tmp_path, capsys):
+    # a CSV used to be written without the ground truth, and exit 0
+    base = ["generate", "--n", "2", "--d", "1", "--N", "6", "--seed", "1"]
+    csv_path = tmp_path / "d.csv"
+    code, _, stderr = run(capsys, *base, "--with-truth", "--out", str(csv_path))
+    assert code == 2
+    assert "--with-truth" in stderr
+    assert not csv_path.exists()
+    for truth in (True, False):
+        json_path = tmp_path / f"d{truth}.json"
+        code, _, _ = run(capsys, *base, *["--with-truth"] * truth,
+                         "--out", str(json_path))
+        assert code == 0
+        bundle = load_dataset_json(json_path)
+        assert (bundle.models is not None) == truth
+        assert (bundle.labeling is not None) == truth
+
+
+def test_header_only_csv_is_usage_error(tmp_path, capsys):
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("x1,y\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        load_dataset_csv(data_path)
+    code, _, stderr = run(capsys, "solve", str(data_path), "--n", "2")
+    assert code == 2
+    assert f"{data_path}: no data rows" in stderr
+
+
 def test_solve_report_shape_and_integrity(tmp_path, capsys):
     data_path = tmp_path / "d.csv"
     run(capsys, "generate", "--n", "2", "--d", "1", "--N", "10",
@@ -46,6 +77,7 @@ def test_solve_report_shape_and_integrity(tmp_path, capsys):
     doc = json.loads(stdout)
     assert REPORT_FIELDS <= set(doc)
     assert doc["method"] == "enum" and doc["status"] == "optimal"
+    assert doc["loss"] == "squared"
     # the printed numbers must reproduce the printed cost
     x = np.loadtxt(data_path, delimiter=",", skiprows=1, usecols=[0])[:, None]
     y = np.loadtxt(data_path, delimiter=",", skiprows=1, usecols=[1])
@@ -66,6 +98,33 @@ def test_solve_three_modes_certified(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", str(data_path), "--n", "3", "--no-check-position"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("method,epsilon,loss", [
+    ("noiseless", None, "squared"), ("noiseless", "0", "squared"),
+    ("enum", None, "absolute")], ids=["noiseless", "noiseless-decision", "enum"])
+def test_report_names_the_loss_of_its_cost(tmp_path, capsys, method, epsilon,
+                                          loss):
+    # noiseless costs are squared whatever --loss says; the report says so
+    data_path = tmp_path / "d.csv"
+    run(capsys, "generate", "--n", "2", "--d", "1", "--N", "8",
+        "--noise-sigma", "0.1", "--seed", "5", "--out", str(data_path))
+    argv = ["solve", str(data_path), "--n", "2", "--method", method,
+            "--loss", "absolute"]
+    if epsilon is not None:
+        argv += ["--epsilon", epsilon]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == (0 if method == "enum" else 1)
+    doc = json.loads(stdout)
+    assert doc["loss"] == loss
+    data = load_dataset_csv(data_path)
+    models, labels = ModelSet(np.array(doc["models"])), Labeling(
+        np.array(doc["labels"]))
+    costs = {lm.kind: empirical_cost(data, models, labels, lm)
+             for lm in (SQUARED, ABSOLUTE)}
+    assert costs[loss] == pytest.approx(doc["cost"], rel=1e-12, abs=1e-15)
+    assert abs(costs[loss] - costs[({"squared", "absolute"} - {loss}).pop()]) \
+        > 1e-3
 
 
 def test_solve_json_dataset_carries_mode_count(tmp_path, capsys):
@@ -213,15 +272,11 @@ def test_brute_budget_is_not_read(tmp_path, capsys, monkeypatch):
     assert doc["candidates_examined"] == 2 ** 9
 
 
-def test_env_restart_override(tmp_path, capsys, monkeypatch):
+def test_env_restart_override(tmp_path, capsys):
+    # --restarts is the one source of the restart count
     data_path = tmp_path / "d.csv"
     run(capsys, "generate", "--n", "2", "--d", "1", "--N", "10",
         "--noise-sigma", "0.1", "--out", str(data_path))
-    monkeypatch.setenv("SWITCHREG_RESTARTS", "3")
-    _, stdout, _ = run(capsys, "solve", str(data_path), "--n", "2",
-                       "--method", "altmin")
-    assert json.loads(stdout)["candidates_examined"] == 3
-    # an explicit flag beats the environment
     _, stdout, _ = run(capsys, "solve", str(data_path), "--n", "2",
                        "--method", "altmin", "--restarts", "5")
     assert json.loads(stdout)["candidates_examined"] == 5
@@ -236,10 +291,41 @@ def test_bad_env_value_is_usage_error(tmp_path, capsys, monkeypatch):
     data_path = tmp_path / "d.csv"
     run(capsys, "generate", "--n", "2", "--d", "1", "--N", "8",
         "--out", str(data_path))
-    monkeypatch.setenv("SWITCHREG_ZERO_TOL", "tiny")
+    monkeypatch.setenv("SWITCHREG_CANDIDATE_BUDGET", "x")
     code, _, stderr = run(capsys, "solve", str(data_path), "--n", "2")
     assert code == 2
-    assert "SWITCHREG_ZERO_TOL" in stderr
+    assert "SWITCHREG_CANDIDATE_BUDGET" in stderr
+
+
+def test_restarts_variable_is_not_read(tmp_path, capsys, monkeypatch):
+    # SWITCHREG_RESTARTS used to set altmin's restarts when --restarts was
+    # left out; at 3 altmin examined 3
+    data_path = tmp_path / "d.csv"
+    run(capsys, "generate", "--n", "2", "--d", "1", "--N", "10",
+        "--noise-sigma", "0.1", "--out", str(data_path))
+    monkeypatch.setenv("SWITCHREG_RESTARTS", "3")
+    code, stdout, _ = run(capsys, "solve", str(data_path), "--n", "2",
+                          "--method", "altmin")
+    assert code == 0
+    assert json.loads(stdout)["candidates_examined"] == 10
+
+
+def test_zero_tol_variable_is_not_read(tmp_path, capsys, monkeypatch):
+    # SWITCHREG_ZERO_TOL used to move the zero-cost threshold; at 0.1
+    # noiseless certified this noisy file optimal at cost 0.00767482
+    data_path = tmp_path / "d.csv"
+    run(capsys, "generate", "--n", "2", "--d", "1", "--N", "8",
+        "--noise-sigma", "0.1", "--seed", "5", "--out", str(data_path))
+    monkeypatch.setenv("SWITCHREG_ZERO_TOL", "x")
+    code, _, _ = run(capsys, "solve", str(data_path), "--n", "2")
+    assert code == 0
+    monkeypatch.setenv("SWITCHREG_ZERO_TOL", "0.1")
+    code, stdout, _ = run(capsys, "solve", str(data_path), "--n", "2",
+                          "--method", "noiseless")
+    doc = json.loads(stdout)
+    assert code == 1
+    assert doc["status"] == "infeasible"
+    assert doc["cost"] == pytest.approx(0.0848078, rel=1e-5)
 
 
 def test_sign_margin_is_not_settable(tmp_path, capsys, monkeypatch):
@@ -276,19 +362,20 @@ def test_tie_margin_is_not_settable(tmp_path, capsys, monkeypatch):
 
 def _config_variables():
     """The SWITCHREG_* names in the README table, cli's docstring and
-    cli._config's _env calls."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    cli._config."""
+    table = README.read_text().split("## Configuration", 1)[1].split(
+        "\n## ", 1)[0]
     return (set(re.findall(r"^\| `(SWITCHREG_\w+)`", table, re.M)),
             set(re.findall(r"SWITCHREG_\w+", cli.__doc__)),
-            {f"SWITCHREG_{name.upper()}" for name in re.findall(
-                r'_env\("(\w+)"', inspect.getsource(cli._config))})
+            set(re.findall(r"SWITCHREG_\w+", inspect.getsource(cli._config))))
 
 
 def test_environment_variables_listed_once(tmp_path, capsys, monkeypatch):
     documented, docstring, read = _config_variables()
-    assert documented == docstring == read
-    assert len(read) == 3
+    assert documented == docstring == read == {"SWITCHREG_CANDIDATE_BUDGET"}
+    # _config is the only reader of the environment
+    assert inspect.getsource(cli).count("os.environ") == 1
+    assert "getenv" not in inspect.getsource(cli)
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
         "restarts", "seed", "tol", "candidate_budget"]
     # every documented variable is read: a malformed value is a usage error
@@ -357,3 +444,59 @@ def test_bench_zero_repeats_is_usage_error(capsys):
                           "--sizes", "40,80", "--repeats", "0")
     assert code == 2
     assert "repeats" in stderr
+
+
+def _readme_cli_examples():
+    """The README's CLI examples: (commands, shown output) per code block
+    whose lines start with `$ switchreg`."""
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"^```\n(\$ switchreg .*?)^```", section,
+                            re.M | re.S):
+        lines = block.splitlines()
+        commands = [line[2:] for line in lines if line.startswith("$ ")]
+        examples.append((commands, "\n".join(lines[len(commands):])))
+    return examples
+
+
+def _shows(shown, actual):
+    """Whether actual matches a value the README shows, floats to 1e-9."""
+    if isinstance(shown, float):
+        return actual == pytest.approx(shown, rel=1e-9, abs=1e-12)
+    if isinstance(shown, list):
+        return (isinstance(actual, list) and len(actual) == len(shown)
+                and all(map(_shows, shown, actual)))
+    return shown == actual
+
+
+# fields that are measurements, so the README's values are examples only
+MEASURED = {"elapsed_ms", "times_s", "fitted_exponent"}
+
+
+README_EXAMPLES = _readme_cli_examples()
+
+
+@pytest.mark.parametrize("index", range(len(README_EXAMPLES)),
+                         ids=[commands[-1].split()[1]
+                              for commands, _ in README_EXAMPLES])
+def test_readme_cli_examples(tmp_path, capsys, monkeypatch, index):
+    # later examples read the files earlier ones write, so run those first
+    monkeypatch.chdir(tmp_path)
+    for commands, _ in README_EXAMPLES[:index + 1]:
+        for command in commands:
+            argv = shlex.split(command)[1:]
+            target = None
+            if ">" in argv:
+                argv, target = argv[:argv.index(">")], argv[-1]
+            code, stdout, stderr = run(capsys, *argv)
+            assert code == 0, command
+            if target is not None:
+                Path(target).write_text(stdout)
+    shown = README_EXAMPLES[index][1]
+    if not shown.startswith("{"):
+        assert shown in stderr
+        return
+    expected, actual = json.loads(shown), json.loads(stdout)
+    assert set(actual) == set(expected)
+    for key in set(expected) - MEASURED:
+        assert _shows(expected[key], actual[key]), key
