@@ -213,6 +213,8 @@ def load_dataset_json(path) -> DatasetBundle:
     ys = _json_floats(path, doc["y"], "field 'y'")
     if len(xs) != N or len(ys) != N:
         raise ValueError(f"{path}: x/y lengths do not match N={N}")
+    if not xs:
+        raise ValueError(f"{path}: no data rows")
     for r, row in enumerate(xs, start=1):
         if len(row) != d:
             raise ValueError(f"{path}: x row {r} has {len(row)} entries, expected {d}")

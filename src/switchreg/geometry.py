@@ -97,7 +97,7 @@ def check_general_position(points) -> GeneralPositionReport:
 
     total = comb(N, m + 1)
     if total <= _MAX_EXHAUSTIVE:
-        subsets = np.array(list(itertools.combinations(range(N), m + 1)))
+        subsets = _combination_rows(N, m + 1)
         sampled = False
     else:
         rng = np.random.default_rng(0)
@@ -116,23 +116,38 @@ def check_general_position(points) -> GeneralPositionReport:
 
 
 def _packed_keys(rows) -> np.ndarray:
-    """One void key per row of a boolean (K, N) array: its bits packed
-    big-endian, so numpy sorts, searches and compares the keys bytewise in
-    the rows' order. The rows are padded to whole bytes and packed in one
-    flat pass, several times faster than np.packbits along axis 1."""
+    """One key per row of a boolean (K, N) array, ordered as the rows are
+    (False before True, first column first), so numpy sorts, searches and
+    compares the keys in the rows' order. Up to 64 columns a row's bits are
+    packed MSB-first into one uint64, which numpy sorts natively; wider rows
+    become void keys of their bits packed big-endian, compared bytewise.
+    Either way the rows are padded with zero bits and packed in one flat
+    pass, several times faster than np.packbits along axis 1."""
     K, N = rows.shape
-    B = -(-N // 8)
+    B = 8 if N <= 64 else -(-N // 8)
     padded = np.zeros((K, 8 * B), dtype=bool)
     padded[:, :N] = rows
-    packed = np.packbits(padded).reshape(K, B)
-    return packed.view(np.dtype((np.void, B))).ravel()
+    packed = np.packbits(padded)
+    if N <= 64:
+        return packed.view(">u8").astype(np.uint64)
+    return packed.reshape(K, B).view(np.dtype((np.void, B))).ravel()
 
 
 def unique_rows(rows) -> np.ndarray:
     """First-occurrence index of each distinct row of a boolean (K, N) array,
-    in ascending row order, as np.unique(rows, axis=0, return_index=True).
-    Pass +/-1 rows as rows > 0."""
+    in ascending row order, as np.unique(rows, axis=0, return_index=True),
+    deduped on _packed_keys: uint64 keys up to 64 columns, void keys past
+    that. Pass +/-1 rows as rows > 0."""
     return np.unique(_packed_keys(rows), return_index=True)[1]
+
+
+def _combination_rows(N: int, k: int) -> np.ndarray:
+    """Every k-subset of range(N) as a (comb(N, k), k) int64 index array, in
+    lexicographic order: np.array(list(itertools.combinations(range(N), k))),
+    built without the tuples' list."""
+    count = comb(N, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(N), k))
+    return np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
 
 
 def _running_unique(blocks):
@@ -197,7 +212,7 @@ def _cells(points):
         return np.array([signs, -signs]) > 0, np.array([[g], [-g]]) @ basis
 
     # every cell touches a ray: the normal to r-1 independent points
-    subsets = q[np.array(list(itertools.combinations(range(N), r - 1)))]
+    subsets = q[_combination_rows(N, r - 1)]
     left, sv, right = np.linalg.svd(subsets)
     src = np.flatnonzero(_rank(subsets, right) == r - 1)
     rays = right[src, -1]

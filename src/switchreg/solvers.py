@@ -40,8 +40,9 @@ from .core import (
 )
 # no solver calls check_general_position; the benchmark's tracer wraps it by
 # name on this module
-from .geometry import (_packed_keys, _running_unique, check_general_position,
-                       enumerate_linear_dichotomies, unique_rows)
+from .geometry import (_combination_rows, _packed_keys, _running_unique,
+                       check_general_position, enumerate_linear_dichotomies,
+                       unique_rows)
 
 __all__ = [
     "CapsExceededError",
@@ -233,19 +234,14 @@ def _absolute_fit(x: np.ndarray, y: np.ndarray, pool=None) -> np.ndarray:
     return best_w
 
 
-def _interpolant_table(x, y) -> list:
-    """(subsets, interpolants) of every chunk of _interpolation_pool over
-    all the points."""
-    N, d = x.shape
-    return [(s, _subset_interpolants(x, y, s)) for s in _interpolation_pool(N, d)]
-
-
 def _table_by_size(x, y) -> list:
-    """_interpolant_table joined by subset size: one (subsets, interpolants)
-    pair per size, d first."""
+    """(subsets, interpolants) of every subset of _interpolation_pool over
+    all the points, one pair per subset size, d first. Each interpolant is
+    computed in its pool chunk, so it is the one _absolute_fit computes."""
+    N, d = x.shape
+    chunks = ((s, _subset_interpolants(x, y, s)) for s in _interpolation_pool(N, d))
     return [tuple(map(np.concatenate, zip(*group))) for _, group in
-            itertools.groupby(_interpolant_table(x, y),
-                              key=lambda t: t[0].shape[1])]
+            itertools.groupby(chunks, key=lambda t: t[0].shape[1])]
 
 
 def _table_pool(table, mask):
@@ -282,14 +278,20 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
     return _absolute_fit(x, y)
 
 
-def _fit_array(x, y, q0, n, loss: LossModel) -> np.ndarray:
+def _fit_array(x, y, q0, n, loss: LossModel, table=None) -> np.ndarray:
     """Each mode's solve_mode_regression fit to its points, w = 0 for an
-    empty mode."""
+    empty mode. Under absolute loss, a _table_by_size table of all the
+    points, when given, serves every mode's pool (_table_pool): the same
+    fit, bit for bit, without its own pinv of each subset."""
     w = np.zeros((n, x.shape[1]))
     for j in range(n):
         mask = q0 == j
-        if mask.any():
+        if not mask.any():
+            continue
+        if table is None:
             w[j] = solve_mode_regression(x[mask], y[mask], loss)
+        else:
+            w[j] = _absolute_fit(x[mask], y[mask], _table_pool(table, mask))
     return w
 
 
@@ -464,7 +466,10 @@ class CandidateStream:
     partition by the regions starting at that point that miss its union,
     and closes it with the region keyed by that union, the rest of the live
     points. Each partition is found once; its labeling (member m is mode m,
-    the dead points mode 0) is canonical.
+    the dead points mode 0) is canonical. At n = 2, with a live point, no
+    search runs: the regions are the P half rows, reversed, then their live
+    complements, so the partitions are the pairs (j, 2P - 1 - j) for j < P,
+    which is what the search finds, in its order.
 
     The partitions contain an optimal labeling on any data, with no
     general-position assumption. The dichotomy pools are exact: they hold
@@ -535,42 +540,56 @@ class CandidateStream:
             regions = (regions[:, None] & pool[None]).reshape(-1, N)
             regions = regions[unique_rows(~regions)]
         self.regions = regions
-
-        def first(rows):        # each row's first point, N if it has none
-            return np.where(rows.any(axis=1), rows.argmax(axis=1), N)
-
-        # the complement-key order sorts the regions by their first point
-        lead = first(regions)
-        parts = np.zeros((1, 0), dtype=np.int64)
-        union = np.zeros((1, N), dtype=bool)
-        for _ in range(n - 1):
-            # the next member holds the first live point the others leave:
-            # one block of regions, tried against every partial partition,
-            # step partials and at most the budget's pair tests at a time
-            at = first(live & ~union)
-            lo = np.searchsorted(lead, at)
-            size = np.searchsorted(lead, at, side="right") - lo
-            step = max(1, cfg.candidate_budget // size.max(initial=1))
-            grown, unions = [], []
-            for rows in np.array_split(np.arange(len(parts)), len(parts) // step + 1):
-                row = np.repeat(rows, size[rows])           # j runs each block
-                j = lo[row] + np.arange(len(row)) - np.searchsorted(row, row)
-                have, add = union[row], regions[j]
-                ok = ~(have & add).any(axis=1)
-                grown.append(np.column_stack([parts[row[ok]], j[ok]]))
-                unions.append(have[ok] | add[ok])
-                _check_budget(sum(map(len, grown)),
-                              "classifier combinations", cfg)
-            parts, union = np.concatenate(grown), np.concatenate(unions)
-        # the last member is the rest of the live points, found by its key
-        keys = _packed_keys(~regions)
-        rest = _packed_keys(union | ~live)
-        last = np.minimum(np.searchsorted(keys, rest), len(keys) - 1)
-        hit = keys[last] == rest
-        self.partitions = np.column_stack([parts[hit], last[hit]])
+        if n == 2 and live.any():
+            # a half row and its live complement are pool rows j and
+            # 2P - 1 - j: the search's partitions, read off in its order
+            j = np.arange(len(half))
+            self.partitions = np.column_stack([j, 2 * len(half) - 1 - j])
+        else:
+            self.partitions = _partition_search(regions, live, n, cfg)
 
     def __iter__(self):
         yield from self.partitions
+
+
+def _partition_search(regions, live, n: int, cfg: SolverConfig) -> np.ndarray:
+    """CandidateStream's (K, n) partitions of the live points into n of the
+    regions, each member holding the first live point the ones before it
+    leave; the regions come sorted by the packed keys of their
+    complements."""
+    N = len(live)
+
+    def first(rows):            # each row's first point, N if it has none
+        return np.where(rows.any(axis=1), rows.argmax(axis=1), N)
+
+    # the complement-key order sorts the regions by their first point
+    lead = first(regions)
+    parts = np.zeros((1, 0), dtype=np.int64)
+    union = np.zeros((1, N), dtype=bool)
+    for _ in range(n - 1):
+        # the next member holds the first live point the others leave: one
+        # block of regions, tried against every partial partition, step
+        # partials and at most the budget's pair tests at a time
+        at = first(live & ~union)
+        lo = np.searchsorted(lead, at)
+        size = np.searchsorted(lead, at, side="right") - lo
+        step = max(1, cfg.candidate_budget // size.max(initial=1))
+        grown, unions = [], []
+        for rows in np.array_split(np.arange(len(parts)), len(parts) // step + 1):
+            row = np.repeat(rows, size[rows])               # j runs each block
+            j = lo[row] + np.arange(len(row)) - np.searchsorted(row, row)
+            have, add = union[row], regions[j]
+            ok = ~(have & add).any(axis=1)
+            grown.append(np.column_stack([parts[row[ok]], j[ok]]))
+            unions.append(have[ok] | add[ok])
+            _check_budget(sum(map(len, grown)), "classifier combinations", cfg)
+        parts, union = np.concatenate(grown), np.concatenate(unions)
+    # the last member is the rest of the live points, found by its key
+    keys = _packed_keys(~regions)
+    rest = _packed_keys(union | ~live)
+    last = np.minimum(np.searchsorted(keys, rest), len(keys) - 1)
+    hit = keys[last] == rest
+    return np.column_stack([parts[hit], last[hit]])
 
 
 def _squared_totals(x, y, member):
@@ -600,18 +619,23 @@ def _squared_totals(x, y, member):
     return (member * np.square(y - w @ x.T)).sum(axis=1)
 
 
-def _region_costs(x, y, rows, loss: LossModel) -> np.ndarray:
+def _region_costs(x, y, rows, loss: LossModel, table=None) -> np.ndarray:
     """Loss total of one mode fitted to each row of the boolean (K, N) rows.
 
     Equals the total loss of solve_mode_regression(x[row], y[row], loss) on
     the row's points, up to rounding. Under absolute loss every interpolant
     of _absolute_fit's pool over all N points is a feasible model, and the
     pool holds an exact L1 fit of each row, so the pool's minimum is that
-    fit's total. Rows are fitted _SCORE_CHUNK at a time.
+    fit's total. The pool's interpolants are read off table, the
+    _table_by_size table of all the points, built here when not given.
+    Rows are fitted _SCORE_CHUNK at a time.
     """
     if loss.kind == "absolute":
+        if table is None:
+            table = _table_by_size(x, y)
+        everything = np.ones(len(y), dtype=bool)
         resid = np.concatenate([np.abs(y - w @ x.T)
-                                for _, w in _interpolant_table(x, y)])
+                                for w in _table_pool(table, everything)])
     costs = np.empty(len(rows))
     for lo in range(0, len(rows), _SCORE_CHUNK):
         member = rows[lo:lo + _SCORE_CHUNK].astype(float)
@@ -628,7 +652,11 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     no refinement is needed. Every region is fitted once in one batched
     pass, and a partition costs the sum of its members' totals. The
     partitions within zero_tol of the best become canonical label rows and
-    are re-fit with the per-mode routine, whose cost is reported. A dead
+    are re-fit with the per-mode routine, whose cost is reported. Under
+    absolute loss the interpolants of all the points are computed once
+    (_table_by_size): the region scorer reads them, and so does each
+    re-fit mode, through its own pool's order (_table_pool), which gives
+    solve_mode_regression's fit bit for bit. A dead
     point costs the same in every mode; in the first member it gives the
     smallest of those equal-cost labelings. Ties on cost break toward the
     lexicographically smallest canonical labeling, so the report is
@@ -638,10 +666,11 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     stream = CandidateStream(data, n, cfg)
     parts = np.array(list(stream))
     x, y = data.x, data.y
-    totals = _region_costs(x, y, stream.regions, loss)[parts].sum(axis=1)
+    table = _table_by_size(x, y) if loss.kind == "absolute" else None
+    totals = _region_costs(x, y, stream.regions, loss, table)[parts].sum(axis=1)
     near = parts[totals <= totals.min() + data.N * cfg.tol.zero_tol]
     q0, w, _ = _least(x, y, loss, (
-        (q0, _fit_array(x, y, q0, n, loss))
+        (q0, _fit_array(x, y, q0, n, loss, table))
         for q0 in stream.regions[near].argmax(axis=1)))
     return _report("enum", data, loss, q0, w, t0,
                    stream.combinations_examined, "optimal")
@@ -674,7 +703,7 @@ def noiseless_solve(data: Dataset, n: int,
         raise ValueError(f"need at least d={d} points, got N={N}")
     _check_budget(comb(N, d), "interpolation subsets", cfg)
 
-    subsets = np.array(list(itertools.combinations(range(N), d)))
+    subsets = _combination_rows(N, d)
     ws = _subset_interpolants(x, y, subsets)         # (S, d)
     point_tol = cfg.tol.zero_tol * (1.0 + np.abs(y))
     resid = np.abs(y[None, :] - ws @ x.T)            # (S, N)

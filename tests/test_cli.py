@@ -67,6 +67,17 @@ def test_header_only_csv_is_usage_error(tmp_path, capsys):
     assert f"{data_path}: no data rows" in stderr
 
 
+def test_empty_json_dataset_is_usage_error(tmp_path, capsys):
+    # N = 0 used to reach Dataset and fail on the shape of an empty x
+    data_path = tmp_path / "d.json"
+    data_path.write_text('{"d": 1, "N": 0, "x": [], "y": []}')
+    with pytest.raises(ValueError, match="no data rows"):
+        load_dataset_json(data_path)
+    code, _, stderr = run(capsys, "solve", str(data_path), "--n", "2")
+    assert code == 2
+    assert f"{data_path}: no data rows" in stderr
+
+
 def test_solve_report_shape_and_integrity(tmp_path, capsys):
     data_path = tmp_path / "d.csv"
     run(capsys, "generate", "--n", "2", "--d", "1", "--N", "10",

@@ -1,5 +1,6 @@
 """General-position checks and linear dichotomy enumeration."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -299,6 +300,42 @@ def test_unique_rows_matches_numpy_unique():
             expected = np.unique(arr, axis=0, return_index=True)[1]
             assert np.array_equal(unique_rows(arr), expected), width
     assert unique_rows(np.zeros((0, 9), dtype=bool)).size == 0
+
+
+def test_unique_rows_around_one_word():
+    # uint64 keys up to 64 columns, void keys past: rows that differ only
+    # in the first or the last column are told apart on both paths
+    rng = np.random.default_rng(29)
+    for width in (63, 64, 65, 70):
+        rows = rng.random((30, width)) < 0.5
+        rows = rows[rng.integers(0, 30, size=80)]
+        rows[1], rows[2] = rows[0], rows[0]
+        rows[1, 0], rows[2, -1] = ~rows[0, 0], ~rows[0, -1]
+        expected = np.unique(rows, axis=0, return_index=True)[1]
+        assert np.array_equal(unique_rows(rows), expected), width
+
+
+def test_packed_keys_sort_in_row_order():
+    # the keys sort as the rows do, False before True and the first column
+    # first, and are equal exactly where the rows are
+    rng = np.random.default_rng(37)
+    for width in (1, 7, 8, 9, 63, 64, 65, 70):
+        rows = rng.random((40, width)) < 0.5
+        rows = rows[rng.integers(0, 40, size=50)]
+        keys = geometry._packed_keys(rows)
+        assert (keys.dtype == np.uint64) == (width <= 64), width
+        by_rows = sorted(range(len(rows)), key=lambda i: rows[i].tolist())
+        assert np.array_equal(np.argsort(keys, kind="stable"), by_rows), width
+        assert np.array_equal(keys[:, None] == keys[None],
+                              (rows[:, None] == rows[None]).all(axis=2)), width
+
+
+def test_combination_rows_are_itertools_combinations():
+    for N, k in ((5, 0), (5, 1), (6, 3), (4, 4), (3, 5)):
+        rows = geometry._combination_rows(N, k)
+        assert rows.dtype == np.int64 and rows.shape == (comb(N, k), k)
+        assert rows.tolist() == [list(c) for c in
+                                 itertools.combinations(range(N), k)]
 
 
 def test_running_unique_is_unique_rows_of_the_stack():

@@ -679,6 +679,99 @@ def test_two_mode_stream_with_a_zero_regressor(zero_at, loss):
                 DEFAULT_TOLERANCES.zero_tol, (d, seed)
 
 
+def _two_mode_edge_data(rng):
+    """Grid data with a zero regressor and a repeated row, all-zero x, and
+    a single point, live or dead."""
+    cases = []
+    for trial in range(12):
+        d, N = 1 + trial % 3, 5 + trial % 4
+        x = rng.integers(-2, 3, size=(N, d)).astype(float)
+        y = rng.integers(-2, 3, size=N).astype(float)
+        x[-1], y[-1] = x[0], y[0]
+        x[trial % (N - 1)] = 0.0
+        cases.append(Dataset(x, y))
+    cases.append(Dataset(np.zeros((4, 2)), np.array([1.0, -2.0, 0.0, 3.0])))
+    cases.append(Dataset(np.array([[1.5]]), np.array([2.0])))
+    cases.append(Dataset(np.array([[0.0]]), np.array([2.0])))
+    return cases
+
+
+def test_two_mode_partitions_pair_each_half_row_with_its_complement():
+    # at n = 2 the partitions are read off the pool: half row j, reversed,
+    # with its live complement, region 2P - 1 - j; each region is used once
+    # and the general search finds the same partitions in the same order
+    for data in _two_mode_edge_data(np.random.default_rng(61)):
+        stream = CandidateStream(data, 2)
+        live = data.x.any(axis=1)
+        assert np.array_equal(stream.partitions, solvers._partition_search(
+            stream.regions, live, 2, SolverConfig()))
+        if not live.any():
+            assert stream.partitions.tolist() == [[0, 0]]
+            continue
+        half = stream.pair_products[::-1] & live
+        first, rest = stream.regions[stream.partitions].transpose(1, 0, 2)
+        assert np.array_equal(first, half)
+        assert np.array_equal(rest, live & ~half)
+        assert np.array_equal(np.sort(stream.partitions, axis=None),
+                              np.arange(2 * len(half)))
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+def test_two_mode_enum_equals_brute_on_edge_data(loss):
+    for data in _two_mode_edge_data(np.random.default_rng(62)):
+        enum = enumeration_solve(data, 2, loss)
+        brute = brute_force_solve(data, 2, loss)
+        assert enum.status == "optimal"
+        assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
+
+
+def test_table_refit_equals_mode_regression():
+    # enum's absolute-loss re-fit reads each mode's pool off the solve's
+    # table: bit for bit solve_mode_regression, on empty modes, modes below
+    # d points and modes holding a repeated row
+    rng = np.random.default_rng(71)
+    seen = {"empty": 0, "small": 0, "repeated": 0}
+    for trial in range(18):
+        d, N, n = 1 + trial % 3, 6 + trial % 3, 2 + trial % 2
+        x = rng.integers(-2, 3, size=(N, d)).astype(float)
+        y = rng.integers(-2, 3, size=N).astype(float)
+        x[-1], y[-1] = x[0], y[0]
+        table = solvers._table_by_size(x, y)
+        labels = rng.integers(0, n, size=(12, N))
+        labels[0] = 0                               # every other mode empty
+        labels[1, :] = 1
+        labels[1, :d - 1] = 0                       # mode 0 below d points
+        for q0 in labels:
+            masks = [q0 == j for j in range(n)]
+            seen["empty"] += sum(not m.any() for m in masks)
+            seen["small"] += sum(0 < m.sum() < d for m in masks)
+            seen["repeated"] += q0[0] == q0[-1]
+            want = [solve_mode_regression(x[m], y[m], ABSOLUTE) for m in masks]
+            got = solvers._fit_array(x, y, q0, n, ABSOLUTE, table)
+            assert np.array_equal(got, np.array(want)), (trial, q0)
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_enum_absolute_builds_one_table_and_no_mode_pools(monkeypatch):
+    # one interpolant table serves the region scorer and every re-fit mode
+    built = []
+    table_by_size = solvers._table_by_size
+
+    def counted(x, y):
+        built.append(len(y))
+        return table_by_size(x, y)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("re-fit computed a mode's own pool")
+    data, _, _ = random_instance(3, d=2, N=8)
+    monkeypatch.setattr(solvers, "_table_by_size", counted)
+    monkeypatch.setattr(solvers, "solve_mode_regression", refuse)
+    report = enumeration_solve(data, 2, ABSOLUTE)
+    assert built == [data.N]
+    brute = brute_force_solve(data, 2, ABSOLUTE)
+    assert abs(report.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_enum_without_live_points_skips_the_geometry(monkeypatch, n):
     # with every regressor zero all labelings cost the same; no dichotomy
