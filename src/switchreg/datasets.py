@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, ModelSet, _predict, canonicalize_labels
+from .core import Dataset, Labeling, ModelSet, _predict
 
 __all__ = [
     "GeneratorSpec",
@@ -242,17 +242,18 @@ def load_dataset_json(path) -> DatasetBundle:
 def label_accuracy(predicted: Labeling, truth: Labeling, n: int) -> float:
     """Fraction of points labeled correctly, maximized over mode permutations.
 
-    Both labelings are canonicalized first; n up to 8 is enumerated
-    exhaustively (mode identity is only meaningful up to permutation).
+    Mode identity is only meaningful up to permutation, so every one of the
+    n! relabelings of predicted is scored, n up to 8: a relabeling's count
+    of agreeing points is a sum of n entries of the (n, n) table counting
+    the points with each (predicted, truth) label pair.
     """
     if predicted.N != truth.N:
         raise ValueError("labelings have different lengths")
     if n > 8:
         raise ValueError("exhaustive permutation matching capped at n = 8")
-    a = canonicalize_labels(predicted, n).q
-    b = canonicalize_labels(truth, n).q
-    best = 0.0
-    for perm in itertools.permutations(range(1, n + 1)):
-        mapped = np.array([perm[v - 1] for v in a])
-        best = max(best, float(np.mean(mapped == b)))
-    return best
+    if np.any(predicted.q > n) or np.any(truth.q > n):
+        raise ValueError(f"label exceeds n={n}")
+    pairs = np.zeros((n, n), dtype=np.int64)
+    np.add.at(pairs, (predicted.q - 1, truth.q - 1), 1)
+    perms = np.array(list(itertools.permutations(range(n))))   # (n!, n)
+    return float(pairs[np.arange(n), perms].sum(axis=1).max() / truth.N)

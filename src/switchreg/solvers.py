@@ -19,7 +19,6 @@ Four methods with different guarantees:
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass
 from math import comb
@@ -64,7 +63,7 @@ __all__ = [
 _RIDGE = 1e-10
 _MAX_REFINE_ROUNDS = 1000
 # Regions fitted per batch by enumeration_solve, and interpolation subsets
-# per batch by _absolute_fit. It bounds the scorer's (chunk, N) and, under
+# per chunk of _interpolants. It bounds the scorer's (chunk, N) and, under
 # absolute loss, (chunk, S) arrays, and the fit's (chunk, k) residuals.
 _SCORE_CHUNK = 1024
 
@@ -99,6 +98,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not isinstance(self.tol, Tolerances):
+            raise ValueError(f"tol must be a Tolerances, got {self.tol!r}")
         for name in ("restarts", "candidate_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -198,65 +199,48 @@ def _subset_interpolants(x, y, subsets) -> np.ndarray:
             @ y[subsets][..., None])[..., 0]
 
 
-def _interpolation_pool(k: int, d: int):
-    """Every subset of at most d of k points as (chunk, s) index arrays of
-    _SCORE_CHUNK rows at most: the d-subsets first, then smaller ones, each
-    size in lexicographic order."""
+def _interpolants(x, y):
+    """(subsets, interpolants) of every subset of at most d of the points,
+    in chunks of at most _SCORE_CHUNK subsets: the d-subsets first, then
+    smaller ones, each size in lexicographic order.
+
+    Each interpolant depends on its own subset's rows only, so a subset
+    gets the same interpolant, bit for bit, in whichever chunk it lands.
+    """
+    N, d = x.shape
     for s in range(d, 0, -1):
-        subsets = itertools.combinations(range(k), s)
-        while chunk := list(itertools.islice(subsets, _SCORE_CHUNK)):
-            yield np.array(chunk, dtype=np.int64)
+        subsets = _combination_rows(N, s)
+        for lo in range(0, len(subsets), _SCORE_CHUNK):
+            chunk = subsets[lo:lo + _SCORE_CHUNK]
+            yield chunk, _subset_interpolants(x, y, chunk)
 
 
-def _absolute_fit(x: np.ndarray, y: np.ndarray, pool=None) -> np.ndarray:
-    """Exact least-absolute-deviations fit.
+def _absolute_fit(x: np.ndarray, y: np.ndarray, pool) -> np.ndarray:
+    """Exact least-absolute-deviations fit over the pool's interpolants.
 
     Some optimal L1 fit is a basic solution of the LP: it interpolates
     rank(x) points with independent regressors, and the minimum-norm
     interpolant of those points predicts the same on every point. So the
     best interpolant of a subset of at most d points is an exact L1 fit,
-    whatever the rank of x or the number of points. Ties keep the first
-    subset in pool order. pool, when given, yields the interpolants of the
-    pool of x's points in the chunks _interpolation_pool gives, as
-    _table_pool reads them off the table of a larger point set.
+    whatever the rank of x or the number of points. pool yields arrays,
+    possibly empty, of the interpolants of every subset of at most d of
+    x's points, in _interpolants' order: _interpolants over x's own points,
+    or the chunks of a table over more points, each filtered to the subsets
+    inside x's. A row's total does not depend on the chunk it comes in, and
+    ties keep the first row in pool order, so the fit does not depend on
+    how the pool is chunked.
     """
-    k, d = x.shape
-    if pool is None:
-        pool = (_subset_interpolants(x, y, s) for s in _interpolation_pool(k, d))
     best_total = np.inf
-    best_w = np.zeros(d)
+    best_w = np.zeros(x.shape[1])
     for ws in pool:
+        if not len(ws):
+            continue
         totals = np.abs(y - ws @ x.T).sum(axis=1)
         i = int(np.argmin(totals))
         if totals[i] < best_total:
             best_total = totals[i]
             best_w = ws[i]
     return best_w
-
-
-def _table_by_size(x, y) -> list:
-    """(subsets, interpolants) of every subset of _interpolation_pool over
-    all the points, one pair per subset size, d first. Each interpolant is
-    computed in its pool chunk, so it is the one _absolute_fit computes."""
-    N, d = x.shape
-    chunks = ((s, _subset_interpolants(x, y, s)) for s in _interpolation_pool(N, d))
-    return [tuple(map(np.concatenate, zip(*group))) for _, group in
-            itertools.groupby(chunks, key=lambda t: t[0].shape[1])]
-
-
-def _table_pool(table, mask):
-    """The interpolants of the _table_by_size table's subsets that lie
-    inside the boolean mask, in the chunks _interpolation_pool gives on the
-    masked points alone.
-
-    Keeping the subsets of each size that lie inside the mask keeps their
-    lexicographic order, and each interpolant is computed from the same
-    rows, so _absolute_fit meets the same interpolants in the same order.
-    """
-    for subsets, ws in table:
-        ws = ws[mask[subsets].all(axis=1)]
-        for lo in range(0, len(ws), _SCORE_CHUNK):
-            yield ws[lo:lo + _SCORE_CHUNK]
 
 
 def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
@@ -275,14 +259,16 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
         raise ValueError(f"y must be ({x.shape[0]},), got shape {y.shape}")
     if loss.kind == "squared":
         return _squared_fit(x, y)
-    return _absolute_fit(x, y)
+    return _absolute_fit(x, y, (ws for _, ws in _interpolants(x, y)))
 
 
 def _fit_array(x, y, q0, n, loss: LossModel, table=None) -> np.ndarray:
     """Each mode's solve_mode_regression fit to its points, w = 0 for an
-    empty mode. Under absolute loss, a _table_by_size table of all the
-    points, when given, serves every mode's pool (_table_pool): the same
-    fit, bit for bit, without its own pinv of each subset."""
+    empty mode. Under absolute loss, table, when given, is
+    list(_interpolants(x, y)) over all the points, and a mode's pool is the
+    chunks' interpolants of the subsets inside it: the same interpolants in
+    the same order, so the same fit, bit for bit, without its own pinv of
+    each subset."""
     w = np.zeros((n, x.shape[1]))
     for j in range(n):
         mask = q0 == j
@@ -291,7 +277,8 @@ def _fit_array(x, y, q0, n, loss: LossModel, table=None) -> np.ndarray:
         if table is None:
             w[j] = solve_mode_regression(x[mask], y[mask], loss)
         else:
-            w[j] = _absolute_fit(x[mask], y[mask], _table_pool(table, mask))
+            w[j] = _absolute_fit(x[mask], y[mask], (
+                ws[mask[s].all(axis=1)] for s, ws in table))
     return w
 
 
@@ -394,24 +381,21 @@ def _canonical_label_arrays(N: int, n: int):
     yield from rec(1, 1)
 
 
-def _mode_fit(x, y, n, loss: LossModel):
+def _mode_fit(x, y, loss: LossModel):
     """solve_mode_regression(x[mask], y[mask], loss), bit for bit, as a
     function of the boolean mask; an empty mask gives the zero vector.
 
     The setup the modes share is done once. A Dataset's arrays need no
-    checks; squared loss calls _squared_fit directly; absolute loss with
-    n > 1 computes the interpolants of every subset of at most d of the
-    points once (_table_by_size), and each mode reads the ones inside it in
-    its own pool's order. One mode has one labeling, which streams its pool
-    instead of holding the table.
+    checks; squared loss calls _squared_fit directly; absolute loss computes
+    the interpolants of every subset of at most d of the points once
+    (list(_interpolants(x, y))), and each mode reads the ones of the
+    subsets inside it, in _interpolants' order.
     """
     if loss.kind == "squared":
         return lambda mask: _squared_fit(x[mask], y[mask])
-    if n == 1:
-        return lambda mask: _absolute_fit(x[mask], y[mask])
-    table = _table_by_size(x, y)
-    return lambda mask: _absolute_fit(x[mask], y[mask],
-                                      _table_pool(table, mask))
+    table = list(_interpolants(x, y))
+    return lambda mask: _absolute_fit(x[mask], y[mask], (
+        ws[mask[s].all(axis=1)] for s, ws in table))
 
 
 def brute_force_solve(data: Dataset, n: int, loss: LossModel,
@@ -425,7 +409,9 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     Each labeling is fitted and costed on its own, one mode at a time, and
     shares nothing with the enumeration solver's region scorer
     (_region_costs) or CandidateStream, whose oracle it is. The fit routine
-    is chosen once per solve (_mode_fit), and each mode's fit is the one
+    is chosen once per solve (_mode_fit): under absolute loss the
+    interpolants of all the points are computed once, and each mode reads
+    those of the subsets inside it. Each mode's fit is the one
     solve_mode_regression returns, bit for bit.
     """
     if n < 1:
@@ -433,7 +419,7 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     t0 = time.perf_counter()
     _check_budget(n ** data.N, "labelings", cfg, shown=f"{n}^{data.N}")
     x, y = data.x, data.y
-    fit = _mode_fit(x, y, n, loss)
+    fit = _mode_fit(x, y, loss)
     q0, w, examined = _least(x, y, loss, (
         (q0, np.array([fit(q0 == j) for j in range(n)]))
         for q0 in _canonical_label_arrays(data.N, n)))
@@ -624,18 +610,17 @@ def _region_costs(x, y, rows, loss: LossModel, table=None) -> np.ndarray:
 
     Equals the total loss of solve_mode_regression(x[row], y[row], loss) on
     the row's points, up to rounding. Under absolute loss every interpolant
-    of _absolute_fit's pool over all N points is a feasible model, and the
-    pool holds an exact L1 fit of each row, so the pool's minimum is that
-    fit's total. The pool's interpolants are read off table, the
-    _table_by_size table of all the points, built here when not given.
-    Rows are fitted _SCORE_CHUNK at a time.
+    of a subset of at most d of all N points is a feasible model, and they
+    include an exact L1 fit of each row, so their least total on the row is
+    that fit's. They are read off table, list(_interpolants(x, y)), built
+    here when not given, and stacked into one (S, N) residual array. Rows
+    are fitted _SCORE_CHUNK at a time.
     """
     if loss.kind == "absolute":
         if table is None:
-            table = _table_by_size(x, y)
-        everything = np.ones(len(y), dtype=bool)
-        resid = np.concatenate([np.abs(y - w @ x.T)
-                                for w in _table_pool(table, everything)])
+            table = list(_interpolants(x, y))
+        ws = np.concatenate([ws for _, ws in table])
+        resid = np.abs(y - ws @ x.T)
     costs = np.empty(len(rows))
     for lo in range(0, len(rows), _SCORE_CHUNK):
         member = rows[lo:lo + _SCORE_CHUNK].astype(float)
@@ -653,10 +638,10 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     pass, and a partition costs the sum of its members' totals. The
     partitions within zero_tol of the best become canonical label rows and
     are re-fit with the per-mode routine, whose cost is reported. Under
-    absolute loss the interpolants of all the points are computed once
-    (_table_by_size): the region scorer reads them, and so does each
-    re-fit mode, through its own pool's order (_table_pool), which gives
-    solve_mode_regression's fit bit for bit. A dead
+    absolute loss the interpolants of every subset of at most d of the
+    points are computed once (list(_interpolants(x, y))): the region scorer
+    reads them all, and each re-fit mode reads those of the subsets inside
+    it, which gives solve_mode_regression's fit bit for bit. A dead
     point costs the same in every mode; in the first member it gives the
     smallest of those equal-cost labelings. Ties on cost break toward the
     lexicographically smallest canonical labeling, so the report is
@@ -666,7 +651,7 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     stream = CandidateStream(data, n, cfg)
     parts = np.array(list(stream))
     x, y = data.x, data.y
-    table = _table_by_size(x, y) if loss.kind == "absolute" else None
+    table = list(_interpolants(x, y)) if loss.kind == "absolute" else None
     totals = _region_costs(x, y, stream.regions, loss, table)[parts].sum(axis=1)
     near = parts[totals <= totals.min() + data.N * cfg.tol.zero_tol]
     q0, w, _ = _least(x, y, loss, (

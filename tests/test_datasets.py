@@ -142,5 +142,10 @@ def test_accuracy_counts_mismatches():
 
 
 def test_accuracy_validates_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different lengths"):
         label_accuracy(Labeling(np.array([1])), Labeling(np.array([1, 2])), 2)
+    with pytest.raises(ValueError, match="capped at n = 8"):
+        label_accuracy(Labeling(np.array([1])), Labeling(np.array([1])), 9)
+    for a, b in (([1, 3], [1, 2]), ([1, 2], [3, 2])):
+        with pytest.raises(ValueError, match="label exceeds n=2"):
+            label_accuracy(Labeling(np.array(a)), Labeling(np.array(b)), 2)

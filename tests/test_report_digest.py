@@ -1,0 +1,63 @@
+"""tools/report_digest.py's digest: one line per outcome, which moves with
+every result field it covers, so an empty diff of two checkouts' digests
+means bit-identical reports."""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from switchreg import (SQUARED, Dataset, Labeling, PartitionInstance,
+                       brute_force_solve, decide_threshold,
+                       partition_to_instance)
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
+_spec = importlib.util.spec_from_file_location("report_digest", _PATH)
+report_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_digest)
+digest = report_digest.digest
+
+
+def _report():
+    x = np.array([[1.0], [2.0], [3.0], [1.0], [2.0]])
+    y = np.array([1.0, 2.0, 3.0, -1.0, 0.5])
+    return brute_force_solve(Dataset(x, y), 2, SQUARED)
+
+
+def test_same_report_same_line():
+    report = _report()
+    assert digest(report) == digest(report) == digest(_report())
+    assert len(digest(report)) == 16
+
+
+def test_each_covered_field_moves_the_line():
+    report = _report()
+    ties = () if report.labeling.tie_set else (1,)
+    changed = [
+        dataclasses.replace(report, cost=np.nextafter(report.cost, np.inf)),
+        dataclasses.replace(report, labeling=Labeling(report.labeling.q,
+                                                      tie_set=ties)),
+        dataclasses.replace(report, status="heuristic"),
+    ]
+    lines = {digest(report)} | {digest(r) for r in changed}
+    assert len(lines) == 1 + len(changed)
+    # elapsed is not a result: it leaves the line as it is
+    assert digest(dataclasses.replace(report, elapsed=123.0)) == digest(report)
+
+
+def test_decision_digests_its_answer():
+    inst = partition_to_instance(PartitionInstance((1, 2, 3)))
+    decision = decide_threshold(inst, method="brute")
+    flipped = dataclasses.replace(decision, answer=not decision.answer)
+    assert digest(decision) != digest(flipped)
+    assert digest(decision) != digest(decision.report)
+    assert digest(decision) == digest(dataclasses.replace(decision))
+
+
+def test_exception_digests_as_raised():
+    line = digest(ValueError("need n >= 1"))
+    assert line.startswith("raised:")
+    assert line == digest(ValueError("need n >= 1"))
+    assert line != digest(ValueError("need n >= 2"))
+    assert line != digest(RuntimeError("need n >= 1"))

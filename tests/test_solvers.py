@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, CapsExceededError,
                        Dataset, Labeling, ModelSet, SQUARED, SolverConfig,
+                       Tolerances,
                        altmin_solve, assign_modes, brute_force_solve,
                        canonicalize_labels, empirical_cost, enumeration_solve,
                        enumerate_linear_dichotomies, fit_modes,
@@ -262,7 +263,7 @@ def test_brute_squared_fit_equals_mode_regression():
             "overflow": 0, "plain": 0}
     for x, y in cases:
         N, d = x.shape
-        fit = solvers._mode_fit(x, y, 2, SQUARED)
+        fit = solvers._mode_fit(x, y, SQUARED)
         masks = rng.random((16, N)) < 0.6
         masks[0] = False
         masks[1] = True
@@ -287,12 +288,17 @@ def test_brute_squared_fit_equals_mode_regression():
     assert all(v > 0 for v in seen.values()), seen
 
 
-@pytest.mark.parametrize("chunk", [None, 3], ids=["default", "chunk3"])
+@pytest.mark.parametrize("chunk", [None, 3, 1],
+                         ids=["default", "chunk3", "chunk1"])
 def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
     # brute's absolute-loss fit of a mode, read off the table of all the
-    # points, is bit-for-bit _absolute_fit on the mode's own points: grid
-    # data with zero regressors and repeated rows, modes below d points and
-    # rank-deficient modes; chunk 3 splits each size over several chunks
+    # points, is bit-for-bit _absolute_fit over _interpolants of the mode's
+    # own points: grid data with zero regressors and repeated rows, modes
+    # below d points and rank-deficient modes. Once a size spans several
+    # chunks the two pools chunk it differently, so this rests on chunk
+    # invariance; chunk 3 splits each size over several chunks, chunk 1
+    # gives every subset its own chunk and leaves most of a mode's pool
+    # chunks empty
     if chunk is not None:
         monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
     rng = np.random.default_rng(17)
@@ -304,7 +310,7 @@ def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
         x[N - 1], y[N - 1] = x[0], y[0]
         seen["zero"] += not x.any(axis=1).all()
         seen["repeated"] += len(np.unique(x, axis=0)) < N
-        table = solvers._table_by_size(x, y)
+        table = list(solvers._interpolants(x, y))
         masks = rng.random((12, N)) < rng.choice([0.3, 0.6, 0.9], size=(12, 1))
         masks[0] = False
         masks[0, :d - 1] = True                     # below d points
@@ -314,9 +320,10 @@ def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
             seen["small"] += k < d
             seen["rank_deficient"] += k >= d and \
                 np.linalg.matrix_rank(x[mask]) < d
-            own = solvers._absolute_fit(x[mask], y[mask])
-            read = solvers._absolute_fit(x[mask], y[mask],
-                                         solvers._table_pool(table, mask))
+            own = solvers._absolute_fit(x[mask], y[mask], (
+                ws for _, ws in solvers._interpolants(x[mask], y[mask])))
+            read = solvers._absolute_fit(x[mask], y[mask], (
+                ws[mask[s].all(axis=1)] for s, ws in table))
             assert np.array_equal(read, own), (trial, mask)
     assert all(v > 0 for v in seen.values()), seen
 
@@ -736,7 +743,7 @@ def test_table_refit_equals_mode_regression():
         x = rng.integers(-2, 3, size=(N, d)).astype(float)
         y = rng.integers(-2, 3, size=N).astype(float)
         x[-1], y[-1] = x[0], y[0]
-        table = solvers._table_by_size(x, y)
+        table = list(solvers._interpolants(x, y))
         labels = rng.integers(0, n, size=(12, N))
         labels[0] = 0                               # every other mode empty
         labels[1, :] = 1
@@ -755,16 +762,16 @@ def test_table_refit_equals_mode_regression():
 def test_enum_absolute_builds_one_table_and_no_mode_pools(monkeypatch):
     # one interpolant table serves the region scorer and every re-fit mode
     built = []
-    table_by_size = solvers._table_by_size
+    interpolants = solvers._interpolants
 
     def counted(x, y):
         built.append(len(y))
-        return table_by_size(x, y)
+        return interpolants(x, y)
 
     def refuse(*args, **kwargs):
         raise AssertionError("re-fit computed a mode's own pool")
     data, _, _ = random_instance(3, d=2, N=8)
-    monkeypatch.setattr(solvers, "_table_by_size", counted)
+    monkeypatch.setattr(solvers, "_interpolants", counted)
     monkeypatch.setattr(solvers, "solve_mode_regression", refuse)
     report = enumeration_solve(data, 2, ABSOLUTE)
     assert built == [data.N]
@@ -1191,3 +1198,9 @@ def test_solver_config_validation():
             SolverConfig(**{field: value})
         SolverConfig(**{field: 1})
     SolverConfig(seed=0)
+    # a bare float used to construct and fail in every solve with
+    # "'float' object has no attribute 'zero_tol'"
+    for value in (1e-3, None, {"zero_tol": 1e-3}):
+        with pytest.raises(ValueError, match="^tol must be a Tolerances"):
+            SolverConfig(tol=value)
+    SolverConfig(tol=Tolerances(1e-3))
