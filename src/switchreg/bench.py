@@ -48,12 +48,18 @@ def bench_scaling(method: str, sizes, *, n: int = 2, d: int = 1,
                   cfg: SolverConfig = SolverConfig()) -> BenchResult:
     """Generate one instance per size, time the solver, fit the exponent.
 
-    Each size is timed `repeats` times and the minimum is kept, which
-    suppresses scheduler noise. A CapsExceededError stops the ladder.
+    The sizes must be positive and strictly increasing, which is checked
+    before anything is generated. Each size is timed `repeats` times and
+    the minimum is kept, which suppresses scheduler noise. A
+    CapsExceededError stops the ladder.
     """
     sizes = [int(N) for N in sizes]
     if len(sizes) < 2:
         raise ValueError("need at least two sizes")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly increasing")
+    if sizes[0] < 1:
+        raise ValueError("sizes must be positive")
     if repeats < 1:
         raise ValueError("need repeats >= 1")
     done_sizes: list[int] = []

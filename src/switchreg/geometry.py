@@ -6,11 +6,16 @@ exactly on the separating hyperplane {p : h . p = 0}. The patterns are the
 cells of the central hyperplane arrangement {h : h . p_i = 0}, and the
 enumeration here walks that arrangement's rays: the generic ones in one
 batched pass, recursing only into the points on each degenerate ray's
-hyperplane. It is exact on any data: repeated, collinear or
-coplanar points and N <= m need no special handling and no linear program,
-and coordinates of very different magnitudes are scaled away first. The one
-tolerance, the constant SIGN_TOL, is a relative distance: a point that close
-to a hyperplane counts as on it.
+hyperplane. A level of the walk takes one SVD, for the span of its points;
+its rays come from the signed minors of the point subsets, and there is no
+stacked SVD of the subsets, except of those too close to dependent for
+their minors to decide. The walk yields sign rows alone: the witnesses,
+normals realizing the rows, are computed when they are first read. It is
+exact on any data: repeated, collinear or coplanar points and N <= m need
+no special handling and no linear program, and coordinates of very
+different magnitudes are scaled away first. The one tolerance, the constant
+SIGN_TOL, is a relative distance: a point that close to a hyperplane counts
+as on it.
 The general-position check is a diagnostic only. An independent
 angle-sweep oracle covers m <= 2 for verification.
 """
@@ -18,7 +23,9 @@ angle-sweep oracle covers m <= 2 for verification.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -41,21 +48,27 @@ _MAX_EXHAUSTIVE = 20000
 _SAMPLES = 2000
 # Local cells of generic rays per slice of _cells' batched pass. It bounds
 # that pass's (cells, N) arrays; the point sets of d <= 3 data up to N = 40
-# fit in one slice.
+# fit in one slice. The witness pass bounds its (rows, rays) arrays by it.
 _CELL_SLICE = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
 class DichotomySet:
     """Enumeration result: (K, N) signs in {+1, -1}, distinct rows in
-    ascending order, and the (K, m) witnesses realizing them row by row."""
+    ascending order, and the (K, m) witnesses realizing them row by row,
+    which the function it is given computes the first time they are read.
+    """
 
     signs: np.ndarray
-    witnesses: np.ndarray
+    _compute_witnesses: Callable[[], np.ndarray] = field(repr=False)
 
     # read by the benchmark's traced enumeration; nothing is ever dropped
     branch_attempts = 0
     branch_dropped = 0
+
+    @cached_property
+    def witnesses(self) -> np.ndarray:
+        return self._compute_witnesses()
 
     def __len__(self):
         return len(self.signs)
@@ -150,6 +163,12 @@ def _combination_rows(N: int, k: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
 
 
+def _shattered(k):
+    """All 2^k boolean rows of k columns in ascending order: the binary
+    counts 0 .. 2^k - 1, most significant bit first."""
+    return (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 > 0
+
+
 def _running_unique(blocks):
     """Dedupe a stream of blocks as it arrives. Each block is a sequence of
     a boolean (k, N) row array and arrays aligned with its rows. After each
@@ -178,102 +197,151 @@ def _rank(points, vt):
     return (tail > SIGN_TOL).any(axis=-2).sum(axis=-1)
 
 
+def _span(points):
+    """(basis, q): orthonormal rows spanning the points to within SIGN_TOL,
+    from one SVD, and the points' (N, r) coordinates on them."""
+    _, _, vt = np.linalg.svd(points, full_matrices=False)
+    basis = vt[:_rank(points, vt)]
+    return basis, points @ basis.T
+
+
+def _rays(q):
+    """(rays, vals, on_ray): the rays of the arrangement {h : h . q_i = 0}
+    in R^r, r >= 1 the rank of the points q (N, r), one unit ray per
+    distinct set of on-ray points, with the points' signed distances vals
+    (R, N) from each ray's hyperplane and on_ray (R, N), whether they lie
+    on it.
+
+    A ray is the normal to r-1 independent points. Each (r-1)-subset A
+    gives its normal as its signed maximal minors, from one batched
+    determinant: A times it is zero, and its norm is the product of A's
+    singular values. The points are unit vectors, so every singular value
+    is at most sqrt(r-1) and the smallest is at least norm / (r-1)^((r-2)/2):
+    above the bound below, _rank would give rank r-1, and the subset is
+    independent. Only the subsets at or under it take the stacked SVD and
+    _rank, as every subset once did, and give their ray from the SVD.
+    """
+    N, r = q.shape
+    ids = _combination_rows(N, r - 1)                       # (S, r-1)
+    cols = np.nonzero(~np.eye(r, dtype=bool))[1].reshape(r, r - 1)
+    # (S, r, r-1, r-1): subset s without coordinate k
+    normals = np.linalg.det(q[ids[:, None, :, None], cols[:, None]])
+    normals[:, 1::2] *= -1.0
+    norms = np.sqrt(np.add.reduce(normals * normals, axis=1))
+    sure = norms > 2 * SIGN_TOL * (r - 1) ** ((r - 1) / 2)
+    rays = normals / np.where(sure, norms, 1.0)[:, None]
+    doubt = np.flatnonzero(~sure)
+    if len(doubt):
+        subsets = q[ids[doubt]]
+        _, _, right = np.linalg.svd(subsets)
+        rays[doubt] = right[:, -1]
+        sure[doubt] = _rank(subsets, right) == r - 1
+    rays = rays[sure]
+    vals = q @ rays.T                                    # (N, rays)
+    on_ray = np.abs(vals) <= SIGN_TOL
+    if (on_ray.sum(axis=0) == r - 1).all():
+        # every on-ray set is the subset that gave its ray: all distinct
+        return rays, vals.T, on_ray.T
+    keep = unique_rows(on_ray.T)                         # one ray per on-ray set
+    return rays[keep], vals[:, keep].T, on_ray[:, keep].T
+
+
 def _cells(points):
-    """(rows, witnesses): every cell of the arrangement {h : h . p_i = 0}.
+    """Every cell of the arrangement {h : h . p_i = 0}, as the boolean
+    (K, N) table of the points on its positive side: unique rows in
+    ascending order.
 
     The points are unit vectors (up to rounding), so SIGN_TOL is a relative
     distance: a point within SIGN_TOL of a subspace counts as on it, in the
     rank of the set, in the independence of a ray's subset and in the
-    on-ray test alike. rows is the boolean (K, N) table of the points on
-    the positive side, unique rows in ascending order; witnesses is (K, m),
-    in the span of the points, with points @ w > 0 exactly where rows holds.
+    on-ray test alike.
 
     The cells around a ray are those of its on-ray points projected onto
     the ray's hyperplane. A generic ray has exactly r-1 on-ray points:
-    the independent subset whose SVD gave the ray, already in its
-    hyperplane. The recursion would reach its N == r case and shatter them,
-    each of the 2^(r-1) local patterns witnessed by its min-norm solution,
-    which that subset's SVD factors give as well. So every generic ray of a
-    level is resolved in one batched pass, with no SVD of its own: one
-    stacked SVD of the subsets per level. The pass runs _CELL_SLICE local
-    cells at a time, deduped as they come. Only the degenerate rays recurse.
+    the independent subset that gave the ray, already in its hyperplane.
+    The recursion would reach its N == r case and shatter them, so every
+    generic ray of a level is resolved in one batched pass that writes its
+    2^(r-1) local rows and their negations, with no SVD of its own: a level
+    takes one SVD for its span and the rays' batched minors, and a stacked
+    SVD only of the subsets too close to dependent to decide by their
+    minors. The pass runs _CELL_SLICE local cells at a time, deduped as
+    they come. Only the degenerate rays recurse.
     """
     N = len(points)
-    _, _, vt = np.linalg.svd(points, full_matrices=False)
-    basis = vt[:_rank(points, vt)]
-    q = points @ basis.T                             # (N, r) span coordinates
+    basis, q = _span(points)
     r = len(basis)
     if N == r:
-        signs = np.array(list(itertools.product((-1, 1), repeat=r)))
-        return signs > 0, np.linalg.solve(q, signs.T).T @ basis
+        return _shattered(r)
     if r == 1:
-        g = -1 if q[0, 0] > 0 else 1         # the pattern with -1 at p_1 first
-        signs = g * np.where(q[:, 0] > 0, 1, -1)
-        return np.array([signs, -signs]) > 0, np.array([[g], [-g]]) @ basis
+        first = (q[:, 0] > 0) != (q[0, 0] > 0)    # the row without p_1 first
+        return np.array([first, ~first])
 
     # every cell touches a ray: the normal to r-1 independent points
-    subsets = q[_combination_rows(N, r - 1)]
-    left, sv, right = np.linalg.svd(subsets)
-    src = np.flatnonzero(_rank(subsets, right) == r - 1)
-    rays = right[src, -1]
-    vals = q @ rays.T                                # (N, rays)
-    on_ray = np.abs(vals) <= SIGN_TOL
-    keep = unique_rows(on_ray.T)                     # one ray per on-ray set
-    src, rays = src[keep], rays[keep]
-    vals, on_ray = vals[:, keep].T, on_ray[:, keep].T
-
+    rays, vals, on_ray = _rays(q)
     # generic rays: their r-1 on-ray points are the independent subset that
-    # defined them, so each local pattern's min-norm witness comes from that
-    # subset's SVD, orthogonal to the ray
+    # defined them, and take every local pattern
     generic = on_ray.sum(axis=1) == r - 1
-    local = np.array(list(itertools.product((-1, 1), repeat=r - 1)))
+    local = _shattered(r - 1)
     step = max(1, _CELL_SLICE // len(local))
 
     def blocks():
         ids = np.flatnonzero(generic)
         for lo in range(0, len(ids), step):
             c = ids[lo:lo + step]
-            sub = src[c]
-            u = (local @ left[sub] / sv[sub, None]) @ right[sub, :r - 1]
-            yield _around(q, vals[c], on_ray[c], rays[c], np.broadcast_to(
-                local > 0, u.shape[:2] + (r - 1,)), u)
+            yield _around(vals[c], on_ray[c],
+                          np.broadcast_to(local, (len(c),) + local.shape)),
         parts = []
         for c in np.flatnonzero(~generic):
             on = on_ray[c]
             flat = q[on] - np.outer(vals[c, on], rays[c])
-            local_rows, u = _cells(flat)
-            parts.append(_around(q, vals[c:c + 1], on_ray[c:c + 1],
-                                 rays[c:c + 1], local_rows[None], u[None]))
+            parts.append(_around(vals[c:c + 1], on_ray[c:c + 1],
+                                 _cells(flat)[None]))
         if parts:
-            yield [np.vstack(a) for a in zip(*parts)]
+            yield np.vstack(parts),
 
-    for rows, witnesses in _running_unique(blocks()):
+    for rows, in _running_unique(blocks()):
         pass                                 # the last yield holds them all
-    return rows, witnesses @ basis
+    return rows
 
 
-def _around(q, vals, on, rays, local, u):
+def _around(vals, on, local):
     """The cells next to R rays, L per ray, and their negations (the cells
-    next to the opposite rays), as (2RL, N) boolean rows and (2RL, r)
-    witnesses.
+    next to the opposite rays), as (2RL, N) boolean rows.
 
     vals (R, N) and on (R, N) are the points' signed distances from each
     ray's hyperplane and whether they lie on it; local (R, L, k) are the
-    rows of a ray's k on-ray points, in index order, in its L local cells,
-    and u (R, L, r) their witnesses, orthogonal to the ray. Off-ray points
-    keep their side of the ray's hyperplane; h = ray + delta u with delta
-    small enough that none of them flips.
+    rows of a ray's k on-ray points, in index order, in its L local cells.
+    Off-ray points keep their side of the ray's hyperplane.
     """
-    (R, N), (L, r) = vals.shape, u.shape[1:]
+    (R, N), L = vals.shape, local.shape[1]
     around = np.repeat((vals > 0)[:, None], L, axis=1)
     rows, pts = np.nonzero(on)
     around[rows, :, pts] = local.transpose(0, 2, 1).reshape(len(rows), L)
-    coupling = np.where(on[:, None], 0.0, np.abs(u @ q.T)).max(axis=2)
-    margin = np.where(on, np.inf, np.abs(vals)).min(axis=1)
-    delta = 0.5 * margin[:, None] / np.maximum(1.0, coupling)
     around = around.reshape(R * L, N)
-    h = (rays[:, None] + delta[..., None] * u).reshape(R * L, r)
-    return np.vstack([around, ~around]), np.vstack([h, -h])
+    return np.vstack([around, ~around])
+
+
+def _witnesses(points, rows):
+    """(K, m) witnesses of the cells with the boolean (K, N) rows, with
+    points @ w > 0 exactly where a row holds.
+
+    After the reduction to the span, a cell's closure is a pointed cone
+    spanned by the arrangement's rays in it: the unit rays consistent with
+    its row, with no off-ray point on the wrong side. Their sum is interior
+    to the cell. The rows are taken _CELL_SLICE // (rays) at a time.
+    """
+    basis, q = _span(points)
+    if not len(basis):                  # no points: the one empty row
+        return np.zeros((len(rows), points.shape[1]))
+    rays, vals, on_ray = _rays(q)
+    side = np.where(on_ray, 0.0, np.sign(vals))              # (R, N)
+    off = (~on_ray).sum(axis=1)
+    step = max(1, _CELL_SLICE // len(rays))
+    sums = []
+    for lo in range(0, len(rows), step):
+        agree = np.where(rows[lo:lo + step], 1.0, -1.0) @ side.T
+        sums.append(((agree == off) * 1.0 - (agree == -off)) @ rays)
+    return np.vstack(sums) @ basis
 
 
 def enumerate_linear_dichotomies(points) -> DichotomySet:
@@ -294,19 +362,20 @@ def enumerate_linear_dichotomies(points) -> DichotomySet:
     pattern, with no linear program and no general-position assumption.
     On a generic ray the on-ray points are the r-1 independent points that
     defined it, so they take all 2^(r-1) sign patterns: all generic rays of
-    a level are resolved together in one batched pass, their witnesses from
-    the same SVD of the subsets that gave the rays. Only the
+    a level are resolved together in one batched pass. Only the
     degenerate rays, with more points on them or dependent ones, recurse
     into their on-ray points; general-position data never recurses.
     Repeated, collinear or coplanar points and N <= m are exact, and a
     point within relative distance SIGN_TOL of a hyperplane counts as on
     it. r independent points give all 2^r patterns and r = 1 gives two.
-    Each witness h0 + delta u separates strictly, with delta small enough
-    that no off-ray sign flips. The set is closed under global negation.
+    The set is closed under global negation. Its witnesses are computed
+    the first time they are read: each row's is the sum of the unit rays
+    consistent with the row, interior to its cell, so they separate
+    strictly. A caller that reads only the signs pays nothing for them.
     """
     unit, col = _unit_points(points)
-    rows, witnesses = _cells(unit)
-    return DichotomySet(np.where(rows, 1, -1), witnesses / col)
+    signs = np.where(_cells(unit), 1, -1)
+    return DichotomySet(signs, lambda: _witnesses(unit, signs > 0) / col)
 
 
 def _unit_points(points):
@@ -371,6 +440,6 @@ def sweep_dichotomies_oracle(points) -> DichotomySet:
                 continue            # landed on a coincident critical angle
             found.setdefault(tuple(int(v) for v in np.where(vals > 0, 1, -1)), h)
     keys = sorted(found)
+    witnesses = np.array([found[k] for k in keys]).reshape(len(keys), m) / col
     return DichotomySet(np.array(keys, dtype=np.int64).reshape(len(keys), N),
-                        np.array([found[k] for k in keys]).reshape(len(keys), m)
-                        / col)
+                        lambda: witnesses)

@@ -1,8 +1,11 @@
 """Runtime-scaling harness."""
 
+import warnings
+
 import pytest
 
 from switchreg import BenchResult, CapsExceededError, SolverConfig, bench_scaling
+from switchreg import bench
 
 
 def test_result_validation():
@@ -59,3 +62,16 @@ def test_too_few_completed_sizes_is_an_error():
 def test_requires_at_least_two_sizes():
     with pytest.raises(ValueError):
         bench_scaling("enum", [10])
+
+
+@pytest.mark.parametrize("sizes", [[16, 15], [10, 10], [0, 5], [-3, 5]])
+def test_sizes_checked_before_any_solve(monkeypatch, sizes):
+    def refuse(*args):
+        raise AssertionError("solved before the sizes were checked")
+
+    monkeypatch.setattr(bench, "solve_instance", refuse)
+    monkeypatch.setattr(bench, "generate_instance", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sizes must be"):
+            bench_scaling("brute", sizes, repeats=1)

@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from switchreg import (ABSOLUTE, SQUARED, Dataset, Labeling, ModelSet,
                        SolverConfig, empirical_cost, load_dataset_csv,
                        load_dataset_json)
-from switchreg import cli
+from switchreg import bench, cli
 from switchreg.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -455,6 +456,20 @@ def test_bench_zero_repeats_is_usage_error(capsys):
                           "--sizes", "40,80", "--repeats", "0")
     assert code == 2
     assert "repeats" in stderr
+
+
+def test_bench_repeated_size_is_usage_error_with_no_solve(monkeypatch, capsys):
+    # the sizes are checked before any instance is solved or any slope fitted
+    def refuse(*args):
+        raise AssertionError("solved before the sizes were checked")
+
+    monkeypatch.setattr(bench, "solve_instance", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, stderr = run(capsys, "bench", "--method", "brute",
+                              "--sizes", "10,10", "--repeats", "1")
+    assert code == 2
+    assert "sizes must be strictly increasing" in stderr
 
 
 def _readme_cli_examples():

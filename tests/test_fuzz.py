@@ -8,14 +8,17 @@ reach, zero-noise generator instances plant an exact fit. The runs are
 derandomized and bounded, so the gate is deterministic and fast.
 """
 
+import itertools
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, SIGN_TOL, SQUARED,
                        Dataset, GeneratorSpec, PartitionInstance,
                        brute_force_solve, enumerate_linear_dichotomies,
                        enumeration_solve, generate_instance, noiseless_solve,
                        partition_to_instance, sweep_dichotomies_oracle)
+from switchreg.geometry import _unit_points
 
 from conftest import lp_feasible_patterns
 
@@ -83,6 +86,54 @@ def test_dichotomies_match_linear_programs_in_four_dimensions(points):
     result = enumerate_linear_dichotomies(points)
     assert result.patterns() == lp_feasible_patterns(points)
     _assert_strict(points, result)
+
+
+# Near-degenerate sets. In the plane, two directions 1e-11 to 1e-7 rad apart
+# are two lines to the enumeration and to the sweep alike.
+@settings(_GATE, max_examples=20)
+@given(st.integers(0, 2**32 - 1), st.floats(7.0, 11.0))
+def test_dichotomies_of_nearly_parallel_points_match_sweep_oracle(seed, exp):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((6, 2))
+    angle = np.arctan2(pts[0, 1], pts[0, 0]) + 10.0 ** -exp
+    pts[1] = rng.uniform(0.5, 2.0) * np.array([np.cos(angle), np.sin(angle)])
+    result = enumerate_linear_dichotomies(pts)
+    assert result.patterns() == sweep_dichotomies_oracle(pts).patterns()
+    _assert_strict(pts, result)
+
+
+def _near_coplanar(seed, m, offset):
+    """Five Gaussian points in R^m, the third `offset` off the plane of the
+    first two."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((5, m))
+    span = np.linalg.qr(pts[:2].T)[0]
+    w = rng.standard_normal(m)
+    w -= span @ (span.T @ w)
+    pts[2] = rng.uniform(-0.5, 0.5, 2) @ pts[:2] + offset * w / np.linalg.norm(w)
+    return pts
+
+
+# At m = 4 the triple's minors can fall between SIGN_TOL and the bound above
+# which the enumeration takes a subset as independent by its minors alone,
+# and then the SVD fallback decides its independence. Draws with an m x m
+# determinant of the scaled points within 2 SIGN_TOL of zero are skipped,
+# as a point that close to a hyperplane counts as on it. The patterns of
+# points in general position follow the signs of those determinants, which
+# no offset in (0, 1e-5] changes on these draws, so the LPs, which need no
+# separating h of norm near 1e12 there, run at offset 1e-5.
+@settings(_GATE, max_examples=20)
+@given(st.sampled_from([3, 4]), st.integers(0, 2**32 - 1),
+       st.floats(11.0, 11.5))
+def test_dichotomies_of_near_coplanar_triples_match_linear_programs(m, seed,
+                                                                    exp):
+    pts = _near_coplanar(seed, m, 10.0 ** -exp)
+    unit = _unit_points(pts)[0]
+    subsets = list(itertools.combinations(range(len(pts)), m))
+    assume(np.abs(np.linalg.det(unit[subsets])).min() > 2 * SIGN_TOL)
+    result = enumerate_linear_dichotomies(pts)
+    assert result.patterns() == lp_feasible_patterns(_near_coplanar(seed, m,
+                                                                    1e-5))
 
 
 # brute force takes 0.2-0.6 s per solve at n = 4, N = 8 (grid data, d = 1

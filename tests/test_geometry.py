@@ -199,6 +199,29 @@ def test_generic_and_degenerate_rays_in_one_level(m):
     _assert_strict(pts, result)
 
 
+_WITNESSED = {
+    "degenerate": _DEGENERATE,
+    "mixed-m3": _mixed_rays(3),
+    "mixed-m4": _mixed_rays(4),
+    "N=r": np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, -3.0]]),
+    "N=r<m": np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 1.0]]),
+    "r=1": np.array([[1.0, 2.0, 0.0], [-2.0, -4.0, 0.0], [0.5, 1.0, 0.0]]),
+    "N=0": np.zeros((0, 3)),
+}
+
+
+@pytest.mark.parametrize("points", _WITNESSED.values(), ids=_WITNESSED)
+def test_witnesses_computed_on_read_separate_strictly(points):
+    # the witnesses are computed on first read, each the sum of the rays
+    # consistent with its row, and kept: a second read gives the same array
+    result = enumerate_linear_dichotomies(points)
+    assert "witnesses" not in vars(result)
+    witnesses = result.witnesses
+    assert witnesses.shape == (len(result), points.shape[1])
+    assert result.witnesses is witnesses
+    _assert_strict(points, result)
+
+
 _SLICED = [np.random.default_rng(10 + m).standard_normal((7, m))
            for m in range(1, 6)] + [_DEGENERATE] + [_mixed_rays(m)
                                                     for m in (3, 4, 5)]
@@ -235,24 +258,26 @@ def test_only_degenerate_rays_recurse(monkeypatch):
     assert len(entries) > 1
 
 
-def test_generic_rays_reuse_the_subsets_svd(monkeypatch):
-    # a structural guard, not a timing test: one SVD gives the rank and one
-    # stacked SVD of the (r-1)-subsets gives the rays and, for the generic
-    # ones, the witnesses too
-    calls = []
+def test_generic_rays_take_no_stacked_svd(monkeypatch):
+    # a structural guard, not a timing test: one SVD gives the span, and
+    # the rays of general-position points come from their subsets' minors,
+    # with no stacked SVD; degenerate subsets still take one
+    shapes = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw:
+                        shapes.append(np.shape(a)) or svd(a, *args, **kw))
     rng = np.random.default_rng(29)
     for m in (2, 3, 4):
-        calls.clear()
+        shapes.clear()
         pts = rng.standard_normal((9, m))
         result = enumerate_linear_dichotomies(pts)
-        assert len(calls) == 2, m
+        assert shapes == [(9, m)], m
         if m == 2:
             assert _patterns(result) == _patterns(sweep_dichotomies_oracle(pts))
+    shapes.clear()
     result = enumerate_linear_dichotomies(_DEGENERATE)
     assert _patterns(result) == lp_feasible_patterns(_DEGENERATE)
+    assert any(len(shape) == 3 for shape in shapes)
 
 
 @pytest.mark.parametrize("scale", [(1e-10, 1.0), (1.0, 1e10), (1e-10, 1e10),

@@ -10,7 +10,7 @@ import numpy as np
 
 from switchreg import (SQUARED, Dataset, Labeling, PartitionInstance,
                        brute_force_solve, decide_threshold,
-                       partition_to_instance)
+                       enumerate_linear_dichotomies, partition_to_instance)
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
 _spec = importlib.util.spec_from_file_location("report_digest", _PATH)
@@ -61,3 +61,41 @@ def test_exception_digests_as_raised():
     assert line == digest(ValueError("need n >= 1"))
     assert line != digest(ValueError("need n >= 2"))
     assert line != digest(RuntimeError("need n >= 1"))
+
+
+def test_dichotomy_rows_digest_moves_with_every_sign():
+    result = enumerate_linear_dichotomies(
+        np.random.default_rng(3).standard_normal((6, 3)))
+    line = digest(result)
+    assert line == digest(enumerate_linear_dichotomies(
+        np.random.default_rng(3).standard_normal((6, 3))))
+    flipped = result.signs.copy()
+    flipped[-1, -1] *= -1
+    dropped = result.signs[:-1]
+    lines = {line} | {digest(dataclasses.replace(result, signs=signs))
+                      for signs in (flipped, dropped)}
+    assert len(lines) == 3
+
+
+def test_point_sweep_covers_the_degenerate_kinds():
+    # Gaussian sets in m = 1-5, grids with a repeated point and a collinear
+    # triple, and lifted-like sets with leading coordinates scaled by 1e-13
+    # and 1e-20; those in m <= 3 (the rest take seconds) enumerate to a row
+    # digest, not an exception
+    sets = list(report_digest.point_sets(np))
+    assert len(sets) == report_digest.POINT_SETS
+    kinds = {(label.split("-", 1)[1].rsplit("-m", 1)[0], points.shape[1])
+             for label, points in sets}
+    assert kinds == {(kind, m) for kind in ("gauss", "grid", "1e-13", "1e-20")
+                     for m in range(1, 6)}
+    for label, points in sets:
+        if "grid" in label:
+            assert len(np.unique(points, axis=0)) < len(points), label
+            if points.shape[1] > 1:
+                a, b, c = points[0], points[1], points[-1]
+                assert np.linalg.matrix_rank(np.vstack([b - a, c - a])) <= 1
+        if "1e-" in label:
+            assert np.abs(points[[2, 4, 5]]).min() < 1e-12, label
+        if points.shape[1] <= 3:
+            assert not digest(enumerate_linear_dichotomies(
+                points)).startswith("raised:"), label

@@ -15,7 +15,7 @@ from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, CapsExceededError,
                        enumerate_linear_dichotomies, fit_modes,
                        noiseless_solve, refine_alternate, solve_instance,
                        solve_mode_regression)
-from switchreg import solvers
+from switchreg import geometry, solvers
 from switchreg.core import _canonicalize_arrays
 from switchreg.datasets import GeneratorSpec, generate_instance
 from switchreg.hardness import PartitionInstance, partition_to_instance
@@ -791,6 +791,23 @@ def test_enum_without_live_points_skips_the_geometry(monkeypatch, n):
         report = enumeration_solve(data, n, loss)
         assert report.status == "optimal"
         assert report.cost == cost
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=["sq", "abs"])
+def test_enum_computes_no_witness(monkeypatch, n, loss):
+    # the stream reads the dichotomies' signs alone: no solve asks for the
+    # witnesses, on generator data or on integer-grid data whose zero
+    # regressors stay out of the geometry
+    def refuse(*args):
+        raise AssertionError("a solve computed dichotomy witnesses")
+    monkeypatch.setattr(geometry, "_witnesses", refuse)
+    grid = np.random.default_rng(n).integers(-2, 3, size=(8, 3)).astype(float)
+    grid[[1, 4], :2] = 0.0
+    for data in (random_instance(n, n=n, d=2, N=8)[0],
+                 Dataset(grid[:, :2], grid[:, 2])):
+        assert len(CandidateStream(data, n).partitions)
+        assert enumeration_solve(data, n, loss).status == "optimal"
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,13 @@ a call that raised hashes its exception's type and message. The lines cover
 every call of every benchmark workload for the given rounds at the seed,
 then a fixed sweep of random instances (n 1-3, d 1-3, both losses, Gaussian
 and integer-grid data with zero regressors and repeated rows) solved by
-every method whose budget admits it. Elapsed times are left out. BLAS
-thread pools are pinned to one thread, as in benchmark/run.py.
+every method whose budget admits it, then the sign rows that
+enumerate_linear_dichotomies gives on a fixed sweep of point sets (Gaussian
+in m 1-5, integer grids with repeated points and collinear triples, and
+Gaussian points whose leading coordinates are scaled by 1e-13 or 1e-20 in a
+few rows, as the lifted points of tiny regressors are), so a change to the
+geometry is compared bit for bit on its own. Elapsed times are left out.
+BLAS thread pools are pinned to one thread, as in benchmark/run.py.
 """
 
 from __future__ import annotations
@@ -31,14 +36,21 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 WORKLOAD_NAMES = ("enum-gp", "enum-n3", "grid-oracle")
 SWEEP = 150                     # random instances, each under both losses
+POINT_SETS = 200                # point sets whose dichotomies are hashed
 
 
 def digest(outcome) -> str:
-    """SHA-256 prefix of a report's result fields, or of an exception."""
+    """SHA-256 prefix of a report's result fields, of a dichotomy set's
+    sign rows, or of an exception."""
     h = hashlib.sha256()
     if isinstance(outcome, Exception):
         h.update(f"{type(outcome).__name__}: {outcome}".encode())
         return "raised:" + h.hexdigest()[:16]
+    signs = getattr(outcome, "signs", None)
+    if signs is not None:
+        h.update(repr(signs.shape).encode())
+        h.update(signs.astype("<i8").tobytes())
+        return h.hexdigest()[:16]
     report = getattr(outcome, "report", outcome)
     h.update(float(report.cost).hex().encode())
     h.update(report.models.w.tobytes())
@@ -73,6 +85,30 @@ def sweep_instances(np, Dataset):
         yield f"sweep{i}-n{n}-d{d}-N{N}", Dataset(x, y), n
 
 
+def point_sets(np):
+    """(label, points) for the fixed sweep of dichotomy inputs: m cycles
+    through 1-5 and the kind through Gaussian, integer grid and Gaussian
+    with the leading coordinates of rows 2, 4 and 5 scaled by 1e-13 or by
+    1e-20. A grid set drops its zero points and gains a repeat of its first
+    point and a point collinear with its first two."""
+    for i in range(POINT_SETS):
+        rng = np.random.default_rng([2025, i])
+        m, kind = 1 + i % 5, ("gauss", "grid", "1e-13", "1e-20")[i // 5 % 4]
+        N = int(rng.integers(1, 13))
+        if kind == "grid":
+            pts = rng.integers(-2, 3, size=(N, m)).astype(float)
+            pts = pts[pts.any(axis=1)]
+            if len(pts) < 2:
+                pts = np.vstack([pts, np.eye(2, m)])[:2]
+            pts = np.vstack([pts, pts[0], 2 * pts[1] - pts[0]])
+            pts = pts[pts.any(axis=1)]
+        else:
+            pts = rng.standard_normal((max(N, 6), m))
+            if kind != "gauss":
+                pts[[2, 4, 5], :max(1, m - 1)] *= float(kind)
+        yield f"rows{i}-{kind}-m{m}-N{len(pts)}", pts
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
@@ -86,7 +122,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
     import numpy as np
     import workloads
-    from switchreg import solvers
+    from switchreg import geometry, solvers
     from switchreg.core import ABSOLUTE, SQUARED, Dataset
 
     for name in WORKLOAD_NAMES:
@@ -104,6 +140,10 @@ def main(argv=None) -> int:
                     continue
                 out = attempt(solvers.solve_instance, data, n, loss, method)
                 print(f"{label} {loss.kind} {method} {digest(out)}")
+
+    for label, points in point_sets(np):
+        out = attempt(geometry.enumerate_linear_dichotomies, points)
+        print(f"{label} {digest(out)}")
     return 0
 
 
