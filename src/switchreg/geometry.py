@@ -9,7 +9,8 @@ batched pass, recursing only into the points on each degenerate ray's
 hyperplane. A level of the walk takes one SVD, for the span of its points;
 its rays come from the signed minors of the point subsets, and there is no
 stacked SVD of the subsets, except of those too close to dependent for
-their minors to decide. The walk yields sign rows alone: the witnesses,
+their minors to decide and of those with a point near or on their ray.
+The walk yields sign rows alone: the witnesses,
 normals realizing the rows, are computed when they are first read. It is
 exact on any data: repeated, collinear or coplanar points and N <= m need
 no special handling and no linear program, and coordinates of very
@@ -23,9 +24,8 @@ angle-sweep oracle covers m <= 2 for verification.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -52,23 +52,28 @@ _SAMPLES = 2000
 _CELL_SLICE = 1 << 17
 
 
-@dataclass(frozen=True, eq=False)
 class DichotomySet:
     """Enumeration result: (K, N) signs in {+1, -1}, distinct rows in
-    ascending order, and the (K, m) witnesses realizing them row by row,
-    which the function it is given computes the first time they are read.
-    """
+    ascending order, and the (K, m) witnesses realizing them row by row.
 
-    signs: np.ndarray
-    _compute_witnesses: Callable[[], np.ndarray] = field(repr=False)
+    witnesses is given as that array, or as a function of no arguments
+    that returns it, called the first time .witnesses is read.
+    """
 
     # read by the benchmark's traced enumeration; nothing is ever dropped
     branch_attempts = 0
     branch_dropped = 0
 
-    @cached_property
+    def __init__(self, signs, witnesses):
+        self.signs = signs
+        self._witnesses = (witnesses if callable(witnesses)
+                           else np.asarray(witnesses))
+
+    @property
     def witnesses(self) -> np.ndarray:
-        return self._compute_witnesses()
+        if callable(self._witnesses):
+            self._witnesses = self._witnesses()
+        return self._witnesses
 
     def __len__(self):
         return len(self.signs)
@@ -217,9 +222,16 @@ def _rays(q):
     determinant: A times it is zero, and its norm is the product of A's
     singular values. The points are unit vectors, so every singular value
     is at most sqrt(r-1) and the smallest is at least norm / (r-1)^((r-2)/2):
-    above the bound below, _rank would give rank r-1, and the subset is
-    independent. Only the subsets at or under it take the stacked SVD and
-    _rank, as every subset once did, and give their ray from the SVD.
+    above 2 SIGN_TOL (r-1)^((r-1)/2), _rank would give rank r-1, and the
+    subset is independent. Each minor is off by about eps, so the unit ray
+    is off by about eps / norm, and the SVD's null vector by about as much:
+    on near-dependent subsets the two stay within 1.4 eps (r-1)^((r-1)/2) /
+    norm of each other, and the bound below allows 8. So the minors' ray
+    is kept only where it decides every point as the SVD's would: A's own
+    points on it, every other point farther than SIGN_TOL plus that bound
+    from it. The other subsets, near dependent or with a point near or on
+    their ray, as every degenerate ray has, take the stacked SVD and _rank,
+    as every subset once did, and their ray from the SVD.
     """
     N, r = q.shape
     ids = _combination_rows(N, r - 1)                       # (S, r-1)
@@ -228,22 +240,29 @@ def _rays(q):
     normals = np.linalg.det(q[ids[:, None, :, None], cols[:, None]])
     normals[:, 1::2] *= -1.0
     norms = np.sqrt(np.add.reduce(normals * normals, axis=1))
-    sure = norms > 2 * SIGN_TOL * (r - 1) ** ((r - 1) / 2)
-    rays = normals / np.where(sure, norms, 1.0)[:, None]
-    doubt = np.flatnonzero(~sure)
+    slack = (r - 1) ** ((r - 1) / 2) / np.maximum(norms, SIGN_TOL)
+    rays = normals / np.maximum(norms, SIGN_TOL)[:, None]
+    vals = rays @ q.T                                       # (S, N)
+    dist = np.abs(vals)
+    on_ray = dist <= SIGN_TOL
+    own = ids + N * np.arange(len(ids))[:, None]            # flat (s, ids[s])
+    off = dist.ravel()
+    kept = ((slack < 0.5 / SIGN_TOL)
+            & (off[own].max(axis=1, initial=0.0) <= SIGN_TOL))
+    off[own] = np.inf
+    kept &= dist.min(axis=1) > SIGN_TOL + 8 * np.finfo(float).eps * slack
+    doubt = np.flatnonzero(~kept)
     if len(doubt):
         subsets = q[ids[doubt]]
         _, _, right = np.linalg.svd(subsets)
         rays[doubt] = right[:, -1]
-        sure[doubt] = _rank(subsets, right) == r - 1
-    rays = rays[sure]
-    vals = q @ rays.T                                    # (N, rays)
-    on_ray = np.abs(vals) <= SIGN_TOL
-    if (on_ray.sum(axis=0) == r - 1).all():
-        # every on-ray set is the subset that gave its ray: all distinct
-        return rays, vals.T, on_ray.T
-    keep = unique_rows(on_ray.T)                         # one ray per on-ray set
-    return rays[keep], vals[:, keep].T, on_ray[:, keep].T
+        vals[doubt] = (q @ right[:, -1].T).T
+        on_ray[doubt] = np.abs(vals[doubt]) <= SIGN_TOL
+        doubt = doubt[_rank(subsets, right) == r - 1]
+        # one ray per on-ray set: a minors' ray has just its own subset on
+        # it, as no other ray has, so only the SVD's rays can share a set
+        kept[doubt[unique_rows(on_ray[doubt])]] = True
+    return rays[kept], vals[kept], on_ray[kept]
 
 
 def _cells(points):
@@ -263,9 +282,10 @@ def _cells(points):
     generic ray of a level is resolved in one batched pass that writes its
     2^(r-1) local rows and their negations, with no SVD of its own: a level
     takes one SVD for its span and the rays' batched minors, and a stacked
-    SVD only of the subsets too close to dependent to decide by their
-    minors. The pass runs _CELL_SLICE local cells at a time, deduped as
-    they come. Only the degenerate rays recurse.
+    SVD only of the subsets whose minors do not decide (see _rays), as
+    those of degenerate rays never do. The pass runs _CELL_SLICE local
+    cells at a time, deduped as they come. Only the degenerate rays
+    recurse.
     """
     N = len(points)
     basis, q = _span(points)
@@ -321,9 +341,10 @@ def _around(vals, on, local):
     return np.vstack([around, ~around])
 
 
-def _witnesses(points, rows):
-    """(K, m) witnesses of the cells with the boolean (K, N) rows, with
-    points @ w > 0 exactly where a row holds.
+def _witnesses(points, rows, col):
+    """(K, m) witnesses of the cells with the boolean (K, N) rows, for the
+    original points of the unit points and column scales col that
+    _unit_points gave: p @ w > 0 exactly where a row holds.
 
     After the reduction to the span, a cell's closure is a pointed cone
     spanned by the arrangement's rays in it: the unit rays consistent with
@@ -341,7 +362,7 @@ def _witnesses(points, rows):
     for lo in range(0, len(rows), step):
         agree = np.where(rows[lo:lo + step], 1.0, -1.0) @ side.T
         sums.append(((agree == off) * 1.0 - (agree == -off)) @ rays)
-    return np.vstack(sums) @ basis
+    return np.vstack(sums) @ basis / col
 
 
 def enumerate_linear_dichotomies(points) -> DichotomySet:
@@ -375,7 +396,7 @@ def enumerate_linear_dichotomies(points) -> DichotomySet:
     """
     unit, col = _unit_points(points)
     signs = np.where(_cells(unit), 1, -1)
-    return DichotomySet(signs, lambda: _witnesses(unit, signs > 0) / col)
+    return DichotomySet(signs, partial(_witnesses, unit, signs > 0, col))
 
 
 def _unit_points(points):
@@ -440,6 +461,6 @@ def sweep_dichotomies_oracle(points) -> DichotomySet:
                 continue            # landed on a coincident critical angle
             found.setdefault(tuple(int(v) for v in np.where(vals > 0, 1, -1)), h)
     keys = sorted(found)
-    witnesses = np.array([found[k] for k in keys]).reshape(len(keys), m) / col
     return DichotomySet(np.array(keys, dtype=np.int64).reshape(len(keys), N),
-                        lambda: witnesses)
+                        np.array([found[k] for k in keys]).reshape(len(keys), m)
+                        / col)

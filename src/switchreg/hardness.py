@@ -128,9 +128,9 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
     enumeration solver is exact on reduction instances too, despite their
     repeated regressor vectors, but their dimension is the multiset size
     and its time grows exponentially with it. Per decision at sizes 4, 5,
-    6 and 7 on a 2-core x86 VM, enum takes about 0.03, 0.2, 1.5 and 13 s,
-    where brute or noiseless are faster: brute takes about 0.02, 0.09,
-    0.35 and 1.3 s. Every solver and the answer read their tolerances from
+    6 and 7 on a 2-core x86 VM, enum takes about 0.05, 0.3, 2 and 16 s,
+    where brute or noiseless are faster: brute takes about 0.02, 0.07,
+    0.3 and 1.3 s. Every solver and the answer read their tolerances from
     cfg.tol.
     """
     if method == "altmin":

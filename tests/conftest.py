@@ -4,6 +4,7 @@ The oracles here deliberately avoid the library's own code paths wherever
 possible, so agreement is evidence rather than tautology.
 """
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -38,6 +39,23 @@ def partition_has_equal_split(s):
             if 2 * sum(s[i] for i in combo) == total:
                 return True
     return False
+
+
+@contextlib.contextmanager
+def rays_on_their_points():
+    """Check every ray the enumeration walks: as the normal of r-1
+    independent points, it has at least r-1 of the points on it."""
+    from switchreg import geometry
+    rays = geometry._rays
+
+    def checked(q):
+        found = rays(q)
+        assert (found[2].sum(axis=1) >= q.shape[1] - 1).all()
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_rays", checked)
+        yield
 
 
 def lp_feasible_patterns(points):

@@ -20,7 +20,7 @@ from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, SIGN_TOL, SQUARED,
                        partition_to_instance, sweep_dichotomies_oracle)
 from switchreg.geometry import _unit_points
 
-from conftest import lp_feasible_patterns
+from conftest import lp_feasible_patterns, rays_on_their_points
 
 _GATE = settings(derandomize=True, database=None, deadline=None,
                  max_examples=60)
@@ -114,26 +114,28 @@ def _near_coplanar(seed, m, offset):
     return pts
 
 
-# At m = 4 the triple's minors can fall between SIGN_TOL and the bound above
-# which the enumeration takes a subset as independent by its minors alone,
-# and then the SVD fallback decides its independence. Draws with an m x m
-# determinant of the scaled points within 2 SIGN_TOL of zero are skipped,
-# as a point that close to a hyperplane counts as on it. The patterns of
-# points in general position follow the signs of those determinants, which
-# no offset in (0, 1e-5] changes on these draws, so the LPs, which need no
-# separating h of norm near 1e12 there, run at offset 1e-5.
+# The triple's subsets have minors near the offset, so their rays from
+# minors are off by about 1e-16 / offset, and the enumeration must take
+# them from an SVD instead; every ray must keep its own points on it.
+# Draws with an m x m determinant of the scaled points within 2 SIGN_TOL of
+# zero are skipped, as a point that close to a hyperplane counts as on it.
+# The patterns of points in general position follow the signs of those
+# determinants. The LPs, which need no separating h of norm near 1e12 there,
+# run at offset 1e-5, where the test checks that every sign is the same.
 @settings(_GATE, max_examples=20)
 @given(st.sampled_from([3, 4]), st.integers(0, 2**32 - 1),
        st.floats(11.0, 11.5))
 def test_dichotomies_of_near_coplanar_triples_match_linear_programs(m, seed,
                                                                     exp):
     pts = _near_coplanar(seed, m, 10.0 ** -exp)
-    unit = _unit_points(pts)[0]
+    far = _near_coplanar(seed, m, 1e-5)
     subsets = list(itertools.combinations(range(len(pts)), m))
-    assume(np.abs(np.linalg.det(unit[subsets])).min() > 2 * SIGN_TOL)
-    result = enumerate_linear_dichotomies(pts)
-    assert result.patterns() == lp_feasible_patterns(_near_coplanar(seed, m,
-                                                                    1e-5))
+    dets = np.linalg.det(_unit_points(pts)[0][subsets])
+    assume(np.abs(dets).min() > 2 * SIGN_TOL)
+    assert np.array_equal(np.sign(dets), np.sign(np.linalg.det(far[subsets])))
+    with rays_on_their_points():
+        result = enumerate_linear_dichotomies(pts)
+    assert result.patterns() == lp_feasible_patterns(far)
 
 
 # brute force takes 0.2-0.6 s per solve at n = 4, N = 8 (grid data, d = 1

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 from math import comb
@@ -11,12 +12,12 @@ import numpy as np
 import pytest
 
 import switchreg
-from switchreg import (SIGN_TOL, check_general_position,
+from switchreg import (SIGN_TOL, DichotomySet, check_general_position,
                        enumerate_linear_dichotomies, sweep_dichotomies_oracle)
 from switchreg import geometry
 from switchreg.geometry import unique_rows
 
-from conftest import lp_feasible_patterns
+from conftest import lp_feasible_patterns, rays_on_their_points
 
 
 def _patterns(result):
@@ -211,15 +212,45 @@ _WITNESSED = {
 
 
 @pytest.mark.parametrize("points", _WITNESSED.values(), ids=_WITNESSED)
-def test_witnesses_computed_on_read_separate_strictly(points):
+def test_witnesses_computed_on_read_separate_strictly(monkeypatch, points):
     # the witnesses are computed on first read, each the sum of the rays
     # consistent with its row, and kept: a second read gives the same array
+    calls = []
+    witness = geometry._witnesses
+    monkeypatch.setattr(geometry, "_witnesses",
+                        lambda *args: calls.append(1) or witness(*args))
     result = enumerate_linear_dichotomies(points)
-    assert "witnesses" not in vars(result)
+    assert not calls
     witnesses = result.witnesses
     assert witnesses.shape == (len(result), points.shape[1])
     assert result.witnesses is witnesses
+    assert len(calls) == 1
     _assert_strict(points, result)
+
+
+def test_dichotomy_set_takes_witnesses_as_array_or_function():
+    signs = np.array([[1, -1], [-1, 1]])
+    given = DichotomySet(signs, [[1.0, -1.0], [-1.0, 1.0]])
+    assert isinstance(given.witnesses, np.ndarray)
+    _assert_strict(np.eye(2), given)
+    # an enumeration's pending witnesses pickle, and compute after loading
+    result = pickle.loads(pickle.dumps(enumerate_linear_dichotomies(
+        _mixed_rays(3))))
+    _assert_strict(_mixed_rays(3), result)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-8, 1e-10])
+def test_nearly_parallel_points_keep_every_pattern(scale):
+    # four of six Gaussian points in R^3 are within `scale` of one
+    # direction, so every pair of them has minors that small and rays
+    # off by about 1e-16 / scale. Their triples are still in general
+    # position far above SIGN_TOL, with Cover's 2 (1 + 5 + 10) patterns,
+    # each ray on its own points, as the SVD of every subset gives them
+    for seed in range(12):
+        pts = np.random.default_rng(seed).standard_normal((6, 3))
+        pts[:4, :2] *= scale
+        with rays_on_their_points():
+            assert len(enumerate_linear_dichotomies(pts)) == 32, seed
 
 
 _SLICED = [np.random.default_rng(10 + m).standard_normal((7, m))

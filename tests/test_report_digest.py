@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from switchreg import (SQUARED, Dataset, Labeling, PartitionInstance,
-                       brute_force_solve, decide_threshold,
+from switchreg import (SQUARED, Dataset, DichotomySet, Labeling,
+                       PartitionInstance, brute_force_solve, decide_threshold,
                        enumerate_linear_dichotomies, partition_to_instance)
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
@@ -72,21 +72,22 @@ def test_dichotomy_rows_digest_moves_with_every_sign():
     flipped = result.signs.copy()
     flipped[-1, -1] *= -1
     dropped = result.signs[:-1]
-    lines = {line} | {digest(dataclasses.replace(result, signs=signs))
-                      for signs in (flipped, dropped)}
+    lines = {line} | {digest(DichotomySet(rows, result.witnesses[:len(rows)]))
+                      for rows in (flipped, dropped)}
     assert len(lines) == 3
 
 
 def test_point_sweep_covers_the_degenerate_kinds():
     # Gaussian sets in m = 1-5, grids with a repeated point and a collinear
-    # triple, and lifted-like sets with leading coordinates scaled by 1e-13
-    # and 1e-20; those in m <= 3 (the rest take seconds) enumerate to a row
+    # triple, and lifted-like sets with leading coordinates scaled by 1e-5
+    # to 1e-20; those in m <= 3 (the rest take seconds) enumerate to a row
     # digest, not an exception
     sets = list(report_digest.point_sets(np))
     assert len(sets) == report_digest.POINT_SETS
     kinds = {(label.split("-", 1)[1].rsplit("-m", 1)[0], points.shape[1])
              for label, points in sets}
-    assert kinds == {(kind, m) for kind in ("gauss", "grid", "1e-13", "1e-20")
+    assert kinds == {(kind, m) for kind in ("gauss", "grid", "1e-5", "1e-7",
+                                            "1e-10", "1e-13", "1e-20")
                      for m in range(1, 6)}
     for label, points in sets:
         if "grid" in label:
@@ -95,7 +96,9 @@ def test_point_sweep_covers_the_degenerate_kinds():
                 a, b, c = points[0], points[1], points[-1]
                 assert np.linalg.matrix_rank(np.vstack([b - a, c - a])) <= 1
         if "1e-" in label:
-            assert np.abs(points[[2, 4, 5]]).min() < 1e-12, label
+            scale = float(label.split("-", 1)[1].rsplit("-m", 1)[0])
+            lead = points[[2, 4, 5], :max(1, points.shape[1] - 1)]
+            assert 0 < np.abs(lead).max() < 10 * scale, label
         if points.shape[1] <= 3:
             assert not digest(enumerate_linear_dichotomies(
                 points)).startswith("raised:"), label

@@ -17,8 +17,9 @@ and integer-grid data with zero regressors and repeated rows) solved by
 every method whose budget admits it, then the sign rows that
 enumerate_linear_dichotomies gives on a fixed sweep of point sets (Gaussian
 in m 1-5, integer grids with repeated points and collinear triples, and
-Gaussian points whose leading coordinates are scaled by 1e-13 or 1e-20 in a
-few rows, as the lifted points of tiny regressors are), so a change to the
+Gaussian points whose leading coordinates are scaled by 1e-5, 1e-7, 1e-10,
+1e-13 or 1e-20 in a few rows, as the lifted points of tiny regressors are),
+so a change to the
 geometry is compared bit for bit on its own. Elapsed times are left out.
 BLAS thread pools are pinned to one thread, as in benchmark/run.py.
 """
@@ -36,7 +37,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 WORKLOAD_NAMES = ("enum-gp", "enum-n3", "grid-oracle")
 SWEEP = 150                     # random instances, each under both losses
-POINT_SETS = 200                # point sets whose dichotomies are hashed
+POINT_SETS = 280                # point sets whose dichotomies are hashed
+SCALES = ("1e-5", "1e-7", "1e-10", "1e-13", "1e-20")
 
 
 def digest(outcome) -> str:
@@ -88,12 +90,15 @@ def sweep_instances(np, Dataset):
 def point_sets(np):
     """(label, points) for the fixed sweep of dichotomy inputs: m cycles
     through 1-5 and the kind through Gaussian, integer grid and Gaussian
-    with the leading coordinates of rows 2, 4 and 5 scaled by 1e-13 or by
-    1e-20. A grid set drops its zero points and gains a repeat of its first
-    point and a point collinear with its first two."""
+    with the leading coordinates of rows 2, 4 and 5 scaled by one of
+    SCALES. A grid set drops its zero points and gains a repeat of its
+    first point and a point collinear with its first two. Scales of 1e-5
+    to 1e-10 put those rows' subsets between the ones whose rays minors
+    give and the ones an SVD must give."""
     for i in range(POINT_SETS):
         rng = np.random.default_rng([2025, i])
-        m, kind = 1 + i % 5, ("gauss", "grid", "1e-13", "1e-20")[i // 5 % 4]
+        m = 1 + i % 5
+        kind = (("gauss", "grid") + SCALES)[i // 5 % (2 + len(SCALES))]
         N = int(rng.integers(1, 13))
         if kind == "grid":
             pts = rng.integers(-2, 3, size=(N, m)).astype(float)
