@@ -175,17 +175,14 @@ def _shattered(k):
 
 
 def _running_unique(blocks):
-    """Dedupe a stream of blocks as it arrives. Each block is a sequence of
-    a boolean (k, N) row array and arrays aligned with its rows. After each
-    block, yield the distinct rows so far in ascending order, each with the
-    aligned values of its first occurrence: after the last block, what
-    unique_rows gives on all the blocks stacked."""
+    """Dedupe a stream of boolean (k, N) row blocks as it arrives. After
+    each block, yield the distinct rows so far in ascending order: after
+    the last block, the distinct rows of all the blocks stacked."""
     kept = None
     for block in blocks:
         if kept is not None:
-            block = [np.concatenate(pair) for pair in zip(kept, block)]
-        first = unique_rows(block[0])
-        kept = [a[first] for a in block]
+            block = np.concatenate([kept, block])
+        kept = block[unique_rows(block)]
         del block                   # hold no more than kept between blocks
         yield kept
 
@@ -308,18 +305,16 @@ def _cells(points):
         ids = np.flatnonzero(generic)
         for lo in range(0, len(ids), step):
             c = ids[lo:lo + step]
-            yield _around(vals[c], on_ray[c],
-                          np.broadcast_to(local, (len(c),) + local.shape)),
+            yield _around(vals[c], on_ray[c], local)
         parts = []
         for c in np.flatnonzero(~generic):
             on = on_ray[c]
             flat = q[on] - np.outer(vals[c, on], rays[c])
-            parts.append(_around(vals[c:c + 1], on_ray[c:c + 1],
-                                 _cells(flat)[None]))
+            parts.append(_around(vals[c:c + 1], on_ray[c:c + 1], _cells(flat)))
         if parts:
-            yield np.vstack(parts),
+            yield np.vstack(parts)
 
-    for rows, in _running_unique(blocks()):
+    for rows in _running_unique(blocks()):
         pass                                 # the last yield holds them all
     return rows
 
@@ -329,14 +324,15 @@ def _around(vals, on, local):
     next to the opposite rays), as (2RL, N) boolean rows.
 
     vals (R, N) and on (R, N) are the points' signed distances from each
-    ray's hyperplane and whether they lie on it; local (R, L, k) are the
-    rows of a ray's k on-ray points, in index order, in its L local cells.
-    Off-ray points keep their side of the ray's hyperplane.
+    ray's hyperplane and whether they lie on it. Each ray has k points on
+    it, and local (L, k) are their rows, in index order, in the L local
+    cells every ray takes. Off-ray points keep their side of the ray's
+    hyperplane.
     """
-    (R, N), L = vals.shape, local.shape[1]
-    around = np.repeat((vals > 0)[:, None], L, axis=1)
-    rows, pts = np.nonzero(on)
-    around[rows, :, pts] = local.transpose(0, 2, 1).reshape(len(rows), L)
+    (R, N), L = vals.shape, len(local)
+    around = np.repeat((vals > 0)[:, None], L, axis=1)      # (R, L, N)
+    pts = np.nonzero(on)[1].reshape(R, -1)                  # (R, k)
+    around[np.arange(R)[:, None], :, pts] = local.T
     around = around.reshape(R * L, N)
     return np.vstack([around, ~around])
 

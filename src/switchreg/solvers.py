@@ -262,24 +262,32 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
     return _absolute_fit(x, y, (ws for _, ws in _interpolants(x, y)))
 
 
-def _fit_array(x, y, q0, n, loss: LossModel, table=None) -> np.ndarray:
-    """Each mode's solve_mode_regression fit to its points, w = 0 for an
-    empty mode. Under absolute loss, table, when given, is
-    list(_interpolants(x, y)) over all the points, and a mode's pool is the
-    chunks' interpolants of the subsets inside it: the same interpolants in
-    the same order, so the same fit, bit for bit, without its own pinv of
-    each subset."""
-    w = np.zeros((n, x.shape[1]))
-    for j in range(n):
-        mask = q0 == j
-        if not mask.any():
-            continue
-        if table is None:
-            w[j] = solve_mode_regression(x[mask], y[mask], loss)
-        else:
-            w[j] = _absolute_fit(x[mask], y[mask], (
-                ws[mask[s].all(axis=1)] for s, ws in table))
-    return w
+def _table(x, y, loss: LossModel):
+    """A solve's interpolant table: list(_interpolants(x, y)) over all the
+    points under absolute loss, None under squared loss."""
+    return list(_interpolants(x, y)) if loss.kind == "absolute" else None
+
+
+def _mode_fit(x, y, loss: LossModel, table=None):
+    """solve_mode_regression(x[mask], y[mask], loss), bit for bit, as a
+    function of the boolean mask; an empty mask gives the zero vector.
+
+    With no table, each call goes to solve_mode_regression, looked up on
+    this module. Under absolute loss, table is _table(x, y, loss), and a
+    mode's pool is the chunks' interpolants of the subsets inside it: the
+    same interpolants in the same order, so the same fit, without its own
+    pinv of each subset.
+    """
+    if table is None:
+        return lambda mask: solve_mode_regression(x[mask], y[mask], loss)
+    return lambda mask: _absolute_fit(x[mask], y[mask], (
+        ws[mask[s].all(axis=1)] for s, ws in table))
+
+
+def _fit_array(fit, q0, n) -> np.ndarray:
+    """The (n, d) fits of the modes of the 0-based labels q0, fit(mask)
+    each, where fit is a _mode_fit."""
+    return np.array([fit(q0 == j) for j in range(n)])
 
 
 def fit_modes(data: Dataset, labeling: Labeling, n: int, loss: LossModel) -> ModelSet:
@@ -288,7 +296,8 @@ def fit_modes(data: Dataset, labeling: Labeling, n: int, loss: LossModel) -> Mod
         raise ValueError(f"labeling covers {labeling.N} points, data has {data.N}")
     if np.any(labeling.q > n):
         raise ValueError(f"label exceeds n={n}")
-    return ModelSet(_fit_array(data.x, data.y, labeling.q - 1, n, loss))
+    return ModelSet(_fit_array(_mode_fit(data.x, data.y, loss),
+                               labeling.q - 1, n))
 
 
 def refine_alternate(data: Dataset, models: ModelSet, loss: LossModel,
@@ -308,11 +317,12 @@ def refine_alternate(data: Dataset, models: ModelSet, loss: LossModel,
     x, y = data.x, data.y
     n = models.n
     w = models.w
+    fit = _mode_fit(x, y, loss)
     q0, ties = _assign_arrays(x, y, w, loss)
     costs = [_cost_arrays(x, y, w, q0, loss)]
     prev_round = None
     for _ in range(_MAX_REFINE_ROUNDS):
-        w = _fit_array(x, y, q0, n, loss)
+        w = _fit_array(fit, q0, n)
         costs.append(_cost_arrays(x, y, w, q0, loss))
         new_q0, ties = _assign_arrays(x, y, w, loss)
         costs.append(_cost_arrays(x, y, w, new_q0, loss))
@@ -381,23 +391,6 @@ def _canonical_label_arrays(N: int, n: int):
     yield from rec(1, 1)
 
 
-def _mode_fit(x, y, loss: LossModel):
-    """solve_mode_regression(x[mask], y[mask], loss), bit for bit, as a
-    function of the boolean mask; an empty mask gives the zero vector.
-
-    The setup the modes share is done once. A Dataset's arrays need no
-    checks; squared loss calls _squared_fit directly; absolute loss computes
-    the interpolants of every subset of at most d of the points once
-    (list(_interpolants(x, y))), and each mode reads the ones of the
-    subsets inside it, in _interpolants' order.
-    """
-    if loss.kind == "squared":
-        return lambda mask: _squared_fit(x[mask], y[mask])
-    table = list(_interpolants(x, y))
-    return lambda mask: _absolute_fit(x[mask], y[mask], (
-        ws[mask[s].all(axis=1)] for s, ws in table))
-
-
 def brute_force_solve(data: Dataset, n: int, loss: LossModel,
                       cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Exact optimum by trying every labeling (canonical forms only).
@@ -408,20 +401,20 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
 
     Each labeling is fitted and costed on its own, one mode at a time, and
     shares nothing with the enumeration solver's region scorer
-    (_region_costs) or CandidateStream, whose oracle it is. The fit routine
-    is chosen once per solve (_mode_fit): under absolute loss the
-    interpolants of all the points are computed once, and each mode reads
-    those of the subsets inside it. Each mode's fit is the one
-    solve_mode_regression returns, bit for bit.
+    (_region_costs) or CandidateStream, whose oracle it is. Each mode is
+    fitted by _mode_fit: under squared loss by solve_mode_regression, under
+    absolute loss from the interpolants of all the points, computed once
+    per solve (_table), each mode reading those of the subsets inside it,
+    which is solve_mode_regression's fit bit for bit.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     t0 = time.perf_counter()
     _check_budget(n ** data.N, "labelings", cfg, shown=f"{n}^{data.N}")
     x, y = data.x, data.y
-    fit = _mode_fit(x, y, loss)
+    fit = _mode_fit(x, y, loss, _table(x, y, loss))
     q0, w, examined = _least(x, y, loss, (
-        (q0, np.array([fit(q0 == j) for j in range(n)]))
+        (q0, _fit_array(fit, q0, n))
         for q0 in _canonical_label_arrays(data.N, n)))
     return _report("brute", data, loss, q0, w, t0, examined, "optimal")
 
@@ -505,13 +498,13 @@ class CandidateStream:
                 block = np.ones((len(g) * len(hs), N), dtype=bool)
                 block[:, live] = (g[:, None, :] == hs[None, :, :]).reshape(
                     len(block), -1)
-                return block,
+                return block
 
             # the G x H product, a budget's worth of rows at a time, each
             # block deduped into the distinct rows so far
             step = max(1, cfg.candidate_budget // len(hs))
-            for half, in _running_unique(product(gs[lo:lo + step])
-                                         for lo in range(0, len(gs), step)):
+            for half in _running_unique(product(gs[lo:lo + step])
+                                        for lo in range(0, len(gs), step)):
                 _check_budget(len(half), "classifier combinations", cfg)
             # and the live negations: distinct, as only the half holds the
             # first live point, and in ascending complement keys
@@ -583,8 +576,9 @@ def _squared_totals(x, y, member):
     under its own fit.
 
     The fit follows _squared_fit: the normal equations where their solve is
-    accurate, the ridge solve where the Gram matrix is singular or the row
-    has fewer than d points, and w = 0 for an empty row.
+    accurate, the ridge solve where the Gram matrix is singular, the plain
+    solve overflows or the row has fewer than d points, and w = 0 for an
+    empty row.
     """
     N, d = x.shape
     gram = (member @ (x[:, :, None] * x[:, None, :]).reshape(N, d * d)).reshape(
@@ -596,7 +590,13 @@ def _squared_totals(x, y, member):
     plain = (k >= d) & (np.linalg.slogdet(gram)[0] != 0)
     if plain.any():
         w[plain] = np.linalg.solve(gram[plain], rhs[plain][..., None])[..., 0]
-    err = np.abs(np.einsum("kij,kj->ki", gram, w) - rhs)
+    # as in _squared_fit: an overflowed solve is refused first, and G @ w
+    # is a stack of matmuls, which round as its G @ w does (einsum's sums
+    # do not)
+    finite = np.isfinite(w).all(axis=1)
+    plain &= finite
+    w[~finite] = 0.0
+    err = np.abs((gram @ w[..., None])[..., 0] - rhs)
     plain &= np.all(err <= 1e-12 + 1e-8 * np.abs(rhs), axis=1)
     ridge = (k > 0) & ~plain
     if ridge.any():
@@ -605,20 +605,17 @@ def _squared_totals(x, y, member):
     return (member * np.square(y - w @ x.T)).sum(axis=1)
 
 
-def _region_costs(x, y, rows, loss: LossModel, table=None) -> np.ndarray:
+def _region_costs(x, y, rows, loss: LossModel, table) -> np.ndarray:
     """Loss total of one mode fitted to each row of the boolean (K, N) rows.
 
     Equals the total loss of solve_mode_regression(x[row], y[row], loss) on
     the row's points, up to rounding. Under absolute loss every interpolant
     of a subset of at most d of all N points is a feasible model, and they
     include an exact L1 fit of each row, so their least total on the row is
-    that fit's. They are read off table, list(_interpolants(x, y)), built
-    here when not given, and stacked into one (S, N) residual array. Rows
-    are fitted _SCORE_CHUNK at a time.
+    that fit's. They are read off table, _table(x, y, loss), and stacked
+    into one (S, N) residual array. Rows are fitted _SCORE_CHUNK at a time.
     """
     if loss.kind == "absolute":
-        if table is None:
-            table = list(_interpolants(x, y))
         ws = np.concatenate([ws for _, ws in table])
         resid = np.abs(y - ws @ x.T)
     costs = np.empty(len(rows))
@@ -639,9 +636,9 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     partitions within zero_tol of the best become canonical label rows and
     are re-fit with the per-mode routine, whose cost is reported. Under
     absolute loss the interpolants of every subset of at most d of the
-    points are computed once (list(_interpolants(x, y))): the region scorer
-    reads them all, and each re-fit mode reads those of the subsets inside
-    it, which gives solve_mode_regression's fit bit for bit. A dead
+    points are computed once (_table): the region scorer reads them all,
+    and each re-fit mode reads those of the subsets inside it (_mode_fit),
+    which gives solve_mode_regression's fit bit for bit. A dead
     point costs the same in every mode; in the first member it gives the
     smallest of those equal-cost labelings. Ties on cost break toward the
     lexicographically smallest canonical labeling, so the report is
@@ -651,11 +648,12 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     stream = CandidateStream(data, n, cfg)
     parts = np.array(list(stream))
     x, y = data.x, data.y
-    table = list(_interpolants(x, y)) if loss.kind == "absolute" else None
+    table = _table(x, y, loss)
     totals = _region_costs(x, y, stream.regions, loss, table)[parts].sum(axis=1)
     near = parts[totals <= totals.min() + data.N * cfg.tol.zero_tol]
+    fit = _mode_fit(x, y, loss, table)
     q0, w, _ = _least(x, y, loss, (
-        (q0, _fit_array(x, y, q0, n, loss, table))
+        (q0, _fit_array(fit, q0, n))
         for q0 in stream.regions[near].argmax(axis=1)))
     return _report("enum", data, loss, q0, w, t0,
                    stream.combinations_examined, "optimal")

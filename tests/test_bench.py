@@ -4,7 +4,9 @@ import warnings
 
 import pytest
 
-from switchreg import BenchResult, CapsExceededError, SolverConfig, bench_scaling
+from switchreg import (SQUARED, BenchResult, CapsExceededError, GeneratorSpec,
+                       SolverConfig, bench_scaling, brute_force_solve,
+                       generate_instance)
 from switchreg import bench
 
 
@@ -32,17 +34,22 @@ def test_altmin_near_linear_growth():
 
 
 def test_brute_exponential_growth_visible():
-    # n^N work multiplies the time by about n^2 = 4 per step of two points;
-    # work of degree 5 in N would give at most (N'/N)^5, 3.05 then 2.49.
-    # Each size keeps its fastest of four interleaved ladders, so that a
-    # slow spell of a shared machine during one size's pass does not
-    # decide a ratio
-    ladders = [bench_scaling("brute", [8, 10, 12], repeats=1, seed=0)
+    # n^N work multiplies the time by about n per point; work of degree 5
+    # in N would give at most (N'/N)^5, 4.91 from 8 to 11 points and 2.31
+    # from 11 to 13, where 2^3 and 2^2 are expected. Each size keeps its
+    # fastest of four interleaved ladders, so that a slow spell of a
+    # shared machine during one size's pass does not decide a ratio
+    ladders = [bench_scaling("brute", [8, 11, 13], repeats=1, seed=0)
                for _ in range(4)]
     assert all(result.complete for result in ladders)
-    t8, t10, t12 = (min(ts) for ts in zip(*(r.times for r in ladders)))
-    assert t10 / t8 > (10 / 8) ** 5
-    assert t12 / t10 > (12 / 10) ** 5
+    t8, t11, t13 = (min(ts) for ts in zip(*(r.times for r in ladders)))
+    assert t11 / t8 > (11 / 8) ** 5
+    assert t13 / t11 > (13 / 11) ** 5
+    # and the work itself, exactly: the 2^(N-1) canonical labelings
+    for N in (8, 11, 13):
+        data, _, _ = generate_instance(GeneratorSpec(n=2, d=1, N=N, seed=0))
+        assert brute_force_solve(data, 2, SQUARED).candidates_examined == \
+            2 ** (N - 1)
 
 
 def test_caps_truncate_the_ladder():

@@ -395,23 +395,17 @@ def test_combination_rows_are_itertools_combinations():
 
 
 def test_running_unique_is_unique_rows_of_the_stack():
-    # after each block: the stack's distinct rows in ascending order, each
-    # aligned value from the row's first occurrence; repeats within and
-    # across blocks, empty blocks first and later
+    # after each block: the stack's distinct rows in ascending order;
+    # repeats within and across blocks, empty blocks first and later
     rng = np.random.default_rng(41)
     for width in (3, 9, 17):
         pool = rng.random((30, width)) < 0.5
         sizes = [0, 25, 0, 40, 1, 60, 25]
         blocks = [pool[rng.integers(0, 30, size=k)] for k in sizes]
-        ids = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
-        stream = geometry._running_unique(
-            (rows, i, i * 0.5) for rows, i in zip(blocks, ids))
-        for b, (rows, i, half) in enumerate(stream):
+        stream = geometry._running_unique(iter(blocks))
+        for b, rows in enumerate(stream):
             stack = np.vstack(blocks[:b + 1])
-            first = unique_rows(stack)
-            assert np.array_equal(rows, stack[first]), (width, b)
-            assert np.array_equal(i, first), (width, b)
-            assert np.array_equal(half, first * 0.5), (width, b)
+            assert np.array_equal(rows, stack[unique_rows(stack)]), (width, b)
 
 
 def test_import_leaves_scipy_unloaded():

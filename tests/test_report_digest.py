@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
-from switchreg import (SQUARED, Dataset, DichotomySet, Labeling,
-                       PartitionInstance, brute_force_solve, decide_threshold,
-                       enumerate_linear_dichotomies, partition_to_instance)
+from switchreg import (ABSOLUTE, SQUARED, Dataset, DichotomySet, Labeling,
+                       PartitionInstance, brute_force_solve, core,
+                       decide_threshold, enumerate_linear_dichotomies,
+                       partition_to_instance, solvers)
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
 _spec = importlib.util.spec_from_file_location("report_digest", _PATH)
@@ -102,3 +103,43 @@ def test_point_sweep_covers_the_degenerate_kinds():
         if points.shape[1] <= 3:
             assert not digest(enumerate_linear_dichotomies(
                 points)).startswith("raised:"), label
+
+
+def test_fit_lines_move_with_one_ulp_of_one_fit(monkeypatch):
+    # fit_modes' and refine_alternate's lines: the same on a second run,
+    # and one ulp added to one mode's fit moves the line of the call that
+    # made it, and no other: the first fit is fit_modes' first mode, the
+    # last is the final refit of the absolute-loss refinement
+    rng = np.random.default_rng(8)
+    data = Dataset(rng.standard_normal((7, 2)), rng.standard_normal(7))
+
+    def lines():
+        return [digest(out) for loss in (SQUARED, ABSOLUTE)
+                for _, out in report_digest.fit_outcomes(
+                    np, solvers, core, data, 2, loss, [2026, 0])]
+
+    before = lines()
+    assert before == lines()
+    assert len(set(before)) == len(before) == 2 * (report_digest.FITS + 1)
+    fit, calls = solvers.solve_mode_regression, []
+
+    def count(x, y, loss):
+        calls.append(1)
+        return fit(x, y, loss)
+
+    monkeypatch.setattr(solvers, "solve_mode_regression", count)
+    lines()
+    for nudge, moved in ((1, 0), (len(calls), len(before) - 1)):
+        calls.clear()
+
+        def nudged(x, y, loss):
+            calls.append(1)
+            w = fit(x, y, loss)
+            if len(calls) == nudge:
+                w[0] = np.nextafter(w[0], np.inf)
+            return w
+
+        monkeypatch.setattr(solvers, "solve_mode_regression", nudged)
+        after = lines()
+        assert [a != b for a, b in zip(after, before)] == \
+            [i == moved for i in range(len(before))], nudge

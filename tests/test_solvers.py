@@ -242,52 +242,6 @@ def test_brute_canonical_skipping_count():
     assert report.candidates_examined == 8
 
 
-def test_brute_squared_fit_equals_mode_regression():
-    # brute's per-solve squared fit is solve_mode_regression's, bit for
-    # bit, on every path: no points, fewer than d, a singular Gram matrix
-    # (LinAlgError), a plain solve failing the accuracy bound, an
-    # overflowed plain solve, and the accurate plain solve
-    cases = [
-        (np.array([[-2.0, -6.0], [-1.0, -3.0], [0.0, 1e-7]]),
-         np.array([2.0, -2.0, -2.0])),                      # inaccurate
-        (np.array([[1e-150, 0.0], [0.0, 1.0]]),
-         np.array([1e159, 1.0])),                           # overflows
-        (np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]),
-         np.array([1.0, 0.0, 2.0])),                        # singular
-    ]
-    rng = np.random.default_rng(23)
-    for trial in range(30):
-        d, N = 1 + trial % 3, 5 + trial % 4
-        cases.append(_grid_points(rng, N, d))
-    seen = {"empty": 0, "small": 0, "singular": 0, "inaccurate": 0,
-            "overflow": 0, "plain": 0}
-    for x, y in cases:
-        N, d = x.shape
-        fit = solvers._mode_fit(x, y, SQUARED)
-        masks = rng.random((16, N)) < 0.6
-        masks[0] = False
-        masks[1] = True
-        masks[2, :] = np.arange(N) < d - 1
-        for mask in masks:
-            xm, ym = x[mask], y[mask]
-            if len(xm) < d:
-                seen["empty" if len(xm) == 0 else "small"] += 1
-            else:
-                try:
-                    w = np.linalg.solve(xm.T @ xm, xm.T @ ym)
-                except np.linalg.LinAlgError:
-                    seen["singular"] += 1
-                else:
-                    with np.errstate(invalid="ignore"):
-                        ok = np.allclose(xm.T @ xm @ w, xm.T @ ym,
-                                         rtol=1e-8, atol=1e-12)
-                    seen["overflow" if not np.isfinite(w).all() else
-                         "plain" if ok else "inaccurate"] += 1
-            assert np.array_equal(fit(mask),
-                                  solve_mode_regression(xm, ym, SQUARED))
-    assert all(v > 0 for v in seen.values()), seen
-
-
 @pytest.mark.parametrize("chunk", [None, 3, 1],
                          ids=["default", "chunk3", "chunk1"])
 def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
@@ -322,8 +276,7 @@ def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
                 np.linalg.matrix_rank(x[mask]) < d
             own = solvers._absolute_fit(x[mask], y[mask], (
                 ws for _, ws in solvers._interpolants(x[mask], y[mask])))
-            read = solvers._absolute_fit(x[mask], y[mask], (
-                ws[mask[s].all(axis=1)] for s, ws in table))
+            read = solvers._mode_fit(x, y, ABSOLUTE, table)(mask)
             assert np.array_equal(read, own), (trial, mask)
     assert all(v > 0 for v in seen.values()), seen
 
@@ -732,6 +685,32 @@ def test_two_mode_enum_equals_brute_on_edge_data(loss):
         assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
 
 
+def test_three_squared_draws_enum_equals_brute():
+    # near-collinear squared-loss draws where the batched scorer once took
+    # the ridge solve and the re-fit the plain one, on bit-identical Gram
+    # matrices, so enum dropped the optimal partition
+    draws = [
+        ([[-1, -1], [3, 1.999999995143895], [0, 2], [1, 1],
+          [0, -3.5069318672396475e-08], [3, -1], [-1, 0]],
+         [1, 1, 2, -1, -3, 1, 2]),
+        ([[0, -1], [2, 0], [-1, -1], [3, 1], [3, 0],
+          [-3, -2.999999805874671], [-1, 1]],
+         [2.00060075422412, -1.9991810953052558, 0.9994144983603236,
+          -2.9991932573885647, -1.9989852296679869, -0.0011864765300868064,
+          -1.000027854099683]),
+        ([[-3, 3.0000001208777376], [-2, 2], [3, -3], [2, -2],
+          [2, -1.00000003240224]],
+         [1.9989984401590155, -2.999724292551982, 1.0009058506297166,
+          2.998591778282387, -2.998970006033884]),
+    ]
+    for x, y in draws:
+        data = Dataset(x, y)
+        enum = enumeration_solve(data, 2, SQUARED)
+        brute = brute_force_solve(data, 2, SQUARED)
+        assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol, \
+            (enum.cost, brute.cost)
+
+
 def test_table_refit_equals_mode_regression():
     # enum's absolute-loss re-fit reads each mode's pool off the solve's
     # table: bit for bit solve_mode_regression, on empty modes, modes below
@@ -754,7 +733,8 @@ def test_table_refit_equals_mode_regression():
             seen["small"] += sum(0 < m.sum() < d for m in masks)
             seen["repeated"] += q0[0] == q0[-1]
             want = [solve_mode_regression(x[m], y[m], ABSOLUTE) for m in masks]
-            got = solvers._fit_array(x, y, q0, n, ABSOLUTE, table)
+            got = solvers._fit_array(solvers._mode_fit(x, y, ABSOLUTE, table),
+                                     q0, n)
             assert np.array_equal(got, np.array(want)), (trial, q0)
     assert all(v > 0 for v in seen.values()), seen
 
@@ -908,11 +888,33 @@ def _grid_points(rng, N, d):
     return x, rng.integers(-2, 3, size=N).astype(float)
 
 
+def _squared_branch(x, y):
+    """The branch _squared_fit takes on the points x, y."""
+    k, d = x.shape
+    if k < d:
+        return "empty" if k == 0 else "small"
+    try:
+        w = np.linalg.solve(x.T @ x, x.T @ y)
+    except np.linalg.LinAlgError:
+        return "singular"
+    if not np.isfinite(w).all():
+        return "overflow"
+    ok = np.allclose(x.T @ x @ w, x.T @ y, rtol=1e-8, atol=1e-12)
+    return "plain" if ok else "inaccurate"
+
+
 def test_batched_scores_equal_per_candidate_fit():
     # each region's batched cost is the loss total of solve_mode_regression
-    # on its points, empty, below d and rank-deficient regions included
+    # on its points: rank-deficient regions, and every branch of the
+    # squared fit: no points, fewer than d, a singular Gram matrix, a plain
+    # solve failing the accuracy bound, an overflowed plain solve and the
+    # accurate plain solve. The scorer takes the branch the fit takes, with
+    # no numpy warning (an error in this suite). The three rows built for a
+    # squared branch are scored under squared loss only: the inaccurate
+    # one's best interpolant is (6e7, -2e7), whose residuals the scorer and
+    # x @ w round up to 4e-9 apart
     rng = np.random.default_rng(12)
-    seen = {"empty": 0, "small": 0, "rank_deficient": 0}
+    cases = []
     for trial in range(36):
         d, N = 1 + trial % 3, 7 + trial % 3
         if trial % 4 < 2:
@@ -923,18 +925,33 @@ def test_batched_scores_equal_per_candidate_fit():
         rows[0] = False                             # empty
         rows[1] = False
         rows[1, :d - 1] = True                      # below d points
+        cases.append((x, y, rows, (SQUARED, ABSOLUTE)))
+    for x, y in [
+        (np.array([[-2.0, -6.0], [-1.0, -3.0], [0.0, 1e-7]]),
+         np.array([2.0, -2.0, -2.0])),                      # inaccurate
+        # the plain solve's w_1 = 1e309 overflows; the ridge cost is finite
+        (np.array([[1e-160, 0.0], [0.0, 1.0], [0.0, 2.0]]),
+         np.array([1e149, 1.0, 2.5])),                      # overflows
+        (np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]),
+         np.array([1.0, 0.0, 2.0])),                        # singular
+    ]:
+        cases.append((x, y, np.ones((1, len(y)), dtype=bool), (SQUARED,)))
+    seen = dict.fromkeys(("empty", "small", "rank_deficient", "singular",
+                          "inaccurate", "overflow", "plain"), 0)
+    for x, y, rows, losses in cases:
+        d = x.shape[1]
         for row in rows:
             k = row.sum()
-            seen["empty"] += k == 0
-            seen["small"] += 0 < k < d
             seen["rank_deficient"] += k >= d and \
                 np.linalg.matrix_rank(x[row]) < d
-        for loss in (SQUARED, ABSOLUTE):
-            costs = solvers._region_costs(x, y, rows, loss)
+            seen[_squared_branch(x[row], y[row])] += 1
+        for loss in losses:
+            costs = solvers._region_costs(x, y, rows, loss,
+                                          solvers._table(x, y, loss))
             for row, cost in zip(rows, costs):
                 w = solve_mode_regression(x[row], y[row], loss)
                 exact = loss.residual_loss(y[row] - x[row] @ w).sum()
-                assert abs(cost - exact) <= 1e-9, (trial, loss, row)
+                assert abs(cost - exact) <= 1e-9, (loss, x, row, cost, exact)
     assert all(v > 0 for v in seen.values()), seen
 
 

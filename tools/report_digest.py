@@ -14,13 +14,16 @@ a call that raised hashes its exception's type and message. The lines cover
 every call of every benchmark workload for the given rounds at the seed,
 then a fixed sweep of random instances (n 1-3, d 1-3, both losses, Gaussian
 and integer-grid data with zero regressors and repeated rows) solved by
-every method whose budget admits it, then the sign rows that
-enumerate_linear_dichotomies gives on a fixed sweep of point sets (Gaussian
-in m 1-5, integer grids with repeated points and collinear triples, and
-Gaussian points whose leading coordinates are scaled by 1e-5, 1e-7, 1e-10,
-1e-13 or 1e-20 in a few rows, as the lifted points of tiny regressors are),
-so a change to the
-geometry is compared bit for bit on its own. Elapsed times are left out.
+every method whose budget admits it. On each of those instances and losses
+the fit entry points are digested too: fit_modes' models on FITS seeded
+labelings, and refine_alternate's models, labels and full cost trace from
+seeded models, so a change to a fit is compared bit for bit below the
+reports. Last come the sign rows that enumerate_linear_dichotomies gives on
+a fixed sweep of point sets (Gaussian in m 1-5, integer grids with repeated
+points and collinear triples, and Gaussian points whose leading coordinates
+are scaled by 1e-5, 1e-7, 1e-10, 1e-13 or 1e-20 in a few rows, as the
+lifted points of tiny regressors are), so a change to the geometry is
+compared bit for bit on its own. Elapsed times are left out.
 BLAS thread pools are pinned to one thread, as in benchmark/run.py.
 """
 
@@ -39,11 +42,13 @@ WORKLOAD_NAMES = ("enum-gp", "enum-n3", "grid-oracle")
 SWEEP = 150                     # random instances, each under both losses
 POINT_SETS = 280                # point sets whose dichotomies are hashed
 SCALES = ("1e-5", "1e-7", "1e-10", "1e-13", "1e-20")
+FITS = 3                        # seeded labelings fitted per sweep instance
 
 
 def digest(outcome) -> str:
     """SHA-256 prefix of a report's result fields, of a dichotomy set's
-    sign rows, or of an exception."""
+    sign rows, of a model set's parameters, of a refinement's models,
+    labels and cost trace, or of an exception."""
     h = hashlib.sha256()
     if isinstance(outcome, Exception):
         h.update(f"{type(outcome).__name__}: {outcome}".encode())
@@ -52,6 +57,18 @@ def digest(outcome) -> str:
     if signs is not None:
         h.update(repr(signs.shape).encode())
         h.update(signs.astype("<i8").tobytes())
+        return h.hexdigest()[:16]
+    w = getattr(outcome, "w", None)
+    if w is not None:                    # a ModelSet
+        h.update(repr(w.shape).encode())
+        h.update(w.tobytes())
+        return h.hexdigest()[:16]
+    costs = getattr(outcome, "costs", None)
+    if costs is not None:                # a RefineResult
+        h.update(outcome.models.w.tobytes())
+        h.update(outcome.labeling.q.tobytes())
+        h.update(repr(outcome.labeling.tie_set).encode())
+        h.update("|".join(float(c).hex() for c in costs).encode())
         return h.hexdigest()[:16]
     report = getattr(outcome, "report", outcome)
     h.update(float(report.cost).hex().encode())
@@ -85,6 +102,18 @@ def sweep_instances(np, Dataset):
         else:
             x, y = rng.standard_normal((N, d)), rng.standard_normal(N)
         yield f"sweep{i}-n{n}-d{d}-N{N}", Dataset(x, y), n
+
+
+def fit_outcomes(np, solvers, core, data, n, loss, seed):
+    """(name, outcome) of the fit entry points on one instance: fit_modes
+    on FITS labelings and refine_alternate from Gaussian models, all drawn
+    from the seed."""
+    rng = np.random.default_rng(seed)
+    for k in range(FITS):
+        labeling = core.Labeling(rng.integers(1, n + 1, size=data.N))
+        yield f"fit{k}", attempt(solvers.fit_modes, data, labeling, n, loss)
+    models = core.ModelSet(rng.standard_normal((n, data.d)))
+    yield "refine", attempt(solvers.refine_alternate, data, models, loss)
 
 
 def point_sets(np):
@@ -127,7 +156,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
     import numpy as np
     import workloads
-    from switchreg import geometry, solvers
+    from switchreg import core, geometry, solvers
     from switchreg.core import ABSOLUTE, SQUARED, Dataset
 
     for name in WORKLOAD_NAMES:
@@ -138,13 +167,16 @@ def main(argv=None) -> int:
                     out = attempt(workloads.call, job, method)
                     print(f"{name} r{r} {job.label} {method} {digest(out)}")
 
-    for label, data, n in sweep_instances(np, Dataset):
+    for i, (label, data, n) in enumerate(sweep_instances(np, Dataset)):
         for loss in (SQUARED, ABSOLUTE):
             for method in solvers.SOLVER_METHODS:
                 if method == "brute" and n ** data.N > 20_000:
                     continue
                 out = attempt(solvers.solve_instance, data, n, loss, method)
                 print(f"{label} {loss.kind} {method} {digest(out)}")
+            for name, out in fit_outcomes(np, solvers, core, data, n, loss,
+                                          [2026, i]):
+                print(f"{label} {loss.kind} {name} {digest(out)}")
 
     for label, points in point_sets(np):
         out = attempt(geometry.enumerate_linear_dichotomies, points)
