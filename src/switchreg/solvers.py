@@ -18,7 +18,6 @@ Four methods with different guarantees:
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from math import comb
@@ -60,8 +59,12 @@ __all__ = [
     "SOLVER_METHODS",
 ]
 
-_RIDGE = 1e-10
 _MAX_REFINE_ROUNDS = 1000
+# The region scorer solves normal equations only below this certified
+# condition number, where half the digits survive the squaring, and
+# bounds its totals' rounding with this constant (_squared_totals)
+_GRAM_COND = 1e8
+_ROUNDING = 8
 # Regions fitted per batch by enumeration_solve, and interpolation subsets
 # per chunk of _interpolants. It bounds the scorer's (chunk, N) and, under
 # absolute loss, (chunk, S) arrays, and the fit's (chunk, k) residuals.
@@ -158,45 +161,20 @@ class RefineResult:
 # Per-mode regression
 
 
-@functools.lru_cache(maxsize=None)
-def _ridge(d: int) -> np.ndarray:
-    """The (d, d) matrix _RIDGE * I, built once per d and read-only."""
-    m = _RIDGE * np.eye(d)
-    m.flags.writeable = False
-    return m
-
-
-def _squared_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares via normal equations; tiny ridge when rank-deficient."""
-    k, d = x.shape
-    if k == 0:
-        return np.zeros(d)
-    G = x.T @ x
-    b = x.T @ y
-    if k >= d:
-        try:
-            w = np.linalg.solve(G, b)
-        except np.linalg.LinAlgError:
-            w = None
-        # np.allclose(G @ w, b, rtol=1e-8, atol=1e-12) as _squared_totals
-        # spells it; an overflowed w is refused first, since G @ w would
-        # warn on its inf * 0
-        if w is not None and np.isfinite(w).all() and \
-                (np.abs(G @ w - b) <= 1e-12 + 1e-8 * np.abs(b)).all():
-            return w
-    return np.linalg.solve(G + _ridge(d), b)
+def _lstsq(a, b) -> np.ndarray:
+    """Minimum-norm least-squares solution of each system in the stacks a
+    (..., k, d) and b (..., k): the batched pinv, with np.linalg.lstsq's
+    cutoff, singular values at most max(k, d) * eps of the largest cut."""
+    k, d = a.shape[-2:]
+    return (np.linalg.pinv(a, rcond=max(k, d) * np.finfo(float).eps)
+            @ b[..., None])[..., 0]
 
 
 def _subset_interpolants(x, y, subsets) -> np.ndarray:
-    """Minimum-norm interpolant of each row of the (S, s) index array subsets.
-
-    Returns (S, d). Singular values below d * eps of the largest are cut,
-    numpy's least-squares default, so a rank-deficient subset gets its
-    minimum-norm least-squares solution.
-    """
-    d = x.shape[1]
-    return (np.linalg.pinv(x[subsets], rcond=d * np.finfo(float).eps)
-            @ y[subsets][..., None])[..., 0]
+    """Minimum-norm interpolant of each row of the (S, s) index array
+    subsets, s <= d, as an (S, d) array; a rank-deficient subset gets its
+    minimum-norm least-squares solution."""
+    return _lstsq(x[subsets], y[subsets])
 
 
 def _interpolants(x, y):
@@ -247,9 +225,10 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
     """Best single linear model for one mode's points under the loss.
 
     Accepts an empty subset (returns the zero vector) and rank-deficient
-    or small subsets: squared loss adds a tiny ridge to singular normal
-    equations, absolute loss stays exact (the best interpolant of at most d
-    points).
+    or small subsets. Squared loss takes np.linalg.lstsq's minimum-norm
+    least-squares solution, from an SVD of x itself, never from the normal
+    equations, which square its condition number. Absolute loss takes the
+    best interpolant of at most d points, an exact L1 fit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -258,7 +237,7 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
     if y.shape != (x.shape[0],):
         raise ValueError(f"y must be ({x.shape[0]},), got shape {y.shape}")
     if loss.kind == "squared":
-        return _squared_fit(x, y)
+        return np.linalg.lstsq(x, y, rcond=None)[0]
     return _absolute_fit(x, y, (ws for _, ws in _interpolants(x, y)))
 
 
@@ -305,8 +284,7 @@ def refine_alternate(data: Dataset, models: ModelSet, loss: LossModel,
     """Alternate optimal assignment and per-mode refitting until stable.
 
     Both half-steps are exact minimizations under either loss, so the
-    recorded cost trace is non-increasing (up to the ridge used for
-    rank-deficient squared-loss fits, which stays far below zero_tol).
+    recorded cost trace is non-increasing up to rounding.
     Stops when the labeling repeats or a full round improves the cost by
     less than tol.zero_tol, the only field it reads; the returned labeling
     is always the optimal assignment for the returned models, ties within
@@ -573,57 +551,66 @@ def _partition_search(regions, live, n: int, cfg: SolverConfig) -> np.ndarray:
 
 def _squared_totals(x, y, member):
     """Squared-loss total of each row of the (K, N) 0/1 float member array
-    under its own fit.
+    under its least-squares fit, and a first-order bound on its rounding.
 
-    The fit follows _squared_fit: the normal equations where their solve is
-    accurate, the ridge solve where the Gram matrix is singular, the plain
-    solve overflows or the row has fewer than d points, and w = 0 for an
-    empty row.
+    A row takes its normal equations only where det(G / trace G) certifies
+    cond(G) < _GRAM_COND: the eigenvalues of G / trace G are at most 1, so
+    their product is at most l_min / l_max. Every other non-empty row takes
+    _lstsq on its masked stack, non-members as zero rows; an empty row
+    takes w = 0. Each residual is taken as off by at most delta =
+    _ROUNDING * eps * (max|y| + |w|_1 * max|x|), times cond(G)'s bound on a
+    normal-equation row, so a total over k points is off by at most
+    delta * (2 sqrt(k * total) + k * delta). Near-collinear rows can have
+    |w| near 1e9, where that is more than zero_tol.
     """
     N, d = x.shape
     gram = (member @ (x[:, :, None] * x[:, None, :]).reshape(N, d * d)).reshape(
         -1, d, d)                                        # (K, d, d)
     rhs = member @ (x * y[:, None])                      # (K, d)
     k = member.sum(axis=1)
+    t = np.trace(gram, axis1=1, axis2=2)
+    normal = np.flatnonzero((k >= d) & (t > 0))
+    det = np.linalg.det(gram[normal] / t[normal, None, None])
+    keep = det * _GRAM_COND > 1
+    normal, det = normal[keep], det[keep]
     w = np.zeros(rhs.shape)
-    # slogdet shares solve's LU, so a zero sign is exactly solve's singularity
-    plain = (k >= d) & (np.linalg.slogdet(gram)[0] != 0)
-    if plain.any():
-        w[plain] = np.linalg.solve(gram[plain], rhs[plain][..., None])[..., 0]
-    # as in _squared_fit: an overflowed solve is refused first, and G @ w
-    # is a stack of matmuls, which round as its G @ w does (einsum's sums
-    # do not)
-    finite = np.isfinite(w).all(axis=1)
-    plain &= finite
-    w[~finite] = 0.0
-    err = np.abs((gram @ w[..., None])[..., 0] - rhs)
-    plain &= np.all(err <= 1e-12 + 1e-8 * np.abs(rhs), axis=1)
-    ridge = (k > 0) & ~plain
-    if ridge.any():
-        w[ridge] = np.linalg.solve(gram[ridge] + _ridge(d),
-                                   rhs[ridge][..., None])[..., 0]
-    return (member * np.square(y - w @ x.T)).sum(axis=1)
+    w[normal] = np.linalg.solve(gram[normal], rhs[normal][..., None])[..., 0]
+    rest = k > 0
+    rest[normal] = False
+    if rest.any():
+        w[rest] = _lstsq(member[rest, :, None] * x, member[rest] * y)
+    totals = (member * np.square(y - w @ x.T)).sum(axis=1)
+    delta = _ROUNDING * np.finfo(float).eps * (
+        np.abs(y).max() + np.abs(w).sum(axis=1) * np.abs(x).max())
+    delta[normal] /= det
+    return totals, delta * (2 * np.sqrt(k * totals) + k * delta)
 
 
-def _region_costs(x, y, rows, loss: LossModel, table) -> np.ndarray:
-    """Loss total of one mode fitted to each row of the boolean (K, N) rows.
+def _region_costs(x, y, rows, loss: LossModel, table):
+    """Loss total of one mode fitted to each row of the boolean (K, N) rows,
+    and a bound on each total's rounding, as two (K,) arrays.
 
-    Equals the total loss of solve_mode_regression(x[row], y[row], loss) on
-    the row's points, up to rounding. Under absolute loss every interpolant
-    of a subset of at most d of all N points is a feasible model, and they
-    include an exact L1 fit of each row, so their least total on the row is
-    that fit's. They are read off table, _table(x, y, loss), and stacked
-    into one (S, N) residual array. Rows are fitted _SCORE_CHUNK at a time.
+    A total is the loss of the row's optimal fit, so it is that of
+    solve_mode_regression(x[row], y[row], loss) up to rounding. Under
+    squared loss the bound is _squared_totals'. Under absolute loss every
+    interpolant of a subset of at most d of all N points is a feasible
+    model, and they include an exact L1 fit of each row, so their least
+    total on the row is that fit's. They are read off table, _table(x, y,
+    loss), and stacked into one (S, N) residual array; the bound is 0.
+    Rows are fitted _SCORE_CHUNK at a time.
     """
+    costs, slack = np.empty(len(rows)), np.zeros(len(rows))
     if loss.kind == "absolute":
         ws = np.concatenate([ws for _, ws in table])
         resid = np.abs(y - ws @ x.T)
-    costs = np.empty(len(rows))
     for lo in range(0, len(rows), _SCORE_CHUNK):
         member = rows[lo:lo + _SCORE_CHUNK].astype(float)
-        costs[lo:lo + len(member)] = _squared_totals(x, y, member) \
-            if loss.kind == "squared" else (member @ resid.T).min(axis=1)
-    return costs
+        part = slice(lo, lo + len(member))
+        if loss.kind == "squared":
+            costs[part], slack[part] = _squared_totals(x, y, member)
+        else:
+            costs[part] = (member @ resid.T).min(axis=1)
+    return costs, slack
 
 
 def enumeration_solve(data: Dataset, n: int, loss: LossModel,
@@ -632,25 +619,28 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
 
     Some optimal labeling is a partition into CandidateStream's regions, so
     no refinement is needed. Every region is fitted once in one batched
-    pass, and a partition costs the sum of its members' totals. The
-    partitions within zero_tol of the best become canonical label rows and
-    are re-fit with the per-mode routine, whose cost is reported. Under
-    absolute loss the interpolants of every subset of at most d of the
-    points are computed once (_table): the region scorer reads them all,
-    and each re-fit mode reads those of the subsets inside it (_mode_fit),
-    which gives solve_mode_regression's fit bit for bit. A dead
-    point costs the same in every mode; in the first member it gives the
-    smallest of those equal-cost labelings. Ties on cost break toward the
-    lexicographically smallest canonical labeling, so the report is
-    deterministic.
+    pass, and a partition costs the sum of its members' totals and bounds
+    (_region_costs). The partitions whose total less bound is within
+    N * zero_tol of the least total plus bound, which include the optimal
+    one, become canonical label rows and are re-fit with the per-mode
+    routine, whose cost is reported. Under absolute loss the bounds are 0,
+    and the interpolants of every subset of at most d of the points are
+    computed once (_table): the region scorer reads them all, and each
+    re-fit mode reads those of the subsets inside it (_mode_fit), which
+    gives solve_mode_regression's fit bit for bit. A dead point costs the
+    same in every mode; in the first member it gives the smallest of those
+    equal-cost labelings. Ties on cost break toward the lexicographically
+    smallest canonical labeling, so the report is deterministic.
     """
     t0 = time.perf_counter()
     stream = CandidateStream(data, n, cfg)
     parts = np.array(list(stream))
     x, y = data.x, data.y
     table = _table(x, y, loss)
-    totals = _region_costs(x, y, stream.regions, loss, table)[parts].sum(axis=1)
-    near = parts[totals <= totals.min() + data.N * cfg.tol.zero_tol]
+    costs, slack = _region_costs(x, y, stream.regions, loss, table)
+    totals, slack = costs[parts].sum(axis=1), slack[parts].sum(axis=1)
+    near = parts[totals - slack
+                 <= (totals + slack).min() + data.N * cfg.tol.zero_tol]
     fit = _mode_fit(x, y, loss, table)
     q0, w, _ = _least(x, y, loss, (
         (q0, _fit_array(fit, q0, n))

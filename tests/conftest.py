@@ -5,7 +5,9 @@ possible, so agreement is evidence rather than tautology.
 """
 
 import contextlib
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,11 @@ from scipy.optimize import linprog
 
 from switchreg import (Dataset, GeneratorSpec, Labeling, ModelSet,
                        empirical_cost, generate_instance)
+
+_DIGEST = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
+_spec = importlib.util.spec_from_file_location("report_digest", _DIGEST)
+report_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_digest)
 
 
 def random_instance(seed, *, n=2, d=1, N=8, sigma=0.1):
@@ -26,6 +33,21 @@ def min_cost_over_all_labelings(data, models, loss):
     for q in itertools.product(range(1, models.n + 1), repeat=data.N):
         c = empirical_cost(data, models, Labeling(np.array(q)), loss)
         best = min(best, c)
+    return best
+
+
+def lstsq_brute_cost(x, y, n):
+    """Least mean squared cost over every labeling, each mode fitted by
+    np.linalg.lstsq on its own points."""
+    best = np.inf
+    for rest in itertools.product(range(n), repeat=len(y) - 1):
+        q = np.array((0,) + rest)
+        total = 0.0
+        for j in range(n):
+            m = q == j
+            w = np.linalg.lstsq(x[m], y[m], rcond=None)[0]
+            total += np.square(y[m] - x[m] @ w).sum()
+        best = min(best, total / len(y))
     return best
 
 

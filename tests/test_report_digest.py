@@ -3,8 +3,6 @@ every result field it covers, so an empty diff of two checkouts' digests
 means bit-identical reports."""
 
 import dataclasses
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 
@@ -13,10 +11,8 @@ from switchreg import (ABSOLUTE, SQUARED, Dataset, DichotomySet, Labeling,
                        decide_threshold, enumerate_linear_dichotomies,
                        partition_to_instance, solvers)
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
-_spec = importlib.util.spec_from_file_location("report_digest", _PATH)
-report_digest = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(report_digest)
+from conftest import report_digest
+
 digest = report_digest.digest
 
 

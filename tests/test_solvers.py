@@ -21,7 +21,7 @@ from switchreg.datasets import GeneratorSpec, generate_instance
 from switchreg.hardness import PartitionInstance, partition_to_instance
 from switchreg.solvers import CandidateStream, SolveReport
 
-from conftest import random_instance
+from conftest import lstsq_brute_cost, random_instance, report_digest
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +40,27 @@ def test_squared_repeated_regressor_takes_mean():
     assert np.allclose(w, [1.0], atol=1e-9)
 
 
-def test_squared_fit_overflowing_solve_takes_the_ridge_quietly():
-    # the plain solve gives w_1 = 1e309 = inf; the fit falls back to the
-    # ridge without a numpy warning (an error in this suite)
+def test_squared_fit_overflowing_normal_equations_is_lstsq_quietly():
+    # the normal equations give w_1 = 1e309 = inf; the fit is lstsq's, with
+    # no numpy warning (an error in this suite)
     x = np.array([[1e-150, 0.0], [0.0, 1.0]])
     y = np.array([1e159, 1.0])
     w = solve_mode_regression(x, y, SQUARED)
-    ridge = np.linalg.solve(x.T @ x + 1e-10 * np.eye(2), x.T @ y)
-    assert np.array_equal(w, ridge) and np.isfinite(w).all()
+    assert np.array_equal(w, np.linalg.lstsq(x, y, rcond=None)[0])
+    assert np.isfinite(w).all()
+
+
+def test_squared_fit_of_near_collinear_points_is_least_squares():
+    # two points fitted exactly by one model, whose Gram matrix has
+    # cond 3e16, where the normal equations with a ridge cost 0.25
+    x = np.array([[2.0, 1.0], [2.0, 1.0 + 1.6e-8]])
+    y = np.array([1.0, 0.0])
+    w = solve_mode_regression(x, y, SQUARED)
+    assert np.square(y - x @ w).sum() <= 1e-12
+    costs, _ = solvers._region_costs(x, y, np.ones((1, 2), dtype=bool),
+                                     SQUARED, None)
+    assert costs[0] <= 1e-12
+    assert brute_force_solve(Dataset(x, y), 1, SQUARED).cost <= 1e-12
 
 
 def test_absolute_median_ratio():
@@ -685,30 +698,36 @@ def test_two_mode_enum_equals_brute_on_edge_data(loss):
         assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
 
 
-def test_three_squared_draws_enum_equals_brute():
-    # near-collinear squared-loss draws where the batched scorer once took
-    # the ridge solve and the re-fit the plain one, on bit-identical Gram
-    # matrices, so enum dropped the optimal partition
-    draws = [
-        ([[-1, -1], [3, 1.999999995143895], [0, 2], [1, 1],
-          [0, -3.5069318672396475e-08], [3, -1], [-1, 0]],
-         [1, 1, 2, -1, -3, 1, 2]),
-        ([[0, -1], [2, 0], [-1, -1], [3, 1], [3, 0],
-          [-3, -2.999999805874671], [-1, 1]],
-         [2.00060075422412, -1.9991810953052558, 0.9994144983603236,
-          -2.9991932573885647, -1.9989852296679869, -0.0011864765300868064,
-          -1.000027854099683]),
-        ([[-3, 3.0000001208777376], [-2, 2], [3, -3], [2, -2],
-          [2, -1.00000003240224]],
-         [1.9989984401590155, -2.999724292551982, 1.0009058506297166,
-          2.998591778282387, -2.998970006033884]),
-    ]
-    for x, y in draws:
+def test_near_collinear_squared_draws_enum_equals_brute():
+    # draws of the near-collinear sweep. On 234, 283 and 1851 the batched
+    # scorer and the re-fit once took different branches of a normal-
+    # equation fit with a ridge, so enum dropped the optimal partition. On
+    # 979 and 2540 that fit overstated the optimal modes' costs, in enum
+    # and in brute alike. On 2060 the fits' |w| is near 1e9 and the
+    # scorer's totals round by more than N * zero_tol, so enum's re-fit
+    # window widens by their rounding bound
+    picked = (234, 283, 979, 1851, 2060, 2540)
+    for i, (x, y) in enumerate(
+            report_digest.near_collinear_draws(np, max(picked) + 1)):
+        if i not in picked:
+            continue
         data = Dataset(x, y)
         enum = enumeration_solve(data, 2, SQUARED)
         brute = brute_force_solve(data, 2, SQUARED)
         assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol, \
-            (enum.cost, brute.cost)
+            (i, enum.cost, brute.cost)
+
+
+def test_brute_squared_equals_literal_lstsq_brute():
+    # brute's fits against lstsq on each mode's own points, computed in
+    # conftest with no solvers code, on every third of 600 near-collinear
+    # draws: with normal equations and a ridge, brute overstated the
+    # optimum on 5 of them, by up to a factor of 1.7
+    for i, (x, y) in enumerate(report_digest.near_collinear_draws(np, 600)):
+        if i % 3 == 0:
+            brute = brute_force_solve(Dataset(x, y), 2, SQUARED)
+            oracle = lstsq_brute_cost(x, y, 2)
+            assert abs(brute.cost - oracle) <= 1e-9, (i, brute.cost, oracle)
 
 
 def test_table_refit_equals_mode_regression():
@@ -889,30 +908,29 @@ def _grid_points(rng, N, d):
 
 
 def _squared_branch(x, y):
-    """The branch _squared_fit takes on the points x, y."""
+    """The branch the batched scorer takes on the points x, y: the normal
+    equations where det(G / trace(G)) certifies cond(G) < _GRAM_COND, or
+    _lstsq."""
     k, d = x.shape
-    if k < d:
-        return "empty" if k == 0 else "small"
-    try:
-        w = np.linalg.solve(x.T @ x, x.T @ y)
-    except np.linalg.LinAlgError:
-        return "singular"
-    if not np.isfinite(w).all():
-        return "overflow"
-    ok = np.allclose(x.T @ x @ w, x.T @ y, rtol=1e-8, atol=1e-12)
-    return "plain" if ok else "inaccurate"
+    if k == 0:
+        return "empty"
+    gram = x.T @ x
+    t = np.trace(gram)
+    if k >= d and t > 0 and \
+            np.linalg.det(gram / t) * solvers._GRAM_COND > 1:
+        return "normal"
+    return "lstsq"
 
 
 def test_batched_scores_equal_per_candidate_fit():
     # each region's batched cost is the loss total of solve_mode_regression
-    # on its points: rank-deficient regions, and every branch of the
-    # squared fit: no points, fewer than d, a singular Gram matrix, a plain
-    # solve failing the accuracy bound, an overflowed plain solve and the
-    # accurate plain solve. The scorer takes the branch the fit takes, with
-    # no numpy warning (an error in this suite). The three rows built for a
-    # squared branch are scored under squared loss only: the inaccurate
-    # one's best interpolant is (6e7, -2e7), whose residuals the scorer and
-    # x @ w round up to 4e-9 apart
+    # on its points, on rank-deficient regions, regions below d points and
+    # both branches of the squared scorer, the normal equations and
+    # _lstsq, and empty regions, with no numpy warning (an error in this
+    # suite). The three rows built for the squared scorer are scored under
+    # squared loss only: the near-collinear one's best interpolant is
+    # (6e7, -2e7), whose residuals the scorer and x @ w may round up to
+    # 4e-9 apart
     rng = np.random.default_rng(12)
     cases = []
     for trial in range(36):
@@ -928,26 +946,29 @@ def test_batched_scores_equal_per_candidate_fit():
         cases.append((x, y, rows, (SQUARED, ABSOLUTE)))
     for x, y in [
         (np.array([[-2.0, -6.0], [-1.0, -3.0], [0.0, 1e-7]]),
-         np.array([2.0, -2.0, -2.0])),                      # inaccurate
-        # the plain solve's w_1 = 1e309 overflows; the ridge cost is finite
+         np.array([2.0, -2.0, -2.0])),                      # near collinear
+        # the normal equations' w_1 = 1e309 overflows; lstsq's is finite
         (np.array([[1e-160, 0.0], [0.0, 1.0], [0.0, 2.0]]),
-         np.array([1e149, 1.0, 2.5])),                      # overflows
+         np.array([1e149, 1.0, 2.5])),
         (np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]),
          np.array([1.0, 0.0, 2.0])),                        # singular
     ]:
         cases.append((x, y, np.ones((1, len(y)), dtype=bool), (SQUARED,)))
-    seen = dict.fromkeys(("empty", "small", "rank_deficient", "singular",
-                          "inaccurate", "overflow", "plain"), 0)
+    seen = dict.fromkeys(("empty", "small", "rank_deficient", "normal",
+                          "lstsq"), 0)
     for x, y, rows, losses in cases:
         d = x.shape[1]
         for row in rows:
             k = row.sum()
+            seen["small"] += 0 < k < d
             seen["rank_deficient"] += k >= d and \
                 np.linalg.matrix_rank(x[row]) < d
             seen[_squared_branch(x[row], y[row])] += 1
         for loss in losses:
-            costs = solvers._region_costs(x, y, rows, loss,
-                                          solvers._table(x, y, loss))
+            costs, slack = solvers._region_costs(x, y, rows, loss,
+                                                 solvers._table(x, y, loss))
+            assert (slack >= 0).all()
+            assert loss.kind == "squared" or not slack.any()
             for row, cost in zip(rows, costs):
                 w = solve_mode_regression(x[row], y[row], loss)
                 exact = loss.residual_loss(y[row] - x[row] @ w).sum()

@@ -14,16 +14,19 @@ a call that raised hashes its exception's type and message. The lines cover
 every call of every benchmark workload for the given rounds at the seed,
 then a fixed sweep of random instances (n 1-3, d 1-3, both losses, Gaussian
 and integer-grid data with zero regressors and repeated rows) solved by
-every method whose budget admits it. On each of those instances and losses
-the fit entry points are digested too: fit_modes' models on FITS seeded
-labelings, and refine_alternate's models, labels and full cost trace from
-seeded models, so a change to a fit is compared bit for bit below the
-reports. Last come the sign rows that enumerate_linear_dichotomies gives on
-a fixed sweep of point sets (Gaussian in m 1-5, integer grids with repeated
-points and collinear triples, and Gaussian points whose leading coordinates
-are scaled by 1e-5, 1e-7, 1e-10, 1e-13 or 1e-20 in a few rows, as the
-lifted points of tiny regressors are), so a change to the geometry is
-compared bit for bit on its own. Elapsed times are left out.
+every method whose budget admits it, and a slice of the near-collinear
+sweep (n 2, d 2, points nudged off integer lines by 1e-5 to 1e-8, where a
+least-squares fit can reach |w| near 1e9) solved the same way. On each of
+those instances and losses the fit entry points are digested too:
+fit_modes' models on FITS seeded labelings, and refine_alternate's models,
+labels and full cost trace from seeded models, so a change to a fit is
+compared bit for bit below the reports. Last come the sign rows that
+enumerate_linear_dichotomies gives on a fixed sweep of point sets
+(Gaussian in m 1-5, integer grids with repeated points and collinear
+triples, and Gaussian points whose leading coordinates are scaled by 1e-5,
+1e-7, 1e-10, 1e-13 or 1e-20 in a few rows, as the lifted points of tiny
+regressors are), so a change to the geometry is compared bit for bit on
+its own. Elapsed times are left out.
 BLAS thread pools are pinned to one thread, as in benchmark/run.py.
 """
 
@@ -43,6 +46,7 @@ SWEEP = 150                     # random instances, each under both losses
 POINT_SETS = 280                # point sets whose dichotomies are hashed
 SCALES = ("1e-5", "1e-7", "1e-10", "1e-13", "1e-20")
 FITS = 3                        # seeded labelings fitted per sweep instance
+NEAR = range(960, 1000)         # draws of the near-collinear sweep digested
 
 
 def digest(outcome) -> str:
@@ -89,7 +93,8 @@ def attempt(fn, *args):
 
 
 def sweep_instances(np, Dataset):
-    """(label, data, n) for the fixed random sweep."""
+    """(label, data, n) for the fixed random sweep, then the NEAR draws of
+    the near-collinear sweep."""
     for i in range(SWEEP):
         rng = np.random.default_rng([2024, i])
         n, d = 1 + i % 3, 1 + (i // 3) % 3
@@ -102,6 +107,24 @@ def sweep_instances(np, Dataset):
         else:
             x, y = rng.standard_normal((N, d)), rng.standard_normal(N)
         yield f"sweep{i}-n{n}-d{d}-N{N}", Dataset(x, y), n
+    for i, (x, y) in enumerate(near_collinear_draws(np, NEAR.stop)):
+        if i in NEAR:
+            yield f"near{i}-n2-d2-N{len(y)}", Dataset(x, y), 2
+
+
+def near_collinear_draws(np, count):
+    """The first count (x, y) of the near-collinear sweep: integer points
+    in R^2 with one or two rows' second coordinate nudged by 1e-5 to 1e-8,
+    and integer targets, half of them with 1e-3 noise."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        N = int(rng.integers(5, 9))
+        x = rng.integers(-3, 4, size=(N, 2)).astype(float)
+        rows = rng.choice(N, size=rng.integers(1, 3), replace=False)
+        x[rows, 1] += rng.choice([1e-5, 1e-6, 1e-7, 1e-8]) * \
+            rng.standard_normal(len(rows))
+        yield x, rng.integers(-3, 4, size=N).astype(float) + \
+            rng.choice([0, 1e-3]) * rng.standard_normal(N)
 
 
 def fit_outcomes(np, solvers, core, data, n, loss, seed):
