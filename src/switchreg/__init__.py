@@ -2,7 +2,6 @@
 
 from .core import (
     ABSOLUTE,
-    DEFAULT_TOLERANCES,
     Dataset,
     Labeling,
     LossModel,
@@ -11,7 +10,7 @@ from .core import (
     SIGN_TOL,
     SQUARED,
     TIE_TOL,
-    Tolerances,
+    ZERO_TOL,
     assign_modes,
     canonicalize_labels,
     empirical_cost,

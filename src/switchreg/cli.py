@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .bench import bench_scaling
-from .core import (DEFAULT_TOLERANCES, SQUARED, Dataset, LossModel, ModelSet,
+from .core import (SQUARED, ZERO_TOL, Dataset, LossModel, ModelSet,
                    empirical_cost, get_loss)
 from .datasets import (GeneratorSpec, generate_instance, load_dataset_csv,
                        load_dataset_json, save_dataset_csv, save_dataset_json)
@@ -74,8 +74,7 @@ def _report_doc(report: SolveReport, data: Dataset, loss: LossModel) -> dict:
     if report.method == "noiseless":
         loss = SQUARED
     recomputed = empirical_cost(data, report.models, report.labeling, loss)
-    zero_tol = DEFAULT_TOLERANCES.zero_tol
-    if not (abs(recomputed - report.cost) <= zero_tol * (1 + abs(report.cost))):
+    if not (abs(recomputed - report.cost) <= ZERO_TOL * (1 + abs(report.cost))):
         raise RuntimeError(
             f"report integrity check failed: cost {report.cost!r} vs "
             f"recomputed {recomputed!r}")

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
+    "ZERO_TOL",
     "SIGN_TOL",
     "TIE_TOL",
     "LossModel",
@@ -40,24 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances shared across the package.
-
-    zero_tol  is the threshold for "cost is zero" and cost-equality checks.
-    The strict-sign margin SIGN_TOL and the tie margin TIE_TOL are
-    constants; no setting moves them.
-    """
-
-    zero_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (np.isfinite(self.zero_tol) and self.zero_tol > 0):
-            raise ValueError(f"zero_tol must be a positive finite float, "
-                             f"got {self.zero_tol!r}")
-
-
-DEFAULT_TOLERANCES = Tolerances()
+ZERO_TOL = 1e-9    # zero margin: of costs, cost gaps and fitted residuals
 SIGN_TOL = 1e-12   # strict-sign margin: of classifier values, of unit points
 TIE_TOL = 1e-9     # tie margin: losses this close to a point's minimum tie
 

@@ -23,6 +23,7 @@ from .core import (
     LossModel,
     ModelSet,
     SQUARED,
+    ZERO_TOL,
 )
 # decide_threshold reaches the solvers through solve_instance; the
 # benchmark's tracer wraps the three solvers by name on this module
@@ -130,17 +131,18 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
     and its time grows exponentially with it. Per decision at sizes 4, 5,
     6 and 7 on a 2-core x86 VM, enum takes about 0.05, 0.3, 2 and 16 s,
     where brute or noiseless are faster: brute takes about 0.02, 0.07,
-    0.3 and 1.3 s. Every solver and the answer read their tolerances from
-    cfg.tol.
+    0.3 and 1.3 s. The answer is yes when the cost is at most epsilon +
+    ZERO_TOL, the margin every solver's zero tests use; a decision's slack
+    is its epsilon.
     """
     if method == "altmin":
         raise ValueError("altmin is heuristic; a threshold decision needs an "
                          "exact solver")
-    if method == "noiseless" and inst.epsilon > cfg.tol.zero_tol:
+    if method == "noiseless" and inst.epsilon > ZERO_TOL:
         raise ValueError("noiseless method only certifies the zero "
                          "threshold; use brute or enum for epsilon > 0")
     report = solve_instance(inst.data, inst.n, loss, method, cfg)
-    answer = report.cost <= inst.epsilon + cfg.tol.zero_tol
+    answer = report.cost <= inst.epsilon + ZERO_TOL
     return ThresholdDecision(answer=answer, cost=report.cost,
                              models=report.models, labeling=report.labeling,
                              report=report)

@@ -9,7 +9,7 @@ Four methods with different guarantees:
   the x_i themselves. The dichotomies are enumerated exactly, with no
   general-position assumption, so fitting each region once and taking the
   min-cost partition of the data into n regions is globally optimal; only
-  the partitions within zero_tol of it are re-fit.
+  the partitions within rounding and ZERO_TOL of it are re-fit.
 * noiseless_solve: exact for data admitting a zero-error fit; reconstructs
   each mode from d interpolation points.
 * altmin_solve: seeded alternating-minimization baseline, local minima and
@@ -19,19 +19,19 @@ Four methods with different guarantees:
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
     SQUARED,
     Dataset,
     Labeling,
     LossModel,
     ModelSet,
-    Tolerances,
+    ZERO_TOL,
     _assign_arrays,
     _canonicalize_arrays,
     _cost_arrays,
@@ -62,7 +62,8 @@ __all__ = [
 _MAX_REFINE_ROUNDS = 1000
 # The region scorer solves normal equations only below this certified
 # condition number, where half the digits survive the squaring, and
-# bounds its totals' rounding with this constant (_squared_totals)
+# bounds its totals' rounding with this constant (_squared_totals,
+# _region_costs)
 _GRAM_COND = 1e8
 _ROUNDING = 8
 # Regions fitted per batch by enumeration_solve, and interpolation subsets
@@ -79,19 +80,23 @@ class CapsExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The budget, heuristic settings and tolerances shared by the solvers.
+    """The budget and heuristic settings shared by the solvers.
 
     restarts and seed drive the heuristic. candidate_budget is the only
     limit on the exact solvers' work: brute force's n^N raw labelings, the
     rows each step of CandidateStream's pool product and region search
     builds, and the noiseless solver's interpolation subsets and cover
-    search nodes.
+    search nodes. No setting moves a margin: the zero margin is ZERO_TOL.
     """
 
     restarts: int = 10
     seed: int = 0
-    tol: Tolerances = DEFAULT_TOLERANCES
     candidate_budget: int = 2_000_000
+
+    # not a field: kept, read-only, for the benchmark, which reads
+    # SolverConfig().tol.zero_tol (as CandidateStream.tie_truncations is kept
+    # for its traced stream); it goes when the benchmark stops reading it
+    tol = namedtuple("ZeroMargin", "zero_tol")(ZERO_TOL)
 
     def __post_init__(self):
         for name in ("restarts", "seed", "candidate_budget"):
@@ -101,8 +106,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not isinstance(self.tol, Tolerances):
-            raise ValueError(f"tol must be a Tolerances, got {self.tol!r}")
         for name in ("restarts", "candidate_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -279,16 +282,16 @@ def fit_modes(data: Dataset, labeling: Labeling, n: int, loss: LossModel) -> Mod
                                labeling.q - 1, n))
 
 
-def refine_alternate(data: Dataset, models: ModelSet, loss: LossModel,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> RefineResult:
+def refine_alternate(data: Dataset, models: ModelSet,
+                     loss: LossModel) -> RefineResult:
     """Alternate optimal assignment and per-mode refitting until stable.
 
     Both half-steps are exact minimizations under either loss, so the
     recorded cost trace is non-increasing up to rounding.
     Stops when the labeling repeats or a full round improves the cost by
-    less than tol.zero_tol, the only field it reads; the returned labeling
-    is always the optimal assignment for the returned models, ties within
-    TIE_TOL going to the first mode.
+    less than ZERO_TOL; the returned labeling is always the optimal
+    assignment for the returned models, ties within TIE_TOL going to the
+    first mode.
     """
     if models.d != data.d:
         raise ValueError(f"models have d={models.d}, data has d={data.d}")
@@ -308,7 +311,7 @@ def refine_alternate(data: Dataset, models: ModelSet, loss: LossModel,
         q0 = new_q0
         if stable:
             break
-        if prev_round is not None and prev_round - costs[-1] < tol.zero_tol:
+        if prev_round is not None and prev_round - costs[-1] < ZERO_TOL:
             break
         prev_round = costs[-1]
     return RefineResult(ModelSet(w),
@@ -561,7 +564,7 @@ def _squared_totals(x, y, member):
     _ROUNDING * eps * (max|y| + |w|_1 * max|x|), times cond(G)'s bound on a
     normal-equation row, so a total over k points is off by at most
     delta * (2 sqrt(k * total) + k * delta). Near-collinear rows can have
-    |w| near 1e9, where that is more than zero_tol.
+    |w| near 1e9, where that is more than ZERO_TOL.
     """
     N, d = x.shape
     gram = (member @ (x[:, :, None] * x[:, None, :]).reshape(N, d * d)).reshape(
@@ -596,13 +599,21 @@ def _region_costs(x, y, rows, loss: LossModel, table):
     interpolant of a subset of at most d of all N points is a feasible
     model, and they include an exact L1 fit of each row, so their least
     total on the row is that fit's. They are read off table, _table(x, y,
-    loss), and stacked into one (S, N) residual array; the bound is 0.
+    loss), and stacked into one (S, N) residual array. Each residual is off
+    by at most delta = _ROUNDING * eps * (max|y| + max_s |w_s|_1 * max|x|),
+    the max over every interpolant, so every interpolant's total on a row
+    of k points is within k * delta of its exact value, and so is their
+    least, whichever interpolant attains it before or after rounding.
+    Near-collinear interpolants can have |w| near 1e8, where that is more
+    than ZERO_TOL.
     Rows are fitted _SCORE_CHUNK at a time.
     """
     costs, slack = np.empty(len(rows)), np.zeros(len(rows))
     if loss.kind == "absolute":
         ws = np.concatenate([ws for _, ws in table])
         resid = np.abs(y - ws @ x.T)
+        slack = rows.sum(axis=1) * _ROUNDING * np.finfo(float).eps * (
+            np.abs(y).max() + np.abs(ws).sum(axis=1).max() * np.abs(x).max())
     for lo in range(0, len(rows), _SCORE_CHUNK):
         member = rows[lo:lo + _SCORE_CHUNK].astype(float)
         part = slice(lo, lo + len(member))
@@ -621,16 +632,18 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     no refinement is needed. Every region is fitted once in one batched
     pass, and a partition costs the sum of its members' totals and bounds
     (_region_costs). The partitions whose total less bound is within
-    N * zero_tol of the least total plus bound, which include the optimal
+    N * ZERO_TOL of the least total plus bound, which include the optimal
     one, become canonical label rows and are re-fit with the per-mode
-    routine, whose cost is reported. Under absolute loss the bounds are 0,
-    and the interpolants of every subset of at most d of the points are
-    computed once (_table): the region scorer reads them all, and each
-    re-fit mode reads those of the subsets inside it (_mode_fit), which
-    gives solve_mode_regression's fit bit for bit. A dead point costs the
-    same in every mode; in the first member it gives the smallest of those
-    equal-cost labelings. Ties on cost break toward the lexicographically
-    smallest canonical labeling, so the report is deterministic.
+    routine, whose cost is reported. Under absolute loss the bound of a
+    region of k points is k times one residual bound shared by every
+    interpolant, and the interpolants of every subset of at most d of the
+    points are computed once (_table): the region scorer reads them all,
+    and each re-fit mode reads those of the subsets inside it (_mode_fit),
+    which gives solve_mode_regression's fit bit for bit. A dead point costs
+    the same in every mode; in the first member it gives the smallest of
+    those equal-cost labelings. Ties on cost break toward the
+    lexicographically smallest canonical labeling, so the report is
+    deterministic.
     """
     t0 = time.perf_counter()
     stream = CandidateStream(data, n, cfg)
@@ -640,7 +653,7 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     costs, slack = _region_costs(x, y, stream.regions, loss, table)
     totals, slack = costs[parts].sum(axis=1), slack[parts].sum(axis=1)
     near = parts[totals - slack
-                 <= (totals + slack).min() + data.N * cfg.tol.zero_tol]
+                 <= (totals + slack).min() + data.N * ZERO_TOL]
     fit = _mode_fit(x, y, loss, table)
     q0, w, _ = _least(x, y, loss, (
         (q0, _fit_array(fit, q0, n))
@@ -662,7 +675,7 @@ def noiseless_solve(data: Dataset, n: int,
     must contain all true modes. The solver deduplicates candidates by their
     exact-fit sets and searches for n of them covering every point
     (largest fit set first, branching on the lowest uncovered point). A
-    found cover is verified by assignment cost <= zero_tol; if none exists
+    found cover is verified by assignment cost <= ZERO_TOL; if none exists
     the best greedy collection is reported with status infeasible, meaning
     no exact fit was certified. cfg.candidate_budget bounds both the
     d-subsets and the nodes of the cover search.
@@ -678,7 +691,7 @@ def noiseless_solve(data: Dataset, n: int,
 
     subsets = _combination_rows(N, d)
     ws = _subset_interpolants(x, y, subsets)         # (S, d)
-    point_tol = cfg.tol.zero_tol * (1.0 + np.abs(y))
+    point_tol = ZERO_TOL * (1.0 + np.abs(y))
     resid = np.abs(y[None, :] - ws @ x.T)            # (S, N)
     fits = resid <= point_tol[None, :]
     # keep only candidates that actually interpolate their own subset
@@ -731,7 +744,7 @@ def noiseless_solve(data: Dataset, n: int,
     cover = search(np.ones(N, dtype=bool), n)
     if cover is not None:
         report = finish(cover, "optimal")
-        if report.cost <= cfg.tol.zero_tol:
+        if report.cost <= ZERO_TOL:
             return report
     # no certified zero-cost fit: report the best greedy collection
     chosen = []
@@ -769,7 +782,7 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel,
             w0 = _subset_interpolants(x, y, idx)
         else:
             w0 = rng.standard_normal((n, d))
-        models, labeling = refine_alternate(data, ModelSet(w0), loss, cfg.tol)
+        models, labeling = refine_alternate(data, ModelSet(w0), loss)
         return _canonicalize_arrays(labeling.q - 1, models.w)
 
     q0, w, examined = _least(x, y, loss, map(restart, range(cfg.restarts)))

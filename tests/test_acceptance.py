@@ -11,10 +11,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, Dataset, GeneratorSpec,
-                       Labeling, ModelSet, PartitionInstance, SIGN_TOL,
-                       SQUARED, SolverConfig,
-                       altmin_solve, assign_modes, bench_scaling,
+from switchreg import (ABSOLUTE, Dataset, GeneratorSpec, Labeling, ModelSet,
+                       PartitionInstance, SIGN_TOL, SQUARED, SolverConfig,
+                       ZERO_TOL, altmin_solve, assign_modes, bench_scaling,
                        brute_force_solve, check_general_position,
                        decide_threshold, enumerate_linear_dichotomies,
                        enumeration_solve, extract_partition, generate_instance,
@@ -225,7 +224,6 @@ def test_criterion_09_polynomial_scaling_of_the_exact_solver():
 
 def test_criterion_10_refinement_descends_to_an_assignment_fixpoint():
     rng = np.random.default_rng(100)
-    zero_tol = DEFAULT_TOLERANCES.zero_tol
     starts = 0
     for i in range(20):
         d = 1 + i % 2
@@ -234,7 +232,7 @@ def test_criterion_10_refinement_descends_to_an_assignment_fixpoint():
         for _ in range(5):
             res = refine_alternate(data, ModelSet(rng.standard_normal((2, d))),
                                    SQUARED)
-            assert np.all(np.diff(res.costs) <= zero_tol)
+            assert np.all(np.diff(res.costs) <= ZERO_TOL)
             fixpoint = assign_modes(data, res.models, SQUARED)
             assert np.array_equal(fixpoint.q, res.labeling.q)
             starts += 1

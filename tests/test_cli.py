@@ -389,7 +389,7 @@ def test_environment_variables_listed_once(tmp_path, capsys, monkeypatch):
     assert inspect.getsource(cli).count("os.environ") == 1
     assert "getenv" not in inspect.getsource(cli)
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "restarts", "seed", "tol", "candidate_budget"]
+        "restarts", "seed", "candidate_budget"]
     # every documented variable is read: a malformed value is a usage error
     data_path = tmp_path / "d.csv"
     run(capsys, "generate", "--n", "2", "--d", "1", "--N", "6",

@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, Dataset, Labeling,
-                       ModelSet, SIGN_TOL, SQUARED, Tolerances, assign_modes,
+from switchreg import (ABSOLUTE, Dataset, Labeling, ModelSet, SIGN_TOL,
+                       SQUARED, ZERO_TOL, assign_modes,
                        canonicalize_labels, empirical_cost, get_loss,
                        loss_eval, majority_vote_label,
                        pairwise_classifiers_from_models)
@@ -166,7 +166,7 @@ def test_assign_minimizes_over_all_labelings(loss_name):
         assigned = assign_modes(data, models, loss)
         c_assigned = empirical_cost(data, models, assigned, loss)
         c_best = min_cost_over_all_labelings(data, models, loss)
-        assert c_assigned <= c_best + DEFAULT_TOLERANCES.zero_tol
+        assert c_assigned <= c_best + ZERO_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def test_canonicalize_idempotent_and_cost_preserving():
                            for j in range(1, n + 1)])
         c0 = empirical_cost(data, models, lab, SQUARED)
         c1 = empirical_cost(data, ModelSet(w_perm), canon, SQUARED)
-        assert abs(c0 - c1) <= DEFAULT_TOLERANCES.zero_tol
+        assert abs(c0 - c1) <= ZERO_TOL
 
 
 def test_canonicalize_preserves_tie_set():
@@ -340,13 +340,6 @@ def test_canonicalize_arrays_permutes_model_rows():
 
 # ---------------------------------------------------------------------------
 # Type validation
-
-
-def test_tolerances_must_be_positive():
-    with pytest.raises(ValueError):
-        Tolerances(zero_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(zero_tol=-1.0)
 
 
 def test_dataset_validation():

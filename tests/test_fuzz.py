@@ -13,8 +13,8 @@ import itertools
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, SIGN_TOL, SQUARED,
-                       Dataset, GeneratorSpec, PartitionInstance,
+from switchreg import (ABSOLUTE, SIGN_TOL, SQUARED, ZERO_TOL, Dataset,
+                       GeneratorSpec, PartitionInstance,
                        brute_force_solve, enumerate_linear_dichotomies,
                        enumeration_solve, generate_instance, noiseless_solve,
                        partition_to_instance, sweep_dichotomies_oracle)
@@ -155,7 +155,7 @@ def test_enum_equals_brute_on_grid_instances(data, nd, loss):
     enum = enumeration_solve(inst, n, loss)
     brute = brute_force_solve(inst, n, loss)
     assert enum.status == "optimal"
-    assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
+    assert abs(enum.cost - brute.cost) <= ZERO_TOL
 
 
 # the hardness reduction's data: every regressor s_i e_i appears twice, with
@@ -169,7 +169,7 @@ def test_enum_equals_brute_on_partition_reductions(s, loss):
     enum = enumeration_solve(inst.data, inst.n, loss)
     brute = brute_force_solve(inst.data, inst.n, loss)
     assert enum.status == "optimal"
-    assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
+    assert abs(enum.cost - brute.cost) <= ZERO_TOL
 
 
 # the generator needs N >= n d, so (4, 2) is drawn on the grid only
@@ -195,7 +195,7 @@ def test_enum_equals_brute_on_generator_instances(ndN, seed, process, loss):
     enum = enumeration_solve(inst, n, loss)
     brute = brute_force_solve(inst, n, loss)
     assert enum.status == "optimal"
-    assert abs(enum.cost - brute.cost) <= DEFAULT_TOLERANCES.zero_tol
+    assert abs(enum.cost - brute.cost) <= ZERO_TOL
 
 
 @st.composite
@@ -218,7 +218,7 @@ def test_enum_finds_the_planted_fit(ndN, seed, process, loss):
         n=n, d=d, N=N, seed=seed, mode_process=process))
     enum = enumeration_solve(inst, n, loss)
     assert enum.status == "optimal"
-    assert enum.cost <= DEFAULT_TOLERANCES.zero_tol
+    assert enum.cost <= ZERO_TOL
     certified = noiseless_solve(inst, n)
     assert certified.status == "optimal"
-    assert certified.cost <= DEFAULT_TOLERANCES.zero_tol
+    assert certified.cost <= ZERO_TOL

@@ -5,11 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from switchreg import (ABSOLUTE, DEFAULT_TOLERANCES, CertificateError,
-                       DecisionInstance, Dataset, ModelSet,
-                       PartitionInstance, SQUARED, SolverConfig, TIE_TOL,
-                       Tolerances,
-                       decide_threshold, extract_partition,
+from switchreg import (ABSOLUTE, CertificateError, DecisionInstance,
+                       Dataset, ModelSet, PartitionInstance, SQUARED, TIE_TOL,
+                       ZERO_TOL, decide_threshold, extract_partition,
                        partition_to_instance, solve_instance)
 
 from conftest import partition_has_equal_split
@@ -78,7 +76,7 @@ def test_decide_no_for_odd_total():
     inst = partition_to_instance(PartitionInstance((1, 1, 1)))
     decision = decide_threshold(inst, method="brute")
     assert not decision.answer
-    assert decision.cost > DEFAULT_TOLERANCES.zero_tol
+    assert decision.cost > ZERO_TOL
 
 
 def test_decide_huge_threshold_trivially_yes():
@@ -104,18 +102,19 @@ def test_decide_noiseless_only_at_zero_threshold():
         decide_threshold(inst, method="dynamic")
 
 
-def test_decide_reads_tolerances_from_cfg():
-    # nudging the half-sum point costs a little above the default zero_tol; a
-    # cfg whose zero_tol covers that cost must turn the answer to yes
+def test_decide_answers_cost_within_epsilon_plus_zero_tol():
+    # nudging the half-sum point costs a little above ZERO_TOL: no at
+    # epsilon 0, yes once epsilon covers that cost
     inst = partition_to_instance(PartitionInstance((1, 2, 3)))
     y = inst.data.y.copy()
     y[-1] += 1e-3
-    nudged = DecisionInstance(data=Dataset(inst.data.x, y), n=2, epsilon=0.0)
-    loose = SolverConfig(tol=Tolerances(zero_tol=1e-3))
-    assert not decide_threshold(nudged, method="brute").answer
-    decision = decide_threshold(nudged, method="brute", cfg=loose)
-    assert decision.answer
-    assert DEFAULT_TOLERANCES.zero_tol < decision.cost <= 1e-3
+    data = Dataset(inst.data.x, y)
+    tight = decide_threshold(DecisionInstance(data=data, n=2, epsilon=0.0))
+    loose = decide_threshold(DecisionInstance(data=data, n=2, epsilon=1e-3))
+    assert not tight.answer
+    assert loose.answer
+    assert tight.cost == loose.cost
+    assert ZERO_TOL < loose.cost <= 1e-3
 
 
 @pytest.mark.parametrize("method", ["brute", "enum", "noiseless"])
@@ -210,7 +209,7 @@ def test_certificates_extract_balanced_subsets():
 
 
 def test_small_threshold_slack_never_flips_no():
-    slack = 10 * DEFAULT_TOLERANCES.zero_tol
+    slack = 10 * ZERO_TOL
     for s in [(1, 1, 1), (1, 2), (3, 3, 1), (5,), (2, 2, 3)]:
         assert not partition_has_equal_split(s)
         base = partition_to_instance(PartitionInstance(s))

@@ -6,9 +6,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from switchreg import (ABSOLUTE, SQUARED, Dataset, PartitionInstance,
-                       partition_to_instance, solvers)
+from switchreg import (ABSOLUTE, SQUARED, ZERO_TOL, Dataset,
+                       PartitionInstance, partition_to_instance, solvers)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
 import run  # noqa: E402
@@ -39,3 +40,12 @@ def test_traced_run_matches_untraced_and_reports():
     for metric in ("solvers.stream.combinations", "solvers.brute.labelings",
                    "solvers.noiseless.systems"):
         assert layers[metric] > 0
+
+
+def test_benchmark_reads_the_zero_margin_constant():
+    # workloads.py reads SolverConfig().tol.zero_tol; that shim must give
+    # ZERO_TOL and must not be settable
+    assert workloads.TOL.zero_tol == ZERO_TOL
+    with pytest.raises(AttributeError):
+        workloads.TOL.zero_tol = 1e-3
+    assert workloads.TOL.zero_tol == ZERO_TOL
