@@ -51,6 +51,29 @@ def lstsq_brute_cost(x, y, n):
     return best
 
 
+def l1_interpolant_oracle(x, y, n):
+    """Least mean absolute cost over n models, from interpolant tuples.
+
+    Some optimal L1 fit of each mode interpolates at most d of its points,
+    so some optimal model set is an unordered n-tuple, repeats allowed, of
+    the interpolants of every subset of at most d points (each by
+    np.linalg.lstsq on its own rows) and w = 0; each tuple costs
+    sum_i min_j |y_i - w_j . x_i|. The tuples are scored in chunks.
+    """
+    N, d = x.shape
+    ws = [np.zeros(d)] + [
+        np.linalg.lstsq(x[list(idx)], y[list(idx)], rcond=None)[0]
+        for s in range(1, d + 1)
+        for idx in itertools.combinations(range(N), s)]
+    resid = np.abs(y - np.array(ws) @ x.T)                  # (S, N)
+    tuples = itertools.combinations_with_replacement(range(len(ws)), n)
+    best = np.inf
+    while chunk := list(itertools.islice(tuples, 20_000)):
+        totals = resid[np.array(chunk)].min(axis=1).sum(axis=1)
+        best = min(best, totals.min())
+    return best / N
+
+
 def partition_has_equal_split(s):
     """2^d scan: does some sub-multiset reach exactly half the total?"""
     total = sum(s)

@@ -71,6 +71,8 @@ def test_sampled_mode_for_large_sets():
 def test_rejects_non_finite_points():
     with pytest.raises(ValueError):
         check_general_position(np.array([[np.nan, 0.0]]))
+    with pytest.raises(ValueError, match=r"must be \(N, m\)"):
+        check_general_position(np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +142,11 @@ def test_oracle_takes_points_tiny_against_the_others():
 def test_origin_point_rejected():
     with pytest.raises(ValueError):
         enumerate_linear_dichotomies(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    # and so are points that are not an (N, m) array or not finite
+    with pytest.raises(ValueError, match=r"must be \(N, m\)"):
+        enumerate_linear_dichotomies(np.ones(3))
+    with pytest.raises(ValueError, match="must be finite"):
+        enumerate_linear_dichotomies(np.array([[1.0, np.inf]]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from switchreg.datasets import GeneratorSpec, generate_instance
 from switchreg.hardness import PartitionInstance, partition_to_instance
 from switchreg.solvers import CandidateStream, SolveReport
 
-from conftest import lstsq_brute_cost, random_instance, report_digest
+from conftest import (l1_interpolant_oracle, lstsq_brute_cost,
+                      random_instance, report_digest)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,15 @@ def test_mode_regression_validates_shapes():
                               SQUARED)
     with pytest.raises(ValueError):
         solve_mode_regression(np.array([[1.0]]), np.array([1.0, 2.0]), SQUARED)
+    # and the fits over a labeling or a model set check theirs against data
+    data = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="^labeling covers 3 points, data "
+                                         "has 2$"):
+        fit_modes(data, Labeling(np.array([1, 1, 2])), 2, SQUARED)
+    with pytest.raises(ValueError, match="^label exceeds n=2$"):
+        fit_modes(data, Labeling(np.array([1, 3])), 2, SQUARED)
+    with pytest.raises(ValueError, match="^models have d=2, data has d=1$"):
+        refine_alternate(data, ModelSet(np.ones((2, 2))), SQUARED)
 
 
 def test_absolute_fit_beats_least_squares_on_outlier():
@@ -728,6 +738,31 @@ def test_brute_squared_equals_literal_lstsq_brute():
             assert abs(brute.cost - oracle) <= 1e-9, (i, brute.cost, oracle)
 
 
+def test_enum_absolute_equals_independent_interpolant_oracle():
+    # the oracle fits each subset by np.linalg.lstsq on its own rows and
+    # shares no code with the interpolant table that brute force reads, so
+    # it checks the batched solve behind that table. Near-collinear draws
+    # are left out: there two SVD codes can reach different ill-conditioned
+    # vertices, up to 4e-8 apart
+    instances = []
+    for n, d, N in [(3, 2, 9), (4, 1, 9), (4, 2, 8), (2, 3, 10)]:
+        for seed in range(4):
+            inst, _, _ = generate_instance(GeneratorSpec(
+                n=n, d=d, N=N, noise_sigma=0.1, seed=seed))
+            instances.append((inst, n))
+    rng = np.random.default_rng(29)
+    for trial in range(12):
+        d, N = 1 + trial % 2, 8 + trial % 3
+        x = rng.integers(-2, 3, size=(N, d)).astype(float)
+        x[rng.integers(N)] = 0                       # a zero regressor
+        y = rng.integers(-2, 3, size=N).astype(float)
+        instances.append((Dataset(x, y), 3))
+    for inst, n in instances:
+        enum = enumeration_solve(inst, n, ABSOLUTE)
+        oracle = l1_interpolant_oracle(inst.x, inst.y, n)
+        assert abs(enum.cost - oracle) <= 1e-9, (n, inst.x, enum.cost, oracle)
+
+
 def test_table_refit_equals_mode_regression():
     # enum's absolute-loss re-fit reads each mode's pool off the solve's
     # table: bit for bit solve_mode_regression, on empty modes, modes below
@@ -975,6 +1010,19 @@ def test_batched_scores_equal_per_candidate_fit():
     assert all(v > 0 for v in seen.values()), seen
 
 
+def test_batched_squared_total_within_its_bound_of_lstsq():
+    # region {1, 7} of near-collinear draw 0: nearly consistent and nearly
+    # singular. Forming the pseudo-inverse first rounded its total to
+    # 4.5e-13 against a bound of 2.0e-20; applying the SVD's factors to y
+    # is backward stable, so the bound holds with no floor
+    x = np.array([[-2.0, -1.0], [2.0, 1.0 + 3e-10]])
+    y = np.array([-3.0, 3.0])
+    (total,), (bound,) = solvers._region_costs(
+        x, y, np.ones((1, 2), dtype=bool), SQUARED, None)
+    w = np.linalg.lstsq(x, y, rcond=None)[0]
+    assert abs(total - np.square(y - x @ w).sum()) <= bound, (total, bound)
+
+
 def _grid_solves_matching_brute(rng, n, trials, N0):
     # seeded integer-grid draws: d alternates 1, 2, N alternates N0, N0 + 1,
     # the loss switches every 4 trials; every draw must equal brute force,
@@ -1186,6 +1234,10 @@ def test_solve_instance_dispatch(noiseless_four_points, monkeypatch):
                 solve_instance(data, n, SQUARED, method)
     with pytest.raises(ValueError):
         solve_instance(data, 2, SQUARED, "simplex")
+    with pytest.raises(ValueError,
+                       match="^need at least d=2 points, got N=1$"):
+        solve_instance(Dataset(np.ones((1, 2)), np.ones(1)), 2, SQUARED,
+                       "noiseless")
 
     # a non-default config acts the same through either entry point
     cfg = SolverConfig(restarts=3, seed=5)
