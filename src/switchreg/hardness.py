@@ -130,8 +130,8 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
     repeated regressor vectors, but their dimension is the multiset size
     and its time grows exponentially with it. Per decision at sizes 4, 5,
     6 and 7 on a 2-core x86 VM, enum takes about 0.05, 0.3, 2 and 16 s,
-    where brute or noiseless are faster: brute takes about 0.02, 0.07,
-    0.3 and 1.3 s. The answer is yes when the cost is at most epsilon +
+    where brute or noiseless are faster: brute takes about 0.01, 0.05,
+    0.2 and 0.7 s. The answer is yes when the cost is at most epsilon +
     ZERO_TOL, the margin every solver's zero tests use; a decision's slack
     is its epsilon.
     """

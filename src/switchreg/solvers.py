@@ -66,9 +66,11 @@ _MAX_REFINE_ROUNDS = 1000
 # _region_costs)
 _GRAM_COND = 1e8
 _ROUNDING = 8
-# Regions fitted per batch by enumeration_solve, and interpolation subsets
-# per chunk of _interpolants. It bounds the scorer's (chunk, N) and, under
-# absolute loss, (chunk, S) arrays, and the fit's (chunk, k) residuals.
+# Regions fitted per batch by enumeration_solve, labelings costed per chunk
+# by brute_force_solve, and interpolation subsets per chunk of
+# _interpolants. It bounds the scorer's (chunk, N) and, under absolute loss,
+# (chunk, S) arrays, brute's (chunk, N, d) mode weights, and the fit's
+# (chunk, k) residuals.
 _SCORE_CHUNK = 1024
 
 SOLVER_METHODS = ("brute", "enum", "noiseless", "altmin")
@@ -355,19 +357,23 @@ def _report(method: str, data: Dataset, loss: LossModel, q0, w,
 # Brute force
 
 
-def _canonical_label_arrays(N: int, n: int):
-    """All labelings with modes numbered by first occurrence (q_1 = 1)."""
-    q = np.zeros(N, dtype=np.int64)
-
-    def rec(i, used):
-        if i == N:
-            yield q.copy()
-            return
-        for v in range(min(used + 1, n)):
-            q[i] = v
-            yield from rec(i + 1, max(used, v + 1))
-
-    yield from rec(1, 1)
+def _canonical_label_arrays(N: int, n: int) -> np.ndarray:
+    """Every labeling of N points with at most n modes numbered by first
+    occurrence, as one int8 (L, N) array of 0-based labels: the
+    restricted-growth strings (q_1 = 0, each label at most one above the
+    largest before it) in lexicographic order, L = sum_{k <= n} S(N, k).
+    Built a column at a time: each row is repeated once per label its next
+    point may take, the modes it uses and, below n, one new one."""
+    q = np.zeros((1, N), dtype=np.int8)
+    used = np.ones(1, dtype=np.int64)           # modes each row uses
+    for i in range(1, N):
+        take = np.minimum(used + 1, n)
+        row = np.repeat(np.arange(len(q)), take)
+        label = np.arange(len(row)) - np.repeat(np.cumsum(take) - take, take)
+        q = q[row]
+        q[:, i] = label
+        used = np.maximum(used[row], label + 1)
+    return q
 
 
 def brute_force_solve(data: Dataset, n: int, loss: LossModel,
@@ -378,24 +384,52 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     permutation symmetry; the optimum is unchanged. Refuses instances with
     n^N, counted exactly, above cfg.candidate_budget.
 
-    Each labeling is fitted and costed on its own, one mode at a time, and
-    shares nothing with the enumeration solver's region scorer
-    (_region_costs) or CandidateStream, whose oracle it is. Each mode is
-    fitted by _mode_fit: under squared loss by solve_mode_regression, under
-    absolute loss from the interpolants of all the points, computed once
-    per solve (_table), each mode reading those of the subsets inside it,
-    which is solve_mode_regression's fit bit for bit.
+    The L canonical labelings (_canonical_label_arrays) are taken
+    _SCORE_CHUNK at a time. Each distinct mode mask, a point set some
+    labeling gives one mode, is fitted once, by _mode_fit, into a table of
+    at most min(2^N, n L) rows of d floats: under squared loss by
+    solve_mode_regression, under absolute loss from the interpolants of
+    all the points, computed once per solve (_table), each mode reading
+    those of the subsets inside it, which is solve_mode_regression's fit
+    bit for bit. A chunk's labelings are costed in one pass, as
+    _cost_arrays costs one, and only the rows at the chunk's least cost go
+    to _least, which costs them again and keeps the least (cost, labels).
+    Nothing is shared with the enumeration solver's region scorer
+    (_region_costs) or CandidateStream, whose oracle this is.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     t0 = time.perf_counter()
     _check_budget(n ** data.N, "labelings", cfg, shown=f"{n}^{data.N}")
     x, y = data.x, data.y
+    N = data.N
     fit = _mode_fit(x, y, loss, _table(x, y, loss))
-    q0, w, examined = _least(x, y, loss, (
-        (q0, _fit_array(fit, q0, n))
-        for q0 in _canonical_label_arrays(data.N, n)))
-    return _report("brute", data, loss, q0, w, t0, examined, "optimal")
+    labels = _canonical_label_arrays(N, n)
+    fits = np.empty((min(2 ** N, n * len(labels)), data.d))
+    row_of = {}                                 # mask key -> row of fits
+    modes = np.arange(n)[:, None, None]
+
+    def least_rows():
+        for lo in range(0, len(labels), _SCORE_CHUNK):
+            q = labels[lo:lo + _SCORE_CHUNK]
+            masks = (q == modes).reshape(-1, N)         # mode-major (n C, N)
+            keys, first, back = np.unique(_packed_keys(masks),
+                                          return_index=True,
+                                          return_inverse=True)
+            known = len(row_of)
+            rows = np.array([row_of.setdefault(key, len(row_of))
+                             for key in keys.tolist()])
+            for r in np.flatnonzero(rows >= known):
+                fits[rows[r]] = fit(masks[first[r]])
+            w = fits[rows[back].reshape(n, -1).T]       # (C, n, d)
+            pred = np.einsum("ij,rij->ri", x,
+                             w[np.arange(len(q))[:, None], q])
+            costs = loss.residual_loss(y - pred).sum(axis=1) / N
+            for r in np.flatnonzero(costs == costs.min()):
+                yield q[r], w[r]
+
+    q0, w, _ = _least(x, y, loss, least_rows())
+    return _report("brute", data, loss, q0, w, t0, len(labels), "optimal")
 
 
 # ---------------------------------------------------------------------------

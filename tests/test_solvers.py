@@ -15,7 +15,7 @@ from switchreg import (ABSOLUTE, CapsExceededError, Dataset, Labeling,
                        noiseless_solve, refine_alternate, solve_instance,
                        solve_mode_regression)
 from switchreg import geometry, solvers
-from switchreg.core import _canonicalize_arrays
+from switchreg.core import _canonicalize_arrays, _cost_arrays
 from switchreg.datasets import GeneratorSpec, generate_instance
 from switchreg.hardness import PartitionInstance, partition_to_instance
 from switchreg.solvers import CandidateStream, SolveReport
@@ -396,6 +396,66 @@ def test_brute_equals_the_reference_loop(n, loss):
             (want.status, want.candidates_examined), name
 
 
+def _restricted_growth_strings(N, n):
+    """Every labeling of N points with labels below n, kept when q_1 = 0
+    and each label is at most one above the largest before it."""
+    return [q for q in itertools.product(range(n), repeat=N)
+            if q[0] == 0 and all(q[i] <= 1 + max(q[:i]) for i in range(1, N))]
+
+
+def test_canonical_label_arrays_are_the_restricted_growth_strings():
+    for N in range(1, 9):
+        stirling = [1] + [0] * N                        # S(0, k)
+        for _ in range(N):
+            stirling = [0] + [k * stirling[k] + stirling[k - 1]
+                              for k in range(1, N + 1)]
+        for n in range(1, 5):
+            labels = solvers._canonical_label_arrays(N, n)
+            rows = list(map(tuple, labels.tolist()))
+            assert labels.dtype == np.int8 and labels.shape[1] == N
+            assert len(rows) == sum(stirling[1:n + 1]), (N, n)
+            assert sorted(rows) == _restricted_growth_strings(N, n), (N, n)
+
+
+def _tie_rich_grids(rng, n):
+    """Integer grids in {-2..2} with a zero regressor and a repeated row,
+    then pairs of points mirrored in y, whose optima tie exactly."""
+    for d in (1, 2):
+        x = rng.integers(-2, 3, size=(7, d)).astype(float)
+        y = rng.integers(-2, 3, size=7).astype(float)
+        x[1], x[-1], y[-1] = 0.0, x[0], y[0]
+        yield Dataset(x, y)
+    x = np.repeat(np.arange(1.0, 1 + (7 + n) // 2), 2)[:, None]
+    yield Dataset(x, np.tile([1.0, -1.0], len(x) // 2))
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+@pytest.mark.parametrize("n", [2, 3])
+def test_brute_does_not_depend_on_its_chunks(monkeypatch, n, loss):
+    # brute costs its labelings _SCORE_CHUNK at a time and sends each
+    # chunk's least rows to _least. At chunk 1 every labeling is its own
+    # chunk and reaches _least, so labelings tied at the optimum are in
+    # different chunks; the report stays the same bit for bit
+    data = list(_tie_rich_grids(np.random.default_rng(40 + n), n))
+    want = [brute_force_solve(d, n, loss) for d in data]
+    least, tied = solvers._least, []
+
+    def counting_least(x, y, loss, candidates):
+        candidates = list(candidates)
+        costs = [_cost_arrays(x, y, w, q0, loss) for q0, w in candidates]
+        tied.append(costs.count(min(costs)))
+        return least(x, y, loss, candidates)
+
+    for chunk in (3, 1):
+        monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
+        monkeypatch.setattr(solvers, "_least", counting_least)
+        tied.clear()
+        for d, w in zip(data, want):
+            got = brute_force_solve(d, n, loss)
+            assert report_digest.digest(got) == report_digest.digest(w), chunk
+    assert max(tied) > 1
+
+
 # ---------------------------------------------------------------------------
 # candidate stream
 
@@ -505,6 +565,23 @@ def test_enum_equals_brute_past_three_modes_or_dimensions(n, d, N, loss):
     for data in (Dataset(gen.x[:N], gen.y[:N]), grid):
         enum = enumeration_solve(data, n, loss)
         brute = brute_force_solve(data, n, loss)
+        assert enum.status == "optimal"
+        assert abs(enum.cost - brute.cost) <= ZERO_TOL
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+def test_enum_equals_brute_at_the_three_mode_frontier(loss):
+    # n = 3, d = 2, N = 12, where brute force tries 88,574 labelings: on
+    # generator data and on an integer grid with a zero regressor
+    gen, _, _ = random_instance(1, n=3, d=2, N=12)
+    rng = np.random.default_rng(12)
+    x = rng.integers(-2, 3, size=(12, 2)).astype(float)
+    x[3] = 0.0
+    grid = Dataset(x, rng.integers(-2, 3, size=12).astype(float))
+    for data in (gen, grid):
+        enum = enumeration_solve(data, 3, loss)
+        brute = brute_force_solve(data, 3, loss)
+        assert brute.candidates_examined == 88574
         assert enum.status == "optimal"
         assert abs(enum.cost - brute.cost) <= ZERO_TOL
 

@@ -14,9 +14,9 @@ a call that raised hashes its exception's type and message. The lines cover
 every call of every benchmark workload for the given rounds at the seed,
 then a fixed sweep of random instances (n 1-3, d 1-3, both losses, Gaussian
 and integer-grid data with zero regressors and repeated rows) solved by
-every method whose budget admits it, and a slice of the near-collinear
-sweep (n 2, d 2, points nudged off integer lines by 1e-5 to 1e-8, where a
-least-squares fit can reach |w| near 1e9) solved the same way. On each of
+every method, and a slice of the near-collinear sweep (n 2, d 2, points
+nudged off integer lines by 1e-5 to 1e-8, where a least-squares fit can
+reach |w| near 1e9) solved the same way. On each of
 those instances and losses the fit entry points are digested too:
 fit_modes' models on FITS seeded labelings, and refine_alternate's models,
 labels and full cost trace from seeded models, so a change to a fit is
@@ -193,8 +193,6 @@ def main(argv=None) -> int:
     for i, (label, data, n) in enumerate(sweep_instances(np, Dataset)):
         for loss in (SQUARED, ABSOLUTE):
             for method in solvers.SOLVER_METHODS:
-                if method == "brute" and n ** data.N > 20_000:
-                    continue
                 out = attempt(solvers.solve_instance, data, n, loss, method)
                 print(f"{label} {loss.kind} {method} {digest(out)}")
             for name, out in fit_outcomes(np, solvers, core, data, n, loss,
