@@ -66,11 +66,10 @@ _MAX_REFINE_ROUNDS = 1000
 # _region_costs)
 _GRAM_COND = 1e8
 _ROUNDING = 8
-# Regions fitted per batch by enumeration_solve, labelings costed per chunk
-# by brute_force_solve, and interpolation subsets per chunk of
-# _interpolants. It bounds the scorer's (chunk, N) and, under absolute loss,
-# (chunk, S) arrays, brute's (chunk, N, d) mode weights, and the fit's
-# (chunk, k) residuals.
+# Regions per batch of enumeration_solve's scorer, labelings per chunk of
+# brute_force_solve, subsets per _lstsq batch of _interpolants, interpolants
+# per slice of _absolute_fit's scan: it bounds their (chunk, N), (chunk, S),
+# (chunk, n, d), SVD factor and (chunk, k) arrays.
 _SCORE_CHUNK = 1024
 
 SOLVER_METHODS = ("brute", "enum", "noiseless", "altmin")
@@ -181,46 +180,48 @@ def _lstsq(a, b) -> np.ndarray:
 
 
 def _interpolants(x, y):
-    """(subsets, interpolants) of every subset of at most d of the points,
-    in chunks of at most _SCORE_CHUNK subsets: the d-subsets first, then
-    smaller ones, each size in lexicographic order.
-
-    Each interpolant depends on its own subset's rows only, so a subset
-    gets the same interpolant, bit for bit, in whichever chunk it lands.
+    """(subsets, interpolants) of every subset of at most d of the N points,
+    as two (S, d) arrays: the d-subsets first, then smaller ones, each size
+    in lexicographic order, a subset's row padded with N past its size.
+    Each size is solved _SCORE_CHUNK subsets at a time; an interpolant
+    depends on its own subset's rows only, so it is the same, bit for bit,
+    in the table of any superset of its points.
     """
     N, d = x.shape
-    for s in range(d, 0, -1):
-        subsets = _combination_rows(N, s)
-        for lo in range(0, len(subsets), _SCORE_CHUNK):
-            chunk = subsets[lo:lo + _SCORE_CHUNK]
-            yield chunk, _lstsq(x[chunk], y[chunk])
+    blocks = [_combination_rows(N, s) for s in range(d, 0, -1)]
+    subsets = np.full((sum(map(len, blocks)), d), N)
+    ws = np.empty(subsets.shape)
+    at = 0
+    for block in blocks:
+        for lo in range(0, len(block), _SCORE_CHUNK):
+            chunk = block[lo:lo + _SCORE_CHUNK]
+            subsets[at:at + len(chunk), :chunk.shape[1]] = chunk
+            ws[at:at + len(chunk)] = _lstsq(x[chunk], y[chunk])
+            at += len(chunk)
+    return subsets, ws
 
 
-def _absolute_fit(x: np.ndarray, y: np.ndarray, pool) -> np.ndarray:
-    """Exact least-absolute-deviations fit over the pool's interpolants.
+def _absolute_fit(x: np.ndarray, y: np.ndarray, ws) -> np.ndarray:
+    """Exact least-absolute-deviations fit: the first of the (S, d)
+    interpolants ws with the least total on the points.
 
     Some optimal L1 fit is a basic solution of the LP: it interpolates
     rank(x) points with independent regressors, and the minimum-norm
     interpolant of those points predicts the same on every point. So the
     best interpolant of a subset of at most d points is an exact L1 fit,
-    whatever the rank of x or the number of points. pool yields arrays,
-    possibly empty, of the interpolants of every subset of at most d of
-    x's points, in _interpolants' order: _interpolants over x's own points,
-    or the chunks of a table over more points, each filtered to the subsets
-    inside x's. A row's total does not depend on the chunk it comes in, and
-    ties keep the first row in pool order, so the fit does not depend on
-    how the pool is chunked.
+    whatever the rank of x or the number of points. ws holds the
+    interpolants of every subset of at most d of x's points, in
+    _interpolants' order: its own, or the rows of a wider table whose
+    subsets lie inside x's, which are the same bit for bit. A row's total
+    does not depend on the _SCORE_CHUNK slice it is scanned in.
     """
-    best_total = np.inf
-    best_w = np.zeros(x.shape[1])
-    for ws in pool:
-        if not len(ws):
-            continue
-        totals = np.abs(y - ws @ x.T).sum(axis=1)
+    best_total, best_w = np.inf, np.zeros(x.shape[1])
+    for lo in range(0, len(ws), _SCORE_CHUNK):
+        part = ws[lo:lo + _SCORE_CHUNK]
+        totals = np.abs(y - part @ x.T).sum(axis=1)
         i = int(np.argmin(totals))
         if totals[i] < best_total:
-            best_total = totals[i]
-            best_w = ws[i]
+            best_total, best_w = totals[i], part[i]
     return best_w
 
 
@@ -241,13 +242,12 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
         raise ValueError(f"y must be ({x.shape[0]},), got shape {y.shape}")
     if loss.kind == "squared":
         return np.linalg.lstsq(x, y, rcond=None)[0]
-    return _absolute_fit(x, y, (ws for _, ws in _interpolants(x, y)))
+    return _absolute_fit(x, y, _interpolants(x, y)[1])
 
 
 def _table(x, y, loss: LossModel):
-    """A solve's interpolant table: list(_interpolants(x, y)) over all the
-    points under absolute loss, None under squared loss."""
-    return list(_interpolants(x, y)) if loss.kind == "absolute" else None
+    """The solve's table, _interpolants(x, y), under absolute loss only."""
+    return _interpolants(x, y) if loss.kind == "absolute" else None
 
 
 def _mode_fit(x, y, loss: LossModel, table=None):
@@ -256,14 +256,15 @@ def _mode_fit(x, y, loss: LossModel, table=None):
 
     With no table, each call goes to solve_mode_regression, looked up on
     this module. Under absolute loss, table is _table(x, y, loss), and a
-    mode's pool is the chunks' interpolants of the subsets inside it: the
-    same interpolants in the same order, so the same fit, without solving
-    each subset again.
+    mode's pool is the table's rows whose subsets lie inside the mask, the
+    padding N counting as inside: the same interpolants in the same order,
+    so the same fit, without solving each subset again.
     """
     if table is None:
         return lambda mask: solve_mode_regression(x[mask], y[mask], loss)
-    return lambda mask: _absolute_fit(x[mask], y[mask], (
-        ws[mask[s].all(axis=1)] for s, ws in table))
+    subsets, ws = table
+    return lambda mask: _absolute_fit(
+        x[mask], y[mask], ws[np.append(mask, True)[subsets].all(axis=1)])
 
 
 def _fit_array(fit, q0, n) -> np.ndarray:
@@ -384,18 +385,17 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     permutation symmetry; the optimum is unchanged. Refuses instances with
     n^N, counted exactly, above cfg.candidate_budget.
 
-    The L canonical labelings (_canonical_label_arrays) are taken
-    _SCORE_CHUNK at a time. Each distinct mode mask, a point set some
-    labeling gives one mode, is fitted once, by _mode_fit, into a table of
-    at most min(2^N, n L) rows of d floats: under squared loss by
-    solve_mode_regression, under absolute loss from the interpolants of
-    all the points, computed once per solve (_table), each mode reading
-    those of the subsets inside it, which is solve_mode_regression's fit
-    bit for bit. A chunk's labelings are costed in one pass, as
-    _cost_arrays costs one, and only the rows at the chunk's least cost go
-    to _least, which costs them again and keeps the least (cost, labels).
-    Nothing is shared with the enumeration solver's region scorer
-    (_region_costs) or CandidateStream, whose oracle this is.
+    The mode masks of all L canonical labelings (_canonical_label_arrays)
+    are taken in one pass, and each distinct one is fitted once, by
+    _mode_fit, into a row of d floats: 2^N rows at n >= 2, where every
+    subset, the empty one included, is a mode of some labeling, and one at
+    n = 1. Under absolute loss the fits read one interpolant table per
+    solve (_table), bit for bit solve_mode_regression's fits. The labelings
+    are costed _SCORE_CHUNK at a time from their modes' rows, as
+    _cost_arrays costs one, and only a chunk's least rows go to _least,
+    which costs them again and keeps the least (cost, labels). Nothing is
+    shared with the enumeration solver's region scorer (_region_costs) or
+    CandidateStream, whose oracle this is.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -405,23 +405,18 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     N = data.N
     fit = _mode_fit(x, y, loss, _table(x, y, loss))
     labels = _canonical_label_arrays(N, n)
-    fits = np.empty((min(2 ** N, n * len(labels)), data.d))
-    row_of = {}                                 # mask key -> row of fits
-    modes = np.arange(n)[:, None, None]
+    masks = (labels == np.arange(n)[:, None, None]).reshape(-1, N)  # (n L, N)
+    _, first, back = np.unique(_packed_keys(masks), return_index=True,
+                               return_inverse=True)
+    fits = np.empty((len(first), data.d))
+    for r, i in enumerate(first):
+        fits[r] = fit(masks[i])
+    rows = back.reshape(n, -1).T                        # (L, n) rows of fits
 
     def least_rows():
         for lo in range(0, len(labels), _SCORE_CHUNK):
             q = labels[lo:lo + _SCORE_CHUNK]
-            masks = (q == modes).reshape(-1, N)         # mode-major (n C, N)
-            keys, first, back = np.unique(_packed_keys(masks),
-                                          return_index=True,
-                                          return_inverse=True)
-            known = len(row_of)
-            rows = np.array([row_of.setdefault(key, len(row_of))
-                             for key in keys.tolist()])
-            for r in np.flatnonzero(rows >= known):
-                fits[rows[r]] = fit(masks[first[r]])
-            w = fits[rows[back].reshape(n, -1).T]       # (C, n, d)
+            w = fits[rows[lo:lo + _SCORE_CHUNK]]        # (C, n, d)
             pred = np.einsum("ij,rij->ri", x,
                              w[np.arange(len(q))[:, None], q])
             costs = loss.residual_loss(y - pred).sum(axis=1) / N
@@ -584,6 +579,12 @@ def _partition_search(regions, live, n: int, cfg: SolverConfig) -> np.ndarray:
     return np.column_stack([parts[hit], last[hit]])
 
 
+def _residual_bound(x, y, w_norm):
+    """First-order bound on the rounding of y_i - w . x_i, |w|_1 = w_norm."""
+    return _ROUNDING * np.finfo(float).eps * (
+        np.abs(y).max() + w_norm * np.abs(x).max())
+
+
 def _squared_totals(x, y, member):
     """Squared-loss total of each row of the (K, N) 0/1 float member array
     under its least-squares fit, and a first-order bound on its rounding.
@@ -592,11 +593,11 @@ def _squared_totals(x, y, member):
     cond(G) < _GRAM_COND: the eigenvalues of G / trace G are at most 1, so
     their product is at most l_min / l_max. Every other non-empty row takes
     _lstsq on its masked stack, non-members as zero rows; an empty row
-    takes w = 0. Each residual is off by at most delta = _ROUNDING * eps *
-    (max|y| + |w|_1 * max|x|), _lstsq being backward stable, times cond(G)'s
-    bound on a normal-equation row, so on every row a total over k points is
-    off by at most delta * (2 sqrt(k * total) + k * delta). Near-collinear
-    rows can have |w| near 1e9, where that is more than ZERO_TOL.
+    takes w = 0. Each residual is off by at most delta = _residual_bound,
+    _lstsq being backward stable, times cond(G)'s bound on a normal-equation
+    row, so on every row a total over k points is off by at most
+    delta * (2 sqrt(k * total) + k * delta). Near-collinear rows can have
+    |w| near 1e9, where that is more than ZERO_TOL.
     """
     N, d = x.shape
     gram = (member @ (x[:, :, None] * x[:, None, :]).reshape(N, d * d)).reshape(
@@ -615,8 +616,7 @@ def _squared_totals(x, y, member):
     if rest.any():
         w[rest] = _lstsq(member[rest, :, None] * x, member[rest] * y)
     totals = (member * np.square(y - w @ x.T)).sum(axis=1)
-    delta = _ROUNDING * np.finfo(float).eps * (
-        np.abs(y).max() + np.abs(w).sum(axis=1) * np.abs(x).max())
+    delta = _residual_bound(x, y, np.abs(w).sum(axis=1))
     delta[normal] /= det
     return totals, delta * (2 * np.sqrt(k * totals) + k * delta)
 
@@ -627,25 +627,22 @@ def _region_costs(x, y, rows, loss: LossModel, table):
 
     A total is the loss of the row's optimal fit, so it is that of
     solve_mode_regression(x[row], y[row], loss) up to rounding. Under
-    squared loss the bound is _squared_totals'. Under absolute loss every
-    interpolant of a subset of at most d of all N points is a feasible
-    model, and they include an exact L1 fit of each row, so their least
-    total on the row is that fit's. They are read off table, _table(x, y,
-    loss), and stacked into one (S, N) residual array. Each residual is off
-    by at most delta = _ROUNDING * eps * (max|y| + max_s |w_s|_1 * max|x|),
-    the max over every interpolant, so every interpolant's total on a row
-    of k points is within k * delta of its exact value, and so is their
-    least, whichever interpolant attains it before or after rounding.
-    Near-collinear interpolants can have |w| near 1e8, where that is more
-    than ZERO_TOL.
+    squared loss the bound is _squared_totals'. Under absolute loss the
+    interpolants of table, _table(x, y, loss), of every subset of at most d
+    of all N points, include an exact L1 fit of each row, so their least
+    total on the row, read off one (S, N) residual array, is that fit's.
+    Each residual is off by at most delta = _residual_bound at the largest
+    |w_s|_1, so every interpolant's total on a row of k points is within
+    k * delta of its exact value, and so is their least, whichever
+    interpolant attains it before or after rounding. Near-collinear
+    interpolants can have |w| near 1e8, where that is more than ZERO_TOL.
     Rows are fitted _SCORE_CHUNK at a time.
     """
     costs, slack = np.empty(len(rows)), np.zeros(len(rows))
     if loss.kind == "absolute":
-        ws = np.concatenate([ws for _, ws in table])
-        resid = np.abs(y - ws @ x.T)
-        slack = rows.sum(axis=1) * _ROUNDING * np.finfo(float).eps * (
-            np.abs(y).max() + np.abs(ws).sum(axis=1).max() * np.abs(x).max())
+        resid = np.abs(y - table[1] @ x.T)
+        slack = rows.sum(axis=1) * _residual_bound(
+            x, y, np.abs(table[1]).sum(axis=1).max())
     for lo in range(0, len(rows), _SCORE_CHUNK):
         member = rows[lo:lo + _SCORE_CHUNK].astype(float)
         part = slice(lo, lo + len(member))
@@ -710,7 +707,9 @@ def noiseless_solve(data: Dataset, n: int,
     found cover is verified by assignment cost <= ZERO_TOL; if none exists
     the best greedy collection is reported with status infeasible, meaning
     no exact fit was certified. cfg.candidate_budget bounds both the
-    d-subsets and the nodes of the cover search.
+    d-subsets and the nodes of the cover search. Two known limits: it
+    refuses N < d, and it says infeasible when a mode of a zero-cost fit
+    has fewer than d points, as x = [[1, 1], [2, 2]], y = [1, 0] at n = 2.
     """
     t0 = time.perf_counter()
     if n < 1:

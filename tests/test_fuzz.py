@@ -20,7 +20,8 @@ from switchreg import (ABSOLUTE, SIGN_TOL, SQUARED, ZERO_TOL, Dataset,
                        partition_to_instance, sweep_dichotomies_oracle)
 from switchreg.geometry import _unit_points
 
-from conftest import lp_feasible_patterns, rays_on_their_points
+from conftest import (l1_interpolant_oracle, lp_feasible_patterns,
+                      rays_on_their_points)
 
 _GATE = settings(derandomize=True, database=None, deadline=None,
                  max_examples=60)
@@ -196,6 +197,29 @@ def test_enum_equals_brute_on_generator_instances(ndN, seed, process, loss):
     brute = brute_force_solve(inst, n, loss)
     assert enum.status == "optimal"
     assert abs(enum.cost - brute.cost) <= ZERO_TOL
+
+
+# absolute loss past brute force's reach at n = 4: the interpolant oracle
+# fits each subset by lstsq on its own rows and shares no code with enum
+_ORACLE_MAX_N = {(3, 2): 9, (4, 1): 8, (4, 2): 8}
+
+
+@_GATE
+@given(st.data(), st.sampled_from(sorted(_ORACLE_MAX_N)), st.booleans())
+def test_enum_absolute_equals_interpolant_oracle(data, nd, grid):
+    n, d = nd
+    if grid:
+        xy = np.array(_grid_rows(data.draw, d + 1, 2, _ORACLE_MAX_N[nd],
+                                 "rows (x, y)"), dtype=float)
+        inst = Dataset(xy[:, :d], xy[:, d])
+    else:
+        N = data.draw(st.integers(n * d, _ORACLE_MAX_N[nd]), label="N")
+        inst, _, _ = generate_instance(GeneratorSpec(
+            n=n, d=d, N=N, noise_sigma=0.1,
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed")))
+    enum = enumeration_solve(inst, n, ABSOLUTE)
+    assert enum.status == "optimal"
+    assert abs(enum.cost - l1_interpolant_oracle(inst.x, inst.y, n)) <= 1e-9
 
 
 @st.composite

@@ -269,11 +269,11 @@ def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
     # brute's absolute-loss fit of a mode, read off the table of all the
     # points, is bit-for-bit _absolute_fit over _interpolants of the mode's
     # own points: grid data with zero regressors and repeated rows, modes
-    # below d points and rank-deficient modes. Once a size spans several
-    # chunks the two pools chunk it differently, so this rests on chunk
-    # invariance; chunk 3 splits each size over several chunks, chunk 1
-    # gives every subset its own chunk and leaves most of a mode's pool
-    # chunks empty
+    # below d points and rank-deficient modes. Both tables solve each size
+    # in _lstsq batches and the fits scan them in slices, of _SCORE_CHUNK
+    # rows, placed differently in the two; chunk 3 splits each size over
+    # several batches and slices, chunk 1 gives every row a batch and a
+    # slice of its own
     if chunk is not None:
         monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
     rng = np.random.default_rng(17)
@@ -295,10 +295,50 @@ def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
             seen["small"] += k < d
             seen["rank_deficient"] += k >= d and \
                 np.linalg.matrix_rank(x[mask]) < d
-            own = solvers._absolute_fit(x[mask], y[mask], (
-                ws for _, ws in solvers._interpolants(x[mask], y[mask])))
+            own = solvers._absolute_fit(
+                x[mask], y[mask], solvers._interpolants(x[mask], y[mask])[1])
             read = solvers._mode_fit(x, y, ABSOLUTE, table)(mask)
             assert np.array_equal(read, own), (trial, mask)
+    assert all(v > 0 for v in seen.values()), seen
+
+
+@pytest.mark.parametrize("chunk", [None, 3, 1],
+                         ids=["default", "chunk3", "chunk1"])
+def test_table_restricted_to_a_mask_is_the_masks_own_table(monkeypatch,
+                                                          chunk):
+    # the rows of a solve's table whose subsets lie inside a mask are the
+    # mask's own table row for row: the interpolants bit for bit, the
+    # subsets mapped through the mask's point indices, the padding N to N.
+    # Masks of k = 0 and 0 < k < d points, N < d, a zero regressor and a
+    # repeated row
+    if chunk is not None:
+        monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
+    rng = np.random.default_rng(23)
+    seen = {"empty": 0, "small": 0, "N<d": 0, "zero": 0, "repeated": 0}
+    for trial in range(20):
+        d, N = 1 + trial % 3, [2, 5, 7, 8][trial % 4]
+        x = rng.integers(-2, 3, size=(N, d)).astype(float)
+        y = rng.integers(-2, 3, size=N).astype(float)
+        x[1] = 0.0                                  # a zero regressor
+        x[N - 1], y[N - 1] = x[0], y[0]             # a repeated row
+        subsets, ws = solvers._interpolants(x, y)
+        assert subsets.shape == ws.shape == (
+            sum(comb(N, s) for s in range(1, d + 1)), d)
+        seen["N<d"] += N < d
+        seen["zero"] += not x.any(axis=1).all()
+        seen["repeated"] += len(np.unique(x, axis=0)) < N
+        masks = rng.random((10, N)) < 0.6
+        masks[0], masks[1] = False, False
+        masks[1, :d - 1] = True                     # below d points
+        for mask in masks:
+            k = mask.sum()
+            seen["empty"] += k == 0
+            seen["small"] += 0 < k < d
+            inside = np.append(mask, True)[subsets].all(axis=1)
+            own_subsets, own_ws = solvers._interpolants(x[mask], y[mask])
+            index = np.append(np.flatnonzero(mask), N)
+            assert np.array_equal(subsets[inside], index[own_subsets])
+            assert ws[inside].tobytes() == own_ws.tobytes(), (trial, mask)
     assert all(v > 0 for v in seen.values()), seen
 
 
@@ -454,6 +494,34 @@ def test_brute_does_not_depend_on_its_chunks(monkeypatch, n, loss):
             got = brute_force_solve(d, n, loss)
             assert report_digest.digest(got) == report_digest.digest(w), chunk
     assert max(tied) > 1
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+@pytest.mark.parametrize("chunk", [None, 1], ids=["default", "chunk1"])
+def test_brute_fits_each_distinct_mode_mask_once(monkeypatch, chunk, loss):
+    # at n >= 2 every subset of the points, the empty one included, is a
+    # mode of some canonical labeling, so brute fits 2^N masks, each once;
+    # at n = 1 the one labeling has one mode
+    if chunk is not None:
+        monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
+    mode_fit, masks = solvers._mode_fit, []
+
+    def counted_mode_fit(*args):
+        fit = mode_fit(*args)
+
+        def counted(mask):
+            masks.append(mask.tobytes())
+            return fit(mask)
+        return counted
+
+    monkeypatch.setattr(solvers, "_mode_fit", counted_mode_fit)
+    rng = np.random.default_rng(61)
+    for n, d, N in [(1, 2, 6), (2, 1, 7), (2, 2, 6), (3, 1, 6), (3, 2, 5)]:
+        x = rng.integers(-2, 3, size=(N, d)).astype(float)
+        y = rng.integers(-2, 3, size=N).astype(float)
+        masks.clear()
+        brute_force_solve(Dataset(x, y), n, loss)
+        assert len(masks) == len(set(masks)) == (1 if n == 1 else 2 ** N)
 
 
 # ---------------------------------------------------------------------------
@@ -820,16 +888,18 @@ def test_enum_absolute_equals_independent_interpolant_oracle():
     # shares no code with the interpolant table that brute force reads, so
     # it checks the batched solve behind that table. Near-collinear draws
     # are left out: there two SVD codes can reach different ill-conditioned
-    # vertices, up to 4e-8 apart
+    # vertices, up to 4e-8 apart. n = 3, d = 2, N = 13 is enum's reach
+    # today, ~1 s a solve: one generator draw and one grid there
     instances = []
-    for n, d, N in [(3, 2, 9), (4, 1, 9), (4, 2, 8), (2, 3, 10)]:
-        for seed in range(4):
+    for n, d, N, seeds in [(3, 2, 9, 4), (4, 1, 9, 4), (4, 2, 8, 4),
+                           (2, 3, 10, 4), (3, 2, 13, 1)]:
+        for seed in range(seeds):
             inst, _, _ = generate_instance(GeneratorSpec(
                 n=n, d=d, N=N, noise_sigma=0.1, seed=seed))
             instances.append((inst, n))
     rng = np.random.default_rng(29)
-    for trial in range(12):
-        d, N = 1 + trial % 2, 8 + trial % 3
+    for trial in range(13):
+        d, N = (1 + trial % 2, 8 + trial % 3) if trial < 12 else (2, 13)
         x = rng.integers(-2, 3, size=(N, d)).astype(float)
         x[rng.integers(N)] = 0                       # a zero regressor
         y = rng.integers(-2, 3, size=N).astype(float)
