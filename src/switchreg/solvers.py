@@ -67,8 +67,10 @@ _MAX_REFINE_ROUNDS = 1000
 _GRAM_COND = 1e8
 _ROUNDING = 8
 # Regions per batch of enumeration_solve's scorer, labelings per chunk of
-# brute_force_solve, subsets per _lstsq batch of _interpolants, interpolants
-# per slice of _absolute_fit's scan: it bounds their (chunk, N), (chunk, S),
+# brute_force_solve, subsets per _lstsq batch of _interpolants and of
+# noiseless_solve, interpolants per slice of _absolute_fit's scan, and pool
+# rows per stacked pool block of _mode_fit's table fit (the masks of a batch
+# times a slice of their pools): it bounds their (chunk, N), (chunk, S),
 # (chunk, n, d), SVD factor and (chunk, k) arrays.
 _SCORE_CHUNK = 1024
 
@@ -251,26 +253,69 @@ def _table(x, y, loss: LossModel):
 
 
 def _mode_fit(x, y, loss: LossModel, table=None):
-    """solve_mode_regression(x[mask], y[mask], loss), bit for bit, as a
-    function of the boolean mask; an empty mask gives the zero vector.
+    """The fit of a boolean (M, N) stack of masks, an (M, d) array whose row
+    r is solve_mode_regression(x[mask_r], y[mask_r], loss) bit for bit; an
+    empty mask gives the zero vector.
 
-    With no table, each call goes to solve_mode_regression, looked up on
+    With no table, each row goes to solve_mode_regression, looked up on
     this module. Under absolute loss, table is _table(x, y, loss), and a
     mode's pool is the table's rows whose subsets lie inside the mask, the
     padding N counting as inside: the same interpolants in the same order,
-    so the same fit, without solving each subset again.
+    so the same fit as _absolute_fit's, without solving each subset again.
+    Every mask of k points has the same number P_k of them, so the masks
+    are fitted by size, a batch at a time: each _SCORE_CHUNK slice of the
+    batch's pools is scored in one stacked matmul, every slice of the shape
+    _absolute_fit's scan gives it, and a batch holds at most _SCORE_CHUNK
+    pool rows of a slice (one mask where P_k is larger). Each mask keeps
+    its first least total, strictly below those of earlier slices, or the
+    zero vector where none is below inf, as _absolute_fit does.
     """
+    d = x.shape[1]
     if table is None:
-        return lambda mask: solve_mode_regression(x[mask], y[mask], loss)
+        def each(masks):
+            fits = np.empty((len(masks), d))
+            for r, mask in enumerate(masks):
+                fits[r] = solve_mode_regression(x[mask], y[mask], loss)
+            return fits
+        return each
     subsets, ws = table
-    return lambda mask: _absolute_fit(
-        x[mask], y[mask], ws[np.append(mask, True)[subsets].all(axis=1)])
+
+    def fit(masks):
+        M, N = masks.shape
+        fits = np.zeros((M, d))
+        size = masks.sum(axis=1)
+        padded = np.ones((M, N + 1), dtype=bool)
+        padded[:, :N] = masks
+        for k in np.flatnonzero(np.bincount(size)):
+            pool_rows = sum(comb(k, s) for s in range(1, min(d, k) + 1))
+            if not pool_rows:                   # the empty mask's zero fit
+                continue
+            rows = np.flatnonzero(size == k)
+            step = max(1, _SCORE_CHUNK // pool_rows)
+            for first in range(0, len(rows), step):
+                batch = rows[first:first + step]
+                pool = np.nonzero(padded[batch][:, subsets].all(axis=2))[1]
+                pool = pool.reshape(len(batch), pool_rows)
+                idx = np.nonzero(masks[batch])[1].reshape(len(batch), k)
+                xt, yk = x[idx].transpose(0, 2, 1), y[idx][:, None, :]
+                best = np.full(len(batch), np.inf)
+                at = np.arange(len(batch))
+                for lo in range(0, pool_rows, _SCORE_CHUNK):
+                    part = ws[pool[:, lo:lo + _SCORE_CHUNK]]     # (B, c, d)
+                    totals = np.abs(yk - part @ xt).sum(axis=2)  # (B, c)
+                    i = totals.argmin(axis=1)
+                    least = totals[at, i]
+                    better = least < best
+                    best[better] = least[better]
+                    fits[batch[better]] = part[better, i[better]]
+        return fits
+    return fit
 
 
 def _fit_array(fit, q0, n) -> np.ndarray:
-    """The (n, d) fits of the modes of the 0-based labels q0, fit(mask)
-    each, where fit is a _mode_fit."""
-    return np.array([fit(q0 == j) for j in range(n)])
+    """The (n, d) fits of the modes of the 0-based labels q0, where fit is a
+    _mode_fit."""
+    return fit(q0 == np.arange(n)[:, None])
 
 
 def fit_modes(data: Dataset, labeling: Labeling, n: int, loss: LossModel) -> ModelSet:
@@ -386,16 +431,17 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     n^N, counted exactly, above cfg.candidate_budget.
 
     The mode masks of all L canonical labelings (_canonical_label_arrays)
-    are taken in one pass, and each distinct one is fitted once, by
-    _mode_fit, into a row of d floats: 2^N rows at n >= 2, where every
-    subset, the empty one included, is a mode of some labeling, and one at
-    n = 1. Under absolute loss the fits read one interpolant table per
-    solve (_table), bit for bit solve_mode_regression's fits. The labelings
-    are costed _SCORE_CHUNK at a time from their modes' rows, as
-    _cost_arrays costs one, and only a chunk's least rows go to _least,
-    which costs them again and keeps the least (cost, labels). Nothing is
-    shared with the enumeration solver's region scorer (_region_costs) or
-    CandidateStream, whose oracle this is.
+    are taken in one pass, and the distinct ones are fitted once each, in
+    one _mode_fit call on their stack, into rows of d floats: 2^N rows at
+    n >= 2, where every subset, the empty one included, is a mode of some
+    labeling, and one at n = 1. Under absolute loss that call reads one
+    interpolant table per solve (_table) and scores the masks of each size
+    together, bit for bit solve_mode_regression's fits; under squared loss
+    it fits one mask at a time. The labelings are costed _SCORE_CHUNK at a
+    time from their modes' rows, as _cost_arrays costs one, and only a
+    chunk's least rows go to _least, which costs them again and keeps the
+    least (cost, labels). Nothing is shared with the enumeration solver's
+    region scorer (_region_costs) or CandidateStream, whose oracle this is.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -408,9 +454,7 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     masks = (labels == np.arange(n)[:, None, None]).reshape(-1, N)  # (n L, N)
     _, first, back = np.unique(_packed_keys(masks), return_index=True,
                                return_inverse=True)
-    fits = np.empty((len(first), data.d))
-    for r, i in enumerate(first):
-        fits[r] = fit(masks[i])
+    fits = fit(masks[first])
     rows = back.reshape(n, -1).T                        # (L, n) rows of fits
 
     def least_rows():
@@ -721,10 +765,15 @@ def noiseless_solve(data: Dataset, n: int,
     _check_budget(comb(N, d), "interpolation subsets", cfg)
 
     subsets = _combination_rows(N, d)
-    ws = _lstsq(x[subsets], y[subsets])              # (S, d)
     point_tol = ZERO_TOL * (1.0 + np.abs(y))
-    resid = np.abs(y[None, :] - ws @ x.T)            # (S, N)
-    fits = resid <= point_tol[None, :]
+    # solved and checked _SCORE_CHUNK subsets at a time: only the (S, d)
+    # interpolants and the boolean (S, N) fit rows are held
+    ws = np.empty((len(subsets), d))
+    fits = np.empty((len(subsets), N), dtype=bool)
+    for lo in range(0, len(subsets), _SCORE_CHUNK):
+        chunk = subsets[lo:lo + _SCORE_CHUNK]
+        ws[lo:lo + len(chunk)] = w = _lstsq(x[chunk], y[chunk])
+        fits[lo:lo + len(chunk)] = np.abs(y - w @ x.T) <= point_tol
     # keep only candidates that actually interpolate their own subset
     good = np.take_along_axis(fits, subsets, axis=1).all(axis=1)
 

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 
 from switchreg import (ABSOLUTE, SQUARED, Dataset, DichotomySet, Labeling,
-                       PartitionInstance, brute_force_solve, core,
+                       PartitionInstance, brute_force_solve, core, datasets,
                        decide_threshold, enumerate_linear_dichotomies,
                        partition_to_instance, solvers)
 
@@ -139,3 +139,20 @@ def test_fit_lines_move_with_one_ulp_of_one_fit(monkeypatch):
         after = lines()
         assert [a != b for a, b in zip(after, before)] == \
             [i == moved for i in range(len(before))], nudge
+
+
+def test_sweep_ends_with_the_tiny_regressor_draws():
+    # generator data at n 2, d 2, N 7 whose rows 2, 4 and 5 have regressors
+    # scaled by 1e-13 and by 1e-20, one draw per seed and scale, after the
+    # random and near-collinear sweeps
+    tiny = [(label, data, n) for label, data, n in
+            report_digest.sweep_instances(np, Dataset, datasets)
+            if label.startswith("tiny")]
+    assert len(tiny) == len(report_digest.TINY_SEEDS) * len(
+        report_digest.TINY_SCALES)
+    for label, data, n in tiny:
+        scale = float(label.split("-", 1)[1].split("-n2")[0])
+        assert (n, data.d, data.N) == (2, 2, 7), label
+        small = np.abs(data.x).max(axis=1) < 10 * scale
+        assert small.tolist() == [i in (2, 4, 5) for i in range(7)], label
+        assert (data.x[[2, 4, 5]] != 0).all(), label

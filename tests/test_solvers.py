@@ -297,8 +297,56 @@ def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
                 np.linalg.matrix_rank(x[mask]) < d
             own = solvers._absolute_fit(
                 x[mask], y[mask], solvers._interpolants(x[mask], y[mask])[1])
-            read = solvers._mode_fit(x, y, ABSOLUTE, table)(mask)
+            read = solvers._mode_fit(x, y, ABSOLUTE, table)(mask[None])[0]
             assert np.array_equal(read, own), (trial, mask)
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_stacked_table_fit_equals_per_mask_fit_on_every_mask(monkeypatch):
+    # the absolute-loss fit of a stack of masks, read off the table of all
+    # the points, is solve_mode_regression on each mask's own points, bit
+    # for bit, on all 2^N masks in shuffled order: the empty mask, masks
+    # below d points, a zero regressor and a repeated row, rows scaled by
+    # 1e-13 and near-collinear columns, at d = 1-4. Both fits are taken at
+    # the default _SCORE_CHUNK, at 3, which splits larger pools over slices
+    # and batches, and at 1, which scores every pool row in a slice of its
+    # own (a slice's shape can move a total's last bit, so the chunk is
+    # the same on both sides)
+    rng = np.random.default_rng(29)
+    kinds = ("grid", "tiny", "collinear", "gauss")
+    seen = dict.fromkeys(("empty", "small", "zero", "repeated") + kinds, 0)
+    cases, N = [], 7
+    for trial in range(16):
+        d, kind = 1 + trial % 4, kinds[trial // 4]
+        if kind == "grid":
+            x = rng.integers(-2, 3, size=(N, d)).astype(float)
+            y = rng.integers(-2, 3, size=N).astype(float)
+            x[1] = 0.0                                  # a zero regressor
+            x[N - 1], y[N - 1] = x[0], y[0]             # a repeated row
+        else:
+            x, y = rng.standard_normal((N, d)), rng.standard_normal(N)
+        if kind == "tiny":
+            x[[2, 4, 5]] *= 1e-13
+        if kind == "collinear" and d > 1:
+            x[:, 1] = 2 * x[:, 0] + 1e-9 * rng.standard_normal(N)
+        seen["zero"] += not x.any(axis=1).all()
+        seen["repeated"] += len(np.unique(x, axis=0)) < N
+        seen[kind] += kind != "collinear" or d > 1
+        masks = np.array(list(itertools.product([False, True], repeat=N)))
+        masks = masks[rng.permutation(len(masks))]
+        seen["empty"] += (~masks.any(axis=1)).sum()
+        seen["small"] += ((0 < masks.sum(axis=1)) & (masks.sum(axis=1) < d)
+                          ).sum()
+        cases.append((x, y, masks))
+    for chunk in (solvers._SCORE_CHUNK, 3, 1):
+        monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
+        for trial, (x, y, masks) in enumerate(cases):
+            want = np.array([solve_mode_regression(x[m], y[m], ABSOLUTE)
+                             for m in masks])
+            table = solvers._interpolants(x, y)
+            got = solvers._mode_fit(x, y, ABSOLUTE, table)(masks)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (chunk, trial)
     assert all(v > 0 for v in seen.values()), seen
 
 
@@ -509,9 +557,9 @@ def test_brute_fits_each_distinct_mode_mask_once(monkeypatch, chunk, loss):
     def counted_mode_fit(*args):
         fit = mode_fit(*args)
 
-        def counted(mask):
-            masks.append(mask.tobytes())
-            return fit(mask)
+        def counted(stack):
+            masks.extend(mask.tobytes() for mask in stack)
+            return fit(stack)
         return counted
 
     monkeypatch.setattr(solvers, "_mode_fit", counted_mode_fit)

@@ -16,7 +16,10 @@ then a fixed sweep of random instances (n 1-3, d 1-3, both losses, Gaussian
 and integer-grid data with zero regressors and repeated rows) solved by
 every method, and a slice of the near-collinear sweep (n 2, d 2, points
 nudged off integer lines by 1e-5 to 1e-8, where a least-squares fit can
-reach |w| near 1e9) solved the same way. On each of
+reach |w| near 1e9) solved the same way, then a few tiny-regressor draws
+solved the same way (generator data at n 2, d 2, N 7, noise 0.1, with the
+regressors of rows 2, 4 and 5 scaled by 1e-13 or 1e-20, where enum is known
+to miss the optimum). On each of
 those instances and losses the fit entry points are digested too:
 fit_modes' models on FITS seeded labelings, and refine_alternate's models,
 labels and full cost trace from seeded models, so a change to a fit is
@@ -47,6 +50,8 @@ POINT_SETS = 280                # point sets whose dichotomies are hashed
 SCALES = ("1e-5", "1e-7", "1e-10", "1e-13", "1e-20")
 FITS = 3                        # seeded labelings fitted per sweep instance
 NEAR = range(960, 1000)         # draws of the near-collinear sweep digested
+TINY_SEEDS = range(3)           # generator seeds of the tiny-regressor draws
+TINY_SCALES = ("1e-13", "1e-20")
 
 
 def digest(outcome) -> str:
@@ -92,9 +97,9 @@ def attempt(fn, *args):
         return exc
 
 
-def sweep_instances(np, Dataset):
+def sweep_instances(np, Dataset, datasets):
     """(label, data, n) for the fixed random sweep, then the NEAR draws of
-    the near-collinear sweep."""
+    the near-collinear sweep, then the tiny-regressor draws."""
     for i in range(SWEEP):
         rng = np.random.default_rng([2024, i])
         n, d = 1 + i % 3, 1 + (i // 3) % 3
@@ -110,6 +115,13 @@ def sweep_instances(np, Dataset):
     for i, (x, y) in enumerate(near_collinear_draws(np, NEAR.stop)):
         if i in NEAR:
             yield f"near{i}-n2-d2-N{len(y)}", Dataset(x, y), 2
+    for seed in TINY_SEEDS:
+        data = datasets.generate_instance(datasets.GeneratorSpec(
+            n=2, d=2, N=7, noise_sigma=0.1, seed=seed))[0]
+        for scale in TINY_SCALES:
+            x = data.x.copy()
+            x[[2, 4, 5]] *= float(scale)
+            yield f"tiny{seed}-{scale}-n2-d2-N7", Dataset(x, data.y), 2
 
 
 def near_collinear_draws(np, count):
@@ -179,7 +191,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
     import numpy as np
     import workloads
-    from switchreg import core, geometry, solvers
+    from switchreg import core, datasets, geometry, solvers
     from switchreg.core import ABSOLUTE, SQUARED, Dataset
 
     for name in WORKLOAD_NAMES:
@@ -190,7 +202,8 @@ def main(argv=None) -> int:
                     out = attempt(workloads.call, job, method)
                     print(f"{name} r{r} {job.label} {method} {digest(out)}")
 
-    for i, (label, data, n) in enumerate(sweep_instances(np, Dataset)):
+    for i, (label, data, n) in enumerate(sweep_instances(np, Dataset,
+                                                              datasets)):
         for loss in (SQUARED, ABSOLUTE):
             for method in solvers.SOLVER_METHODS:
                 out = attempt(solvers.solve_instance, data, n, loss, method)
