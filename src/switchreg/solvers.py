@@ -68,10 +68,10 @@ _GRAM_COND = 1e8
 _ROUNDING = 8
 # Regions per batch of enumeration_solve's scorer, labelings per chunk of
 # brute_force_solve, subsets per _lstsq batch of _interpolants and of
-# noiseless_solve, interpolants per slice of _absolute_fit's scan, and pool
-# rows per stacked pool block of _mode_fit's table fit (the masks of a batch
-# times a slice of their pools): it bounds their (chunk, N), (chunk, S),
-# (chunk, n, d), SVD factor and (chunk, k) arrays.
+# noiseless_solve, interpolants per slice of solve_mode_regression's L1
+# scan, and pool rows per stacked pool block of _fit_masks' table fit (the
+# masks of a batch times a slice of their pools): it bounds their (chunk,
+# N), (chunk, S), (chunk, n, d), SVD factor and (chunk, k) arrays.
 _SCORE_CHUNK = 1024
 
 SOLVER_METHODS = ("brute", "enum", "noiseless", "altmin")
@@ -203,20 +203,33 @@ def _interpolants(x, y):
     return subsets, ws
 
 
-def _absolute_fit(x: np.ndarray, y: np.ndarray, ws) -> np.ndarray:
-    """Exact least-absolute-deviations fit: the first of the (S, d)
-    interpolants ws with the least total on the points.
+def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
+    """Best single linear model for one mode's points under the loss.
 
-    Some optimal L1 fit is a basic solution of the LP: it interpolates
-    rank(x) points with independent regressors, and the minimum-norm
-    interpolant of those points predicts the same on every point. So the
-    best interpolant of a subset of at most d points is an exact L1 fit,
-    whatever the rank of x or the number of points. ws holds the
-    interpolants of every subset of at most d of x's points, in
-    _interpolants' order: its own, or the rows of a wider table whose
-    subsets lie inside x's, which are the same bit for bit. A row's total
-    does not depend on the _SCORE_CHUNK slice it is scanned in.
+    Accepts an empty subset (returns the zero vector) and rank-deficient
+    or small subsets. Squared loss takes np.linalg.lstsq's minimum-norm
+    least-squares solution, from an SVD of x itself, never from the normal
+    equations, which square its condition number.
+
+    Absolute loss takes the first of the interpolants of every subset of at
+    most d points (_interpolants) with the least total, scanned
+    _SCORE_CHUNK at a time; a row's total does not depend on the slice it
+    is scanned in. Some optimal L1 fit is a basic solution of the LP: it
+    interpolates rank(x) points with independent regressors, and the
+    minimum-norm interpolant of those points predicts the same on every
+    point (Barrodale and Roberts, SIAM J. Numer. Anal. 10, 1973). So the
+    best interpolant is an exact L1 fit, whatever the rank of x or the
+    number of points.
     """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"x must be (k, d), got shape {x.shape}")
+    if y.shape != (x.shape[0],):
+        raise ValueError(f"y must be ({x.shape[0]},), got shape {y.shape}")
+    if loss.kind == "squared":
+        return np.linalg.lstsq(x, y, rcond=None)[0]
+    ws = _interpolants(x, y)[1]
     best_total, best_w = np.inf, np.zeros(x.shape[1])
     for lo in range(0, len(ws), _SCORE_CHUNK):
         part = ws[lo:lo + _SCORE_CHUNK]
@@ -227,95 +240,65 @@ def _absolute_fit(x: np.ndarray, y: np.ndarray, ws) -> np.ndarray:
     return best_w
 
 
-def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
-    """Best single linear model for one mode's points under the loss.
-
-    Accepts an empty subset (returns the zero vector) and rank-deficient
-    or small subsets. Squared loss takes np.linalg.lstsq's minimum-norm
-    least-squares solution, from an SVD of x itself, never from the normal
-    equations, which square its condition number. Absolute loss takes the
-    best interpolant of at most d points, an exact L1 fit.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"x must be (k, d), got shape {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"y must be ({x.shape[0]},), got shape {y.shape}")
-    if loss.kind == "squared":
-        return np.linalg.lstsq(x, y, rcond=None)[0]
-    return _absolute_fit(x, y, _interpolants(x, y)[1])
-
-
 def _table(x, y, loss: LossModel):
     """The solve's table, _interpolants(x, y), under absolute loss only."""
     return _interpolants(x, y) if loss.kind == "absolute" else None
 
 
-def _mode_fit(x, y, loss: LossModel, table=None):
-    """The fit of a boolean (M, N) stack of masks, an (M, d) array whose row
-    r is solve_mode_regression(x[mask_r], y[mask_r], loss) bit for bit; an
-    empty mask gives the zero vector.
+def _fit_masks(x, y, loss: LossModel, masks, table=None) -> np.ndarray:
+    """The fits of the boolean (M, N) stack of masks, an (M, d) array whose
+    row r is solve_mode_regression(x[mask_r], y[mask_r], loss) bit for bit;
+    an empty mask gives the zero vector.
 
     With no table, each row goes to solve_mode_regression, looked up on
     this module. Under absolute loss, table is _table(x, y, loss), and a
     mode's pool is the table's rows whose subsets lie inside the mask, the
-    padding N counting as inside: the same interpolants in the same order,
-    so the same fit as _absolute_fit's, without solving each subset again.
-    Every mask of k points has the same number P_k of them, so the masks
-    are fitted by size, a batch at a time: each _SCORE_CHUNK slice of the
+    padding N counting as inside: the interpolants of the mode's own
+    points, bit for bit, in the same order, so the same fit as
+    solve_mode_regression's scan, without solving each subset again. Every
+    mask of k points has the same number P_k of them, so the masks are
+    fitted by size, a batch at a time: each _SCORE_CHUNK slice of the
     batch's pools is scored in one stacked matmul, every slice of the shape
-    _absolute_fit's scan gives it, and a batch holds at most _SCORE_CHUNK
-    pool rows of a slice (one mask where P_k is larger). Each mask keeps
-    its first least total, strictly below those of earlier slices, or the
-    zero vector where none is below inf, as _absolute_fit does.
+    the scan gives it, and a batch holds at most _SCORE_CHUNK pool rows of
+    a slice (one mask where P_k is larger). Each mask keeps its first least
+    total, strictly below those of earlier slices, or the zero vector where
+    none is below inf, as the scan does.
     """
+    M, N = masks.shape
     d = x.shape[1]
     if table is None:
-        def each(masks):
-            fits = np.empty((len(masks), d))
-            for r, mask in enumerate(masks):
-                fits[r] = solve_mode_regression(x[mask], y[mask], loss)
-            return fits
-        return each
-    subsets, ws = table
-
-    def fit(masks):
-        M, N = masks.shape
-        fits = np.zeros((M, d))
-        size = masks.sum(axis=1)
-        padded = np.ones((M, N + 1), dtype=bool)
-        padded[:, :N] = masks
-        for k in np.flatnonzero(np.bincount(size)):
-            pool_rows = sum(comb(k, s) for s in range(1, min(d, k) + 1))
-            if not pool_rows:                   # the empty mask's zero fit
-                continue
-            rows = np.flatnonzero(size == k)
-            step = max(1, _SCORE_CHUNK // pool_rows)
-            for first in range(0, len(rows), step):
-                batch = rows[first:first + step]
-                pool = np.nonzero(padded[batch][:, subsets].all(axis=2))[1]
-                pool = pool.reshape(len(batch), pool_rows)
-                idx = np.nonzero(masks[batch])[1].reshape(len(batch), k)
-                xt, yk = x[idx].transpose(0, 2, 1), y[idx][:, None, :]
-                best = np.full(len(batch), np.inf)
-                at = np.arange(len(batch))
-                for lo in range(0, pool_rows, _SCORE_CHUNK):
-                    part = ws[pool[:, lo:lo + _SCORE_CHUNK]]     # (B, c, d)
-                    totals = np.abs(yk - part @ xt).sum(axis=2)  # (B, c)
-                    i = totals.argmin(axis=1)
-                    least = totals[at, i]
-                    better = least < best
-                    best[better] = least[better]
-                    fits[batch[better]] = part[better, i[better]]
+        fits = np.empty((M, d))
+        for r, mask in enumerate(masks):
+            fits[r] = solve_mode_regression(x[mask], y[mask], loss)
         return fits
-    return fit
-
-
-def _fit_array(fit, q0, n) -> np.ndarray:
-    """The (n, d) fits of the modes of the 0-based labels q0, where fit is a
-    _mode_fit."""
-    return fit(q0 == np.arange(n)[:, None])
+    subsets, ws = table
+    fits = np.zeros((M, d))
+    size = masks.sum(axis=1)
+    padded = np.ones((M, N + 1), dtype=bool)
+    padded[:, :N] = masks
+    for k in np.flatnonzero(np.bincount(size)):
+        pool_rows = sum(comb(k, s) for s in range(1, min(d, k) + 1))
+        if not pool_rows:                       # the empty mask's zero fit
+            continue
+        rows = np.flatnonzero(size == k)
+        step = max(1, _SCORE_CHUNK // pool_rows)
+        for first in range(0, len(rows), step):
+            batch = rows[first:first + step]
+            pool = np.nonzero(padded[batch][:, subsets].all(axis=2))[1]
+            pool = pool.reshape(len(batch), pool_rows)
+            idx = np.nonzero(masks[batch])[1].reshape(len(batch), k)
+            xt, yk = x[idx].transpose(0, 2, 1), y[idx][:, None, :]
+            best = np.full(len(batch), np.inf)
+            at = np.arange(len(batch))
+            for lo in range(0, pool_rows, _SCORE_CHUNK):
+                part = ws[pool[:, lo:lo + _SCORE_CHUNK]]         # (B, c, d)
+                totals = np.abs(yk - part @ xt).sum(axis=2)      # (B, c)
+                i = totals.argmin(axis=1)
+                least = totals[at, i]
+                better = least < best
+                best[better] = least[better]
+                fits[batch[better]] = part[better, i[better]]
+    return fits
 
 
 def fit_modes(data: Dataset, labeling: Labeling, n: int, loss: LossModel) -> ModelSet:
@@ -324,8 +307,8 @@ def fit_modes(data: Dataset, labeling: Labeling, n: int, loss: LossModel) -> Mod
         raise ValueError(f"labeling covers {labeling.N} points, data has {data.N}")
     if np.any(labeling.q > n):
         raise ValueError(f"label exceeds n={n}")
-    return ModelSet(_fit_array(_mode_fit(data.x, data.y, loss),
-                               labeling.q - 1, n))
+    return ModelSet(_fit_masks(data.x, data.y, loss,
+                               labeling.q - 1 == np.arange(n)[:, None]))
 
 
 def refine_alternate(data: Dataset, models: ModelSet,
@@ -344,12 +327,11 @@ def refine_alternate(data: Dataset, models: ModelSet,
     x, y = data.x, data.y
     n = models.n
     w = models.w
-    fit = _mode_fit(x, y, loss)
     q0, ties = _assign_arrays(x, y, w, loss)
     costs = [_cost_arrays(x, y, w, q0, loss)]
     prev_round = None
     for _ in range(_MAX_REFINE_ROUNDS):
-        w = _fit_array(fit, q0, n)
+        w = _fit_masks(x, y, loss, q0 == np.arange(n)[:, None])
         costs.append(_cost_arrays(x, y, w, q0, loss))
         new_q0, ties = _assign_arrays(x, y, w, loss)
         costs.append(_cost_arrays(x, y, w, new_q0, loss))
@@ -432,7 +414,7 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
 
     The mode masks of all L canonical labelings (_canonical_label_arrays)
     are taken in one pass, and the distinct ones are fitted once each, in
-    one _mode_fit call on their stack, into rows of d floats: 2^N rows at
+    one _fit_masks call on their stack, into rows of d floats: 2^N rows at
     n >= 2, where every subset, the empty one included, is a mode of some
     labeling, and one at n = 1. Under absolute loss that call reads one
     interpolant table per solve (_table) and scores the masks of each size
@@ -449,12 +431,11 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     _check_budget(n ** data.N, "labelings", cfg, shown=f"{n}^{data.N}")
     x, y = data.x, data.y
     N = data.N
-    fit = _mode_fit(x, y, loss, _table(x, y, loss))
     labels = _canonical_label_arrays(N, n)
     masks = (labels == np.arange(n)[:, None, None]).reshape(-1, N)  # (n L, N)
     _, first, back = np.unique(_packed_keys(masks), return_index=True,
                                return_inverse=True)
-    fits = fit(masks[first])
+    fits = _fit_masks(x, y, loss, masks[first], _table(x, y, loss))
     rows = back.reshape(n, -1).T                        # (L, n) rows of fits
 
     def least_rows():
@@ -706,13 +687,14 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     pass, and a partition costs the sum of its members' totals and bounds
     (_region_costs). The partitions whose total less bound is within
     N * ZERO_TOL of the least total plus bound, which include the optimal
-    one, become canonical label rows and are re-fit with the per-mode
-    routine, whose cost is reported. Under absolute loss the bound of a
-    region of k points is k times one residual bound shared by every
-    interpolant, and the interpolants of every subset of at most d of the
-    points are computed once (_table): the region scorer reads them all,
-    and each re-fit mode reads those of the subsets inside it (_mode_fit),
-    which gives solve_mode_regression's fit bit for bit. A dead point costs
+    one, become canonical label rows; the modes of all K of them are re-fit
+    in one _fit_masks call on their (K n, N) mask stack, which gives
+    solve_mode_regression's fits bit for bit, and the least cost is
+    reported. Under absolute loss the bound of a region of k points is k
+    times one residual bound shared by every interpolant, and the
+    interpolants of every subset of at most d of the points are computed
+    once (_table): the region scorer reads them all, and each re-fit mode
+    reads those of the subsets inside it. A dead point costs
     the same in every mode; in the first member it gives the smallest of
     those equal-cost labelings. Ties on cost break toward the
     lexicographically smallest canonical labeling, so the report is
@@ -727,10 +709,10 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     totals, slack = costs[parts].sum(axis=1), slack[parts].sum(axis=1)
     near = parts[totals - slack
                  <= (totals + slack).min() + data.N * ZERO_TOL]
-    fit = _mode_fit(x, y, loss, table)
-    q0, w, _ = _least(x, y, loss, (
-        (q0, _fit_array(fit, q0, n))
-        for q0 in stream.regions[near].argmax(axis=1)))
+    labels = stream.regions[near].argmax(axis=1)                # (K, N)
+    masks = (labels[:, None] == np.arange(n)[:, None]).reshape(-1, data.N)
+    fits = _fit_masks(x, y, loss, masks, table).reshape(-1, n, data.d)
+    q0, w, _ = _least(x, y, loss, zip(labels, fits))
     return _report("enum", data, loss, q0, w, t0,
                    stream.combinations_examined, "optimal")
 

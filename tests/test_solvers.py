@@ -267,13 +267,13 @@ def test_brute_canonical_skipping_count():
                          ids=["default", "chunk3", "chunk1"])
 def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
     # brute's absolute-loss fit of a mode, read off the table of all the
-    # points, is bit-for-bit _absolute_fit over _interpolants of the mode's
-    # own points: grid data with zero regressors and repeated rows, modes
-    # below d points and rank-deficient modes. Both tables solve each size
-    # in _lstsq batches and the fits scan them in slices, of _SCORE_CHUNK
-    # rows, placed differently in the two; chunk 3 splits each size over
-    # several batches and slices, chunk 1 gives every row a batch and a
-    # slice of its own
+    # points, is bit-for-bit solve_mode_regression's scan over _interpolants
+    # of the mode's own points: grid data with zero regressors and repeated
+    # rows, modes below d points and rank-deficient modes. Both tables solve
+    # each size in _lstsq batches and the fits scan them in slices, of
+    # _SCORE_CHUNK rows, placed differently in the two; chunk 3 splits each
+    # size over several batches and slices, chunk 1 gives every row a batch
+    # and a slice of its own
     if chunk is not None:
         monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
     rng = np.random.default_rng(17)
@@ -295,9 +295,8 @@ def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
             seen["small"] += k < d
             seen["rank_deficient"] += k >= d and \
                 np.linalg.matrix_rank(x[mask]) < d
-            own = solvers._absolute_fit(
-                x[mask], y[mask], solvers._interpolants(x[mask], y[mask])[1])
-            read = solvers._mode_fit(x, y, ABSOLUTE, table)(mask[None])[0]
+            own = solve_mode_regression(x[mask], y[mask], ABSOLUTE)
+            read = solvers._fit_masks(x, y, ABSOLUTE, mask[None], table)[0]
             assert np.array_equal(read, own), (trial, mask)
     assert all(v > 0 for v in seen.values()), seen
 
@@ -344,7 +343,7 @@ def test_stacked_table_fit_equals_per_mask_fit_on_every_mask(monkeypatch):
             want = np.array([solve_mode_regression(x[m], y[m], ABSOLUTE)
                              for m in masks])
             table = solvers._interpolants(x, y)
-            got = solvers._mode_fit(x, y, ABSOLUTE, table)(masks)
+            got = solvers._fit_masks(x, y, ABSOLUTE, masks, table)
             assert got.shape == want.shape
             assert np.array_equal(got, want), (chunk, trial)
     assert all(v > 0 for v in seen.values()), seen
@@ -552,17 +551,13 @@ def test_brute_fits_each_distinct_mode_mask_once(monkeypatch, chunk, loss):
     # at n = 1 the one labeling has one mode
     if chunk is not None:
         monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
-    mode_fit, masks = solvers._mode_fit, []
+    fit_masks, masks = solvers._fit_masks, []
 
-    def counted_mode_fit(*args):
-        fit = mode_fit(*args)
+    def counted(x, y, loss, stack, table=None):
+        masks.extend(mask.tobytes() for mask in stack)
+        return fit_masks(x, y, loss, stack, table)
 
-        def counted(stack):
-            masks.extend(mask.tobytes() for mask in stack)
-            return fit(stack)
-        return counted
-
-    monkeypatch.setattr(solvers, "_mode_fit", counted_mode_fit)
+    monkeypatch.setattr(solvers, "_fit_masks", counted)
     rng = np.random.default_rng(61)
     for n, d, N in [(1, 2, 6), (2, 1, 7), (2, 2, 6), (3, 1, 6), (3, 2, 5)]:
         x = rng.integers(-2, 3, size=(N, d)).astype(float)
@@ -980,8 +975,8 @@ def test_table_refit_equals_mode_regression():
             seen["small"] += sum(0 < m.sum() < d for m in masks)
             seen["repeated"] += q0[0] == q0[-1]
             want = [solve_mode_regression(x[m], y[m], ABSOLUTE) for m in masks]
-            got = solvers._fit_array(solvers._mode_fit(x, y, ABSOLUTE, table),
-                                     q0, n)
+            got = solvers._fit_masks(x, y, ABSOLUTE,
+                                     q0 == np.arange(n)[:, None], table)
             assert np.array_equal(got, np.array(want)), (trial, q0)
     assert all(v > 0 for v in seen.values()), seen
 
@@ -1004,6 +999,88 @@ def test_enum_absolute_builds_one_table_and_no_mode_pools(monkeypatch):
     assert built == [data.N]
     brute = brute_force_solve(data, 2, ABSOLUTE)
     assert abs(report.cost - brute.cost) <= ZERO_TOL
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+def test_enum_refits_its_near_window_as_one_stack(monkeypatch, loss):
+    # enum re-fits the modes of every partition in its near window in one
+    # stacked call and reports what one re-fit per partition reports: each
+    # near partition's modes fitted by solve_mode_regression, the least
+    # picked by _least. Tie-rich integer grids with a zero regressor give
+    # windows of several partitions, at n = 2 and 3
+    least, windows, wanted = solvers._least, [], []
+
+    def per_partition(x, y, loss, candidates):
+        candidates = list(candidates)
+        windows.append(len(candidates))
+        refits = [(q0, np.array([solve_mode_regression(x[q0 == j],
+                                                       y[q0 == j], loss)
+                                 for j in range(len(w))]))
+                  for q0, w in candidates]
+        wanted.append(least(x, y, loss, refits))
+        return least(x, y, loss, candidates)
+
+    monkeypatch.setattr(solvers, "_least", per_partition)
+    rng = np.random.default_rng(5)
+    for trial in range(12):
+        d, N, n = 1 + trial % 2, 7 + trial % 3, 2 + (trial % 4 == 3)
+        x = rng.integers(-2, 3, size=(N, d)).astype(float)
+        x[rng.integers(N)] = 0                       # a zero regressor
+        y = rng.integers(-2, 3, size=N).astype(float)
+        data = Dataset(x, y)
+        wanted.clear()
+        report = enumeration_solve(data, n, loss)
+        q0, w, _ = wanted[0]
+        want = solvers._report("enum", data, loss, q0, w, 0.0,
+                               report.candidates_examined, "optimal")
+        assert report_digest.digest(report) == report_digest.digest(want), \
+            trial
+    assert max(windows) > 1, windows
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+def test_fits_enter_through_one_stacked_call(monkeypatch, loss):
+    # brute, enum and fit_modes fit their modes in one _fit_masks call, and
+    # refine_alternate in one per round; with no table (squared loss, and
+    # fit_modes and refine_alternate under either loss) every row reaches
+    # solve_mode_regression through the module, where the benchmark's
+    # tracer wraps it
+    fit_masks, regression = solvers._fit_masks, solvers.solve_mode_regression
+    stacks, rows = [], []
+
+    def counted_fit(x, y, loss, masks, table=None):
+        stacks.append(len(masks))
+        return fit_masks(x, y, loss, masks, table)
+
+    def counted_regression(x, y, loss):
+        rows.append(len(y))
+        return regression(x, y, loss)
+
+    monkeypatch.setattr(solvers, "_fit_masks", counted_fit)
+    monkeypatch.setattr(solvers, "solve_mode_regression", counted_regression)
+    rng = np.random.default_rng(7)
+    n, d, N = 2, 2, 8
+    x = rng.integers(-2, 3, size=(N, d)).astype(float)
+    x[3] = 0                                         # a zero regressor
+    y = rng.integers(-2, 3, size=N).astype(float)
+    data = Dataset(x, y)
+    for solve in (brute_force_solve, enumeration_solve):
+        del stacks[:], rows[:]
+        solve(data, n, loss)
+        assert len(stacks) == 1, solve
+        assert len(rows) == (stacks[0] if loss is SQUARED else 0), solve
+    del stacks[:], rows[:]
+    fit_modes(data, Labeling(rng.integers(1, n + 1, size=N)), n, loss)
+    assert stacks == [n] and len(rows) == n
+    refined = []
+    for seed in range(6):
+        del stacks[:], rows[:]
+        w0 = np.random.default_rng(seed).standard_normal((n, d))
+        costs = refine_alternate(data, ModelSet(w0), loss).costs
+        assert len(stacks) == (len(costs) - 1) // 2 and len(costs) % 2
+        assert stacks == [n] * len(stacks) and len(rows) == n * len(stacks)
+        refined.append(len(stacks))
+    assert max(refined) > 1, refined
 
 
 @pytest.mark.parametrize("n", [2, 3])
