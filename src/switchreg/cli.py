@@ -43,8 +43,10 @@ def _config(args) -> SolverConfig:
     try:
         budget = base.candidate_budget if raw is None else int(raw)
     except ValueError:
+        budget = 0
+    if budget < 1:
         raise ValueError("environment variable SWITCHREG_CANDIDATE_BUDGET is "
-                         f"not a valid int: {raw!r}")
+                         f"not a positive int: {raw!r}")
     return SolverConfig(restarts=getattr(args, "restarts", base.restarts),
                         seed=args.seed, candidate_budget=budget)
 

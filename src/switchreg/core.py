@@ -248,12 +248,17 @@ def _predict(x: np.ndarray, w: np.ndarray, q0: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, w[q0])
 
 
-def _cost_arrays(x, y, w, q0, loss: LossModel) -> float:
-    """Mean loss of each point under its mode: np.mean(residual_loss(r))
-    bit for bit, as an add.reduce and one true divide without np.mean's
-    wrapper."""
-    r = y - _predict(x, w, q0)
-    return float(loss.residual_loss(r).sum() / len(r))
+def _cost_arrays(x, y, w, q0, loss: LossModel):
+    """Mean loss of each point under its mode, np.mean(residual_loss(r)) bit
+    for bit (an add.reduce and one true divide): a float for one labeling q0
+    (N,) under models w (n, d), and for a stack q0 (K, N) under w (K, n, d)
+    the (K,) costs of its rows, each bit for bit that row's own call."""
+    if q0.ndim == 1:
+        r = y - _predict(x, w, q0)
+    else:
+        r = y - np.einsum("ij,kij->ki", x, w[np.arange(len(q0))[:, None], q0])
+    costs = loss.residual_loss(r).sum(axis=-1) / r.shape[-1]
+    return float(costs) if q0.ndim == 1 else costs
 
 
 def empirical_cost(data: Dataset, models: ModelSet, labeling: Labeling,

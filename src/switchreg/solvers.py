@@ -133,7 +133,8 @@ class SolveReport:
     occurrence). candidates_examined counts method-specific units: labelings
     for brute force, the P ** (n(n-1)/2) classifier combinations the
     candidates cover for enumeration, interpolation systems for the
-    noiseless solver, restarts for the heuristic.
+    noiseless solver, restarts for the heuristic, whose candidates, as
+    enumeration's and brute force's, are costed as one stack (_cost_arrays).
     """
 
     method: str
@@ -351,20 +352,15 @@ def refine_alternate(data: Dataset, models: ModelSet,
 # The end of every solve
 
 
-def _least(x, y, loss: LossModel, candidates):
-    """The (q0, w) candidate with the least (cost, labels), and how many
-    candidates there were. Ties on cost keep the lexicographically smallest
-    label row, so the choice does not depend on the candidates' order. The
-    label key is built only for a cost not above the least so far."""
-    best, seen = None, 0
-    for q0, w in candidates:
-        seen += 1
-        cost = _cost_arrays(x, y, w, q0, loss)
-        if best is None or cost <= best[0][0]:
-            key = (cost, tuple(q0.tolist()))
-            if best is None or key < best[0]:
-                best = (key, q0, w)
-    return best[1], best[2], seen
+def _least(x, y, loss: LossModel, q0s, ws):
+    """The (q0, w) row of the stacks q0s (K, N) and ws (K, n, d) with the
+    least (cost, labels), and K. The rows are costed in one _cost_arrays
+    call; ties on cost keep the lexicographically smallest label row, the
+    first of equal ones, so the choice does not depend on the rows' order."""
+    costs = _cost_arrays(x, y, ws, q0s, loss)
+    tied = np.flatnonzero(costs == costs.min())
+    r = tied[np.lexsort(q0s[tied].T[::-1])[0]]
+    return q0s[r], ws[r], len(q0s)
 
 
 def _report(method: str, data: Dataset, loss: LossModel, q0, w,
@@ -419,11 +415,11 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     labeling, and one at n = 1. Under absolute loss that call reads one
     interpolant table per solve (_table) and scores the masks of each size
     together, bit for bit solve_mode_regression's fits; under squared loss
-    it fits one mask at a time. The labelings are costed _SCORE_CHUNK at a
-    time from their modes' rows, as _cost_arrays costs one, and only a
-    chunk's least rows go to _least, which costs them again and keeps the
-    least (cost, labels). Nothing is shared with the enumeration solver's
-    region scorer (_region_costs) or CandidateStream, whose oracle this is.
+    it fits one mask at a time. _cost_arrays fills one (L,) cost array,
+    _SCORE_CHUNK labelings at a time; they ascend lexicographically, so the
+    first least cost is the least (cost, labels). Nothing is shared with
+    the enumeration solver's region scorer (_region_costs) or
+    CandidateStream, whose oracle this is.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -437,19 +433,13 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
                                return_inverse=True)
     fits = _fit_masks(x, y, loss, masks[first], _table(x, y, loss))
     rows = back.reshape(n, -1).T                        # (L, n) rows of fits
-
-    def least_rows():
-        for lo in range(0, len(labels), _SCORE_CHUNK):
-            q = labels[lo:lo + _SCORE_CHUNK]
-            w = fits[rows[lo:lo + _SCORE_CHUNK]]        # (C, n, d)
-            pred = np.einsum("ij,rij->ri", x,
-                             w[np.arange(len(q))[:, None], q])
-            costs = loss.residual_loss(y - pred).sum(axis=1) / N
-            for r in np.flatnonzero(costs == costs.min()):
-                yield q[r], w[r]
-
-    q0, w, _ = _least(x, y, loss, least_rows())
-    return _report("brute", data, loss, q0, w, t0, len(labels), "optimal")
+    costs = np.empty(len(labels))
+    for lo in range(0, len(labels), _SCORE_CHUNK):
+        part = slice(lo, lo + _SCORE_CHUNK)
+        costs[part] = _cost_arrays(x, y, fits[rows[part]], labels[part], loss)
+    r = np.argmin(costs)
+    return _report("brute", data, loss, labels[r], fits[rows[r]], t0,
+                   len(labels), "optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -689,14 +679,14 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     N * ZERO_TOL of the least total plus bound, which include the optimal
     one, become canonical label rows; the modes of all K of them are re-fit
     in one _fit_masks call on their (K n, N) mask stack, which gives
-    solve_mode_regression's fits bit for bit, and the least cost is
-    reported. Under absolute loss the bound of a region of k points is k
-    times one residual bound shared by every interpolant, and the
-    interpolants of every subset of at most d of the points are computed
-    once (_table): the region scorer reads them all, and each re-fit mode
-    reads those of the subsets inside it. A dead point costs
-    the same in every mode; in the first member it gives the smallest of
-    those equal-cost labelings. Ties on cost break toward the
+    solve_mode_regression's fits bit for bit, and the (K, N) labels and
+    (K, n, d) fits go to _least as they are. Under absolute loss the bound
+    of a region of k points is k times one residual bound shared by every
+    interpolant, and the interpolants of every subset of at most d of the
+    points are computed once (_table): the region scorer reads them all,
+    and each re-fit mode reads those of the subsets inside it. A dead point
+    costs the same in every mode; in the first member it gives the smallest
+    of those equal-cost labelings. Ties on cost break toward the
     lexicographically smallest canonical labeling, so the report is
     deterministic.
     """
@@ -712,7 +702,7 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     labels = stream.regions[near].argmax(axis=1)                # (K, N)
     masks = (labels[:, None] == np.arange(n)[:, None]).reshape(-1, data.N)
     fits = _fit_masks(x, y, loss, masks, table).reshape(-1, n, data.d)
-    q0, w, _ = _least(x, y, loss, zip(labels, fits))
+    q0, w, _ = _least(x, y, loss, labels, fits)
     return _report("enum", data, loss, q0, w, t0,
                    stream.combinations_examined, "optimal")
 
@@ -769,9 +759,7 @@ def noiseless_solve(data: Dataset, n: int,
         # cost under squared loss; any admissible loss is zero exactly when
         # every residual is zero, so certification is loss-independent
         if chosen:
-            w = cand_w[chosen]
-            while w.shape[0] < n:
-                w = np.vstack([w, w[:1]])
+            w = cand_w[chosen + chosen[:1] * (n - len(chosen))]
         else:
             w = np.zeros((n, d))
         q0, _ = _assign_arrays(x, y, w, SQUARED)
@@ -847,7 +835,8 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel,
         models, labeling = refine_alternate(data, ModelSet(w0), loss)
         return _canonicalize_arrays(labeling.q - 1, models.w)
 
-    q0, w, examined = _least(x, y, loss, map(restart, range(cfg.restarts)))
+    q0s, ws = map(np.array, zip(*map(restart, range(cfg.restarts))))
+    q0, w, examined = _least(x, y, loss, q0s, ws)
     return _report("altmin", data, loss, q0, w, t0, examined, "heuristic")
 
 

@@ -303,10 +303,11 @@ def test_bad_env_value_is_usage_error(tmp_path, capsys, monkeypatch):
     data_path = tmp_path / "d.csv"
     run(capsys, "generate", "--n", "2", "--d", "1", "--N", "8",
         "--out", str(data_path))
-    monkeypatch.setenv("SWITCHREG_CANDIDATE_BUDGET", "x")
-    code, _, stderr = run(capsys, "solve", str(data_path), "--n", "2")
-    assert code == 2
-    assert "SWITCHREG_CANDIDATE_BUDGET" in stderr
+    for raw in ("x", "0", "-3"):
+        monkeypatch.setenv("SWITCHREG_CANDIDATE_BUDGET", raw)
+        code, _, stderr = run(capsys, "solve", str(data_path), "--n", "2")
+        assert code == 2, raw
+        assert "SWITCHREG_CANDIDATE_BUDGET" in stderr, raw
 
 
 def test_restarts_variable_is_not_read(tmp_path, capsys, monkeypatch):

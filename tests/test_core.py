@@ -100,18 +100,25 @@ def test_cost_rejects_mismatches():
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
 def test_cost_arrays_is_the_mean_of_the_residual_losses(loss):
     # bit for bit, on sizes either side of numpy's pairwise-summation
-    # blocks (8 unrolled, 128 per leaf)
+    # blocks (8 unrolled, 128 per leaf), for one labeling and for a stack
+    # of K labelings under their own models costed in one call
     rng = np.random.default_rng(31)
     for trial in range(200):
-        N, d, n = int(rng.integers(1, 300)), int(rng.integers(1, 4)), 3
+        N, d, n = int(rng.integers(1, 300)), int(rng.integers(1, 12)), 3
+        K = int(rng.integers(1, 9))
         x = rng.standard_normal((N, d)) * 10.0 ** rng.integers(-8, 9)
         y = rng.standard_normal(N) * 10.0 ** rng.integers(-8, 9)
-        w = rng.standard_normal((n, d))
-        q0 = rng.integers(0, n, size=N)
-        r = y - np.einsum("ij,ij->i", x, w[q0])
-        want = float(np.mean(loss.residual_loss(r)))
-        got = _cost_arrays(x, y, w, q0, loss)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
+        w = rng.standard_normal((K, n, d))
+        q0 = rng.integers(0, n, size=(K, N))
+        stacked = _cost_arrays(x, y, w, q0, loss)
+        assert stacked.shape == (K,), trial
+        for k in range(K):
+            r = y - np.einsum("ij,ij->i", x, w[k][q0[k]])
+            want = float(np.mean(loss.residual_loss(r)))
+            got = _cost_arrays(x, y, w[k], q0[k], loss)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
+            assert stacked[k].tobytes() == np.float64(want).tobytes(), \
+                (trial, k)
 
 
 def test_cost_of_an_overflowing_residual_is_refused():

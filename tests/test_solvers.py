@@ -401,9 +401,11 @@ def test_least_breaks_cost_ties_toward_the_smallest_labels():
     candidates = [(q, same) for q in tied] + worse
     for _ in range(20):
         order = rng.permutation(len(candidates))
-        q0, w, seen = solvers._least(x, y, SQUARED,
-                                     [candidates[i] for i in order])
-        assert q0.tolist() == smallest.tolist() and w is same
+        q0, w, seen = solvers._least(
+            x, y, SQUARED, np.array([candidates[i][0] for i in order]),
+            np.array([candidates[i][1] for i in order]))
+        assert q0.tolist() == smallest.tolist() and \
+            w.tobytes() == same.tobytes()
         assert seen == len(candidates)
 
 
@@ -429,9 +431,9 @@ def test_brute_uses_neither_regions_nor_stream(monkeypatch, n, loss):
         (before.status, before.candidates_examined)
 
 
-def _reference_brute(data, n, loss):
-    """Brute force as a literal loop: every canonical labeling, each mode
-    fitted by solve_mode_regression, the least picked by _least."""
+def _reference_candidates(data, n, loss):
+    """Every canonical labeling, (L, N), and its models, (L, n, d), each
+    mode fitted by solve_mode_regression in a literal loop."""
     x, y = data.x, data.y
 
     def fitted(q0):
@@ -441,8 +443,15 @@ def _reference_brute(data, n, loss):
                 w[j] = solve_mode_regression(x[q0 == j], y[q0 == j], loss)
         return w
 
-    q0, w, examined = solvers._least(x, y, loss, (
-        (q0, fitted(q0)) for q0 in solvers._canonical_label_arrays(data.N, n)))
+    labels = solvers._canonical_label_arrays(data.N, n)
+    return labels, np.array([fitted(q0) for q0 in labels])
+
+
+def _reference_brute(data, n, loss):
+    """Brute force as a literal loop: every canonical labeling, each mode
+    fitted by solve_mode_regression, the least picked by _least."""
+    q0, w, examined = solvers._least(data.x, data.y, loss,
+                                     *_reference_candidates(data, n, loss))
     return solvers._report("brute", data, loss, q0, w, 0.0, examined,
                            "optimal")
 
@@ -502,6 +511,7 @@ def test_canonical_label_arrays_are_the_restricted_growth_strings():
             assert labels.dtype == np.int8 and labels.shape[1] == N
             assert len(rows) == sum(stirling[1:n + 1]), (N, n)
             assert sorted(rows) == _restricted_growth_strings(N, n), (N, n)
+            assert rows == sorted(rows), (N, n)
 
 
 def _tie_rich_grids(rng, n):
@@ -519,24 +529,21 @@ def _tie_rich_grids(rng, n):
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
 @pytest.mark.parametrize("n", [2, 3])
 def test_brute_does_not_depend_on_its_chunks(monkeypatch, n, loss):
-    # brute costs its labelings _SCORE_CHUNK at a time and sends each
-    # chunk's least rows to _least. At chunk 1 every labeling is its own
-    # chunk and reaches _least, so labelings tied at the optimum are in
+    # brute costs its labelings _SCORE_CHUNK at a time and takes the first
+    # least one. At chunk 1 every labeling is its own chunk, so labelings
+    # tied at the optimum, counted from the reference loop's costs, are in
     # different chunks; the report stays the same bit for bit
     data = list(_tie_rich_grids(np.random.default_rng(40 + n), n))
     want = [brute_force_solve(d, n, loss) for d in data]
-    least, tied = solvers._least, []
-
-    def counting_least(x, y, loss, candidates):
-        candidates = list(candidates)
-        costs = [_cost_arrays(x, y, w, q0, loss) for q0, w in candidates]
+    tied = []
+    for d in data:
+        labels, fits = _reference_candidates(d, n, loss)
+        costs = [_cost_arrays(d.x, d.y, w, q0, loss)
+                 for q0, w in zip(labels, fits)]
         tied.append(costs.count(min(costs)))
-        return least(x, y, loss, candidates)
 
     for chunk in (3, 1):
         monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
-        monkeypatch.setattr(solvers, "_least", counting_least)
-        tied.clear()
         for d, w in zip(data, want):
             got = brute_force_solve(d, n, loss)
             assert report_digest.digest(got) == report_digest.digest(w), chunk
@@ -1010,15 +1017,14 @@ def test_enum_refits_its_near_window_as_one_stack(monkeypatch, loss):
     # windows of several partitions, at n = 2 and 3
     least, windows, wanted = solvers._least, [], []
 
-    def per_partition(x, y, loss, candidates):
-        candidates = list(candidates)
-        windows.append(len(candidates))
-        refits = [(q0, np.array([solve_mode_regression(x[q0 == j],
-                                                       y[q0 == j], loss)
-                                 for j in range(len(w))]))
-                  for q0, w in candidates]
-        wanted.append(least(x, y, loss, refits))
-        return least(x, y, loss, candidates)
+    def per_partition(x, y, loss, q0s, ws):
+        windows.append(len(q0s))
+        refits = np.array([[solve_mode_regression(x[q0 == j], y[q0 == j],
+                                                  loss)
+                            for j in range(ws.shape[1])]
+                           for q0 in q0s])
+        wanted.append(least(x, y, loss, q0s, refits))
+        return least(x, y, loss, q0s, ws)
 
     monkeypatch.setattr(solvers, "_least", per_partition)
     rng = np.random.default_rng(5)
