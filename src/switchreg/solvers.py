@@ -67,9 +67,9 @@ _MAX_REFINE_ROUNDS = 1000
 _GRAM_COND = 1e8
 _ROUNDING = 8
 # Regions per batch of enumeration_solve's scorer, labelings per chunk of
-# brute_force_solve, subsets per _lstsq batch of _interpolants and of
-# noiseless_solve, interpolants per slice of solve_mode_regression's L1
-# scan, and pool rows per stacked pool block of _fit_masks' table fit (the
+# brute_force_solve, subsets per _lstsq batch of _interpolants, interpolants
+# per slice of solve_mode_regression's L1 scan and of noiseless_solve's fit
+# check, and pool rows per stacked pool block of _fit_masks' table fit (the
 # masks of a batch times a slice of their pools): it bounds their (chunk,
 # N), (chunk, S), (chunk, n, d), SVD factor and (chunk, k) arrays.
 _SCORE_CHUNK = 1024
@@ -182,16 +182,17 @@ def _lstsq(a, b) -> np.ndarray:
     return (c[..., None, :] @ vt)[..., 0, :]
 
 
-def _interpolants(x, y):
-    """(subsets, interpolants) of every subset of at most d of the N points,
-    as two (S, d) arrays: the d-subsets first, then smaller ones, each size
-    in lexicographic order, a subset's row padded with N past its size.
-    Each size is solved _SCORE_CHUNK subsets at a time; an interpolant
-    depends on its own subset's rows only, so it is the same, bit for bit,
-    in the table of any superset of its points.
+def _interpolants(x, y, sizes=None):
+    """(subsets, interpolants) of every subset of the N points of each size
+    in sizes (default d down to 1), as two (S, d) arrays: each size in
+    lexicographic order, a subset's row padded with N past its size. Each
+    size is solved _SCORE_CHUNK subsets at a time; an interpolant depends on
+    its own subset's rows only, so it is the same, bit for bit, in the table
+    of any superset of its points or of any sizes listing its own.
     """
     N, d = x.shape
-    blocks = [_combination_rows(N, s) for s in range(d, 0, -1)]
+    blocks = [_combination_rows(N, s)
+              for s in (range(d, 0, -1) if sizes is None else sizes)]
     subsets = np.full((sum(map(len, blocks)), d), N)
     ws = np.empty(subsets.shape)
     at = 0
@@ -354,13 +355,13 @@ def refine_alternate(data: Dataset, models: ModelSet,
 
 def _least(x, y, loss: LossModel, q0s, ws):
     """The (q0, w) row of the stacks q0s (K, N) and ws (K, n, d) with the
-    least (cost, labels), and K. The rows are costed in one _cost_arrays
+    least (cost, labels). The rows are costed in one _cost_arrays
     call; ties on cost keep the lexicographically smallest label row, the
     first of equal ones, so the choice does not depend on the rows' order."""
     costs = _cost_arrays(x, y, ws, q0s, loss)
     tied = np.flatnonzero(costs == costs.min())
     r = tied[np.lexsort(q0s[tied].T[::-1])[0]]
-    return q0s[r], ws[r], len(q0s)
+    return q0s[r], ws[r]
 
 
 def _report(method: str, data: Dataset, loss: LossModel, q0, w,
@@ -702,7 +703,7 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     labels = stream.regions[near].argmax(axis=1)                # (K, N)
     masks = (labels[:, None] == np.arange(n)[:, None]).reshape(-1, data.N)
     fits = _fit_masks(x, y, loss, masks, table).reshape(-1, n, data.d)
-    q0, w, _ = _least(x, y, loss, labels, fits)
+    q0, w = _least(x, y, loss, labels, fits)
     return _report("enum", data, loss, q0, w, t0,
                    stream.combinations_examined, "optimal")
 
@@ -716,16 +717,17 @@ def noiseless_solve(data: Dataset, n: int,
     """Exact solver for data admitting a zero-error switching-linear fit.
 
     Every mode of a zero-error solution is determined by d of its points, so
-    interpolating each d-subset of the data yields a candidate pool that
-    must contain all true modes. The solver deduplicates candidates by their
-    exact-fit sets and searches for n of them covering every point
+    the interpolants of the d-subsets (_interpolants) are a candidate pool
+    that must contain all true modes. The solver deduplicates candidates by
+    their exact-fit sets and searches for n of them covering every point
     (largest fit set first, branching on the lowest uncovered point). A
     found cover is verified by assignment cost <= ZERO_TOL; if none exists
-    the best greedy collection is reported with status infeasible, meaning
-    no exact fit was certified. cfg.candidate_budget bounds both the
-    d-subsets and the nodes of the cover search. Two known limits: it
-    refuses N < d, and it says infeasible when a mode of a zero-cost fit
-    has fewer than d points, as x = [[1, 1], [2, 2]], y = [1, 0] at n = 2.
+    the best greedy collection (none from an empty pool: zero models) is
+    reported with status infeasible, meaning no exact fit was certified.
+    cfg.candidate_budget bounds both the d-subsets and the nodes of the
+    cover search. Two known limits: it refuses N < d, and it says infeasible
+    when a mode of a zero-cost fit has fewer than d points, as
+    x = [[1, 1], [2, 2]], y = [1, 0] at n = 2.
     """
     t0 = time.perf_counter()
     if n < 1:
@@ -736,16 +738,13 @@ def noiseless_solve(data: Dataset, n: int,
         raise ValueError(f"need at least d={d} points, got N={N}")
     _check_budget(comb(N, d), "interpolation subsets", cfg)
 
-    subsets = _combination_rows(N, d)
+    subsets, ws = _interpolants(x, y, (d,))
     point_tol = ZERO_TOL * (1.0 + np.abs(y))
-    # solved and checked _SCORE_CHUNK subsets at a time: only the (S, d)
-    # interpolants and the boolean (S, N) fit rows are held
-    ws = np.empty((len(subsets), d))
-    fits = np.empty((len(subsets), N), dtype=bool)
-    for lo in range(0, len(subsets), _SCORE_CHUNK):
-        chunk = subsets[lo:lo + _SCORE_CHUNK]
-        ws[lo:lo + len(chunk)] = w = _lstsq(x[chunk], y[chunk])
-        fits[lo:lo + len(chunk)] = np.abs(y - w @ x.T) <= point_tol
+    # checked in slices: beside the (S, d) pool only (S, N) booleans are held
+    fits = np.empty((len(ws), N), dtype=bool)
+    for lo in range(0, len(ws), _SCORE_CHUNK):
+        fits[lo:lo + _SCORE_CHUNK] = np.abs(
+            y - ws[lo:lo + _SCORE_CHUNK] @ x.T) <= point_tol
     # keep only candidates that actually interpolate their own subset
     good = np.take_along_axis(fits, subsets, axis=1).all(axis=1)
 
@@ -767,11 +766,7 @@ def noiseless_solve(data: Dataset, n: int,
                        *_canonicalize_arrays(q0, w), t0, len(subsets),
                        status)
 
-    if not len(order):
-        return finish([], "infeasible")
-
-    sizes = fit_matrix.sum(axis=1)
-    max_size = int(sizes.max())
+    max_size = int(fit_matrix[:1].sum())     # the rows descend in size
     by_point = [np.flatnonzero(fit_matrix[:, i]) for i in range(N)]
     nodes = 0
 
@@ -836,8 +831,8 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel,
         return _canonicalize_arrays(labeling.q - 1, models.w)
 
     q0s, ws = map(np.array, zip(*map(restart, range(cfg.restarts))))
-    q0, w, examined = _least(x, y, loss, q0s, ws)
-    return _report("altmin", data, loss, q0, w, t0, examined, "heuristic")
+    q0, w = _least(x, y, loss, q0s, ws)
+    return _report("altmin", data, loss, q0, w, t0, cfg.restarts, "heuristic")
 
 
 def solve_instance(data: Dataset, n: int, loss: LossModel, method: str,

@@ -156,3 +156,18 @@ def test_sweep_ends_with_the_tiny_regressor_draws():
         small = np.abs(data.x).max(axis=1) < 10 * scale
         assert small.tolist() == [i in (2, 4, 5) for i in range(7)], label
         assert (data.x[[2, 4, 5]] != 0).all(), label
+
+
+def test_sweep_ends_with_the_noiseless_limit_cases():
+    # after the tiny-regressor draws, the noiseless solver's two known
+    # limits at n 2: two one-point modes of a zero-cost fit on a rank-1
+    # pair of regressors, and zero regressors, whose pool is empty
+    sweep = list(report_digest.sweep_instances(np, Dataset, datasets))
+    assert sweep[-3][0].startswith("tiny")
+    (rank1, data1, n1), (zero, data0, n0) = sweep[-2:]
+    assert (rank1, n1, zero, n0) == ("limit-rank1-n2-d2-N2", 2,
+                                     "limit-zero-n2-d1-N3", 2)
+    assert data1.x.tolist() == [[1.0, 1.0], [2.0, 2.0]]
+    assert data1.y.tolist() == [1.0, 0.0]
+    assert data0.x.tolist() == [[0.0]] * 3
+    assert data0.y.tolist() == [1.0, 2.0, 3.0]

@@ -357,7 +357,8 @@ def test_table_restricted_to_a_mask_is_the_masks_own_table(monkeypatch,
     # mask's own table row for row: the interpolants bit for bit, the
     # subsets mapped through the mask's point indices, the padding N to N.
     # Masks of k = 0 and 0 < k < d points, N < d, a zero regressor and a
-    # repeated row
+    # repeated row. The table of the d-subsets alone, noiseless_solve's
+    # pool, is the first C(N, d) rows of the full table, bit for bit
     if chunk is not None:
         monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
     rng = np.random.default_rng(23)
@@ -371,6 +372,10 @@ def test_table_restricted_to_a_mask_is_the_masks_own_table(monkeypatch,
         subsets, ws = solvers._interpolants(x, y)
         assert subsets.shape == ws.shape == (
             sum(comb(N, s) for s in range(1, d + 1)), d)
+        top_subsets, top_ws = solvers._interpolants(x, y, (d,))
+        assert top_subsets.shape == top_ws.shape == (comb(N, d), d)
+        assert top_subsets.tobytes() == subsets[:comb(N, d)].tobytes()
+        assert top_ws.tobytes() == ws[:comb(N, d)].tobytes(), trial
         seen["N<d"] += N < d
         seen["zero"] += not x.any(axis=1).all()
         seen["repeated"] += len(np.unique(x, axis=0)) < N
@@ -401,12 +406,11 @@ def test_least_breaks_cost_ties_toward_the_smallest_labels():
     candidates = [(q, same) for q in tied] + worse
     for _ in range(20):
         order = rng.permutation(len(candidates))
-        q0, w, seen = solvers._least(
+        q0, w = solvers._least(
             x, y, SQUARED, np.array([candidates[i][0] for i in order]),
             np.array([candidates[i][1] for i in order]))
         assert q0.tolist() == smallest.tolist() and \
             w.tobytes() == same.tobytes()
-        assert seen == len(candidates)
 
 
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
@@ -450,9 +454,9 @@ def _reference_candidates(data, n, loss):
 def _reference_brute(data, n, loss):
     """Brute force as a literal loop: every canonical labeling, each mode
     fitted by solve_mode_regression, the least picked by _least."""
-    q0, w, examined = solvers._least(data.x, data.y, loss,
-                                     *_reference_candidates(data, n, loss))
-    return solvers._report("brute", data, loss, q0, w, 0.0, examined,
+    q0s, ws = _reference_candidates(data, n, loss)
+    q0, w = solvers._least(data.x, data.y, loss, q0s, ws)
+    return solvers._report("brute", data, loss, q0, w, 0.0, len(q0s),
                            "optimal")
 
 
@@ -1036,7 +1040,7 @@ def test_enum_refits_its_near_window_as_one_stack(monkeypatch, loss):
         data = Dataset(x, y)
         wanted.clear()
         report = enumeration_solve(data, n, loss)
-        q0, w, _ = wanted[0]
+        q0, w = wanted[0]
         want = solvers._report("enum", data, loss, q0, w, 0.0,
                                report.candidates_examined, "optimal")
         assert report_digest.digest(report) == report_digest.digest(want), \
@@ -1424,6 +1428,36 @@ def test_noiseless_without_an_interpolating_subset():
     assert np.array_equal(report.models.w, np.zeros((2, 1)))
     assert report.cost == pytest.approx(14 / 3)
     assert report.candidates_examined == 3
+
+
+def test_empty_interpolant_pool_leaves_through_the_cover_search(monkeypatch):
+    # with no candidate the solver still runs its cover search, which stops
+    # at its first node, and reports the same zero models under the least
+    # budget its subsets admit: C(3, 1) = 3 for three zero regressors, 1
+    # for one zero regressor at d = 1 and for two at d = 2
+    nodes = []
+    check_budget = solvers._check_budget
+
+    def counted(count, what, cfg, shown=None):
+        nodes.append(what)
+        check_budget(count, what, cfg, shown)
+
+    monkeypatch.setattr(solvers, "_check_budget", counted)
+    zero_three = Dataset(np.zeros((3, 1)), np.array([1.0, 2.0, 3.0]))
+    cases = [(zero_three, 3),
+             (Dataset(np.zeros((1, 1)), np.array([1.0])), 1),
+             (Dataset(np.zeros((2, 2)), np.array([1.0, 2.0])), 1)]
+    for data, budget in cases:
+        want = noiseless_solve(data, 2)
+        nodes.clear()
+        got = noiseless_solve(data, 2, SolverConfig(candidate_budget=budget))
+        assert nodes.count("cover search nodes") == 1
+        assert report_digest.digest(got) == report_digest.digest(want)
+        assert got.status == "infeasible"
+        assert np.array_equal(got.models.w, np.zeros((2, data.d)))
+    with pytest.raises(CapsExceededError,
+                       match="^3 interpolation subsets exceed the budget 1$"):
+        noiseless_solve(zero_three, 2, SolverConfig(candidate_budget=1))
 
 
 def test_noiseless_respects_budget():

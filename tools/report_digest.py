@@ -19,7 +19,10 @@ nudged off integer lines by 1e-5 to 1e-8, where a least-squares fit can
 reach |w| near 1e9) solved the same way, then a few tiny-regressor draws
 solved the same way (generator data at n 2, d 2, N 7, noise 0.1, with the
 regressors of rows 2, 4 and 5 scaled by 1e-13 or 1e-20, where enum is known
-to miss the optimum). On each of
+to miss the optimum), and last the noiseless solver's two known limits at
+n 2 solved the same way (x = [[1, 1], [2, 2]], y = [1, 0], where it says
+infeasible on a zero-cost fit whose modes hold fewer than d points, and
+three zero regressors, whose interpolant pool is empty). On each of
 those instances and losses the fit entry points are digested too:
 fit_modes' models on FITS seeded labelings, and refine_alternate's models,
 labels and full cost trace from seeded models, so a change to a fit is
@@ -99,7 +102,8 @@ def attempt(fn, *args):
 
 def sweep_instances(np, Dataset, datasets):
     """(label, data, n) for the fixed random sweep, then the NEAR draws of
-    the near-collinear sweep, then the tiny-regressor draws."""
+    the near-collinear sweep, then the tiny-regressor draws, then the
+    noiseless solver's two known limit cases."""
     for i in range(SWEEP):
         rng = np.random.default_rng([2024, i])
         n, d = 1 + i % 3, 1 + (i // 3) % 3
@@ -122,6 +126,12 @@ def sweep_instances(np, Dataset, datasets):
             x = data.x.copy()
             x[[2, 4, 5]] *= float(scale)
             yield f"tiny{seed}-{scale}-n2-d2-N7", Dataset(x, data.y), 2
+    # noiseless's two known limits at n 2: a zero-cost fit whose modes hold
+    # one point each, and zero regressors, whose pool is empty
+    yield "limit-rank1-n2-d2-N2", Dataset(np.array([[1.0, 1.0], [2.0, 2.0]]),
+                                          np.array([1.0, 0.0])), 2
+    yield "limit-zero-n2-d1-N3", Dataset(np.zeros((3, 1)),
+                                         np.array([1.0, 2.0, 3.0])), 2
 
 
 def near_collinear_draws(np, count):
