@@ -9,13 +9,10 @@ from .core import (
     PairwiseClassifier,
     SIGN_TOL,
     SQUARED,
-    TIE_TOL,
     ZERO_TOL,
     assign_modes,
     canonicalize_labels,
     empirical_cost,
-    get_loss,
-    loss_eval,
     majority_vote_label,
     pairwise_classifiers_from_models,
 )

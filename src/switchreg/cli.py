@@ -24,7 +24,7 @@ import numpy as np
 
 from .bench import bench_scaling
 from .core import (SQUARED, ZERO_TOL, Dataset, LossModel, ModelSet,
-                   empirical_cost, get_loss)
+                   empirical_cost)
 from .datasets import (GeneratorSpec, generate_instance, load_dataset_csv,
                        load_dataset_json, save_dataset_csv, save_dataset_json)
 from .hardness import (CertificateError, DecisionInstance, PartitionInstance,
@@ -142,7 +142,7 @@ def _cmd_solve(args) -> int:
     n = args.n if args.n is not None else file_n
     if n is None:
         raise ValueError("--n is required (the dataset file carries no mode count)")
-    loss = get_loss(args.loss)
+    loss = LossModel(args.loss)
     cfg = _config(args)
     if args.epsilon is None:
         report = solve_instance(data, n, loss, args.method, cfg)
@@ -214,7 +214,7 @@ def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.replace(",", " ").split()]
     result = bench_scaling(args.method, sizes, n=args.n, d=args.d,
                            noise_sigma=args.noise_sigma, seed=args.seed,
-                           repeats=args.repeats, loss=get_loss(args.loss),
+                           repeats=args.repeats, loss=LossModel(args.loss),
                            cfg=_config(args))
     doc = {"method": result.method, "sizes": list(result.sizes),
            "times_s": list(result.times),

@@ -21,12 +21,9 @@ import numpy as np
 __all__ = [
     "ZERO_TOL",
     "SIGN_TOL",
-    "TIE_TOL",
     "LossModel",
     "SQUARED",
     "ABSOLUTE",
-    "get_loss",
-    "loss_eval",
     "Dataset",
     "ModelSet",
     "Labeling",
@@ -39,9 +36,9 @@ __all__ = [
 ]
 
 
-ZERO_TOL = 1e-9    # zero margin: of costs, cost gaps and fitted residuals
+ZERO_TOL = 1e-9    # zero margin: of costs, cost gaps, fitted residuals, ties
 SIGN_TOL = 1e-12   # strict-sign margin: of classifier values, of unit points
-TIE_TOL = 1e-9     # tie margin: losses this close to a point's minimum tie
+                   # in the one rank test of enumeration and position check
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,8 @@ class LossModel:
 
     def __post_init__(self):
         if self.kind not in ("squared", "absolute"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+            raise ValueError(f"unknown loss {self.kind!r} "
+                             f"(expected 'squared' or 'absolute')")
 
     def residual_loss(self, e):
         """Elementwise loss of an array of residuals."""
@@ -66,22 +64,6 @@ class LossModel:
 
 SQUARED = LossModel("squared")
 ABSOLUTE = LossModel("absolute")
-
-
-def get_loss(name: str) -> LossModel:
-    if name == "squared":
-        return SQUARED
-    if name == "absolute":
-        return ABSOLUTE
-    raise ValueError(f"unknown loss {name!r} (expected 'squared' or 'absolute')")
-
-
-def loss_eval(loss: LossModel, e: float) -> float:
-    """Loss of a single scalar residual."""
-    e = float(e)
-    if not np.isfinite(e):
-        raise ValueError("residual must be finite")
-    return float(loss.residual_loss(np.array([e]))[0])
 
 
 class Dataset:
@@ -163,7 +145,7 @@ class Labeling:
     """Mode labels q_i in {1..n} plus the indices where the assignment tied.
 
     tie_set is a sorted tuple of 1-based point indices at which at least two
-    modes achieved the minimal loss within TIE_TOL when the labeling was
+    modes achieved the minimal loss within ZERO_TOL when the labeling was
     produced by assign_modes. Labelings built by hand may leave it empty.
     """
 
@@ -276,7 +258,7 @@ def empirical_cost(data: Dataset, models: ModelSet, labeling: Labeling,
 def _assign_arrays(x, y, w, loss: LossModel):
     """0-based min-loss labels for models w, plus the 0-based tied rows."""
     losses = loss.residual_loss(y[:, None] - x @ w.T)      # (N, n)
-    near_min = losses <= losses.min(axis=1)[:, None] + TIE_TOL
+    near_min = losses <= losses.min(axis=1)[:, None] + ZERO_TOL
     q0 = np.argmax(near_min, axis=1)                       # first mode within tol
     tied = np.flatnonzero(near_min.sum(axis=1) >= 2)
     return q0, tied
@@ -285,7 +267,7 @@ def _assign_arrays(x, y, w, loss: LossModel):
 def assign_modes(data: Dataset, models: ModelSet, loss: LossModel) -> Labeling:
     """Optimal labeling for fixed models: each point takes a min-loss mode.
 
-    When two or more modes tie within TIE_TOL of the per-point minimum the
+    When two or more modes tie within ZERO_TOL of the per-point minimum the
     smallest mode index wins and the point is recorded in tie_set.
     """
     if models.d != data.d:

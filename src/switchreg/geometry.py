@@ -17,8 +17,9 @@ no special handling and no linear program, and coordinates of very
 different magnitudes are scaled away first. The one tolerance, the constant
 SIGN_TOL, is a relative distance: a point that close to a hyperplane counts
 as on it.
-The general-position check is a diagnostic only. An independent
-angle-sweep oracle covers m <= 2 for verification.
+The general-position check is a diagnostic only, and decides dependence
+by the same scaling and rank test. An independent angle-sweep oracle
+covers m <= 2 for verification.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ __all__ = [
     "unique_rows",
 ]
 
-# check_general_position's relative singular-value threshold, the most
-# (m+1)-subsets it scans exhaustively, and the sample it tests past that.
-_RANK_TOL = 1e-9
+# The most (m+1)-subsets check_general_position scans exhaustively, and the
+# sample it tests past that.
 _MAX_EXHAUSTIVE = 20000
 _SAMPLES = 2000
 # Local cells of generic rays per slice of _cells' batched pass. It bounds
@@ -100,15 +100,18 @@ class GeneralPositionReport:
 def check_general_position(points) -> GeneralPositionReport:
     """Verify that no m+1 points lie on a common affine hyperplane of R^m.
 
-    Exhaustive over all (m+1)-subsets when there are at most 20,000 of
-    them, otherwise 2,000 random subsets (seed 0) are tested and the report
-    says so.
+    m+1 points lie on one exactly when their rows (p, 1) are dependent.
+    The rows are scaled by _unit_points, as the enumeration scales its
+    points, and a subset is flagged when the enumeration's rank test, _rank
+    at SIGN_TOL, gives its unit rows rank m or less, so scaling a column
+    changes no verdict. Input that is not finite or not 2-D is refused by
+    _unit_points, whose message names the rows' shape. Exhaustive over all
+    (m+1)-subsets when there are at most 20,000 of them, otherwise 2,000
+    random subsets (seed 0) are tested and the report says so.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"points must be (N, m), got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points must be finite")
+    ones = np.ones(points.shape[:-1] + (1,))
+    unit, _ = _unit_points(np.concatenate([points, ones], axis=-1))
     N, m = points.shape
     if N < m + 1:
         return GeneralPositionReport(ok=True)
@@ -123,10 +126,9 @@ def check_general_position(points) -> GeneralPositionReport:
                             for _ in range(_SAMPLES)])
         sampled = True
 
-    pts = points[subsets]                          # (K, m+1, m)
-    diffs = pts[:, 1:, :] - pts[:, :1, :]          # (K, m, m)
-    sv = np.linalg.svd(diffs, compute_uv=False)    # (K, m)
-    bad = sv[:, -1] <= _RANK_TOL * np.maximum(1.0, sv[:, 0])
+    rows = unit[subsets]                           # (K, m+1, m+1)
+    _, _, vt = np.linalg.svd(rows)
+    bad = _rank(rows, vt) <= m
     violations = tuple(tuple(int(i) + 1 for i in subsets[r])
                        for r in np.flatnonzero(bad)[:64])
     return GeneralPositionReport(ok=not violations, violations=violations,

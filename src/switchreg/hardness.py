@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    TIE_TOL,
     Dataset,
     Labeling,
     LossModel,
@@ -129,11 +128,11 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
     enumeration solver is exact on reduction instances too, despite their
     repeated regressor vectors, but their dimension is the multiset size
     and its time grows exponentially with it. Per decision at sizes 4, 5,
-    6 and 7 on a 2-core x86 VM, enum takes about 0.05, 0.3, 2 and 16 s,
-    where brute or noiseless are faster: brute takes about 0.01, 0.05,
-    0.2 and 0.7 s. The answer is yes when the cost is at most epsilon +
-    ZERO_TOL, the margin every solver's zero tests use; a decision's slack
-    is its epsilon.
+    6 and 7 on a 2-core x86 VM with one BLAS thread, enum takes about
+    0.04, 0.25, 1.7 and 14 s, where brute or noiseless are faster: brute
+    takes about 0.015, 0.05, 0.25 and 1.1 s. The answer is yes when the
+    cost is at most epsilon + ZERO_TOL, the margin every solver's zero
+    tests use; a decision's slack is its epsilon.
     """
     if method == "altmin":
         raise ValueError("altmin is heuristic; a threshold decision needs an "
@@ -151,7 +150,7 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
 def extract_partition(models: ModelSet, p: PartitionInstance) -> list:
     """Read an equal-sum sub-multiset off a zero-error certificate.
 
-    Rounds each coordinate of w_1 to {0, 1} within TIE_TOL and returns the
+    Rounds each coordinate of w_1 to {0, 1} within ZERO_TOL and returns the
     entries it selects. Zero-error certificates always have indicator
     coordinates with w_2 complementary; anything else is rejected. When the
     certificate came out role-swapped, calling again with the models
@@ -162,9 +161,9 @@ def extract_partition(models: ModelSet, p: PartitionInstance) -> list:
     w1 = models.w[0]
     picks = []
     for i, v in enumerate(w1):
-        if abs(v - 1.0) <= TIE_TOL:
+        if abs(v - 1.0) <= ZERO_TOL:
             picks.append(True)
-        elif abs(v) <= TIE_TOL:
+        elif abs(v) <= ZERO_TOL:
             picks.append(False)
         else:
             raise CertificateError(

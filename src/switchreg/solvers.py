@@ -321,7 +321,7 @@ def refine_alternate(data: Dataset, models: ModelSet,
     recorded cost trace is non-increasing up to rounding.
     Stops when the labeling repeats or a full round improves the cost by
     less than ZERO_TOL; the returned labeling is always the optimal
-    assignment for the returned models, ties within TIE_TOL going to the
+    assignment for the returned models, ties within ZERO_TOL going to the
     first mode.
     """
     if models.d != data.d:
@@ -367,7 +367,7 @@ def _least(x, y, loss: LossModel, q0s, ws):
 def _report(method: str, data: Dataset, loss: LossModel, q0, w,
             t0: float, examined: int, status: str) -> SolveReport:
     """The SolveReport of the 0-based labels q0 under the models w, with the
-    points where two modes tie within TIE_TOL. Ties are per point, so
+    points where two modes tie within ZERO_TOL. Ties are per point, so
     permuting the modes leaves them the same."""
     x, y = data.x, data.y
     _, ties = _assign_arrays(x, y, w, loss)

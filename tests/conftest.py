@@ -7,13 +7,14 @@ possible, so agreement is evidence rather than tautology.
 import contextlib
 import importlib.util
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from switchreg import (Dataset, GeneratorSpec, Labeling, ModelSet,
+from switchreg import (SIGN_TOL, Dataset, GeneratorSpec, Labeling, ModelSet,
                        empirical_cost, generate_instance)
 
 _DIGEST = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
@@ -84,6 +85,31 @@ def partition_has_equal_split(s):
             if 2 * sum(s[i] for i in combo) == total:
                 return True
     return False
+
+
+def exact_rank(rows):
+    """Rank of a list of float rows in exact rational arithmetic: each
+    float is a Fraction exactly, so Gaussian elimination decides dependence
+    with no tolerance."""
+    rows = [[Fraction(float(v)) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def assert_strict(points, result):
+    """Every witness of a DichotomySet separates its row's points
+    strictly."""
+    margins = result.signs * (result.witnesses @ points.T)
+    assert np.all(margins > SIGN_TOL)
 
 
 @contextlib.contextmanager

@@ -5,11 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from switchreg import (ABSOLUTE, Dataset, Labeling, ModelSet, SIGN_TOL,
-                       SQUARED, ZERO_TOL, assign_modes,
-                       canonicalize_labels, empirical_cost, get_loss,
-                       loss_eval, majority_vote_label,
-                       pairwise_classifiers_from_models)
+import switchreg
+from switchreg import (ABSOLUTE, Dataset, Labeling, LossModel, ModelSet,
+                       SIGN_TOL, SQUARED, ZERO_TOL, assign_modes,
+                       canonicalize_labels, empirical_cost,
+                       majority_vote_label, pairwise_classifiers_from_models)
 from switchreg.core import (PairwiseClassifier, _canonicalize_arrays,
                             _cost_arrays)
 
@@ -21,31 +21,42 @@ from conftest import min_cost_over_all_labelings, random_instance
 
 
 def test_loss_eval_squared_at_zero():
-    assert loss_eval(SQUARED, 0.0) == 0.0
+    assert SQUARED.residual_loss(0.0) == 0.0
 
 
 def test_loss_eval_squared_symmetric():
-    assert loss_eval(SQUARED, -2.0) == 4.0
-    assert loss_eval(SQUARED, -2.0) == loss_eval(SQUARED, 2.0)
+    assert SQUARED.residual_loss(-2.0) == 4.0
+    assert SQUARED.residual_loss(-2.0) == SQUARED.residual_loss(2.0)
 
 
 def test_loss_eval_absolute():
-    assert loss_eval(ABSOLUTE, 3.0) == 3.0
-    assert loss_eval(ABSOLUTE, 0.0) == 0.0
+    assert ABSOLUTE.residual_loss(3.0) == 3.0
+    assert ABSOLUTE.residual_loss(0.0) == 0.0
 
 
 def test_loss_eval_rejects_non_finite():
     with pytest.raises(ValueError):
-        loss_eval(SQUARED, np.inf)
+        SQUARED.residual_loss(np.inf)
     with pytest.raises(ValueError):
-        loss_eval(ABSOLUTE, np.nan)
+        ABSOLUTE.residual_loss(np.nan)
 
 
 def test_get_loss_names():
-    assert get_loss("squared") is SQUARED
-    assert get_loss("absolute") is ABSOLUTE
-    with pytest.raises(ValueError):
-        get_loss("huber")
+    assert LossModel("squared") == SQUARED
+    assert LossModel("absolute") == ABSOLUTE
+    with pytest.raises(ValueError, match="unknown loss 'huber' \\(expected"):
+        LossModel("huber")
+
+
+def test_removed_public_names_stay_gone():
+    # README's "Removed public names" says what replaces each
+    modules = [switchreg] + [getattr(switchreg, name) for name in (
+        "core", "geometry", "solvers", "hardness", "datasets", "bench")]
+    for name in ("TIE_TOL", "get_loss", "loss_eval", "Tolerances",
+                 "DEFAULT_TOLERANCES", "Dichotomy",
+                 "enumerate_candidate_labelings"):
+        for module in modules:
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_loss_axioms_on_sampled_pairs():
@@ -54,10 +65,10 @@ def test_loss_axioms_on_sampled_pairs():
     e = rng.standard_normal(10_000) * 10
     e2 = rng.standard_normal(10_000) * 10
     for loss in (SQUARED, ABSOLUTE):
-        assert loss_eval(loss, 0.0) == 0.0
+        assert loss.residual_loss(0.0) == 0.0
         for a, b in zip(e, e2):
-            la, lb = loss_eval(loss, a), loss_eval(loss, b)
-            assert la == loss_eval(loss, -a)
+            la, lb = loss.residual_loss(a), loss.residual_loss(b)
+            assert la == loss.residual_loss(-a)
             assert (la < lb) == (abs(a) < abs(b))
             assert la >= 0.0
 
@@ -162,7 +173,7 @@ def test_assign_dimension_mismatch():
 @pytest.mark.parametrize("loss_name", ["squared", "absolute"])
 def test_assign_minimizes_over_all_labelings(loss_name):
     # the per-point argmin rule must match literal enumeration of labelings
-    loss = get_loss(loss_name)
+    loss = LossModel(loss_name)
     rng = np.random.default_rng(1)
     for trial in range(50):
         n = int(rng.integers(2, 4))

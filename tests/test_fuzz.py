@@ -20,8 +20,8 @@ from switchreg import (ABSOLUTE, SIGN_TOL, SQUARED, ZERO_TOL, Dataset,
                        partition_to_instance, sweep_dichotomies_oracle)
 from switchreg.geometry import _unit_points
 
-from conftest import (l1_interpolant_oracle, lp_feasible_patterns,
-                      rays_on_their_points)
+from conftest import (assert_strict, l1_interpolant_oracle,
+                      lp_feasible_patterns, rays_on_their_points)
 
 _GATE = settings(derandomize=True, database=None, deadline=None,
                  max_examples=60)
@@ -46,17 +46,12 @@ def _nonzero_points(draw, m, lo, hi):
     return pts
 
 
-def _assert_strict(points, result):
-    margins = result.signs * (result.witnesses @ points.T)
-    assert np.all(margins > SIGN_TOL)
-
-
 @_GATE
 @given(st.integers(1, 2).flatmap(lambda m: _nonzero_points(m, 2, 9)))
 def test_dichotomies_match_sweep_oracle_on_grid(points):
     result = enumerate_linear_dichotomies(points)
     assert result.patterns() == sweep_dichotomies_oracle(points).patterns()
-    _assert_strict(points, result)
+    assert_strict(points, result)
 
 
 @_GATE
@@ -68,7 +63,7 @@ def test_dichotomies_ignore_coordinate_scale(points, exponents):
     oracle = sweep_dichotomies_oracle(scaled)
     assert result.patterns() == oracle.patterns() \
         == sweep_dichotomies_oracle(points).patterns()
-    _assert_strict(scaled, result)
+    assert_strict(scaled, result)
     assert np.array_equal(np.sign(oracle.witnesses @ scaled.T), oracle.signs)
 
 
@@ -77,7 +72,7 @@ def test_dichotomies_ignore_coordinate_scale(points, exponents):
 def test_dichotomies_match_linear_programs_in_three_dimensions(points):
     result = enumerate_linear_dichotomies(points)
     assert result.patterns() == lp_feasible_patterns(points)
-    _assert_strict(points, result)
+    assert_strict(points, result)
 
 
 # m = 4 is the lifted space of d = 3; a drawn repeat brings N to at most 6
@@ -86,7 +81,7 @@ def test_dichotomies_match_linear_programs_in_three_dimensions(points):
 def test_dichotomies_match_linear_programs_in_four_dimensions(points):
     result = enumerate_linear_dichotomies(points)
     assert result.patterns() == lp_feasible_patterns(points)
-    _assert_strict(points, result)
+    assert_strict(points, result)
 
 
 # Near-degenerate sets. In the plane, two directions 1e-11 to 1e-7 rad apart
@@ -100,7 +95,7 @@ def test_dichotomies_of_nearly_parallel_points_match_sweep_oracle(seed, exp):
     pts[1] = rng.uniform(0.5, 2.0) * np.array([np.cos(angle), np.sin(angle)])
     result = enumerate_linear_dichotomies(pts)
     assert result.patterns() == sweep_dichotomies_oracle(pts).patterns()
-    _assert_strict(pts, result)
+    assert_strict(pts, result)
 
 
 def _near_coplanar(seed, m, offset):

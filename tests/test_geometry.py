@@ -12,22 +12,17 @@ import numpy as np
 import pytest
 
 import switchreg
-from switchreg import (SIGN_TOL, DichotomySet, check_general_position,
+from switchreg import (DichotomySet, check_general_position,
                        enumerate_linear_dichotomies, sweep_dichotomies_oracle)
 from switchreg import geometry
 from switchreg.geometry import unique_rows
 
-from conftest import lp_feasible_patterns, rays_on_their_points
+from conftest import (assert_strict, exact_rank, lp_feasible_patterns,
+                      rays_on_their_points)
 
 
 def _patterns(result):
     return result.patterns()
-
-
-def _assert_strict(points, result):
-    # every witness separates its row's points strictly
-    margins = result.signs * (result.witnesses @ points.T)
-    assert np.all(margins > SIGN_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +68,50 @@ def test_rejects_non_finite_points():
         check_general_position(np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError, match=r"must be \(N, m\)"):
         check_general_position(np.ones(3))
+
+
+def _grid_point_sets():
+    """Integer-grid point sets in R^m, m 1-3, of at most 9 points, each
+    with a repeat of its first point and a point collinear with its first
+    two."""
+    rng = np.random.default_rng(43)
+    for i in range(150):
+        m = 1 + i % 3
+        pts = rng.integers(-2, 3, size=(int(rng.integers(2, 8)), m))
+        yield np.vstack([pts, pts[0], 2 * pts[1] - pts[0]]).astype(float)
+
+
+def test_position_check_matches_exact_rank_on_grids():
+    # a float-free reference: an (m+1)-subset is on an affine hyperplane
+    # exactly when its rows (p, 1) have rational rank m or less
+    flagged = 0
+    for pts in _grid_point_sets():
+        N, m = pts.shape
+        rows = np.hstack([pts, np.ones((N, 1))])
+        exact = tuple(tuple(i + 1 for i in s)
+                      for s in itertools.combinations(range(N), m + 1)
+                      if exact_rank(rows[list(s)]) <= m)
+        rep = check_general_position(pts)
+        assert rep.ok == (not exact), pts
+        assert rep.violations == exact[:64], pts
+        assert rep.checked_subsets == comb(N, m + 1)
+        flagged += not rep.ok
+    assert flagged == 150               # each set repeats a point
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 30, 2.0 ** -30])
+def test_position_check_unchanged_by_column_scale(scale):
+    # the rank test runs on the scaled unit rows, so a power-of-two column
+    # scale leaves them, and the verdict, bit for bit as they were
+    rng = np.random.default_rng(47)
+    sets = list(_grid_point_sets())[:30] + [rng.standard_normal((7, m))
+                                            for m in (1, 2, 3)]
+    for pts in sets:
+        rep = check_general_position(pts)
+        for j in range(pts.shape[1]):
+            scaled = pts.copy()
+            scaled[:, j] *= scale
+            assert check_general_position(scaled) == rep, (pts, j)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +202,7 @@ def test_negation_closure_and_witnesses(m):
     rows = [tuple(r) for r in result.signs.tolist()]
     assert all(a < b for a, b in zip(rows, rows[1:]))     # strictly ascending
     assert {tuple(r) for r in (-result.signs).tolist()} == pats
-    _assert_strict(pts, result)
+    assert_strict(pts, result)
 
 
 def test_oracle_equivalence_random_sets():
@@ -186,7 +225,7 @@ _DEGENERATE = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
 def test_degenerate_spanning_subsets_counted():
     result = enumerate_linear_dichotomies(_DEGENERATE)
     assert _patterns(result) == lp_feasible_patterns(_DEGENERATE)
-    _assert_strict(_DEGENERATE, result)
+    assert_strict(_DEGENERATE, result)
 
 
 def _mixed_rays(m):
@@ -204,7 +243,7 @@ def test_generic_and_degenerate_rays_in_one_level(m):
     pts = _mixed_rays(m)
     result = enumerate_linear_dichotomies(pts)
     assert _patterns(result) == lp_feasible_patterns(pts)
-    _assert_strict(pts, result)
+    assert_strict(pts, result)
 
 
 _WITNESSED = {
@@ -232,18 +271,18 @@ def test_witnesses_computed_on_read_separate_strictly(monkeypatch, points):
     assert witnesses.shape == (len(result), points.shape[1])
     assert result.witnesses is witnesses
     assert len(calls) == 1
-    _assert_strict(points, result)
+    assert_strict(points, result)
 
 
 def test_dichotomy_set_takes_witnesses_as_array_or_function():
     signs = np.array([[1, -1], [-1, 1]])
     given = DichotomySet(signs, [[1.0, -1.0], [-1.0, 1.0]])
     assert isinstance(given.witnesses, np.ndarray)
-    _assert_strict(np.eye(2), given)
+    assert_strict(np.eye(2), given)
     # an enumeration's pending witnesses pickle, and compute after loading
     result = pickle.loads(pickle.dumps(enumerate_linear_dichotomies(
         _mixed_rays(3))))
-    _assert_strict(_mixed_rays(3), result)
+    assert_strict(_mixed_rays(3), result)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-8, 1e-10])
@@ -276,7 +315,7 @@ def test_generic_pass_in_slices_gives_the_same_rows(monkeypatch, points):
     monkeypatch.setattr(geometry, "_CELL_SLICE", 1)
     sliced = enumerate_linear_dichotomies(points)
     assert np.array_equal(sliced.signs, whole.signs)
-    _assert_strict(points, sliced)
+    assert_strict(points, sliced)
 
 
 def test_only_degenerate_rays_recurse(monkeypatch):
@@ -332,7 +371,7 @@ def test_dichotomies_unchanged_by_coordinate_scale(scale):
     oracle = sweep_dichotomies_oracle(scaled)
     assert _patterns(result) == _patterns(oracle) \
         == _patterns(sweep_dichotomies_oracle(pts))
-    _assert_strict(scaled, result)
+    assert_strict(scaled, result)
     assert np.array_equal(np.sign(oracle.witnesses @ scaled.T), oracle.signs)
 
 
@@ -344,7 +383,7 @@ def test_dichotomies_of_rows_too_small_to_square():
     scaled = pts * 10.0 ** -np.arange(0.0, 281.0, 40.0)[:, None]
     result = enumerate_linear_dichotomies(scaled)
     assert _patterns(result) == _patterns(sweep_dichotomies_oracle(pts))
-    _assert_strict(pts, result)
+    assert_strict(pts, result)
 
 
 @pytest.mark.parametrize("scale", [1e-10, 1e-13])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from switchreg import (ABSOLUTE, CertificateError, DecisionInstance,
-                       Dataset, ModelSet, PartitionInstance, SQUARED, TIE_TOL,
+                       Dataset, ModelSet, PartitionInstance, SQUARED,
                        ZERO_TOL, decide_threshold, extract_partition,
                        partition_to_instance, solve_instance)
 
@@ -192,7 +192,7 @@ def test_yes_certificates_fit_every_point_exactly():
         assert decision.answer
         r1 = np.abs(inst.data.y - inst.data.x @ decision.models.w[0])
         r2 = np.abs(inst.data.y - inst.data.x @ decision.models.w[1])
-        assert np.all(np.minimum(r1, r2) <= TIE_TOL)
+        assert np.all(np.minimum(r1, r2) <= ZERO_TOL)
 
 
 def test_certificates_extract_balanced_subsets():

@@ -7,7 +7,8 @@ import dataclasses
 import numpy as np
 
 from switchreg import (ABSOLUTE, SQUARED, Dataset, DichotomySet, Labeling,
-                       PartitionInstance, brute_force_solve, core, datasets,
+                       PartitionInstance, brute_force_solve,
+                       check_general_position, core, datasets,
                        decide_threshold, enumerate_linear_dichotomies,
                        partition_to_instance, solvers)
 
@@ -50,6 +51,24 @@ def test_decision_digests_its_answer():
     assert digest(decision) != digest(flipped)
     assert digest(decision) != digest(decision.report)
     assert digest(decision) == digest(dataclasses.replace(decision))
+
+
+def test_position_check_digests_its_verdict():
+    rep = check_general_position(np.array([[0.0, 0.0], [1.0, 0.0],
+                                           [0.0, 1.0]]))
+    flagged = check_general_position(np.array([[0.0, 0.0], [1.0, 1.0],
+                                               [2.0, 2.0]]))
+    assert rep.ok and not flagged.ok
+    assert digest(rep) == digest(dataclasses.replace(rep))
+    changed = [
+        flagged,
+        dataclasses.replace(rep, ok=False),
+        dataclasses.replace(rep, violations=((1, 2, 3),)),
+        dataclasses.replace(rep, sampled=True),
+        dataclasses.replace(rep, checked_subsets=2),
+    ]
+    lines = {digest(rep)} | {digest(r) for r in changed}
+    assert len(lines) == 1 + len(changed)
 
 
 def test_exception_digests_as_raised():

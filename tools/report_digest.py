@@ -32,7 +32,9 @@ enumerate_linear_dichotomies gives on a fixed sweep of point sets
 triples, and Gaussian points whose leading coordinates are scaled by 1e-5,
 1e-7, 1e-10, 1e-13 or 1e-20 in a few rows, as the lifted points of tiny
 regressors are), so a change to the geometry is compared bit for bit on
-its own. Elapsed times are left out.
+its own, each set's row line followed by a line of check_general_position's
+report on it (ok, violations, sampled, checked_subsets). Elapsed times are
+left out.
 BLAS thread pools are pinned to one thread, as in benchmark/run.py.
 """
 
@@ -59,8 +61,8 @@ TINY_SCALES = ("1e-13", "1e-20")
 
 def digest(outcome) -> str:
     """SHA-256 prefix of a report's result fields, of a dichotomy set's
-    sign rows, of a model set's parameters, of a refinement's models,
-    labels and cost trace, or of an exception."""
+    sign rows, of a general-position report, of a model set's parameters,
+    of a refinement's models, labels and cost trace, or of an exception."""
     h = hashlib.sha256()
     if isinstance(outcome, Exception):
         h.update(f"{type(outcome).__name__}: {outcome}".encode())
@@ -69,6 +71,11 @@ def digest(outcome) -> str:
     if signs is not None:
         h.update(repr(signs.shape).encode())
         h.update(signs.astype("<i8").tobytes())
+        return h.hexdigest()[:16]
+    violations = getattr(outcome, "violations", None)
+    if violations is not None:           # a GeneralPositionReport
+        h.update(repr((outcome.ok, violations, outcome.sampled,
+                       outcome.checked_subsets)).encode())
         return h.hexdigest()[:16]
     w = getattr(outcome, "w", None)
     if w is not None:                    # a ModelSet
@@ -225,6 +232,8 @@ def main(argv=None) -> int:
     for label, points in point_sets(np):
         out = attempt(geometry.enumerate_linear_dichotomies, points)
         print(f"{label} {digest(out)}")
+        out = attempt(geometry.check_general_position, points)
+        print(f"{label} gp {digest(out)}")
     return 0
 
 
