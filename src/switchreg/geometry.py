@@ -104,27 +104,30 @@ def check_general_position(points) -> GeneralPositionReport:
     The rows are scaled by _unit_points, as the enumeration scales its
     points, and a subset is flagged when the enumeration's rank test, _rank
     at SIGN_TOL, gives its unit rows rank m or less, so scaling a column
-    changes no verdict. Input that is not finite or not 2-D is refused by
-    _unit_points, whose message names the rows' shape. Exhaustive over all
+    changes no verdict. Input that is not 2-D, named by its own shape, or
+    not finite is refused with _unit_points' messages. Exhaustive over all
     (m+1)-subsets when there are at most 20,000 of them, otherwise 2,000
     random subsets (seed 0) are tested and the report says so.
     """
     points = np.asarray(points, dtype=float)
-    ones = np.ones(points.shape[:-1] + (1,))
-    unit, _ = _unit_points(np.concatenate([points, ones], axis=-1))
+    if points.ndim != 2:
+        raise ValueError(f"points must be (N, m), got shape {points.shape}")
+    unit, _ = _unit_points(np.hstack([points, np.ones((len(points), 1))]))
     N, m = points.shape
     if N < m + 1:
         return GeneralPositionReport(ok=True)
 
-    total = comb(N, m + 1)
-    if total <= _MAX_EXHAUSTIVE:
+    sampled = comb(N, m + 1) > _MAX_EXHAUSTIVE
+    if not sampled:
         subsets = _combination_rows(N, m + 1)
-        sampled = False
     else:
         rng = np.random.default_rng(0)
-        subsets = np.array([rng.choice(N, size=m + 1, replace=False)
-                            for _ in range(_SAMPLES)])
-        sampled = True
+        subsets = np.empty((_SAMPLES, m + 1), dtype=np.int64)
+        for j in range(m + 1):
+            # a row's r-th untaken index: r + #{i : c_i - i <= r}, c sorted
+            taken = np.sort(subsets[:, :j], axis=1) - np.arange(j)
+            r = rng.integers(N - j, size=_SAMPLES)
+            subsets[:, j] = r + (taken <= r[:, None]).sum(axis=1)
 
     rows = unit[subsets]                           # (K, m+1, m+1)
     _, _, vt = np.linalg.svd(rows)

@@ -66,8 +66,8 @@ _MAX_REFINE_ROUNDS = 1000
 # _region_costs)
 _GRAM_COND = 1e8
 _ROUNDING = 8
-# Regions per batch of enumeration_solve's scorer, labelings per chunk of
-# brute_force_solve, subsets per _lstsq batch of _interpolants, interpolants
+# Regions per batch of enumeration_solve's scorer, label rows per costing of
+# _least, subsets per _lstsq batch of _interpolants, interpolants
 # per slice of solve_mode_regression's L1 scan and of noiseless_solve's fit
 # check, and pool rows per stacked pool block of _fit_masks' table fit (the
 # masks of a batch times a slice of their pools): it bounds their (chunk,
@@ -169,11 +169,14 @@ class RefineResult:
 
 
 def _lstsq(a, b) -> np.ndarray:
-    """Minimum-norm least-squares solution of each system in the stacks a
-    (..., k, d) and b (..., k) by np.linalg.lstsq's method, V (U^T b / s)
-    from a's thin SVD with singular values at most max(k, d) * eps of the
-    largest cut: backward stable, unlike a pseudo-inverse formed first. One
-    system goes to np.linalg.lstsq itself, at 16-20 us against 27-34 us."""
+    """Minimum-norm least-squares solution of the system a (k, d), b (k,),
+    or of each system in the stacks a (..., k, d), b (..., k): the one
+    least-squares routine. One system is np.linalg.lstsq's (16-20 us against
+    27-34 us); a stack takes lstsq's method, V (U^T b / s) from a's thin
+    SVD with singular values at most max(k, d) * eps of the largest cut:
+    backward stable, unlike a pseudo-inverse formed first."""
+    if a.ndim == 2:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
     k, d = a.shape[-2:]
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > max(k, d) * np.finfo(float).eps * s[..., :1]
@@ -209,9 +212,9 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
     """Best single linear model for one mode's points under the loss.
 
     Accepts an empty subset (returns the zero vector) and rank-deficient
-    or small subsets. Squared loss takes np.linalg.lstsq's minimum-norm
-    least-squares solution, from an SVD of x itself, never from the normal
-    equations, which square its condition number.
+    or small subsets. Squared loss takes _lstsq's minimum-norm
+    least-squares solution of the one system, from an SVD of x itself,
+    never from the normal equations, which square its condition number.
 
     Absolute loss takes the first of the interpolants of every subset of at
     most d points (_interpolants) with the least total, scanned
@@ -230,7 +233,7 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
     if y.shape != (x.shape[0],):
         raise ValueError(f"y must be ({x.shape[0]},), got shape {y.shape}")
     if loss.kind == "squared":
-        return np.linalg.lstsq(x, y, rcond=None)[0]
+        return _lstsq(x, y)
     ws = _interpolants(x, y)[1]
     best_total, best_w = np.inf, np.zeros(x.shape[1])
     for lo in range(0, len(ws), _SCORE_CHUNK):
@@ -355,10 +358,12 @@ def refine_alternate(data: Dataset, models: ModelSet,
 
 def _least(x, y, loss: LossModel, q0s, ws):
     """The (q0, w) row of the stacks q0s (K, N) and ws (K, n, d) with the
-    least (cost, labels). The rows are costed in one _cost_arrays
-    call; ties on cost keep the lexicographically smallest label row, the
+    least (cost, labels), costed by _cost_arrays _SCORE_CHUNK rows at a
+    time; ties on cost keep the lexicographically smallest label row, the
     first of equal ones, so the choice does not depend on the rows' order."""
-    costs = _cost_arrays(x, y, ws, q0s, loss)
+    at = range(_SCORE_CHUNK, len(q0s), _SCORE_CHUNK)
+    costs = np.concatenate([_cost_arrays(x, y, w, q0, loss) for q0, w in
+                            zip(np.split(q0s, at), np.split(ws, at))])
     tied = np.flatnonzero(costs == costs.min())
     r = tied[np.lexsort(q0s[tied].T[::-1])[0]]
     return q0s[r], ws[r]
@@ -411,16 +416,12 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
 
     The mode masks of all L canonical labelings (_canonical_label_arrays)
     are taken in one pass, and the distinct ones are fitted once each, in
-    one _fit_masks call on their stack, into rows of d floats: 2^N rows at
-    n >= 2, where every subset, the empty one included, is a mode of some
-    labeling, and one at n = 1. Under absolute loss that call reads one
-    interpolant table per solve (_table) and scores the masks of each size
-    together, bit for bit solve_mode_regression's fits; under squared loss
-    it fits one mask at a time. _cost_arrays fills one (L,) cost array,
-    _SCORE_CHUNK labelings at a time; they ascend lexicographically, so the
-    first least cost is the least (cost, labels). Nothing is shared with
-    the enumeration solver's region scorer (_region_costs) or
-    CandidateStream, whose oracle this is.
+    one _fit_masks call on their stack (with the _table under absolute
+    loss), into rows of d floats: 2^N rows at n >= 2, where every subset,
+    the empty one included, is a mode of some labeling, and one at n = 1.
+    The labelings and their (L, n, d) fits end in _least, as enum's and
+    altmin's do. Nothing is shared with the enumeration solver's region
+    scorer (_region_costs) or CandidateStream, whose oracle this is.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -433,14 +434,8 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     _, first, back = np.unique(_packed_keys(masks), return_index=True,
                                return_inverse=True)
     fits = _fit_masks(x, y, loss, masks[first], _table(x, y, loss))
-    rows = back.reshape(n, -1).T                        # (L, n) rows of fits
-    costs = np.empty(len(labels))
-    for lo in range(0, len(labels), _SCORE_CHUNK):
-        part = slice(lo, lo + _SCORE_CHUNK)
-        costs[part] = _cost_arrays(x, y, fits[rows[part]], labels[part], loss)
-    r = np.argmin(costs)
-    return _report("brute", data, loss, labels[r], fits[rows[r]], t0,
-                   len(labels), "optimal")
+    q0, w = _least(x, y, loss, labels, fits[back.reshape(n, -1).T])
+    return _report("brute", data, loss, q0, w, t0, len(labels), "optimal")
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,40 @@ def exact_rank(rows):
     return rank
 
 
+def exact_cell_count(points):
+    """Cells of the central arrangement {h : h . p_i = 0} of the nonzero
+    points, so the number of strict dichotomies of the points, with no
+    tolerance: sum |mu(0, X)| over its intersection lattice (T. Zaslavsky,
+    Mem. Amer. Math. Soc. 154, 1975). A flat X is the orthogonal
+    complement of the span of some points; it is kept as the set of points
+    in that span, built rank by rank as the closure of a flat of one rank
+    less and one more point, with every rank from exact_rank. X lies below
+    Y in the lattice when X's points are a proper subset of Y's, and
+    mu(0, Y) is minus the sum of mu(0, X) over those X."""
+    points = [list(p) for p in points]
+    flats = {frozenset(): []}           # point set -> a basis of its span
+    level = [frozenset()]
+    while level:
+        found = []
+        for flat in level:
+            for i in range(len(points)):
+                # a flat one rank up holding the flat and i is their closure
+                if i in flat or any(i in f and flat < f for f in found):
+                    continue
+                basis = flats[flat] + [points[i]]
+                closure = frozenset(
+                    j for j in range(len(points)) if j in flat or j == i
+                    or exact_rank(basis + [points[j]]) == len(basis))
+                flats[closure] = basis
+                found.append(closure)
+        level = found
+    mu = {}
+    for flat in flats:                  # built rank by rank
+        mu[flat] = 1 if not flat else -sum(v for f, v in mu.items()
+                                           if f < flat)
+    return sum(map(abs, mu.values()))
+
+
 def assert_strict(points, result):
     """Every witness of a DichotomySet separates its row's points
     strictly."""

@@ -3,6 +3,7 @@
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 from math import comb
@@ -12,13 +13,14 @@ import numpy as np
 import pytest
 
 import switchreg
-from switchreg import (DichotomySet, check_general_position,
-                       enumerate_linear_dichotomies, sweep_dichotomies_oracle)
+from switchreg import (DichotomySet, PartitionInstance, check_general_position,
+                       enumerate_linear_dichotomies, partition_to_instance,
+                       sweep_dichotomies_oracle)
 from switchreg import geometry
 from switchreg.geometry import unique_rows
 
-from conftest import (assert_strict, exact_rank, lp_feasible_patterns,
-                      rays_on_their_points)
+from conftest import (assert_strict, exact_cell_count, exact_rank,
+                      lp_feasible_patterns, rays_on_their_points)
 
 
 def _patterns(result):
@@ -63,11 +65,30 @@ def test_sampled_mode_for_large_sets():
     assert rep.ok
 
 
+@pytest.mark.parametrize("N, m", [(60, 2), (25, 12)])
+def test_sampled_subsets_hold_distinct_points(N, m):
+    # every point on the hyperplane x_m = 0 flags every subset, so the
+    # violations show the sampled subsets: m+1 distinct points each, also
+    # where m+1 is near N and most integer draws would repeat a point
+    pts = np.random.default_rng(1).standard_normal((N, m))
+    pts[:, -1] = 0.0
+    rep = check_general_position(pts)
+    assert rep.sampled and not rep.ok
+    assert len(rep.violations) == 64
+    for subset in rep.violations:
+        assert len(set(subset)) == m + 1
+        assert 1 <= min(subset) and max(subset) <= N
+
+
 def test_rejects_non_finite_points():
     with pytest.raises(ValueError):
         check_general_position(np.array([[np.nan, 0.0]]))
-    with pytest.raises(ValueError, match=r"must be \(N, m\)"):
-        check_general_position(np.ones(3))
+    # any input that is not 2-D is refused by its own shape
+    for bad in (5.0, np.ones(3), np.ones((2, 3, 2))):
+        shape = re.escape(str(np.shape(bad)))
+        with pytest.raises(ValueError,
+                           match=rf"must be \(N, m\), got shape {shape}$"):
+            check_general_position(bad)
 
 
 def _grid_point_sets():
@@ -112,6 +133,43 @@ def test_position_check_unchanged_by_column_scale(scale):
             scaled = pts.copy()
             scaled[:, j] *= scale
             assert check_general_position(scaled) == rep, (pts, j)
+
+
+def _cell_count_sets():
+    """Integer grids in m 2-4 of at most 8 nonzero points, each with a
+    repeat of its first point and, where nonzero, a point collinear with its
+    first two; the lifted (G) and regressor (H) points of the Partition
+    reductions of sizes 2-5; and Gaussian sets in m 1-4."""
+    rng = np.random.default_rng(61)
+    for i in range(45):
+        m = 2 + i % 3
+        pts = rng.integers(-2, 3, size=(int(rng.integers(2, 7)), m))
+        pts = pts[pts.any(axis=1)]
+        if len(pts) < 2:
+            pts = np.vstack([pts, np.eye(2, m, dtype=int)])[:2]
+        pts = np.vstack([pts, pts[0], 2 * pts[1] - pts[0]])
+        yield f"grid{i}-m{m}", pts[pts.any(axis=1)].astype(float)
+    for s in [(1, 2), (3, 1, 2), (5, 3, 2, 4), (17, 13, 10, 6, 6)]:
+        data = partition_to_instance(PartitionInstance(s)).data
+        yield f"partition{len(s)}-G", data.lifted()
+        yield f"partition{len(s)}-H", data.x
+    for i in range(12):
+        m = 1 + i % 4
+        yield f"gauss{i}-m{m}", rng.standard_normal((int(rng.integers(1, 9)),
+                                                    m))
+
+
+def test_dichotomy_count_equals_exact_cell_count():
+    """The enumeration's row count is the arrangement's cell count, taken
+    in rational arithmetic with no tolerance, on data mostly not in general
+    position. Not checked here: the lifted points of tiny regressors
+    (generator data with a few rows' regressors scaled by 1e-13 or 1e-20),
+    whose enumeration misses the exact count today (fewer rows on most,
+    more on a few) because those points fall within SIGN_TOL of the y
+    axis."""
+    for label, pts in _cell_count_sets():
+        assert len(enumerate_linear_dichotomies(pts)) == \
+            exact_cell_count(pts), label
 
 
 # ---------------------------------------------------------------------------

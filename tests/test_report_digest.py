@@ -10,7 +10,7 @@ from switchreg import (ABSOLUTE, SQUARED, Dataset, DichotomySet, Labeling,
                        PartitionInstance, brute_force_solve,
                        check_general_position, core, datasets,
                        decide_threshold, enumerate_linear_dichotomies,
-                       partition_to_instance, solvers)
+                       hardness, partition_to_instance, solvers)
 
 from conftest import report_digest
 
@@ -190,3 +190,25 @@ def test_sweep_ends_with_the_noiseless_limit_cases():
     assert data1.y.tolist() == [1.0, 0.0]
     assert data0.x.tolist() == [[0.0]] * 3
     assert data0.y.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_point_sweep_ends_with_the_partition_sets():
+    # the lifted (G) and regressor (H) points of the Partition reductions
+    # of sizes 2-6, after the random point sets; each reduction repeats
+    # every regressor, and neither point set is in general position
+    sets = list(report_digest.partition_point_sets(hardness))
+    assert [len(s) for s in report_digest.PARTITIONS] == [2, 3, 4, 5, 6]
+    assert len(sets) == 2 * len(report_digest.PARTITIONS)
+    for s, (g, h) in zip(report_digest.PARTITIONS,
+                         zip(sets[::2], sets[1::2])):
+        data = partition_to_instance(PartitionInstance(s)).data
+        d = len(s)
+        assert g[0] == f"partition{d}-G-m{d + 1}-N{2 * d + 1}"
+        assert h[0] == f"partition{d}-H-m{d}-N{2 * d + 1}"
+        assert np.array_equal(g[1], data.lifted())
+        assert np.array_equal(h[1], data.x)
+        for label, points in (g, h):
+            assert not check_general_position(points).ok, label
+            if d <= 4:
+                assert not digest(enumerate_linear_dichotomies(
+                    points)).startswith("raised:"), label

@@ -533,10 +533,10 @@ def _tie_rich_grids(rng, n):
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
 @pytest.mark.parametrize("n", [2, 3])
 def test_brute_does_not_depend_on_its_chunks(monkeypatch, n, loss):
-    # brute costs its labelings _SCORE_CHUNK at a time and takes the first
-    # least one. At chunk 1 every labeling is its own chunk, so labelings
-    # tied at the optimum, counted from the reference loop's costs, are in
-    # different chunks; the report stays the same bit for bit
+    # brute's _least costs its labelings _SCORE_CHUNK at a time and takes
+    # the least (cost, labels). At chunk 1 every labeling is its own chunk,
+    # so labelings tied at the optimum, counted from the reference loop's
+    # costs, are in different chunks; the report stays the same bit for bit
     data = list(_tie_rich_grids(np.random.default_rng(40 + n), n))
     want = [brute_force_solve(d, n, loss) for d in data]
     tied = []

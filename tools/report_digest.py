@@ -33,8 +33,10 @@ triples, and Gaussian points whose leading coordinates are scaled by 1e-5,
 1e-7, 1e-10, 1e-13 or 1e-20 in a few rows, as the lifted points of tiny
 regressors are), so a change to the geometry is compared bit for bit on
 its own, each set's row line followed by a line of check_general_position's
-report on it (ok, violations, sampled, checked_subsets). Elapsed times are
-left out.
+report on it (ok, violations, sampled, checked_subsets). The same two lines
+follow for the lifted (G) and regressor (H) points of the Partition
+reductions of PARTITIONS, sizes 2-6, whose points repeat every regressor
+and lie on many common hyperplanes. Elapsed times are left out.
 BLAS thread pools are pinned to one thread, as in benchmark/run.py.
 """
 
@@ -57,6 +59,8 @@ FITS = 3                        # seeded labelings fitted per sweep instance
 NEAR = range(960, 1000)         # draws of the near-collinear sweep digested
 TINY_SEEDS = range(3)           # generator seeds of the tiny-regressor draws
 TINY_SCALES = ("1e-13", "1e-20")
+PARTITIONS = ((1, 2), (3, 1, 2), (5, 3, 2, 4), (17, 13, 10, 6, 6),
+              (4, 8, 3, 5, 2, 6))       # multisets whose G and H are hashed
 
 
 def digest(outcome) -> str:
@@ -195,6 +199,16 @@ def point_sets(np):
         yield f"rows{i}-{kind}-m{m}-N{len(pts)}", pts
 
 
+def partition_point_sets(hardness):
+    """(label, points) for the lifted (G) and regressor (H) points of the
+    Partition reduction of each multiset in PARTITIONS."""
+    for s in PARTITIONS:
+        data = hardness.partition_to_instance(
+            hardness.PartitionInstance(s)).data
+        for kind, pts in (("G", data.lifted()), ("H", data.x)):
+            yield f"partition{len(s)}-{kind}-m{pts.shape[1]}-N{len(pts)}", pts
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
@@ -208,7 +222,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
     import numpy as np
     import workloads
-    from switchreg import core, datasets, geometry, solvers
+    from switchreg import core, datasets, geometry, hardness, solvers
     from switchreg.core import ABSOLUTE, SQUARED, Dataset
 
     for name in WORKLOAD_NAMES:
@@ -229,7 +243,7 @@ def main(argv=None) -> int:
                                           [2026, i]):
                 print(f"{label} {loss.kind} {name} {digest(out)}")
 
-    for label, points in point_sets(np):
+    for label, points in [*point_sets(np), *partition_point_sets(hardness)]:
         out = attempt(geometry.enumerate_linear_dichotomies, points)
         print(f"{label} {digest(out)}")
         out = attempt(geometry.check_general_position, points)
