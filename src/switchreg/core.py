@@ -256,12 +256,15 @@ def empirical_cost(data: Dataset, models: ModelSet, labeling: Labeling,
 
 
 def _assign_arrays(x, y, w, loss: LossModel):
-    """0-based min-loss labels for models w, plus the 0-based tied rows."""
-    losses = loss.residual_loss(y[:, None] - x @ w.T)      # (N, n)
-    near_min = losses <= losses.min(axis=1)[:, None] + ZERO_TOL
-    q0 = np.argmax(near_min, axis=1)                       # first mode within tol
-    tied = np.flatnonzero(near_min.sum(axis=1) >= 2)
-    return q0, tied
+    """0-based min-loss labels for models w (n, d), plus the 0-based tied
+    rows. For a stack w (K, n, d), as _cost_arrays takes, the (K, N) labels
+    and a boolean (K, N) tie mask: row k's labels, and the flatnonzero of
+    its mask, are bit for bit its own call's."""
+    losses = loss.residual_loss(y[:, None] - x @ np.swapaxes(w, -1, -2))
+    near_min = losses <= losses.min(axis=-1)[..., None] + ZERO_TOL
+    q0 = np.argmax(near_min, axis=-1)                      # first mode within tol
+    tied = near_min.sum(axis=-1) >= 2
+    return q0, (np.flatnonzero(tied) if w.ndim == 2 else tied)
 
 
 def assign_modes(data: Dataset, models: ModelSet, loss: LossModel) -> Labeling:
@@ -338,11 +341,11 @@ def _canonicalize_arrays(q0: np.ndarray, w: np.ndarray | None = None):
     """First-occurrence relabeling of 0-based label arrays, row by row.
 
     q0 is (..., N); each row along the last axis is relabeled on its own.
-    With model rows w (for a single row q0), also returns w permuted to
-    match: used modes in order of first occurrence, then the unused ones in
-    index order.
+    With model rows w, (n, d) for a single row q0 or (..., n, d) for a
+    stack, also returns each row's models permuted to match: used modes in
+    order of first occurrence, then the unused ones in index order.
     """
-    n = w.shape[0] if w is not None else int(q0.max(initial=-1)) + 1
+    n = w.shape[-2] if w is not None else int(q0.max(initial=-1)) + 1
     N = q0.shape[-1]
     hit = q0[..., None, :] == np.arange(n)[:, None]        # (..., n, N)
     first = np.where(hit.any(axis=-1), hit.argmax(axis=-1), N)
@@ -350,4 +353,4 @@ def _canonicalize_arrays(q0: np.ndarray, w: np.ndarray | None = None):
     q_new = np.take_along_axis(np.argsort(order, axis=-1), q0, axis=-1)
     if w is None:
         return q_new
-    return q_new, w[order]
+    return q_new, np.take_along_axis(w, order[..., None], axis=-2)

@@ -69,8 +69,9 @@ _ROUNDING = 8
 # Regions per batch of enumeration_solve's scorer, label rows per costing of
 # _least, subsets per _lstsq batch of _interpolants, interpolants
 # per slice of solve_mode_regression's L1 scan and of noiseless_solve's fit
-# check, and pool rows per stacked pool block of _fit_masks' table fit (the
-# masks of a batch times a slice of their pools): it bounds their (chunk,
+# check, pool rows per stacked pool block of _fit_masks' table fit (the
+# masks of a batch times a slice of their pools), and mode masks per
+# _refine stack of altmin_solve (n per restart): it bounds their (chunk,
 # N), (chunk, S), (chunk, n, d), SVD factor and (chunk, k) arrays.
 _SCORE_CHUNK = 1024
 
@@ -133,8 +134,9 @@ class SolveReport:
     occurrence). candidates_examined counts method-specific units: labelings
     for brute force, the P ** (n(n-1)/2) classifier combinations the
     candidates cover for enumeration, interpolation systems for the
-    noiseless solver, restarts for the heuristic, whose candidates, as
-    enumeration's and brute force's, are costed as one stack (_cost_arrays).
+    noiseless solver, restarts for the heuristic, which refines them all as
+    one stack (_refine); its candidates, as enumeration's and brute
+    force's, are costed as one stack (_least).
     """
 
     method: str
@@ -253,7 +255,11 @@ def _table(x, y, loss: LossModel):
 def _fit_masks(x, y, loss: LossModel, masks, table=None) -> np.ndarray:
     """The fits of the boolean (M, N) stack of masks, an (M, d) array whose
     row r is solve_mode_regression(x[mask_r], y[mask_r], loss) bit for bit;
-    an empty mask gives the zero vector.
+    an empty mask gives the zero vector. Every solver fits through it:
+    brute_force_solve and enumeration_solve once per solve (with the table
+    under absolute loss), fit_modes once, and _refine once per round, for
+    refine_alternate with no table and for altmin_solve, all its running
+    restarts at once, with the table under absolute loss.
 
     With no table, each row goes to solve_mode_regression, looked up on
     this module. Under absolute loss, table is _table(x, y, loss), and a
@@ -325,31 +331,56 @@ def refine_alternate(data: Dataset, models: ModelSet,
     Stops when the labeling repeats or a full round improves the cost by
     less than ZERO_TOL; the returned labeling is always the optimal
     assignment for the returned models, ties within ZERO_TOL going to the
-    first mode.
+    first mode. This is _refine on a stack of one, with no table: each
+    round's n fits reach solve_mode_regression through this module.
     """
     if models.d != data.d:
         raise ValueError(f"models have d={models.d}, data has d={data.d}")
-    x, y = data.x, data.y
-    n = models.n
-    w = models.w
-    q0, ties = _assign_arrays(x, y, w, loss)
-    costs = [_cost_arrays(x, y, w, q0, loss)]
-    prev_round = None
-    for _ in range(_MAX_REFINE_ROUNDS):
-        w = _fit_masks(x, y, loss, q0 == np.arange(n)[:, None])
-        costs.append(_cost_arrays(x, y, w, q0, loss))
-        new_q0, ties = _assign_arrays(x, y, w, loss)
-        costs.append(_cost_arrays(x, y, w, new_q0, loss))
-        stable = np.array_equal(new_q0, q0)
-        q0 = new_q0
-        if stable:
-            break
-        if prev_round is not None and prev_round - costs[-1] < ZERO_TOL:
-            break
-        prev_round = costs[-1]
-    return RefineResult(ModelSet(w),
-                        Labeling(q0 + 1, tie_set=(ties + 1).tolist()),
-                        tuple(costs))
+    w, q0, ties, costs = _refine(data.x, data.y, models.w[None], loss)
+    return RefineResult(ModelSet(w[0]),
+                        Labeling(q0[0] + 1,
+                                 tie_set=(np.flatnonzero(ties[0]) + 1).tolist()),
+                        tuple(costs[0]))
+
+
+def _refine(x, y, w, loss: LossModel, table=None):
+    """refine_alternate's rule on the (R, n, d) stack of model sets w at
+    once: (w, q0, ties, costs), the refined (R, n, d) models, their (R, N)
+    optimal labels and (R, N) tie mask, and each row's cost trace, a list
+    of floats. Each round takes one stacked _assign_arrays call, one
+    _fit_masks call on the (R n, N) mode masks (with table, _table(x, y,
+    loss), under absolute loss) and two stacked _cost_arrays calls, on the
+    rows still running; a row leaves the stack when its labeling repeats or
+    its round gains less than ZERO_TOL. Every row of each call is bit for
+    bit its own call, so each row's results are its own stack of one's.
+    """
+    R, n, d = w.shape
+    N = len(y)
+    q, ties = _assign_arrays(x, y, w, loss)
+    costs = [[c] for c in _cost_arrays(x, y, w, q, loss).tolist()]
+    out = np.empty(w.shape), np.empty_like(q), np.empty_like(ties)
+    run = np.arange(R)                          # the rows still running
+    prev = np.full(R, np.inf)                   # their last round's cost
+    for rounds in range(1, _MAX_REFINE_ROUNDS + 1):
+        masks = (q[:, None] == np.arange(n)[:, None]).reshape(-1, N)
+        w = _fit_masks(x, y, loss, masks, table).reshape(-1, n, d)
+        fitted = _cost_arrays(x, y, w, q, loss)
+        new_q, ties = _assign_arrays(x, y, w, loss)
+        assigned = _cost_arrays(x, y, w, new_q, loss)
+        for r, a, b in zip(run.tolist(), fitted.tolist(), assigned.tolist()):
+            costs[r] += a, b
+        stop = ((new_q == q).all(axis=1) | (prev - assigned < ZERO_TOL)
+                | (rounds == _MAX_REFINE_ROUNDS))
+        q, prev = new_q, assigned
+        if stop.all() and len(run) == R:        # every row stops at once
+            return w, q, ties, costs
+        if stop.any():
+            for kept, now in zip(out, (w, q, ties)):
+                kept[run[stop]] = now[stop]
+            if stop.all():
+                break
+            run, q, prev = run[~stop], q[~stop], prev[~stop]
+    return (*out, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -805,28 +836,35 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel,
                  cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Seeded multi-start alternating minimization. No optimality guarantee.
 
-    Each of cfg.restarts restarts interpolates n disjoint random d-subsets
-    for the initial models (falling back to Gaussian parameters when
-    N < n d), then refines. Deterministic for a fixed cfg.seed.
+    Restart r draws from default_rng([cfg.seed, r]) n disjoint random
+    d-subsets, whose interpolants (one _lstsq stack for all restarts) are
+    its initial models, or Gaussian parameters when N < n d. All restarts
+    are refined together, _SCORE_CHUNK // n at a time, by _refine with the
+    solve's _table under absolute loss: one _fit_masks call per round fits
+    every mode of every restart still running, and under absolute loss
+    the interpolant table is solved once per solve, as brute force and
+    enumeration solve it. Each restart's result is bit for bit its own
+    refine_alternate's; they are canonicalized and end in _least.
+    Deterministic for a fixed cfg.seed.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     t0 = time.perf_counter()
     x, y = data.x, data.y
     N, d = data.N, data.d
-
-    def restart(r):
-        rng = np.random.default_rng([cfg.seed, r])
-        if N >= n * d:
-            idx = rng.choice(N, size=n * d, replace=False).reshape(n, d)
-            w0 = _lstsq(x[idx], y[idx])
-        else:
-            w0 = rng.standard_normal((n, d))
-        models, labeling = refine_alternate(data, ModelSet(w0), loss)
-        return _canonicalize_arrays(labeling.q - 1, models.w)
-
-    q0s, ws = map(np.array, zip(*map(restart, range(cfg.restarts))))
-    q0, w = _least(x, y, loss, q0s, ws)
+    rngs = [np.random.default_rng([cfg.seed, r]) for r in range(cfg.restarts)]
+    if N >= n * d:
+        idx = np.array([rng.choice(N, size=n * d, replace=False)
+                        for rng in rngs]).reshape(-1, n, d)
+        w0 = _lstsq(x[idx], y[idx])
+    else:
+        w0 = np.array([rng.standard_normal((n, d)) for rng in rngs])
+    table = _table(x, y, loss)
+    step = max(1, _SCORE_CHUNK // n)
+    ws, q0s = map(np.concatenate, zip(*(
+        _refine(x, y, w0[lo:lo + step], loss, table)[:2]
+        for lo in range(0, len(w0), step))))
+    q0, w = _least(x, y, loss, *_canonicalize_arrays(q0s, ws))
     return _report("altmin", data, loss, q0, w, t0, cfg.restarts, "heuristic")
 
 

@@ -10,8 +10,8 @@ from switchreg import (ABSOLUTE, Dataset, Labeling, LossModel, ModelSet,
                        SIGN_TOL, SQUARED, ZERO_TOL, assign_modes,
                        canonicalize_labels, empirical_cost,
                        majority_vote_label, pairwise_classifiers_from_models)
-from switchreg.core import (PairwiseClassifier, _canonicalize_arrays,
-                            _cost_arrays)
+from switchreg.core import (PairwiseClassifier, _assign_arrays,
+                            _canonicalize_arrays, _cost_arrays)
 
 from conftest import min_cost_over_all_labelings, random_instance
 
@@ -130,6 +130,37 @@ def test_cost_arrays_is_the_mean_of_the_residual_losses(loss):
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
             assert stacked[k].tobytes() == np.float64(want).tobytes(), \
                 (trial, k)
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+def test_stacked_assignment_rows_are_their_own_calls(loss):
+    # a (K, n, d) stack of model sets assigned in one call: each row's
+    # labels, and the points its tie mask marks, bit for bit its own call's,
+    # on sizes either side of numpy's blocks; integer data and repeated
+    # modes make ties
+    rng = np.random.default_rng(32)
+    tied = 0
+    for trial in range(200):
+        N, d = int(rng.integers(1, 300)), int(rng.integers(1, 12))
+        n, K = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        if trial % 2:
+            x = rng.integers(-2, 3, size=(N, d)).astype(float)
+            y = rng.integers(-2, 3, size=N).astype(float)
+            w = rng.integers(-1, 2, size=(K, n, d)).astype(float)
+        else:
+            x = rng.standard_normal((N, d)) * 10.0 ** rng.integers(-8, 9)
+            y = rng.standard_normal(N) * 10.0 ** rng.integers(-8, 9)
+            w = rng.standard_normal((K, n, d))
+            w[:, -1] = w[:, 0]
+        q0, ties = _assign_arrays(x, y, w, loss)
+        assert q0.shape == ties.shape == (K, N), trial
+        for k in range(K):
+            want_q0, want_ties = _assign_arrays(x, y, w[k], loss)
+            assert q0[k].tobytes() == want_q0.tobytes(), (trial, k)
+            assert np.flatnonzero(ties[k]).tobytes() == want_ties.tobytes(), \
+                (trial, k)
+            tied += len(want_ties)
+    assert tied
 
 
 def test_cost_of_an_overflowing_residual_is_refused():
@@ -354,6 +385,13 @@ def test_canonicalize_arrays_permutes_model_rows():
         remap = {}
         assert got.tolist() == [remap.setdefault(v, len(remap))
                                 for v in row.tolist()]
+    # and with a (C, n, d) stack of models, each row's models permute with it
+    ws = np.random.default_rng(6).standard_normal((30, 4, 2))
+    q_batch, w_batch = _canonicalize_arrays(rows, ws)
+    for row, w, got_q, got_w in zip(rows, ws, q_batch, w_batch):
+        want_q, want_w = _canonicalize_arrays(row, w)
+        assert got_q.tolist() == want_q.tolist()
+        assert got_w.tobytes() == want_w.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from switchreg import (ABSOLUTE, CapsExceededError, Dataset, Labeling,
                        noiseless_solve, refine_alternate, solve_instance,
                        solve_mode_regression)
 from switchreg import geometry, solvers
-from switchreg.core import _canonicalize_arrays, _cost_arrays
+from switchreg.core import _assign_arrays, _canonicalize_arrays, _cost_arrays
 from switchreg.datasets import GeneratorSpec, generate_instance
 from switchreg.hardness import PartitionInstance, partition_to_instance
-from switchreg.solvers import CandidateStream, SolveReport
+from switchreg.solvers import CandidateStream, RefineResult, SolveReport
 
 from conftest import (l1_interpolant_oracle, lstsq_brute_cost,
                       random_instance, report_digest)
@@ -208,6 +208,89 @@ def test_refine_output_is_assignment_fixpoint():
     res = refine_alternate(data, ModelSet(rng.standard_normal((2, 2))), SQUARED)
     again = assign_modes(data, res.models, SQUARED)
     assert np.array_equal(again.q, res.labeling.q)
+
+
+def test_refine_stops_on_a_round_that_gains_less_than_zero_tol():
+    # the second round moves the labeling at no gain in cost: refinement
+    # stops there, though the labeling did not repeat
+    data = Dataset([[0.0], [1.0], [2.0], [-2.0], [0.0], [1.0], [1.0]],
+                   [2.0, 1.0, -2.0, 2.0, -2.0, -1.0, 0.0])
+    models = ModelSet([[-2.0], [-2.0]])
+    labels = [assign_modes(data, models, ABSOLUTE)]
+    for _ in range(2):
+        models = fit_modes(data, labels[-1], 2, ABSOLUTE)
+        labels.append(assign_modes(data, models, ABSOLUTE))
+    res = refine_alternate(data, ModelSet([[-2.0], [-2.0]]), ABSOLUTE)
+    assert len(res.costs) == 5 and res.costs[2] == res.costs[4]
+    assert labels[2] != labels[1]
+    assert res.models == models and res.labeling == labels[2]
+
+
+def _reference_refine(data, models, loss):
+    """refine_alternate as one model set's loop of its own, the rule the
+    stacked _refine stands for."""
+    x, y = data.x, data.y
+    n = models.n
+    w = models.w
+    q0, ties = _assign_arrays(x, y, w, loss)
+    costs = [_cost_arrays(x, y, w, q0, loss)]
+    prev_round = None
+    for _ in range(solvers._MAX_REFINE_ROUNDS):
+        w = solvers._fit_masks(x, y, loss, q0 == np.arange(n)[:, None])
+        costs.append(_cost_arrays(x, y, w, q0, loss))
+        new_q0, ties = _assign_arrays(x, y, w, loss)
+        costs.append(_cost_arrays(x, y, w, new_q0, loss))
+        stable = np.array_equal(new_q0, q0)
+        q0 = new_q0
+        if stable:
+            break
+        if prev_round is not None and prev_round - costs[-1] < ZERO_TOL:
+            break
+        prev_round = costs[-1]
+    return RefineResult(ModelSet(w),
+                        Labeling(q0 + 1, tie_set=(ties + 1).tolist()),
+                        tuple(costs))
+
+
+def _refine_datasets(rng, n):
+    """Grid data with a zero regressor, generator data, and data with
+    fewer than n d points, at d = 1-3."""
+    for d in (1, 2, 3):
+        x = rng.integers(-2, 3, size=(7, d)).astype(float)
+        x[1] = 0.0
+        yield f"grid-d{d}", Dataset(x, rng.integers(-2, 3, size=7).astype(float))
+        yield f"gen-d{d}", generate_instance(GeneratorSpec(
+            n=2, d=d, N=8, noise_sigma=0.1, seed=int(rng.integers(100))))[0]
+        N = max(1, n * d - 1)
+        yield f"few-d{d}", Dataset(rng.standard_normal((N, d)),
+                                   rng.standard_normal(N))
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_refine_equals_the_reference_loop(n, loss):
+    # each row of a stack is its own reference refinement, bit for bit, with
+    # or without the table, though past one mode the rows stop at different
+    # rounds (one mode's labeling repeats after one round)
+    rng = np.random.default_rng(40 + 10 * n + (loss is ABSOLUTE))
+    staggered = False
+    for name, data in _refine_datasets(rng, n):
+        x, y = data.x, data.y
+        tables = [None] if loss is SQUARED else [None, solvers._table(x, y, loss)]
+        for table, R in itertools.product(tables, (1, 3, 10)):
+            w0 = rng.standard_normal((R, n, data.d)) * 2.0
+            w, q0, ties, costs = solvers._refine(x, y, w0, loss, table)
+            for r in range(R):
+                want = _reference_refine(data, ModelSet(w0[r]), loss)
+                where = (name, table is None, R, r)
+                assert w[r].tobytes() == want.models.w.tobytes(), where
+                assert (q0[r] + 1).tolist() == want.labeling.q.tolist(), where
+                assert tuple(np.flatnonzero(ties[r]) + 1) == \
+                    want.labeling.tie_set, where
+                assert [c.hex() for c in costs[r]] == \
+                    [c.hex() for c in want.costs], where
+            staggered |= len({len(c) for c in costs}) > 1
+    assert staggered is (n > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,8 +1134,9 @@ def test_enum_refits_its_near_window_as_one_stack(monkeypatch, loss):
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
 def test_fits_enter_through_one_stacked_call(monkeypatch, loss):
     # brute, enum and fit_modes fit their modes in one _fit_masks call, and
-    # refine_alternate in one per round; with no table (squared loss, and
-    # fit_modes and refine_alternate under either loss) every row reaches
+    # refine_alternate and altmin (all its running restarts) in one per
+    # round; with no table (squared loss, and fit_modes and
+    # refine_alternate under either loss) every row reaches
     # solve_mode_regression through the module, where the benchmark's
     # tracer wraps it
     fit_masks, regression = solvers._fit_masks, solvers.solve_mode_regression
@@ -1091,6 +1175,16 @@ def test_fits_enter_through_one_stacked_call(monkeypatch, loss):
         assert stacks == [n] * len(stacks) and len(rows) == n * len(stacks)
         refined.append(len(stacks))
     assert max(refined) > 1, refined
+    cfg = SolverConfig(restarts=6, seed=3)
+    rounds = [(len(_reference_refine(
+        data, ModelSet(_reference_start(data, n, cfg.seed, r)), loss).costs)
+        - 1) // 2 for r in range(cfg.restarts)]
+    del stacks[:], rows[:]
+    altmin_solve(data, n, loss, cfg)
+    assert stacks == [n * sum(k > i for k in rounds)
+                      for i in range(max(rounds))]
+    assert len(rows) == (sum(stacks) if loss is SQUARED else 0)
+    assert len(set(rounds)) > 1, rounds
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1512,6 +1606,46 @@ def test_altmin_local_minimum_stays_above_exact_cost():
     stuck = altmin_solve(data, 2, SQUARED, SolverConfig(restarts=1))
     assert stuck.cost > exact.cost + 1e-6
     assert stuck.cost >= exact.cost - 1e-9
+
+
+def _reference_start(data, n, seed, r):
+    """Restart r's initial models: interpolants of n disjoint random
+    d-subsets, or Gaussian parameters below n d points."""
+    rng = np.random.default_rng([seed, r])
+    if data.N >= n * data.d:
+        idx = rng.choice(data.N, size=n * data.d, replace=False)
+        idx = idx.reshape(n, data.d)
+        return solvers._lstsq(data.x[idx], data.y[idx])
+    return rng.standard_normal((n, data.d))
+
+
+def _reference_altmin(data, n, loss, cfg):
+    """altmin as a loop over its restarts, each refined on its own by
+    _reference_refine, canonicalized and picked by _least."""
+    def restart(r):
+        w0 = _reference_start(data, n, cfg.seed, r)
+        models, labeling = _reference_refine(data, ModelSet(w0), loss)
+        return _canonicalize_arrays(labeling.q - 1, models.w)
+
+    q0s, ws = map(np.array, zip(*map(restart, range(cfg.restarts))))
+    q0, w = solvers._least(data.x, data.y, loss, q0s, ws)
+    return solvers._report("altmin", data, loss, q0, w, 0.0, cfg.restarts,
+                           "heuristic")
+
+
+@pytest.mark.parametrize("chunk", [1024, 5])
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_altmin_equals_the_reference_loop(monkeypatch, n, loss, chunk):
+    # one stack of restarts, or stacks of _SCORE_CHUNK // n of them, give
+    # the reference's report, digest for digest
+    monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
+    rng = np.random.default_rng(60 + 10 * n + (loss is ABSOLUTE))
+    for (name, data), seed in zip(_refine_datasets(rng, n), itertools.count()):
+        cfg = SolverConfig(restarts=7, seed=seed)
+        got = altmin_solve(data, n, loss, cfg)
+        want = _reference_altmin(data, n, loss, cfg)
+        assert report_digest.digest(got) == report_digest.digest(want), name
 
 
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)

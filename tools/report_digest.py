@@ -5,6 +5,10 @@
     python3 tools/report_digest.py --root ../old --seed 113 --rounds 8 > old.txt
     diff old.txt new.txt
 
+--values ends each solve report's line (and each decision's) with the
+repr of its cost, to show how far a moved line moved; without it the output
+is the same, byte for byte.
+
 --root names the checkout whose src/ and benchmark/workloads.py are
 imported (default: the one holding this script), so the script also digests
 checkouts that predate it. Each line is a label and a SHA-256 prefix of one
@@ -102,6 +106,15 @@ def digest(outcome) -> str:
     if report is not outcome:
         h.update(f"|answer={outcome.answer}".encode())
     return h.hexdigest()[:16]
+
+
+def line(label, outcome, values=False) -> str:
+    """The label and digest of an outcome, then, with values, the repr of
+    its cost where it is a solve report or a decision."""
+    report = getattr(outcome, "report", outcome)
+    cost = getattr(report, "cost", None) if values else None
+    return f"{label} {digest(outcome)}" + (
+        "" if cost is None else f" {float(cost)!r}")
 
 
 def attempt(fn, *args):
@@ -215,6 +228,8 @@ def main(argv=None) -> int:
                    help="checkout to import src/ and benchmark/ from")
     p.add_argument("--seed", type=int, default=113)
     p.add_argument("--rounds", type=int, default=8)
+    p.add_argument("--values", action="store_true",
+                   help="end each report line with the repr of its cost")
     args = p.parse_args(argv)
     for var in THREAD_VARS:
         os.environ[var] = "1"
@@ -231,14 +246,15 @@ def main(argv=None) -> int:
             for job in jobs:
                 for method in job.methods:
                     out = attempt(workloads.call, job, method)
-                    print(f"{name} r{r} {job.label} {method} {digest(out)}")
+                    print(line(f"{name} r{r} {job.label} {method}", out,
+                               args.values))
 
     for i, (label, data, n) in enumerate(sweep_instances(np, Dataset,
                                                               datasets)):
         for loss in (SQUARED, ABSOLUTE):
             for method in solvers.SOLVER_METHODS:
                 out = attempt(solvers.solve_instance, data, n, loss, method)
-                print(f"{label} {loss.kind} {method} {digest(out)}")
+                print(line(f"{label} {loss.kind} {method}", out, args.values))
             for name, out in fit_outcomes(np, solvers, core, data, n, loss,
                                           [2026, i]):
                 print(f"{label} {loss.kind} {name} {digest(out)}")
