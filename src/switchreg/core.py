@@ -256,15 +256,14 @@ def empirical_cost(data: Dataset, models: ModelSet, labeling: Labeling,
 
 
 def _assign_arrays(x, y, w, loss: LossModel):
-    """0-based min-loss labels for models w (n, d), plus the 0-based tied
-    rows. For a stack w (K, n, d), as _cost_arrays takes, the (K, N) labels
-    and a boolean (K, N) tie mask: row k's labels, and the flatnonzero of
-    its mask, are bit for bit its own call's."""
+    """0-based min-loss labels for models w (n, d), plus the boolean mask
+    of the points where two modes tie within ZERO_TOL, both (N,). For a
+    stack w (K, n, d), as _cost_arrays takes, both are (K, N), and row k
+    is bit for bit its own call's."""
     losses = loss.residual_loss(y[:, None] - x @ np.swapaxes(w, -1, -2))
     near_min = losses <= losses.min(axis=-1)[..., None] + ZERO_TOL
     q0 = np.argmax(near_min, axis=-1)                      # first mode within tol
-    tied = near_min.sum(axis=-1) >= 2
-    return q0, (np.flatnonzero(tied) if w.ndim == 2 else tied)
+    return q0, near_min.sum(axis=-1) >= 2
 
 
 def assign_modes(data: Dataset, models: ModelSet, loss: LossModel) -> Labeling:
@@ -276,7 +275,7 @@ def assign_modes(data: Dataset, models: ModelSet, loss: LossModel) -> Labeling:
     if models.d != data.d:
         raise ValueError(f"models have d={models.d}, data has d={data.d}")
     q0, tied = _assign_arrays(data.x, data.y, models.w, loss)
-    return Labeling(q0 + 1, tie_set=(tied + 1).tolist())
+    return Labeling(q0 + 1, tie_set=(np.flatnonzero(tied) + 1).tolist())
 
 
 def pairwise_classifiers_from_models(models: ModelSet) -> list[PairwiseClassifier]:

@@ -104,13 +104,10 @@ def check_general_position(points) -> GeneralPositionReport:
     The rows are scaled by _unit_points, as the enumeration scales its
     points, and a subset is flagged when the enumeration's rank test, _rank
     at SIGN_TOL, gives its unit rows rank m or less, so scaling a column
-    changes no verdict. As in _rays, one batched determinant first clears
-    the subsets whose |det| proves them independent (above 2 SIGN_TOL
-    (m+1)^((m+1)/2)); only the rest take the stacked SVD and _rank. Input
-    that is not 2-D, named by its own shape, or not finite is refused with
-    _unit_points' messages. Exhaustive over all (m+1)-subsets when there
-    are at most 20,000 of them, otherwise 2,000 random subsets (seed 0) are
-    tested and the report says so.
+    changes no verdict. Input that is not 2-D, named by its own shape, or
+    not finite is refused with _unit_points' messages. Exhaustive over all
+    (m+1)-subsets when there are at most 20,000 of them, otherwise 2,000
+    random subsets (seed 0) are tested and the report says so.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -133,14 +130,10 @@ def check_general_position(points) -> GeneralPositionReport:
             subsets[:, j] = r + (taken <= r[:, None]).sum(axis=1)
 
     rows = unit[subsets]                           # (K, m+1, m+1)
-    # the unit rows' singular values are at most sqrt(m+1), so s_min >=
-    # |det| / (m+1)^(m/2); _rank flags only s_min <= sqrt(m+1) SIGN_TOL
-    doubt = np.flatnonzero(np.abs(np.linalg.det(rows))
-                           <= 2 * (m + 1) ** ((m + 1) / 2) * SIGN_TOL)
-    _, _, vt = np.linalg.svd(rows[doubt])
-    bad = doubt[_rank(rows[doubt], vt) <= m]
+    _, _, vt = np.linalg.svd(rows)
+    bad = _rank(rows, vt) <= m
     violations = tuple(tuple(int(i) + 1 for i in subsets[r])
-                       for r in bad[:64])
+                       for r in np.flatnonzero(bad)[:64])
     return GeneralPositionReport(ok=not violations, violations=violations,
                                  sampled=sampled, checked_subsets=len(subsets))
 

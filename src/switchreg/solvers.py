@@ -372,8 +372,6 @@ def _refine(x, y, w, loss: LossModel, table=None):
         stop = ((new_q == q).all(axis=1) | (prev - assigned < ZERO_TOL)
                 | (rounds == _MAX_REFINE_ROUNDS))
         q, prev = new_q, assigned
-        if stop.all() and len(run) == R:        # every row stops at once
-            return w, q, ties, costs
         if stop.any():
             for kept, now in zip(out, (w, q, ties)):
                 kept[run[stop]] = now[stop]
@@ -406,10 +404,10 @@ def _report(method: str, data: Dataset, loss: LossModel, q0, w,
     points where two modes tie within ZERO_TOL. Ties are per point, so
     permuting the modes leaves them the same."""
     x, y = data.x, data.y
-    _, ties = _assign_arrays(x, y, w, loss)
+    ties = np.flatnonzero(_assign_arrays(x, y, w, loss)[1]) + 1
     return SolveReport(method=method, cost=_cost_arrays(x, y, w, q0, loss),
                        models=ModelSet(w),
-                       labeling=Labeling(q0 + 1, tie_set=(ties + 1).tolist()),
+                       labeling=Labeling(q0 + 1, tie_set=ties.tolist()),
                        candidates_examined=examined,
                        elapsed=time.perf_counter() - t0, status=status)
 

@@ -72,19 +72,18 @@ def test_position_check_digests_its_verdict():
     assert len(lines) == 1 + len(changed)
 
 
-def test_values_end_each_report_line_with_its_cost(monkeypatch, capsys):
-    # --values appends repr(cost) to the solve and decision lines and to no
-    # other; without it each line is the label and digest alone
+def test_report_lines_end_with_their_cost(monkeypatch, capsys):
+    # the solve and decision lines end with the repr of their cost, and no
+    # other line does
     report = _report()
     decision = decide_threshold(partition_to_instance(PartitionInstance(
         (1, 2, 3))), method="brute")
     for out, cost in ((report, report.cost), (decision, decision.report.cost)):
-        assert report_digest.line("a b", out) == f"a b {digest(out)}"
-        assert report_digest.line("a b", out, True) == \
+        assert report_digest.line("a b", out) == \
             f"a b {digest(out)} {float(cost)!r}"
     for out in (ValueError("x"), report.models, check_general_position(
             np.eye(2))):
-        assert report_digest.line("a", out, True) == f"a {digest(out)}"
+        assert report_digest.line("a", out) == f"a {digest(out)}"
     # a shortened run of the script itself
     for name, value in (("SWEEP", 4), ("NEAR", range(0)),
                         ("TINY_SEEDS", range(0)), ("POINT_SETS", 2),
@@ -93,20 +92,18 @@ def test_values_end_each_report_line_with_its_cost(monkeypatch, capsys):
     for var in report_digest.THREAD_VARS:
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", list(sys.path))
-    runs = []
-    for flags in ([], ["--values"]):
-        assert report_digest.main(["--rounds", "1", *flags]) == 0
-        runs.append(capsys.readouterr().out.splitlines())
-    plain, valued = runs
-    assert len(plain) == len(valued)
-    extended = 0
-    for a, b in zip(plain, valued):
-        if a != b:
-            head, value = b.rsplit(" ", 1)
-            assert head == a and repr(float(value)) == value, b
-            assert " gp " not in a and " fit" not in a, a
-            extended += 1
-    assert extended > len(plain) // 2
+    assert report_digest.main(["--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    valued = [text for text in lines if _is_cost(text.rsplit(" ", 1)[1])]
+    assert len(valued) > len(lines) // 2
+    assert not [text for text in valued if " gp " in text or " fit" in text]
+
+
+def _is_cost(token):
+    try:
+        return repr(float(token)) == token
+    except ValueError:                   # a digest
+        return False
 
 
 def test_exception_digests_as_raised():

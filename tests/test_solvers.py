@@ -248,7 +248,8 @@ def _reference_refine(data, models, loss):
             break
         prev_round = costs[-1]
     return RefineResult(ModelSet(w),
-                        Labeling(q0 + 1, tie_set=(ties + 1).tolist()),
+                        Labeling(q0 + 1,
+                                 tie_set=(np.flatnonzero(ties) + 1).tolist()),
                         tuple(costs))
 
 

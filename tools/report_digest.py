@@ -5,16 +5,14 @@
     python3 tools/report_digest.py --root ../old --seed 113 --rounds 8 > old.txt
     diff old.txt new.txt
 
---values ends each solve report's line (and each decision's) with the
-repr of its cost, to show how far a moved line moved; without it the output
-is the same, byte for byte.
-
 --root names the checkout whose src/ and benchmark/workloads.py are
 imported (default: the one holding this script), so the script also digests
 checkouts that predate it. Each line is a label and a SHA-256 prefix of one
 call's outcome: the cost's bits, the models' bytes, the labels, the tie set,
 the status and candidates_examined, plus the answer of a Partition decision;
-a call that raised hashes its exception's type and message. The lines cover
+a call that raised hashes its exception's type and message. A solve
+report's line, and a decision's, ends with the repr of its cost, so a moved
+line shows how far it moved. The lines cover
 every call of every benchmark workload for the given rounds at the seed,
 then a fixed sweep of random instances (n 1-3, d 1-3, both losses, Gaussian
 and integer-grid data with zero regressors and repeated rows) solved by
@@ -108,11 +106,10 @@ def digest(outcome) -> str:
     return h.hexdigest()[:16]
 
 
-def line(label, outcome, values=False) -> str:
-    """The label and digest of an outcome, then, with values, the repr of
-    its cost where it is a solve report or a decision."""
-    report = getattr(outcome, "report", outcome)
-    cost = getattr(report, "cost", None) if values else None
+def line(label, outcome) -> str:
+    """The label and digest of an outcome, then the repr of its cost where
+    it is a solve report or a decision."""
+    cost = getattr(getattr(outcome, "report", outcome), "cost", None)
     return f"{label} {digest(outcome)}" + (
         "" if cost is None else f" {float(cost)!r}")
 
@@ -228,8 +225,6 @@ def main(argv=None) -> int:
                    help="checkout to import src/ and benchmark/ from")
     p.add_argument("--seed", type=int, default=113)
     p.add_argument("--rounds", type=int, default=8)
-    p.add_argument("--values", action="store_true",
-                   help="end each report line with the repr of its cost")
     args = p.parse_args(argv)
     for var in THREAD_VARS:
         os.environ[var] = "1"
@@ -246,15 +241,14 @@ def main(argv=None) -> int:
             for job in jobs:
                 for method in job.methods:
                     out = attempt(workloads.call, job, method)
-                    print(line(f"{name} r{r} {job.label} {method}", out,
-                               args.values))
+                    print(line(f"{name} r{r} {job.label} {method}", out))
 
     for i, (label, data, n) in enumerate(sweep_instances(np, Dataset,
                                                               datasets)):
         for loss in (SQUARED, ABSOLUTE):
             for method in solvers.SOLVER_METHODS:
                 out = attempt(solvers.solve_instance, data, n, loss, method)
-                print(line(f"{label} {loss.kind} {method}", out, args.values))
+                print(line(f"{label} {loss.kind} {method}", out))
             for name, out in fit_outcomes(np, solvers, core, data, n, loss,
                                           [2026, i]):
                 print(f"{label} {loss.kind} {name} {digest(out)}")
