@@ -225,34 +225,28 @@ def _strict_sign(v: float) -> int:
     return 0
 
 
-def _predict(x: np.ndarray, w: np.ndarray, q0: np.ndarray) -> np.ndarray:
-    """Per-point predictions w_{q_i} . x_i with 0-based labels q0."""
-    return np.einsum("ij,ij->i", x, w[q0])
-
-
-def _cost_arrays(x, y, w, q0, loss: LossModel):
-    """Mean loss of each point under its mode, np.mean(residual_loss(r)) bit
-    for bit (an add.reduce and one true divide): a float for one labeling q0
-    (N,) under models w (n, d), and for a stack q0 (K, N) under w (K, n, d)
-    the (K,) costs of its rows, each bit for bit that row's own call."""
-    if q0.ndim == 1:
-        r = y - _predict(x, w, q0)
-    else:
-        r = y - np.einsum("ij,kij->ki", x, w[np.arange(len(q0))[:, None], q0])
-    costs = loss.residual_loss(r).sum(axis=-1) / r.shape[-1]
-    return float(costs) if q0.ndim == 1 else costs
+def _cost_arrays(x, y, w, q0, loss: LossModel) -> np.ndarray:
+    """Mean loss of each point under its mode, for each row of the (K, N)
+    stack of 0-based labelings q0 under its own models in the (K, n, d)
+    stack w: (K,) costs, each np.mean(residual_loss(r)) of its row bit for
+    bit (an add.reduce and one true divide), so a row costs the same in
+    any stack. One labeling is a stack of one (empirical_cost)."""
+    r = y - np.einsum("ij,kij->ki", x, w[np.arange(len(q0))[:, None], q0])
+    return loss.residual_loss(r).sum(axis=1) / r.shape[1]
 
 
 def empirical_cost(data: Dataset, models: ModelSet, labeling: Labeling,
                    loss: LossModel) -> float:
-    """Average loss of each point under its assigned mode."""
+    """Average loss of each point under its assigned mode: _cost_arrays on
+    a stack of one, so bit for bit each solver's reported cost."""
     if labeling.N != data.N:
         raise ValueError(f"labeling covers {labeling.N} points, data has {data.N}")
     if models.d != data.d:
         raise ValueError(f"models have d={models.d}, data has d={data.d}")
     if np.any(labeling.q > models.n):
         raise ValueError(f"label exceeds the number of modes n={models.n}")
-    return _cost_arrays(data.x, data.y, models.w, labeling.q - 1, loss)
+    return float(_cost_arrays(data.x, data.y, models.w[None],
+                              labeling.q[None] - 1, loss)[0])
 
 
 def _assign_arrays(x, y, w, loss: LossModel):

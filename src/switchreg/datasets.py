@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Labeling, ModelSet, _predict
+from .core import Dataset, Labeling, ModelSet
 
 __all__ = [
     "GeneratorSpec",
@@ -101,7 +101,8 @@ def generate_instance(spec: GeneratorSpec) -> tuple[Dataset, ModelSet, Labeling]
                 others = [j for j in range(spec.n) if j != q0[i - 1]]
                 q0[i] = others[rng.integers(0, len(others))]
 
-    y = _predict(x, w, q0) + spec.noise_sigma * rng.standard_normal(spec.N)
+    y = (np.einsum("ij,ij->i", x, w[q0])
+         + spec.noise_sigma * rng.standard_normal(spec.N))
     return Dataset(x, y), ModelSet(w), Labeling(q0 + 1)
 
 

@@ -130,13 +130,14 @@ class SolveReport:
     """Outcome of a solver run.
 
     cost always equals the empirical cost of (models, labeling) on the data
-    it was computed for; labeling is canonical (modes numbered by first
-    occurrence). candidates_examined counts method-specific units: labelings
-    for brute force, the P ** (n(n-1)/2) classifier combinations the
-    candidates cover for enumeration, interpolation systems for the
-    noiseless solver, restarts for the heuristic, which refines them all as
-    one stack (_refine); its candidates, as enumeration's and brute
-    force's, are costed as one stack (_least).
+    it was computed for, bit for bit: every solver ends in one _least call,
+    which costs its candidates as one stack (the noiseless solver's a stack
+    of one) and builds the report of the least. labeling is canonical
+    (modes numbered by first occurrence). candidates_examined counts
+    method-specific units: labelings for brute force, the P ** (n(n-1)/2)
+    classifier combinations the candidates cover for enumeration,
+    interpolation systems for the noiseless solver, restarts for the
+    heuristic, which refines them all as one stack (_refine).
     """
 
     method: str
@@ -385,29 +386,28 @@ def _refine(x, y, w, loss: LossModel, table=None):
 # The end of every solve
 
 
-def _least(x, y, loss: LossModel, q0s, ws):
-    """The (q0, w) row of the stacks q0s (K, N) and ws (K, n, d) with the
-    least (cost, labels), costed by _cost_arrays _SCORE_CHUNK rows at a
-    time; ties on cost keep the lexicographically smallest label row, the
-    first of equal ones, so the choice does not depend on the rows' order."""
-    at = range(_SCORE_CHUNK, len(q0s), _SCORE_CHUNK)
-    costs = np.concatenate([_cost_arrays(x, y, w, q0, loss) for q0, w in
-                            zip(np.split(q0s, at), np.split(ws, at))])
+def _least(method: str, data: Dataset, loss: LossModel, q0s, ws,
+           t0: float, examined: int, status: str) -> SolveReport:
+    """The end of every solve: the SolveReport of the row with the least
+    (cost, labels) of the stacks q0s (K, N) of 0-based labels and ws
+    (K, n, d) of models. The rows are costed by _cost_arrays _SCORE_CHUNK
+    at a time, each bit for bit as alone, so the report's cost is
+    empirical_cost's of its models and labeling. Ties on cost keep the
+    lexicographically smallest label row, the first of equal ones, so the
+    choice does not depend on the rows' order. The tie set is the points
+    where two of the picked models tie within ZERO_TOL: ties are per
+    point, so permuting the modes leaves them the same."""
+    x, y = data.x, data.y
+    costs = np.concatenate([
+        _cost_arrays(x, y, ws[lo:lo + _SCORE_CHUNK],
+                     q0s[lo:lo + _SCORE_CHUNK], loss)
+        for lo in range(0, len(q0s), _SCORE_CHUNK)])
     tied = np.flatnonzero(costs == costs.min())
     r = tied[np.lexsort(q0s[tied].T[::-1])[0]]
-    return q0s[r], ws[r]
-
-
-def _report(method: str, data: Dataset, loss: LossModel, q0, w,
-            t0: float, examined: int, status: str) -> SolveReport:
-    """The SolveReport of the 0-based labels q0 under the models w, with the
-    points where two modes tie within ZERO_TOL. Ties are per point, so
-    permuting the modes leaves them the same."""
-    x, y = data.x, data.y
-    ties = np.flatnonzero(_assign_arrays(x, y, w, loss)[1]) + 1
-    return SolveReport(method=method, cost=_cost_arrays(x, y, w, q0, loss),
-                       models=ModelSet(w),
-                       labeling=Labeling(q0 + 1, tie_set=ties.tolist()),
+    ties = np.flatnonzero(_assign_arrays(x, y, ws[r], loss)[1]) + 1
+    return SolveReport(method=method, cost=float(costs[r]),
+                       models=ModelSet(ws[r]),
+                       labeling=Labeling(q0s[r] + 1, tie_set=ties.tolist()),
                        candidates_examined=examined,
                        elapsed=time.perf_counter() - t0, status=status)
 
@@ -448,9 +448,9 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     one _fit_masks call on their stack (with the _table under absolute
     loss), into rows of d floats: 2^N rows at n >= 2, where every subset,
     the empty one included, is a mode of some labeling, and one at n = 1.
-    The labelings and their (L, n, d) fits end in _least, as enum's and
-    altmin's do. Nothing is shared with the enumeration solver's region
-    scorer (_region_costs) or CandidateStream, whose oracle this is.
+    The labelings and their (L, n, d) fits end in _least, as every
+    solver's candidates do. Nothing is shared with the enumeration solver's
+    region scorer (_region_costs) or CandidateStream, whose oracle this is.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -463,8 +463,8 @@ def brute_force_solve(data: Dataset, n: int, loss: LossModel,
     _, first, back = np.unique(_packed_keys(masks), return_index=True,
                                return_inverse=True)
     fits = _fit_masks(x, y, loss, masks[first], _table(x, y, loss))
-    q0, w = _least(x, y, loss, labels, fits[back.reshape(n, -1).T])
-    return _report("brute", data, loss, q0, w, t0, len(labels), "optimal")
+    return _least("brute", data, loss, labels, fits[back.reshape(n, -1).T],
+                  t0, len(labels), "optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +727,8 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     labels = stream.regions[near].argmax(axis=1)                # (K, N)
     masks = (labels[:, None] == np.arange(n)[:, None]).reshape(-1, data.N)
     fits = _fit_masks(x, y, loss, masks, table).reshape(-1, n, data.d)
-    q0, w = _least(x, y, loss, labels, fits)
-    return _report("enum", data, loss, q0, w, t0,
-                   stream.combinations_examined, "optimal")
+    return _least("enum", data, loss, labels, fits, t0,
+                  stream.combinations_examined, "optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +748,9 @@ def noiseless_solve(data: Dataset, n: int,
     the best greedy collection (none from an empty pool: zero models) is
     reported with status infeasible, meaning no exact fit was certified.
     cfg.candidate_budget bounds both the d-subsets and the nodes of the
-    cover search. Two known limits: it refuses N < d, and it says infeasible
-    when a mode of a zero-cost fit has fewer than d points, as
+    cover search. The chosen models' canonical assignment ends in _least as
+    a stack of one. Two known limits: it refuses N < d, and it says
+    infeasible when a mode of a zero-cost fit has fewer than d points, as
     x = [[1, 1], [2, 2]], y = [1, 0] at n = 2.
     """
     t0 = time.perf_counter()
@@ -785,10 +785,9 @@ def noiseless_solve(data: Dataset, n: int,
             w = cand_w[chosen + chosen[:1] * (n - len(chosen))]
         else:
             w = np.zeros((n, d))
-        q0, _ = _assign_arrays(x, y, w, SQUARED)
-        return _report("noiseless", data, SQUARED,
-                       *_canonicalize_arrays(q0, w), t0, len(subsets),
-                       status)
+        q0, w = _canonicalize_arrays(_assign_arrays(x, y, w, SQUARED)[0], w)
+        return _least("noiseless", data, SQUARED, q0[None], w[None], t0,
+                      len(subsets), status)
 
     max_size = int(fit_matrix[:1].sum())     # the rows descend in size
     by_point = [np.flatnonzero(fit_matrix[:, i]) for i in range(N)]
@@ -862,8 +861,8 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel,
     ws, q0s = map(np.concatenate, zip(*(
         _refine(x, y, w0[lo:lo + step], loss, table)[:2]
         for lo in range(0, len(w0), step))))
-    q0, w = _least(x, y, loss, *_canonicalize_arrays(q0s, ws))
-    return _report("altmin", data, loss, q0, w, t0, cfg.restarts, "heuristic")
+    return _least("altmin", data, loss, *_canonicalize_arrays(q0s, ws), t0,
+                  cfg.restarts, "heuristic")
 
 
 def solve_instance(data: Dataset, n: int, loss: LossModel, method: str,

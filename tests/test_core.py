@@ -111,8 +111,9 @@ def test_cost_rejects_mismatches():
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
 def test_cost_arrays_is_the_mean_of_the_residual_losses(loss):
     # bit for bit, on sizes either side of numpy's pairwise-summation
-    # blocks (8 unrolled, 128 per leaf), for one labeling and for a stack
-    # of K labelings under their own models costed in one call
+    # blocks (8 unrolled, 128 per leaf), for a stack of K labelings under
+    # their own models costed in one call and for each labeling alone,
+    # which empirical_cost costs as a stack of one
     rng = np.random.default_rng(31)
     for trial in range(200):
         N, d, n = int(rng.integers(1, 300)), int(rng.integers(1, 12)), 3
@@ -126,7 +127,9 @@ def test_cost_arrays_is_the_mean_of_the_residual_losses(loss):
         for k in range(K):
             r = y - np.einsum("ij,ij->i", x, w[k][q0[k]])
             want = float(np.mean(loss.residual_loss(r)))
-            got = _cost_arrays(x, y, w[k], q0[k], loss)
+            got = empirical_cost(Dataset(x, y), ModelSet(w[k]),
+                                 Labeling(q0[k] + 1), loss)
+            assert type(got) is float, trial
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
             assert stacked[k].tobytes() == np.float64(want).tobytes(), \
                 (trial, k)

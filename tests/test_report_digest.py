@@ -13,7 +13,7 @@ from switchreg import (ABSOLUTE, SQUARED, Dataset, DichotomySet, Labeling,
                        decide_threshold, enumerate_linear_dichotomies,
                        hardness, partition_to_instance, solvers)
 
-from conftest import report_digest
+from conftest import exact_cell_count, report_digest
 
 digest = report_digest.digest
 
@@ -229,8 +229,9 @@ def test_sweep_ends_with_the_noiseless_limit_cases():
 
 def test_point_sweep_ends_with_the_partition_sets():
     # the lifted (G) and regressor (H) points of the Partition reductions
-    # of sizes 2-6, after the random point sets; each reduction repeats
-    # every regressor, and neither point set is in general position
+    # of sizes 2-6, after the random point sets and before the
+    # tiny-regressor sets; each reduction repeats every regressor, and
+    # neither point set is in general position
     sets = list(report_digest.partition_point_sets(hardness))
     assert [len(s) for s in report_digest.PARTITIONS] == [2, 3, 4, 5, 6]
     assert len(sets) == 2 * len(report_digest.PARTITIONS)
@@ -247,3 +248,24 @@ def test_point_sweep_ends_with_the_partition_sets():
             if d <= 4:
                 assert not digest(enumerate_linear_dichotomies(
                     points)).startswith("raised:"), label
+
+
+def test_point_sweep_ends_with_the_tiny_regressor_sets():
+    # last, the lifted (G) and regressor (H) points of each tiny-regressor
+    # draw of the solve sweep. They are in general position, so their
+    # exact cell counts are Cover's, 2 sum_{k<m} C(N-1, k): 44 for G and 14
+    # for H. The enumeration's own counts are what their lines record
+    sets = list(report_digest.tiny_point_sets(Dataset, datasets))
+    draws = [(label, data) for label, data, _ in
+             report_digest.sweep_instances(np, Dataset, datasets)
+             if label.startswith("tiny")]
+    assert len(sets) == 2 * len(draws) == 2 * len(
+        report_digest.TINY_SEEDS) * len(report_digest.TINY_SCALES)
+    assert sets[0][0] == "tiny0-1e-13-G-m3-N7"
+    for (label, data), g, h in zip(draws, sets[::2], sets[1::2]):
+        stem = label.rsplit("-n2", 1)[0]
+        assert (g[0], h[0]) == (f"{stem}-G-m3-N7", f"{stem}-H-m2-N7")
+        assert np.array_equal(g[1], data.lifted())
+        assert np.array_equal(h[1], data.x)
+        assert exact_cell_count(g[1]) == 44, g[0]
+        assert exact_cell_count(h[1]) == 14, h[0]

@@ -15,9 +15,10 @@ from switchreg import (ABSOLUTE, CapsExceededError, Dataset, Labeling,
                        noiseless_solve, refine_alternate, solve_instance,
                        solve_mode_regression)
 from switchreg import geometry, solvers
-from switchreg.core import _assign_arrays, _canonicalize_arrays, _cost_arrays
+from switchreg.core import _assign_arrays, _canonicalize_arrays
 from switchreg.datasets import GeneratorSpec, generate_instance
-from switchreg.hardness import PartitionInstance, partition_to_instance
+from switchreg.hardness import (PartitionInstance, decide_threshold,
+                                partition_to_instance)
 from switchreg.solvers import CandidateStream, RefineResult, SolveReport
 
 from conftest import (l1_interpolant_oracle, lstsq_brute_cost,
@@ -232,14 +233,18 @@ def _reference_refine(data, models, loss):
     x, y = data.x, data.y
     n = models.n
     w = models.w
+
+    def cost(w, q0):
+        return empirical_cost(data, ModelSet(w), Labeling(q0 + 1), loss)
+
     q0, ties = _assign_arrays(x, y, w, loss)
-    costs = [_cost_arrays(x, y, w, q0, loss)]
+    costs = [cost(w, q0)]
     prev_round = None
     for _ in range(solvers._MAX_REFINE_ROUNDS):
         w = solvers._fit_masks(x, y, loss, q0 == np.arange(n)[:, None])
-        costs.append(_cost_arrays(x, y, w, q0, loss))
+        costs.append(cost(w, q0))
         new_q0, ties = _assign_arrays(x, y, w, loss)
-        costs.append(_cost_arrays(x, y, w, new_q0, loss))
+        costs.append(cost(w, new_q0))
         stable = np.array_equal(new_q0, q0)
         q0 = new_q0
         if stable:
@@ -480,9 +485,10 @@ def test_table_restricted_to_a_mask_is_the_masks_own_table(monkeypatch,
 
 def test_least_breaks_cost_ties_toward_the_smallest_labels():
     # equal models give every labeling the same cost, bit for bit; the
-    # least is the smallest label row whatever order the candidates come in
+    # report is of the smallest label row whatever order the candidates
+    # come in
     rng = np.random.default_rng(5)
-    x, y = rng.standard_normal((6, 1)), rng.standard_normal(6)
+    data = Dataset(rng.standard_normal((6, 1)), rng.standard_normal(6))
     same = np.ones((2, 1))
     tied = [rng.integers(0, 2, size=6) for _ in range(8)]
     worse = [(np.zeros(6, dtype=np.int64), np.array([[9.0], [9.0]]))]
@@ -490,11 +496,12 @@ def test_least_breaks_cost_ties_toward_the_smallest_labels():
     candidates = [(q, same) for q in tied] + worse
     for _ in range(20):
         order = rng.permutation(len(candidates))
-        q0, w = solvers._least(
-            x, y, SQUARED, np.array([candidates[i][0] for i in order]),
-            np.array([candidates[i][1] for i in order]))
-        assert q0.tolist() == smallest.tolist() and \
-            w.tobytes() == same.tobytes()
+        report = solvers._least(
+            "brute", data, SQUARED,
+            np.array([candidates[i][0] for i in order]),
+            np.array([candidates[i][1] for i in order]), 0.0, 9, "optimal")
+        assert (report.labeling.q - 1).tolist() == smallest.tolist()
+        assert report.models.w.tobytes() == same.tobytes()
 
 
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
@@ -539,9 +546,8 @@ def _reference_brute(data, n, loss):
     """Brute force as a literal loop: every canonical labeling, each mode
     fitted by solve_mode_regression, the least picked by _least."""
     q0s, ws = _reference_candidates(data, n, loss)
-    q0, w = solvers._least(data.x, data.y, loss, q0s, ws)
-    return solvers._report("brute", data, loss, q0, w, 0.0, len(q0s),
-                           "optimal")
+    return solvers._least("brute", data, loss, q0s, ws, 0.0, len(q0s),
+                          "optimal")
 
 
 def _brute_datasets(rng):
@@ -626,7 +632,7 @@ def test_brute_does_not_depend_on_its_chunks(monkeypatch, n, loss):
     tied = []
     for d in data:
         labels, fits = _reference_candidates(d, n, loss)
-        costs = [_cost_arrays(d.x, d.y, w, q0, loss)
+        costs = [empirical_cost(d, ModelSet(w), Labeling(q0 + 1), loss)
                  for q0, w in zip(labels, fits)]
         tied.append(costs.count(min(costs)))
 
@@ -1105,14 +1111,15 @@ def test_enum_refits_its_near_window_as_one_stack(monkeypatch, loss):
     # windows of several partitions, at n = 2 and 3
     least, windows, wanted = solvers._least, [], []
 
-    def per_partition(x, y, loss, q0s, ws):
+    def per_partition(method, data, loss, q0s, ws, *rest):
         windows.append(len(q0s))
+        x, y = data.x, data.y
         refits = np.array([[solve_mode_regression(x[q0 == j], y[q0 == j],
                                                   loss)
                             for j in range(ws.shape[1])]
                            for q0 in q0s])
-        wanted.append(least(x, y, loss, q0s, refits))
-        return least(x, y, loss, q0s, ws)
+        wanted.append(least(method, data, loss, q0s, refits, *rest))
+        return least(method, data, loss, q0s, ws, *rest)
 
     monkeypatch.setattr(solvers, "_least", per_partition)
     rng = np.random.default_rng(5)
@@ -1124,11 +1131,8 @@ def test_enum_refits_its_near_window_as_one_stack(monkeypatch, loss):
         data = Dataset(x, y)
         wanted.clear()
         report = enumeration_solve(data, n, loss)
-        q0, w = wanted[0]
-        want = solvers._report("enum", data, loss, q0, w, 0.0,
-                               report.candidates_examined, "optimal")
-        assert report_digest.digest(report) == report_digest.digest(want), \
-            trial
+        assert report_digest.digest(report) == \
+            report_digest.digest(wanted[0]), trial
     assert max(windows) > 1, windows
 
 
@@ -1186,6 +1190,36 @@ def test_fits_enter_through_one_stacked_call(monkeypatch, loss):
                       for i in range(max(rounds))]
     assert len(rows) == (sum(stacks) if loss is SQUARED else 0)
     assert len(set(rounds)) > 1, rounds
+
+
+@pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
+def test_every_solve_ends_in_one_least_call(monkeypatch, loss):
+    # every solver builds its report in one _least call named for it, and
+    # so does decide_threshold through each exact method; noiseless takes
+    # no loss (it reports squared-loss cost), so it runs under squared loss
+    least, methods = solvers._least, []
+
+    def counted(method, *args):
+        methods.append(method)
+        return least(method, *args)
+
+    monkeypatch.setattr(solvers, "_least", counted)
+    rng = np.random.default_rng(7)
+    x = rng.integers(-2, 3, size=(8, 2)).astype(float)
+    x[3] = 0                                         # a zero regressor
+    data = Dataset(x, rng.integers(-2, 3, size=8).astype(float))
+    inst = partition_to_instance(PartitionInstance((1, 2, 3)))
+    names = [m for m in solvers.SOLVER_METHODS
+             if loss is SQUARED or m != "noiseless"]
+    for method in names:
+        del methods[:]
+        assert solve_instance(data, 2, loss, method).method == method
+        assert methods == [method]
+        if method != "altmin":
+            del methods[:]
+            assert decide_threshold(inst, loss, method).report.method == \
+                method
+            assert methods == [method]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1629,9 +1663,8 @@ def _reference_altmin(data, n, loss, cfg):
         return _canonicalize_arrays(labeling.q - 1, models.w)
 
     q0s, ws = map(np.array, zip(*map(restart, range(cfg.restarts))))
-    q0, w = solvers._least(data.x, data.y, loss, q0s, ws)
-    return solvers._report("altmin", data, loss, q0, w, 0.0, cfg.restarts,
-                           "heuristic")
+    return solvers._least("altmin", data, loss, q0s, ws, 0.0, cfg.restarts,
+                          "heuristic")
 
 
 @pytest.mark.parametrize("chunk", [1024, 5])
@@ -1707,18 +1740,26 @@ def test_solve_instance_dispatch(noiseless_four_points, monkeypatch):
         assert solve_instance(data, 2, SQUARED, method, cfg) == (name, cfg)
 
 
-# one instance per mode count; noiseless scores squared loss only
-_CONTRACT_CASES = [(method, n, loss) for method in solvers.SOLVER_METHODS
-                   for n in (2, 3)
+# every method at n = 2 and 3, then at n = 1; noiseless scores squared
+# loss only
+_CONTRACT_CASES = [(method, n, loss) for ns in ((2, 3), (1,))
+                   for method in solvers.SOLVER_METHODS for n in ns
                    for loss in ((SQUARED,) if method == "noiseless"
                                 else (SQUARED, ABSOLUTE))]
 
 
 @pytest.mark.parametrize("method,n,loss", _CONTRACT_CASES)
 def test_every_solver_keeps_the_report_contract(method, n, loss):
-    data = random_instance(4, n=n, d=2 if n == 2 else 1, N=8 if n == 2 else 7)[0]
-    _assert_report_contract(data, solve_instance(data, n, loss, method), n,
-                            loss)
+    # on generator data, and on an integer grid with a zero regressor (a
+    # dead point) and a repeated row, where modes tie
+    d, N = (1, 7) if n == 3 else (2, 8)
+    rng = np.random.default_rng(10 * n + d)
+    x = rng.integers(-2, 3, size=(N, d)).astype(float)
+    y = rng.integers(-2, 3, size=N).astype(float)
+    x[1], x[-1], y[-1] = 0.0, x[0], y[0]
+    for data in (random_instance(4, n=n, d=d, N=N)[0], Dataset(x, y)):
+        _assert_report_contract(data, solve_instance(data, n, loss, method),
+                                n, loss)
 
 
 def _assert_report_contract(data, report, n, loss):

@@ -38,7 +38,11 @@ its own, each set's row line followed by a line of check_general_position's
 report on it (ok, violations, sampled, checked_subsets). The same two lines
 follow for the lifted (G) and regressor (H) points of the Partition
 reductions of PARTITIONS, sizes 2-6, whose points repeat every regressor
-and lie on many common hyperplanes. Elapsed times are left out.
+and lie on many common hyperplanes, and last for the lifted (G) and
+regressor (H) points of the tiny-regressor draws, which are in general
+position but whose lifted points lie within SIGN_TOL of the y axis, where
+the enumeration is known to give fewer rows than their exact cell count.
+Elapsed times are left out.
 BLAS thread pools are pinned to one thread, as in benchmark/run.py.
 """
 
@@ -140,19 +144,27 @@ def sweep_instances(np, Dataset, datasets):
     for i, (x, y) in enumerate(near_collinear_draws(np, NEAR.stop)):
         if i in NEAR:
             yield f"near{i}-n2-d2-N{len(y)}", Dataset(x, y), 2
-    for seed in TINY_SEEDS:
-        data = datasets.generate_instance(datasets.GeneratorSpec(
-            n=2, d=2, N=7, noise_sigma=0.1, seed=seed))[0]
-        for scale in TINY_SCALES:
-            x = data.x.copy()
-            x[[2, 4, 5]] *= float(scale)
-            yield f"tiny{seed}-{scale}-n2-d2-N7", Dataset(x, data.y), 2
+    for label, data in tiny_draws(Dataset, datasets):
+        yield f"{label}-n2-d2-N7", data, 2
     # noiseless's two known limits at n 2: a zero-cost fit whose modes hold
     # one point each, and zero regressors, whose pool is empty
     yield "limit-rank1-n2-d2-N2", Dataset(np.array([[1.0, 1.0], [2.0, 2.0]]),
                                           np.array([1.0, 0.0])), 2
     yield "limit-zero-n2-d1-N3", Dataset(np.zeros((3, 1)),
                                          np.array([1.0, 2.0, 3.0])), 2
+
+
+def tiny_draws(Dataset, datasets):
+    """(label, data) of the tiny-regressor draws: generator data at n 2,
+    d 2, N 7, noise 0.1, one per seed in TINY_SEEDS, with the regressors
+    of rows 2, 4 and 5 scaled by each of TINY_SCALES."""
+    for seed in TINY_SEEDS:
+        data = datasets.generate_instance(datasets.GeneratorSpec(
+            n=2, d=2, N=7, noise_sigma=0.1, seed=seed))[0]
+        for scale in TINY_SCALES:
+            x = data.x.copy()
+            x[[2, 4, 5]] *= float(scale)
+            yield f"tiny{seed}-{scale}", Dataset(x, data.y)
 
 
 def near_collinear_draws(np, count):
@@ -219,6 +231,14 @@ def partition_point_sets(hardness):
             yield f"partition{len(s)}-{kind}-m{pts.shape[1]}-N{len(pts)}", pts
 
 
+def tiny_point_sets(Dataset, datasets):
+    """(label, points) for the lifted (G) and regressor (H) points of each
+    tiny-regressor draw."""
+    for label, data in tiny_draws(Dataset, datasets):
+        for kind, pts in (("G", data.lifted()), ("H", data.x)):
+            yield f"{label}-{kind}-m{pts.shape[1]}-N{len(pts)}", pts
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
@@ -253,7 +273,8 @@ def main(argv=None) -> int:
                                           [2026, i]):
                 print(f"{label} {loss.kind} {name} {digest(out)}")
 
-    for label, points in [*point_sets(np), *partition_point_sets(hardness)]:
+    for label, points in [*point_sets(np), *partition_point_sets(hardness),
+                          *tiny_point_sets(Dataset, datasets)]:
         out = attempt(geometry.enumerate_linear_dichotomies, points)
         print(f"{label} {digest(out)}")
         out = attempt(geometry.check_general_position, points)
