@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import (
     SQUARED,
@@ -171,18 +172,33 @@ class RefineResult:
 # Per-mode regression
 
 
+def _svd_failed(err, flag):
+    """np.linalg.lstsq's error, called by numpy on the gufunc's invalid
+    flag, which it sets when gelsd's SVD does not converge."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
 def _lstsq(a, b) -> np.ndarray:
     """Minimum-norm least-squares solution of the system a (k, d), b (k,),
     or of each system in the stacks a (..., k, d), b (..., k): the one
-    least-squares routine. One system is np.linalg.lstsq's (16-20 us against
-    27-34 us); a stack takes lstsq's method, V (U^T b / s) from a's thin
-    SVD with singular values at most max(k, d) * eps of the largest cut:
-    backward stable, unlike a pseudo-inverse formed first."""
-    if a.ndim == 2:
-        return np.linalg.lstsq(a, b, rcond=None)[0]
+    least-squares routine. One system is np.linalg.lstsq(a, b, rcond=None)'s
+    bit for bit, from the gufunc it calls (LAPACK's gelsd in numpy's
+    _umath_linalg), with its cutoff, zero solution for k = 0 and error
+    state, minus its wrapper (14-15 us against 18-19 us on an 8 x 6 system
+    with one BLAS thread); a stack takes lstsq's method, V (U^T b / s) from
+    a's thin SVD with singular values at most max(k, d) * eps of the
+    largest cut: backward stable, unlike a pseudo-inverse formed first."""
     k, d = a.shape[-2:]
+    cutoff = max(k, d) * np.finfo(float).eps
+    if a.ndim == 2:
+        if k == 0:
+            return np.zeros(d)
+        with np.errstate(call=_svd_failed, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            return _umath_linalg.lstsq(a, b[:, None], cutoff,
+                                       signature="ddd->ddid")[0][:, 0]
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > max(k, d) * np.finfo(float).eps * s[..., :1]
+    keep = s > cutoff * s[..., :1]
     c = np.divide((b[..., None, :] @ u)[..., 0, :], s,
                   out=np.zeros(s.shape), where=keep)
     return (c[..., None, :] @ vt)[..., 0, :]
@@ -772,10 +788,12 @@ def noiseless_solve(data: Dataset, n: int,
     # keep only candidates that actually interpolate their own subset
     good = np.take_along_axis(fits, subsets, axis=1).all(axis=1)
 
-    # good rows by descending fit size, one per distinct fit set
+    # good rows by descending fit size, one per distinct fit set: a row's
+    # key depends on that row alone, so fits is packed as it is, unordered
     order = np.argsort(-fits.sum(axis=1), kind="stable")
     order = order[good[order]]
-    order = order[np.sort(unique_rows(fits[order]))]
+    order = order[np.sort(np.unique(_packed_keys(fits)[order],
+                                    return_index=True)[1])]
     cand_w, fit_matrix = ws[order], fits[order]      # fit_matrix (C, N) boolean
 
     def finish(chosen, status):

@@ -43,6 +43,7 @@ def test_brute_exponential_growth_visible():
                for _ in range(4)]
     assert all(result.complete for result in ladders)
     t8, t11, t13 = (min(ts) for ts in zip(*(r.times for r in ladders)))
+    print(f"brute growth: t11/t8 {t11 / t8:.2f}, t13/t11 {t13 / t11:.2f}")
     assert t11 / t8 > (11 / 8) ** 5
     assert t13 / t11 > (13 / 11) ** 5
     # and the work itself, exactly: the 2^(N-1) canonical labelings

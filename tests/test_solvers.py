@@ -51,6 +51,34 @@ def test_squared_fit_overflowing_normal_equations_is_lstsq_quietly():
     assert np.isfinite(w).all()
 
 
+def _one_system_cases():
+    rng = np.random.default_rng(7)
+    for k in range(1, 14):
+        for d in range(1, 7):                # tall, square and wide
+            yield rng.standard_normal((k, d)), rng.standard_normal(k)
+    a = rng.standard_normal((9, 4))
+    yield np.column_stack([a, a[:, 1]]), rng.standard_normal(9)
+    yield np.column_stack([a, np.zeros(9)]), rng.standard_normal(9)
+    yield a * 2.0 ** np.array([40, -40, 0, 40]), rng.standard_normal(9)
+    yield (rng.integers(-2, 3, (10, 2)).astype(float),
+           rng.integers(-2, 3, 10).astype(float))
+    yield np.array([[1e-150, 0.0], [0.0, 1.0]]), np.array([1e159, 1.0])
+
+
+def test_one_system_lstsq_is_numpys_bit_for_bit():
+    for a, b in _one_system_cases():
+        assert np.array_equal(solvers._lstsq(a, b),
+                              np.linalg.lstsq(a, b, rcond=None)[0])
+    for d in (1, 3):
+        w = solvers._lstsq(np.empty((0, d)), np.empty(0))
+        assert np.array_equal(w, np.zeros(d))
+    a = np.ones((3, 2))
+    a[1, 0] = np.nan
+    for lstsq in (solvers._lstsq, np.linalg.lstsq):
+        with pytest.raises(np.linalg.LinAlgError):
+            lstsq(a, np.ones(3))
+
+
 def test_squared_fit_of_near_collinear_points_is_least_squares():
     # two points fitted exactly by one model, whose Gram matrix has
     # cond 3e16, where the normal equations with a ridge cost 0.25
