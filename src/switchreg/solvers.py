@@ -236,13 +236,16 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
     never from the normal equations, which square its condition number.
 
     Absolute loss takes the first of the interpolants of every subset of at
-    most d points (_interpolants) with the least total, scanned
-    _SCORE_CHUNK at a time; a row's total does not depend on the slice it
-    is scanned in. Some optimal L1 fit is a basic solution of the LP: it
-    interpolates rank(x) points with independent regressors, and the
-    minimum-norm interpolant of those points predicts the same on every
-    point (Barrodale and Roberts, SIAM J. Numer. Anal. 10, 1973). So the
-    best interpolant is an exact L1 fit, whatever the rank of x or the
+    most d points (_interpolants) with the least total, a NaN total
+    counting as +inf, or the zero vector where no total is finite. The
+    totals are computed _SCORE_CHUNK at a time and picked by one argmin; a
+    row's total does not depend on the slice it is computed in. A
+    non-finite interpolant (1 / 1e-310 overflows) totals NaN or inf on any
+    point, so it is never picked. Some optimal L1 fit is a basic solution
+    of the LP: it interpolates rank(x) points with independent regressors,
+    and the minimum-norm interpolant of those points predicts the same on
+    every point (Barrodale and Roberts, SIAM J. Numer. Anal. 10, 1973). So
+    the best interpolant is an exact L1 fit, whatever the rank of x or the
     number of points.
     """
     x = np.asarray(x, dtype=float)
@@ -254,14 +257,13 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
     if loss.kind == "squared":
         return _lstsq(x, y)
     ws = _interpolants(x, y)[1]
-    best_total, best_w = np.inf, np.zeros(x.shape[1])
-    for lo in range(0, len(ws), _SCORE_CHUNK):
-        part = ws[lo:lo + _SCORE_CHUNK]
-        totals = np.abs(y - part @ x.T).sum(axis=1)
-        i = int(np.argmin(totals))
-        if totals[i] < best_total:
-            best_total, best_w = totals[i], part[i]
-    return best_w
+    totals = np.concatenate([np.zeros(0)] + [
+        np.abs(y - ws[lo:lo + _SCORE_CHUNK] @ x.T).sum(axis=1)
+        for lo in range(0, len(ws), _SCORE_CHUNK)])
+    totals[np.isnan(totals)] = np.inf           # a NaN counts as +inf
+    if not (totals < np.inf).any():             # no finite total, or no pool
+        return np.zeros(x.shape[1])
+    return ws[totals.argmin()]
 
 
 def _table(x, y, loss: LossModel):
@@ -288,9 +290,9 @@ def _fit_masks(x, y, loss: LossModel, masks, table=None) -> np.ndarray:
     fitted by size, a batch at a time: each _SCORE_CHUNK slice of the
     batch's pools is scored in one stacked matmul, every slice of the shape
     the scan gives it, and a batch holds at most _SCORE_CHUNK pool rows of
-    a slice (one mask where P_k is larger). Each mask keeps its first least
-    total, strictly below those of earlier slices, or the zero vector where
-    none is below inf, as the scan does.
+    a slice (one mask where P_k is larger). One argmin over all its slices'
+    totals picks each mask's fit, by the scan's rule: the first least
+    total, a NaN counting as +inf, or the zero vector where none is finite.
     """
     M, N = masks.shape
     d = x.shape[1]
@@ -316,16 +318,12 @@ def _fit_masks(x, y, loss: LossModel, masks, table=None) -> np.ndarray:
             pool = pool.reshape(len(batch), pool_rows)
             idx = np.nonzero(masks[batch])[1].reshape(len(batch), k)
             xt, yk = x[idx].transpose(0, 2, 1), y[idx][:, None, :]
-            best = np.full(len(batch), np.inf)
-            at = np.arange(len(batch))
-            for lo in range(0, pool_rows, _SCORE_CHUNK):
-                part = ws[pool[:, lo:lo + _SCORE_CHUNK]]         # (B, c, d)
-                totals = np.abs(yk - part @ xt).sum(axis=2)      # (B, c)
-                i = totals.argmin(axis=1)
-                least = totals[at, i]
-                better = least < best
-                best[better] = least[better]
-                fits[batch[better]] = part[better, i[better]]
+            totals = np.concatenate([                           # (B, P_k)
+                np.abs(yk - ws[pool[:, lo:lo + _SCORE_CHUNK]] @ xt).sum(axis=2)
+                for lo in range(0, pool_rows, _SCORE_CHUNK)], axis=1)
+            totals[np.isnan(totals)] = np.inf           # a NaN counts as +inf
+            ok = (totals < np.inf).any(axis=1)          # a finite total
+            fits[batch[ok]] = ws[pool[ok, totals[ok].argmin(axis=1)]]
     return fits
 
 
@@ -687,18 +685,21 @@ def _region_costs(x, y, rows, loss: LossModel, table):
     interpolants of table, _table(x, y, loss), of every subset of at most d
     of all N points, include an exact L1 fit of each row, so their least
     total on the row, read off one (S, N) residual array, is that fit's.
-    Each residual is off by at most delta = _residual_bound at the largest
-    |w_s|_1, so every interpolant's total on a row of k points is within
-    k * delta of its exact value, and so is their least, whichever
-    interpolant attains it before or after rounding. Near-collinear
-    interpolants can have |w| near 1e8, where that is more than ZERO_TOL.
-    Rows are fitted _SCORE_CHUNK at a time.
+    Only the finite interpolants are read: a non-finite one totals NaN or
+    inf on every non-empty row, so it is never the least, as in
+    solve_mode_regression. Each residual is off by at most delta =
+    _residual_bound at the largest finite |w_s|_1, so every interpolant's
+    total on a row of k points is within k * delta of its exact value, and
+    so is their least, whichever interpolant attains it before or after
+    rounding. Near-collinear interpolants can have |w| near 1e8, where that
+    is more than ZERO_TOL. Rows are fitted _SCORE_CHUNK at a time.
     """
     costs, slack = np.empty(len(rows)), np.zeros(len(rows))
     if loss.kind == "absolute":
-        resid = np.abs(y - table[1] @ x.T)
+        ws = table[1][np.isfinite(table[1]).all(axis=1)]
+        resid = np.abs(y - ws @ x.T)
         slack = rows.sum(axis=1) * _residual_bound(
-            x, y, np.abs(table[1]).sum(axis=1).max())
+            x, y, np.abs(ws).sum(axis=1).max())
     for lo in range(0, len(rows), _SCORE_CHUNK):
         member = rows[lo:lo + _SCORE_CHUNK].astype(float)
         part = slice(lo, lo + len(member))
@@ -795,6 +796,7 @@ def noiseless_solve(data: Dataset, n: int,
     order = order[np.sort(np.unique(_packed_keys(fits)[order],
                                     return_index=True)[1])]
     cand_w, fit_matrix = ws[order], fits[order]      # fit_matrix (C, N) boolean
+    del fits            # fit_matrix is a copy: free the (S, N) original
 
     def finish(chosen, status):
         # cost under squared loss; any admissible loss is zero exactly when

@@ -97,6 +97,12 @@ def test_report_lines_end_with_their_cost(monkeypatch, capsys):
     valued = [text for text in lines if _is_cost(text.rsplit(" ", 1)[1])]
     assert len(valued) > len(lines) // 2
     assert not [text for text in valued if " gp " in text or " fit" in text]
+    # it ends with the two fits past a slice, then the subnormal instance's
+    # 8 lines per n and loss
+    assert lines[-34].startswith("pool-d3-N24 absolute fit ")
+    assert lines[-33].startswith("gen0-n2-d3-N40 absolute altmin ")
+    assert [text.split(" ", 1)[0] for text in lines[-32:]] == \
+        ["subnormal-n1-d2-N4"] * 16 + ["subnormal-n2-d2-N4"] * 16
 
 
 def _is_cost(token):

@@ -164,6 +164,36 @@ def test_absolute_fit_matches_linear_program():
     assert rank_deficient >= 10, rank_deficient
 
 
+def test_non_finite_interpolant_hides_no_absolute_fit():
+    # the one-point interpolant 1 / 1e-310 of the first point overflows to
+    # (inf, nan), and its absolute total is NaN on every point set holding
+    # a point; it counts as +inf, so the fits, brute and enum all find
+    # w = (1, 2) at cost 0.25, the mean of the LP's least total 1.
+    # The overflow warns in _lstsq's stacked SVD and the inf times 0 in the
+    # matmul that totals it, errors in this suite, so numpy's overflow and
+    # invalid flags are ignored here
+    x = np.array([[1e-310, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    y = np.array([1.0, 1.0, 2.0, 3.0])
+    data = Dataset(x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(solvers._interpolants(x, y)[1]).all()
+        assert solve_mode_regression(x, y, ABSOLUTE).tolist() == [1.0, 2.0]
+        assert fit_modes(data, Labeling(np.ones(4, dtype=int)), 1,
+                         ABSOLUTE).w.tolist() == [[1.0, 2.0]]
+        for n in (1, 2):
+            brute = brute_force_solve(data, n, ABSOLUTE)
+            enum = enumeration_solve(data, n, ABSOLUTE)
+            altmin = altmin_solve(data, n, ABSOLUTE)
+            for report in (brute, enum):
+                assert (report.cost, report.status) == (0.25, "optimal"), n
+            assert (enum.models, enum.labeling.q.tolist(),
+                    enum.labeling.tie_set) == (
+                brute.models, brute.labeling.q.tolist(),
+                brute.labeling.tie_set), n
+            assert altmin.cost >= brute.cost, n
+    assert abs(_lp_absolute_total(x, y) - 1.0) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # fit_modes
 
@@ -423,16 +453,24 @@ def test_stacked_table_fit_equals_per_mask_fit_on_every_mask(monkeypatch):
     # the points, is solve_mode_regression on each mask's own points, bit
     # for bit, on all 2^N masks in shuffled order: the empty mask, masks
     # below d points, a zero regressor and a repeated row, rows scaled by
-    # 1e-13 and near-collinear columns, at d = 1-4. Both fits are taken at
-    # the default _SCORE_CHUNK, at 3, which splits larger pools over slices
-    # and batches, and at 1, which scores every pool row in a slice of its
-    # own (a slice's shape can move a total's last bit, so the chunk is
-    # the same on both sides)
+    # 1e-13, near-collinear columns and rows scaled by 1e-310, whose
+    # interpolants overflow to inf and NaN, at d = 1-4. Both fits are taken
+    # at the default _SCORE_CHUNK, at 3, which splits larger pools over
+    # slices and batches, and at 1, which scores every pool row in a slice
+    # of its own (a slice's shape can move a total's last bit, so the chunk
+    # is the same on both sides). Last, a tie behind a NaN total: on
+    # x = (1e-310, 1, 1, 0), y = (1, 1, 3, 0) the interpolant of the first
+    # point overflows to inf, which totals NaN on the zero regressor, and
+    # w = 1 and w = 3 both total 3, so the first least, w = 1, is the fit,
+    # in one slice and, at chunk 1, across slices. The overflow warns in
+    # _lstsq's stacked SVD and the inf times 0 in the matmuls, so numpy's
+    # overflow and invalid flags are ignored
     rng = np.random.default_rng(29)
-    kinds = ("grid", "tiny", "collinear", "gauss")
-    seen = dict.fromkeys(("empty", "small", "zero", "repeated") + kinds, 0)
+    kinds = ("grid", "tiny", "collinear", "gauss", "subnormal")
+    seen = dict.fromkeys(("empty", "small", "zero", "repeated", "non-finite")
+                         + kinds, 0)
     cases, N = [], 7
-    for trial in range(16):
+    for trial in range(4 * len(kinds)):
         d, kind = 1 + trial % 4, kinds[trial // 4]
         if kind == "grid":
             x = rng.integers(-2, 3, size=(N, d)).astype(float)
@@ -441,8 +479,8 @@ def test_stacked_table_fit_equals_per_mask_fit_on_every_mask(monkeypatch):
             x[N - 1], y[N - 1] = x[0], y[0]             # a repeated row
         else:
             x, y = rng.standard_normal((N, d)), rng.standard_normal(N)
-        if kind == "tiny":
-            x[[2, 4, 5]] *= 1e-13
+        if kind in ("tiny", "subnormal"):
+            x[[2, 4, 5]] *= 1e-13 if kind == "tiny" else 1e-310
         if kind == "collinear" and d > 1:
             x[:, 1] = 2 * x[:, 0] + 1e-9 * rng.standard_normal(N)
         seen["zero"] += not x.any(axis=1).all()
@@ -454,15 +492,22 @@ def test_stacked_table_fit_equals_per_mask_fit_on_every_mask(monkeypatch):
         seen["small"] += ((0 < masks.sum(axis=1)) & (masks.sum(axis=1) < d)
                           ).sum()
         cases.append((x, y, masks))
-    for chunk in (solvers._SCORE_CHUNK, 3, 1):
-        monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
-        for trial, (x, y, masks) in enumerate(cases):
-            want = np.array([solve_mode_regression(x[m], y[m], ABSOLUTE)
-                             for m in masks])
-            table = solvers._interpolants(x, y)
-            got = solvers._fit_masks(x, y, ABSOLUTE, masks, table)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want), (chunk, trial)
+    tie_x = np.array([[1e-310], [1.0], [1.0], [0.0]])
+    tie_y = np.array([1.0, 1.0, 3.0, 0.0])
+    cases.append((tie_x, tie_y, np.ones((1, 4), dtype=bool)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in (solvers._SCORE_CHUNK, 3, 1):
+            monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
+            for trial, (x, y, masks) in enumerate(cases):
+                want = np.array([solve_mode_regression(x[m], y[m], ABSOLUTE)
+                                 for m in masks])
+                table = solvers._interpolants(x, y)
+                seen["non-finite"] += not np.isfinite(table[1]).all()
+                got = solvers._fit_masks(x, y, ABSOLUTE, masks, table)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (chunk, trial)
+            assert solve_mode_regression(tie_x, tie_y, ABSOLUTE).tolist() \
+                == [1.0], chunk
     assert all(v > 0 for v in seen.values()), seen
 
 

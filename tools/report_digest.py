@@ -42,6 +42,14 @@ and lie on many common hyperplanes, and last for the lifted (G) and
 regressor (H) points of the tiny-regressor draws, which are in general
 position but whose lifted points lie within SIGN_TOL of the y axis, where
 the enumeration is known to give fewer rows than their exact cell count.
+Then two absolute-loss calls whose interpolant pools pass the solvers'
+slice of 1,024 rows: solve_mode_regression on the first 24 points of
+generator data at n 2, d 3, N 40, noise 0.1, seed 0 (2,324 pool rows), and
+altmin_solve on all 40 at n 2 (modes of 19 or more points). Last, the
+instance SUBNORMAL_X, SUBNORMAL_Y, whose first regressor is subnormal, so
+that its one-point interpolant overflows to (inf, nan), solved at n 1 and 2
+the same way as the sweep, with numpy's overflow and invalid flags ignored,
+so its lines do not depend on a warnings filter.
 Elapsed times are left out.
 BLAS thread pools are pinned to one thread, as in benchmark/run.py.
 """
@@ -67,6 +75,8 @@ TINY_SEEDS = range(3)           # generator seeds of the tiny-regressor draws
 TINY_SCALES = ("1e-13", "1e-20")
 PARTITIONS = ((1, 2), (3, 1, 2), (5, 3, 2, 4), (17, 13, 10, 6, 6),
               (4, 8, 3, 5, 2, 6))       # multisets whose G and H are hashed
+SUBNORMAL_X = ((1e-310, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+SUBNORMAL_Y = (1.0, 1.0, 2.0, 3.0)
 
 
 def digest(outcome) -> str:
@@ -263,15 +273,18 @@ def main(argv=None) -> int:
                     out = attempt(workloads.call, job, method)
                     print(line(f"{name} r{r} {job.label} {method}", out))
 
-    for i, (label, data, n) in enumerate(sweep_instances(np, Dataset,
-                                                              datasets)):
+    def solve_lines(label, data, n, seed):
         for loss in (SQUARED, ABSOLUTE):
             for method in solvers.SOLVER_METHODS:
                 out = attempt(solvers.solve_instance, data, n, loss, method)
                 print(line(f"{label} {loss.kind} {method}", out))
             for name, out in fit_outcomes(np, solvers, core, data, n, loss,
-                                          [2026, i]):
+                                          seed):
                 print(f"{label} {loss.kind} {name} {digest(out)}")
+
+    for i, (label, data, n) in enumerate(sweep_instances(np, Dataset,
+                                                              datasets)):
+        solve_lines(label, data, n, [2026, i])
 
     for label, points in [*point_sets(np), *partition_point_sets(hardness),
                           *tiny_point_sets(Dataset, datasets)]:
@@ -279,6 +292,20 @@ def main(argv=None) -> int:
         print(f"{label} {digest(out)}")
         out = attempt(geometry.check_general_position, points)
         print(f"{label} gp {digest(out)}")
+
+    # pools past the solvers' slice of 1,024 rows
+    data = datasets.generate_instance(datasets.GeneratorSpec(
+        n=2, d=3, N=40, noise_sigma=0.1, seed=0))[0]
+    out = attempt(lambda: core.ModelSet(solvers.solve_mode_regression(
+        data.x[:24], data.y[:24], ABSOLUTE)[None]))
+    print(f"pool-d3-N24 absolute fit {digest(out)}")
+    out = attempt(solvers.altmin_solve, data, 2, ABSOLUTE)
+    print(line("gen0-n2-d3-N40 absolute altmin", out))
+    # a subnormal regressor, whose one-point interpolant overflows
+    data = Dataset(np.array(SUBNORMAL_X), np.array(SUBNORMAL_Y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (1, 2):
+            solve_lines(f"subnormal-n{n}-d2-N4", data, n, [2027, n])
     return 0
 
 
