@@ -68,12 +68,12 @@ _MAX_REFINE_ROUNDS = 1000
 _GRAM_COND = 1e8
 _ROUNDING = 8
 # Regions per batch of enumeration_solve's scorer, label rows per costing of
-# _least, subsets per _lstsq batch of _interpolants, interpolants
-# per slice of solve_mode_regression's L1 scan and of noiseless_solve's fit
-# check, pool rows per stacked pool block of _fit_masks' table fit (the
-# masks of a batch times a slice of their pools), and mode masks per
-# _refine stack of altmin_solve (n per restart): it bounds their (chunk,
-# N), (chunk, S), (chunk, n, d), SVD factor and (chunk, k) arrays.
+# _least, subsets per _lstsq batch of _interpolants, interpolants per slice
+# of noiseless_solve's fit check, pool rows per stacked pool block of
+# _fit_masks' absolute-loss fit (the masks of a batch times a slice of
+# their pools), and mode masks per _refine stack of altmin_solve (n per
+# restart): it bounds their (chunk, N), (chunk, S), (chunk, n, d), SVD
+# factor and (chunk, k) arrays.
 _SCORE_CHUNK = 1024
 
 SOLVER_METHODS = ("brute", "enum", "noiseless", "altmin")
@@ -187,7 +187,11 @@ def _lstsq(a, b) -> np.ndarray:
     state, minus its wrapper (14-15 us against 18-19 us on an 8 x 6 system
     with one BLAS thread); a stack takes lstsq's method, V (U^T b / s) from
     a's thin SVD with singular values at most max(k, d) * eps of the
-    largest cut: backward stable, unlike a pseudo-inverse formed first."""
+    largest cut: backward stable, unlike a pseudo-inverse formed first. A
+    stack warns of nothing: a solution past the float range (a subnormal
+    row's 1 / 1e-310) comes out inf or NaN for its caller to weigh. It
+    ignores the invalid flag, on which the one system raises lstsq's
+    error, as its inf times a zero of V sets it."""
     k, d = a.shape[-2:]
     cutoff = max(k, d) * np.finfo(float).eps
     if a.ndim == 2:
@@ -199,9 +203,11 @@ def _lstsq(a, b) -> np.ndarray:
                                        signature="ddd->ddid")[0][:, 0]
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > cutoff * s[..., :1]
-    c = np.divide((b[..., None, :] @ u)[..., 0, :], s,
-                  out=np.zeros(s.shape), where=keep)
-    return (c[..., None, :] @ vt)[..., 0, :]
+    with np.errstate(over="ignore", divide="ignore", under="ignore",
+                     invalid="ignore"):
+        c = np.divide((b[..., None, :] @ u)[..., 0, :], s,
+                      out=np.zeros(s.shape), where=keep)
+        return (c[..., None, :] @ vt)[..., 0, :]
 
 
 def _interpolants(x, y, sizes=None):
@@ -234,19 +240,10 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
     or small subsets. Squared loss takes _lstsq's minimum-norm
     least-squares solution of the one system, from an SVD of x itself,
     never from the normal equations, which square its condition number.
-
-    Absolute loss takes the first of the interpolants of every subset of at
-    most d points (_interpolants) with the least total, a NaN total
-    counting as +inf, or the zero vector where no total is finite. The
-    totals are computed _SCORE_CHUNK at a time and picked by one argmin; a
-    row's total does not depend on the slice it is computed in. A
-    non-finite interpolant (1 / 1e-310 overflows) totals NaN or inf on any
-    point, so it is never picked. Some optimal L1 fit is a basic solution
-    of the LP: it interpolates rank(x) points with independent regressors,
-    and the minimum-norm interpolant of those points predicts the same on
-    every point (Barrodale and Roberts, SIAM J. Numer. Anal. 10, 1973). So
-    the best interpolant is an exact L1 fit, whatever the rank of x or the
-    number of points.
+    Absolute loss takes _fit_masks' fit of the one mask of all the points
+    from their table, the interpolants of every subset of at most d of
+    them (_interpolants): the same rule, in the same function, as every
+    solver's absolute-loss fit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -256,14 +253,8 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
         raise ValueError(f"y must be ({x.shape[0]},), got shape {y.shape}")
     if loss.kind == "squared":
         return _lstsq(x, y)
-    ws = _interpolants(x, y)[1]
-    totals = np.concatenate([np.zeros(0)] + [
-        np.abs(y - ws[lo:lo + _SCORE_CHUNK] @ x.T).sum(axis=1)
-        for lo in range(0, len(ws), _SCORE_CHUNK)])
-    totals[np.isnan(totals)] = np.inf           # a NaN counts as +inf
-    if not (totals < np.inf).any():             # no finite total, or no pool
-        return np.zeros(x.shape[1])
-    return ws[totals.argmin()]
+    return _fit_masks(x, y, loss, np.ones((1, len(y)), dtype=bool),
+                      _interpolants(x, y))[0]
 
 
 def _table(x, y, loss: LossModel):
@@ -271,59 +262,70 @@ def _table(x, y, loss: LossModel):
     return _interpolants(x, y) if loss.kind == "absolute" else None
 
 
-def _fit_masks(x, y, loss: LossModel, masks, table=None) -> np.ndarray:
-    """The fits of the boolean (M, N) stack of masks, an (M, d) array whose
-    row r is solve_mode_regression(x[mask_r], y[mask_r], loss) bit for bit;
-    an empty mask gives the zero vector. Every solver fits through it:
-    brute_force_solve and enumeration_solve once per solve (with the table
-    under absolute loss), fit_modes once, and _refine once per round, for
-    refine_alternate with no table and for altmin_solve, all its running
-    restarts at once, with the table under absolute loss.
+def _fit_masks(x, y, loss: LossModel, masks, table) -> np.ndarray:
+    """The fits of the boolean (M, N) stack of masks under the loss, an
+    (M, d) array whose row r is solve_mode_regression(x[mask_r], y[mask_r],
+    loss) bit for bit; an empty mask gives the zero vector. table is
+    _table(x, y, loss): None, under squared loss, or the interpolant table.
+    Every fit goes through it: brute_force_solve, enumeration_solve and
+    fit_modes once per call, _refine once per round, for refine_alternate
+    and for altmin_solve, all its running restarts at once, and
+    solve_mode_regression's absolute-loss fit, a stack of one mask on its
+    own points' table.
 
-    With no table, each row goes to solve_mode_regression, looked up on
-    this module. Under absolute loss, table is _table(x, y, loss), and a
-    mode's pool is the table's rows whose subsets lie inside the mask, the
-    padding N counting as inside: the interpolants of the mode's own
-    points, bit for bit, in the same order, so the same fit as
-    solve_mode_regression's scan, without solving each subset again. Every
-    mask of k points has the same number P_k of them, so the masks are
-    fitted by size, a batch at a time: each _SCORE_CHUNK slice of the
-    batch's pools is scored in one stacked matmul, every slice of the shape
-    the scan gives it, and a batch holds at most _SCORE_CHUNK pool rows of
-    a slice (one mask where P_k is larger). One argmin over all its slices'
-    totals picks each mask's fit, by the scan's rule: the first least
-    total, a NaN counting as +inf, or the zero vector where none is finite.
+    Under squared loss each row goes to solve_mode_regression, looked up on
+    this module. Under absolute loss a mode's pool is the table's rows
+    whose subsets lie inside the mask, the padding N counting as inside:
+    the interpolants of the mode's own points, bit for bit, in the order of
+    their own table, so the fit of a mask does not depend on the points
+    around it and no subset is solved again. Each mask takes the first of
+    its pool with the least total, a NaN total counting as +inf, or the
+    zero vector where no total is finite. A non-finite interpolant
+    (1 / 1e-310 overflows) totals NaN or inf on any point, so it is never
+    picked, and its NaN warns of nothing. Some optimal L1 fit is a basic
+    solution of the LP: it interpolates rank(x) points with independent
+    regressors, and the minimum-norm interpolant of those points predicts
+    the same on every point (Barrodale and Roberts, SIAM J. Numer. Anal.
+    10, 1973). So the best interpolant is an exact L1 fit, whatever the
+    rank of the mode or its number of points. Every mask of k points has
+    the same number P_k of pool rows, so the masks are fitted by size, a
+    batch at a time: each _SCORE_CHUNK slice of the batch's pools is
+    scored in one stacked matmul, and a batch holds at most _SCORE_CHUNK
+    pool rows of a slice (one mask where P_k is larger). One argmin over
+    all its slices' totals picks each mask's fit; a row's total does not
+    depend on the slice it is computed in.
     """
     M, N = masks.shape
     d = x.shape[1]
+    fits = np.zeros((M, d))
     if table is None:
-        fits = np.empty((M, d))
         for r, mask in enumerate(masks):
             fits[r] = solve_mode_regression(x[mask], y[mask], loss)
         return fits
     subsets, ws = table
-    fits = np.zeros((M, d))
     size = masks.sum(axis=1)
     padded = np.ones((M, N + 1), dtype=bool)
     padded[:, :N] = masks
-    for k in np.flatnonzero(np.bincount(size)):
-        pool_rows = sum(comb(k, s) for s in range(1, min(d, k) + 1))
-        if not pool_rows:                       # the empty mask's zero fit
-            continue
-        rows = np.flatnonzero(size == k)
-        step = max(1, _SCORE_CHUNK // pool_rows)
-        for first in range(0, len(rows), step):
-            batch = rows[first:first + step]
-            pool = np.nonzero(padded[batch][:, subsets].all(axis=2))[1]
-            pool = pool.reshape(len(batch), pool_rows)
-            idx = np.nonzero(masks[batch])[1].reshape(len(batch), k)
-            xt, yk = x[idx].transpose(0, 2, 1), y[idx][:, None, :]
-            totals = np.concatenate([                           # (B, P_k)
-                np.abs(yk - ws[pool[:, lo:lo + _SCORE_CHUNK]] @ xt).sum(axis=2)
-                for lo in range(0, pool_rows, _SCORE_CHUNK)], axis=1)
-            totals[np.isnan(totals)] = np.inf           # a NaN counts as +inf
-            ok = (totals < np.inf).any(axis=1)          # a finite total
-            fits[batch[ok]] = ws[pool[ok, totals[ok].argmin(axis=1)]]
+    with np.errstate(invalid="ignore"):         # inf * 0 totals a NaN
+        for k in np.flatnonzero(np.bincount(size)):
+            pool_rows = sum(comb(k, s) for s in range(1, min(d, k) + 1))
+            if not pool_rows:                   # the empty mask's zero fit
+                continue
+            rows = np.flatnonzero(size == k)
+            step = max(1, _SCORE_CHUNK // pool_rows)
+            for first in range(0, len(rows), step):
+                batch = rows[first:first + step]
+                pool = np.nonzero(padded[batch][:, subsets].all(axis=2))[1]
+                pool = pool.reshape(len(batch), pool_rows)
+                idx = np.nonzero(masks[batch])[1].reshape(len(batch), k)
+                xt, yk = x[idx].transpose(0, 2, 1), y[idx][:, None, :]
+                totals = np.concatenate([                       # (B, P_k)
+                    np.abs(yk - ws[pool[:, lo:lo + _SCORE_CHUNK]] @ xt
+                           ).sum(axis=2)
+                    for lo in range(0, pool_rows, _SCORE_CHUNK)], axis=1)
+                totals[np.isnan(totals)] = np.inf       # a NaN counts as +inf
+                ok = (totals < np.inf).any(axis=1)      # a finite total
+                fits[batch[ok]] = ws[pool[ok, totals[ok].argmin(axis=1)]]
     return fits
 
 
@@ -334,7 +336,8 @@ def fit_modes(data: Dataset, labeling: Labeling, n: int, loss: LossModel) -> Mod
     if np.any(labeling.q > n):
         raise ValueError(f"label exceeds n={n}")
     return ModelSet(_fit_masks(data.x, data.y, loss,
-                               labeling.q - 1 == np.arange(n)[:, None]))
+                               labeling.q - 1 == np.arange(n)[:, None],
+                               _table(data.x, data.y, loss)))
 
 
 def refine_alternate(data: Dataset, models: ModelSet,
@@ -346,25 +349,27 @@ def refine_alternate(data: Dataset, models: ModelSet,
     Stops when the labeling repeats or a full round improves the cost by
     less than ZERO_TOL; the returned labeling is always the optimal
     assignment for the returned models, ties within ZERO_TOL going to the
-    first mode. This is _refine on a stack of one, with no table: each
-    round's n fits reach solve_mode_regression through this module.
+    first mode. This is _refine on a stack of one, with the data's _table:
+    under absolute loss the interpolants are solved once per call, and
+    each round's n fits read them.
     """
     if models.d != data.d:
         raise ValueError(f"models have d={models.d}, data has d={data.d}")
-    w, q0, ties, costs = _refine(data.x, data.y, models.w[None], loss)
+    w, q0, ties, costs = _refine(data.x, data.y, models.w[None], loss,
+                                 _table(data.x, data.y, loss))
     return RefineResult(ModelSet(w[0]),
                         Labeling(q0[0] + 1,
                                  tie_set=(np.flatnonzero(ties[0]) + 1).tolist()),
                         tuple(costs[0]))
 
 
-def _refine(x, y, w, loss: LossModel, table=None):
+def _refine(x, y, w, loss: LossModel, table):
     """refine_alternate's rule on the (R, n, d) stack of model sets w at
     once: (w, q0, ties, costs), the refined (R, n, d) models, their (R, N)
     optimal labels and (R, N) tie mask, and each row's cost trace, a list
-    of floats. Each round takes one stacked _assign_arrays call, one
-    _fit_masks call on the (R n, N) mode masks (with table, _table(x, y,
-    loss), under absolute loss) and two stacked _cost_arrays calls, on the
+    of floats. table is _table(x, y, loss). Each round takes one stacked
+    _assign_arrays call, one _fit_masks call on the (R n, N) mode masks
+    with the table and two stacked _cost_arrays calls, on the
     rows still running; a row leaves the stack when its labeling repeats or
     its round gains less than ZERO_TOL. Every row of each call is bit for
     bit its own call, so each row's results are its own stack of one's.
@@ -669,7 +674,8 @@ def _squared_totals(x, y, member):
     rest[normal] = False
     if rest.any():
         w[rest] = _lstsq(member[rest, :, None] * x, member[rest] * y)
-    totals = (member * np.square(y - w @ x.T)).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = (member * np.square(y - w @ x.T)).sum(axis=1)
     delta = _residual_bound(x, y, np.abs(w).sum(axis=1))
     delta[normal] /= det
     return totals, delta * (2 * np.sqrt(k * totals) + k * delta)
@@ -687,7 +693,7 @@ def _region_costs(x, y, rows, loss: LossModel, table):
     total on the row, read off one (S, N) residual array, is that fit's.
     Only the finite interpolants are read: a non-finite one totals NaN or
     inf on every non-empty row, so it is never the least, as in
-    solve_mode_regression. Each residual is off by at most delta =
+    _fit_masks. Each residual is off by at most delta =
     _residual_bound at the largest finite |w_s|_1, so every interpolant's
     total on a row of k points is within k * delta of its exact value, and
     so is their least, whichever interpolant attains it before or after
@@ -722,7 +728,9 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     one, become canonical label rows; the modes of all K of them are re-fit
     in one _fit_masks call on their (K n, N) mask stack, which gives
     solve_mode_regression's fits bit for bit, and the (K, N) labels and
-    (K, n, d) fits go to _least as they are. Under absolute loss the bound
+    (K, n, d) fits go to _least as they are. A NaN partition total or bound
+    (a squared-loss fit past the float range) leaves no partition to
+    re-fit, and the solve raises ValueError. Under absolute loss the bound
     of a region of k points is k times one residual bound shared by every
     interpolant, and the interpolants of every subset of at most d of the
     points are computed once (_table): the region scorer reads them all,
@@ -741,6 +749,8 @@ def enumeration_solve(data: Dataset, n: int, loss: LossModel,
     totals, slack = costs[parts].sum(axis=1), slack[parts].sum(axis=1)
     near = parts[totals - slack
                  <= (totals + slack).min() + data.N * ZERO_TOL]
+    if not len(near):                   # a NaN total or bound empties it
+        raise ValueError("candidate partition costs must be finite")
     labels = stream.regions[near].argmax(axis=1)                # (K, N)
     masks = (labels[:, None] == np.arange(n)[:, None]).reshape(-1, data.N)
     fits = _fit_masks(x, y, loss, masks, table).reshape(-1, n, data.d)
@@ -857,10 +867,10 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel,
     d-subsets, whose interpolants (one _lstsq stack for all restarts) are
     its initial models, or Gaussian parameters when N < n d. All restarts
     are refined together, _SCORE_CHUNK // n at a time, by _refine with the
-    solve's _table under absolute loss: one _fit_masks call per round fits
-    every mode of every restart still running, and under absolute loss
-    the interpolant table is solved once per solve, as brute force and
-    enumeration solve it. Each restart's result is bit for bit its own
+    solve's _table: one _fit_masks call per round fits every mode of every
+    restart still running, and under absolute loss the interpolant table
+    is solved once per solve, as every absolute-loss fit entry point
+    solves it once per call. Each restart's result is bit for bit its own
     refine_alternate's; they are canonicalized and end in _least.
     Deterministic for a fixed cfg.seed.
     """

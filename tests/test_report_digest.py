@@ -163,9 +163,10 @@ def test_point_sweep_covers_the_degenerate_kinds():
 
 def test_fit_lines_move_with_one_ulp_of_one_fit(monkeypatch):
     # fit_modes' and refine_alternate's lines: the same on a second run,
-    # and one ulp added to one mode's fit moves the line of the call that
-    # made it, and no other: the first fit is fit_modes' first mode, the
-    # last is the final refit of the absolute-loss refinement
+    # and one ulp added to one row of one _fit_masks call moves the line of
+    # the call that made it, and no other: the first row is fit_modes'
+    # first mode, the last is the last mode of the final refit of the
+    # absolute-loss refinement
     rng = np.random.default_rng(8)
     data = Dataset(rng.standard_normal((7, 2)), rng.standard_normal(7))
 
@@ -177,25 +178,25 @@ def test_fit_lines_move_with_one_ulp_of_one_fit(monkeypatch):
     before = lines()
     assert before == lines()
     assert len(set(before)) == len(before) == 2 * (report_digest.FITS + 1)
-    fit, calls = solvers.solve_mode_regression, []
+    fit, calls = solvers._fit_masks, []
 
-    def count(x, y, loss):
+    def count(*args):
         calls.append(1)
-        return fit(x, y, loss)
+        return fit(*args)
 
-    monkeypatch.setattr(solvers, "solve_mode_regression", count)
+    monkeypatch.setattr(solvers, "_fit_masks", count)
     lines()
-    for nudge, moved in ((1, 0), (len(calls), len(before) - 1)):
+    for nudge, row, moved in ((1, 0, 0), (len(calls), -1, len(before) - 1)):
         calls.clear()
 
-        def nudged(x, y, loss):
+        def nudged(*args):
             calls.append(1)
-            w = fit(x, y, loss)
+            w = fit(*args)
             if len(calls) == nudge:
-                w[0] = np.nextafter(w[0], np.inf)
+                w[row, 0] = np.nextafter(w[row, 0], np.inf)
             return w
 
-        monkeypatch.setattr(solvers, "solve_mode_regression", nudged)
+        monkeypatch.setattr(solvers, "_fit_masks", nudged)
         after = lines()
         assert [a != b for a, b in zip(after, before)] == \
             [i == moved for i in range(len(before))], nudge

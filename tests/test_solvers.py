@@ -155,6 +155,12 @@ def test_absolute_fit_matches_linear_program():
         d, k = 1 + trial % 3, 1 + (trial // 3) % 7
         cases.append((rng.integers(-2, 3, size=(k, d)).astype(float),
                       rng.integers(-2, 3, size=k).astype(float)))
+    # 24 generator points at d = 3 pool 2,324 interpolants, three slices of
+    # _SCORE_CHUNK rows
+    data = generate_instance(GeneratorSpec(n=2, d=3, N=40, noise_sigma=0.1,
+                                           seed=0))[0]
+    cases.append((data.x[:24], data.y[:24]))
+    assert len(solvers._interpolants(*cases[-1])[1]) == 2324
     rank_deficient = 0
     for x, y in cases:
         w = solve_mode_regression(x, y, ABSOLUTE)
@@ -168,30 +174,43 @@ def test_non_finite_interpolant_hides_no_absolute_fit():
     # the one-point interpolant 1 / 1e-310 of the first point overflows to
     # (inf, nan), and its absolute total is NaN on every point set holding
     # a point; it counts as +inf, so the fits, brute and enum all find
-    # w = (1, 2) at cost 0.25, the mean of the LP's least total 1.
-    # The overflow warns in _lstsq's stacked SVD and the inf times 0 in the
-    # matmul that totals it, errors in this suite, so numpy's overflow and
-    # invalid flags are ignored here
+    # w = (1, 2) at cost 0.25, the mean of the LP's least total 1. The
+    # overflow and the inf times 0 that totals it warn nowhere: warnings
+    # are errors in this suite
     x = np.array([[1e-310, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     y = np.array([1.0, 1.0, 2.0, 3.0])
     data = Dataset(x, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(solvers._interpolants(x, y)[1]).all()
-        assert solve_mode_regression(x, y, ABSOLUTE).tolist() == [1.0, 2.0]
-        assert fit_modes(data, Labeling(np.ones(4, dtype=int)), 1,
-                         ABSOLUTE).w.tolist() == [[1.0, 2.0]]
-        for n in (1, 2):
-            brute = brute_force_solve(data, n, ABSOLUTE)
-            enum = enumeration_solve(data, n, ABSOLUTE)
-            altmin = altmin_solve(data, n, ABSOLUTE)
-            for report in (brute, enum):
-                assert (report.cost, report.status) == (0.25, "optimal"), n
-            assert (enum.models, enum.labeling.q.tolist(),
-                    enum.labeling.tie_set) == (
-                brute.models, brute.labeling.q.tolist(),
-                brute.labeling.tie_set), n
-            assert altmin.cost >= brute.cost, n
+    assert not np.isfinite(solvers._interpolants(x, y)[1]).all()
+    assert solve_mode_regression(x, y, ABSOLUTE).tolist() == [1.0, 2.0]
+    assert fit_modes(data, Labeling(np.ones(4, dtype=int)), 1,
+                     ABSOLUTE).w.tolist() == [[1.0, 2.0]]
+    for n in (1, 2):
+        brute = brute_force_solve(data, n, ABSOLUTE)
+        enum = enumeration_solve(data, n, ABSOLUTE)
+        altmin = altmin_solve(data, n, ABSOLUTE)
+        for report in (brute, enum):
+            assert (report.cost, report.status) == (0.25, "optimal"), n
+        assert (enum.models, enum.labeling.q.tolist(),
+                enum.labeling.tie_set) == (
+            brute.models, brute.labeling.q.tolist(),
+            brute.labeling.tie_set), n
+        assert altmin.cost >= brute.cost, n
     assert abs(_lp_absolute_total(x, y) - 1.0) <= 1e-9
+
+
+def test_overflowing_squared_fit_raises_a_readable_error():
+    # under squared loss the one-point fit of the subnormal regressor,
+    # 1 / 1e-310, is not a float, and at n = 2 some partition puts that
+    # point alone, so its cost is NaN: brute refuses its residuals and enum
+    # its partition costs, each with a ValueError the CLI reports, and no
+    # warning comes first
+    data = Dataset([[1e-310, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                   [1.0, 1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="^residuals must be finite$"):
+        brute_force_solve(data, 2, SQUARED)
+    with pytest.raises(ValueError,
+                       match="^candidate partition costs must be finite$"):
+        enumeration_solve(data, 2, SQUARED)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +318,8 @@ def _reference_refine(data, models, loss):
     costs = [cost(w, q0)]
     prev_round = None
     for _ in range(solvers._MAX_REFINE_ROUNDS):
-        w = solvers._fit_masks(x, y, loss, q0 == np.arange(n)[:, None])
+        w = solvers._fit_masks(x, y, loss, q0 == np.arange(n)[:, None],
+                               solvers._table(x, y, loss))
         costs.append(cost(w, q0))
         new_q0, ties = _assign_arrays(x, y, w, loss)
         costs.append(cost(w, new_q0))
@@ -333,20 +353,20 @@ def _refine_datasets(rng, n):
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_refine_equals_the_reference_loop(n, loss):
-    # each row of a stack is its own reference refinement, bit for bit, with
-    # or without the table, though past one mode the rows stop at different
-    # rounds (one mode's labeling repeats after one round)
+    # each row of a stack is its own reference refinement, bit for bit,
+    # though past one mode the rows stop at different rounds (one mode's
+    # labeling repeats after one round)
     rng = np.random.default_rng(40 + 10 * n + (loss is ABSOLUTE))
     staggered = False
     for name, data in _refine_datasets(rng, n):
         x, y = data.x, data.y
-        tables = [None] if loss is SQUARED else [None, solvers._table(x, y, loss)]
-        for table, R in itertools.product(tables, (1, 3, 10)):
+        table = solvers._table(x, y, loss)
+        for R in (1, 3, 10):
             w0 = rng.standard_normal((R, n, data.d)) * 2.0
             w, q0, ties, costs = solvers._refine(x, y, w0, loss, table)
             for r in range(R):
                 want = _reference_refine(data, ModelSet(w0[r]), loss)
-                where = (name, table is None, R, r)
+                where = (name, R, r)
                 assert w[r].tobytes() == want.models.w.tobytes(), where
                 assert (q0[r] + 1).tolist() == want.labeling.q.tolist(), where
                 assert tuple(np.flatnonzero(ties[r]) + 1) == \
@@ -413,14 +433,14 @@ def test_brute_canonical_skipping_count():
 @pytest.mark.parametrize("chunk", [None, 3, 1],
                          ids=["default", "chunk3", "chunk1"])
 def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
-    # brute's absolute-loss fit of a mode, read off the table of all the
-    # points, is bit-for-bit solve_mode_regression's scan over _interpolants
-    # of the mode's own points: grid data with zero regressors and repeated
-    # rows, modes below d points and rank-deficient modes. Both tables solve
-    # each size in _lstsq batches and the fits scan them in slices, of
-    # _SCORE_CHUNK rows, placed differently in the two; chunk 3 splits each
-    # size over several batches and slices, chunk 1 gives every row a batch
-    # and a slice of its own
+    # brute's absolute-loss fit of a mode, the solve's table restricted to
+    # the mask, is bit for bit the fit of the mode's own table, which
+    # solve_mode_regression reads: grid data with zero regressors and
+    # repeated rows, modes below d points and rank-deficient modes. Both
+    # tables solve each size in _lstsq batches and the fits score them in
+    # slices, of _SCORE_CHUNK rows, placed differently in the two; chunk 3
+    # splits each size over several batches and slices, chunk 1 gives every
+    # row a batch and a slice of its own
     if chunk is not None:
         monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
     rng = np.random.default_rng(17)
@@ -449,9 +469,10 @@ def test_table_fit_equals_own_pool_fit(monkeypatch, chunk):
 
 
 def test_stacked_table_fit_equals_per_mask_fit_on_every_mask(monkeypatch):
-    # the absolute-loss fit of a stack of masks, read off the table of all
-    # the points, is solve_mode_regression on each mask's own points, bit
-    # for bit, on all 2^N masks in shuffled order: the empty mask, masks
+    # the absolute-loss fit of a stack of masks, the solve's table
+    # restricted to each mask, is bit for bit the fit of each mask's own
+    # table, which solve_mode_regression reads, on all 2^N masks in
+    # shuffled order, fitted together and alone: the empty mask, masks
     # below d points, a zero regressor and a repeated row, rows scaled by
     # 1e-13, near-collinear columns and rows scaled by 1e-310, whose
     # interpolants overflow to inf and NaN, at d = 1-4. Both fits are taken
@@ -462,9 +483,7 @@ def test_stacked_table_fit_equals_per_mask_fit_on_every_mask(monkeypatch):
     # x = (1e-310, 1, 1, 0), y = (1, 1, 3, 0) the interpolant of the first
     # point overflows to inf, which totals NaN on the zero regressor, and
     # w = 1 and w = 3 both total 3, so the first least, w = 1, is the fit,
-    # in one slice and, at chunk 1, across slices. The overflow warns in
-    # _lstsq's stacked SVD and the inf times 0 in the matmuls, so numpy's
-    # overflow and invalid flags are ignored
+    # in one slice and, at chunk 1, across slices
     rng = np.random.default_rng(29)
     kinds = ("grid", "tiny", "collinear", "gauss", "subnormal")
     seen = dict.fromkeys(("empty", "small", "zero", "repeated", "non-finite")
@@ -495,19 +514,18 @@ def test_stacked_table_fit_equals_per_mask_fit_on_every_mask(monkeypatch):
     tie_x = np.array([[1e-310], [1.0], [1.0], [0.0]])
     tie_y = np.array([1.0, 1.0, 3.0, 0.0])
     cases.append((tie_x, tie_y, np.ones((1, 4), dtype=bool)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in (solvers._SCORE_CHUNK, 3, 1):
-            monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
-            for trial, (x, y, masks) in enumerate(cases):
-                want = np.array([solve_mode_regression(x[m], y[m], ABSOLUTE)
-                                 for m in masks])
-                table = solvers._interpolants(x, y)
-                seen["non-finite"] += not np.isfinite(table[1]).all()
-                got = solvers._fit_masks(x, y, ABSOLUTE, masks, table)
-                assert got.shape == want.shape
-                assert np.array_equal(got, want), (chunk, trial)
-            assert solve_mode_regression(tie_x, tie_y, ABSOLUTE).tolist() \
-                == [1.0], chunk
+    for chunk in (solvers._SCORE_CHUNK, 3, 1):
+        monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
+        for trial, (x, y, masks) in enumerate(cases):
+            want = np.array([solve_mode_regression(x[m], y[m], ABSOLUTE)
+                             for m in masks])
+            table = solvers._interpolants(x, y)
+            seen["non-finite"] += not np.isfinite(table[1]).all()
+            got = solvers._fit_masks(x, y, ABSOLUTE, masks, table)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (chunk, trial)
+        assert solve_mode_regression(tie_x, tie_y, ABSOLUTE).tolist() \
+            == [1.0], chunk
     assert all(v > 0 for v in seen.values()), seen
 
 
@@ -1213,14 +1231,13 @@ def test_enum_refits_its_near_window_as_one_stack(monkeypatch, loss):
 def test_fits_enter_through_one_stacked_call(monkeypatch, loss):
     # brute, enum and fit_modes fit their modes in one _fit_masks call, and
     # refine_alternate and altmin (all its running restarts) in one per
-    # round; with no table (squared loss, and fit_modes and
-    # refine_alternate under either loss) every row reaches
+    # round; under squared loss, where there is no table, every row reaches
     # solve_mode_regression through the module, where the benchmark's
-    # tracer wraps it
+    # tracer wraps it, and under absolute loss none does
     fit_masks, regression = solvers._fit_masks, solvers.solve_mode_regression
     stacks, rows = [], []
 
-    def counted_fit(x, y, loss, masks, table=None):
+    def counted_fit(x, y, loss, masks, table):
         stacks.append(len(masks))
         return fit_masks(x, y, loss, masks, table)
 
@@ -1243,14 +1260,15 @@ def test_fits_enter_through_one_stacked_call(monkeypatch, loss):
         assert len(rows) == (stacks[0] if loss is SQUARED else 0), solve
     del stacks[:], rows[:]
     fit_modes(data, Labeling(rng.integers(1, n + 1, size=N)), n, loss)
-    assert stacks == [n] and len(rows) == n
+    assert stacks == [n] and len(rows) == (n if loss is SQUARED else 0)
     refined = []
     for seed in range(6):
         del stacks[:], rows[:]
         w0 = np.random.default_rng(seed).standard_normal((n, d))
         costs = refine_alternate(data, ModelSet(w0), loss).costs
         assert len(stacks) == (len(costs) - 1) // 2 and len(costs) % 2
-        assert stacks == [n] * len(stacks) and len(rows) == n * len(stacks)
+        assert stacks == [n] * len(stacks)
+        assert len(rows) == (n * len(stacks) if loss is SQUARED else 0)
         refined.append(len(stacks))
     assert max(refined) > 1, refined
     cfg = SolverConfig(restarts=6, seed=3)

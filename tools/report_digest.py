@@ -48,8 +48,8 @@ generator data at n 2, d 3, N 40, noise 0.1, seed 0 (2,324 pool rows), and
 altmin_solve on all 40 at n 2 (modes of 19 or more points). Last, the
 instance SUBNORMAL_X, SUBNORMAL_Y, whose first regressor is subnormal, so
 that its one-point interpolant overflows to (inf, nan), solved at n 1 and 2
-the same way as the sweep, with numpy's overflow and invalid flags ignored,
-so its lines do not depend on a warnings filter.
+the same way as the sweep; the solvers let numpy warn of none of its
+overflows, so its lines do not depend on a warnings filter.
 Elapsed times are left out.
 BLAS thread pools are pinned to one thread, as in benchmark/run.py.
 """
@@ -303,9 +303,8 @@ def main(argv=None) -> int:
     print(line("gen0-n2-d3-N40 absolute altmin", out))
     # a subnormal regressor, whose one-point interpolant overflows
     data = Dataset(np.array(SUBNORMAL_X), np.array(SUBNORMAL_Y))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in (1, 2):
-            solve_lines(f"subnormal-n{n}-d2-N4", data, n, [2027, n])
+    for n in (1, 2):
+        solve_lines(f"subnormal-n{n}-d2-N4", data, n, [2027, n])
     return 0
 
 
