@@ -4,8 +4,10 @@ means bit-identical reports."""
 
 import dataclasses
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from switchreg import (ABSOLUTE, SQUARED, Dataset, DichotomySet, Labeling,
                        PartitionInstance, brute_force_solve,
@@ -16,6 +18,7 @@ from switchreg import (ABSOLUTE, SQUARED, Dataset, DichotomySet, Labeling,
 from conftest import exact_cell_count, report_digest
 
 digest = report_digest.digest
+RECORD = Path(__file__).resolve().parent / "data" / "report_digest.txt"
 
 
 def _report():
@@ -276,3 +279,45 @@ def test_point_sweep_ends_with_the_tiny_regressor_sets():
         assert np.array_equal(h[1], data.x)
         assert exact_cell_count(g[1]) == 44, g[0]
         assert exact_cell_count(h[1]) == 14, h[0]
+
+
+def _by_label(lines):
+    """label -> (digest, cost) of digest lines, the cost None on a line
+    that has none."""
+    out = {}
+    for text in lines:
+        head, last = text.rsplit(" ", 1)
+        if _is_cost(last):
+            head, tag = head.rsplit(" ", 1)
+            out[head] = (tag, last)
+        else:
+            out[head] = (last, None)
+    return out
+
+
+def test_committed_digest_is_reproduced(monkeypatch, capsys):
+    # tests/data/report_digest.txt is the output of the command on its
+    # second header line, made under the numpy on its first; the command
+    # run here must print it line for line. A moved line is listed with
+    # its old and new digest and cost. A change that moves lines commits
+    # the regenerated file: the two header lines, then the command's output
+    recorded = RECORD.read_text().splitlines()
+    (version, command), recorded = recorded[:2], recorded[2:]
+    assert version.startswith("# numpy ")
+    assert command.startswith("# python3 tools/report_digest.py ")
+    for var in report_digest.THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert report_digest.main(command.split()[3:]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if lines != recorded:
+        old, new = _by_label(recorded), _by_label(lines)
+        def show(entry):                 # digest, then cost if any
+            return "absent" if entry is None else " ".join(filter(None, entry))
+
+        moved = [f"{label}: {show(old.get(label))} -> {show(new.get(label))}"
+                 for label in dict.fromkeys([*old, *new])
+                 if old.get(label) != new.get(label)]
+        pytest.fail(f"{len(moved)} digest lines moved (recorded under "
+                    f"{version[2:]}, run under numpy {np.__version__}):\n"
+                    + "\n".join(moved or ["none; the order changed"]))
