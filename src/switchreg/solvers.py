@@ -68,12 +68,13 @@ _MAX_REFINE_ROUNDS = 1000
 _GRAM_COND = 1e8
 _ROUNDING = 8
 # Regions per batch of enumeration_solve's scorer, label rows per costing of
-# _least, subsets per _lstsq batch of _interpolants, interpolants per slice
-# of noiseless_solve's fit check, pool rows per stacked pool block of
+# _least, subsets per _svd_lstsq batch of _interpolants, interpolants per
+# slice of noiseless_solve's fit check, pool rows per stacked pool block of
 # _fit_masks' absolute-loss fit (the masks of a batch times a slice of
-# their pools), and mode masks per _refine stack of altmin_solve (n per
-# restart): it bounds their (chunk, N), (chunk, S), (chunk, n, d), SVD
-# factor and (chunk, k) arrays.
+# their pools), masks per squared-loss gather of _fit_masks times their k
+# points, and mode masks per _refine stack of altmin_solve (n per restart):
+# it bounds their (chunk, N), (chunk, S), (chunk, n, d), SVD factor,
+# (chunk, k) and (chunk, d) arrays.
 _SCORE_CHUNK = 1024
 
 SOLVER_METHODS = ("brute", "enum", "noiseless", "altmin")
@@ -178,35 +179,55 @@ def _svd_failed(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
+@np.errstate(call=_svd_failed, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
 def _lstsq(a, b) -> np.ndarray:
-    """Minimum-norm least-squares solution of the system a (k, d), b (k,),
-    or of each system in the stacks a (..., k, d), b (..., k): the one
-    least-squares routine. One system is np.linalg.lstsq(a, b, rcond=None)'s
-    bit for bit, from the gufunc it calls (LAPACK's gelsd in numpy's
-    _umath_linalg), with its cutoff, zero solution for k = 0 and error
-    state, minus its wrapper (14-15 us against 18-19 us on an 8 x 6 system
-    with one BLAS thread); a stack takes lstsq's method, V (U^T b / s) from
-    a's thin SVD with singular values at most max(k, d) * eps of the
-    largest cut: backward stable, unlike a pseudo-inverse formed first. A
-    stack warns of nothing: a solution past the float range (a subnormal
-    row's 1 / 1e-310) comes out inf or NaN for its caller to weigh. It
-    ignores the invalid flag, on which the one system raises lstsq's
-    error, as its inf times a zero of V sets it."""
+    """Minimum-norm least-squares solution of each system in the stacks
+    a (..., k, d), b (..., k), a (..., d) array whose rows are
+    np.linalg.lstsq(a_i, b_i, rcond=None)'s bit for bit: the one system
+    a (k, d), b (k,) is a stack of one. Each system takes its own call of
+    the gufunc lstsq calls (LAPACK's gelsd in numpy's _umath_linalg), with
+    lstsq's cutoff, and the whole stack runs in one error state, lstsq's,
+    which raises its LinAlgError when gelsd's SVD does not converge; k = 0
+    gives zero solutions, as lstsq does, without a call. So a system costs
+    its gelsd call and little more: no lstsq wrapper and no error state of
+    its own. A row whose answer is not finite (a subnormal row's
+    1 / 1e-310) is solved again by _svd_lstsq, which drops the directions
+    whose coefficient is not a float; one isfinite checks the stack."""
     k, d = a.shape[-2:]
-    cutoff = max(k, d) * np.finfo(float).eps
-    if a.ndim == 2:
-        if k == 0:
-            return np.zeros(d)
-        with np.errstate(call=_svd_failed, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
-            return _umath_linalg.lstsq(a, b[:, None], cutoff,
-                                       signature="ddd->ddid")[0][:, 0]
+    if not a.size:
+        return np.zeros(a.shape[:-2] + (d,))
+    cutoff = max(k, d) * 2.0 ** -52             # lstsq's, eps being 2^-52
+    w = np.array([_umath_linalg.lstsq(ai, bi, cutoff, signature="ddd->ddid")[0]
+                  for ai, bi in zip(a.reshape(-1, k, d), b.reshape(-1, k, 1))]
+                 ).reshape(a.shape[:-2] + (d,))
+    finite = np.isfinite(w)
+    if not finite.all():
+        redo = ~finite.all(axis=-1)
+        w[redo] = _svd_lstsq(a[redo], b[redo])
+    return w
+
+
+def _svd_lstsq(a, b) -> np.ndarray:
+    """Minimum-norm least-squares solution of each system in the stacks
+    a (..., k, d), b (..., k) from one batched SVD, by lstsq's method:
+    V (U^T b / s) from a's thin SVD with singular values at most
+    max(k, d) * eps of the largest cut, backward stable, unlike a
+    pseudo-inverse formed first. A coefficient U^T b / s that is not a
+    float (a subnormal row's 1 / 1e-310) is set to 0, as a cut one is, so
+    the solution is the least-squares one over the directions whose
+    coefficient is finite, and the stack warns of nothing. _interpolants,
+    altmin's starts and _squared_totals' rows past the normal equations
+    solve their stacks here, and _lstsq its rows that gelsd took past the
+    float range."""
+    k, d = a.shape[-2:]
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > cutoff * s[..., :1]
+    keep = s > max(k, d) * 2.0 ** -52 * s[..., :1]
     with np.errstate(over="ignore", divide="ignore", under="ignore",
                      invalid="ignore"):
         c = np.divide((b[..., None, :] @ u)[..., 0, :], s,
                       out=np.zeros(s.shape), where=keep)
+        c[~np.isfinite(c)] = 0
         return (c[..., None, :] @ vt)[..., 0, :]
 
 
@@ -228,7 +249,7 @@ def _interpolants(x, y, sizes=None):
         for lo in range(0, len(block), _SCORE_CHUNK):
             chunk = block[lo:lo + _SCORE_CHUNK]
             subsets[at:at + len(chunk), :chunk.shape[1]] = chunk
-            ws[at:at + len(chunk)] = _lstsq(x[chunk], y[chunk])
+            ws[at:at + len(chunk)] = _svd_lstsq(x[chunk], y[chunk])
             at += len(chunk)
     return subsets, ws
 
@@ -238,19 +259,23 @@ def solve_mode_regression(x, y, loss: LossModel) -> np.ndarray:
 
     Accepts an empty subset (returns the zero vector) and rank-deficient
     or small subsets. Squared loss takes _lstsq's minimum-norm
-    least-squares solution of the one system, from an SVD of x itself,
-    never from the normal equations, which square its condition number.
-    Absolute loss takes _fit_masks' fit of the one mask of all the points
-    from their table, the interpolants of every subset of at most d of
-    them (_interpolants): the same rule, in the same function, as every
-    solver's absolute-loss fit.
+    least-squares solution, from an SVD of x itself, never from the normal
+    equations, which square its condition number; it also takes a stack
+    of B modes of k points each, x (B, k, d) and y (B, k), and returns
+    their (B, d) fits, each that of its own mode bit for bit, which is how
+    _fit_masks passes it a mask size at a time. Absolute loss takes
+    _fit_masks' fit of the one mask of all the points from their table,
+    the interpolants of every subset of at most d of them (_interpolants):
+    the same rule, in the same function, as every solver's absolute-loss
+    fit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"x must be (k, d), got shape {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"y must be ({x.shape[0]},), got shape {y.shape}")
+    if x.ndim != 2 and (x.ndim != 3 or loss.kind != "squared"):
+        raise ValueError(f"x must be (k, d), or (B, k, d) under squared "
+                         f"loss, got shape {x.shape}")
+    if y.shape != x.shape[:-1]:
+        raise ValueError(f"y must be {x.shape[:-1]}, got shape {y.shape}")
     if loss.kind == "squared":
         return _lstsq(x, y)
     return _fit_masks(x, y, loss, np.ones((1, len(y)), dtype=bool),
@@ -273,16 +298,22 @@ def _fit_masks(x, y, loss: LossModel, masks, table) -> np.ndarray:
     solve_mode_regression's absolute-loss fit, a stack of one mask on its
     own points' table.
 
-    Under squared loss each row goes to solve_mode_regression, looked up on
-    this module. Under absolute loss a mode's pool is the table's rows
+    Under squared loss the masks go to solve_mode_regression, looked up on
+    this module, a size at a time: the masks of k points are gathered
+    _SCORE_CHUNK // k at a time (at least one) into (B, k, d) and (B, k)
+    stacks, one call each, in which _lstsq gives each mask its own gelsd
+    call, so every distinct mask still costs one LAPACK solve. Under
+    absolute loss a mode's pool is the table's rows
     whose subsets lie inside the mask, the padding N counting as inside:
     the interpolants of the mode's own points, bit for bit, in the order of
     their own table, so the fit of a mask does not depend on the points
     around it and no subset is solved again. Each mask takes the first of
     its pool with the least total, a NaN total counting as +inf, or the
-    zero vector where no total is finite. A non-finite interpolant
-    (1 / 1e-310 overflows) totals NaN or inf on any point, so it is never
-    picked, and its NaN warns of nothing. Some optimal L1 fit is a basic
+    zero vector where no total is finite. An interpolant keeps only the
+    directions whose coefficient is a float (_svd_lstsq), but its sum over
+    them can still overflow; a non-finite one totals NaN or inf on any
+    point, so it is never picked, and its NaN warns of nothing. Some
+    optimal L1 fit is a basic
     solution of the LP: it interpolates rank(x) points with independent
     regressors, and the minimum-norm interpolant of those points predicts
     the same on every point (Barrodale and Roberts, SIAM J. Numer. Anal.
@@ -299,8 +330,14 @@ def _fit_masks(x, y, loss: LossModel, masks, table) -> np.ndarray:
     d = x.shape[1]
     fits = np.zeros((M, d))
     if table is None:
-        for r, mask in enumerate(masks):
-            fits[r] = solve_mode_regression(x[mask], y[mask], loss)
+        size = masks.sum(axis=1)
+        for k in np.bincount(size).nonzero()[0].tolist():
+            rows = (size == k).nonzero()[0]
+            step = max(1, _SCORE_CHUNK // max(k, 1))
+            for first in range(0, len(rows), step):
+                batch = rows[first:first + step]
+                idx = masks[batch].nonzero()[1].reshape(len(batch), k)
+                fits[batch] = solve_mode_regression(x[idx], y[idx], loss)
         return fits
     subsets, ws = table
     size = masks.sum(axis=1)
@@ -651,12 +688,12 @@ def _squared_totals(x, y, member):
     A row takes its normal equations only where det(G / trace G) certifies
     cond(G) < _GRAM_COND: the eigenvalues of G / trace G are at most 1, so
     their product is at most l_min / l_max. Every other non-empty row takes
-    _lstsq on its masked stack, non-members as zero rows; an empty row
+    _svd_lstsq on its masked stack, non-members as zero rows; an empty row
     takes w = 0. Each residual is off by at most delta = _residual_bound,
-    _lstsq being backward stable, times cond(G)'s bound on a normal-equation
-    row, so on every row a total over k points is off by at most
-    delta * (2 sqrt(k * total) + k * delta). Near-collinear rows can have
-    |w| near 1e9, where that is more than ZERO_TOL.
+    _svd_lstsq being backward stable, times cond(G)'s bound on a
+    normal-equation row, so on every row a total over k points is off by
+    at most delta * (2 sqrt(k * total) + k * delta). Near-collinear rows
+    can have |w| near 1e9, where that is more than ZERO_TOL.
     """
     N, d = x.shape
     gram = (member @ (x[:, :, None] * x[:, None, :]).reshape(N, d * d)).reshape(
@@ -673,7 +710,7 @@ def _squared_totals(x, y, member):
     rest = k > 0
     rest[normal] = False
     if rest.any():
-        w[rest] = _lstsq(member[rest, :, None] * x, member[rest] * y)
+        w[rest] = _svd_lstsq(member[rest, :, None] * x, member[rest] * y)
     with np.errstate(over="ignore", invalid="ignore"):
         totals = (member * np.square(y - w @ x.T)).sum(axis=1)
     delta = _residual_bound(x, y, np.abs(w).sum(axis=1))
@@ -864,8 +901,8 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel,
     """Seeded multi-start alternating minimization. No optimality guarantee.
 
     Restart r draws from default_rng([cfg.seed, r]) n disjoint random
-    d-subsets, whose interpolants (one _lstsq stack for all restarts) are
-    its initial models, or Gaussian parameters when N < n d. All restarts
+    d-subsets, whose interpolants (one _svd_lstsq stack for all restarts)
+    are its initial models, or Gaussian parameters when N < n d. All restarts
     are refined together, _SCORE_CHUNK // n at a time, by _refine with the
     solve's _table: one _fit_masks call per round fits every mode of every
     restart still running, and under absolute loss the interpolant table
@@ -883,7 +920,7 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel,
     if N >= n * d:
         idx = np.array([rng.choice(N, size=n * d, replace=False)
                         for rng in rngs]).reshape(-1, n, d)
-        w0 = _lstsq(x[idx], y[idx])
+        w0 = _svd_lstsq(x[idx], y[idx])
     else:
         w0 = np.array([rng.standard_normal((n, d)) for rng in rngs])
     table = _table(x, y, loss)

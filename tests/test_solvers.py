@@ -170,17 +170,18 @@ def test_absolute_fit_matches_linear_program():
     assert rank_deficient >= 10, rank_deficient
 
 
-def test_non_finite_interpolant_hides_no_absolute_fit():
-    # the one-point interpolant 1 / 1e-310 of the first point overflows to
-    # (inf, nan), and its absolute total is NaN on every point set holding
-    # a point; it counts as +inf, so the fits, brute and enum all find
-    # w = (1, 2) at cost 0.25, the mean of the LP's least total 1. The
-    # overflow and the inf times 0 that totals it warn nowhere: warnings
-    # are errors in this suite
+def test_interpolant_past_the_float_range_hides_no_absolute_fit():
+    # the one-point interpolant of the first point, 1 / 1e-310, is not a
+    # float: _svd_lstsq drops its direction, so the table row is (0, 0) and
+    # every row is finite, and the fits, brute and enum all find w = (1, 2)
+    # at cost 0.25, the mean of the LP's least total 1. Nothing warns:
+    # warnings are errors in this suite
     x = np.array([[1e-310, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     y = np.array([1.0, 1.0, 2.0, 3.0])
     data = Dataset(x, y)
-    assert not np.isfinite(solvers._interpolants(x, y)[1]).all()
+    subsets, ws = solvers._interpolants(x, y)
+    assert ws[(subsets == [[0, 4]]).all(axis=1)].tolist() == [[0.0, 0.0]]
+    assert np.isfinite(ws).all()
     assert solve_mode_regression(x, y, ABSOLUTE).tolist() == [1.0, 2.0]
     assert fit_modes(data, Labeling(np.ones(4, dtype=int)), 1,
                      ABSOLUTE).w.tolist() == [[1.0, 2.0]]
@@ -198,19 +199,39 @@ def test_non_finite_interpolant_hides_no_absolute_fit():
     assert abs(_lp_absolute_total(x, y) - 1.0) <= 1e-9
 
 
-def test_overflowing_squared_fit_raises_a_readable_error():
+def test_squared_fit_past_the_float_range_drops_the_direction():
     # under squared loss the one-point fit of the subnormal regressor,
-    # 1 / 1e-310, is not a float, and at n = 2 some partition puts that
-    # point alone, so its cost is NaN: brute refuses its residuals and enum
-    # its partition costs, each with a ValueError the CLI reports, and no
-    # warning comes first
-    data = Dataset([[1e-310, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
-                   [1.0, 1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="^residuals must be finite$"):
-        brute_force_solve(data, 2, SQUARED)
-    with pytest.raises(ValueError,
-                       match="^candidate partition costs must be finite$"):
-        enumeration_solve(data, 2, SQUARED)
+    # 1 / 1e-310, is not a float: gelsd's answer is not finite, so _lstsq
+    # solves that system again by _svd_lstsq, which drops the direction,
+    # and the fit is zero. At n = 2 brute and enum agree at 0.25, as under
+    # absolute loss, and refine_alternate answers. On the all-subnormal
+    # instances at n = 1 and 2 every method runs under both losses and
+    # ends at 1.0, the cost of the zero model. No warning comes first. The
+    # answer is the best over finite fit directions only: with the
+    # subnormal point alone, the models (1.797e308, 0) and (1, 2) cost less
+    x = np.array([[1e-310, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    y = np.array([1.0, 1.0, 2.0, 3.0])
+    data = Dataset(x, y)
+    assert not np.isfinite(np.linalg.lstsq(x[:1], y[:1], rcond=None)[0]).all()
+    assert solve_mode_regression(x[:1], y[:1], SQUARED).tolist() == [0.0, 0.0]
+    brute = brute_force_solve(data, 2, SQUARED)
+    enum = enumeration_solve(data, 2, SQUARED)
+    assert (brute.cost, brute.status) == (enum.cost, enum.status) \
+        == (0.25, "optimal")
+    assert report_digest.digest(brute) == report_digest.digest(enum)
+    refined = refine_alternate(data, ModelSet(np.eye(2)), SQUARED)
+    assert np.isfinite(refined.models.w).all()
+    below = empirical_cost(data, ModelSet([[1.797e308, 0.0], [1.0, 2.0]]),
+                           Labeling(np.array([1, 2, 2, 2])), SQUARED)
+    assert 0.24 < below < 0.25
+    for x, y in (([[1e-310]], [1.0]), ([[1e-310], [2e-310]], [1.0, 1.0])):
+        data = Dataset(x, y)
+        for n in (1, 2):
+            assert noiseless_solve(data, n).cost == 1.0, (x, n)
+            for loss in (SQUARED, ABSOLUTE):
+                for method in ("brute", "enum", "altmin"):
+                    report = solve_instance(data, n, loss, method)
+                    assert report.cost == 1.0, (x, n, loss, method)
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +496,19 @@ def test_stacked_table_fit_equals_per_mask_fit_on_every_mask(monkeypatch):
     # shuffled order, fitted together and alone: the empty mask, masks
     # below d points, a zero regressor and a repeated row, rows scaled by
     # 1e-13, near-collinear columns and rows scaled by 1e-310, whose
-    # interpolants overflow to inf and NaN, at d = 1-4. Both fits are taken
-    # at the default _SCORE_CHUNK, at 3, which splits larger pools over
-    # slices and batches, and at 1, which scores every pool row in a slice
-    # of its own (a slice's shape can move a total's last bit, so the chunk
-    # is the same on both sides). Last, a tie behind a NaN total: on
-    # x = (1e-310, 1, 1, 0), y = (1, 1, 3, 0) the interpolant of the first
-    # point overflows to inf, which totals NaN on the zero regressor, and
-    # w = 1 and w = 3 both total 3, so the first least, w = 1, is the fit,
-    # in one slice and, at chunk 1, across slices
+    # one-point interpolants lie past the float range (lstsq's are not
+    # finite), so the table drops their directions and stays finite, at
+    # d = 1-4. Both fits are taken at the default _SCORE_CHUNK, at 3, which
+    # splits larger pools over slices and batches, and at 1, which scores
+    # every pool row in a slice of its own (a slice's shape can move a
+    # total's last bit, so the chunk is the same on both sides). Last, a
+    # tie: on x = (1e-310, 1, 1, 0), y = (1, 1, 3, 0) the interpolant of the
+    # first point and that of the zero regressor are 0, which totals 5,
+    # and w = 1 and w = 3 both total 3, so the first least, w = 1, is the
+    # fit, in one slice and, at chunk 1, across slices
     rng = np.random.default_rng(29)
     kinds = ("grid", "tiny", "collinear", "gauss", "subnormal")
-    seen = dict.fromkeys(("empty", "small", "zero", "repeated", "non-finite")
+    seen = dict.fromkeys(("empty", "small", "zero", "repeated", "past-range")
                          + kinds, 0)
     cases, N = [], 7
     for trial in range(4 * len(kinds)):
@@ -520,13 +542,66 @@ def test_stacked_table_fit_equals_per_mask_fit_on_every_mask(monkeypatch):
             want = np.array([solve_mode_regression(x[m], y[m], ABSOLUTE)
                              for m in masks])
             table = solvers._interpolants(x, y)
-            seen["non-finite"] += not np.isfinite(table[1]).all()
+            assert np.isfinite(table[1]).all()
+            seen["past-range"] += not all(
+                np.isfinite(np.linalg.lstsq(x[i:i + 1], y[i:i + 1],
+                                            rcond=None)[0]).all()
+                for i in range(len(y)))
             got = solvers._fit_masks(x, y, ABSOLUTE, masks, table)
             assert got.shape == want.shape
             assert np.array_equal(got, want), (chunk, trial)
         assert solve_mode_regression(tie_x, tie_y, ABSOLUTE).tolist() \
             == [1.0], chunk
     assert all(v > 0 for v in seen.values()), seen
+
+
+def test_stacked_squared_fit_is_lstsq_on_every_mask(monkeypatch):
+    # the squared-loss fit of a stack of masks, each size gathered into
+    # (B, k, d) stacks and each system solved by its own gelsd call, is bit
+    # for bit np.linalg.lstsq on each mask's points, on all 2^N masks in
+    # shuffled order: the empty mask, masks of k < d points, a zero
+    # regressor, a repeated row and rank-deficient columns, at N 6-10 and
+    # d 1-4, with _SCORE_CHUNK at 1 (one mask per call), 3 and its default.
+    # A NaN in one mask's rows raises lstsq's LinAlgError, and a stack of
+    # systems under absolute loss is refused
+    rng = np.random.default_rng(31)
+    seen = dict.fromkeys(("empty", "small", "zero", "repeated",
+                          "rank-deficient"), 0)
+    cases = []
+    for trial in range(8):
+        d, N = 1 + trial % 4, 6 + trial % 5
+        x = rng.integers(-2, 3, size=(N, d)).astype(float)
+        y = rng.standard_normal(N)
+        x[1] = 0.0                                  # a zero regressor
+        x[N - 1], y[N - 1] = x[0], y[0]             # a repeated row
+        if d > 1 and trial % 2:
+            x[:, -1] = 2 * x[:, 0]                  # rank-deficient columns
+        masks = np.array(list(itertools.product([False, True], repeat=N)))
+        masks = masks[rng.permutation(len(masks))]
+        want = np.array([np.linalg.lstsq(x[m], y[m], rcond=None)[0]
+                         for m in masks])
+        size = masks.sum(axis=1)
+        seen["empty"] += (size == 0).sum()
+        seen["small"] += ((0 < size) & (size < d)).sum()
+        seen["zero"] += not x.any(axis=1).all()
+        seen["repeated"] += len(np.unique(x, axis=0)) < N
+        seen["rank-deficient"] += np.linalg.matrix_rank(x) < d
+        cases.append((x, y, masks, want))
+    for chunk in (1, 3, solvers._SCORE_CHUNK):
+        monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
+        for trial, (x, y, masks, want) in enumerate(cases):
+            got = solvers._fit_masks(x, y, SQUARED, masks, None)
+            assert got.tobytes() == want.tobytes(), (chunk, trial)
+    assert all(v > 0 for v in seen.values()), seen
+    x, y, masks, _ = cases[0]
+    x = x.copy()
+    x[2, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        solvers._fit_masks(x, y, SQUARED, masks[masks[:, 2]][:1], None)
+    assert np.isfinite(solvers._fit_masks(x, y, SQUARED, masks[~masks[:, 2]],
+                                          None)).all()
+    with pytest.raises(ValueError, match="under squared loss"):
+        solve_mode_regression(np.ones((2, 3, 1)), np.ones((2, 3)), ABSOLUTE)
 
 
 @pytest.mark.parametrize("chunk", [None, 3, 1],
@@ -1227,23 +1302,48 @@ def test_enum_refits_its_near_window_as_one_stack(monkeypatch, loss):
     assert max(windows) > 1, windows
 
 
+def _squared_calls(masks, d):
+    """The (B, k, d) shapes of the solve_mode_regression calls a squared
+    fit of the stack of masks makes: by ascending size k, each size's
+    masks _SCORE_CHUNK // k at a time (at least one)."""
+    size = masks.sum(axis=1)
+    calls = []
+    for k in sorted(set(size.tolist())):
+        count = (size == k).sum()
+        step = max(1, solvers._SCORE_CHUNK // max(k, 1))
+        calls += [(min(step, count - lo), k, d)
+                  for lo in range(0, count, step)]
+    return calls
+
+
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
 def test_fits_enter_through_one_stacked_call(monkeypatch, loss):
     # brute, enum and fit_modes fit their modes in one _fit_masks call, and
     # refine_alternate and altmin (all its running restarts) in one per
-    # round; under squared loss, where there is no table, every row reaches
+    # round. Under squared loss, where there is no table, the masks reach
     # solve_mode_regression through the module, where the benchmark's
-    # tracer wraps it, and under absolute loss none does
+    # tracer wraps it, as (B, k, d) stacks: one call per mask size and
+    # gather of _SCORE_CHUNK // k masks, whose systems sum to the masks.
+    # Under absolute loss none does. Brute runs again at _SCORE_CHUNK 3,
+    # which splits each size's masks over several calls
     fit_masks, regression = solvers._fit_masks, solvers.solve_mode_regression
-    stacks, rows = [], []
+    stacks, calls = [], []
 
     def counted_fit(x, y, loss, masks, table):
-        stacks.append(len(masks))
+        stacks.append(masks)
         return fit_masks(x, y, loss, masks, table)
 
     def counted_regression(x, y, loss):
-        rows.append(len(y))
+        calls.append(np.shape(x))
         return regression(x, y, loss)
+
+    def wanted():
+        # the calls the fits of every stack make, and their systems
+        if loss is ABSOLUTE:
+            return []
+        want = [c for masks in stacks for c in _squared_calls(masks, d)]
+        assert sum(b for b, _, _ in want) == sum(map(len, stacks))
+        return want
 
     monkeypatch.setattr(solvers, "_fit_masks", counted_fit)
     monkeypatch.setattr(solvers, "solve_mode_regression", counted_regression)
@@ -1253,33 +1353,39 @@ def test_fits_enter_through_one_stacked_call(monkeypatch, loss):
     x[3] = 0                                         # a zero regressor
     y = rng.integers(-2, 3, size=N).astype(float)
     data = Dataset(x, y)
-    for solve in (brute_force_solve, enumeration_solve):
-        del stacks[:], rows[:]
+    chunk = solvers._SCORE_CHUNK
+    for solve, at in ((brute_force_solve, chunk), (enumeration_solve, chunk),
+                      (brute_force_solve, 3)):
+        monkeypatch.setattr(solvers, "_SCORE_CHUNK", at)
+        del stacks[:], calls[:]
         solve(data, n, loss)
-        assert len(stacks) == 1, solve
-        assert len(rows) == (stacks[0] if loss is SQUARED else 0), solve
-    del stacks[:], rows[:]
+        assert len(stacks) == 1 and calls == wanted(), (solve, at)
+        if solve is brute_force_solve and loss is SQUARED:
+            # the 2^N masks hold every size 0..N
+            assert (len(calls) == N + 1) == (at == chunk), at
+    monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
+    del stacks[:], calls[:]
     fit_modes(data, Labeling(rng.integers(1, n + 1, size=N)), n, loss)
-    assert stacks == [n] and len(rows) == (n if loss is SQUARED else 0)
+    assert [len(m) for m in stacks] == [n] and calls == wanted()
     refined = []
     for seed in range(6):
-        del stacks[:], rows[:]
+        del stacks[:], calls[:]
         w0 = np.random.default_rng(seed).standard_normal((n, d))
         costs = refine_alternate(data, ModelSet(w0), loss).costs
         assert len(stacks) == (len(costs) - 1) // 2 and len(costs) % 2
-        assert stacks == [n] * len(stacks)
-        assert len(rows) == (n * len(stacks) if loss is SQUARED else 0)
+        assert [len(m) for m in stacks] == [n] * len(stacks)
+        assert calls == wanted()
         refined.append(len(stacks))
     assert max(refined) > 1, refined
     cfg = SolverConfig(restarts=6, seed=3)
     rounds = [(len(_reference_refine(
         data, ModelSet(_reference_start(data, n, cfg.seed, r)), loss).costs)
         - 1) // 2 for r in range(cfg.restarts)]
-    del stacks[:], rows[:]
+    del stacks[:], calls[:]
     altmin_solve(data, n, loss, cfg)
-    assert stacks == [n * sum(k > i for k in rounds)
-                      for i in range(max(rounds))]
-    assert len(rows) == (sum(stacks) if loss is SQUARED else 0)
+    assert [len(m) for m in stacks] == [n * sum(k > i for k in rounds)
+                                        for i in range(max(rounds))]
+    assert calls == wanted()
     assert len(set(rounds)) > 1, rounds
 
 
@@ -1741,7 +1847,7 @@ def _reference_start(data, n, seed, r):
     if data.N >= n * data.d:
         idx = rng.choice(data.N, size=n * data.d, replace=False)
         idx = idx.reshape(n, data.d)
-        return solvers._lstsq(data.x[idx], data.y[idx])
+        return solvers._svd_lstsq(data.x[idx], data.y[idx])
     return rng.standard_normal((n, data.d))
 
 

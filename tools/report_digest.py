@@ -47,10 +47,14 @@ slice of 1,024 rows: solve_mode_regression on the first 24 points of
 generator data at n 2, d 3, N 40, noise 0.1, seed 0 (2,324 pool rows), and
 altmin_solve on all 40 at n 2 (modes of 19 or more points). Last, the
 instance SUBNORMAL_X, SUBNORMAL_Y, whose first regressor is subnormal, so
-that its one-point interpolant overflows to (inf, nan), solved at n 1 and 2
+that its one-point fit, 1 / 1e-310, is not a float, solved at n 1 and 2
 the same way as the sweep; the solvers let numpy warn of none of its
 overflows, so its lines do not depend on a warnings filter.
 Elapsed times are left out.
+tests/data/report_digest.txt holds the output of --seed 113 --rounds 1
+under a header naming the numpy version and the command, and
+tests/test_report_digest.py checks it line for line; a change that moves
+a line commits the regenerated file.
 BLAS thread pools are pinned to one thread, as in benchmark/run.py.
 """
 
