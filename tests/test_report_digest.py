@@ -90,7 +90,8 @@ def test_report_lines_end_with_their_cost(monkeypatch, capsys):
     # a shortened run of the script itself
     for name, value in (("SWEEP", 4), ("NEAR", range(0)),
                         ("TINY_SEEDS", range(0)), ("POINT_SETS", 2),
-                        ("PARTITIONS", ((1, 2),))):
+                        ("PARTITIONS", ((1, 2),)),
+                        ("REDUCTION_EXPONENTS", (12,))):
         monkeypatch.setattr(report_digest, name, value)
     for var in report_digest.THREAD_VARS:
         monkeypatch.setenv(var, "1")
@@ -261,8 +262,9 @@ def test_point_sweep_ends_with_the_partition_sets():
 
 
 def test_point_sweep_ends_with_the_tiny_regressor_sets():
-    # last, the lifted (G) and regressor (H) points of each tiny-regressor
-    # draw of the solve sweep. They are in general position, so their
+    # after the Partition sets, the lifted (G) and regressor (H) points of
+    # each tiny-regressor draw of the solve sweep. They are in general
+    # position, so their
     # exact cell counts are Cover's, 2 sum_{k<m} C(N-1, k): 44 for G and 14
     # for H. The enumeration's own counts are what their lines record
     sets = list(report_digest.tiny_point_sets(Dataset, datasets))
@@ -279,6 +281,30 @@ def test_point_sweep_ends_with_the_tiny_regressor_sets():
         assert np.array_equal(h[1], data.x)
         assert exact_cell_count(g[1]) == 44, g[0]
         assert exact_cell_count(h[1]) == 14, h[0]
+
+
+def test_point_sweep_ends_with_the_reduction_sets():
+    # last, the lifted (G) and regressor (H) points of the Partition
+    # reductions of (2^k, 2^k + 2, 1, 1), two sets per exponent. The
+    # entries grow with k, the arrangements do not: every G set has 258
+    # cells and every H set 30 by their exact counts. The enumeration's
+    # own counts are what their lines record
+    sets = list(report_digest.reduction_point_sets(hardness))
+    assert report_digest.REDUCTION_EXPONENTS == (12, 13, 16, 24, 40)
+    assert len(sets) == 2 * len(report_digest.REDUCTION_EXPONENTS)
+    for k, g, h in zip(report_digest.REDUCTION_EXPONENTS, sets[::2],
+                       sets[1::2]):
+        data = partition_to_instance(PartitionInstance(
+            (2 ** k, 2 ** k + 2, 1, 1))).data
+        assert (g[0], h[0]) == (f"reduction-k{k}-G-m5-N9",
+                                f"reduction-k{k}-H-m4-N9")
+        assert np.array_equal(g[1], data.lifted())
+        assert np.array_equal(h[1], data.x)
+        assert np.abs(g[1]).max() == 2 ** k + 2
+        assert exact_cell_count(g[1]) == 258, g[0]
+        assert exact_cell_count(h[1]) == 30, h[0]
+        for label, points in (g, h):
+            assert not check_general_position(points).ok, label
 
 
 def _by_label(lines):

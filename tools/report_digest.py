@@ -38,10 +38,13 @@ its own, each set's row line followed by a line of check_general_position's
 report on it (ok, violations, sampled, checked_subsets). The same two lines
 follow for the lifted (G) and regressor (H) points of the Partition
 reductions of PARTITIONS, sizes 2-6, whose points repeat every regressor
-and lie on many common hyperplanes, and last for the lifted (G) and
-regressor (H) points of the tiny-regressor draws, which are in general
-position but whose lifted points lie within SIGN_TOL of the y axis, where
-the enumeration is known to give fewer rows than their exact cell count.
+and lie on many common hyperplanes, then for those of the tiny-regressor
+draws, which are in general position but whose lifted points lie within
+SIGN_TOL of the y axis, where the enumeration is known to give fewer rows
+than their exact cell count, and last for those of the Partition
+reductions of (2^k, 2^k + 2, 1, 1) for k in REDUCTION_EXPONENTS, whose G
+sets have 258 cells by their exact count, where the enumeration is known
+to give other row counts from k = 13 on.
 Then two absolute-loss calls whose interpolant pools pass the solvers'
 slice of 1,024 rows: solve_mode_regression on the first 24 points of
 generator data at n 2, d 3, N 40, noise 0.1, seed 0 (2,324 pool rows), and
@@ -79,6 +82,7 @@ TINY_SEEDS = range(3)           # generator seeds of the tiny-regressor draws
 TINY_SCALES = ("1e-13", "1e-20")
 PARTITIONS = ((1, 2), (3, 1, 2), (5, 3, 2, 4), (17, 13, 10, 6, 6),
               (4, 8, 3, 5, 2, 6))       # multisets whose G and H are hashed
+REDUCTION_EXPONENTS = (12, 13, 16, 24, 40)  # G and H of (2^k, 2^k + 2, 1, 1)
 SUBNORMAL_X = ((1e-310, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 SUBNORMAL_Y = (1.0, 1.0, 2.0, 3.0)
 
@@ -253,6 +257,17 @@ def tiny_point_sets(Dataset, datasets):
             yield f"{label}-{kind}-m{pts.shape[1]}-N{len(pts)}", pts
 
 
+def reduction_point_sets(hardness):
+    """(label, points) for the lifted (G) and regressor (H) points of the
+    Partition reduction of (2^k, 2^k + 2, 1, 1) for each k in
+    REDUCTION_EXPONENTS."""
+    for k in REDUCTION_EXPONENTS:
+        data = hardness.partition_to_instance(hardness.PartitionInstance(
+            (2 ** k, 2 ** k + 2, 1, 1))).data
+        for kind, pts in (("G", data.lifted()), ("H", data.x)):
+            yield f"reduction-k{k}-{kind}-m{pts.shape[1]}-N{len(pts)}", pts
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
@@ -291,7 +306,8 @@ def main(argv=None) -> int:
         solve_lines(label, data, n, [2026, i])
 
     for label, points in [*point_sets(np), *partition_point_sets(hardness),
-                          *tiny_point_sets(Dataset, datasets)]:
+                          *tiny_point_sets(Dataset, datasets),
+                          *reduction_point_sets(hardness)]:
         out = attempt(geometry.enumerate_linear_dichotomies, points)
         print(f"{label} {digest(out)}")
         out = attempt(geometry.check_general_position, points)
