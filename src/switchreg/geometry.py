@@ -114,9 +114,6 @@ def check_general_position(points) -> GeneralPositionReport:
         raise ValueError(f"points must be (N, m), got shape {points.shape}")
     unit, _ = _unit_points(np.hstack([points, np.ones((len(points), 1))]))
     N, m = points.shape
-    if N < m + 1:
-        return GeneralPositionReport(ok=True)
-
     sampled = comb(N, m + 1) > _MAX_EXHAUSTIVE
     if not sampled:
         subsets = _combination_rows(N, m + 1)

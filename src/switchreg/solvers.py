@@ -809,8 +809,10 @@ def noiseless_solve(data: Dataset, n: int,
     their exact-fit sets and searches for n of them covering every point
     (largest fit set first, branching on the lowest uncovered point). A
     found cover is verified by assignment cost <= ZERO_TOL; if none exists
-    the best greedy collection (none from an empty pool: zero models) is
-    reported with status infeasible, meaning no exact fit was certified.
+    the best greedy collection is reported with status infeasible, meaning
+    no exact fit was certified. A candidate is judged by its fit set alone,
+    so the pool holds one per distinct fit set of the C(N, d) interpolants,
+    at least one, even where no interpolant fits its own subset.
     cfg.candidate_budget bounds both the d-subsets and the nodes of the
     cover search. The chosen models' canonical assignment ends in _least as
     a stack of one. Two known limits: it refuses N < d, and it says
@@ -826,20 +828,17 @@ def noiseless_solve(data: Dataset, n: int,
         raise ValueError(f"need at least d={d} points, got N={N}")
     _check_budget(comb(N, d), "interpolation subsets", cfg)
 
-    subsets, ws = _interpolants(x, y, (d,))
+    ws = _interpolants(x, y, (d,))[1]
     point_tol = ZERO_TOL * (1.0 + np.abs(y))
     # checked in slices: beside the (S, d) pool only (S, N) booleans are held
     fits = np.empty((len(ws), N), dtype=bool)
     for lo in range(0, len(ws), _SCORE_CHUNK):
         fits[lo:lo + _SCORE_CHUNK] = np.abs(
             y - ws[lo:lo + _SCORE_CHUNK] @ x.T) <= point_tol
-    # keep only candidates that actually interpolate their own subset
-    good = np.take_along_axis(fits, subsets, axis=1).all(axis=1)
 
-    # good rows by descending fit size, one per distinct fit set: a row's
-    # key depends on that row alone, so fits is packed as it is, unordered
+    # rows by descending fit size, one per distinct fit set: a row's key
+    # depends on that row alone, so fits is packed as it is, unordered
     order = np.argsort(-fits.sum(axis=1), kind="stable")
-    order = order[good[order]]
     order = order[np.sort(np.unique(_packed_keys(fits)[order],
                                     return_index=True)[1])]
     cand_w, fit_matrix = ws[order], fits[order]      # fit_matrix (C, N) boolean
@@ -848,15 +847,12 @@ def noiseless_solve(data: Dataset, n: int,
     def finish(chosen, status):
         # cost under squared loss; any admissible loss is zero exactly when
         # every residual is zero, so certification is loss-independent
-        if chosen:
-            w = cand_w[chosen + chosen[:1] * (n - len(chosen))]
-        else:
-            w = np.zeros((n, d))
+        w = cand_w[chosen + chosen[:1] * (n - len(chosen))]
         q0, w = _canonicalize_arrays(_assign_arrays(x, y, w, SQUARED)[0], w)
         return _least("noiseless", data, SQUARED, q0[None], w[None], t0,
-                      len(subsets), status)
+                      len(ws), status)
 
-    max_size = int(fit_matrix[:1].sum())     # the rows descend in size
+    max_size = int(fit_matrix[0].sum())      # the rows descend in size
     by_point = [np.flatnonzero(fit_matrix[:, i]) for i in range(N)]
     nodes = 0
 
@@ -900,9 +896,10 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel,
                  cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Seeded multi-start alternating minimization. No optimality guarantee.
 
-    Restart r draws from default_rng([cfg.seed, r]) n disjoint random
-    d-subsets, whose interpolants (one _svd_lstsq stack for all restarts)
-    are its initial models, or Gaussian parameters when N < n d. All restarts
+    Restart r draws n d points from default_rng([cfg.seed, r]), without
+    replacement where N >= n d and with it below, and its initial models are
+    the interpolants of their n d-subsets (one _svd_lstsq stack for all
+    restarts): n disjoint subsets, or overlapping ones below n d. All restarts
     are refined together, _SCORE_CHUNK // n at a time, by _refine with the
     solve's _table: one _fit_masks call per round fits every mode of every
     restart still running, and under absolute loss the interpolant table
@@ -916,13 +913,10 @@ def altmin_solve(data: Dataset, n: int, loss: LossModel,
     t0 = time.perf_counter()
     x, y = data.x, data.y
     N, d = data.N, data.d
-    rngs = [np.random.default_rng([cfg.seed, r]) for r in range(cfg.restarts)]
-    if N >= n * d:
-        idx = np.array([rng.choice(N, size=n * d, replace=False)
-                        for rng in rngs]).reshape(-1, n, d)
-        w0 = _svd_lstsq(x[idx], y[idx])
-    else:
-        w0 = np.array([rng.standard_normal((n, d)) for rng in rngs])
+    idx = np.array([np.random.default_rng([cfg.seed, r]).choice(
+        N, size=n * d, replace=N < n * d)
+        for r in range(cfg.restarts)]).reshape(-1, n, d)
+    w0 = _svd_lstsq(x[idx], y[idx])
     table = _table(x, y, loss)
     step = max(1, _SCORE_CHUNK // n)
     ws, q0s = map(np.concatenate, zip(*(

@@ -226,7 +226,8 @@ def test_sweep_ends_with_the_tiny_regressor_draws():
 def test_sweep_ends_with_the_noiseless_limit_cases():
     # after the tiny-regressor draws, the noiseless solver's two known
     # limits at n 2: two one-point modes of a zero-cost fit on a rank-1
-    # pair of regressors, and zero regressors, whose pool is empty
+    # pair of regressors, and zero regressors, whose interpolants fit no
+    # point
     sweep = list(report_digest.sweep_instances(np, Dataset, datasets))
     assert sweep[-3][0].startswith("tiny")
     (rank1, data1, n1), (zero, data0, n0) = sweep[-2:]

@@ -1746,8 +1746,9 @@ def test_noiseless_on_noisy_data_infeasible():
 
 
 def test_noiseless_without_an_interpolating_subset():
-    # a zero regressor interpolates no nonzero target, so no 1-subset keeps
-    # its own point and the solver reports its zero models
+    # a zero regressor interpolates no nonzero target: every 1-subset's
+    # interpolant is w = 0, which fits no point, so the cover search finds
+    # nothing and the greedy fallback reports that one candidate's models
     data = Dataset(np.zeros((3, 1)), np.array([1.0, 2.0, 3.0]))
     report = noiseless_solve(data, 2)
     assert report.status == "infeasible"
@@ -1757,10 +1758,11 @@ def test_noiseless_without_an_interpolating_subset():
 
 
 def test_empty_interpolant_pool_leaves_through_the_cover_search(monkeypatch):
-    # with no candidate the solver still runs its cover search, which stops
-    # at its first node, and reports the same zero models under the least
-    # budget its subsets admit: C(3, 1) = 3 for three zero regressors, 1
-    # for one zero regressor at d = 1 and for two at d = 2
+    # with no candidate that fits a point (the pool holds w = 0 alone) the
+    # solver still runs its cover search, which stops at its first node,
+    # and reports the same zero models under the least budget its subsets
+    # admit: C(3, 1) = 3 for three zero regressors, 1 for one zero
+    # regressor at d = 1 and for two at d = 2
     nodes = []
     check_budget = solvers._check_budget
 
@@ -1841,14 +1843,12 @@ def test_altmin_local_minimum_stays_above_exact_cost():
 
 
 def _reference_start(data, n, seed, r):
-    """Restart r's initial models: interpolants of n disjoint random
-    d-subsets, or Gaussian parameters below n d points."""
+    """Restart r's initial models: interpolants of n random d-subsets,
+    disjoint where there are n d points, overlapping below that."""
     rng = np.random.default_rng([seed, r])
-    if data.N >= n * data.d:
-        idx = rng.choice(data.N, size=n * data.d, replace=False)
-        idx = idx.reshape(n, data.d)
-        return solvers._svd_lstsq(data.x[idx], data.y[idx])
-    return rng.standard_normal((n, data.d))
+    idx = rng.choice(data.N, size=n * data.d, replace=data.N < n * data.d)
+    idx = idx.reshape(n, data.d)
+    return solvers._svd_lstsq(data.x[idx], data.y[idx])
 
 
 def _reference_altmin(data, n, loss, cfg):
@@ -1882,7 +1882,8 @@ def test_altmin_equals_the_reference_loop(monkeypatch, n, loss, chunk):
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
 def test_altmin_gaussian_start_below_n_d_points(loss):
     # N = 5 < n d = 6 leaves no n disjoint d-subsets to interpolate, so
-    # every restart starts from Gaussian parameters
+    # every restart starts from the interpolants of n d points drawn with
+    # replacement, and its subsets overlap
     data, _, _ = generate_instance(
         GeneratorSpec(n=2, d=2, N=5, noise_sigma=0.1, seed=0))
     cfg = SolverConfig(seed=3)

@@ -24,7 +24,7 @@ regressors of rows 2, 4 and 5 scaled by 1e-13 or 1e-20, where enum is known
 to miss the optimum), and last the noiseless solver's two known limits at
 n 2 solved the same way (x = [[1, 1], [2, 2]], y = [1, 0], where it says
 infeasible on a zero-cost fit whose modes hold fewer than d points, and
-three zero regressors, whose interpolant pool is empty). On each of
+three zero regressors, none of whose interpolants fits a point). On each of
 those instances and losses the fit entry points are digested too:
 fit_modes' models on FITS seeded labelings, and refine_alternate's models,
 labels and full cost trace from seeded models, so a change to a fit is
@@ -165,7 +165,7 @@ def sweep_instances(np, Dataset, datasets):
     for label, data in tiny_draws(Dataset, datasets):
         yield f"{label}-n2-d2-N7", data, 2
     # noiseless's two known limits at n 2: a zero-cost fit whose modes hold
-    # one point each, and zero regressors, whose pool is empty
+    # one point each, and zero regressors, whose interpolants fit no point
     yield "limit-rank1-n2-d2-N2", Dataset(np.array([[1.0, 1.0], [2.0, 2.0]]),
                                           np.array([1.0, 0.0])), 2
     yield "limit-zero-n2-d1-N3", Dataset(np.zeros((3, 1)),
