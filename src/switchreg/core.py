@@ -53,12 +53,14 @@ class LossModel:
                              f"(expected 'squared' or 'absolute')")
 
     def residual_loss(self, e):
-        """Elementwise loss of an array of residuals."""
+        """Elementwise loss of an array of residuals. A finite residual
+        whose square is past the float range loses inf, quietly."""
         e = np.asarray(e, dtype=float)
         if not np.isfinite(e).all():
             raise ValueError("residuals must be finite")
         if self.kind == "squared":
-            return np.square(e)
+            with np.errstate(over="ignore"):
+                return np.square(e)
         return np.abs(e)
 
 

@@ -689,11 +689,13 @@ def _squared_totals(x, y, member):
     cond(G) < _GRAM_COND: the eigenvalues of G / trace G are at most 1, so
     their product is at most l_min / l_max. Every other non-empty row takes
     _svd_lstsq on its masked stack, non-members as zero rows; an empty row
-    takes w = 0. Each residual is off by at most delta = _residual_bound,
-    _svd_lstsq being backward stable, times cond(G)'s bound on a
-    normal-equation row, so on every row a total over k points is off by
-    at most delta * (2 sqrt(k * total) + k * delta). Near-collinear rows
-    can have |w| near 1e9, where that is more than ZERO_TOL.
+    takes w = 0. A non-member adds 0 to its row's total, even where its
+    square is past the float range. Each residual is off by at most
+    delta = _residual_bound, _svd_lstsq being backward stable, times
+    cond(G)'s bound on a normal-equation row, so on every row a total over
+    k points is off by at most delta * (2 sqrt(k * total) + k * delta).
+    Near-collinear rows can have |w| near 1e9, where that is more than
+    ZERO_TOL.
     """
     N, d = x.shape
     gram = (member @ (x[:, :, None] * x[:, None, :]).reshape(N, d * d)).reshape(
@@ -712,7 +714,7 @@ def _squared_totals(x, y, member):
     if rest.any():
         w[rest] = _svd_lstsq(member[rest, :, None] * x, member[rest] * y)
     with np.errstate(over="ignore", invalid="ignore"):
-        totals = (member * np.square(y - w @ x.T)).sum(axis=1)
+        totals = np.where(member > 0, np.square(y - w @ x.T), 0).sum(axis=1)
     delta = _residual_bound(x, y, np.abs(w).sum(axis=1))
     delta[normal] /= det
     return totals, delta * (2 * np.sqrt(k * totals) + k * delta)

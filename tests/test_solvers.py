@@ -1,6 +1,7 @@
 """Per-mode regression, refinement, and the four solve methods."""
 
 import itertools
+import warnings
 from math import comb
 
 import numpy as np
@@ -232,6 +233,31 @@ def test_squared_fit_past_the_float_range_drops_the_direction():
                 for method in ("brute", "enum", "altmin"):
                     report = solve_instance(data, n, loss, method)
                     assert report.cost == 1.0, (x, n, loss, method)
+
+
+def test_finite_fit_whose_square_overflows_off_its_mode():
+    # the one-point fit of x = 1e-160, w = 1e160, is a float, but its
+    # squared residual at x = 3 is not: every method under both losses
+    # answers with no warning, a non-member's inf square adds nothing to a
+    # squared region total, and enum gives brute's cost, status and models
+    data = Dataset(np.array([[1e-160], [1.0], [2.0], [3.0]]),
+                   np.array([1.0, 1.0, 2.0, 3.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        totals, bounds = solvers._squared_totals(
+            data.x, data.y, np.array([[1.0, 0.0, 0.0, 0.0],
+                                      [0.0, 1.0, 1.0, 1.0]]))
+        assert np.isfinite(totals).all() and np.isfinite(bounds).all()
+        assert totals[1] == 0.0
+        for loss in (SQUARED, ABSOLUTE):
+            reports = {method: solve_instance(data, 2, loss, method)
+                       for method in solvers.SOLVER_METHODS}
+            for method, report in reports.items():
+                assert report.labeling.q.tolist() == [1, 2, 2, 2], method
+                assert report.cost < 1e-30, (loss, method)
+            enum, brute = reports["enum"], reports["brute"]
+            assert (enum.cost, enum.status) == (brute.cost, brute.status)
+            assert np.array_equal(enum.models.w, brute.models.w)
 
 
 # ---------------------------------------------------------------------------
