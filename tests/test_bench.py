@@ -20,6 +20,9 @@ def test_result_validation():
     with pytest.raises(ValueError):
         BenchResult(method="enum", sizes=(10,), times=(0.1,),
                     fitted_exponent=1.0, complete=True)
+    with pytest.raises(ValueError, match="^sizes and times must be parallel$"):
+        BenchResult(method="enum", sizes=(10, 20), times=(0.1,),
+                    fitted_exponent=1.0, complete=True)
 
 
 def test_zero_repeats_rejected():

@@ -14,7 +14,7 @@ import pytest
 from switchreg import (ABSOLUTE, SQUARED, Dataset, Labeling, ModelSet,
                        SolverConfig, empirical_cost, load_dataset_csv,
                        load_dataset_json)
-from switchreg import bench, cli
+from switchreg import bench, cli, solvers
 from switchreg.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -209,6 +209,30 @@ def test_multiset_from_file(tmp_path, capsys):
                           str(set_path), "--out", str(inst_path))
     assert code == 0
     assert json.loads(stdout)["set"] == [2, 4, 6]
+
+
+@pytest.mark.parametrize("raw,message", [
+    ("", "empty multiset"),
+    ("1,a", "multiset entries must be integers, got ['1', 'a']")])
+def test_malformed_multiset_is_usage_error(tmp_path, capsys, raw, message):
+    inst_path = tmp_path / "p.json"
+    code, stdout, stderr = run(capsys, "reduce-partition", "--set", raw,
+                               "--out", str(inst_path))
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+    assert not inst_path.exists()
+
+
+def test_report_integrity_check_refuses_a_drifted_cost():
+    # a report whose cost is not that of its own models and labels is
+    # refused before it is written
+    data = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.0, 4.0]))
+    report = solvers.brute_force_solve(data, 2, SQUARED)
+    assert cli._report_doc(report, data, SQUARED)["cost"] == report.cost
+    drifted = dataclasses.replace(report, cost=report.cost + 0.5)
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"report integrity check failed: cost {drifted.cost!r} vs "
+            f"recomputed {report.cost!r}")):
+        cli._report_doc(drifted, data, SQUARED)
 
 
 def test_extract_invalid_certificate_exits_one(tmp_path, capsys):

@@ -339,6 +339,11 @@ def test_canonicalize_identity():
         == [1, 2, 3]
 
 
+def test_canonicalize_refuses_a_label_past_n():
+    with pytest.raises(ValueError, match="^label exceeds n=2$"):
+        canonicalize_labels(Labeling(np.array([1, 3])), 2)
+
+
 def test_canonicalize_single_mode_used():
     assert canonicalize_labels(Labeling(np.array([3, 3, 3])), 3).q.tolist() \
         == [1, 1, 1]
@@ -406,6 +411,17 @@ def test_dataset_validation():
         Dataset(np.array([[1.0]]), np.array([np.nan]))
     with pytest.raises(ValueError):
         Dataset(np.empty((0, 1)), np.empty(0))
+    with pytest.raises(ValueError,
+                       match=r"^x must be 2-d \(N, d\), got shape \(3,\)$"):
+        Dataset(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError,
+                       match=r"^y must be 1-d \(N,\), got shape \(3, 1\)$"):
+        Dataset(np.ones((3, 1)), np.ones((3, 1)))
+    with pytest.raises(ValueError, match="^x has 3 rows but y has 2$"):
+        Dataset(np.ones((3, 1)), np.ones(2))
+    with pytest.raises(ValueError,
+                       match="^dataset needs at least one regressor dimension$"):
+        Dataset(np.ones((3, 0)), np.ones(3))
 
 
 def test_dataset_lifted_points():
@@ -420,6 +436,10 @@ def test_labeling_validation():
         Labeling(np.array([1, 2]), tie_set=[1, 1])
     with pytest.raises(ValueError):
         Labeling(np.array([1, 2]), tie_set=[3])
+    with pytest.raises(ValueError, match=r"^q must be 1-d, got shape \(2, 1\)$"):
+        Labeling(np.ones((2, 1)))
+    with pytest.raises(ValueError, match="^labeling needs at least one point$"):
+        Labeling(np.array([], dtype=np.int64))
 
 
 def test_modelset_validation():
@@ -427,3 +447,6 @@ def test_modelset_validation():
         ModelSet(np.array([[np.nan]]))
     with pytest.raises(ValueError):
         ModelSet(np.empty((0, 2)))
+    with pytest.raises(ValueError,
+                       match=r"^w must be 2-d \(n, d\), got shape \(2,\)$"):
+        ModelSet(np.ones(2))

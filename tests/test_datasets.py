@@ -1,5 +1,8 @@
 """Instance generation, file round trips, and labeling accuracy."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,9 @@ def test_spec_validation():
         GeneratorSpec(n=2, d=1, N=10, x_distribution="cauchy")
     with pytest.raises(ValueError):
         GeneratorSpec(n=2, d=1, N=10, mode_process="markov", p_stay=1.0)
+    for n, d, N in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        with pytest.raises(ValueError, match="^n, d, N must be positive$"):
+            GeneratorSpec(n=n, d=d, N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +87,13 @@ def test_csv_round_trip(tmp_path):
     back = load_dataset_csv(path)
     assert np.array_equal(back.x, data.x)
     assert np.array_equal(back.y, data.y)
+
+
+def test_csv_empty_file_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty file$"):
+        load_dataset_csv(path)
 
 
 def test_csv_header_checked(tmp_path):
@@ -149,3 +162,21 @@ def test_accuracy_validates_inputs():
     for a, b in (([1, 3], [1, 2]), ([1, 2], [3, 2])):
         with pytest.raises(ValueError, match="label exceeds n=2"):
             label_accuracy(Labeling(np.array(a)), Labeling(np.array(b)), 2)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "expected a JSON object"),
+    ({"d": 1, "N": 2, "x": [[1.0], [2.0]], "y": [1.0, "a"]},
+     "field 'y' has a non-numeric entry: could not convert string to "
+     "float: 'a'"),
+    ({"d": 1, "N": 3, "x": [[1.0], [2.0]], "y": [1.0, 2.0]},
+     "x/y lengths do not match N=3"),
+    ({"d": 1, "N": 2, "x": [[1.0], [2.0, 3.0]], "y": [1.0, 2.0]},
+     "x row 2 has 2 entries, expected 1"),
+])
+def test_json_malformed_document_named(tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_dataset_json(path)

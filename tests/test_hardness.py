@@ -58,6 +58,11 @@ def test_decision_instance_validation():
         DecisionInstance(data=data, n=2, epsilon=-1.0)
     with pytest.raises(ValueError):
         DecisionInstance(data=data, n=2, epsilon=0.0)  # n*d > N
+    four = Dataset(np.ones((4, 2)), np.ones(4))
+    for epsilon in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError,
+                           match="^epsilon must be a finite nonnegative real$"):
+            DecisionInstance(data=four, n=2, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
