@@ -54,7 +54,8 @@ class LossModel:
 
     def residual_loss(self, e):
         """Elementwise loss of an array of residuals. A finite residual
-        whose square is past the float range loses inf, quietly."""
+        whose square is past the float range has loss inf, with no
+        warning."""
         e = np.asarray(e, dtype=float)
         if not np.isfinite(e).all():
             raise ValueError("residuals must be finite")

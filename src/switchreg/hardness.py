@@ -128,11 +128,13 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
     enumeration solver is exact on reduction instances too, despite their
     repeated regressor vectors, but their dimension is the multiset size
     and its time grows exponentially with it. Per decision at sizes 4, 5,
-    6 and 7 on a 2-core x86 VM with one BLAS thread, enum takes about
-    0.04, 0.25, 1.7 and 14 s, where brute or noiseless are faster: brute
-    takes about 0.015, 0.05, 0.25 and 1.1 s. The answer is yes when the
-    cost is at most epsilon + ZERO_TOL, the margin every solver's zero
-    tests use; a decision's slack is its epsilon.
+    6 and 7 ((5, 3, 2, 4), (17, 13, 10, 6, 6), (4, 8, 3, 5, 2, 6) and
+    (17, 13, 10, 6, 6, 1, 2), the least of three runs on a 2-core x86 VM
+    with one BLAS thread), enum takes 0.022, 0.13, 1.0 and 8.0 s, where
+    brute or noiseless are faster: brute takes 0.004, 0.016, 0.074 and
+    0.30 s. The answer is yes when the cost is at most epsilon + ZERO_TOL,
+    the margin every solver's zero tests use; a decision's slack is its
+    epsilon.
     """
     if method == "altmin":
         raise ValueError("altmin is heuristic; a threshold decision needs an "

@@ -173,7 +173,7 @@ def test_accuracy_validates_inputs():
      "x/y lengths do not match N=3"),
     ({"d": 1, "N": 2, "x": [[1.0], [2.0, 3.0]], "y": [1.0, 2.0]},
      "x row 2 has 2 entries, expected 1"),
-])
+], ids=["not-an-object", "non-numeric", "length", "row-width"])
 def test_json_malformed_document_named(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
