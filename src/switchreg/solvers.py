@@ -69,10 +69,10 @@ _GRAM_COND = 1e8
 _ROUNDING = 8
 # Regions per batch of enumeration_solve's scorer, label rows per costing of
 # _least, subsets per _svd_lstsq batch of _interpolants, interpolants per
-# slice of noiseless_solve's fit check, pool rows per stacked pool block of
-# _fit_masks' absolute-loss fit (the masks of a batch times a slice of
-# their pools), masks per squared-loss gather of _fit_masks times their k
-# points, and mode masks per _refine stack of altmin_solve (n per restart):
+# slice of noiseless_solve's fit check, the masks of a _size_batches batch
+# times their width (k points, or P_k pool rows under absolute loss),
+# pool rows per slice of _fit_masks' absolute-loss pools, and mode masks
+# per _refine stack of altmin_solve (n per restart):
 # it bounds their (chunk, N), (chunk, S), (chunk, n, d), SVD factor,
 # (chunk, k) and (chunk, d) arrays.
 _SCORE_CHUNK = 1024
@@ -287,82 +287,81 @@ def _table(x, y, loss: LossModel):
     return _interpolants(x, y) if loss.kind == "absolute" else None
 
 
+def _size_batches(masks, width):
+    """(batch, idx) for the non-empty masks of the boolean (M, N) stack, by
+    ascending point count k: each size's masks, in order, _SCORE_CHUNK //
+    width(k) at a time (at least one), as the batch's rows of masks and the
+    (B, k) indices of their points. An empty mask is in no batch."""
+    size = masks.sum(axis=1)
+    for k in np.flatnonzero(np.bincount(size)[1:]) + 1:     # 0 left out
+        rows = np.flatnonzero(size == k)
+        step = max(1, _SCORE_CHUNK // width(k))
+        for first in range(0, len(rows), step):
+            batch = rows[first:first + step]
+            yield batch, np.nonzero(masks[batch])[1].reshape(len(batch), k)
+
+
 def _fit_masks(x, y, loss: LossModel, masks, table) -> np.ndarray:
     """The fits of the boolean (M, N) stack of masks under the loss, an
     (M, d) array whose row r is solve_mode_regression(x[mask_r], y[mask_r],
-    loss) bit for bit; an empty mask gives the zero vector. table is
-    _table(x, y, loss): None, under squared loss, or the interpolant table.
-    Every fit goes through it: brute_force_solve, enumeration_solve and
-    fit_modes once per call, _refine once per round, for refine_alternate
-    and for altmin_solve, all its running restarts at once, and
-    solve_mode_regression's absolute-loss fit, a stack of one mask on its
-    own points' table.
+    loss) bit for bit. table is _table(x, y, loss): None, under squared
+    loss, or the interpolant table. Every fit goes through it:
+    brute_force_solve, enumeration_solve and fit_modes once per call,
+    _refine once per round, for refine_alternate and for altmin_solve, all
+    its running restarts at once, and solve_mode_regression's absolute-loss
+    fit, a stack of one mask on its own points' table.
 
-    Under squared loss the masks go to solve_mode_regression, looked up on
-    this module, a size at a time: the masks of k points are gathered
-    _SCORE_CHUNK // k at a time (at least one) into (B, k, d) and (B, k)
-    stacks, one call each, in which _lstsq gives each mask its own gelsd
-    call, so every distinct mask still costs one LAPACK solve. Under
-    absolute loss a mode's pool is the table's rows
-    whose subsets lie inside the mask, the padding N counting as inside:
-    the interpolants of the mode's own points, bit for bit, in the order of
-    their own table, so the fit of a mask does not depend on the points
-    around it and no subset is solved again. Each mask takes the first of
-    its pool with the least total, a NaN total counting as +inf, or the
+    Both losses take one batching policy, _size_batches: the masks of k
+    points are fitted together, a batch of at most _SCORE_CHUNK // width
+    of them (at least one) at a time, where width is what a mask of k
+    points puts in the batch's stacked arrays; an empty mask is in no batch
+    and keeps the zero vector, its fit under either loss. Under squared
+    loss the width is k: each batch's (B, k, d) and (B, k) stacks go to
+    solve_mode_regression, looked up on this module, in one call, in which
+    _lstsq gives each mask its own gelsd call, so every distinct mask still
+    costs one LAPACK solve. Under absolute loss the width is P_k, the
+    number of pool rows of a mask of k points: a mode's pool is the table's
+    rows whose subsets lie inside the mask, the padding N counting as
+    inside, that is the interpolants of the mode's own points, bit for bit,
+    in the order of their own table, so the fit of a mask does not depend
+    on the points around it and no subset is solved again. Each
+    _SCORE_CHUNK slice of the batch's pools is scored in one stacked
+    matmul, and each mask takes the first of its pool with the least total
+    (one argmin over all its slices' totals; a row's total does not depend
+    on the slice it is computed in), a NaN total counting as +inf, or the
     zero vector where no total is finite. An interpolant keeps only the
     directions whose coefficient is a float (_svd_lstsq), but its sum over
     them can still overflow; a non-finite one totals NaN or inf on any
     point, so it is never picked, and its NaN warns of nothing. Some
-    optimal L1 fit is a basic
-    solution of the LP: it interpolates rank(x) points with independent
-    regressors, and the minimum-norm interpolant of those points predicts
-    the same on every point (Barrodale and Roberts, SIAM J. Numer. Anal.
-    10, 1973). So the best interpolant is an exact L1 fit, whatever the
-    rank of the mode or its number of points. Every mask of k points has
-    the same number P_k of pool rows, so the masks are fitted by size, a
-    batch at a time: each _SCORE_CHUNK slice of the batch's pools is
-    scored in one stacked matmul, and a batch holds at most _SCORE_CHUNK
-    pool rows of a slice (one mask where P_k is larger). One argmin over
-    all its slices' totals picks each mask's fit; a row's total does not
-    depend on the slice it is computed in.
+    optimal L1 fit is a basic solution of the LP: it interpolates rank(x)
+    points with independent regressors, and the minimum-norm interpolant
+    of those points predicts the same on every point (Barrodale and
+    Roberts, SIAM J. Numer. Anal. 10, 1973). So the best interpolant is an
+    exact L1 fit, whatever the rank of the mode or its number of points.
     """
     M, N = masks.shape
     d = x.shape[1]
     fits = np.zeros((M, d))
     if table is None:
-        size = masks.sum(axis=1)
-        for k in np.bincount(size).nonzero()[0].tolist():
-            rows = (size == k).nonzero()[0]
-            step = max(1, _SCORE_CHUNK // max(k, 1))
-            for first in range(0, len(rows), step):
-                batch = rows[first:first + step]
-                idx = masks[batch].nonzero()[1].reshape(len(batch), k)
-                fits[batch] = solve_mode_regression(x[idx], y[idx], loss)
+        for batch, idx in _size_batches(masks, lambda k: k):
+            fits[batch] = solve_mode_regression(x[idx], y[idx], loss)
         return fits
     subsets, ws = table
-    size = masks.sum(axis=1)
     padded = np.ones((M, N + 1), dtype=bool)
     padded[:, :N] = masks
     with np.errstate(invalid="ignore"):         # inf * 0 totals a NaN
-        for k in np.flatnonzero(np.bincount(size)):
-            pool_rows = sum(comb(k, s) for s in range(1, min(d, k) + 1))
-            if not pool_rows:                   # the empty mask's zero fit
-                continue
-            rows = np.flatnonzero(size == k)
-            step = max(1, _SCORE_CHUNK // pool_rows)
-            for first in range(0, len(rows), step):
-                batch = rows[first:first + step]
-                pool = np.nonzero(padded[batch][:, subsets].all(axis=2))[1]
-                pool = pool.reshape(len(batch), pool_rows)
-                idx = np.nonzero(masks[batch])[1].reshape(len(batch), k)
-                xt, yk = x[idx].transpose(0, 2, 1), y[idx][:, None, :]
-                totals = np.concatenate([                       # (B, P_k)
-                    np.abs(yk - ws[pool[:, lo:lo + _SCORE_CHUNK]] @ xt
-                           ).sum(axis=2)
-                    for lo in range(0, pool_rows, _SCORE_CHUNK)], axis=1)
-                totals[np.isnan(totals)] = np.inf       # a NaN counts as +inf
-                ok = (totals < np.inf).any(axis=1)      # a finite total
-                fits[batch[ok]] = ws[pool[ok, totals[ok].argmin(axis=1)]]
+        for batch, idx in _size_batches(masks, lambda k: sum(       # P_k
+                comb(k, s) for s in range(1, min(d, k) + 1))):
+            pool = np.nonzero(padded[batch][:, subsets].all(axis=2))[1]
+            pool = pool.reshape(len(batch), -1)
+            xt, yk = x[idx].transpose(0, 2, 1), y[idx][:, None, :]
+            totals = np.concatenate([                           # (B, P_k)
+                np.abs(yk - ws[pool[:, lo:lo + _SCORE_CHUNK]] @ xt
+                       ).sum(axis=2)
+                for lo in range(0, pool.shape[1], _SCORE_CHUNK)], axis=1)
+            totals[np.isnan(totals)] = np.inf           # a NaN counts as +inf
+            ok = (totals < np.inf).any(axis=1)          # a finite total
+            fits[batch[ok]] = ws[pool[ok, totals[ok].argmin(axis=1)]]
     return fits
 
 

@@ -1331,12 +1331,13 @@ def test_enum_refits_its_near_window_as_one_stack(monkeypatch, loss):
 def _squared_calls(masks, d):
     """The (B, k, d) shapes of the solve_mode_regression calls a squared
     fit of the stack of masks makes: by ascending size k, each size's
-    masks _SCORE_CHUNK // k at a time (at least one)."""
+    masks _SCORE_CHUNK // k at a time (at least one). An empty mask makes
+    no call; its fit is the zero vector."""
     size = masks.sum(axis=1)
     calls = []
-    for k in sorted(set(size.tolist())):
+    for k in sorted(set(size.tolist()) - {0}):
         count = (size == k).sum()
-        step = max(1, solvers._SCORE_CHUNK // max(k, 1))
+        step = max(1, solvers._SCORE_CHUNK // k)
         calls += [(min(step, count - lo), k, d)
                   for lo in range(0, count, step)]
     return calls
@@ -1348,10 +1349,10 @@ def test_fits_enter_through_one_stacked_call(monkeypatch, loss):
     # refine_alternate and altmin (all its running restarts) in one per
     # round. Under squared loss, where there is no table, the masks reach
     # solve_mode_regression through the module, where the benchmark's
-    # tracer wraps it, as (B, k, d) stacks: one call per mask size and
-    # gather of _SCORE_CHUNK // k masks, whose systems sum to the masks.
-    # Under absolute loss none does. Brute runs again at _SCORE_CHUNK 3,
-    # which splits each size's masks over several calls
+    # tracer wraps it, as (B, k, d) stacks: one call per non-empty mask
+    # size and gather of _SCORE_CHUNK // k masks, whose systems sum to the
+    # non-empty masks. Under absolute loss none does. Brute runs again at
+    # _SCORE_CHUNK 3, which splits each size's masks over several calls
     fit_masks, regression = solvers._fit_masks, solvers.solve_mode_regression
     stacks, calls = [], []
 
@@ -1368,7 +1369,8 @@ def test_fits_enter_through_one_stacked_call(monkeypatch, loss):
         if loss is ABSOLUTE:
             return []
         want = [c for masks in stacks for c in _squared_calls(masks, d)]
-        assert sum(b for b, _, _ in want) == sum(map(len, stacks))
+        assert sum(b for b, _, _ in want) == sum(
+            masks.any(axis=1).sum() for masks in stacks)
         return want
 
     monkeypatch.setattr(solvers, "_fit_masks", counted_fit)
@@ -1387,8 +1389,8 @@ def test_fits_enter_through_one_stacked_call(monkeypatch, loss):
         solve(data, n, loss)
         assert len(stacks) == 1 and calls == wanted(), (solve, at)
         if solve is brute_force_solve and loss is SQUARED:
-            # the 2^N masks hold every size 0..N
-            assert (len(calls) == N + 1) == (at == chunk), at
+            # the 2^N masks hold every size 0..N, and size 0 makes no call
+            assert (len(calls) == N) == (at == chunk), at
     monkeypatch.setattr(solvers, "_SCORE_CHUNK", chunk)
     del stacks[:], calls[:]
     fit_modes(data, Labeling(rng.integers(1, n + 1, size=N)), n, loss)
