@@ -177,12 +177,15 @@ def _json_int(path, doc: dict, key: str) -> int | None:
 
 
 def _json_floats(path, values, what: str) -> list:
-    """A JSON list of numbers (or numeric strings) as floats."""
+    """A JSON list of numbers (or numeric strings) as floats; a boolean, or
+    an integer past the float range, is refused."""
     if not isinstance(values, list):
         raise ValueError(f"{path}: {what} must be a list, got {values!r}")
     try:
+        if any(isinstance(v, bool) for v in values):
+            raise TypeError("a boolean is not a number")
         return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {what} has a non-numeric entry: {exc}") from exc
 
 

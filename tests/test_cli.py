@@ -431,7 +431,8 @@ def test_environment_variables_listed_once(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("field,value,named", [
     ("n", "2", "'n'"), ("n", 2.5, "'n'"), ("n", True, "'n'"),
     ("x", [1, 2], "x row 1"), ("y", 3, "'y'"), ("true_w", 3, "'true_w'"),
-    ("true_labels", [None, 1], "'true_labels'")])
+    ("true_labels", [None, 1], "'true_labels'"), ("y", [True, 1.0], "'y'"),
+    ("x", [[10 ** 400], [1]], "x row 1 has a non-numeric entry: int too")])
 def test_malformed_json_dataset_is_usage_error(tmp_path, capsys, field,
                                                value, named):
     data_path = tmp_path / "d.json"

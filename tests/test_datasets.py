@@ -173,7 +173,17 @@ def test_accuracy_validates_inputs():
      "x/y lengths do not match N=3"),
     ({"d": 1, "N": 2, "x": [[1.0], [2.0, 3.0]], "y": [1.0, 2.0]},
      "x row 2 has 2 entries, expected 1"),
-], ids=["not-an-object", "non-numeric", "length", "row-width"])
+    ({"d": 1, "N": 2, "x": [[True], [2]], "y": [False, "3.5"],
+      "true_w": [[True]]},
+     "x row 1 has a non-numeric entry: a boolean is not a number"),
+    ({"d": 1, "N": 2, "x": [[1.0], [2.0]], "y": [False, "3.5"]},
+     "field 'y' has a non-numeric entry: a boolean is not a number"),
+    ({"d": 1, "N": 2, "x": [[1.0], [2.0]], "y": [1.0, 2.0],
+      "true_w": [[10 ** 400]]},
+     "true_w row 1 has a non-numeric entry: int too large to convert to "
+     "float"),
+], ids=["not-an-object", "non-numeric", "length", "row-width", "boolean-x",
+        "boolean-y", "past-float-range"])
 def test_json_malformed_document_named(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
