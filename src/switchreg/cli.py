@@ -100,8 +100,6 @@ def _parse_multiset(args) -> PartitionInstance:
         with open(args.set_file) as f:
             raw = f.readline()
     parts = raw.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty multiset")
     try:
         values = [int(p) for p in parts]
     except ValueError:

@@ -12,6 +12,7 @@ exact solver, then read the partition off the certificate's coordinates.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +47,25 @@ class CertificateError(ValueError):
 
 @dataclass(frozen=True)
 class PartitionInstance:
-    """Multiset of positive integers to split into two equal-sum parts."""
+    """Multiset of positive integers to split into two equal-sum parts.
+
+    Each entry is a Python or numpy integer, not a bool or a float, so the
+    multiset decided is the one given, and their sum is at most the largest
+    float, since the reduction's points are floats; anything else raises
+    ValueError."""
 
     s: tuple
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.s)
+        vals = tuple(self.s)
         if len(vals) < 1:
-            raise ValueError("need at least one integer")
-        if any(v < 1 for v in vals):
-            raise ValueError("entries must be positive integers")
+            raise ValueError("empty multiset")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   and v >= 1 for v in vals):
+            raise ValueError(f"entries must be positive integers, got {vals!r}")
+        vals = tuple(int(v) for v in vals)
+        if sum(vals) > sys.float_info.max:
+            raise ValueError("the entries' sum exceeds the largest float")
         object.__setattr__(self, "s", vals)
 
     @property

@@ -213,8 +213,9 @@ def test_multiset_from_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("raw,message", [
     ("", "empty multiset"),
-    ("1,a", "multiset entries must be integers, got ['1', 'a']")],
-    ids=["empty", "non-integer"])
+    ("1,a", "multiset entries must be integers, got ['1', 'a']"),
+    ("1" * 400 + ",1", "the entries' sum exceeds the largest float")],
+    ids=["empty", "non-integer", "past-float-range"])
 def test_malformed_multiset_is_usage_error(tmp_path, capsys, raw, message):
     inst_path = tmp_path / "p.json"
     code, stdout, stderr = run(capsys, "reduce-partition", "--set", raw,

@@ -50,6 +50,30 @@ def test_multiset_rejects_non_positive_entries():
         PartitionInstance(())
 
 
+def test_multiset_refuses_a_non_integer_entry():
+    # int() would truncate these and decide another multiset
+    for s in ((1.5, 2), (np.float64(3.9), 2), (2.0, 2)):
+        with pytest.raises(ValueError, match="must be positive integers"):
+            PartitionInstance(s)
+
+
+def test_multiset_refuses_a_boolean_entry():
+    for s in ((True, 1), (np.True_, 1)):
+        with pytest.raises(ValueError, match="must be positive integers"):
+            PartitionInstance(s)
+
+
+def test_multiset_refuses_a_sum_past_the_float_range():
+    # the reduction's points are floats; 10^400 has none
+    for s in ((10 ** 400, 1), (10 ** 308, 10 ** 308)):
+        with pytest.raises(ValueError, match="sum exceeds the largest float"):
+            PartitionInstance(s)
+    # numpy integers are integers, and an entry near the range passes
+    p = PartitionInstance(tuple(np.array([3, 1, 2, 2], dtype=np.int64)))
+    assert p.s == (3, 1, 2, 2) and all(type(v) is int for v in p.s)
+    assert partition_to_instance(PartitionInstance((10 ** 300, 1))).data.N == 5
+
+
 def test_decision_instance_validation():
     data = Dataset(np.ones((3, 2)), np.ones(3))
     with pytest.raises(ValueError):
