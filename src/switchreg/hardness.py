@@ -162,11 +162,13 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
 def extract_partition(models: ModelSet, p: PartitionInstance) -> list:
     """Read an equal-sum sub-multiset off a zero-error certificate.
 
-    Rounds each coordinate of w_1 to {0, 1} within ZERO_TOL and returns the
-    entries it selects. Zero-error certificates always have indicator
-    coordinates with w_2 complementary; anything else is rejected. When the
-    certificate came out role-swapped, calling again with the models
-    reordered (or using the complement) gives the other half.
+    Only w_1 is read: each of its coordinates is rounded to {0, 1} within
+    ZERO_TOL, and the entries it selects are returned. A coordinate near
+    neither, or a selection whose sum is not half the total, is rejected;
+    w_2 is never checked (a zero-error certificate's w_2 is the
+    complementary indicator). When the certificate came out role-swapped,
+    calling again with the models reordered (or using the complement)
+    gives the other half.
     """
     if models.d != p.d:
         raise CertificateError(f"models have d={models.d}, instance has d={p.d}")

@@ -1908,7 +1908,7 @@ def test_altmin_equals_the_reference_loop(monkeypatch, n, loss, chunk):
 
 
 @pytest.mark.parametrize("loss", [SQUARED, ABSOLUTE], ids=lambda l: l.kind)
-def test_altmin_gaussian_start_below_n_d_points(loss):
+def test_altmin_overlapping_starts_below_n_d_points(loss):
     # N = 5 < n d = 6 leaves no n disjoint d-subsets to interpolate, so
     # every restart starts from the interpolants of n d points drawn with
     # replacement, and its subsets overlap
