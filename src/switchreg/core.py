@@ -102,7 +102,7 @@ class Dataset:
 
     def lifted(self) -> np.ndarray:
         """Points z_i = (x_i, y_i) in R^(d+1), used by the geometric solver."""
-        return np.hstack([self.x, self.y[:, None]])
+        return np.concatenate([self.x, self.y[:, None]], axis=1)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
@@ -122,7 +122,7 @@ class ModelSet:
             raise ValueError(f"w must be 2-d (n, d), got shape {w.shape}")
         if w.shape[0] < 1:
             raise ValueError("need at least one mode")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("model parameters must be finite")
         w.flags.writeable = False
         self.w = w
@@ -158,7 +158,7 @@ class Labeling:
             raise ValueError(f"q must be 1-d, got shape {q.shape}")
         if q.size < 1:
             raise ValueError("labeling needs at least one point")
-        if np.any(q < 1):
+        if (q < 1).any():
             raise ValueError("mode labels are 1-based; found a label < 1")
         q.flags.writeable = False
         tie = tuple(sorted(int(i) for i in tie_set))
@@ -257,9 +257,9 @@ def _assign_arrays(x, y, w, loss: LossModel):
     of the points where two modes tie within ZERO_TOL, both (N,). For a
     stack w (K, n, d), as _cost_arrays takes, both are (K, N), and row k
     is bit for bit its own call's."""
-    losses = loss.residual_loss(y[:, None] - x @ np.swapaxes(w, -1, -2))
+    losses = loss.residual_loss(y[:, None] - x @ w.mT)
     near_min = losses <= losses.min(axis=-1)[..., None] + ZERO_TOL
-    q0 = np.argmax(near_min, axis=-1)                      # first mode within tol
+    q0 = near_min.argmax(axis=-1)                          # first mode within tol
     return q0, near_min.sum(axis=-1) >= 2
 
 

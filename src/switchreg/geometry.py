@@ -158,7 +158,20 @@ def unique_rows(rows) -> np.ndarray:
     in ascending row order, as np.unique(rows, axis=0, return_index=True),
     deduped on _packed_keys: uint64 keys up to 64 columns, void keys past
     that. Pass +/-1 rows as rows > 0."""
-    return np.unique(_packed_keys(rows), return_index=True)[1]
+    return _unique_keys(_packed_keys(rows))
+
+
+def _unique_keys(keys) -> np.ndarray:
+    """First-occurrence index of each distinct key, in ascending key order:
+    np.unique(keys, return_index=True)[1] by np.unique's own method inline,
+    a stable argsort and a compare of sorted neighbours, so the indices are
+    the same, without np.unique's wrapper."""
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    new[1:] = keys[1:] != keys[:-1]
+    return order[new]
 
 
 def _combination_rows(N: int, k: int) -> np.ndarray:
@@ -196,8 +209,8 @@ def _rank(points, vt):
     spanning the points. The distance of a point from the span of the first
     j rows is the norm of its coordinates on rows j onwards.
     """
-    coords = points @ np.swapaxes(vt, -1, -2)
-    tail = np.sqrt(np.cumsum(coords[..., ::-1] ** 2, axis=-1))[..., ::-1]
+    coords = points @ vt.mT
+    tail = np.sqrt((coords[..., ::-1] ** 2).cumsum(axis=-1))[..., ::-1]
     return (tail > SIGN_TOL).any(axis=-2).sum(axis=-1)
 
 
@@ -234,13 +247,15 @@ def _rays(q):
     """
     N, r = q.shape
     ids = _combination_rows(N, r - 1)                       # (S, r-1)
-    cols = np.nonzero(~np.eye(r, dtype=bool))[1].reshape(r, r - 1)
+    j = np.arange(r - 1)
+    cols = j + (j >= np.arange(r)[:, None])                 # row k: all but k
     # (S, r, r-1, r-1): subset s without coordinate k
     normals = np.linalg.det(q[ids[:, None, :, None], cols[:, None]])
     normals[:, 1::2] *= -1.0
-    norms = np.sqrt(np.add.reduce(normals * normals, axis=1))
-    slack = (r - 1) ** ((r - 1) / 2) / np.maximum(norms, SIGN_TOL)
-    rays = normals / np.maximum(norms, SIGN_TOL)[:, None]
+    norms = np.maximum(np.sqrt(np.add.reduce(normals * normals, axis=1)),
+                       SIGN_TOL)
+    slack = (r - 1) ** ((r - 1) / 2) / norms
+    rays = normals / norms[:, None]
     vals = rays @ q.T                                       # (S, N)
     dist = np.abs(vals)
     on_ray = dist <= SIGN_TOL
@@ -249,8 +264,8 @@ def _rays(q):
     kept = ((slack < 0.5 / SIGN_TOL)
             & (off[own].max(axis=1, initial=0.0) <= SIGN_TOL))
     off[own] = np.inf
-    kept &= dist.min(axis=1) > SIGN_TOL + 8 * np.finfo(float).eps * slack
-    doubt = np.flatnonzero(~kept)
+    kept &= dist.min(axis=1) > SIGN_TOL + 8 * 2.0 ** -52 * slack
+    doubt = (~kept).nonzero()[0]
     if len(doubt):
         subsets = q[ids[doubt]]
         _, _, right = np.linalg.svd(subsets)
@@ -274,6 +289,12 @@ def _cells(points):
     rank of the set, in the independence of a ray's subset and in the
     on-ray test alike.
 
+    A one-column set takes no SVD: its points must be nonzero, as the unit
+    points of _unit_points are, so they span R^1 (rank 1), or nothing when
+    there are none, and they go straight to the N == r and r == 1 cases
+    with q the points themselves: the same rows, and one empty row for an
+    empty set. Every other set is reduced to its span, of rank r.
+
     The cells around a ray are those of its on-ray points projected onto
     the ray's hyperplane. A generic ray has exactly r-1 on-ray points:
     the independent subset that gave the ray, already in its hyperplane.
@@ -286,9 +307,12 @@ def _cells(points):
     cells at a time, deduped as they come. Only the degenerate rays
     recurse.
     """
-    N = len(points)
-    basis, q = _span(points)
-    r = len(basis)
+    N, m = points.shape
+    if m == 1:              # nonzero points in R^1 span it, if there are any
+        q, r = points, min(N, 1)
+    else:
+        basis, q = _span(points)
+        r = len(basis)
     if N == r:
         return _shattered(r)
     if r == 1:
@@ -304,17 +328,17 @@ def _cells(points):
     step = max(1, _CELL_SLICE // len(local))
 
     def blocks():
-        ids = np.flatnonzero(generic)
+        ids = generic.nonzero()[0]
         for lo in range(0, len(ids), step):
             c = ids[lo:lo + step]
             yield _around(vals[c], on_ray[c], local)
         parts = []
-        for c in np.flatnonzero(~generic):
+        for c in (~generic).nonzero()[0]:
             on = on_ray[c]
             flat = q[on] - np.outer(vals[c, on], rays[c])
             parts.append(_around(vals[c:c + 1], on_ray[c:c + 1], _cells(flat)))
         if parts:
-            yield np.vstack(parts)
+            yield np.concatenate(parts)
 
     for rows in _running_unique(blocks()):
         pass                                 # the last yield holds them all
@@ -332,11 +356,11 @@ def _around(vals, on, local):
     hyperplane.
     """
     (R, N), L = vals.shape, len(local)
-    around = np.repeat((vals > 0)[:, None], L, axis=1)      # (R, L, N)
-    pts = np.nonzero(on)[1].reshape(R, -1)                  # (R, k)
+    around = (vals > 0)[:, None].repeat(L, axis=1)          # (R, L, N)
+    pts = on.nonzero()[1].reshape(R, -1)                    # (R, k)
     around[np.arange(R)[:, None], :, pts] = local.T
     around = around.reshape(R * L, N)
-    return np.vstack([around, ~around])
+    return np.concatenate([around, ~around])
 
 
 def _witnesses(points, rows, col):
@@ -393,8 +417,9 @@ def enumerate_linear_dichotomies(points) -> DichotomySet:
     strictly. A caller that reads only the signs pays nothing for them.
     """
     unit, col = _unit_points(points)
-    signs = np.where(_cells(unit), 1, -1)
-    return DichotomySet(signs, partial(_witnesses, unit, signs > 0, col))
+    rows = _cells(unit)
+    return DichotomySet(np.where(rows, 1, -1),
+                        partial(_witnesses, unit, rows, col))
 
 
 def _unit_points(points):
@@ -405,7 +430,7 @@ def _unit_points(points):
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must be (N, m), got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
+    if not np.isfinite(points).all():
         raise ValueError("points must be finite")
     if not points.any(axis=1).all():
         raise ValueError("a point at the origin admits no strict classification")
@@ -413,7 +438,8 @@ def _unit_points(points):
     col[col == 0] = 1.0
     unit = points / col
     unit /= np.abs(unit).max(axis=1, keepdims=True)
-    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    # np.linalg.norm(unit, axis=1, keepdims=True)'s own expression
+    unit /= np.sqrt(np.add.reduce(unit * unit, axis=1, keepdims=True))
     return unit, col
 
 

@@ -40,8 +40,8 @@ from .core import (
 # no solver calls check_general_position; the benchmark's tracer wraps it by
 # name on this module
 from .geometry import (_combination_rows, _packed_keys, _running_unique,
-                       check_general_position, enumerate_linear_dichotomies,
-                       unique_rows)
+                       _unique_keys, check_general_position,
+                       enumerate_linear_dichotomies)
 
 __all__ = [
     "CapsExceededError",
@@ -291,14 +291,21 @@ def _size_batches(masks, width):
     """(batch, idx) for the non-empty masks of the boolean (M, N) stack, by
     ascending point count k: each size's masks, in order, _SCORE_CHUNK //
     width(k) at a time (at least one), as the batch's rows of masks and the
-    (B, k) indices of their points. An empty mask is in no batch."""
+    (B, k) indices of their points. An empty mask is in no batch. The
+    masks are sorted by size once, stably, and their points gathered row
+    after row in one pass, so a batch is two slices."""
     size = masks.sum(axis=1)
-    for k in np.flatnonzero(np.bincount(size)[1:]) + 1:     # 0 left out
-        rows = np.flatnonzero(size == k)
-        step = max(1, _SCORE_CHUNK // width(k))
-        for first in range(0, len(rows), step):
-            batch = rows[first:first + step]
-            yield batch, np.nonzero(masks[batch])[1].reshape(len(batch), k)
+    order = size.argsort(kind="stable")
+    points = masks[order].nonzero()[1]
+    row = point = 0                 # the first of the size's rows and points
+    for k, count in enumerate(np.bincount(size).tolist()):
+        if k:                       # 0 left out
+            step = max(1, _SCORE_CHUNK // width(k))
+            for lo in range(row, row + count, step):
+                batch = order[lo:min(lo + step, row + count)]
+                yield batch, points[point:point + k * len(batch)].reshape(-1, k)
+                point += k * len(batch)
+        row += count
 
 
 def _fit_masks(x, y, loss: LossModel, masks, table) -> np.ndarray:
@@ -457,9 +464,9 @@ def _least(method: str, data: Dataset, loss: LossModel, q0s, ws,
         _cost_arrays(x, y, ws[lo:lo + _SCORE_CHUNK],
                      q0s[lo:lo + _SCORE_CHUNK], loss)
         for lo in range(0, len(q0s), _SCORE_CHUNK)])
-    tied = np.flatnonzero(costs == costs.min())
-    r = tied[np.lexsort(q0s[tied].T[::-1])[0]]
-    ties = np.flatnonzero(_assign_arrays(x, y, ws[r], loss)[1]) + 1
+    tied = (costs == costs.min()).nonzero()[0]
+    r = tied[0] if len(tied) == 1 else tied[np.lexsort(q0s[tied].T[::-1])[0]]
+    ties = _assign_arrays(x, y, ws[r], loss)[1].nonzero()[0] + 1
     return SolveReport(method=method, cost=float(costs[r]),
                        models=ModelSet(ws[r]),
                        labeling=Labeling(q0s[r] + 1, tie_set=ties.tolist()),
@@ -611,34 +618,39 @@ class CandidateStream:
                 _check_budget(len(half), "classifier combinations", cfg)
             # and the live negations: distinct, as only the half holds the
             # first live point, and in ascending complement keys
-            pool = np.vstack([half[::-1], half ^ live])
+            pool = np.concatenate([half[::-1], half ^ live])
         self.pair_products = half if n == 2 else pool
         self.combinations_examined = len(self.pair_products) ** (n * (n - 1) // 2)
 
-        regions = pool & live
+        regions, keys = pool & live, None
         for _ in range(n - 2):
             _check_budget(len(regions) * len(pool),
                           "classifier combinations", cfg)
             regions = (regions[:, None] & pool[None]).reshape(-1, N)
-            regions = regions[unique_rows(~regions)]
+            keys = _packed_keys(~regions)
+            first = _unique_keys(keys)
+            regions, keys = regions[first], keys[first]
         self.regions = regions
         if n == 2 and live.any():
             # a half row and its live complement are pool rows j and
             # 2P - 1 - j: the search's partitions, read off in its order
-            j = np.arange(len(half))
-            self.partitions = np.column_stack([j, 2 * len(half) - 1 - j])
+            j = np.arange(len(half))[:, None]
+            self.partitions = np.concatenate([j, 2 * len(half) - 1 - j], axis=1)
         else:
-            self.partitions = _partition_search(regions, live, n, cfg)
+            self.partitions = _partition_search(
+                regions, _packed_keys(~regions) if keys is None else keys,
+                live, n, cfg)
 
     def __iter__(self):
         yield from self.partitions
 
 
-def _partition_search(regions, live, n: int, cfg: SolverConfig) -> np.ndarray:
+def _partition_search(regions, keys, live, n: int,
+                      cfg: SolverConfig) -> np.ndarray:
     """CandidateStream's (K, n) partitions of the live points into n of the
     regions, each member holding the first live point the ones before it
-    leave; the regions come sorted by the packed keys of their
-    complements."""
+    leave; the regions come sorted by keys, the packed keys of their
+    complements, _packed_keys(~regions)."""
     N = len(live)
 
     def first(rows):            # each row's first point, N if it has none
@@ -653,30 +665,31 @@ def _partition_search(regions, live, n: int, cfg: SolverConfig) -> np.ndarray:
         # block of regions, tried against every partial partition, step
         # partials and at most the budget's pair tests at a time
         at = first(live & ~union)
-        lo = np.searchsorted(lead, at)
-        size = np.searchsorted(lead, at, side="right") - lo
+        lo = lead.searchsorted(at)
+        size = lead.searchsorted(at, side="right") - lo
         step = max(1, cfg.candidate_budget // size.max(initial=1))
         grown, unions = [], []
-        for rows in np.array_split(np.arange(len(parts)), len(parts) // step + 1):
-            row = np.repeat(rows, size[rows])               # j runs each block
-            j = lo[row] + np.arange(len(row)) - np.searchsorted(row, row)
+        every = np.arange(len(parts))
+        for at_row in range(0, max(1, len(parts)), step):
+            rows = every[at_row:at_row + step]
+            row = rows.repeat(size[rows])                   # j runs each block
+            j = lo[row] + np.arange(len(row)) - row.searchsorted(row)
             have, add = union[row], regions[j]
-            ok = ~(have & add).any(axis=1)
-            grown.append(np.column_stack([parts[row[ok]], j[ok]]))
+            ok = (~(have & add).any(axis=1)).nonzero()[0]
+            grown.append(np.concatenate([parts[row[ok]], j[ok, None]], axis=1))
             unions.append(have[ok] | add[ok])
             _check_budget(sum(map(len, grown)), "classifier combinations", cfg)
         parts, union = np.concatenate(grown), np.concatenate(unions)
     # the last member is the rest of the live points, found by its key
-    keys = _packed_keys(~regions)
     rest = _packed_keys(union | ~live)
-    last = np.minimum(np.searchsorted(keys, rest), len(keys) - 1)
-    hit = keys[last] == rest
-    return np.column_stack([parts[hit], last[hit]])
+    last = np.minimum(keys.searchsorted(rest), len(keys) - 1)
+    hit = (keys[last] == rest).nonzero()[0]
+    return np.concatenate([parts[hit], last[hit, None]], axis=1)
 
 
 def _residual_bound(x, y, w_norm):
     """First-order bound on the rounding of y_i - w . x_i, |w|_1 = w_norm."""
-    return _ROUNDING * np.finfo(float).eps * (
+    return _ROUNDING * 2.0 ** -52 * (
         np.abs(y).max() + w_norm * np.abs(x).max())
 
 
@@ -701,8 +714,8 @@ def _squared_totals(x, y, member):
         -1, d, d)                                        # (K, d, d)
     rhs = member @ (x * y[:, None])                      # (K, d)
     k = member.sum(axis=1)
-    t = np.trace(gram, axis1=1, axis2=2)
-    normal = np.flatnonzero((k >= d) & (t > 0))
+    t = gram.trace(axis1=1, axis2=2)
+    normal = ((k >= d) & (t > 0)).nonzero()[0]
     det = np.linalg.det(gram[normal] / t[normal, None, None])
     keep = det * _GRAM_COND > 1
     normal, det = normal[keep], det[keep]
