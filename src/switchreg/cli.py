@@ -25,8 +25,9 @@ import numpy as np
 from .bench import bench_scaling
 from .core import (SQUARED, ZERO_TOL, Dataset, LossModel, ModelSet,
                    empirical_cost)
-from .datasets import (GeneratorSpec, generate_instance, load_dataset_csv,
-                       load_dataset_json, save_dataset_csv, save_dataset_json)
+from .datasets import (GeneratorSpec, _read_json, generate_instance,
+                       load_dataset_csv, load_dataset_json, save_dataset_csv,
+                       save_dataset_json)
 from .hardness import (CertificateError, DecisionInstance, PartitionInstance,
                        decide_threshold, extract_partition,
                        partition_to_instance)
@@ -180,8 +181,7 @@ def _cmd_reduce_partition(args) -> int:
 def _report_models(path: str) -> ModelSet:
     """The models of a solve report: a JSON object whose 'models' is a list
     of equal-length lists of JSON numbers. Anything else raises ValueError."""
-    with open(path) as f:
-        doc = json.load(f)
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "models" not in doc:
         raise ValueError(f"{path}: not a report with a 'models' field")
     rows = doc["models"]

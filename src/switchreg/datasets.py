@@ -198,6 +198,16 @@ def _json_rows(path, doc: dict, key: str) -> list:
             for r, row in enumerate(rows, start=1)]
 
 
+def _read_json(path):
+    """The JSON document in the file at path. A document json.load refuses,
+    on its syntax or its digit limit, raises ValueError naming the file."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:          # JSONDecodeError included
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_dataset_json(path) -> DatasetBundle:
     """Read a dataset (plus metadata) written by save_dataset_json.
 
@@ -205,8 +215,7 @@ def load_dataset_json(path) -> DatasetBundle:
     list and true_labels a list of integers; anything else raises ValueError
     naming the file and the field.
     """
-    with open(path) as f:
-        doc = json.load(f)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key in ("x", "y", "d", "N"):

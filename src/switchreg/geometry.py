@@ -157,19 +157,14 @@ def unique_rows(rows) -> np.ndarray:
     """First-occurrence index of each distinct row of a boolean (K, N) array,
     in ascending row order, as np.unique(rows, axis=0, return_index=True),
     deduped on _packed_keys: uint64 keys up to 64 columns, void keys past
-    that. Pass +/-1 rows as rows > 0."""
-    return _unique_keys(_packed_keys(rows))
-
-
-def _unique_keys(keys) -> np.ndarray:
-    """First-occurrence index of each distinct key, in ascending key order:
-    np.unique(keys, return_index=True)[1] by np.unique's own method inline,
-    a stable argsort and a compare of sorted neighbours, so the indices are
-    the same, without np.unique's wrapper."""
+    that. Pass +/-1 rows as rows > 0. The dedupe is np.unique(keys,
+    return_index=True)'s own method inline, a stable argsort of the keys and
+    a compare of sorted neighbours, so the indices are the same, without
+    np.unique's wrapper."""
+    keys = _packed_keys(rows)
     order = keys.argsort(kind="stable")
     keys = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
+    new = np.ones(len(keys), dtype=bool)
     new[1:] = keys[1:] != keys[:-1]
     return order[new]
 
@@ -247,15 +242,13 @@ def _rays(q):
     """
     N, r = q.shape
     ids = _combination_rows(N, r - 1)                       # (S, r-1)
-    j = np.arange(r - 1)
-    cols = j + (j >= np.arange(r)[:, None])                 # row k: all but k
-    # (S, r, r-1, r-1): subset s without coordinate k
+    # (S, r, r-1, r-1): subset s without coordinate k, cols row k
+    cols = np.arange(r - 1) + (np.arange(r - 1) >= np.arange(r)[:, None])
     normals = np.linalg.det(q[ids[:, None, :, None], cols[:, None]])
     normals[:, 1::2] *= -1.0
-    norms = np.maximum(np.sqrt(np.add.reduce(normals * normals, axis=1)),
-                       SIGN_TOL)
-    slack = (r - 1) ** ((r - 1) / 2) / norms
-    rays = normals / norms[:, None]
+    norms = np.sqrt(np.add.reduce(normals * normals, axis=1))
+    slack = (r - 1) ** ((r - 1) / 2) / np.maximum(norms, SIGN_TOL)
+    rays = normals / np.maximum(norms, SIGN_TOL)[:, None]
     vals = rays @ q.T                                       # (S, N)
     dist = np.abs(vals)
     on_ray = dist <= SIGN_TOL
@@ -307,12 +300,9 @@ def _cells(points):
     cells at a time, deduped as they come. Only the degenerate rays
     recurse.
     """
-    N, m = points.shape
-    if m == 1:              # nonzero points in R^1 span it, if there are any
-        q, r = points, min(N, 1)
-    else:
-        basis, q = _span(points)
-        r = len(basis)
+    N = len(points)
+    q = points if points.shape[1] == 1 else _span(points)[1]
+    r = min(N, q.shape[1])                 # the rank: _span's is at most N
     if N == r:
         return _shattered(r)
     if r == 1:
@@ -417,9 +407,8 @@ def enumerate_linear_dichotomies(points) -> DichotomySet:
     strictly. A caller that reads only the signs pays nothing for them.
     """
     unit, col = _unit_points(points)
-    rows = _cells(unit)
-    return DichotomySet(np.where(rows, 1, -1),
-                        partial(_witnesses, unit, rows, col))
+    signs = np.where(_cells(unit), 1, -1)
+    return DichotomySet(signs, partial(_witnesses, unit, signs > 0, col))
 
 
 def _unit_points(points):

@@ -40,8 +40,8 @@ from .core import (
 # no solver calls check_general_position; the benchmark's tracer wraps it by
 # name on this module
 from .geometry import (_combination_rows, _packed_keys, _running_unique,
-                       _unique_keys, check_general_position,
-                       enumerate_linear_dichotomies)
+                       check_general_position, enumerate_linear_dichotomies,
+                       unique_rows)
 
 __all__ = [
     "CapsExceededError",
@@ -292,20 +292,19 @@ def _size_batches(masks, width):
     ascending point count k: each size's masks, in order, _SCORE_CHUNK //
     width(k) at a time (at least one), as the batch's rows of masks and the
     (B, k) indices of their points. An empty mask is in no batch. The
-    masks are sorted by size once, stably, and their points gathered row
-    after row in one pass, so a batch is two slices."""
+    masks are sorted by size once, stably, and their points gathered in
+    that order in one pass, so a batch is two slices."""
     size = masks.sum(axis=1)
     order = size.argsort(kind="stable")
     points = masks[order].nonzero()[1]
-    row = point = 0                 # the first of the size's rows and points
-    for k, count in enumerate(np.bincount(size).tolist()):
-        if k:                       # 0 left out
-            step = max(1, _SCORE_CHUNK // width(k))
-            for lo in range(row, row + count, step):
-                batch = order[lo:min(lo + step, row + count)]
-                yield batch, points[point:point + k * len(batch)].reshape(-1, k)
-                point += k * len(batch)
-        row += count
+    counts = np.bincount(size, minlength=1).tolist()
+    row, point = counts[0], 0       # the first of a size's rows and points
+    for k in filter(counts.__getitem__, range(1, len(counts))):  # 0 left out
+        step = max(1, _SCORE_CHUNK // width(k))
+        idx = points[point:point + k * counts[k]].reshape(-1, k)
+        for lo in range(0, counts[k], step):
+            yield order[row + lo:row + min(lo + step, counts[k])], idx[lo:lo + step]
+        row, point = row + counts[k], point + k * counts[k]
 
 
 def _fit_masks(x, y, loss: LossModel, masks, table) -> np.ndarray:
@@ -622,14 +621,12 @@ class CandidateStream:
         self.pair_products = half if n == 2 else pool
         self.combinations_examined = len(self.pair_products) ** (n * (n - 1) // 2)
 
-        regions, keys = pool & live, None
+        regions = pool & live
         for _ in range(n - 2):
             _check_budget(len(regions) * len(pool),
                           "classifier combinations", cfg)
             regions = (regions[:, None] & pool[None]).reshape(-1, N)
-            keys = _packed_keys(~regions)
-            first = _unique_keys(keys)
-            regions, keys = regions[first], keys[first]
+            regions = regions[unique_rows(~regions)]
         self.regions = regions
         if n == 2 and live.any():
             # a half row and its live complement are pool rows j and
@@ -637,20 +634,17 @@ class CandidateStream:
             j = np.arange(len(half))[:, None]
             self.partitions = np.concatenate([j, 2 * len(half) - 1 - j], axis=1)
         else:
-            self.partitions = _partition_search(
-                regions, _packed_keys(~regions) if keys is None else keys,
-                live, n, cfg)
+            self.partitions = _partition_search(regions, live, n, cfg)
 
     def __iter__(self):
         yield from self.partitions
 
 
-def _partition_search(regions, keys, live, n: int,
-                      cfg: SolverConfig) -> np.ndarray:
+def _partition_search(regions, live, n: int, cfg: SolverConfig) -> np.ndarray:
     """CandidateStream's (K, n) partitions of the live points into n of the
     regions, each member holding the first live point the ones before it
-    leave; the regions come sorted by keys, the packed keys of their
-    complements, _packed_keys(~regions)."""
+    leave; the regions come sorted by the packed keys of their
+    complements."""
     N = len(live)
 
     def first(rows):            # each row's first point, N if it has none
@@ -669,9 +663,9 @@ def _partition_search(regions, keys, live, n: int,
         size = lead.searchsorted(at, side="right") - lo
         step = max(1, cfg.candidate_budget // size.max(initial=1))
         grown, unions = [], []
-        every = np.arange(len(parts))
-        for at_row in range(0, max(1, len(parts)), step):
-            rows = every[at_row:at_row + step]
+        # a partial partition never empties: the empty region closes any
+        for p in range(0, len(parts), step):
+            rows = np.arange(p, min(p + step, len(parts)))
             row = rows.repeat(size[rows])                   # j runs each block
             j = lo[row] + np.arange(len(row)) - row.searchsorted(row)
             have, add = union[row], regions[j]
@@ -681,6 +675,7 @@ def _partition_search(regions, keys, live, n: int,
             _check_budget(sum(map(len, grown)), "classifier combinations", cfg)
         parts, union = np.concatenate(grown), np.concatenate(unions)
     # the last member is the rest of the live points, found by its key
+    keys = _packed_keys(~regions)
     rest = _packed_keys(union | ~live)
     last = np.minimum(keys.searchsorted(rest), len(keys) - 1)
     hit = (keys[last] == rest).nonzero()[0]

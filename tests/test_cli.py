@@ -447,6 +447,22 @@ def test_malformed_json_dataset_is_usage_error(tmp_path, capsys, field,
     assert str(data_path) in stderr and named in stderr
 
 
+@pytest.mark.parametrize("text", [
+    '{"x": [[1.0], [2.0]], "y": [1.0',
+    '{"x": [[' + "1" * 5000 + ']], "y": [1.0]}'], ids=["truncated", "digit-limit"])
+def test_unreadable_json_is_usage_error_naming_the_file(tmp_path, capsys,
+                                                         text):
+    # json.load's own errors name the file, for a dataset and for a report
+    path = tmp_path / "broken.json"
+    path.write_text(text)
+    for args in (("solve", str(path), "--n", "1"),
+                 ("extract-partition", "--set", "1,2,3", "--report",
+                  str(path))):
+        code, _, stderr = run(capsys, *args)
+        assert code == 2, args
+        assert stderr.startswith(f"error: {path}: "), args
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, stderr = run(capsys, "solve", "/nonexistent/x.csv", "--n", "2")
     assert code == 2

@@ -182,11 +182,18 @@ def test_accuracy_validates_inputs():
       "true_w": [[10 ** 400]]},
      "true_w row 1 has a non-numeric entry: int too large to convert to "
      "float"),
+    # raw text, written as it is: documents json.load itself refuses
+    ('{"d": 1, "N": 2, "x": [[1.0], [2.0]], "y": [1.0',
+     "Expecting ',' delimiter: line 1 column 48 (char 47)"),
+    ('{"d": 1, "N": 1, "x": [[' + "1" * 5000 + ']], "y": [1.0]}',
+     "Exceeds the limit (4300 digits) for integer string conversion: value "
+     "has 5000 digits; use sys.set_int_max_str_digits() to increase the "
+     "limit"),
 ], ids=["not-an-object", "non-numeric", "length", "row-width", "boolean-x",
-        "boolean-y", "past-float-range"])
+        "boolean-y", "past-float-range", "truncated", "digit-limit"])
 def test_json_malformed_document_named(tmp_path, doc, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with pytest.raises(ValueError,
                        match=f"^{re.escape(f'{path}: {message}')}$"):
         load_dataset_json(path)

@@ -409,6 +409,17 @@ def test_generic_rays_take_no_stacked_svd(monkeypatch):
         assert shapes == [(9, m)], m
         if m == 2:
             assert _patterns(result) == _patterns(sweep_dichotomies_oracle(pts))
+    # one column takes none: its nonzero points span R^1, and the empty set
+    # keeps its one empty row
+    for N in (1, 2, 9):
+        shapes.clear()
+        pts = rng.standard_normal((N, 1))
+        result = enumerate_linear_dichotomies(pts)
+        assert shapes == [], N
+        assert np.array_equal(result.signs,
+                              sweep_dichotomies_oracle(pts).signs), N
+    result = enumerate_linear_dichotomies(np.zeros((0, 1)))
+    assert shapes == [] and result.signs.shape == (1, 0)
     shapes.clear()
     result = enumerate_linear_dichotomies(_DEGENERATE)
     assert _patterns(result) == lp_feasible_patterns(_DEGENERATE)

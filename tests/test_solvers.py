@@ -1166,8 +1166,7 @@ def test_two_mode_partitions_pair_each_half_row_with_its_complement():
         stream = CandidateStream(data, 2)
         live = data.x.any(axis=1)
         assert np.array_equal(stream.partitions, solvers._partition_search(
-            stream.regions, geometry._packed_keys(~stream.regions), live, 2,
-            SolverConfig()))
+            stream.regions, live, 2, SolverConfig()))
         if not live.any():
             assert stream.partitions.tolist() == [[0, 0]]
             continue
