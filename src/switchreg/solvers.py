@@ -187,7 +187,8 @@ def _lstsq(a, b) -> np.ndarray:
     np.linalg.lstsq(a_i, b_i, rcond=None)'s bit for bit: the one system
     a (k, d), b (k,) is a stack of one. Each system takes its own call of
     the gufunc lstsq calls (LAPACK's gelsd in numpy's _umath_linalg), with
-    lstsq's cutoff, and the whole stack runs in one error state, lstsq's,
+    lstsq's cutoff, in the float64 loop lstsq names, which the float64
+    stacks solve_mode_regression passes select unnamed, and the whole stack runs in one error state, lstsq's,
     which raises its LinAlgError when gelsd's SVD does not converge; k = 0
     gives zero solutions, as lstsq does, without a call. So a system costs
     its gelsd call and little more: no lstsq wrapper and no error state of
@@ -198,7 +199,7 @@ def _lstsq(a, b) -> np.ndarray:
     if not a.size:
         return np.zeros(a.shape[:-2] + (d,))
     cutoff = max(k, d) * 2.0 ** -52             # lstsq's, eps being 2^-52
-    w = np.array([_umath_linalg.lstsq(ai, bi, cutoff, signature="ddd->ddid")[0]
+    w = np.array([_umath_linalg.lstsq(ai, bi, cutoff)[0]
                   for ai, bi in zip(a.reshape(-1, k, d), b.reshape(-1, k, 1))]
                  ).reshape(a.shape[:-2] + (d,))
     finite = np.isfinite(w)

@@ -101,10 +101,10 @@ def _timed_solve(solvers, data, n, loss):
 def _counted_solve(solvers, data, n, loss):
     """{stage: calls}: the call and C call events of one unwrapped solve,
     each counted in the innermost stage running."""
-    codes = {getattr(solvers, name).__init__.__code__
-             if isinstance(getattr(solvers, name), type)
-             else getattr(solvers, name).__code__: stage
-             for stage, name in STAGES}
+    codes = {}
+    for stage, name in STAGES:
+        fn = getattr(solvers, name)         # CandidateStream: its __init__
+        codes[(fn.__init__ if isinstance(fn, type) else fn).__code__] = stage
     counts = dict.fromkeys([s for s, _ in STAGES] + ["total"], 0)
     open_ = [(None, "total")]                   # (frame, stage) running
 
