@@ -187,14 +187,15 @@ def _lstsq(a, b) -> np.ndarray:
     np.linalg.lstsq(a_i, b_i, rcond=None)'s bit for bit: the one system
     a (k, d), b (k,) is a stack of one. Each system takes its own call of
     the gufunc lstsq calls (LAPACK's gelsd in numpy's _umath_linalg), with
-    lstsq's cutoff, in the float64 loop lstsq names, which the float64
-    stacks solve_mode_regression passes select unnamed, and the whole stack runs in one error state, lstsq's,
-    which raises its LinAlgError when gelsd's SVD does not converge; k = 0
-    gives zero solutions, as lstsq does, without a call. So a system costs
-    its gelsd call and little more: no lstsq wrapper and no error state of
-    its own. A row whose answer is not finite (a subnormal row's
-    1 / 1e-310) is solved again by _svd_lstsq, which drops the directions
-    whose coefficient is not a float; one isfinite checks the stack."""
+    lstsq's cutoff, in lstsq's float64 loop, which solve_mode_regression's
+    float64 stacks select without naming it, and the whole stack runs in
+    one error state, lstsq's, which raises its LinAlgError when gelsd's SVD
+    does not converge; k = 0 gives zero solutions, as lstsq does, without a
+    call. So a system costs its gelsd call and little more: no lstsq
+    wrapper and no error state of its own. A row whose answer is not
+    finite (a subnormal row's 1 / 1e-310) is solved again by _svd_lstsq,
+    which drops the directions whose coefficient is not a float; one
+    isfinite checks the stack."""
     k, d = a.shape[-2:]
     if not a.size:
         return np.zeros(a.shape[:-2] + (d,))
