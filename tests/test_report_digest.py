@@ -13,7 +13,7 @@ from switchreg import (ABSOLUTE, SQUARED, Dataset, DichotomySet, Labeling,
                        PartitionInstance, brute_force_solve,
                        check_general_position, core, datasets,
                        decide_threshold, enumerate_linear_dichotomies,
-                       hardness, partition_to_instance, solvers)
+                       geometry, hardness, partition_to_instance, solvers)
 
 from conftest import exact_cell_count, report_digest
 
@@ -163,6 +163,30 @@ def test_point_sweep_covers_the_degenerate_kinds():
         if points.shape[1] <= 3:
             assert not digest(enumerate_linear_dichotomies(
                 points)).startswith("raised:"), label
+
+
+def test_point_sweep_covers_the_planar_boundary():
+    # two-column sets of 5 to 9 points whose least pairwise cross product
+    # of unit points is far past 2 SIGN_TOL (generic), 0 (a repeat, an
+    # antiparallel pair, all on one line) or 1.5 and 3 SIGN_TOL
+    sets = dict(report_digest.planar_point_sets(np, core.SIGN_TOL))
+    least = {}
+    for label, points in sets.items():
+        unit, _ = geometry._unit_points(points)
+        a, b = unit.T
+        cross = np.abs(a[:, None] * b - b[:, None] * a)
+        least[label] = cross[~np.eye(len(unit), dtype=bool)].min() \
+            / core.SIGN_TOL
+        assert points.shape[1] == 2 and len(points) > 2, label
+    assert list(least) == [
+        "planar-generic-m2-N8", "planar-duplicate-m2-N9",
+        "planar-antiparallel-m2-N9", "planar-pair1.5tol-m2-N9",
+        "planar-pair3tol-m2-N9", "planar-collinear-m2-N5"]
+    assert least["planar-generic-m2-N8"] > 1e9
+    for label in ("duplicate", "antiparallel", "collinear"):
+        assert least[[k for k in least if label in k][0]] == 0.0
+    assert 1.4 < least["planar-pair1.5tol-m2-N9"] < 1.6
+    assert 2.9 < least["planar-pair3tol-m2-N9"] < 3.1
 
 
 def test_fit_lines_move_with_one_ulp_of_one_fit(monkeypatch):

@@ -36,9 +36,11 @@ triples, and Gaussian points whose leading coordinates are scaled by 1e-5,
 regressors are), so a change to the geometry is compared bit for bit on
 its own, each set's row line followed by a line of check_general_position's
 report on it (ok, violations, sampled, checked_subsets). The same two lines
-follow for the lifted (G) and regressor (H) points of the Partition
-reductions of PARTITIONS, sizes 2-6, whose points repeat every regressor
-and lie on many common hyperplanes, then for those of the tiny-regressor
+follow for a few planar sets on either side of the planar pass's bound
+(every pair's cross product of unit points past 2 SIGN_TOL; see
+planar_point_sets), then for the lifted (G) and regressor (H) points of
+the Partition reductions of PARTITIONS, sizes 2-6, whose points repeat
+every regressor and lie on many common hyperplanes, then for those of the tiny-regressor
 draws, which are in general position but whose lifted points lie within
 SIGN_TOL of the y axis, where the enumeration is known to give fewer rows
 than their exact cell count, and last for those of the Partition
@@ -83,6 +85,7 @@ TINY_SCALES = ("1e-13", "1e-20")
 PARTITIONS = ((1, 2), (3, 1, 2), (5, 3, 2, 4), (17, 13, 10, 6, 6),
               (4, 8, 3, 5, 2, 6))       # multisets whose G and H are hashed
 REDUCTION_EXPONENTS = (12, 13, 16, 24, 40)  # G and H of (2^k, 2^k + 2, 1, 1)
+PLANAR_ANGLES = (0.0, 1.5707963267948966, 0.4, 1.1, 2.0, 2.7, -0.5, -1.3)
 SUBNORMAL_X = ((1e-310, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 SUBNORMAL_Y = (1.0, 1.0, 2.0, 3.0)
 
@@ -239,6 +242,29 @@ def point_sets(np):
         yield f"rows{i}-{kind}-m{m}-N{len(pts)}", pts
 
 
+def planar_point_sets(np, sign_tol):
+    """(label, points) for the sets on either side of the bound of _cells'
+    planar pass, which takes two-column sets of three or more points whose
+    unit points have every pairwise cross product past 2 sign_tol: the
+    unit points at PLANAR_ANGLES (column maxima 1, so they are their own
+    unit points up to rounding), alone and with a repeat of the third, its
+    negation, or the third turned by 1.5 or 3 sign_tol, and five points on
+    one line through the origin."""
+    def at(angles):
+        return np.column_stack([np.cos(angles), np.sin(angles)])
+
+    base = at(np.array(PLANAR_ANGLES))
+    third = PLANAR_ANGLES[2]
+    for kind, extra in (("generic", base[:0]), ("duplicate", base[2:3]),
+                        ("antiparallel", -base[2:3]),
+                        ("pair1.5tol", at(np.array([third + 1.5 * sign_tol]))),
+                        ("pair3tol", at(np.array([third + 3 * sign_tol])))):
+        pts = np.vstack([base, extra])
+        yield f"planar-{kind}-m2-N{len(pts)}", pts
+    pts = np.array([1.0, 2.0, -1.0, 0.5, -4.0])[:, None] * [0.6, 0.8]
+    yield f"planar-collinear-m2-N{len(pts)}", pts
+
+
 def partition_point_sets(hardness):
     """(label, points) for the lifted (G) and regressor (H) points of the
     Partition reduction of each multiset in PARTITIONS."""
@@ -305,7 +331,9 @@ def main(argv=None) -> int:
                                                               datasets)):
         solve_lines(label, data, n, [2026, i])
 
-    for label, points in [*point_sets(np), *partition_point_sets(hardness),
+    for label, points in [*point_sets(np),
+                          *planar_point_sets(np, core.SIGN_TOL),
+                          *partition_point_sets(hardness),
                           *tiny_point_sets(Dataset, datasets),
                           *reduction_point_sets(hardness)]:
         out = attempt(geometry.enumerate_linear_dichotomies, points)
