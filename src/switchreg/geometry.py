@@ -10,6 +10,10 @@ hyperplane. A level of the walk takes one SVD, for the span of its points;
 its rays come from the signed minors of the point subsets, and there is no
 stacked SVD of the subsets, except of those too close to dependent for
 their minors to decide and of those with a point near or on their ray.
+Two kinds of set take no SVD at all: one column, whose nonzero points
+span R^1, and two columns of three or more points no two of which lie
+within 2 SIGN_TOL of one line through the origin, whose 2N cells (Cover,
+1965) are read off one table of the points' pairwise cross-product signs.
 The walk yields sign rows alone: the witnesses,
 normals realizing the rows, are computed when they are first read. It is
 exact on any data: repeated, collinear or coplanar points and N <= m need
@@ -286,7 +290,22 @@ def _cells(points):
     points of _unit_points are, so they span R^1 (rank 1), or nothing when
     there are none, and they go straight to the N == r and r == 1 cases
     with q the points themselves: the same rows, and one empty row for an
-    empty set. Every other set is reduced to its span, of rank r.
+    empty set.
+
+    A two-column set of N > 2 unit points in which every pair is decided,
+    |p_i x p_j| > 2 SIGN_TOL for all i != j, takes the planar pass, with no
+    SVD and no minors. Its points span R^2, and no two are within SIGN_TOL
+    of one line through the origin: three points all within SIGN_TOL of a
+    line would have a pair within it of each other. So every ray below is
+    generic, the normal to one point p_i, and decides every other point
+    with a full SIGN_TOL to spare, by the sign of p_i x p_j up to one
+    global sign (the span's orientation), which the negations absorb. The
+    rays' rows are then that sign table's rows with point i taken both
+    ways, and their negations: 4N rows holding Cover's 2N cells, each cell
+    next to two rays, deduped and ordered by unique_rows as below, so the
+    rows are the general pass's bit for bit. Every other set, a repeated,
+    antiparallel or nearly parallel pair, a set on one line, N <= 2 or
+    three or more columns, is reduced to its span, of rank r.
 
     The cells around a ray are those of its on-ray points projected onto
     the ray's hyperplane. A generic ray has exactly r-1 on-ray points:
@@ -301,6 +320,16 @@ def _cells(points):
     recurse.
     """
     N = len(points)
+    if points.shape[1] == 2 and N > 2:
+        a, b = points.T
+        cross = a[:, None] * b - b[:, None] * a          # 0 on the diagonal
+        if np.add.reduce(np.abs(cross) > 2 * SIGN_TOL, axis=None) \
+                == N * (N - 1):
+            side = cross > 0
+            # each ray's rows, point i off and on, then their negations
+            rows = np.concatenate([side, side, ~side, ~side])
+            rows.reshape(4, N * N)[1::2, ::N + 1] = [[True], [False]]
+            return rows[unique_rows(rows)]
     q = points if points.shape[1] == 1 else _span(points)[1]
     r = min(N, q.shape[1])                 # the rank: _span's is at most N
     if N == r:
@@ -397,7 +426,11 @@ def enumerate_linear_dichotomies(points) -> DichotomySet:
     defined it, so they take all 2^(r-1) sign patterns: all generic rays of
     a level are resolved together in one batched pass. Only the
     degenerate rays, with more points on them or dependent ones, recurse
-    into their on-ray points; general-position data never recurses.
+    into their on-ray points; general-position data never recurses. Two
+    columns of three or more points, no pair of whose unit points has a
+    cross product within 2 SIGN_TOL of 0, have exactly 2N cells, each
+    next to one point's line, and take their rows from one table of the
+    signs of the pairwise cross products, the rows the ray walk gives.
     Repeated, collinear or coplanar points and N <= m are exact, and a
     point within relative distance SIGN_TOL of a hyperplane counts as on
     it. r independent points give all 2^r patterns and r = 1 gives two.
@@ -415,7 +448,11 @@ def _unit_points(points):
     """The points scaled to unit column maxima, then to unit norm through
     unit row maxima, and the column scales. Positive scales keep every sign
     pattern, and h separates the unit points as h / col separates the
-    originals. Only an exactly zero point is refused."""
+    originals. Only an exactly zero point is refused. A nonzero row whose
+    every coordinate underflows against its column maximum is first scaled
+    by a power of two, which is exact and keeps its direction, so that it
+    does not become 0 and then NaN; one that underflows only in part loses
+    those coordinates."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must be (N, m), got shape {points.shape}")
@@ -426,7 +463,19 @@ def _unit_points(points):
     col = np.abs(points).max(axis=0, initial=0.0)
     col[col == 0] = 1.0
     unit = points / col
-    unit /= np.abs(unit).max(axis=1, keepdims=True)
+    big = np.abs(unit).max(axis=1, keepdims=True)
+    if not big.all():
+        # every coordinate of a row underflowed against its column maximum:
+        # scale the row by 2^k first, exactly, k the least gap between a
+        # column maximum's exponent and a nonzero coordinate's, so that no
+        # ratio reaches 2 and the largest passes 1/2
+        lost = big[:, 0] == 0
+        p = points[lost]
+        gap = np.frexp(col)[1] - np.frexp(p)[1]
+        k = np.where(p != 0, gap, np.iinfo(gap.dtype).max).min(axis=1)
+        unit[lost] = np.ldexp(p, k[:, None]) / col
+        big = np.abs(unit).max(axis=1, keepdims=True)
+    unit /= big
     # np.linalg.norm(unit, axis=1, keepdims=True)'s own expression
     unit /= np.sqrt(np.add.reduce(unit * unit, axis=1, keepdims=True))
     return unit, col

@@ -393,22 +393,30 @@ def test_only_degenerate_rays_recurse(monkeypatch):
     assert len(entries) > 1
 
 
-def test_generic_rays_take_no_stacked_svd(monkeypatch):
-    # a structural guard, not a timing test: one SVD gives the span, and
-    # the rays of general-position points come from their subsets' minors,
-    # with no stacked SVD; degenerate subsets still take one
+def _svd_shapes(monkeypatch):
+    """The shapes of the arrays np.linalg.svd is called on, from now on."""
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw:
                         shapes.append(np.shape(a)) or svd(a, *args, **kw))
+    return shapes
+
+
+def test_generic_rays_take_no_stacked_svd(monkeypatch):
+    # a structural guard, not a timing test: one SVD gives the span, and
+    # the rays of general-position points come from their subsets' minors,
+    # with no stacked SVD; degenerate subsets still take one. Two columns
+    # in general position take none: their cells come from the planar pass
+    shapes = _svd_shapes(monkeypatch)
     rng = np.random.default_rng(29)
     for m in (2, 3, 4):
         shapes.clear()
         pts = rng.standard_normal((9, m))
         result = enumerate_linear_dichotomies(pts)
-        assert shapes == [(9, m)], m
+        assert shapes == ([] if m == 2 else [(9, m)]), m
         if m == 2:
-            assert _patterns(result) == _patterns(sweep_dichotomies_oracle(pts))
+            assert np.array_equal(result.signs,
+                                  sweep_dichotomies_oracle(pts).signs)
     # one column takes none: its nonzero points span R^1, and the empty set
     # keeps its one empty row
     for N in (1, 2, 9):
@@ -424,6 +432,94 @@ def test_generic_rays_take_no_stacked_svd(monkeypatch):
     result = enumerate_linear_dichotomies(_DEGENERATE)
     assert _patterns(result) == lp_feasible_patterns(_DEGENERATE)
     assert any(len(shape) == 3 for shape in shapes)
+
+
+def _planar(angles):
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+# unit points at these angles have column maxima 1 and every pairwise cross
+# product at least sin 0.4; each fallback set adds one point to them, or is
+# fallen back on for its shape
+_PLANAR_BASE = _planar(np.array([0.0, np.pi / 2, 0.4, 1.1, 2.0, 2.7, -0.5]))
+_PLANAR_FALLBACK = {
+    "duplicate": np.vstack([_PLANAR_BASE, _PLANAR_BASE[2]]),
+    "antiparallel": np.vstack([_PLANAR_BASE, -_PLANAR_BASE[2]]),
+    "pair-1.5tol": np.vstack([_PLANAR_BASE, _planar([0.4 + 1.5e-12])]),
+    "collinear": np.array([1.0, 2.0, -1.0, 0.5, -4.0])[:, None] * [0.6, 0.8],
+    "N=2": _PLANAR_BASE[2:4],
+    "three-columns": np.hstack([_PLANAR_BASE, _PLANAR_BASE[::-1, :1]]),
+}
+
+
+@pytest.mark.parametrize("points", _PLANAR_FALLBACK.values(),
+                         ids=_PLANAR_FALLBACK)
+def test_planar_pass_falls_back_on_undecided_pairs(monkeypatch, points):
+    # a set with a pair of unit points whose cross product is within
+    # 2 SIGN_TOL of 0, or with two points or three columns, takes the span
+    # SVD first, as every set did before the planar pass
+    assert geometry.SIGN_TOL == 1e-12
+    shapes = _svd_shapes(monkeypatch)
+    result = enumerate_linear_dichotomies(points)
+    assert shapes[0] == points.shape
+    assert_strict(points, result)
+
+
+def _decided_planar_sets():
+    """Two-column sets of 3-14 points whose unit points' pairwise cross
+    products are all past 1e-6, far outside SIGN_TOL: Gaussian, with rows
+    and columns scaled by up to 1e+-150, and integer grids of distinct
+    directions."""
+    rng = np.random.default_rng(52)
+    for i in range(24):
+        pts = rng.standard_normal((3 + i % 12, 2))
+        if i % 3 == 1:
+            pts *= 10.0 ** rng.uniform(-150, 150, size=(len(pts), 1))
+        if i % 3 == 2:
+            pts *= 10.0 ** rng.uniform(-150, 150, size=2)
+        yield pts
+    for n in (3, 5, 8):
+        grid = np.array([(a, b) for a in range(-2, 3) for b in range(0, 3)
+                         if np.gcd(a, b) == 1 and (b > 0 or a > 0)], float)
+        yield grid[:n] * rng.choice([-1.0, 1.0], size=(n, 1))
+    yield _PLANAR_BASE
+
+
+def test_decided_planar_sets_take_the_planar_pass(monkeypatch):
+    # Cover's 2N cells, each next to one point's line: the sweep oracle's
+    # rows in its order, the exact cell count, and no SVD for the signs;
+    # the witnesses, read after, take the span SVD as before
+    shapes = _svd_shapes(monkeypatch)
+    for pts in _decided_planar_sets():
+        unit, _ = geometry._unit_points(pts)
+        a, b = unit.T
+        cross = np.abs(a[:, None] * b - b[:, None] * a)
+        assert cross[~np.eye(len(pts), dtype=bool)].min() > 1e-6
+        result = enumerate_linear_dichotomies(pts)
+        assert shapes == [], pts
+        assert np.array_equal(result.signs,
+                              sweep_dichotomies_oracle(pts).signs), pts
+        assert len(result) == 2 * len(pts) == exact_cell_count(pts)
+        assert np.array_equal(np.sign(result.witnesses @ pts.T),
+                              result.signs)
+        shapes.clear()
+
+
+@pytest.mark.parametrize("points, rows", [
+    ([[1e-200], [1e200]], [[-1, -1], [1, 1]]),
+    ([[1e-200, 1e-200], [1e200, 1.0], [1.0, 1e200]],
+     [[-1, -1, -1], [-1, -1, 1], [-1, 1, -1], [1, -1, 1], [1, 1, -1],
+      [1, 1, 1]]),
+], ids=["line", "plane"])
+def test_rows_that_underflow_against_their_column_maxima(points, rows):
+    # every coordinate of the first point divided by its column maximum
+    # underflows to 0; the point is scaled up by a power of two first, so
+    # it keeps its direction, here (1, 1) up to its length
+    assert np.array_equal(enumerate_linear_dichotomies(points).signs, rows)
+    assert np.array_equal(sweep_dichotomies_oracle(points).signs, rows)
+    unit, _ = geometry._unit_points(points)
+    assert np.allclose(unit[0], np.full(len(points[0]),
+                                        len(points[0]) ** -0.5))
 
 
 @pytest.mark.parametrize("scale", [(1e-10, 1.0), (1.0, 1e10), (1e-10, 1e10),
