@@ -458,17 +458,18 @@ def _unit_points(points):
         raise ValueError(f"points must be (N, m), got shape {points.shape}")
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
-    if not points.any(axis=1).all():
-        raise ValueError("a point at the origin admits no strict classification")
     col = np.abs(points).max(axis=0, initial=0.0)
     col[col == 0] = 1.0
     unit = points / col
     big = np.abs(unit).max(axis=1, keepdims=True)
     if not big.all():
-        # every coordinate of a row underflowed against its column maximum:
-        # scale the row by 2^k first, exactly, k the least gap between a
-        # column maximum's exponent and a nonzero coordinate's, so that no
-        # ratio reaches 2 and the largest passes 1/2
+        # a zero point, or one whose every coordinate underflowed against
+        # its column maximum: scale such a row by 2^k first, exactly, k the
+        # least gap between a column maximum's exponent and a nonzero
+        # coordinate's, so that no ratio reaches 2 and the largest passes 1/2
+        if not points.any(axis=1).all():
+            raise ValueError(
+                "a point at the origin admits no strict classification")
         lost = big[:, 0] == 0
         p = points[lost]
         gap = np.frexp(col)[1] - np.frexp(p)[1]
