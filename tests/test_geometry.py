@@ -20,7 +20,8 @@ from switchreg import geometry
 from switchreg.geometry import unique_rows
 
 from conftest import (assert_strict, exact_cell_count, exact_rank,
-                      lp_feasible_patterns, rays_on_their_points)
+                      lp_feasible_patterns, rays_on_their_points,
+                      report_digest)
 
 
 def _patterns(result):
@@ -434,21 +435,17 @@ def test_generic_rays_take_no_stacked_svd(monkeypatch):
     assert any(len(shape) == 3 for shape in shapes)
 
 
-def _planar(angles):
-    return np.column_stack([np.cos(angles), np.sin(angles)])
-
-
-# unit points at these angles have column maxima 1 and every pairwise cross
-# product at least sin 0.4; each fallback set adds one point to them, or is
-# fallen back on for its shape
-_PLANAR_BASE = _planar(np.array([0.0, np.pi / 2, 0.4, 1.1, 2.0, 2.7, -0.5]))
+# the digest's planar boundary sets, by kind: a generic set, and that set
+# with a repeat, an antiparallel pair or a pair at 1.5 or 3 SIGN_TOL added,
+# and a set on one line
+_PLANAR = {label.split("-")[1]: points for label, points
+           in report_digest.planar_point_sets(np, geometry.SIGN_TOL)}
 _PLANAR_FALLBACK = {
-    "duplicate": np.vstack([_PLANAR_BASE, _PLANAR_BASE[2]]),
-    "antiparallel": np.vstack([_PLANAR_BASE, -_PLANAR_BASE[2]]),
-    "pair-1.5tol": np.vstack([_PLANAR_BASE, _planar([0.4 + 1.5e-12])]),
-    "collinear": np.array([1.0, 2.0, -1.0, 0.5, -4.0])[:, None] * [0.6, 0.8],
-    "N=2": _PLANAR_BASE[2:4],
-    "three-columns": np.hstack([_PLANAR_BASE, _PLANAR_BASE[::-1, :1]]),
+    **{kind: _PLANAR[kind] for kind in ("duplicate", "antiparallel",
+                                        "pair1.5tol", "collinear")},
+    "N=2": _PLANAR["generic"][2:4],
+    "three-columns": np.hstack([_PLANAR["generic"],
+                                _PLANAR["generic"][::-1, :1]]),
 }
 
 
@@ -458,7 +455,6 @@ def test_planar_pass_falls_back_on_undecided_pairs(monkeypatch, points):
     # a set with a pair of unit points whose cross product is within
     # 2 SIGN_TOL of 0, or with two points or three columns, takes the span
     # SVD first, as every set did before the planar pass
-    assert geometry.SIGN_TOL == 1e-12
     shapes = _svd_shapes(monkeypatch)
     result = enumerate_linear_dichotomies(points)
     assert shapes[0] == points.shape
@@ -482,7 +478,7 @@ def _decided_planar_sets():
         grid = np.array([(a, b) for a in range(-2, 3) for b in range(0, 3)
                          if np.gcd(a, b) == 1 and (b > 0 or a > 0)], float)
         yield grid[:n] * rng.choice([-1.0, 1.0], size=(n, 1))
-    yield _PLANAR_BASE
+    yield _PLANAR["generic"]
 
 
 def test_decided_planar_sets_take_the_planar_pass(monkeypatch):
