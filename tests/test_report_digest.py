@@ -189,6 +189,42 @@ def test_point_sweep_covers_the_planar_boundary():
     assert 2.9 < least["planar-pair3tol-m2-N9"] < 3.1
 
 
+def test_point_sweep_covers_the_three_column_boundary():
+    # three-column sets of 8 to 13 points whose least pairwise cross product
+    # of unit points, and least distance of a third point from a pair's
+    # plane, are far past the pass's bound (generic), 0 (a repeat, an
+    # antiparallel pair), near rounding (a coplanar triple) or 1.5 and 3
+    # SIGN_TOL; and a mixed-magnitude set
+    sets = dict(report_digest.three_column_point_sets(np, core.SIGN_TOL))
+    least = {}
+    for label, points in sets.items():
+        unit, _ = geometry._unit_points(points)
+        i, j = np.triu_indices(len(unit), 1)
+        normals = np.cross(unit[i], unit[j])
+        norms = np.sqrt((normals * normals).sum(axis=1))
+        third = np.abs(normals @ unit.T)
+        third[np.arange(len(i)), i] = third[np.arange(len(i)), j] = np.inf
+        with np.errstate(invalid="ignore"):
+            least[label] = (norms.min() / core.SIGN_TOL,
+                            (third / norms[:, None]).min() / core.SIGN_TOL)
+        assert points.shape[1] == 3 and len(points) > 3, label
+    assert list(least) == [
+        "three-generic-m3-N8", "three-duplicate-m3-N9",
+        "three-antiparallel-m3-N9", "three-coplanar-m3-N9",
+        "three-plane1.5tol-m3-N9", "three-plane3tol-m3-N9",
+        "three-mixed-m3-N13"]
+    assert min(least["three-generic-m3-N8"]) > 1e9
+    for label in ("duplicate", "antiparallel"):
+        assert least[f"three-{label}-m3-N9"][0] == 0.0
+    assert least["three-coplanar-m3-N9"][1] < 1e-3
+    assert 1.4 < least["three-plane1.5tol-m3-N9"][1] < 1.6
+    assert 2.9 < least["three-plane3tol-m3-N9"][1] < 3.1
+    for label in ("coplanar", "plane1.5tol", "plane3tol"):
+        assert least[f"three-{label}-m3-N9"][0] > 1e9
+    mixed = np.abs(sets["three-mixed-m3-N13"])
+    assert mixed.max() / mixed.min() > 1e30
+
+
 def test_fit_lines_move_with_one_ulp_of_one_fit(monkeypatch):
     # fit_modes' and refine_alternate's lines: the same on a second run,
     # and one ulp added to one row of one _fit_masks call moves the line of

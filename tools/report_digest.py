@@ -38,7 +38,11 @@ its own, each set's row line followed by a line of check_general_position's
 report on it (ok, violations, sampled, checked_subsets). The same two lines
 follow for a few planar sets on either side of the planar pass's bound
 (every pair's cross product of unit points past 2 SIGN_TOL; see
-planar_point_sets), then for the lifted (G) and regressor (H) points of
+planar_point_sets), then for a few three-column sets on either side of the
+three-column pass's bound (every pair's cross product of unit points past
+4 SIGN_TOL and every third point past 2 SIGN_TOL from their plane, with a
+rounding term; see three_column_point_sets), then for the lifted (G) and
+regressor (H) points of
 the Partition reductions of PARTITIONS, sizes 2-6, whose points repeat
 every regressor and lie on many common hyperplanes, then for those of the tiny-regressor
 draws, which are in general position but whose lifted points lie within
@@ -86,6 +90,9 @@ PARTITIONS = ((1, 2), (3, 1, 2), (5, 3, 2, 4), (17, 13, 10, 6, 6),
               (4, 8, 3, 5, 2, 6))       # multisets whose G and H are hashed
 REDUCTION_EXPONENTS = (12, 13, 16, 24, 40)  # G and H of (2^k, 2^k + 2, 1, 1)
 PLANAR_ANGLES = (0.0, 1.5707963267948966, 0.4, 1.1, 2.0, 2.7, -0.5, -1.3)
+THREE_COLUMN_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
+                       (1, -2, 3), (-3, 1, 2), (2, 3, -1), (1, 3, 2))
+MIXED_SEED = 798                # 13 points x 10^U(-20, 20) each entry
 SUBNORMAL_X = ((1e-310, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 SUBNORMAL_Y = (1.0, 1.0, 2.0, 3.0)
 
@@ -265,6 +272,35 @@ def planar_point_sets(np, sign_tol):
     yield f"planar-collinear-m2-N{len(pts)}", pts
 
 
+def three_column_point_sets(np, sign_tol):
+    """(label, points) for the sets on either side of the bound of _cells'
+    three-column pass, which takes three-column sets of four or more points
+    whose unit points have every pairwise cross product past 4 sign_tol and
+    every third point past 2 sign_tol from the pair's plane, with a rounding
+    term: THREE_COLUMN_POINTS scaled to unit rows (column maxima 1, so they
+    are their own unit points up to rounding), alone and with a repeat of
+    the third, its negation, a point in the plane of the fourth and fifth,
+    or a point 1.5 or 3 sign_tol off the plane of the first two; and
+    13 Gaussian points whose entries are scaled by 10^U(-20, 20), seed
+    MIXED_SEED, whose rows the pass would get wrong without the rounding
+    term."""
+    base = np.array(THREE_COLUMN_POINTS, dtype=float)
+    base /= np.sqrt((base * base).sum(axis=1, keepdims=True))
+    coplanar = base[3] + base[4]
+    for kind, extra in (("generic", base[:0]), ("duplicate", base[2:3]),
+                        ("antiparallel", -base[2:3]),
+                        ("coplanar", coplanar / np.sqrt(coplanar @ coplanar)),
+                        ("plane1.5tol", [[np.cos(0.6), np.sin(0.6),
+                                          1.5 * sign_tol]]),
+                        ("plane3tol", [[np.cos(0.6), np.sin(0.6),
+                                        3 * sign_tol]])):
+        pts = np.vstack([base, extra])
+        yield f"three-{kind}-m3-N{len(pts)}", pts
+    rng = np.random.default_rng(MIXED_SEED)
+    pts = rng.standard_normal((13, 3)) * 10.0 ** rng.uniform(-20, 20, (13, 3))
+    yield f"three-mixed-m3-N{len(pts)}", pts
+
+
 def partition_point_sets(hardness):
     """(label, points) for the lifted (G) and regressor (H) points of the
     Partition reduction of each multiset in PARTITIONS."""
@@ -333,6 +369,7 @@ def main(argv=None) -> int:
 
     for label, points in [*point_sets(np),
                           *planar_point_sets(np, core.SIGN_TOL),
+                          *three_column_point_sets(np, core.SIGN_TOL),
                           *partition_point_sets(hardness),
                           *tiny_point_sets(Dataset, datasets),
                           *reduction_point_sets(hardness)]:
