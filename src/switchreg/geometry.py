@@ -6,14 +6,15 @@ exactly on the separating hyperplane {p : h . p = 0}. The patterns are the
 cells of the central hyperplane arrangement {h : h . p_i = 0}, and the
 enumeration here walks that arrangement's rays: the generic ones in one
 batched pass, recursing only into the points on each degenerate ray's
-hyperplane. A level of the walk takes one SVD, for the span of its points;
-its rays come from the signed minors of the point subsets, and there is no
-stacked SVD of the subsets, except of those too close to dependent for
-their minors to decide and of those with a point near or on their ray.
-Two kinds of set take no SVD at all: one column, whose nonzero points
-span R^1, and two columns of three or more points no two of which lie
-within 2 SIGN_TOL of one line through the origin, whose 2N cells (Cover,
-1965) are read off one table of the points' pairwise cross-product signs.
+hyperplane. A level of the walk takes two SVDs: one for the span of its
+points, and one stacked over its point subsets, whose last right singular
+vectors are the rays. Three kinds of set take no SVD at all: one column,
+whose nonzero points span R^1; two columns of three or more points no two
+of which lie within 2 SIGN_TOL of one line through the origin, whose 2N
+cells (Cover, 1965) are read off one table of the points' pairwise
+cross-product signs; and three columns of four or more points with every
+pair and every third point decided likewise (see _cells), whose
+2 (1 + (N-1) + C(N-1, 2)) cells are read off one table of triple products.
 The walk yields sign rows alone: the witnesses,
 normals realizing the rows, are computed when they are first read. It is
 exact on any data: repeated, collinear or coplanar points and N <= m need
@@ -59,6 +60,10 @@ _CELL_SLICE = 1 << 17
 class DichotomySet:
     """Enumeration result: (K, N) signs in {+1, -1}, distinct rows in
     ascending order, and the (K, m) witnesses realizing them row by row.
+    An enumeration's witness separates its row exactly: p . w, taken
+    exactly, has the row's sign at every point p. Its float product can
+    underflow to 0 at a point that lies about the float range below its
+    column maxima (1e-200 beside 1e200).
 
     witnesses is given as that array, or as a function of no arguments
     that returns it, called the first time .witnesses is read.
@@ -228,51 +233,20 @@ def _rays(q):
     (R, N) from each ray's hyperplane and on_ray (R, N), whether they lie
     on it.
 
-    A ray is the normal to r-1 independent points. Each (r-1)-subset A
-    gives its normal as its signed maximal minors, from one batched
-    determinant: A times it is zero, and its norm is the product of A's
-    singular values. The points are unit vectors, so every singular value
-    is at most sqrt(r-1) and the smallest is at least norm / (r-1)^((r-2)/2):
-    above 2 SIGN_TOL (r-1)^((r-1)/2), _rank would give rank r-1, and the
-    subset is independent. Each minor is off by about eps, so the unit ray
-    is off by about eps / norm, and the SVD's null vector by about as much:
-    on near-dependent subsets the two stay within 1.4 eps (r-1)^((r-1)/2) /
-    norm of each other, and the bound below allows 8. So the minors' ray
-    is kept only where it decides every point as the SVD's would: A's own
-    points on it, every other point farther than SIGN_TOL plus that bound
-    from it. The other subsets, near dependent or with a point near or on
-    their ray, as every degenerate ray has, take the stacked SVD and _rank,
-    as every subset once did, and their ray from the SVD.
+    A ray is the normal to r-1 independent points: each (r-1)-subset's
+    last right singular vector, from one stacked SVD, kept where _rank
+    gives the subset rank r-1. Subsets whose rays have the same on-ray
+    points give one ray, the first subset's, and the rays come in the
+    order of their on-ray sets (unique_rows).
     """
     N, r = q.shape
-    ids = _combination_rows(N, r - 1)                       # (S, r-1)
-    # (S, r, r-1, r-1): subset s without coordinate k, cols row k
-    cols = np.arange(r - 1) + (np.arange(r - 1) >= np.arange(r)[:, None])
-    normals = np.linalg.det(q[ids[:, None, :, None], cols[:, None]])
-    normals[:, 1::2] *= -1.0
-    norms = np.sqrt(np.add.reduce(normals * normals, axis=1))
-    slack = (r - 1) ** ((r - 1) / 2) / np.maximum(norms, SIGN_TOL)
-    rays = normals / np.maximum(norms, SIGN_TOL)[:, None]
+    subsets = q[_combination_rows(N, r - 1)]               # (S, r-1, r)
+    _, _, right = np.linalg.svd(subsets)
+    rays = right[:, -1]
     vals = rays @ q.T                                       # (S, N)
-    dist = np.abs(vals)
-    on_ray = dist <= SIGN_TOL
-    own = ids + N * np.arange(len(ids))[:, None]            # flat (s, ids[s])
-    off = dist.ravel()
-    kept = ((slack < 0.5 / SIGN_TOL)
-            & (off[own].max(axis=1, initial=0.0) <= SIGN_TOL))
-    off[own] = np.inf
-    kept &= dist.min(axis=1) > SIGN_TOL + 8 * 2.0 ** -52 * slack
-    doubt = (~kept).nonzero()[0]
-    if len(doubt):
-        subsets = q[ids[doubt]]
-        _, _, right = np.linalg.svd(subsets)
-        rays[doubt] = right[:, -1]
-        vals[doubt] = (q @ right[:, -1].T).T
-        on_ray[doubt] = np.abs(vals[doubt]) <= SIGN_TOL
-        doubt = doubt[_rank(subsets, right) == r - 1]
-        # one ray per on-ray set: a minors' ray has just its own subset on
-        # it, as no other ray has, so only the SVD's rays can share a set
-        kept[doubt[unique_rows(on_ray[doubt])]] = True
+    on_ray = np.abs(vals) <= SIGN_TOL
+    kept = (_rank(subsets, right) == r - 1).nonzero()[0]
+    kept = kept[unique_rows(on_ray[kept])]
     return rays[kept], vals[kept], on_ray[kept]
 
 
@@ -294,7 +268,7 @@ def _cells(points):
 
     A two-column set of N > 2 unit points in which every pair is decided,
     |p_i x p_j| > 2 SIGN_TOL for all i != j, takes the planar pass, with no
-    SVD and no minors. Its points span R^2, and no two are within SIGN_TOL
+    SVD. Its points span R^2, and no two are within SIGN_TOL
     of one line through the origin: three points all within SIGN_TOL of a
     line would have a pair within it of each other. So every ray below is
     generic, the normal to one point p_i, and decides every other point
@@ -303,9 +277,42 @@ def _cells(points):
     rays' rows are then that sign table's rows with point i taken both
     ways, and their negations: 4N rows holding Cover's 2N cells, each cell
     next to two rays, deduped and ordered by unique_rows as below, so the
-    rows are the general pass's bit for bit. Every other set, a repeated,
-    antiparallel or nearly parallel pair, a set on one line, N <= 2 or
-    three or more columns, is reduced to its span, of rank r.
+    rows are the general pass's bit for bit.
+
+    A three-column set of N > 3 unit points in which every pair and every
+    third point is decided, |p_i x p_j| > 4 SIGN_TOL and |det(p_i, p_j,
+    p_k)| > 2 SIGN_TOL |p_i x p_j| + 16 eps for all distinct i, j, k, takes
+    the three-column pass, with no SVD. det / |p_i x p_j| is p_k's distance
+    from the plane of p_i and p_j, so every third point is past 2 SIGN_TOL
+    from every pair's plane, and the walk below would give the same rows:
+    - the span has rank 3: N >= 4 unit points within SIGN_TOL of one plane
+      have one within 2 SIGN_TOL of the plane of two others (to first
+      order in SIGN_TOL; a numerical maximization over four points reaches
+      2 SIGN_TOL only as two pairs close up, their cross products to
+      2 SIGN_TOL);
+    - every pair is independent under _rank: two unit points are
+      sin(t/2) >= |p_i x p_j| / 2 > 2 SIGN_TOL from their bisector;
+    - a pair's ray, its SVD's null vector, is the unit normal
+      (p_i x p_j) / |p_i x p_j| up to a few eps / |p_i x p_j| (the
+      pair's least singular value is at least |p_i x p_j| / sqrt(2)), so
+      its value at p_k is p_k's distance from the plane up to a few
+      eps / |p_i x p_j|, and det, the product of the computed normal and
+      p_k, is off by a few eps too. The 16 eps covers both, so every other
+      point is off the ray by more than SIGN_TOL, on the side det gives up
+      to the ray's sign.
+    So every ray is generic, the pair's, and the rows are the (C(N, 2), N)
+    table of triple products around each pair, with all four local rows,
+    and their negations, which absorb the ray's sign: Cover's
+    2 (1 + (N-1) + C(N-1, 2)) cells, deduped and ordered by unique_rows as
+    below. The rounding term keeps out the recursion's sets: a degenerate
+    ray's on-ray points, projected into its plane, have three columns and
+    triple products of rounding size, which a margin of 2 SIGN_TOL
+    |p_i x p_j| alone lets through where |p_i x p_j| is small (a
+    13-point mixed-magnitude set then gives 170 rows, past Cover's 158,
+    where the walk gives 154). Every other set, a repeated, antiparallel
+    or nearly parallel pair, a set on one line or plane, N <= 2, N <= 3
+    in three columns, or four or more columns, is reduced to its span,
+    of rank r.
 
     The cells around a ray are those of its on-ray points projected onto
     the ray's hyperplane. A generic ray has exactly r-1 on-ray points:
@@ -313,11 +320,9 @@ def _cells(points):
     The recursion would reach its N == r case and shatter them, so every
     generic ray of a level is resolved in one batched pass that writes its
     2^(r-1) local rows and their negations, with no SVD of its own: a level
-    takes one SVD for its span and the rays' batched minors, and a stacked
-    SVD only of the subsets whose minors do not decide (see _rays), as
-    those of degenerate rays never do. The pass runs _CELL_SLICE local
-    cells at a time, deduped as they come. Only the degenerate rays
-    recurse.
+    takes one SVD for its span and one stacked SVD for its rays (see
+    _rays). The pass runs _CELL_SLICE local cells at a time, deduped as
+    they come. Only the degenerate rays recurse.
     """
     N = len(points)
     if points.shape[1] == 2 and N > 2:
@@ -329,6 +334,18 @@ def _cells(points):
             # each ray's rows, point i off and on, then their negations
             rows = np.concatenate([side, side, ~side, ~side])
             rows.reshape(4, N * N)[1::2, ::N + 1] = [[True], [False]]
+            return rows[unique_rows(rows)]
+    if points.shape[1] == 3 and N > 3:
+        i, j = _combination_rows(N, 2).T
+        normals = np.cross(points[i], points[j])
+        vals = normals @ points.T                  # det(p_i, p_j, p_k)
+        own = (np.arange(N) == i[:, None]) | (np.arange(N) == j[:, None])
+        norms = np.sqrt(np.add.reduce(normals * normals, axis=1,
+                                      keepdims=True))
+        dist = np.where(own, np.inf, np.abs(vals))
+        if ((dist > 2 * SIGN_TOL * norms + 16 * 2.0 ** -52)
+                & (norms > 4 * SIGN_TOL)).all():
+            rows = _around(vals, own, _shattered(2))
             return rows[unique_rows(rows)]
     q = points if points.shape[1] == 1 else _span(points)[1]
     r = min(N, q.shape[1])                 # the rank: _span's is at most N
@@ -385,7 +402,8 @@ def _around(vals, on, local):
 def _witnesses(points, rows, col):
     """(K, m) witnesses of the cells with the boolean (K, N) rows, for the
     original points of the unit points and column scales col that
-    _unit_points gave: p @ w > 0 exactly where a row holds.
+    _unit_points gave: p . w > 0, taken exactly, where a row holds, and
+    < 0 where it does not.
 
     After the reduction to the span, a cell's closure is a pointed cone
     spanned by the arrangement's rays in it: the unit rays consistent with
@@ -426,18 +444,27 @@ def enumerate_linear_dichotomies(points) -> DichotomySet:
     defined it, so they take all 2^(r-1) sign patterns: all generic rays of
     a level are resolved together in one batched pass. Only the
     degenerate rays, with more points on them or dependent ones, recurse
-    into their on-ray points; general-position data never recurses. Two
+    into their on-ray points; general-position data never recurses. Three
+    kinds of set take no SVD. One column of nonzero points spans R^1. Two
     columns of three or more points, no pair of whose unit points has a
     cross product within 2 SIGN_TOL of 0, have exactly 2N cells, each
     next to one point's line, and take their rows from one table of the
-    signs of the pairwise cross products, the rows the ray walk gives.
+    signs of the pairwise cross products. Three columns of four or more
+    points, no pair of whose unit points has a cross product within
+    4 SIGN_TOL of 0 and no third point within 2 SIGN_TOL (and a rounding
+    term) of a pair's plane, have exactly 2 (1 + (N-1) + C(N-1, 2)) cells,
+    each next to one pair's ray, and take their rows from one table of
+    triple products. Both tables give the rows the ray walk gives.
     Repeated, collinear or coplanar points and N <= m are exact, and a
     point within relative distance SIGN_TOL of a hyperplane counts as on
     it. r independent points give all 2^r patterns and r = 1 gives two.
     The set is closed under global negation. Its witnesses are computed
     the first time they are read: each row's is the sum of the unit rays
-    consistent with the row, interior to its cell, so they separate
-    strictly. A caller that reads only the signs pays nothing for them.
+    consistent with the row, interior to its cell, so it separates its
+    row strictly, p . w taken exactly. In floats p @ w can underflow to 0
+    at a point that lies about the float range below its column maxima
+    (1e-200 beside 1e200). A caller that reads only the signs pays
+    nothing for the witnesses.
     """
     unit, col = _unit_points(points)
     signs = np.where(_cells(unit), 1, -1)

@@ -139,6 +139,19 @@ def exact_cell_count(points):
     return sum(map(abs, mu.values()))
 
 
+def three_column_margins(unit):
+    """(pairs, thirds) of three-column unit points: each pair's |p_i x p_j|,
+    and each point's distance from each pair's plane, (C(N, 2), N), inf at
+    the pair's own points and NaN where the pair is parallel."""
+    i, j = np.triu_indices(len(unit), 1)
+    normals = np.cross(unit[i], unit[j])
+    pairs = np.sqrt((normals * normals).sum(axis=1))
+    with np.errstate(invalid="ignore"):
+        thirds = np.abs(normals @ unit.T) / pairs[:, None]
+    thirds[np.arange(len(i)), i] = thirds[np.arange(len(i)), j] = np.inf
+    return pairs, thirds
+
+
 def assert_strict(points, result):
     """Every witness of a DichotomySet separates its row's points
     strictly."""

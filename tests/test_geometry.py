@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from switchreg.geometry import unique_rows
 
 from conftest import (assert_strict, exact_cell_count, exact_rank,
                       lp_feasible_patterns, rays_on_their_points,
-                      report_digest)
+                      report_digest, three_column_margins)
 
 
 def _patterns(result):
@@ -404,17 +405,17 @@ def _svd_shapes(monkeypatch):
 
 
 def test_generic_rays_take_no_stacked_svd(monkeypatch):
-    # a structural guard, not a timing test: one SVD gives the span, and
-    # the rays of general-position points come from their subsets' minors,
-    # with no stacked SVD; degenerate subsets still take one. Two columns
-    # in general position take none: their cells come from the planar pass
+    # a structural guard, not a timing test: two and three columns in
+    # general position take no SVD, their cells coming from the planar and
+    # three-column passes; four columns take one SVD for the span and one
+    # stacked SVD for the rays of all C(9, 3) subsets at once, and no more
     shapes = _svd_shapes(monkeypatch)
     rng = np.random.default_rng(29)
     for m in (2, 3, 4):
         shapes.clear()
         pts = rng.standard_normal((9, m))
         result = enumerate_linear_dichotomies(pts)
-        assert shapes == ([] if m == 2 else [(9, m)]), m
+        assert shapes == ([(9, 4), (84, 3, 4)] if m == 4 else []), m
         if m == 2:
             assert np.array_equal(result.signs,
                                   sweep_dichotomies_oracle(pts).signs)
@@ -453,8 +454,10 @@ _PLANAR_FALLBACK = {
                          ids=_PLANAR_FALLBACK)
 def test_planar_pass_falls_back_on_undecided_pairs(monkeypatch, points):
     # a set with a pair of unit points whose cross product is within
-    # 2 SIGN_TOL of 0, or with two points or three columns, takes the span
-    # SVD first, as every set did before the planar pass
+    # 2 SIGN_TOL of 0, or with two points, takes the span SVD first, as
+    # every set did before the planar pass. So does the three-column set,
+    # which the three-column pass leaves too: its points 3 to 6 lie on one
+    # plane through the origin
     shapes = _svd_shapes(monkeypatch)
     result = enumerate_linear_dichotomies(points)
     assert shapes[0] == points.shape
@@ -501,6 +504,90 @@ def test_decided_planar_sets_take_the_planar_pass(monkeypatch):
         shapes.clear()
 
 
+def _decided_three_column_sets():
+    """Three-column sets of 4-20 points whose unit points' pairwise cross
+    products, and distances of every third point from a pair's plane, are
+    all past 1e-6, far outside the three-column pass's bound: Gaussian,
+    with rows and columns scaled by up to 1e+-150, and the digest's
+    generic set and its set with a point 3 SIGN_TOL off a pair's plane;
+    each with whether it is unscaled."""
+    rng = np.random.default_rng(53)
+    kept = 0
+    while kept < 24:
+        pts = rng.standard_normal((4 + kept % 17, 3))
+        if kept % 3 == 1:
+            pts *= 10.0 ** rng.uniform(-150, 150, size=(len(pts), 1))
+        if kept % 3 == 2:
+            pts *= 10.0 ** rng.uniform(-150, 150, size=3)
+        pairs, thirds = three_column_margins(geometry._unit_points(pts)[0])
+        if min(pairs.min(), thirds.min()) > 1e-6:
+            yield pts, kept % 3 == 0
+            kept += 1
+    yield _THREE["generic"], True
+    yield _THREE["plane3tol"], True
+
+
+# the digest's three-column boundary sets, by kind: a generic set, and that
+# set with a repeat, an antiparallel pair, a coplanar triple or a point at
+# 1.5 or 3 SIGN_TOL off a pair's plane added, and a mixed-magnitude set
+_THREE = {label.split("-")[1]: points for label, points
+          in report_digest.three_column_point_sets(np, geometry.SIGN_TOL)}
+
+
+def test_decided_three_column_sets_take_the_closed_form(monkeypatch):
+    # Cover's 2 (1 + (N - 1) + C(N - 1, 2)) cells, each next to the ray of
+    # one pair, with no SVD for the signs; the witnesses, read after, take
+    # the span SVD and separate strictly, by more than SIGN_TOL where the
+    # points are not scaled
+    shapes = _svd_shapes(monkeypatch)
+    for pts, unscaled in _decided_three_column_sets():
+        N = len(pts)
+        result = enumerate_linear_dichotomies(pts)
+        assert shapes == [], pts
+        assert len(result) == 2 * (1 + (N - 1) + comb(N - 1, 2)) \
+            == exact_cell_count(pts)
+        assert np.array_equal(np.sign(result.witnesses @ pts.T),
+                              result.signs)
+        if unscaled:
+            assert_strict(pts, result)
+        shapes.clear()
+
+
+_THREE_FALLBACK = {kind: _THREE[kind] for kind in (
+    "duplicate", "antiparallel", "coplanar", "plane1.5tol", "mixed")}
+
+
+@pytest.mark.parametrize("points", _THREE_FALLBACK.values(),
+                         ids=_THREE_FALLBACK)
+def test_three_column_pass_falls_back_on_undecided_sets(monkeypatch, points):
+    # a set with a pair of unit points whose cross product is within
+    # 4 SIGN_TOL of 0, or a third point within 2 SIGN_TOL of a pair's
+    # plane, takes the span SVD first. Every three-column set of four or
+    # more points that takes the pass, here or down the recursion, has
+    # rank 3: the on-ray points of a degenerate ray, projected into its
+    # plane, have triple products of rounding size, which the pass's
+    # rounding term keeps out. The mixed set's entries, 10^+-20 apart, put
+    # its witnesses' margins below SIGN_TOL in its own scale
+    shapes = _svd_shapes(monkeypatch)
+    taken = []
+    cells = geometry._cells
+
+    def spied(pts):
+        before = len(shapes)
+        rows = cells(pts)
+        if pts.shape[1] == 3 and len(pts) > 3 and len(shapes) == before:
+            taken.append(pts)
+        return rows
+
+    monkeypatch.setattr(geometry, "_cells", spied)
+    result = enumerate_linear_dichotomies(points)
+    assert shapes[0] == points.shape
+    for pts in taken:
+        assert np.linalg.svd(pts, compute_uv=False)[-1] > geometry.SIGN_TOL
+    if points is not _THREE["mixed"]:
+        assert_strict(points, result)
+
+
 @pytest.mark.parametrize("points, rows", [
     ([[1e-200], [1e200]], [[-1, -1], [1, 1]]),
     ([[1e-200, 1e-200], [1e200, 1.0], [1.0, 1e200]],
@@ -510,8 +597,14 @@ def test_decided_planar_sets_take_the_planar_pass(monkeypatch):
 def test_rows_that_underflow_against_their_column_maxima(points, rows):
     # every coordinate of the first point divided by its column maximum
     # underflows to 0; the point is scaled up by a power of two first, so
-    # it keeps its direction, here (1, 1) up to its length
-    assert np.array_equal(enumerate_linear_dichotomies(points).signs, rows)
+    # it keeps its direction, here (1, 1) up to its length. Each witness
+    # separates its row exactly, though its float products with the first
+    # point underflow to 0
+    result = enumerate_linear_dichotomies(points)
+    assert np.array_equal(result.signs, rows)
+    exact = [[sum(Fraction(w) * Fraction(p) for w, p in zip(wit, point))
+              for point in points] for wit in result.witnesses.tolist()]
+    assert [[(v > 0) - (v < 0) for v in row] for row in exact] == rows
     assert np.array_equal(sweep_dichotomies_oracle(points).signs, rows)
     unit, _ = geometry._unit_points(points)
     assert np.allclose(unit[0], np.full(len(points[0]),

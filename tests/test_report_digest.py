@@ -15,7 +15,7 @@ from switchreg import (ABSOLUTE, SQUARED, Dataset, DichotomySet, Labeling,
                        decide_threshold, enumerate_linear_dichotomies,
                        geometry, hardness, partition_to_instance, solvers)
 
-from conftest import exact_cell_count, report_digest
+from conftest import exact_cell_count, report_digest, three_column_margins
 
 digest = report_digest.digest
 RECORD = Path(__file__).resolve().parent / "data" / "report_digest.txt"
@@ -198,15 +198,9 @@ def test_point_sweep_covers_the_three_column_boundary():
     sets = dict(report_digest.three_column_point_sets(np, core.SIGN_TOL))
     least = {}
     for label, points in sets.items():
-        unit, _ = geometry._unit_points(points)
-        i, j = np.triu_indices(len(unit), 1)
-        normals = np.cross(unit[i], unit[j])
-        norms = np.sqrt((normals * normals).sum(axis=1))
-        third = np.abs(normals @ unit.T)
-        third[np.arange(len(i)), i] = third[np.arange(len(i)), j] = np.inf
-        with np.errstate(invalid="ignore"):
-            least[label] = (norms.min() / core.SIGN_TOL,
-                            (third / norms[:, None]).min() / core.SIGN_TOL)
+        pairs, thirds = three_column_margins(geometry._unit_points(points)[0])
+        least[label] = (pairs.min() / core.SIGN_TOL,
+                        np.nanmin(thirds) / core.SIGN_TOL)
         assert points.shape[1] == 3 and len(points) > 3, label
     assert list(least) == [
         "three-generic-m3-N8", "three-duplicate-m3-N9",
