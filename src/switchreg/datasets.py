@@ -212,8 +212,10 @@ def load_dataset_json(path) -> DatasetBundle:
     """Read a dataset (plus metadata) written by save_dataset_json.
 
     d, N, n and seed must be JSON integers, x and true_w lists of lists, y a
-    list and true_labels a list of integers; anything else raises ValueError
-    naming the file and the field.
+    list and true_labels a list of integers. The ground truth must fit the
+    data: true_w one or more rows of d entries, true_labels N labels in
+    1..n (any positive label when n is absent). Anything else raises
+    ValueError naming the file and the field.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -221,30 +223,34 @@ def load_dataset_json(path) -> DatasetBundle:
     for key in ("x", "y", "d", "N"):
         if key not in doc:
             raise ValueError(f"{path}: missing field {key!r}")
-    d, N = _json_int(path, doc, "d"), _json_int(path, doc, "N")
+    d, N, n = (_json_int(path, doc, key) for key in ("d", "N", "n"))
     xs = _json_rows(path, doc, "x")
     ys = _json_floats(path, doc["y"], "field 'y'")
     if len(xs) != N or len(ys) != N:
         raise ValueError(f"{path}: x/y lengths do not match N={N}")
     if not xs:
         raise ValueError(f"{path}: no data rows")
-    for r, row in enumerate(xs, start=1):
-        if len(row) != d:
-            raise ValueError(f"{path}: x row {r} has {len(row)} entries, expected {d}")
+    ws = _json_rows(path, doc, "true_w") if "true_w" in doc else None
+    if ws == []:
+        raise ValueError(f"{path}: field 'true_w' has no rows")
+    for key, rows in (("x", xs), ("true_w", ws or ())):
+        for r, row in enumerate(rows, start=1):
+            if len(row) != d:
+                raise ValueError(f"{path}: {key} row {r} has {len(row)} "
+                                 f"entries, expected {d}")
     data = Dataset(np.array(xs), np.array(ys))
-    models = None
-    if "true_w" in doc:
-        models = ModelSet(np.array(_json_rows(path, doc, "true_w")))
+    models = None if ws is None else ModelSet(np.array(ws))
     labeling = None
     if "true_labels" in doc:
         labels = doc["true_labels"]
-        if not (isinstance(labels, list)
-                and all(type(v) is int for v in labels)):
+        if not (isinstance(labels, list) and len(labels) == N and all(
+                type(v) is int and 0 < v <= (v if n is None else n)
+                for v in labels)):
             raise ValueError(f"{path}: field 'true_labels' must be a list of "
-                             f"integers, got {labels!r}")
+                             f"N={N} integers in 1..{'n' if n is None else n}"
+                             f", got {labels!r}")
         labeling = Labeling(np.array(labels, dtype=np.int64))
-    return DatasetBundle(data=data, n=_json_int(path, doc, "n"),
-                         seed=_json_int(path, doc, "seed"),
+    return DatasetBundle(data=data, n=n, seed=_json_int(path, doc, "seed"),
                          models=models, labeling=labeling)
 
 

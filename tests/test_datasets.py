@@ -189,8 +189,32 @@ def test_accuracy_validates_inputs():
      "Exceeds the limit (4300 digits) for integer string conversion: value "
      "has 5000 digits; use sys.set_int_max_str_digits() to increase the "
      "limit"),
+    # ground truth that does not fit the data
+    ({"d": 2, "N": 2, "n": 2, "x": [[1.0, 0.0], [2.0, 1.0]], "y": [1.0, 2.0],
+      "true_w": [[1.0], [2.0]]},
+     "true_w row 1 has 1 entries, expected 2"),
+    ({"d": 2, "N": 2, "n": 2, "x": [[1.0, 0.0], [2.0, 1.0]], "y": [1.0, 2.0],
+      "true_w": [[1.0, 0.5], [2.0]]},
+     "true_w row 2 has 1 entries, expected 2"),
+    ({"d": 1, "N": 2, "n": 2, "x": [[1.0], [2.0]], "y": [1.0, 2.0],
+      "true_w": []},
+     "field 'true_w' has no rows"),
+    ({"d": 1, "N": 2, "n": 2, "x": [[1.0], [2.0]], "y": [1.0, 2.0],
+      "true_labels": [1, 2, 1]},
+     "field 'true_labels' must be a list of N=2 integers in "
+     "1..2, got [1, 2, 1]"),
+    ({"d": 1, "N": 2, "n": 2, "x": [[1.0], [2.0]], "y": [1.0, 2.0],
+      "true_labels": [1, 3]},
+     "field 'true_labels' must be a list of N=2 integers in "
+     "1..2, got [1, 3]"),
+    ({"d": 1, "N": 2, "x": [[1.0], [2.0]], "y": [1.0, 2.0],
+      "true_labels": [0, 1]},
+     "field 'true_labels' must be a list of N=2 integers in "
+     "1..n, got [0, 1]"),
 ], ids=["not-an-object", "non-numeric", "length", "row-width", "boolean-x",
-        "boolean-y", "past-float-range", "truncated", "digit-limit"])
+        "boolean-y", "past-float-range", "truncated", "digit-limit",
+        "true-w-width", "true-w-ragged", "true-w-empty", "labels-length",
+        "label-past-n", "label-below-1"])
 def test_json_malformed_document_named(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
