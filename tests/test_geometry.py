@@ -505,12 +505,12 @@ def test_decided_planar_sets_take_the_planar_pass(monkeypatch):
 
 
 def _decided_three_column_sets():
-    """Three-column sets of 4-20 points whose unit points' pairwise cross
-    products, and distances of every third point from a pair's plane, are
-    all past 1e-6, far outside the three-column pass's bound: Gaussian,
-    with rows and columns scaled by up to 1e+-150, and the digest's
-    generic set and its set with a point 3 SIGN_TOL off a pair's plane;
-    each with whether it is unscaled."""
+    """Gaussian three-column sets of 4-20 points whose unit points'
+    pairwise cross products, and distances of every third point from a
+    pair's plane, are all past 1e-6, far inside the three-column pass,
+    some with rows or columns scaled by up to 1e+-150; then the digest's
+    generic set, and its set with a point 3 SIGN_TOL off a pair's plane,
+    just inside the pass. Each comes with whether it is unscaled."""
     rng = np.random.default_rng(53)
     kept = 0
     while kept < 24:
