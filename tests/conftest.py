@@ -139,17 +139,23 @@ def exact_cell_count(points):
     return sum(map(abs, mu.values()))
 
 
-def three_column_margins(unit):
-    """(pairs, thirds) of three-column unit points: each pair's |p_i x p_j|,
-    and each point's distance from each pair's plane, (C(N, 2), N), inf at
-    the pair's own points and NaN where the pair is parallel."""
-    i, j = np.triu_indices(len(unit), 1)
-    normals = np.cross(unit[i], unit[j])
-    pairs = np.sqrt((normals * normals).sum(axis=1))
-    with np.errstate(invalid="ignore"):
-        thirds = np.abs(normals @ unit.T) / pairs[:, None]
-    thirds[np.arange(len(i)), i] = thirds[np.arange(len(i)), j] = np.inf
-    return pairs, thirds
+def minors_margins(unit):
+    """(norms, dists) of m-column unit points, m >= 2: the norm of each
+    (m-1)-subset's normal, its signed maximal minors, and each point's
+    distance from the subset's hyperplane, |det(subset, point)| / norm,
+    (C(N, m-1), N), inf at the subset's own points and NaN where the
+    subset's minors are all 0."""
+    N, m = unit.shape
+    ids = np.array(list(itertools.combinations(range(N), m - 1)),
+                   dtype=int).reshape(-1, m - 1)
+    normals = np.stack([(-1) ** k * np.linalg.det(np.delete(unit[ids], k,
+                                                            axis=2))
+                        for k in range(m)], axis=1)
+    norms = np.sqrt((normals * normals).sum(axis=1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dists = np.abs(normals @ unit.T) / norms[:, None]
+    dists[np.arange(len(ids))[:, None], ids] = np.inf
+    return norms, dists
 
 
 def assert_strict(points, result):

@@ -21,8 +21,8 @@ from switchreg import geometry
 from switchreg.geometry import unique_rows
 
 from conftest import (assert_strict, exact_cell_count, exact_rank,
-                      lp_feasible_patterns, rays_on_their_points,
-                      report_digest, three_column_margins)
+                      lp_feasible_patterns, minors_margins,
+                      rays_on_their_points, report_digest)
 
 
 def _patterns(result):
@@ -519,7 +519,7 @@ def _decided_three_column_sets():
             pts *= 10.0 ** rng.uniform(-150, 150, size=(len(pts), 1))
         if kept % 3 == 2:
             pts *= 10.0 ** rng.uniform(-150, 150, size=3)
-        pairs, thirds = three_column_margins(geometry._unit_points(pts)[0])
+        pairs, thirds = minors_margins(geometry._unit_points(pts)[0])
         if min(pairs.min(), thirds.min()) > 1e-6:
             yield pts, kept % 3 == 0
             kept += 1

@@ -15,7 +15,7 @@ from switchreg import (ABSOLUTE, SQUARED, Dataset, DichotomySet, Labeling,
                        decide_threshold, enumerate_linear_dichotomies,
                        geometry, hardness, partition_to_instance, solvers)
 
-from conftest import exact_cell_count, report_digest, three_column_margins
+from conftest import exact_cell_count, minors_margins, report_digest
 
 digest = report_digest.digest
 RECORD = Path(__file__).resolve().parent / "data" / "report_digest.txt"
@@ -198,7 +198,7 @@ def test_point_sweep_covers_the_three_column_boundary():
     sets = dict(report_digest.three_column_point_sets(np, core.SIGN_TOL))
     least = {}
     for label, points in sets.items():
-        pairs, thirds = three_column_margins(geometry._unit_points(points)[0])
+        pairs, thirds = minors_margins(geometry._unit_points(points)[0])
         least[label] = (pairs.min() / core.SIGN_TOL,
                         np.nanmin(thirds) / core.SIGN_TOL)
         assert points.shape[1] == 3 and len(points) > 3, label
@@ -216,6 +216,39 @@ def test_point_sweep_covers_the_three_column_boundary():
     for label in ("coplanar", "plane1.5tol", "plane3tol"):
         assert least[f"three-{label}-m3-N9"][0] > 1e9
     mixed = np.abs(sets["three-mixed-m3-N13"])
+    assert mixed.max() / mixed.min() > 1e30
+
+
+def test_point_sweep_covers_the_four_column_boundary():
+    # four-column sets of 9 to 13 points whose least triple's minors, in
+    # units of 3^1.5 SIGN_TOL, and least distance of a fourth point from a
+    # triple's hyperplane, in SIGN_TOL, are far past the bound (generic),
+    # 0 (a repeat, an antiparallel pair), near rounding (a point on a
+    # triple's hyperplane), 2 and 8 SIGN_TOL, or past it with minors near
+    # 5e-10 (a nearly dependent triple); and a mixed-magnitude set
+    sets = dict(report_digest.four_column_point_sets(np, core.SIGN_TOL))
+    least = {}
+    for label, points in sets.items():
+        norms, dists = minors_margins(geometry._unit_points(points)[0])
+        least[label] = (norms.min() / (3 ** 1.5 * core.SIGN_TOL),
+                        np.nanmin(dists) / core.SIGN_TOL)
+        assert points.shape[1] == 4 and len(points) > 4, label
+    assert list(least) == [
+        "four-generic-m4-N9", "four-duplicate-m4-N10",
+        "four-antiparallel-m4-N10", "four-coplanar-m4-N10",
+        "four-plane2tol-m4-N10", "four-plane8tol-m4-N10",
+        "four-neardependent-m4-N10", "four-mixed-m4-N13"]
+    assert min(least["four-generic-m4-N9"]) > 1e9
+    for label in ("duplicate", "antiparallel"):
+        assert least[f"four-{label}-m4-N10"][0] == 0.0
+    assert least["four-coplanar-m4-N10"][1] < 1e-3
+    assert 1.9 < least["four-plane2tol-m4-N10"][1] < 2.1
+    assert 7.9 < least["four-plane8tol-m4-N10"][1] < 8.1
+    for label in ("coplanar", "plane2tol", "plane8tol"):
+        assert least[f"four-{label}-m4-N10"][0] > 1e9
+    norms, dists = least["four-neardependent-m4-N10"]
+    assert 2 < norms < 1e-9 / (3 ** 1.5 * core.SIGN_TOL) and dists > 4
+    mixed = np.abs(sets["four-mixed-m4-N13"])
     assert mixed.max() / mixed.min() > 1e30
 
 

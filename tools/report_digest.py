@@ -41,9 +41,12 @@ follow for a few planar sets on either side of the planar pass's bound
 planar_point_sets), then for a few three-column sets on either side of the
 three-column pass's bound (every pair's cross product of unit points past
 4 SIGN_TOL and every third point past 2 SIGN_TOL from their plane, with a
-rounding term; see three_column_point_sets), then for the lifted (G) and
-regressor (H) points of
-the Partition reductions of PARTITIONS, sizes 2-6, whose points repeat
+rounding term; see three_column_point_sets), then for a few four-column
+sets on either side of the same kind of bound (every triple's maximal
+minors past 2 SIGN_TOL 3^1.5 in norm and every fourth point past
+4 SIGN_TOL from the triple's hyperplane, with a rounding term; see
+four_column_point_sets), then for the lifted (G) and regressor (H) points
+of the Partition reductions of PARTITIONS, sizes 2-6, whose points repeat
 every regressor and lie on many common hyperplanes, then for those of the tiny-regressor
 draws, which are in general position but whose lifted points lie within
 SIGN_TOL of the y axis, where the enumeration is known to give fewer rows
@@ -92,6 +95,9 @@ REDUCTION_EXPONENTS = (12, 13, 16, 24, 40)  # G and H of (2^k, 2^k + 2, 1, 1)
 PLANAR_ANGLES = (0.0, 1.5707963267948966, 0.4, 1.1, 2.0, 2.7, -0.5, -1.3)
 THREE_COLUMN_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
                        (1, -2, 3), (-3, 1, 2), (2, 3, -1), (1, 3, 2))
+FOUR_COLUMN_POINTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                      (1, 1, 1, 1), (-2, 1, 3, 2), (-2, -4, 2, -3),
+                      (-1, 1, -3, -4), (2, 3, -4, 5))
 MIXED_SEED = 798                # 13 points x 10^U(-20, 20) each entry
 SUBNORMAL_X = ((1e-310, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 SUBNORMAL_Y = (1.0, 1.0, 2.0, 3.0)
@@ -301,6 +307,36 @@ def three_column_point_sets(np, sign_tol):
     yield f"three-mixed-m3-N{len(pts)}", pts
 
 
+def four_column_point_sets(np, sign_tol):
+    """(label, points) for four-column sets on either side of the bound of
+    a signed-minors closed form, which would take sets of five or more
+    points whose unit points have every triple's maximal minors past
+    2 sign_tol 3^1.5 in norm and every fourth point past 4 sign_tol from
+    the triple's hyperplane, with a rounding term: FOUR_COLUMN_POINTS
+    scaled to unit rows (column maxima 1, so they are their own unit
+    points up to rounding), alone and with a repeat of the third, its
+    negation, a point on the hyperplane of the first three, or a point 2
+    or 8 sign_tol off that hyperplane, or a point 1e-9 off the plane of
+    the fifth and sixth, which makes a nearly dependent triple, its minors
+    near 5e-10 in norm; and 13 Gaussian points whose entries are scaled by
+    10^U(-20, 20), seed MIXED_SEED."""
+    base = np.array(FOUR_COLUMN_POINTS, dtype=float)
+    base /= np.sqrt((base * base).sum(axis=1, keepdims=True))
+    flat = np.array([1.0, 3.0, 4.0, 0.0]) / np.sqrt(26.0)
+    up = np.array([0.0, 0.0, 0.0, sign_tol])
+    near = base[4] + base[5] + 1e-9 * np.array([0.3, -0.7, 0.2, 0.6])
+    for kind, extra in (("generic", base[:0]), ("duplicate", base[2:3]),
+                        ("antiparallel", -base[2:3]), ("coplanar", [flat]),
+                        ("plane2tol", [flat + 2 * up]),
+                        ("plane8tol", [flat + 8 * up]),
+                        ("neardependent", [near / np.sqrt(near @ near)])):
+        pts = np.vstack([base, extra])
+        yield f"four-{kind}-m4-N{len(pts)}", pts
+    rng = np.random.default_rng(MIXED_SEED)
+    pts = rng.standard_normal((13, 4)) * 10.0 ** rng.uniform(-20, 20, (13, 4))
+    yield f"four-mixed-m4-N{len(pts)}", pts
+
+
 def partition_point_sets(hardness):
     """(label, points) for the lifted (G) and regressor (H) points of the
     Partition reduction of each multiset in PARTITIONS."""
@@ -370,6 +406,7 @@ def main(argv=None) -> int:
     for label, points in [*point_sets(np),
                           *planar_point_sets(np, core.SIGN_TOL),
                           *three_column_point_sets(np, core.SIGN_TOL),
+                          *four_column_point_sets(np, core.SIGN_TOL),
                           *partition_point_sets(hardness),
                           *tiny_point_sets(Dataset, datasets),
                           *reduction_point_sets(hardness)]:
