@@ -12,9 +12,9 @@ vectors are the rays. Three kinds of set take no SVD at all: one column,
 whose nonzero points span R^1; two columns of three or more points no two
 of which lie within 2 SIGN_TOL of one line through the origin, whose 2N
 cells (Cover, 1965) are read off one table of the points' pairwise
-cross-product signs; and three columns of four or more points with every
-pair and every third point decided likewise (see _cells), whose
-2 (1 + (N-1) + C(N-1, 2)) cells are read off one table of triple products.
+cross-product signs; and m >= 3 columns of more than m points, decided
+likewise (see _cells) and within one slice of the walk, whose
+2 sum_{k<m} C(N-1, k) cells are read off one table of signed minors.
 The walk yields sign rows alone: the witnesses,
 normals realizing the rows, are computed when they are first read. It is
 exact on any data: repeated, collinear or coplanar points and N <= m need
@@ -52,8 +52,9 @@ __all__ = [
 _MAX_EXHAUSTIVE = 20000
 _SAMPLES = 2000
 # Local cells of generic rays per slice of _cells' batched pass. It bounds
-# that pass's (cells, N) arrays; the point sets of d <= 3 data up to N = 40
-# fit in one slice. The witness pass bounds its (rows, rays) arrays by it.
+# that pass's (cells, N) arrays, and the minors pass takes only sets whose
+# cells fit one slice; the point sets of d <= 3 data up to N = 40 fit. The
+# witness pass bounds its (rows, rays) arrays by it.
 _CELL_SLICE = 1 << 17
 
 
@@ -266,53 +267,52 @@ def _cells(points):
     with q the points themselves: the same rows, and one empty row for an
     empty set.
 
-    A two-column set of N > 2 unit points in which every pair is decided,
-    |p_i x p_j| > 2 SIGN_TOL for all i != j, takes the planar pass, with no
-    SVD. Its points span R^2, and no two are within SIGN_TOL
-    of one line through the origin: three points all within SIGN_TOL of a
-    line would have a pair within it of each other. So every ray below is
-    generic, the normal to one point p_i, and decides every other point
-    with a full SIGN_TOL to spare, by the sign of p_i x p_j up to one
-    global sign (the span's orientation), which the negations absorb. The
-    rays' rows are then that sign table's rows with point i taken both
-    ways, and their negations: 4N rows holding Cover's 2N cells, each cell
-    next to two rays, deduped and ordered by unique_rows as below, so the
-    rows are the general pass's bit for bit.
+    A set of m >= 2 columns and N > m unit points that is decided takes a
+    closed form, with no SVD. Each (m-1)-subset A has a normal n_A, its
+    signed maximal minors: n_A . p = +-det(A, p), |n_A| is A's
+    (m-1)-volume, and |det(A, p)| / |n_A| is p's distance from A's span.
+    With c = (m-1)^((m-1)/2), the set is decided when every
+    |n_A| > 2 SIGN_TOL c and every point outside A has
+    |det(A, p)| > m SIGN_TOL |n_A|. Lemma: the walk below then finds one
+    generic ray per A, with A's points alone on it, and no other ray.
+    - The span has rank m. Were every point within SIGN_TOL of one
+      hyperplane H, take the (m-1)-subset A whose projections into H have
+      the largest volume there. By Cramer's rule every other point's
+      projection is a combination of A's with coefficients of modulus at
+      most 1, which puts the point within (1 + (m-1)) SIGN_TOL of A's
+      span. That volume is not 0: were the projections in one
+      (m-2)-space, every A would have points within SIGN_TOL of it and
+      |n_A| below about (m-1) SIGN_TOL, under 2 SIGN_TOL c.
+    - Every A is independent under _rank: its singular values are at most
+      sqrt(m-1), its rows being unit, so the least is at least
+      |n_A| / (m-1)^((m-2)/2) > 2 SIGN_TOL sqrt(m-1), and one of its
+      points lies past 2 SIGN_TOL from the span of its leading m-2 right
+      singular vectors.
+    - A's ray, its SVD's null vector, is n_A / |n_A| up to about
+      eps c / |n_A|, and each minor is off by about eps, so the two rays'
+      values at a point stay within 8 c eps / |n_A| of each other. The
+      test reads the computed minors with that rounding term:
+      |det(A, p)| <= m SIGN_TOL |n_A| + 8 c eps exactly at A's own points.
+      So A's points are on its ray and every other point is off it, past
+      SIGN_TOL, on the side of det(A, p) up to the ray's sign.
+    So the rows are, for every A, the 2^(m-1) rows of A's points with
+    every other point on the side of det(A, p), and their negations,
+    which absorb the ray's sign: Cover's 2 sum_{k<m} C(N-1, k) cells,
+    deduped and ordered by unique_rows as below, the walk's rows bit for
+    bit. Down the recursion a set is a degenerate ray's on-ray points
+    projected into its hyperplane, and the test holds A's own points to
+    the same bound, so a set whose subsets' own points sit off their span
+    by more than rounding is refused.
 
-    A three-column set of N > 3 unit points in which every pair and every
-    third point is decided, |p_i x p_j| > 4 SIGN_TOL and |det(p_i, p_j,
-    p_k)| > 2 SIGN_TOL |p_i x p_j| + 16 eps for all distinct i, j, k, takes
-    the three-column pass, with no SVD. det / |p_i x p_j| is p_k's distance
-    from the plane of p_i and p_j, so every third point is past 2 SIGN_TOL
-    from every pair's plane, and the walk below would give the same rows:
-    - the span has rank 3: N >= 4 unit points within SIGN_TOL of one plane
-      have one within 2 SIGN_TOL of the plane of two others (to first
-      order in SIGN_TOL; a numerical maximization over four points reaches
-      2 SIGN_TOL only as two pairs close up, their cross products to
-      2 SIGN_TOL);
-    - every pair is independent under _rank: two unit points are
-      sin(t/2) >= |p_i x p_j| / 2 > 2 SIGN_TOL from their bisector;
-    - a pair's ray, its SVD's null vector, is the unit normal
-      (p_i x p_j) / |p_i x p_j| up to a few eps / |p_i x p_j| (the
-      pair's least singular value is at least |p_i x p_j| / sqrt(2)), so
-      its value at p_k is p_k's distance from the plane up to a few
-      eps / |p_i x p_j|, and det, the product of the computed normal and
-      p_k, is off by a few eps too. The 16 eps covers both, so every other
-      point is off the ray by more than SIGN_TOL, on the side det gives up
-      to the ray's sign.
-    So every ray is generic, the pair's, and the rows are the (C(N, 2), N)
-    table of triple products around each pair, with all four local rows,
-    and their negations, which absorb the ray's sign: Cover's
-    2 (1 + (N-1) + C(N-1, 2)) cells, deduped and ordered by unique_rows as
-    below. The rounding term keeps out the recursion's sets: a degenerate
-    ray's on-ray points, projected into its plane, have three columns and
-    triple products of rounding size, which a margin of 2 SIGN_TOL
-    |p_i x p_j| alone lets through where |p_i x p_j| is small (a
-    13-point mixed-magnitude set then gives 170 rows, past Cover's 158,
-    where the walk gives 154). Every other set, a repeated, antiparallel
-    or nearly parallel pair, a set on one line or plane, N <= 2, N <= 3
-    in three columns, or four or more columns, is reduced to its span,
-    of rank r.
+    The planar pass is the lemma at m = 2: |n_A| = |p_i| = 1, so the
+    independence bound always holds, and det(A, p_j) = p_i x p_j, one
+    product difference, exactly 0 at p_i. Its rows come from the one
+    (N, N) table of cross-product signs, each point's ray taking point i
+    both ways: 4N rows holding Cover's 2N cells. The minors pass serves
+    every m >= 3 where its C(N, m-1) 2^(m-1) local cells fit one
+    _CELL_SLICE, so that its arrays stay within the walk's slice bound.
+    Every other set, an undecided one, N <= m, or one past that bound, is
+    reduced to its span, of rank r.
 
     The cells around a ray are those of its on-ray points projected onto
     the ray's hyperplane. A generic ray has exactly r-1 on-ray points:
@@ -324,8 +324,8 @@ def _cells(points):
     _rays). The pass runs _CELL_SLICE local cells at a time, deduped as
     they come. Only the degenerate rays recurse.
     """
-    N = len(points)
-    if points.shape[1] == 2 and N > 2:
+    N, m = points.shape
+    if m == 2 and N > 2:
         a, b = points.T
         cross = a[:, None] * b - b[:, None] * a          # 0 on the diagonal
         if np.add.reduce(np.abs(cross) > 2 * SIGN_TOL, axis=None) \
@@ -335,19 +335,20 @@ def _cells(points):
             rows = np.concatenate([side, side, ~side, ~side])
             rows.reshape(4, N * N)[1::2, ::N + 1] = [[True], [False]]
             return rows[unique_rows(rows)]
-    if points.shape[1] == 3 and N > 3:
-        i, j = _combination_rows(N, 2).T
-        normals = np.cross(points[i], points[j])
-        vals = normals @ points.T                  # det(p_i, p_j, p_k)
-        own = (np.arange(N) == i[:, None]) | (np.arange(N) == j[:, None])
-        norms = np.sqrt(np.add.reduce(normals * normals, axis=1,
-                                      keepdims=True))
-        dist = np.where(own, np.inf, np.abs(vals))
-        if ((dist > 2 * SIGN_TOL * norms + 16 * 2.0 ** -52)
-                & (norms > 4 * SIGN_TOL)).all():
-            rows = _around(vals, own, _shattered(2))
+    if 2 < m < N and comb(N, m - 1) << (m - 1) <= _CELL_SLICE:
+        ids = _combination_rows(N, m - 1)
+        # (S, m, m-1, m-1): subset s without coordinate k, cols row k
+        cols = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
+        minors = np.linalg.det(points[ids[:, None, :, None], cols[:, None]])
+        vals = (minors * (-1.0) ** np.arange(m)) @ points.T  # +-det(A, p)
+        norms = np.sqrt(np.add.reduce(minors * minors, 1, keepdims=True))
+        own = (ids[:, :, None] == np.arange(N)).any(axis=1)
+        c = (m - 1) ** ((m - 1) / 2)
+        if (norms > 2 * SIGN_TOL * c).all() and ((np.abs(vals) <= m * SIGN_TOL
+                * norms + 8 * c * 2.0 ** -52) == own).all():
+            rows = _around(vals, own, _shattered(m - 1))
             return rows[unique_rows(rows)]
-    q = points if points.shape[1] == 1 else _span(points)[1]
+    q = points if m == 1 else _span(points)[1]
     r = min(N, q.shape[1])                 # the rank: _span's is at most N
     if N == r:
         return _shattered(r)
@@ -449,12 +450,13 @@ def enumerate_linear_dichotomies(points) -> DichotomySet:
     columns of three or more points, no pair of whose unit points has a
     cross product within 2 SIGN_TOL of 0, have exactly 2N cells, each
     next to one point's line, and take their rows from one table of the
-    signs of the pairwise cross products. Three columns of four or more
-    points, no pair of whose unit points has a cross product within
-    4 SIGN_TOL of 0 and no third point within 2 SIGN_TOL (and a rounding
-    term) of a pair's plane, have exactly 2 (1 + (N-1) + C(N-1, 2)) cells,
-    each next to one pair's ray, and take their rows from one table of
-    triple products. Both tables give the rows the ray walk gives.
+    signs of the pairwise cross products. m >= 3 columns of N > m points
+    whose unit points' (m-1)-subsets are independent, by their signed
+    maximal minors, with every other point past m SIGN_TOL (and a
+    rounding term) from their hyperplanes, have exactly
+    2 sum_{k<m} C(N-1, k) cells, each next to one subset's ray, and take
+    their rows from one table of signed minors, where those cells fit one
+    slice of the walk. Both tables give the rows the ray walk gives.
     Repeated, collinear or coplanar points and N <= m are exact, and a
     point within relative distance SIGN_TOL of a hyperplane counts as on
     it. r independent points give all 2^r patterns and r = 1 gives two.

@@ -405,17 +405,17 @@ def _svd_shapes(monkeypatch):
 
 
 def test_generic_rays_take_no_stacked_svd(monkeypatch):
-    # a structural guard, not a timing test: two and three columns in
-    # general position take no SVD, their cells coming from the planar and
-    # three-column passes; four columns take one SVD for the span and one
-    # stacked SVD for the rays of all C(9, 3) subsets at once, and no more
+    # a structural guard, not a timing test: two to five columns in general
+    # position take no SVD, their cells coming from the planar and minors
+    # passes
     shapes = _svd_shapes(monkeypatch)
     rng = np.random.default_rng(29)
-    for m in (2, 3, 4):
+    for m in (2, 3, 4, 5):
         shapes.clear()
         pts = rng.standard_normal((9, m))
         result = enumerate_linear_dichotomies(pts)
-        assert shapes == ([(9, 4), (84, 3, 4)] if m == 4 else []), m
+        assert shapes == [], m
+        assert len(result) == 2 * sum(comb(8, k) for k in range(m)), m
         if m == 2:
             assert np.array_equal(result.signs,
                                   sweep_dichotomies_oracle(pts).signs)
@@ -456,7 +456,7 @@ def test_planar_pass_falls_back_on_undecided_pairs(monkeypatch, points):
     # a set with a pair of unit points whose cross product is within
     # 2 SIGN_TOL of 0, or with two points, takes the span SVD first, as
     # every set did before the planar pass. So does the three-column set,
-    # which the three-column pass leaves too: its points 3 to 6 lie on one
+    # which the minors pass leaves too: its points 3 to 6 lie on one
     # plane through the origin
     shapes = _svd_shapes(monkeypatch)
     result = enumerate_linear_dichotomies(points)
@@ -504,47 +504,56 @@ def test_decided_planar_sets_take_the_planar_pass(monkeypatch):
         shapes.clear()
 
 
-def _decided_three_column_sets():
-    """Gaussian three-column sets of 4-20 points whose unit points'
-    pairwise cross products, and distances of every third point from a
-    pair's plane, are all past 1e-6, far inside the three-column pass,
-    some with rows or columns scaled by up to 1e+-150; then the digest's
-    generic set, and its set with a point 3 SIGN_TOL off a pair's plane,
-    just inside the pass. Each comes with whether it is unscaled."""
-    rng = np.random.default_rng(53)
+# the digest's three- and four-column boundary sets, by kind: a generic
+# set, and that set with a repeat, an antiparallel pair, a point on the
+# hyperplane of others or a point a few SIGN_TOL off it, or with a nearly
+# dependent triple, added, and a mixed-magnitude set
+_THREE = {label.split("-")[1]: points for label, points
+          in report_digest.three_column_point_sets(np, geometry.SIGN_TOL)}
+_FOUR = {label.split("-")[1]: points for label, points
+         in report_digest.four_column_point_sets(np, geometry.SIGN_TOL)}
+
+
+def _decided_sets(m, count, most):
+    """count Gaussian m-column sets of m+1 to most points whose unit points'
+    (m-1)-subsets have minors, and every other point a distance from their
+    hyperplane, past 1e-6, far inside the minors pass, some with rows or
+    columns scaled by up to 1e+-150; then the digest's generic set of m
+    columns, and at four columns its sets with a point 8 SIGN_TOL off a
+    triple's hyperplane, just inside the pass, and with a nearly dependent
+    triple. Each comes with whether it is unscaled."""
+    rng = np.random.default_rng(50 + m)
     kept = 0
-    while kept < 24:
-        pts = rng.standard_normal((4 + kept % 17, 3))
+    while kept < count:
+        pts = rng.standard_normal((m + 1 + kept % (most - m), m))
         if kept % 3 == 1:
             pts *= 10.0 ** rng.uniform(-150, 150, size=(len(pts), 1))
         if kept % 3 == 2:
-            pts *= 10.0 ** rng.uniform(-150, 150, size=3)
-        pairs, thirds = minors_margins(geometry._unit_points(pts)[0])
-        if min(pairs.min(), thirds.min()) > 1e-6:
+            pts *= 10.0 ** rng.uniform(-150, 150, size=m)
+        norms, dists = minors_margins(geometry._unit_points(pts)[0])
+        if min(norms.min(), dists.min()) > 1e-6:
             yield pts, kept % 3 == 0
             kept += 1
-    yield _THREE["generic"], True
-    yield _THREE["plane3tol"], True
+    digest = {3: [_THREE["generic"]], 4: [_FOUR[kind] for kind in (
+        "generic", "plane8tol", "neardependent")]}
+    for pts in digest.get(m, []):
+        yield pts, True
 
 
-# the digest's three-column boundary sets, by kind: a generic set, and that
-# set with a repeat, an antiparallel pair, a coplanar triple or a point at
-# 1.5 or 3 SIGN_TOL off a pair's plane added, and a mixed-magnitude set
-_THREE = {label.split("-")[1]: points for label, points
-          in report_digest.three_column_point_sets(np, geometry.SIGN_TOL)}
-
-
-def test_decided_three_column_sets_take_the_closed_form(monkeypatch):
-    # Cover's 2 (1 + (N - 1) + C(N - 1, 2)) cells, each next to the ray of
-    # one pair, with no SVD for the signs; the witnesses, read after, take
-    # the span SVD and separate strictly, by more than SIGN_TOL where the
-    # points are not scaled
+def test_decided_sets_take_the_minors_pass(monkeypatch):
+    # three to five columns: Cover's 2 sum_{k<m} C(N - 1, k) cells, each
+    # next to the ray of one (m-1)-subset, with no SVD for the signs; the
+    # witnesses, read after, take the span SVD and separate strictly, by
+    # more than SIGN_TOL where the points are not scaled
     shapes = _svd_shapes(monkeypatch)
-    for pts, unscaled in _decided_three_column_sets():
+    sets = [_decided_sets(m, count, most)
+            for m, count, most in ((3, 24, 20), (4, 12, 11), (5, 8, 9))]
+    for pts, unscaled in itertools.chain(*sets):
+        m = pts.shape[1]
         N = len(pts)
         result = enumerate_linear_dichotomies(pts)
         assert shapes == [], pts
-        assert len(result) == 2 * (1 + (N - 1) + comb(N - 1, 2)) \
+        assert len(result) == 2 * sum(comb(N - 1, k) for k in range(m)) \
             == exact_cell_count(pts)
         assert np.array_equal(np.sign(result.witnesses @ pts.T),
                               result.signs)
@@ -553,21 +562,23 @@ def test_decided_three_column_sets_take_the_closed_form(monkeypatch):
         shapes.clear()
 
 
-_THREE_FALLBACK = {kind: _THREE[kind] for kind in (
-    "duplicate", "antiparallel", "coplanar", "plane1.5tol", "mixed")}
+_FALLBACK = {
+    **{kind: _THREE[kind] for kind in ("duplicate", "antiparallel", "coplanar",
+                                       "plane1.5tol", "plane3tol", "mixed")},
+    **{f"four-{kind}": _FOUR[kind] for kind in (
+        "duplicate", "antiparallel", "coplanar", "plane2tol", "mixed")}}
 
 
-@pytest.mark.parametrize("points", _THREE_FALLBACK.values(),
-                         ids=_THREE_FALLBACK)
+@pytest.mark.parametrize("points", _FALLBACK.values(), ids=_FALLBACK)
 def test_three_column_pass_falls_back_on_undecided_sets(monkeypatch, points):
-    # a set with a pair of unit points whose cross product is within
-    # 4 SIGN_TOL of 0, or a third point within 2 SIGN_TOL of a pair's
-    # plane, takes the span SVD first. Every three-column set of four or
-    # more points that takes the pass, here or down the recursion, has
-    # rank 3: the on-ray points of a degenerate ray, projected into its
-    # plane, have triple products of rounding size, which the pass's
-    # rounding term keeps out. The mixed set's entries, 10^+-20 apart, put
-    # its witnesses' margins below SIGN_TOL in its own scale
+    # a set of m >= 3 columns with an (m-1)-subset of unit points whose
+    # minors are within 2 (m-1)^((m-1)/2) SIGN_TOL of 0 in norm, or with
+    # another point within m SIGN_TOL of the subset's hyperplane (here 3
+    # SIGN_TOL off at three columns, 2 at four), takes the span SVD first.
+    # Every set of m >= 3 columns and more than m points that takes the
+    # minors pass, here or down the recursion, has rank m, as _cells'
+    # lemma says. The mixed sets' entries, 10^+-20 apart, put their
+    # witnesses' margins below SIGN_TOL in their own scale
     shapes = _svd_shapes(monkeypatch)
     taken = []
     cells = geometry._cells
@@ -575,7 +586,7 @@ def test_three_column_pass_falls_back_on_undecided_sets(monkeypatch, points):
     def spied(pts):
         before = len(shapes)
         rows = cells(pts)
-        if pts.shape[1] == 3 and len(pts) > 3 and len(shapes) == before:
+        if 2 < pts.shape[1] < len(pts) and len(shapes) == before:
             taken.append(pts)
         return rows
 
@@ -584,8 +595,22 @@ def test_three_column_pass_falls_back_on_undecided_sets(monkeypatch, points):
     assert shapes[0] == points.shape
     for pts in taken:
         assert np.linalg.svd(pts, compute_uv=False)[-1] > geometry.SIGN_TOL
-    if points is not _THREE["mixed"]:
+    if not any(points is kinds["mixed"] for kinds in (_THREE, _FOUR)):
         assert_strict(points, result)
+
+
+def test_decided_sets_take_the_walk_past_one_slice(monkeypatch):
+    # the minors pass runs only where its C(N, m-1) 2^(m-1) local cells fit
+    # one _CELL_SLICE; past that a decided set walks, in slices, to the
+    # same rows
+    for points in (_THREE["generic"], _FOUR["generic"], _FOUR["plane8tol"]):
+        whole = enumerate_linear_dichotomies(points)
+        monkeypatch.setattr(geometry, "_CELL_SLICE", 8)
+        shapes = _svd_shapes(monkeypatch)
+        sliced = enumerate_linear_dichotomies(points)
+        monkeypatch.undo()
+        assert shapes[0] == points.shape
+        assert np.array_equal(sliced.signs, whole.signs)
 
 
 @pytest.mark.parametrize("points, rows", [

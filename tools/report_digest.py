@@ -39,13 +39,13 @@ report on it (ok, violations, sampled, checked_subsets). The same two lines
 follow for a few planar sets on either side of the planar pass's bound
 (every pair's cross product of unit points past 2 SIGN_TOL; see
 planar_point_sets), then for a few three-column sets on either side of the
-three-column pass's bound (every pair's cross product of unit points past
-4 SIGN_TOL and every third point past 2 SIGN_TOL from their plane, with a
-rounding term; see three_column_point_sets), then for a few four-column
-sets on either side of the same kind of bound (every triple's maximal
-minors past 2 SIGN_TOL 3^1.5 in norm and every fourth point past
-4 SIGN_TOL from the triple's hyperplane, with a rounding term; see
-four_column_point_sets), then for the lifted (G) and regressor (H) points
+minors pass's bound at three columns (every pair's cross product of unit
+points past 4 SIGN_TOL and every third point past 3 SIGN_TOL from their
+plane, with a rounding term; see three_column_point_sets), then for a few
+four-column sets on either side of its bound at four columns (every
+triple's maximal minors past 2 SIGN_TOL 3^1.5 in norm and every fourth
+point past 4 SIGN_TOL from the triple's hyperplane, with a rounding term;
+see four_column_point_sets), then for the lifted (G) and regressor (H) points
 of the Partition reductions of PARTITIONS, sizes 2-6, whose points repeat
 every regressor and lie on many common hyperplanes, then for those of the tiny-regressor
 draws, which are in general position but whose lifted points lie within
@@ -280,16 +280,16 @@ def planar_point_sets(np, sign_tol):
 
 def three_column_point_sets(np, sign_tol):
     """(label, points) for the sets on either side of the bound of _cells'
-    three-column pass, which takes three-column sets of four or more points
-    whose unit points have every pairwise cross product past 4 sign_tol and
-    every third point past 2 sign_tol from the pair's plane, with a rounding
-    term: THREE_COLUMN_POINTS scaled to unit rows (column maxima 1, so they
+    minors pass at three columns, which takes three-column sets of four or
+    more points whose unit points have every pairwise cross product past
+    4 sign_tol and every third point past 3 sign_tol from the pair's plane,
+    with a rounding term: THREE_COLUMN_POINTS scaled to unit rows (column maxima 1, so they
     are their own unit points up to rounding), alone and with a repeat of
     the third, its negation, a point in the plane of the fourth and fifth,
-    or a point 1.5 or 3 sign_tol off the plane of the first two; and
-    13 Gaussian points whose entries are scaled by 10^U(-20, 20), seed
-    MIXED_SEED, whose rows the pass would get wrong without the rounding
-    term."""
+    or a point 1.5 or 3 sign_tol off the plane of the first two, inside
+    and on the bound; and 13 Gaussian points whose entries are scaled by
+    10^U(-20, 20), seed MIXED_SEED, whose recursion reaches three-column
+    sets that the pass refuses."""
     base = np.array(THREE_COLUMN_POINTS, dtype=float)
     base /= np.sqrt((base * base).sum(axis=1, keepdims=True))
     coplanar = base[3] + base[4]
@@ -309,14 +309,14 @@ def three_column_point_sets(np, sign_tol):
 
 def four_column_point_sets(np, sign_tol):
     """(label, points) for four-column sets on either side of the bound of
-    a signed-minors closed form, which would take sets of five or more
+    _cells' minors pass at four columns, which takes sets of five or more
     points whose unit points have every triple's maximal minors past
     2 sign_tol 3^1.5 in norm and every fourth point past 4 sign_tol from
     the triple's hyperplane, with a rounding term: FOUR_COLUMN_POINTS
     scaled to unit rows (column maxima 1, so they are their own unit
     points up to rounding), alone and with a repeat of the third, its
     negation, a point on the hyperplane of the first three, or a point 2
-    or 8 sign_tol off that hyperplane, or a point 1e-9 off the plane of
+    or 8 sign_tol off that hyperplane, inside and outside the bound, or a point 1e-9 off the plane of
     the fifth and sixth, which makes a nearly dependent triple, its minors
     near 5e-10 in norm; and 13 Gaussian points whose entries are scaled by
     10^U(-20, 20), seed MIXED_SEED."""
