@@ -95,17 +95,23 @@ def _report_doc(report: SolveReport, data: Dataset, loss: LossModel) -> dict:
 
 
 def _parse_multiset(args) -> PartitionInstance:
+    """The multiset of --set, or of --set-file's first line, whose errors
+    name the file."""
     if args.set is not None:
-        raw = args.set
+        where, raw = "", args.set
     else:
         with open(args.set_file) as f:
-            raw = f.readline()
+            where, raw = f"{args.set_file}: ", f.readline()
     parts = raw.replace(",", " ").split()
     try:
-        values = [int(p) for p in parts]
+        values = tuple(int(p) for p in parts)
     except ValueError:
-        raise ValueError(f"multiset entries must be integers, got {parts}")
-    return PartitionInstance(tuple(values))
+        raise ValueError(f"{where}multiset entries must be integers, "
+                         f"got {parts}")
+    try:
+        return PartitionInstance(values)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +215,10 @@ def _cmd_extract_partition(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.replace(",", " ").split()]
+    try:
+        sizes = [int(s) for s in args.sizes.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ValueError(f"--sizes: {exc}") from exc
     result = bench_scaling(args.method, sizes, n=args.n, d=args.d,
                            noise_sigma=args.noise_sigma, seed=args.seed,
                            repeats=args.repeats, loss=LossModel(args.loss),

@@ -138,6 +138,8 @@ def load_dataset_csv(path) -> Dataset:
             vals = [float(v) for v in row]
         except ValueError as exc:
             raise ValueError(f"{path}: row {r} has a non-numeric field: {exc}") from exc
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{path}: row {r} has a non-finite entry")
         xs.append(vals[:-1])
         ys.append(vals[-1])
     if not xs:
@@ -177,16 +179,19 @@ def _json_int(path, doc: dict, key: str) -> int | None:
 
 
 def _json_floats(path, values, what: str) -> list:
-    """A JSON list of numbers (or numeric strings) as floats; a boolean, or
-    an integer past the float range, is refused."""
+    """A JSON list of numbers (or numeric strings) as floats; a boolean, an
+    integer past the float range, or an infinity or NaN is refused."""
     if not isinstance(values, list):
         raise ValueError(f"{path}: {what} must be a list, got {values!r}")
     try:
         if any(isinstance(v, bool) for v in values):
             raise TypeError("a boolean is not a number")
-        return [float(v) for v in values]
+        floats = [float(v) for v in values]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {what} has a non-numeric entry: {exc}") from exc
+    if not np.isfinite(floats).all():
+        raise ValueError(f"{path}: {what} has a non-finite entry")
+    return floats
 
 
 def _json_rows(path, doc: dict, key: str) -> list:

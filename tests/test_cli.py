@@ -224,6 +224,20 @@ def test_malformed_multiset_is_usage_error(tmp_path, capsys, raw, message):
     assert not inst_path.exists()
 
 
+@pytest.mark.parametrize("line,message", [
+    ("1, 2, x", "multiset entries must be integers, got ['1', '2', 'x']"),
+    ("3, 0", "entries must be positive integers, got (3, 0)")],
+    ids=["non-integer", "non-positive"])
+def test_malformed_multiset_file_is_named(tmp_path, capsys, line, message):
+    set_path = tmp_path / "s.txt"
+    set_path.write_text(line + "\n")
+    inst_path = tmp_path / "p.json"
+    code, stdout, stderr = run(capsys, "reduce-partition", "--set-file",
+                               str(set_path), "--out", str(inst_path))
+    assert (code, stdout, stderr) == (2, "", f"error: {set_path}: {message}\n")
+    assert not inst_path.exists()
+
+
 def test_report_integrity_check_refuses_a_drifted_cost():
     # a report whose cost is not that of its own models and labels is
     # refused before it is written
@@ -500,6 +514,14 @@ def test_bench_zero_repeats_is_usage_error(capsys):
                           "--sizes", "40,80", "--repeats", "0")
     assert code == 2
     assert "repeats" in stderr
+
+
+def test_bench_non_integer_size_names_the_flag(capsys):
+    code, stdout, stderr = run(capsys, "bench", "--method", "altmin",
+                               "--sizes", "10,x")
+    assert (code, stdout, stderr) == (
+        2, "", "error: --sizes: invalid literal for int() with base 10: "
+               "'x'\n")
 
 
 def test_bench_repeated_size_is_usage_error_with_no_solve(monkeypatch, capsys):

@@ -117,6 +117,14 @@ def test_csv_non_numeric_names_row_number(tmp_path):
         load_dataset_csv(path)
 
 
+def test_csv_non_finite_names_row_number(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,y\n1,2\ninf,3.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 3 "
+                                         "has a non-finite entry$"):
+        load_dataset_csv(path)
+
+
 def test_json_round_trip_with_ground_truth(tmp_path):
     spec = GeneratorSpec(n=2, d=2, N=12, noise_sigma=0.1, seed=10)
     data, models, labeling = generate_instance(spec)
@@ -182,6 +190,16 @@ def test_accuracy_validates_inputs():
       "true_w": [[10 ** 400]]},
      "true_w row 1 has a non-numeric entry: int too large to convert to "
      "float"),
+    # infinities and NaNs, as JSON's Infinity and NaN or as strings
+    ({"d": 1, "N": 2, "x": [[float("inf")], [2.0]], "y": [1.0, 2.0]},
+     "x row 1 has a non-finite entry"),
+    ({"d": 1, "N": 2, "x": [[1.0], [2.0]], "y": [float("nan"), 2.0]},
+     "field 'y' has a non-finite entry"),
+    ({"d": 1, "N": 2, "x": [[1.0], ["nan"]], "y": [1.0, 2.0]},
+     "x row 2 has a non-finite entry"),
+    ({"d": 1, "N": 2, "x": [[1.0], [2.0]], "y": [1.0, 2.0],
+      "true_w": [["inf"]]},
+     "true_w row 1 has a non-finite entry"),
     # raw text, written as it is: documents json.load itself refuses
     ('{"d": 1, "N": 2, "x": [[1.0], [2.0]], "y": [1.0',
      "Expecting ',' delimiter: line 1 column 48 (char 47)"),
@@ -212,7 +230,8 @@ def test_accuracy_validates_inputs():
      "field 'true_labels' must be a list of N=2 integers in "
      "1..n, got [0, 1]"),
 ], ids=["not-an-object", "non-numeric", "length", "row-width", "boolean-x",
-        "boolean-y", "past-float-range", "truncated", "digit-limit",
+        "boolean-y", "past-float-range", "infinite-x", "nan-y",
+        "nan-string-x", "inf-string-true-w", "truncated", "digit-limit",
         "true-w-width", "true-w-ragged", "true-w-empty", "labels-length",
         "label-past-n", "label-below-1"])
 def test_json_malformed_document_named(tmp_path, doc, message):
