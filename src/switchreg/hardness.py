@@ -140,11 +140,11 @@ def decide_threshold(inst: DecisionInstance, loss: LossModel = SQUARED,
     and its time grows exponentially with it. Per decision at sizes 4, 5,
     6 and 7 ((5, 3, 2, 4), (17, 13, 10, 6, 6), (4, 8, 3, 5, 2, 6) and
     (17, 13, 10, 6, 6, 1, 2), the least of three runs on a 2-core x86 VM
-    with one BLAS thread), enum takes 0.016, 0.10, 0.72 and 6.4 s, where
-    brute or noiseless are faster: brute takes 0.004, 0.016, 0.074 and
-    0.30 s. The answer is yes when the cost is at most epsilon + ZERO_TOL,
-    the margin every solver's zero tests use; a decision's slack is its
-    epsilon.
+    with one BLAS thread, one run at size 7), enum takes 0.017, 0.11, 0.81
+    and 7.6 s, where brute or noiseless are faster: brute takes 0.004,
+    0.016, 0.074 and 0.30 s. The answer is yes when the cost is at most
+    epsilon + ZERO_TOL, the margin every solver's zero tests use; a
+    decision's slack is its epsilon.
     """
     if method == "altmin":
         raise ValueError("altmin is heuristic; a threshold decision needs an "
